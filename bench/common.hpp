@@ -13,6 +13,7 @@
 #include "apps/workload.hpp"
 #include "core/cluster.hpp"
 #include "net/sim_transport.hpp"
+#include "shard/sharded_cluster.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
 #include "workload/engine.hpp"
@@ -64,6 +65,26 @@ inline LevelSnapshot snapshot_levels(core::IdeaCluster& cluster) {
     s.average += lv / static_cast<double>(kWriters.size());
   }
   return s;
+}
+
+/// The macro deployment the perf benches share (32 endpoints x 2000
+/// files in the headline runs): k = 3 replica groups, batching on,
+/// hint-based adaptation at 0.85, and detection stretched to every 2 s so
+/// thousands of co-located tenants keep the event volume proportional to
+/// useful work.
+inline shard::ShardedClusterConfig macro_config(std::uint32_t endpoints,
+                                                std::uint64_t seed) {
+  shard::ShardedClusterConfig cfg;
+  cfg.endpoints = endpoints;
+  cfg.replication = 3;
+  cfg.batching = true;
+  cfg.seed = seed;
+  cfg.sync_sizes();
+  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
+  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
+  cfg.idea.controller.hint = 0.85;
+  cfg.idea.detection_period = sec(2);
+  return cfg;
 }
 
 // ---------------------------------------------------------------------

@@ -273,17 +273,7 @@ struct MacroResult {
 MacroResult bench_macro(std::uint32_t endpoints, std::uint32_t files,
                         SimDuration sim_duration, std::uint64_t seed) {
   const auto start = WallClock::now();
-  shard::ShardedClusterConfig cfg;
-  cfg.endpoints = endpoints;
-  cfg.replication = 3;
-  cfg.batching = true;
-  cfg.seed = seed;
-  cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  cfg.idea.detection_period = sec(2);
-  shard::ShardedCluster cluster(cfg);
+  shard::ShardedCluster cluster(macro_config(endpoints, seed));
 
   cluster.place(1, files);
   apps::KvStore kv(cluster,

@@ -60,16 +60,7 @@ RunResult run_macro(ObsMode mode, std::uint32_t endpoints,
                     std::uint32_t files, SimDuration sim_duration,
                     std::uint64_t seed, const std::string& trace_out) {
   const auto start = WallClock::now();
-  shard::ShardedClusterConfig cfg;
-  cfg.endpoints = endpoints;
-  cfg.replication = 3;
-  cfg.batching = true;
-  cfg.seed = seed;
-  cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  cfg.idea.detection_period = sec(2);
+  shard::ShardedClusterConfig cfg = macro_config(endpoints, seed);
   cfg.observability.enabled = mode != ObsMode::kOff;
   cfg.observability.tracing = mode == ObsMode::kFull;
   shard::ShardedCluster cluster(cfg);

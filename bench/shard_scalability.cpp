@@ -62,19 +62,9 @@ struct RunConfig {
 RunResult run_once(const RunConfig& rc) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  shard::ShardedClusterConfig cfg;
-  cfg.endpoints = rc.endpoints;
-  cfg.replication = 3;
+  shard::ShardedClusterConfig cfg = macro_config(rc.endpoints, rc.seed);
   cfg.batching = rc.batching;
   cfg.batch.window = rc.batch_window;
-  cfg.seed = rc.seed;
-  cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  // Thousands of co-located tenants: stretch the periodic machinery a bit
-  // so the event volume stays proportional to useful work.
-  cfg.idea.detection_period = sec(2);
   shard::ShardedCluster cluster(cfg);
 
   cluster.place(1, rc.files);

@@ -91,8 +91,8 @@ struct ConsistencyLevel {
 /// quorum reads immune to any single stale replica, because every read
 /// quorum intersects every write quorum).
 ///
-///  * w = 1 (default) — ack at the coordinator alone: today's behavior,
-///    byte-identical to the pre-WriteConcern write path.
+///  * w = 1 (default) — ack at the acting coordinator alone, once it
+///    applied the write and began replicating it.
 ///  * w = 0           — majority (k/2 + 1), mirroring Quorum{r = 0}.
 ///  * w = n           — n applies, clamped to the group size.
 ///

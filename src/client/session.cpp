@@ -87,46 +87,19 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
   }
   ++ops_;
 
-  if (concern.w == 1) {
-    // Default concern: the pre-WriteConcern path, byte-identical on the
-    // wire (no want_ack flags, no pending-ack tracking beyond resends).
-    const bool applied =
-        cluster_.router().write(file, std::move(content), meta_delta, tc);
-    const NodeId coordinator = cluster_.coordinator_endpoint(file);
-    applied ? ++stats_->puts : ++stats_->blocked_puts;
-    // The write acks from the coordinator: one round trip from the
-    // client's origin (the replication fan-out proceeds asynchronously),
-    // estimated by the router's distance model like every read.
-    const SimDuration latency =
-        coordinator == kNoNode
-            ? 0
-            : cluster_.router().rtt(options_.origin, coordinator);
-    if (o != nullptr && applied) {
-      obs::Meter meter = o->cluster_meter();
-      meter.add(session_metrics().puts);
-      meter.observe(session_metrics().put_latency,
-                    static_cast<std::uint64_t>(latency));
-    }
-    if (tc.active()) {
-      o->tracer()->end_span(tc.span, cluster_.sim().now() + latency);
-    }
-    return OpHandle<WriteAck>(
-        cluster_.sim(),
-        WriteAck{applied, coordinator, applied ? 1u : 0u, 0, applied},
-        latency, applied);
-  }
-
-  // w > 1: the handle stays pending until the coordinator confirms w
-  // replica applies (hinted stand-ins counting), or the replication
-  // budget gives up.  The callback fires exactly once — possibly
-  // synchronously, inside write_with_concern.
-  ++stats_->wack_puts;
+  // Every put takes the write-concern path.  The handle resolves when
+  // the acting coordinator confirms w replica applies (hinted stand-ins
+  // counting), or when the replication budget gives up.  The callback
+  // fires exactly once: synchronously, inside write_with_concern, under
+  // the default w = 1 or when the write is blocked or unroutable.
+  const bool wack = !(concern == WriteConcern::one());
+  if (wack) ++stats_->wack_puts;
   OpHandle<WriteAck> handle =
       OpHandle<WriteAck>::pending(cluster_.sim(), WriteAck{});
   shard::ShardedCluster* cluster = &cluster_;
   cluster_.router().write_with_concern(
       file, std::move(content), meta_delta, concern,
-      [handle, stats = stats_, cluster, o, tc, origin = options_.origin](
+      [handle, wack, stats = stats_, cluster, o, tc, origin = options_.origin](
           bool satisfied, std::uint32_t acks, std::uint32_t hinted,
           NodeId coordinator) {
         WriteAck& ack = handle.mutable_value();
@@ -136,7 +109,7 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
         ack.hinted = hinted;
         ack.w_satisfied = satisfied;
         ack.applied ? ++stats->puts : ++stats->blocked_puts;
-        if (!satisfied) ++stats->wack_failed_puts;
+        if (wack && !satisfied) ++stats->wack_failed_puts;
         if (hinted > 0) ++stats->hinted_puts;
         // Client-observed latency: the replication time already elapsed
         // on the sim clock, plus the ack's trip back to the client —
@@ -153,13 +126,14 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
         }
         handle.resolve(latency, satisfied);
         if (o != nullptr) {
+          const SessionMetrics& m = session_metrics();
           obs::Meter meter = o->cluster_meter();
-          if (ack.applied) meter.add(session_metrics().puts);
+          if (ack.applied) meter.add(m.puts);
           if (satisfied) {
-            meter.observe(session_metrics().wack_latency,
+            meter.observe(wack ? m.wack_latency : m.put_latency,
                           static_cast<std::uint64_t>(handle.latency()));
-          } else {
-            meter.add(session_metrics().wack_failed);
+          } else if (wack) {
+            meter.add(m.wack_failed);
           }
         }
         if (tc.active()) {

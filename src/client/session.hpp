@@ -41,7 +41,7 @@ struct SessionOptions {
   /// Declared consistency for this session's reads (per-op overridable).
   ConsistencyLevel level = ConsistencyLevel::strong();
   /// Declared durability for this session's writes (per-op overridable).
-  /// w = 1 keeps the pre-WriteConcern path byte-identical.
+  /// The default w = 1 acks once the acting coordinator applied.
   WriteConcern write_concern = {};
   /// Endpoint the client attaches at — the latency model measures
   /// replica distance from here.  kNoNode models a client co-located
@@ -114,11 +114,12 @@ class ClientSession {
   ClientSession& operator=(const ClientSession&) = delete;
 
   /// Route a write under the session's declared WriteConcern.  With the
-  /// default w = 1 the handle acks once the coordinator applied and
-  /// began replicating (one modeled round trip); with w > 1 the handle
-  /// is *pending* and resolves only when w replica applies are confirmed
-  /// (or the replication budget gives up — handle.ok() false, with
-  /// value().acks still reporting what was confirmed).
+  /// default w = 1 the handle is resolved on return: it acks once the
+  /// acting coordinator applied and began replicating (one modeled round
+  /// trip to that coordinator); with w > 1 the handle is *pending* and
+  /// resolves only when w replica applies are confirmed (or the
+  /// replication budget gives up — handle.ok() false, with value().acks
+  /// still reporting what was confirmed).
   OpHandle<WriteAck> put(FileId file, std::string content,
                          double meta_delta = 0.0);
 

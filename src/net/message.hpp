@@ -46,11 +46,11 @@ struct Message {
   /// and untraced runs are byte-identical.  0 = untraced.
   std::uint64_t trace = 0;
   std::uint32_t span = 0;
-  /// Delivery-confirmation request (shard layer): a replicate push sent
-  /// under a write concern asks its receiver to ack even when the group's
-  /// resend feature is off.  One flag bit in a real header; not counted
-  /// in wire_bytes.  False on every message of a deployment that never
-  /// declares WriteConcern{w > 1}, which keeps old replays byte-exact.
+  /// Delivery-confirmation request (shard layer): the receiver of a
+  /// replicate push acks it iff this is set.  The sender sets it on every
+  /// push while the group's resends are on, and on the pushes of a
+  /// WriteConcern{w > 1} put.  One flag bit in a real header; not counted
+  /// in wire_bytes.
   bool want_ack = false;
 };
 

@@ -40,7 +40,9 @@ class WorkStealingDeque {
   /// Owner: push a task at the bottom.
   void push(std::uint32_t task) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
+    // Read only by the overflow assert (unused under NDEBUG).
+    [[maybe_unused]] const std::int64_t t =
+        top_.load(std::memory_order_acquire);
     assert(b - t <= static_cast<std::int64_t>(mask_) &&
            "WorkStealingDeque overflow: size the deque to the task count");
     buffer_[static_cast<std::size_t>(b) & mask_].store(

@@ -85,14 +85,8 @@ ReplicaSyncAgent::~ReplicaSyncAgent() {
 }
 
 bool ReplicaSyncAgent::put(std::string content, double meta_delta,
-                           const obs::TraceContext& tc) {
-  return put_with_concern(std::move(content), meta_delta, PutConcern{}, tc);
-}
-
-bool ReplicaSyncAgent::put_with_concern(std::string content,
-                                        double meta_delta, PutConcern concern,
-                                        const obs::TraceContext& tc,
-                                        const replica::Update** applied_out) {
+                           PutConcern concern, const obs::TraceContext& tc,
+                           const replica::Update** applied_out) {
   if (applied_out != nullptr) *applied_out = nullptr;
   if (!node_.write(std::move(content), meta_delta)) {
     ++stats_.blocked_puts;
@@ -111,9 +105,8 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   if (applied_out != nullptr) *applied_out = u;
 
   // One shared allocation for the whole fan-out; each send refcounts it.
-  // A write-concern put asks for acks even when the group's resend
-  // feature is off — the flag is metadata, so flows that never declare a
-  // concern stay byte-identical.
+  // Receivers ack exactly the pushes that ask: every push while resends
+  // are on, and a write-concern put's pushes even when they are off.
   const bool want_ack =
       options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
   const net::Payload payload = std::vector<replica::Update>{*u};
@@ -137,9 +130,8 @@ bool ReplicaSyncAgent::put_with_concern(std::string content,
   if (pushed > 0) meter_.add(agent_metrics().replicate_pushed, pushed);
 
   if (concern.on_result && concern.peer_acks_needed == 0) {
-    // w = 1 under the concern API: the local apply is the whole target.
-    ++stats_.wack_satisfied;
-    meter_.add(agent_metrics().wack_satisfied);
+    // w = 1: the local apply is the whole target, so no ack is awaited
+    // and the write-concern counters stay untouched.
     concern.on_result(true, 1);
     concern.on_result = nullptr;
   }
@@ -407,12 +399,10 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       tr->instant(inbound, "replicate.apply", endpoint_, msg.file,
                   transport_.now());
     }
-    // Ack every replicate (even redundant ones — the sender wants
-    // delivery confirmation, and re-sends of an update we already hold
-    // must still clear its pending slot over there).  Besides the
-    // group-wide resend feature, individual pushes ask via want_ack
-    // (write-concern puts in deployments that left the feature off).
-    if ((options_.resend_timeout > 0 || msg.want_ack) && !batch.empty()) {
+    // Ack every replicate that asks (even redundant ones — the sender
+    // wants delivery confirmation, and re-sends of an update we already
+    // hold must still clear its pending slot over there).
+    if (msg.want_ack && !batch.empty()) {
       net::Message ack;
       ack.from = node_.id();
       ack.to = msg.from;

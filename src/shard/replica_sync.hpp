@@ -39,11 +39,12 @@
 ///    abandoned update's silent ranks get an immediate targeted digest,
 ///    so the group converges even with periodic anti-entropy off.
 ///
-///  * Write concerns (put_with_concern): a client-declared WriteConcern{w}
+///  * Write concerns (put's PutConcern): a client-declared WriteConcern{w}
 ///    rides the same ack machinery — the put completes its callback once
-///    w - 1 peers confirmed their apply (pushes carry a want_ack flag so
-///    acks flow even when the group's resend feature is off), or fails it
-///    when the re-send budget runs out first.
+///    w - 1 peers confirmed their apply, or fails it when the re-send
+///    budget runs out first.  A receiver acks a push iff the push carries
+///    the want_ack flag; the sender sets it whenever resends are on or
+///    the put needs peer acks.
 
 #include <functional>
 #include <map>
@@ -108,10 +109,12 @@ struct ReplicaSyncOptions {
 using WriteConcernCallback =
     std::function<void(bool satisfied, std::uint32_t acks)>;
 
-/// Ack requirement of one put (see ReplicaSyncAgent::put_with_concern).
+/// Ack requirement of one put (see ReplicaSyncAgent::put).  The empty
+/// default is a plain w = 1 put with no callback.
 struct PutConcern {
-  /// Peer applies required beyond the coordinator's local one.  0 with an
-  /// on_result set means w = 1: the callback fires synchronously.
+  /// Peer applies required beyond the coordinator's local one.  0 means
+  /// w = 1: the local apply is the whole target, and on_result (if set)
+  /// fires synchronously.
   std::uint32_t peer_acks_needed = 0;
   WriteConcernCallback on_result;
 };
@@ -138,9 +141,7 @@ class ReplicaSyncAgent final : public net::MessageHandler {
  public:
   /// `node` and `transport` are borrowed; `transport` is the file's
   /// rank-space group transport and `group_size` its member count.
-  /// Registers itself on the node's dispatcher under "shard.".  All
-  /// members of one group must share `options` (receivers only ack when
-  /// the feature is on).
+  /// Registers itself on the node's dispatcher under "shard.".
   ReplicaSyncAgent(core::IdeaNode& node, net::Transport& transport,
                    std::uint32_t group_size, ReplicaSyncOptions options = {});
   ~ReplicaSyncAgent() override;
@@ -153,22 +154,19 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   /// blocks updates, mirroring IdeaNode::write.  A traced write (`tc`
   /// active) records each replication push as a wire span of `tc`'s
   /// trace, closed by the receiving rank at delivery.
-  bool put(std::string content, double meta_delta,
-           const obs::TraceContext& tc = {});
-
-  /// put() plus a write-concern: the push fan-out asks receivers for
-  /// delivery acks (even when the group's resend feature is off — the
-  /// messages carry a want_ack flag), the put is tracked against the
-  /// group's resend budget, and `concern.on_result` fires exactly once —
-  /// satisfied when `peer_acks_needed` distinct ranks confirmed their
-  /// apply, failed when the budget runs out first (at which point the
-  /// give-up path has already scheduled targeted anti-entropy, so the
-  /// data still converges even though the ack did not).  With an empty
-  /// concern this is byte-identical to put().  `applied_out`, when
-  /// non-null, receives the locally applied update (for hint queueing).
-  bool put_with_concern(std::string content, double meta_delta,
-                        PutConcern concern, const obs::TraceContext& tc = {},
-                        const replica::Update** applied_out = nullptr);
+  ///
+  /// `concern.on_result`, when set, fires exactly once: synchronously
+  /// when the write is blocked or `peer_acks_needed` is 0 (w = 1);
+  /// otherwise the pushes ask for acks, the put is tracked against the
+  /// group's resend budget, and the callback is satisfied once
+  /// `peer_acks_needed` distinct ranks confirmed their apply, or failed
+  /// when the budget runs out first (the give-up path has then already
+  /// scheduled targeted anti-entropy, so the data still converges even
+  /// though the ack did not).  `applied_out`, when non-null, receives
+  /// the locally applied update (for hint queueing).
+  bool put(std::string content, double meta_delta, PutConcern concern = {},
+           const obs::TraceContext& tc = {},
+           const replica::Update** applied_out = nullptr);
 
   /// Arm the periodic anti-entropy exchange (idempotent re-arm; 0 stops).
   /// Rounds rotate deterministically over the other ranks, so every pair

@@ -41,14 +41,6 @@ const RouterMetrics& router_metrics() {
 
 }  // namespace
 
-std::vector<NodeId> RequestRouter::group_of(FileId file) const {
-  return cluster_.group_of(file);
-}
-
-NodeId RequestRouter::coordinator_of(FileId file) const {
-  return cluster_.coordinator_endpoint(file);
-}
-
 core::IdeaNode* RequestRouter::open(FileId file) {
   const std::size_t before = cluster_.placed_files();
   core::IdeaNode* coordinator = cluster_.ensure_open(file);
@@ -58,48 +50,23 @@ core::IdeaNode* RequestRouter::open(FileId file) {
   return coordinator;
 }
 
-bool RequestRouter::write(FileId file, std::string content,
-                          double meta_delta, const obs::TraceContext& tc) {
-  if (open(file) == nullptr) return false;
-  const auto [agent, endpoint] = cluster_.coordinator(file);
-  if (agent == nullptr) return false;
-  ++stats_.coordinator_ops[endpoint];
-  const bool failover = endpoint != cluster_.coordinator_endpoint(file);
-  if (failover) ++stats_.failover_writes;
-  if (!agent->put(std::move(content), meta_delta, tc)) {
-    ++stats_.blocked_writes;
-    return false;
-  }
-  ++stats_.writes;
-  if (adapt::ConsistencyController* ctl = cluster_.controller()) {
-    ctl->on_write(file);
-  }
-  if (obs::Observability* o = observability()) {
-    o->cluster_meter().add(router_metrics().writes);
-    if (failover) o->cluster_meter().add(router_metrics().write_failover);
-  }
-  return true;
-}
-
 RequestRouter::WriteDispatch RequestRouter::write_with_concern(
     FileId file, std::string content, double meta_delta,
     const client::WriteConcern& concern, WriteAckCallback on_result,
     const obs::TraceContext& tc) {
   WriteDispatch d;
-  // Unroutable (empty ring / every member down): not a blocked write,
-  // mirroring write() — but the callback still gets its exactly-once fire.
-  const auto fail = [&] {
-    if (on_result) on_result(false, 0, 0, d.coordinator);
+  // Unroutable (empty ring / every member down): not a blocked write, but
+  // the callback still gets its exactly-once fire.
+  if (open(file) == nullptr) {
+    if (on_result) on_result(false, 0, 0, kNoNode);
     return d;
-  };
-  if (open(file) == nullptr) return fail();
+  }
+  // open() succeeded, so the file is placed and has an acting coordinator.
   const auto [agent, endpoint] = cluster_.coordinator(file);
-  if (agent == nullptr) return fail();
-  const std::vector<NodeId>* members = cluster_.members_of(file);
-  if (members == nullptr || members->empty()) return fail();
+  const std::vector<NodeId>& members = *cluster_.members_of(file);
 
   d.coordinator = endpoint;
-  const auto k = static_cast<std::uint32_t>(members->size());
+  const auto k = static_cast<std::uint32_t>(members.size());
   const std::uint32_t w = concern.resolve(k);
   d.effective_w = w;
   ++stats_.coordinator_ops[endpoint];
@@ -113,10 +80,10 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   std::vector<std::pair<NodeId, NodeId>> hint_plan;  // target -> stand-in
   if (w > 1) {
     std::uint32_t alive = 0;
-    for (NodeId m : *members) {
+    for (NodeId m : members) {
       if (cluster_.has_endpoint(m)) ++alive;
     }
-    for (NodeId m : *members) {
+    for (NodeId m : members) {
       if (alive + hint_plan.size() >= w) break;
       if (cluster_.has_endpoint(m)) continue;
       const NodeId stand_in = cluster_.stand_in_for(file, m);
@@ -139,8 +106,9 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   }
 
   const replica::Update* applied = nullptr;
-  if (!agent->put_with_concern(std::move(content), meta_delta,
-                               std::move(agent_concern), tc, &applied)) {
+  const bool accepted = agent->put(std::move(content), meta_delta,
+                                   std::move(agent_concern), tc, &applied);
+  if (!accepted) {
     // The agent already failed the callback.
     ++stats_.blocked_writes;
     return d;
@@ -197,10 +165,7 @@ SimDuration RequestRouter::rtt(NodeId origin, NodeId endpoint) const {
 }
 
 bool RequestRouter::hint_live(const Freshness& f) const {
-  const SimDuration ttl = cluster_.config().freshness_hint_ttl;
-  if (ttl <= 0) return true;  // decay disabled
-  const SimTime now = cluster_.sim().now();
-  return now <= f.at + ttl;
+  return cluster_.sim().now() <= f.at + cluster_.config().freshness_hint_ttl;
 }
 
 void RequestRouter::note_freshness(FileId file, NodeId endpoint,
@@ -340,21 +305,17 @@ client::ReadResult RequestRouter::serve_single(FileId file, NodeId endpoint,
 }
 
 client::ReadResult RequestRouter::serve_quorum(
-    FileId file, const std::vector<NodeId>& members, NodeId origin,
-    std::uint32_t r, const obs::TraceContext& tc) {
-  // Fan out to the coordinator plus the r-1 nearest other replicas: the
-  // write path acks at the coordinator (W = 1), so including it keeps
-  // R ∩ W nonempty and the merged view can never miss an acked write.
-  // Crashed members cannot be contacted — the quorum forms over the
-  // living, with the acting coordinator (lowest alive rank) first.
-  std::vector<NodeId> alive;
-  alive.reserve(members.size());
+    FileId file, const std::vector<NodeId>& members, NodeId coordinator_ep,
+    NodeId origin, std::uint32_t r, const obs::TraceContext& tc) {
+  // Fan out to the acting coordinator plus the r-1 nearest other live
+  // replicas: the write path acks at the coordinator (W = 1), so
+  // including it keeps R ∩ W nonempty and the merged view can never miss
+  // an acked write.  Crashed members cannot be contacted.
+  std::vector<NodeId> targets{coordinator_ep};
+  std::vector<NodeId> others;
   for (NodeId e : members) {
-    if (cluster_.has_endpoint(e)) alive.push_back(e);
+    if (e != coordinator_ep && cluster_.has_endpoint(e)) others.push_back(e);
   }
-  if (alive.empty()) return {};
-  std::vector<NodeId> targets{alive.front()};
-  std::vector<NodeId> others(alive.begin() + 1, alive.end());
   std::stable_sort(others.begin(), others.end(),
                    [&](NodeId a, NodeId b) {
                      return rtt(origin, a) < rtt(origin, b);
@@ -486,17 +447,10 @@ client::ReadResult RequestRouter::route_read(
     const obs::TraceContext& tc) {
   core::IdeaNode* coordinator = open(file);
   if (coordinator == nullptr) return {};
-  const std::vector<NodeId>* members = cluster_.members_of(file);
-  if (members == nullptr || members->empty()) return {};
-  // Acting coordinator: the lowest alive rank — rank 0 unless it crashed,
-  // in which case reads (like writes) fail over down the rank order.
-  NodeId coord_ep = members->front();
-  for (NodeId member : *members) {
-    if (cluster_.has_endpoint(member)) {
-      coord_ep = member;
-      break;
-    }
-  }
+  const std::vector<NodeId>& members = *cluster_.members_of(file);
+  // Reads, like writes, go to the acting coordinator: rank 0 unless it
+  // crashed, in which case they fail over down the rank order.
+  const NodeId coord_ep = cluster_.coordinator(file).second;
   ++stats_.reads;
 
   obs::Observability* o = observability();
@@ -531,7 +485,7 @@ client::ReadResult RequestRouter::route_read(
         return res;
       }
       const NodeId target =
-          pick_replica(file, *members, origin, /*use_hints=*/false);
+          pick_replica(file, members, origin, /*use_hints=*/false);
       client::ReadResult res = serve_single(file, target, origin, tc);
       if (target != coord_ep) {
         core::IdeaNode* node = cluster_.replica(file, target);
@@ -552,7 +506,7 @@ client::ReadResult RequestRouter::route_read(
         return res;
       }
       const NodeId candidate =
-          pick_replica(file, *members, origin, /*use_hints=*/true);
+          pick_replica(file, members, origin, /*use_hints=*/true);
       // Age of the freshness hint that informed this selection — how
       // stale the router's own routing input was at use time.
       if (candidate != coord_ep && meter.enabled()) {
@@ -597,11 +551,12 @@ client::ReadResult RequestRouter::route_read(
 
     case client::Level::kQuorum: {
       ++stats_.quorum_reads;
-      const auto k = static_cast<std::uint32_t>(members->size());
+      const auto k = static_cast<std::uint32_t>(members.size());
       std::uint32_t r = level.quorum_r == 0 ? k / 2 + 1 : level.quorum_r;
       r = std::min(std::max<std::uint32_t>(r, 1), k);
       ++stats_.coordinator_ops[coord_ep];
-      client::ReadResult res = serve_quorum(file, *members, origin, r, tc);
+      client::ReadResult res =
+          serve_quorum(file, members, coord_ep, origin, r, tc);
       res.migration_window = in_migration_window(file);
       return res;
     }

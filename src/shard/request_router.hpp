@@ -28,13 +28,13 @@
 /// are cold, so policy reads are pinned to the already-warm new
 /// coordinator until the window passes.
 ///
-/// Writes still go to the file's coordinator (rank 0), whose
-/// ReplicaSyncAgent pushes the update to the rest of the group; that path
-/// is byte-identical to the old ShardRouter's, which is what keeps the
-/// fixed-seed determinism goldens valid.  A write carrying a client
-/// WriteConcern{w > 1} additionally waits for w - 1 peer acks before its
-/// callback fires, and routes around crashed members with sloppy-quorum
-/// hinted handoff (see write_with_concern).
+/// Every write takes one path, write_with_concern: it goes to the file's
+/// acting coordinator (the lowest alive rank, ShardedCluster::coordinator),
+/// whose ReplicaSyncAgent applies it and pushes it to the rest of the
+/// group.  Under the default WriteConcern{1} the callback fires
+/// synchronously after the local apply; WriteConcern{w > 1} additionally
+/// waits for w - 1 peer acks, and routes around crashed members with
+/// sloppy-quorum hinted handoff.
 
 #include <cstdint>
 #include <functional>
@@ -113,14 +113,9 @@ class RequestRouter {
   // Placement / lifecycle
   // ------------------------------------------------------------------
 
-  /// The file's replica group (primary first) per the current ring.
-  [[nodiscard]] std::vector<NodeId> group_of(FileId file) const;
-
-  /// The endpoint coordinating the file (kNoNode on an empty ring).
-  [[nodiscard]] NodeId coordinator_of(FileId file) const;
-
   /// Ensure the file is open on its whole replica group; returns the
-  /// coordinator's replica stack (nullptr on an empty ring).
+  /// acting coordinator's replica stack (nullptr on an empty ring or when
+  /// every member is down).
   core::IdeaNode* open(FileId file);
 
   /// Close the file on every group member.  Returns whether it was open.
@@ -133,12 +128,6 @@ class RequestRouter {
   // ------------------------------------------------------------------
   // Data path
   // ------------------------------------------------------------------
-
-  /// Route a write to the file's coordinator, which replicates it to the
-  /// group.  Opens the file on first touch.  A traced write (`tc` active)
-  /// has its replication fan-out recorded under `tc`'s trace.
-  bool write(FileId file, std::string content, double meta_delta,
-             const obs::TraceContext& tc = {});
 
   /// What one write-concern dispatch decided (issue-time view; the ack
   /// outcome arrives through the callback).
@@ -157,15 +146,16 @@ class RequestRouter {
       bool satisfied, std::uint32_t acks, std::uint32_t hinted,
       NodeId coordinator)>;
 
-  /// Route a write under a client-declared WriteConcern.  Resolves w
-  /// against the file's group, and when fewer than w members are alive
-  /// performs a sloppy-quorum write: each crashed member the concern
-  /// needs is covered by a hint durably queued at a live stand-in
-  /// endpoint (counting toward w), to be drained back through
-  /// anti-entropy when the member restarts.  `on_result` fires exactly
-  /// once — possibly synchronously (w already covered at dispatch, or
-  /// the write was blocked/unroutable).  With w resolving to 1 and no
-  /// callback this is behavior-identical to write().
+  /// Route a write to the file's acting coordinator, which replicates it
+  /// to the group, under a client-declared WriteConcern.  Opens the file
+  /// on first touch.  Resolves w against the file's group, and when fewer
+  /// than w members are alive performs a sloppy-quorum write: each
+  /// crashed member the concern needs is covered by a hint durably queued
+  /// at a live stand-in endpoint (counting toward w), to be drained back
+  /// through anti-entropy when the member restarts.  `on_result` fires
+  /// exactly once — synchronously when w resolves to 1 or the write was
+  /// blocked/unroutable.  A traced write (`tc` active) has its
+  /// replication fan-out recorded under `tc`'s trace.
   WriteDispatch write_with_concern(FileId file, std::string content,
                                    double meta_delta,
                                    const client::WriteConcern& concern,
@@ -240,8 +230,8 @@ class RequestRouter {
     SimTime at = 0;
   };
 
-  /// Whether the hint is still inside the decay horizon (always true
-  /// when decay is disabled via freshness_hint_ttl = 0).
+  /// Whether the hint is still inside the decay horizon
+  /// (config.freshness_hint_ttl).
   [[nodiscard]] bool hint_live(const Freshness& f) const;
 
   /// The live hint for (file, endpoint); nullptr when absent or decayed.
@@ -264,9 +254,11 @@ class RequestRouter {
       FileId file, NodeId endpoint, NodeId origin,
       const obs::TraceContext& tc = {});
 
+  /// Quorum read over `members`, always including the acting
+  /// coordinator `coordinator_ep`.
   [[nodiscard]] client::ReadResult serve_quorum(
-      FileId file, const std::vector<NodeId>& members, NodeId origin,
-      std::uint32_t r, const obs::TraceContext& tc = {});
+      FileId file, const std::vector<NodeId>& members, NodeId coordinator_ep,
+      NodeId origin, std::uint32_t r, const obs::TraceContext& tc = {});
 
   /// The policy dispatch read() wraps: routes one read at an
   /// already-resolved level.  This is the pre-adaptive read() body,

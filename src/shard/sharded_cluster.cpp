@@ -131,34 +131,52 @@ ShardedCluster::FileGroup& ShardedCluster::open_group(
   return files_.emplace(file, std::move(group)).first->second;
 }
 
+void ShardedCluster::teardown_group(
+    std::unordered_map<FileId, FileGroup>::iterator it) {
+  // Sync agents and nodes unhook from each other's dispatcher; drop the
+  // agents first, then the stacks, then the group transports they used.
+  it->second.sync.clear();
+  for (NodeId member : it->second.members) {
+    if (services_[member] != nullptr) services_[member]->close(it->first);
+  }
+  files_.erase(it);
+}
+
+std::vector<FileId> ShardedCluster::sorted_placed(NodeId member) const {
+  // files_ is hash-ordered; callers that send or record per file need a
+  // reproducible order.
+  std::vector<FileId> placed;
+  placed.reserve(files_.size());
+  for (const auto& [file, group] : files_) {
+    if (member == kNoNode ||
+        std::find(group.members.begin(), group.members.end(), member) !=
+            group.members.end()) {
+      placed.push_back(file);
+    }
+  }
+  std::sort(placed.begin(), placed.end());
+  return placed;
+}
+
 core::IdeaNode* ShardedCluster::ensure_open(FileId file) {
-  auto it = files_.find(file);
-  if (it != files_.end()) {
-    // Acting coordinator: the lowest alive rank (rank 0 unless crashed).
-    for (NodeId member : it->second.members) {
-      if (services_[member] != nullptr) {
-        return services_[member]->find(file);
+  if (!is_placed(file)) {
+    std::vector<NodeId> members = group_of(file);
+    if (members.empty()) return nullptr;
+    // Refuse to adopt a file someone opened directly on a service: its
+    // stack runs in endpoint-id space over the shared transport, so
+    // wiring a rank-space replication group around it would misroute
+    // every push (open_via's keep-first would hand us that node
+    // unchanged).
+    for (NodeId member : members) {
+      if (services_[member] != nullptr &&
+          services_[member]->find(file) != nullptr) {
+        return nullptr;
       }
     }
-    return nullptr;  // every member is down
+    open_group(file, std::move(members));
   }
-  const std::vector<NodeId> members = group_of(file);
-  if (members.empty()) return nullptr;
-  // Refuse to adopt a file someone opened directly on a service: its
-  // stack runs in endpoint-id space over the shared transport, so wiring
-  // a rank-space replication group around it would misroute every push
-  // (open_via's keep-first would hand us that node unchanged).
-  for (NodeId member : members) {
-    if (services_[member] != nullptr &&
-        services_[member]->find(file) != nullptr) {
-      return nullptr;
-    }
-  }
-  FileGroup& group = open_group(file, members);
-  for (NodeId member : group.members) {
-    if (services_[member] != nullptr) return services_[member]->find(file);
-  }
-  return nullptr;
+  const NodeId acting = coordinator(file).second;
+  return acting == kNoNode ? nullptr : services_[acting]->find(file);
 }
 
 MembershipChange ShardedCluster::add_endpoint() {
@@ -220,13 +238,9 @@ MembershipChange ShardedCluster::remove_endpoint(NodeId endpoint) {
 
 void ShardedCluster::migrate_changed_groups(const HashRing& before,
                                             MembershipChange& change) {
-  // files_ is hash-ordered; walk the placed set sorted so migration (and
-  // therefore every streaming send) happens in a reproducible order.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) placed.push_back(file);
-  std::sort(placed.begin(), placed.end());
-
+  // Sorted walk so migration (and therefore every streaming send)
+  // happens in a reproducible order.
+  const std::vector<FileId> placed = sorted_placed();
   change.rebalance =
       HashRing::rebalance(before, ring_, placed, config_.replication);
 
@@ -268,13 +282,8 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     snapshot.reserve(merged.size());
     for (auto& [key, u] : merged) snapshot.push_back(std::move(u));
 
-    // 2. Tear down the old group epoch (agents first: they unroute from
-    //    the dispatchers the node teardown destroys).
-    it->second.sync.clear();
-    for (NodeId member : it->second.members) {
-      if (services_[member] != nullptr) services_[member]->close(file);
-    }
-    files_.erase(it);
+    // 2. Tear down the old group epoch.
+    teardown_group(it);
 
     if (members.empty()) {
       // Last endpoint left; the file is unplaced and its parked hints
@@ -309,20 +318,14 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
       hints_.re_mint(std::move(h));
     }
     hints_.retire(retired);
-    // The adopting rank is the lowest alive one: rank 0 unless that
-    // member is crashed, in which case the next alive rank takes the
-    // snapshot (rank space is multi-writer, so this is safe).
-    std::size_t adopter = 0;
-    while (adopter < group.sync.size() && group.sync[adopter] == nullptr) {
-      ++adopter;
-    }
-    if (!snapshot.empty() && adopter < group.sync.size()) {
-      core::IdeaNode* coordinator =
-          services_[group.members[adopter]]->find(file);
-      coordinator->store().import_log(snapshot);
+    // The acting coordinator adopts the snapshot: rank 0 unless that
+    // member is crashed, in which case the next alive rank takes it (rank
+    // space is multi-writer, so this is safe).
+    const auto [adopter, adopter_ep] = coordinator(file);
+    if (!snapshot.empty() && adopter != nullptr) {
+      services_[adopter_ep]->find(file)->store().import_log(snapshot);
       change.state_updates += snapshot.size();
-      const std::size_t streamed =
-          group.sync[adopter]->stream_state(snapshot);
+      const std::size_t streamed = adopter->stream_state(snapshot);
       change.stream_messages += streamed;
       if (obs_ != nullptr) {
         obs::Meter meter = obs_->cluster_meter();
@@ -398,13 +401,7 @@ void ShardedCluster::queue_hint(FileId file, NodeId target, NodeId stand_in,
 bool ShardedCluster::close_file(FileId file) {
   auto it = files_.find(file);
   if (it == files_.end()) return false;
-  // Sync agents and nodes unhook from each other's dispatcher; drop the
-  // agents first, then the stacks, then the group transports they used.
-  it->second.sync.clear();
-  for (NodeId member : it->second.members) {
-    if (services_[member] != nullptr) services_[member]->close(file);
-  }
-  files_.erase(it);
+  teardown_group(it);
   if (router_ != nullptr) router_->forget_file(file);
   hints_.drop_file(file);
   return true;
@@ -481,17 +478,8 @@ void ShardedCluster::cancel_checkpoint_timer(NodeId endpoint) {
 void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
   if (engine_ == nullptr || !has_endpoint(endpoint)) return;
   // Sorted file walk so the durable record/epoch stream replays
-  // identically under a fixed seed (files_ is hash-ordered).
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) {
-    if (std::find(group.members.begin(), group.members.end(), endpoint) !=
-        group.members.end()) {
-      placed.push_back(file);
-    }
-  }
-  std::sort(placed.begin(), placed.end());
-
+  // identically under a fixed seed.
+  const std::vector<FileId> placed = sorted_placed(endpoint);
   std::vector<replica::ReplicaRef> refs;
   refs.reserve(placed.size());
   for (FileId file : placed) {
@@ -537,11 +525,7 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   // the GroupTransports stay alive with a null sink because the node
   // destructors cancel their timers through them.  Sorted walk for a
   // reproducible report.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) placed.push_back(file);
-  std::sort(placed.begin(), placed.end());
-  for (FileId file : placed) {
+  for (FileId file : sorted_placed(endpoint)) {
     FileGroup& group = files_.find(file)->second;
     for (std::size_t rank = 0; rank < group.members.size(); ++rank) {
       if (group.members[rank] != endpoint || group.sync[rank] == nullptr) {
@@ -591,17 +575,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
 
   // Rebuild every group the endpoint belongs to under a fresh epoch, in
   // sorted file order so the rebuild's sends replay deterministically.
-  std::vector<FileId> placed;
-  placed.reserve(files_.size());
-  for (const auto& [file, group] : files_) {
-    if (std::find(group.members.begin(), group.members.end(), endpoint) !=
-        group.members.end()) {
-      placed.push_back(file);
-    }
-  }
-  std::sort(placed.begin(), placed.end());
-
-  for (FileId file : placed) {
+  for (FileId file : sorted_placed(endpoint)) {
     auto it = files_.find(file);
     const std::vector<NodeId> members = it->second.members;
     const auto self_rank = static_cast<NodeId>(
@@ -652,11 +626,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
 
     // 4. Rebuild under a new group epoch: stale pre-crash traffic fences
     //    at the GroupTransports.
-    it->second.sync.clear();
-    for (NodeId member : members) {
-      if (services_[member] != nullptr) services_[member]->close(file);
-    }
-    files_.erase(it);
+    teardown_group(it);
     open_group(file, members);
     if (router_ != nullptr) router_->forget_file(file);
 

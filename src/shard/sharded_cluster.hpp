@@ -79,9 +79,8 @@ struct ShardedClusterConfig {
   /// this stops informing bounded-staleness replica selection (the serve
   /// path's exact bound check was always the safety net — this keeps a
   /// replica hinted fresh once from attracting reads after it diverges).
-  /// 0 disables decay (pre-fix behavior, for A/B in tests).  Routing
-  /// consults hints without sending messages or drawing RNG, so the
-  /// default does not perturb write/AE-only replays.
+  /// Routing consults hints without sending messages or drawing RNG, so
+  /// the default does not perturb write/AE-only replays.
   SimDuration freshness_hint_ttl = sec(10);
   /// Detection-driven adaptive consistency (see adapt/controller.hpp).
   /// Off by default: no controller is constructed, routing is
@@ -271,7 +270,8 @@ class ShardedCluster {
   void place(FileId first, std::uint32_t count);
 
   /// Ensure one file is open on its whole group (idempotent); returns the
-  /// coordinator's replica stack, nullptr on an empty ring.
+  /// acting coordinator's replica stack (see coordinator()), nullptr on
+  /// an empty ring or when every member is down.
   core::IdeaNode* ensure_open(FileId file);
 
   /// Tear the file down on every group member.  Unknown files: no-op.
@@ -295,9 +295,10 @@ class ShardedCluster {
     return ring_.replicas(file, config_.replication);
   }
 
-  /// The endpoint coordinating `file`: the cached placement when the file
-  /// is open (no ring walk on the hot routing path), the ring's answer
-  /// otherwise.  kNoNode on an empty ring.
+  /// The file's rank-0 endpoint, alive or not: the cached placement when
+  /// the file is open (no ring walk on the hot routing path), the ring's
+  /// answer otherwise.  kNoNode on an empty ring.  Which member actually
+  /// coordinates while rank 0 is down is coordinator()'s answer.
   [[nodiscard]] NodeId coordinator_endpoint(FileId file) const {
     auto it = files_.find(file);
     if (it != files_.end()) return it->second.members.front();
@@ -322,9 +323,11 @@ class ShardedCluster {
 
   /// The acting coordinator's sync agent and endpoint id in one placement
   /// lookup (the router's per-op fast path): the lowest alive rank — rank
-  /// 0 unless it crashed, in which case writes fail over down the rank
-  /// order (rank space is multi-writer, so this is safe).  {nullptr,
-  /// kNoNode} when the file is not placed or every member is down.
+  /// 0 unless it crashed, in which case reads, writes and migration
+  /// hand-offs fail over down the rank order (rank space is multi-writer,
+  /// so this is safe).  The one rule that picks the acting coordinator.
+  /// {nullptr, kNoNode} when the file is not placed or every member is
+  /// down.
   [[nodiscard]] std::pair<ReplicaSyncAgent*, NodeId> coordinator(
       FileId file) {
     auto it = files_.find(file);
@@ -406,6 +409,16 @@ class ShardedCluster {
   /// ranks drops at the transport, and restart_endpoint() fills the
   /// slots by rebuilding the group.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
+
+  /// Tear down a placed group's stacks on its live members and forget the
+  /// group (agents first: they unroute from the dispatchers the node
+  /// teardown destroys).  Leaves router state and parked hints alone.
+  void teardown_group(std::unordered_map<FileId, FileGroup>::iterator it);
+
+  /// Placed files in ascending id order, restricted to the groups that
+  /// contain `member` unless it is kNoNode.
+  [[nodiscard]] std::vector<FileId> sorted_placed(
+      NodeId member = kNoNode) const;
 
   /// Arm/cancel the per-endpoint periodic checkpoint timer.
   void arm_checkpoint_timer(NodeId endpoint);

@@ -6,6 +6,8 @@
 /// half of the tunable-consistency matrix:
 ///  * a w=majority put resolves only after the coordinator confirms the
 ///    peer applies (OpHandle pending semantics);
+///  * a default w=1 put with rank 0 down resolves on return, named for
+///    and charged to the acting coordinator that applied it;
 ///  * a sloppy-quorum write hints a crashed member at a live stand-in and
 ///    the hint drains exactly once when the member restarts;
 ///  * an exhausted resend budget is never silent — give-up fires targeted
@@ -97,6 +99,49 @@ TEST(WriteConcernTest, MajorityPutResolvesOnlyAfterPeerAck) {
   EXPECT_EQ(agent->stats().wack_tracked, 1u);
   EXPECT_EQ(agent->stats().wack_satisfied, 1u);
   EXPECT_GE(agent->stats().acks_received, 1u);
+}
+
+TEST(WriteConcernTest, DefaultPutFailsOverToTheActingCoordinator) {
+  // A default w = 1 put while rank 0 is down is applied by the lowest
+  // alive rank.  The ack must name that acting coordinator and charge
+  // the round trip to it, not to the dead rank 0; and with resends off,
+  // a w = 1 put asks no receiver for an ack.
+  shard::ShardedCluster cluster(concern_config(77));
+  Client client(cluster);
+
+  const FileId file = 13;
+  ASSERT_TRUE(cluster.ensure_open(file) != nullptr);
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  NodeId origin = 0;
+  while (std::find(group.begin(), group.end(), origin) != group.end()) {
+    ++origin;
+  }
+  ClientSession session = client.session({.origin = origin});
+
+  cluster.crash_endpoint(group[0]);
+  const NodeId acting = cluster.coordinator(file).second;
+  ASSERT_EQ(acting, group[1]);
+  ASSERT_NE(cluster.router().rtt(origin, acting),
+            cluster.router().rtt(origin, group[0]))
+      << "seed layout changed: both round trips match; pick another seed";
+
+  const OpHandle<WriteAck> h = session.put(file, "failover", 1.0);
+  ASSERT_TRUE(h.resolved()) << "a w = 1 put must resolve on return";
+  EXPECT_TRUE(h.ok());
+  EXPECT_TRUE(h->applied);
+  EXPECT_TRUE(h->w_satisfied);
+  EXPECT_EQ(h->acks, 1u);
+  EXPECT_EQ(h->coordinator, acting);
+  EXPECT_EQ(h.latency(), cluster.router().rtt(origin, acting));
+  EXPECT_EQ(cluster.router().stats().failover_writes, 1u);
+  EXPECT_EQ(session.stats().wack_puts, 0u);
+
+  cluster.run_for(sec(1));
+  const net::MsgType ack = shard::ReplicaSyncAgent::kAckType;
+  EXPECT_EQ(cluster.edge().counters().messages_of(ack), 0u);
+  EXPECT_EQ(cluster.replica(file, group[2])->store().update_count(), 1u)
+      << "the acting coordinator's push reached the other live member";
 }
 
 TEST(WriteConcernTest, SloppyQuorumHintsCrashedMemberAndDrainsOnce) {
