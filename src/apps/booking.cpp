@@ -106,8 +106,11 @@ BookingDesks::BookingDesks(shard::ShardedCluster& cluster, FileId flight,
       rng_(seed),
       client_(cluster) {
   sessions_.reserve(desks_.size());
+  client::SessionOptions options;
+  options.level = level;
   for (NodeId d : desks_) {
-    sessions_.push_back(client_.session({.level = level, .origin = d}));
+    options.origin = d;
+    sessions_.push_back(client_.session(options));
   }
   if (!sessions_.empty()) sessions_.front().open(flight_);
 }

@@ -83,9 +83,11 @@ SharedWhiteboard::SharedWhiteboard(shard::ShardedCluster& cluster,
       participants_(std::move(participants)),
       client_(cluster) {
   sessions_.reserve(participants_.size());
+  client::SessionOptions options;
+  options.level = level;
   for (NodeId p : participants_) {
-    sessions_.push_back(
-        client_.session({.level = level, .origin = p}));
+    options.origin = p;
+    sessions_.push_back(client_.session(options));
   }
   if (!sessions_.empty()) sessions_.front().open(board_);
 }

@@ -63,32 +63,77 @@ const Update* ReplicaStore::find(const UpdateKey& key) const {
   return it == log_.end() ? nullptr : &it->second;
 }
 
+namespace {
+
+using Log = std::map<UpdateKey, Update>;
+
+/// A peer's update count for `writer`, from either form of its history.
+std::uint64_t peer_count(const vv::VersionVector& peer, NodeId writer) {
+  return peer.get(writer);
+}
+std::uint64_t peer_count(const vv::ExtendedVersionVector& peer,
+                         NodeId writer) {
+  return peer.count_of(writer);
+}
+
+/// The one "what does a peer at counts C lack" walk: visit, in key order,
+/// every logged update (w, seq) with seq > C[w].  The log is keyed by
+/// (writer, seq), so writer w's missing updates are the contiguous range
+/// starting at lower_bound({w, C[w] + 1}); the walk hops from writer to
+/// writer — O(writers · log n + missing) — and stays exact when a writer's
+/// keys have gaps.
+template <typename Peer, typename Visit>
+void walk_ahead_of(const Log& log, const Peer& peer, Visit&& visit) {
+  auto it = log.begin();
+  while (it != log.end()) {
+    const NodeId writer = it->first.writer;
+    it = log.lower_bound(UpdateKey{writer, peer_count(peer, writer) + 1});
+    for (; it != log.end() && it->first.writer == writer; ++it) {
+      visit(it->second);
+    }
+  }
+}
+
+template <typename Peer>
+std::vector<Update> collect_ahead_of(const Log& log, const Peer& peer) {
+  std::vector<Update> out;
+  walk_ahead_of(log, peer, [&](const Update& u) { out.push_back(u); });
+  return out;
+}
+
+template <typename Peer>
+ReplicaStore::StalenessProbe probe_ahead_of(const Log& log,
+                                            const Peer& peer) {
+  ReplicaStore::StalenessProbe probe;
+  walk_ahead_of(log, peer, [&](const Update& u) {
+    if (probe.versions == 0 || u.stamp < probe.oldest_stamp) {
+      probe.oldest_stamp = u.stamp;
+    }
+    ++probe.versions;
+  });
+  return probe;
+}
+
+}  // namespace
+
 std::vector<Update> ReplicaStore::updates_ahead_of(
     const vv::VersionVector& peer_counts) const {
-  std::vector<Update> out;
-  for (const auto& [key, u] : log_) {
-    if (key.seq > peer_counts.get(key.writer)) out.push_back(u);
-  }
-  // Per-writer sequence order is implied by the map's key order; sort whole
-  // batch canonically so receivers apply writers' histories in seq order.
-  std::sort(out.begin(), out.end(), [](const Update& a, const Update& b) {
-    return a.key < b.key;
-  });
-  return out;
+  return collect_ahead_of(log_, peer_counts);
+}
+
+std::vector<Update> ReplicaStore::updates_ahead_of(
+    const vv::ExtendedVersionVector& peer) const {
+  return collect_ahead_of(log_, peer);
 }
 
 ReplicaStore::StalenessProbe ReplicaStore::staleness_ahead_of(
     const vv::VersionVector& peer_counts) const {
-  StalenessProbe probe;
-  for (const auto& [key, u] : log_) {
-    if (key.seq > peer_counts.get(key.writer)) {
-      if (probe.versions == 0 || u.stamp < probe.oldest_stamp) {
-        probe.oldest_stamp = u.stamp;
-      }
-      ++probe.versions;
-    }
-  }
-  return probe;
+  return probe_ahead_of(log_, peer_counts);
+}
+
+ReplicaStore::StalenessProbe ReplicaStore::staleness_ahead_of(
+    const vv::ExtendedVersionVector& peer) const {
+  return probe_ahead_of(log_, peer);
 }
 
 std::vector<Update> ReplicaStore::export_log() const {
@@ -139,14 +184,6 @@ bool ReplicaStore::invalidate(const UpdateKey& key) {
   return true;
 }
 
-std::vector<UpdateKey> ReplicaStore::invalidated_keys() const {
-  std::vector<UpdateKey> out;
-  for (const auto& [key, u] : log_) {
-    if (u.invalidated) out.push_back(key);
-  }
-  return out;
-}
-
 std::size_t ReplicaStore::rollback_to(SimTime t) {
   std::size_t dropped = 0;
   for (auto it = pending_.begin(); it != pending_.end();) {
@@ -168,8 +205,6 @@ std::size_t ReplicaStore::rollback_to(SimTime t) {
     // Rebuild the EVV from the surviving log.  A writer's stamps are
     // non-decreasing, so dropping stamp > t removes a per-writer suffix and
     // the remaining history is still a valid prefix.
-    const double saved_meta = evv_.meta();
-    (void)saved_meta;
     vv::ExtendedVersionVector fresh;
     for (const auto& [key, u] : log_) {
       fresh.record_update(key.writer, u.stamp, 0.0);
@@ -205,8 +240,13 @@ std::uint64_t ReplicaStore::content_digest() const {
 void ReplicaStore::recompute_meta() {
   ++mutation_count_;
   double meta = 0.0;
+  invalidated_.clear();
   for (const auto& [key, u] : log_) {
-    if (!u.invalidated) meta += u.meta_delta;
+    if (u.invalidated) {
+      invalidated_.push_back(key);
+    } else {
+      meta += u.meta_delta;
+    }
   }
   evv_.set_meta(meta);
   // Every content mutation funnels through here; drop the shared message

@@ -8,6 +8,12 @@
 /// deterministically) and exposes exactly what the consistency layer needs:
 /// the extended version vector, the updates a peer is missing, snapshots and
 /// rollback.
+///
+/// Costs below are in n = updates in the log and writers = distinct
+/// writers of the file.  Every content mutation pays one O(n)
+/// recompute_meta walk; the per-message and per-read queries (peer
+/// deltas, staleness probes, invalidated keys, current snapshots) do not
+/// walk the log.
 
 #include <cstdint>
 #include <map>
@@ -44,28 +50,39 @@ class ReplicaStore {
     return pending_.size();
   }
 
+  /// Point lookups, O(log n).
   [[nodiscard]] bool has(const UpdateKey& key) const;
   [[nodiscard]] const Update* find(const UpdateKey& key) const;
 
   /// Updates this replica holds that `peer_counts` does not — the payload of
-  /// a resolution/anti-entropy push.
+  /// a resolution/anti-entropy push — in (writer, seq) order.  Writer w's
+  /// missing updates are one contiguous key range of the log, so the query
+  /// hops writer to writer: O(writers · log n + missing), never a walk of
+  /// the whole log.  The EVV overload reads the peer's counts in place
+  /// (no counts() vector is built).
   [[nodiscard]] std::vector<Update> updates_ahead_of(
       const vv::VersionVector& peer_counts) const;
+  [[nodiscard]] std::vector<Update> updates_ahead_of(
+      const vv::ExtendedVersionVector& peer) const;
 
   /// How far a peer at `peer_counts` lags this replica: number of updates
-  /// it is missing and the stamp of the oldest one.  Counts in place — no
-  /// update copies — so the read router can probe staleness per routed
-  /// read without touching contents.
+  /// it is missing and the stamp of the oldest one.  Same per-writer range
+  /// walk as updates_ahead_of, O(writers · log n + missing), but counts in
+  /// place — no update copies — so the read router can probe staleness per
+  /// routed read without touching contents.
   struct StalenessProbe {
     std::uint64_t versions = 0;
     SimTime oldest_stamp = 0;  ///< Meaningless when versions == 0.
   };
   [[nodiscard]] StalenessProbe staleness_ahead_of(
       const vv::VersionVector& peer_counts) const;
+  [[nodiscard]] StalenessProbe staleness_ahead_of(
+      const vv::ExtendedVersionVector& peer) const;
 
   /// The full applied log as a flat batch, in (writer, seq) order — the
   /// state a migration streams to a file's new replica group.  Carries
   /// invalidation flags, so the importer reproduces the meta value too.
+  /// O(n) copies.
   [[nodiscard]] std::vector<Update> export_log() const;
 
   /// What one import_log() call did, per update in the batch.
@@ -91,8 +108,12 @@ class ReplicaStore {
   /// meta value.  Returns false if the update is unknown.
   bool invalidate(const UpdateKey& key);
 
-  /// Keys of every invalidated update in the log.
-  [[nodiscard]] std::vector<UpdateKey> invalidated_keys() const;
+  /// Keys of every invalidated update in the log, in (writer, seq) order.
+  /// O(1): the list is collected by the meta walk every mutation already
+  /// runs, and is empty in the common no-conflict case.
+  [[nodiscard]] const std::vector<UpdateKey>& invalidated_keys() const {
+    return invalidated_;
+  }
 
   /// Drop every update with stamp > t and rebuild the version vector; the
   /// rollback path of §4.4.2 (bottom layer contradicted the top layer).
@@ -105,7 +126,8 @@ class ReplicaStore {
   /// Shared immutable copy of the EVV for zero-copy message bodies: every
   /// probe/reply/scan between two replica mutations refcounts one
   /// allocation instead of copying the stamp lists per message.  Rebuilt
-  /// lazily after any mutation (updates, invalidation, rollback, triple).
+  /// lazily after any mutation (updates, invalidation, rollback, triple):
+  /// O(1) when current, one O(n) stamp copy on the first call after.
   [[nodiscard]] const std::shared_ptr<const vv::ExtendedVersionVector>&
   evv_snapshot() const {
     if (snapshot_ == nullptr) {
@@ -120,13 +142,14 @@ class ReplicaStore {
     snapshot_.reset();
   }
 
-  /// Updates in canonical display order (what a reader sees).
+  /// Updates in canonical display order (what a reader sees); O(n log n).
   [[nodiscard]] std::vector<Update> ordered_contents() const;
 
   /// Shared immutable canonical-order view of the contents for zero-copy
   /// reads: every get between two replica mutations refcounts one
   /// allocation instead of copying the whole log.  Rebuilt lazily after
-  /// any content mutation (updates, invalidation, rollback).
+  /// any content mutation (updates, invalidation, rollback): O(1) when
+  /// current, one O(n log n) ordered_contents() on the first call after.
   [[nodiscard]] const std::shared_ptr<const std::vector<Update>>&
   contents_snapshot() const {
     if (contents_snapshot_ == nullptr) {
@@ -145,6 +168,7 @@ class ReplicaStore {
 
   /// Order-sensitive digest of the canonical contents; equal digests mean
   /// replicas converged byte-for-byte.  Used heavily by convergence tests.
+  /// O(n log n).
   [[nodiscard]] std::uint64_t content_digest() const;
 
   /// Current critical meta-data value (sum of live meta_deltas).
@@ -162,6 +186,10 @@ class ReplicaStore {
   }
 
  private:
+  /// Recount the meta value and the invalidated-key list after a content
+  /// mutation.  A full O(n) walk on purpose: the meta value is a floating-
+  /// point sum whose (writer, seq) summation order defines its bits, so an
+  /// incremental update would change results across replicas and replays.
   void recompute_meta();
 
   NodeId node_;
@@ -170,6 +198,7 @@ class ReplicaStore {
   std::uint64_t mutation_count_ = 0;
   std::map<UpdateKey, Update> log_;
   std::map<UpdateKey, Update> pending_;  ///< Reorder buffer.
+  std::vector<UpdateKey> invalidated_;   ///< Rebuilt by recompute_meta.
   vv::ExtendedVersionVector evv_;
   mutable std::shared_ptr<const vv::ExtendedVersionVector> snapshot_;
   mutable std::shared_ptr<const std::vector<Update>> contents_snapshot_;

@@ -352,7 +352,7 @@ void ReplicaSyncAgent::send_repair(NodeId to_rank,
                                    bool respond,
                                    const obs::TraceContext& tc) {
   RepairPayload body;
-  body.sender_counts = node_.store().evv().counts();
+  body.sender_evv = node_.store().evv_snapshot();
   body.invalidated = node_.store().invalidated_keys();
   body.respond = respond;
   body.updates = std::move(updates);
@@ -364,7 +364,7 @@ void ReplicaSyncAgent::send_repair(NodeId to_rank,
   msg.type = kRepairType;
   msg.wire_bytes =
       batch_wire_bytes(body.updates) +
-      static_cast<std::uint32_t>(12 * body.sender_counts.writer_count()) +
+      static_cast<std::uint32_t>(12 * body.sender_evv->writer_count()) +
       static_cast<std::uint32_t>(12 * body.invalidated.size());
   stats_.repair_updates_sent += body.updates.size();
   if (!body.updates.empty()) {
@@ -440,18 +440,19 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     ++stats_.digests_received;
     meter_.add(agent_metrics().ae_digests_received);
     const auto& peer_evv = msg.payload.as<vv::ExtendedVersionVector>();
-    if (on_freshness_) on_freshness_(msg.from, peer_evv.counts().total());
+    if (on_freshness_) on_freshness_(msg.from, peer_evv.total_updates());
     // Always reply, even with nothing to offer: the initiator needs our
     // counts to push back the other half of the delta.  A traced digest's
     // repair joins the same trace.
-    send_repair(msg.from,
-                node_.store().updates_ahead_of(peer_evv.counts()),
+    send_repair(msg.from, node_.store().updates_ahead_of(peer_evv),
                 /*respond=*/true, inbound);
     return;
   }
   if (msg.type == kRepairType) {
     const auto& body = msg.payload.as<RepairPayload>();
-    if (on_freshness_) on_freshness_(msg.from, body.sender_counts.total());
+    if (on_freshness_) {
+      on_freshness_(msg.from, body.sender_evv->total_updates());
+    }
     const std::size_t applied =
         apply_batch(body.updates, stats_.repair_updates_applied);
     if (applied > 0) {
@@ -478,7 +479,7 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     }
     if (body.respond) {
       std::vector<replica::Update> back =
-          node_.store().updates_ahead_of(body.sender_counts);
+          node_.store().updates_ahead_of(*body.sender_evv);
       if (!back.empty()) {
         send_repair(msg.from, std::move(back), /*respond=*/false, inbound);
       }

@@ -20,7 +20,7 @@
 ///    periodic push-pull round: it sends its EVV digest (the shared
 ///    ReplicaStore::evv_snapshot() allocation — no copy) to one rotating
 ///    peer; the peer replies with the updates the digest shows missing
-///    (ReplicaStore::updates_ahead_of) plus its own counts, and the
+///    (ReplicaStore::updates_ahead_of) plus its own EVV snapshot, and the
 ///    initiator pushes back whatever the peer lacks in turn.  Any single
 ///    surviving copy of an update therefore spreads to the whole group in
 ///    O(group size) rounds, whatever the loss pattern was.
@@ -48,6 +48,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,7 +56,7 @@
 #include "core/idea_node.hpp"
 #include "net/transport.hpp"
 #include "obs/observability.hpp"
-#include "vv/version_vector.hpp"
+#include "vv/extended_vv.hpp"
 
 namespace idea::shard {
 
@@ -120,9 +121,14 @@ struct PutConcern {
 };
 
 /// Body of a "shard.repair" message: the updates the digest sender was
-/// missing, plus the replier's own counts so the initiator can push back
-/// the other half of the delta (`respond` asks for exactly one such reply,
+/// missing, plus the replier's own EVV so the initiator can push back the
+/// other half of the delta (`respond` asks for exactly one such reply,
 /// keeping a round at three messages, not a ping-pong).
+///
+/// `sender_evv` is the replier store's shared evv_snapshot(), as in the
+/// digest: a refcount, not a copy, and the initiator reads the per-writer
+/// counts straight off it.  Only the counts are modeled on the wire (12
+/// bytes per writer), the same as a plain version vector.
 ///
 /// `invalidated` carries the replier's full invalidated-key set: version
 /// counts cannot express invalidation (the update stays in the log), so a
@@ -133,7 +139,7 @@ struct PutConcern {
 struct RepairPayload {
   std::vector<replica::Update> updates;
   std::vector<replica::UpdateKey> invalidated;
-  vv::VersionVector sender_counts;
+  std::shared_ptr<const vv::ExtendedVersionVector> sender_evv;
   bool respond = false;
 };
 

@@ -237,7 +237,7 @@ NodeId RequestRouter::pick_replica(FileId file,
   if (use_hints) {
     core::IdeaNode* coordinator = cluster_.replica_at_rank(file, 0);
     if (coordinator != nullptr) {
-      coordinator_total = coordinator->store().evv().counts().total();
+      coordinator_total = coordinator->store().evv().total_updates();
     }
   }
   NodeId best = kNoNode;
@@ -271,7 +271,7 @@ void RequestRouter::measure_staleness(core::IdeaNode& coordinator,
                                       std::uint64_t& versions,
                                       SimDuration& age) const {
   const replica::ReplicaStore::StalenessProbe probe =
-      coordinator.store().staleness_ahead_of(replica.store().evv().counts());
+      coordinator.store().staleness_ahead_of(replica.store().evv());
   versions = probe.versions;
   age = 0;
   if (probe.versions > 0) {
@@ -336,7 +336,7 @@ client::ReadResult RequestRouter::serve_quorum(
     if (node == nullptr) continue;
     nodes.push_back(node);
     slowest = std::max(slowest, rtt(origin, e));
-    const std::uint64_t total = node->store().evv().counts().total();
+    const std::uint64_t total = node->store().evv().total_updates();
     if (total > freshest_total) {
       freshest_total = total;
       freshest = e;
@@ -351,8 +351,7 @@ client::ReadResult RequestRouter::serve_quorum(
   core::IdeaNode* coordinator = nodes.front();
   bool coordinator_dominates = true;
   for (core::IdeaNode* node : nodes) {
-    if (!coordinator->store().evv().counts().dominates(
-            node->store().evv().counts())) {
+    if (!coordinator->store().evv().dominates(node->store().evv())) {
       coordinator_dominates = false;
       break;
     }
@@ -365,8 +364,8 @@ client::ReadResult RequestRouter::serve_quorum(
   if (coordinator_dominates) {
     for (std::size_t i = 1; i < nodes.size() && coordinator_dominates;
          ++i) {
-      for (const auto& [key, u] : nodes[i]->store().log()) {
-        if (!u.invalidated) continue;
+      for (const replica::UpdateKey& key :
+           nodes[i]->store().invalidated_keys()) {
         const replica::Update* held = coordinator->store().find(key);
         if (held == nullptr || !held->invalidated) {
           coordinator_dominates = false;

@@ -21,6 +21,28 @@ const std::vector<SimTime>* ExtendedVersionVector::stamps_of(
              : nullptr;
 }
 
+template <typename Visit>
+void ExtendedVersionVector::merge_walk(const ExtendedVersionVector& a,
+                                       const ExtendedVersionVector& b,
+                                       Visit&& visit) {
+  auto ia = a.stamps_.begin();
+  auto ib = b.stamps_.begin();
+  while (ia != a.stamps_.end() || ib != b.stamps_.end()) {
+    if (ib == b.stamps_.end() ||
+        (ia != a.stamps_.end() && ia->first < ib->first)) {
+      visit(&ia->second, nullptr);
+      ++ia;
+    } else if (ia == a.stamps_.end() || ib->first < ia->first) {
+      visit(nullptr, &ib->second);
+      ++ib;
+    } else {
+      visit(&ia->second, &ib->second);
+      ++ia;
+      ++ib;
+    }
+  }
+}
+
 void ExtendedVersionVector::record_update(NodeId writer, SimTime when,
                                           double meta_after) {
   const std::size_t i = lower_bound(writer);
@@ -60,7 +82,25 @@ VersionVector ExtendedVersionVector::counts() const {
 
 Order ExtendedVersionVector::compare(const ExtendedVersionVector& a,
                                      const ExtendedVersionVector& b) {
-  return VersionVector::compare(a.counts(), b.counts());
+  bool a_ahead = false;
+  bool b_ahead = false;
+  merge_walk(a, b, [&](const std::vector<SimTime>* mine,
+                       const std::vector<SimTime>* theirs) {
+    const std::size_t n_mine = mine ? mine->size() : 0;
+    const std::size_t n_theirs = theirs ? theirs->size() : 0;
+    if (n_mine > n_theirs) a_ahead = true;
+    if (n_theirs > n_mine) b_ahead = true;
+  });
+  if (a_ahead && b_ahead) return Order::kConcurrent;
+  if (a_ahead) return Order::kAfter;
+  if (b_ahead) return Order::kBefore;
+  return Order::kEqual;
+}
+
+bool ExtendedVersionVector::dominates(
+    const ExtendedVersionVector& other) const {
+  const Order o = compare(*this, other);
+  return o == Order::kAfter || o == Order::kEqual;
 }
 
 SimTime ExtendedVersionVector::latest_update_time() const {
@@ -86,22 +126,7 @@ SimTime ExtendedVersionVector::last_consistent_time(
     if (n_theirs > common)
       divergence = std::min(divergence, (*theirs)[common]);
   };
-  auto ia = stamps_.begin();
-  auto ib = reference.stamps_.begin();
-  while (ia != stamps_.end() || ib != reference.stamps_.end()) {
-    if (ib == reference.stamps_.end() ||
-        (ia != stamps_.end() && ia->first < ib->first)) {
-      consider_writer(&ia->second, nullptr);
-      ++ia;
-    } else if (ia == stamps_.end() || ib->first < ia->first) {
-      consider_writer(nullptr, &ib->second);
-      ++ib;
-    } else {
-      consider_writer(&ia->second, &ib->second);
-      ++ia;
-      ++ib;
-    }
-  }
+  merge_walk(*this, reference, consider_writer);
   if (divergence == kNever) {
     // Histories identical: consistent as of the latest update (or t=0).
     return latest_update_time();
@@ -126,26 +151,13 @@ TactTriple ExtendedVersionVector::triple_against(
   // reference lacks (§4.4.1's "misses one update and has two extra ones").
   double missing = 0;
   double extra = 0;
-  auto ia = stamps_.begin();
-  auto ib = reference.stamps_.begin();
-  auto tally = [&](std::size_t mine, std::size_t theirs) {
+  merge_walk(*this, reference, [&](const std::vector<SimTime>* mine_list,
+                                   const std::vector<SimTime>* theirs_list) {
+    const std::size_t mine = mine_list ? mine_list->size() : 0;
+    const std::size_t theirs = theirs_list ? theirs_list->size() : 0;
     if (theirs > mine) missing += static_cast<double>(theirs - mine);
     if (mine > theirs) extra += static_cast<double>(mine - theirs);
-  };
-  while (ia != stamps_.end() || ib != reference.stamps_.end()) {
-    if (ib == reference.stamps_.end() ||
-        (ia != stamps_.end() && ia->first < ib->first)) {
-      tally(ia->second.size(), 0);
-      ++ia;
-    } else if (ia == stamps_.end() || ib->first < ia->first) {
-      tally(0, ib->second.size());
-      ++ib;
-    } else {
-      tally(ia->second.size(), ib->second.size());
-      ++ia;
-      ++ib;
-    }
-  }
+  });
   t.order_error = missing + extra;
   const SimTime ref_latest = reference.latest_update_time();
   const SimTime consistent_at = last_consistent_time(reference);

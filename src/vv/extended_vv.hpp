@@ -49,9 +49,14 @@ class ExtendedVersionVector {
   /// Plain version-vector view (counts only) for ordering decisions.
   [[nodiscard]] VersionVector counts() const;
 
-  /// Compare the histories under the version-vector partial order.
+  /// Compare the histories under the version-vector partial order.  One
+  /// linear walk of the two writer spines; allocates nothing.
   [[nodiscard]] static Order compare(const ExtendedVersionVector& a,
                                      const ExtendedVersionVector& b);
+
+  /// True iff every writer's count in `other` is <= its count here, i.e.
+  /// compare(*this, other) is kAfter or kEqual.  Allocates nothing.
+  [[nodiscard]] bool dominates(const ExtendedVersionVector& other) const;
 
   /// Timestamp of the most recent update known here (0 if none).
   [[nodiscard]] SimTime latest_update_time() const;
@@ -91,6 +96,7 @@ class ExtendedVersionVector {
   /// Estimated serialized size, for message accounting.
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
+  /// Sum of all writers' counts (= counts().total(), without the vector).
   [[nodiscard]] std::uint64_t total_updates() const;
   [[nodiscard]] bool empty() const { return stamps_.empty(); }
   [[nodiscard]] std::size_t writer_count() const { return stamps_.size(); }
@@ -106,6 +112,11 @@ class ExtendedVersionVector {
   /// sorted.
   [[nodiscard]] std::size_t lower_bound(NodeId writer) const;
   [[nodiscard]] const std::vector<SimTime>* stamps_of(NodeId writer) const;
+  /// Walk the union of both writer-sorted spines in writer order, calling
+  /// visit(mine, theirs) with nullptr for a writer one side lacks.
+  template <typename Visit>
+  static void merge_walk(const ExtendedVersionVector& a,
+                         const ExtendedVersionVector& b, Visit&& visit);
 
   std::vector<WriterStamps> stamps_;  ///< Sorted by writer id.
   double meta_ = 0.0;

@@ -17,7 +17,11 @@
 ///  * exact ImportReport accounting — applied / duplicates /
 ///    invalidation_merges sum to what the oracle predicts;
 ///  * invalidation merge — flags arriving after the fact OR in and move
-///    the meta value exactly as the oracle computes.
+///    the meta value exactly as the oracle computes;
+///  * peer-delta queries — updates_ahead_of, staleness_ahead_of (peer as
+///    a VersionVector and as an EVV) and invalidated_keys match a brute-
+///    force walk of the whole log after every batch (parked arrivals
+///    included), after the invalidation merge and after a rollback_to.
 
 #include "replica/store.hpp"
 
@@ -29,6 +33,8 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "vv/extended_vv.hpp"
+#include "vv/version_vector.hpp"
 
 namespace idea::replica {
 namespace {
@@ -71,23 +77,134 @@ Case generate(Rng& rng) {
   return c;
 }
 
-/// Import the case's batches in the order given by `order`.
+/// Writers 0-3 may appear in a case; 4 and 5 never do, so peers also
+/// carry counts for writers the store has never seen.
+constexpr NodeId kPeerWriters = 6;
+
+/// A random peer: per writer, a count of 0, behind, equal to or ahead of
+/// what the store holds.
+vv::VersionVector random_peer(const ReplicaStore& store, Rng& rng) {
+  vv::VersionVector peer;
+  for (NodeId w = 0; w < kPeerWriters; ++w) {
+    const std::uint64_t held = store.evv().count_of(w);
+    std::uint64_t count = 0;
+    switch (rng.next_below(4)) {
+      case 1:  // behind (zero when nothing is held)
+        count = held == 0 ? 0 : rng.next_below(held);
+        break;
+      case 2:  // equal
+        count = held;
+        break;
+      case 3:  // ahead
+        count = held + 1 + rng.next_below(3);
+        break;
+      default:  // zero
+        break;
+    }
+    peer.set(w, count);
+  }
+  return peer;
+}
+
+/// The same counts as an extended version vector (stamps are irrelevant
+/// to the peer-delta queries).
+vv::ExtendedVersionVector as_evv(const vv::VersionVector& counts) {
+  vv::ExtendedVersionVector evv;
+  for (const auto& [w, c] : counts.entries()) {
+    for (std::uint64_t seq = 1; seq <= c; ++seq) {
+      evv.record_update(w, sec(static_cast<std::int64_t>(seq)), 0.0);
+    }
+  }
+  return evv;
+}
+
+/// Brute-force oracle: every logged update the peer lacks, found by one
+/// walk over the whole log.
+std::vector<Update> oracle_ahead_of(const ReplicaStore& store,
+                                    const vv::VersionVector& peer) {
+  std::vector<Update> out;
+  for (const auto& [key, u] : store.log()) {
+    if (key.seq > peer.get(key.writer)) out.push_back(u);
+  }
+  return out;
+}
+
+std::vector<UpdateKey> keys_of(const std::vector<Update>& updates) {
+  std::vector<UpdateKey> keys;
+  for (const Update& u : updates) keys.push_back(u.key);
+  return keys;
+}
+
+/// Check every peer-delta query against the full-log oracle: the all-zero
+/// peer (every writer's whole history is missing, so a walk that skips
+/// or repeats a writer shows), the store's own counts (nothing missing)
+/// and a few random peers.
+void check_peer_queries(const ReplicaStore& store, Rng& rng,
+                        const std::string& where) {
+  std::vector<vv::VersionVector> peers{vv::VersionVector{},
+                                       store.evv().counts()};
+  for (int i = 0; i < 3; ++i) peers.push_back(random_peer(store, rng));
+  for (const vv::VersionVector& peer : peers) {
+    const vv::ExtendedVersionVector peer_evv = as_evv(peer);
+    const std::vector<Update> expected = oracle_ahead_of(store, peer);
+    ASSERT_EQ(keys_of(store.updates_ahead_of(peer)), keys_of(expected))
+        << where << " peer " << peer.to_string();
+    ASSERT_EQ(keys_of(store.updates_ahead_of(peer_evv)), keys_of(expected))
+        << where << " peer " << peer.to_string();
+    ReplicaStore::StalenessProbe oracle;
+    for (const Update& u : expected) {
+      if (oracle.versions == 0 || u.stamp < oracle.oldest_stamp) {
+        oracle.oldest_stamp = u.stamp;
+      }
+      ++oracle.versions;
+    }
+    const ReplicaStore::StalenessProbe probes[] = {
+        store.staleness_ahead_of(peer), store.staleness_ahead_of(peer_evv)};
+    for (const ReplicaStore::StalenessProbe& probe : probes) {
+      ASSERT_EQ(probe.versions, oracle.versions)
+          << where << " peer " << peer.to_string();
+      if (oracle.versions > 0) {
+        ASSERT_EQ(probe.oldest_stamp, oracle.oldest_stamp)
+            << where << " peer " << peer.to_string();
+      }
+    }
+  }
+  std::vector<UpdateKey> invalidated;
+  for (const auto& [key, u] : store.log()) {
+    if (u.invalidated) invalidated.push_back(key);
+  }
+  ASSERT_EQ(store.invalidated_keys(), invalidated) << where;
+}
+
+/// Import the case's batches in the order given by `order`; with a probe
+/// rng, check the peer-delta queries after every batch, while arrivals
+/// that outran their predecessors may still be parked.
 ReplicaStore::ImportReport import_all(ReplicaStore& store, const Case& c,
-                                      const std::vector<std::size_t>& order) {
+                                      const std::vector<std::size_t>& order,
+                                      Rng* probe_rng = nullptr,
+                                      const std::string& where = {}) {
   ReplicaStore::ImportReport total;
   for (std::size_t i : order) {
     const ReplicaStore::ImportReport r = store.import_log(c.batches[i]);
     total.applied += r.applied;
     total.duplicates += r.duplicates;
     total.invalidation_merges += r.invalidation_merges;
+    if (probe_rng != nullptr) {
+      check_peer_queries(store, *probe_rng, where + " batch");
+      if (::testing::Test::HasFatalFailure()) break;
+    }
   }
   return total;
 }
 
 TEST(ImportLogProperty, MatchesMapOracleAcross10kCases) {
   Rng rng(0xC4A5'2026ULL);
+  // Peer-delta probes draw from their own stream, so the generated cases
+  // are the same with or without them.
+  Rng probe_rng(0x9EE5'2026ULL);
   for (int n = 0; n < kCases; ++n) {
     const Case c = generate(rng);
+    const std::string where = "case " + std::to_string(n);
 
     // Oracle: the applied log is exactly the generated set (prefix-complete
     // per writer), flags as generated.
@@ -98,7 +215,9 @@ TEST(ImportLogProperty, MatchesMapOracleAcross10kCases) {
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
     ReplicaStore a(0, 7);
-    const ReplicaStore::ImportReport first = import_all(a, c, order);
+    const ReplicaStore::ImportReport first =
+        import_all(a, c, order, &probe_rng, where);
+    if (HasFatalFailure()) return;
     ASSERT_EQ(a.update_count(), oracle.size()) << "case " << n;
     ASSERT_EQ(a.pending_remote(), 0u) << "case " << n;
     ASSERT_EQ(first.applied, oracle.size()) << "case " << n;
@@ -157,6 +276,23 @@ TEST(ImportLogProperty, MatchesMapOracleAcross10kCases) {
       if (!u.invalidated) expected_meta += u.meta_delta;
     }
     ASSERT_DOUBLE_EQ(a.meta_value(), expected_meta) << "case " << n;
+    ASSERT_NO_FATAL_FAILURE(
+        check_peer_queries(a, probe_rng, where + " after merge"));
+
+    // Rollback: dropping every update stamped after a random cut leaves a
+    // per-writer prefix, and the queries must follow the shorter log.
+    if (!c.all.empty()) {
+      const SimTime cut = c.all[static_cast<std::size_t>(
+                                    probe_rng.next_below(c.all.size()))]
+                              .stamp;
+      std::size_t expected_dropped = 0;
+      for (const auto& [key, u] : oracle) {
+        if (u.stamp > cut) ++expected_dropped;
+      }
+      ASSERT_EQ(a.rollback_to(cut), expected_dropped) << where;
+      ASSERT_NO_FATAL_FAILURE(
+          check_peer_queries(a, probe_rng, where + " after rollback"));
+    }
   }
 }
 

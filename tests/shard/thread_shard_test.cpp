@@ -148,9 +148,13 @@ TEST(ThreadShardTest, AntiEntropyHealsColdReplicaOverThreadTransport) {
   });
   // ~10 virtual periods; at time_scale 0.001 this is ~1 ms real, so give
   // the wall clock a generous real-time margin instead (thousands of
-  // periods even on a loaded CI machine).
+  // periods even on a loaded CI machine).  The agents are single-owner:
+  // they are stopped on the transport thread that started them, never
+  // from this one.
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  for (auto& agent : stack.sync) agent->stop_anti_entropy();
+  transport.call_after(msec(1), [&stack] {
+    for (auto& agent : stack.sync) agent->stop_anti_entropy();
+  });
   ASSERT_TRUE(transport.wait_idle(sec(3600)));
 
   for (std::size_t rank = 0; rank < 3; ++rank) {

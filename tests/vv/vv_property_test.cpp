@@ -10,8 +10,9 @@
 /// exploration is the honest check.  Each property runs 10k random cases
 /// per seed: merge is commutative and idempotent and matches the
 /// pointwise-max oracle, compare is antisymmetric and matches an oracle
-/// comparison, and the EVV's missing_from returns exactly the oracle's
-/// (writer, seq) delta.
+/// comparison, the EVV's missing_from returns exactly the oracle's
+/// (writer, seq) delta, and the EVV's allocation-free compare, dominates
+/// and total_updates agree with the answers of its counts() vector.
 
 #include <gtest/gtest.h>
 
@@ -249,6 +250,16 @@ TEST(ExtendedVVProperty, MergeCompareMissingMatchOracle) {
       const Order fwd = ExtendedVersionVector::compare(a, b);
       ASSERT_EQ(fwd, oracle_compare(oa, ob)) << "seed " << seed;
       ASSERT_EQ(ExtendedVersionVector::compare(b, a), mirror(fwd));
+
+      // The count queries read the stamp lists in place; they must give
+      // the counts() vector's answers.
+      const VersionVector ca = a.counts();
+      const VersionVector cb = b.counts();
+      ASSERT_EQ(fwd, VersionVector::compare(ca, cb)) << "seed " << seed;
+      ASSERT_EQ(a.dominates(b), ca.dominates(cb)) << "seed " << seed;
+      ASSERT_EQ(b.dominates(a), cb.dominates(ca)) << "seed " << seed;
+      ASSERT_EQ(a.total_updates(), ca.total()) << "seed " << seed;
+      ASSERT_EQ(b.total_updates(), cb.total()) << "seed " << seed;
 
       // merge: commutative, idempotent, pointwise-max counts, and the
       // stamps of the union come from the shared pool prefixes.
