@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "apps/kvstore.hpp"
 #include "apps/workload.hpp"
 #include "core/cluster.hpp"
 #include "net/sim_transport.hpp"
@@ -151,6 +153,66 @@ inline double ms_since(WallClock::time_point start) {
 inline double median(std::vector<double> values) {
   std::sort(values.begin(), values.end());
   return values.empty() ? 0.0 : values[values.size() / 2];
+}
+
+// ---------------------------------------------------------------------
+// The KvStore macro run that hotpath and obs_overhead both time.
+// ---------------------------------------------------------------------
+
+struct KvMacroResult {
+  double wall_ms = 0.0;  ///< Construction through sampling and `inspect`.
+  std::uint64_t puts_applied = 0;
+  std::uint64_t logical_messages = 0;
+  std::uint64_t wire_messages = 0;
+  double converged_pct = 0.0;    ///< Over the sampled files.
+  std::uint64_t digest_xor = 0;  ///< XOR of sampled coordinator digests.
+};
+
+/// One KvStore macro run on `cfg` (normally macro_config()): files
+/// 1..`files` placed, two Zipf(0.9) clients per endpoint issuing every
+/// 250 ms over four keys per file for `sim_duration`, then 10 s to drain.
+/// Every 7th file is sampled for convergence and its rank-0 digest.
+/// `inspect` sees the cluster last, still on the clock.
+inline KvMacroResult run_kv_macro(
+    const shard::ShardedClusterConfig& cfg, std::uint32_t files,
+    SimDuration sim_duration,
+    const std::function<void(shard::ShardedCluster&)>& inspect = {}) {
+  const auto start = WallClock::now();
+  shard::ShardedCluster cluster(cfg);
+
+  cluster.place(1, files);
+  apps::KvStoreOptions kv_options;
+  kv_options.buckets = files;
+  kv_options.first_file = 1;
+  apps::KvStore kv(cluster, kv_options);
+  apps::KvWorkloadParams wl;
+  wl.clients = cfg.endpoints * 2;
+  wl.interval = msec(250);
+  wl.duration = sim_duration;
+  wl.keyspace = files * 4;
+  wl.zipf_s = 0.9;
+  apps::KvWorkload workload(kv, cluster.sim(), wl, cfg.seed ^ 0xBEEF);
+  workload.start();
+  cluster.run_for(sim_duration + sec(10));
+
+  KvMacroResult r;
+  r.puts_applied = kv.puts();
+  r.wire_messages = cluster.wire_counters().total_messages();
+  r.logical_messages = cluster.batching() != nullptr
+                           ? cluster.batching()->stats().logical_messages
+                           : r.wire_messages;
+  std::size_t sampled = 0, converged = 0;
+  for (FileId f = 1; f <= files; f += 7) {
+    ++sampled;
+    if (cluster.converged(f)) ++converged;
+    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
+    if (coord != nullptr) r.digest_xor ^= coord->store().content_digest();
+  }
+  r.converged_pct =
+      100.0 * static_cast<double>(converged) / static_cast<double>(sampled);
+  if (inspect) inspect(cluster);
+  r.wall_ms = ms_since(start);
+  return r;
 }
 
 }  // namespace idea::bench

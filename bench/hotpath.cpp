@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/kvstore.hpp"
 #include "bench/common.hpp"
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
@@ -261,60 +260,26 @@ struct MacroResult {
   std::uint32_t endpoints = 0;
   std::uint32_t files = 0;
   double sim_secs = 0.0;
-  double wall_ms = 0.0;
-  std::uint64_t puts_applied = 0;
-  std::uint64_t logical_messages = 0;
-  std::uint64_t wire_messages = 0;
+  KvMacroResult run;
   double msgs_per_wall_sec = 0.0;
-  double converged_pct = 0.0;
-  std::uint64_t digest_xor = 0;  ///< XOR of sampled coordinator digests.
 };
 
 MacroResult bench_macro(std::uint32_t endpoints, std::uint32_t files,
                         SimDuration sim_duration, std::uint64_t seed) {
-  const auto start = WallClock::now();
-  shard::ShardedCluster cluster(macro_config(endpoints, seed));
-
-  cluster.place(1, files);
-  apps::KvStore kv(cluster,
-                   apps::KvStoreOptions{.buckets = files, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = endpoints * 2;
-  wl.interval = msec(250);
-  wl.duration = sim_duration;
-  wl.keyspace = files * 4;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, seed ^ 0xBEEF);
-  workload.start();
-  cluster.run_for(sim_duration + sec(10));
-
   MacroResult r;
   r.endpoints = endpoints;
   r.files = files;
   r.sim_secs = to_sec(sim_duration);
-  r.puts_applied = kv.puts();
-  r.wire_messages = cluster.wire_counters().total_messages();
-  r.logical_messages = cluster.batching() != nullptr
-                           ? cluster.batching()->stats().logical_messages
-                           : r.wire_messages;
-  std::size_t sampled = 0, converged = 0;
-  for (FileId f = 1; f <= files; f += 7) {
-    ++sampled;
-    if (cluster.converged(f)) ++converged;
-    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
-    if (coord != nullptr) r.digest_xor ^= coord->store().content_digest();
-  }
-  r.converged_pct =
-      100.0 * static_cast<double>(converged) / static_cast<double>(sampled);
-  r.wall_ms = ms_since(start);
+  r.run = run_kv_macro(macro_config(endpoints, seed), files, sim_duration);
+  const KvMacroResult& run = r.run;
   r.msgs_per_wall_sec =
-      static_cast<double>(r.logical_messages) / (r.wall_ms / 1000.0);
+      static_cast<double>(run.logical_messages) / (run.wall_ms / 1000.0);
   std::printf("macro: %u endpoints / %u files, %" PRIu64 " logical msgs "
               "(%" PRIu64 " wire) in %.0f ms wall -> %.2fM msgs/wall-s, "
               "%.1f%% converged, digest %016" PRIx64 "\n",
-              r.endpoints, r.files, r.logical_messages, r.wire_messages,
-              r.wall_ms, r.msgs_per_wall_sec / 1e6, r.converged_pct,
-              r.digest_xor);
+              r.endpoints, r.files, run.logical_messages, run.wire_messages,
+              run.wall_ms, r.msgs_per_wall_sec / 1e6, run.converged_pct,
+              run.digest_xor);
   return r;
 }
 
@@ -344,17 +309,18 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "      \"endpoints\": %u,\n", mc.endpoints);
   std::fprintf(f, "      \"files\": %u,\n", mc.files);
   std::fprintf(f, "      \"sim_secs\": %.1f,\n", mc.sim_secs);
-  std::fprintf(f, "      \"wall_ms\": %.1f,\n", mc.wall_ms);
-  std::fprintf(f, "      \"puts_applied\": %" PRIu64 ",\n", mc.puts_applied);
+  std::fprintf(f, "      \"wall_ms\": %.1f,\n", mc.run.wall_ms);
+  std::fprintf(f, "      \"puts_applied\": %" PRIu64 ",\n",
+               mc.run.puts_applied);
   std::fprintf(f, "      \"logical_messages\": %" PRIu64 ",\n",
-               mc.logical_messages);
+               mc.run.logical_messages);
   std::fprintf(f, "      \"wire_messages\": %" PRIu64 ",\n",
-               mc.wire_messages);
+               mc.run.wire_messages);
   std::fprintf(f, "      \"msgs_per_wall_sec\": %.0f,\n",
                mc.msgs_per_wall_sec);
-  std::fprintf(f, "      \"converged_pct\": %.1f,\n", mc.converged_pct);
+  std::fprintf(f, "      \"converged_pct\": %.1f,\n", mc.run.converged_pct);
   std::fprintf(f, "      \"content_digest_xor\": \"%016" PRIx64 "\"\n",
-               mc.digest_xor);
+               mc.run.digest_xor);
   std::fprintf(f, "    }\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"baseline_pre_refactor\": {\n");

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/kvstore.hpp"
 #include "bench/common.hpp"
 #include "obs/observability.hpp"
 #include "shard/sharded_cluster.hpp"
@@ -48,10 +47,7 @@ const char* mode_name(ObsMode mode) {
 }
 
 struct RunResult {
-  double wall_ms = 0.0;
-  std::uint64_t puts_applied = 0;
-  std::uint64_t logical_messages = 0;
-  std::uint64_t digest_xor = 0;
+  KvMacroResult run;
   std::uint64_t traces = 0;
   std::uint64_t spans = 0;
 };
@@ -59,57 +55,33 @@ struct RunResult {
 RunResult run_macro(ObsMode mode, std::uint32_t endpoints,
                     std::uint32_t files, SimDuration sim_duration,
                     std::uint64_t seed, const std::string& trace_out) {
-  const auto start = WallClock::now();
   shard::ShardedClusterConfig cfg = macro_config(endpoints, seed);
   cfg.observability.enabled = mode != ObsMode::kOff;
   cfg.observability.tracing = mode == ObsMode::kFull;
-  shard::ShardedCluster cluster(cfg);
-
-  cluster.place(1, files);
-  apps::KvStore kv(cluster,
-                   apps::KvStoreOptions{.buckets = files, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = endpoints * 2;
-  wl.interval = msec(250);
-  wl.duration = sim_duration;
-  wl.keyspace = files * 4;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, seed ^ 0xBEEF);
-  workload.start();
-  cluster.run_for(sim_duration + sec(10));
-
   RunResult r;
-  r.puts_applied = kv.puts();
-  r.logical_messages = cluster.batching() != nullptr
-                           ? cluster.batching()->stats().logical_messages
-                           : cluster.wire_counters().total_messages();
-  for (FileId f = 1; f <= files; f += 7) {
-    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
-    if (coord != nullptr) r.digest_xor ^= coord->store().content_digest();
-  }
-  if (mode == ObsMode::kFull && cluster.obs() != nullptr &&
-      cluster.obs()->tracer() != nullptr) {
-    r.traces = cluster.obs()->tracer()->traces_started();
-    r.spans = cluster.obs()->tracer()->spans().size();
-    if (!trace_out.empty()) {
-      std::FILE* f = std::fopen(trace_out.c_str(), "w");
-      if (f != nullptr) {
-        const std::string json = cluster.obs()->tracer()->export_chrome_trace();
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::printf("wrote %s (%zu spans)\n", trace_out.c_str(),
-                    static_cast<std::size_t>(r.spans));
-      }
-    }
-  }
-  r.wall_ms = ms_since(start);
+  const auto collect_trace = [&](shard::ShardedCluster& cluster) {
+    obs::Tracer* tracer =
+        cluster.obs() != nullptr ? cluster.obs()->tracer() : nullptr;
+    if (mode != ObsMode::kFull || tracer == nullptr) return;
+    r.traces = tracer->traces_started();
+    r.spans = tracer->spans().size();
+    if (trace_out.empty()) return;
+    std::FILE* f = std::fopen(trace_out.c_str(), "w");
+    if (f == nullptr) return;
+    const std::string json = tracer->export_chrome_trace();
+    std::fwrite(json.data(), 1, json.size(), f);
+    std::fclose(f);
+    std::printf("wrote %s (%zu spans)\n", trace_out.c_str(),
+                static_cast<std::size_t>(r.spans));
+  };
+  r.run = run_kv_macro(cfg, files, sim_duration, collect_trace);
   return r;
 }
 
 double median_wall_ms(const std::vector<RunResult>& runs) {
   std::vector<double> walls;
   walls.reserve(runs.size());
-  for (const RunResult& r : runs) walls.push_back(r.wall_ms);
+  for (const RunResult& r : runs) walls.push_back(r.run.wall_ms);
   return median(std::move(walls));
 }
 
@@ -142,13 +114,13 @@ void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"full_run\": {\n");
   std::fprintf(f, "    \"puts_applied\": %" PRIu64 ",\n",
-               full_sample.puts_applied);
+               full_sample.run.puts_applied);
   std::fprintf(f, "    \"logical_messages\": %" PRIu64 ",\n",
-               full_sample.logical_messages);
+               full_sample.run.logical_messages);
   std::fprintf(f, "    \"traces\": %" PRIu64 ",\n", full_sample.traces);
   std::fprintf(f, "    \"spans\": %" PRIu64 ",\n", full_sample.spans);
   std::fprintf(f, "    \"content_digest_xor\": \"%016" PRIx64 "\"\n",
-               full_sample.digest_xor);
+               full_sample.run.digest_xor);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"digests_match_across_modes\": %s\n",
                digests_match ? "true" : "false");
@@ -194,8 +166,8 @@ int main(int argc, char** argv) {
           run_macro(mode, endpoints, files, sim_duration, seed, out);
       std::printf("rep %zu %-7s: %7.1f ms wall, %" PRIu64
                   " logical msgs, digest %016" PRIx64 "\n",
-                  rep, mode_name(mode), r.wall_ms, r.logical_messages,
-                  r.digest_xor);
+                  rep, mode_name(mode), r.run.wall_ms,
+                  r.run.logical_messages, r.run.digest_xor);
       switch (mode) {
         case ObsMode::kOff:
           off_runs.push_back(r);
@@ -214,10 +186,11 @@ int main(int argc, char** argv) {
   // computed.  A digest mismatch is a correctness bug, not a perf result.
   bool digests_match = true;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    digests_match &= off_runs[rep].digest_xor == metrics_runs[rep].digest_xor;
-    digests_match &= off_runs[rep].digest_xor == full_runs[rep].digest_xor;
+    const KvMacroResult& off = off_runs[rep].run;
+    digests_match &= off.digest_xor == metrics_runs[rep].run.digest_xor;
+    digests_match &= off.digest_xor == full_runs[rep].run.digest_xor;
     digests_match &=
-        off_runs[rep].logical_messages == full_runs[rep].logical_messages;
+        off.logical_messages == full_runs[rep].run.logical_messages;
   }
   if (!digests_match) {
     std::fprintf(stderr,

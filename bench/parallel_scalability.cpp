@@ -4,19 +4,22 @@
 ///
 /// Two things are on the clock:
 ///
-///   1. Wall time per thread count — the speedup curve.  Meaningful only
-///      on a machine with real cores; the JSON records
-///      hardware_cores so a 1-core CI container's flat curve is not
-///      mistaken for a runtime regression.
-///   2. The determinism oracle — every thread count must produce the
-///      exact op digest, endpoint digests and message counts of the
-///      threads=1 run (the sequential oracle).  A mismatch fails the
-///      bench regardless of speed.
+///   1. Wall time per thread count — the speedup curve.  Reps run
+///      interleaved (every thread count once per round), so machine drift
+///      hits all of them alike; each point reports the median, min and
+///      max.  Meaningful only on a machine with real cores; the JSON
+///      records hardware_cores and build_type so a 1-core CI container's
+///      flat curve is not mistaken for a runtime regression.
+///   2. The determinism oracle — every run at every thread count must
+///      produce the exact op digest, endpoint digests and message counts
+///      of the first threads=1 run (the sequential oracle).  A mismatch
+///      fails the bench regardless of speed.
 ///
 ///   $ ./parallel_scalability [--smoke] [--json BENCH_parallel.json]
 ///       [--endpoints 1000] [--files 4000] [--segments 8] [--sim-secs 5]
 ///       [--threads 1,2,4,8] [--reps 1] [--seed 2007]
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -34,14 +37,24 @@ namespace {
 
 struct SweepPoint {
   std::uint32_t threads = 1;
-  double wall_s = 0.0;   ///< Median over reps.
+  std::vector<double> walls;  ///< One per rep, in run order.
+  double wall_s = 0.0;        ///< Median over reps.
+  double wall_min_s = 0.0;
+  double wall_max_s = 0.0;
   double speedup = 1.0;  ///< vs the threads=1 median.
+  // From the latest rep (the determinism check compares every rep).
   std::uint64_t op_digest = 0;
   std::uint64_t endpoint_digest_xor = 0;
   std::uint64_t wire_messages = 0;
   std::uint64_t remote_ops = 0;
   std::uint64_t steals = 0;
   std::uint64_t conveyor_packets = 0;
+
+  [[nodiscard]] bool same_result(const SweepPoint& o) const {
+    return op_digest == o.op_digest &&
+           endpoint_digest_xor == o.endpoint_digest_xor &&
+           wire_messages == o.wire_messages;
+  }
 };
 
 struct MacroConfig {
@@ -52,52 +65,47 @@ struct MacroConfig {
   std::uint64_t seed = 2007;
 };
 
-SweepPoint run_macro(const MacroConfig& mc, std::uint32_t threads,
-                     std::size_t reps) {
-  SweepPoint p;
-  p.threads = threads;
-  std::vector<double> walls;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    shard::ShardedClusterConfig cfg;
-    cfg.endpoints = mc.endpoints;
-    cfg.replication = 3;
-    cfg.seed = mc.seed;
-    cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-    cfg.idea.detection_period = sec(2);
-    cfg.runtime.threads = threads;
-    cfg.runtime.segments = mc.segments;  // pinned across the sweep
-    cfg.sync_sizes();
-    runtime::ShardedFleet fleet(cfg);
-    fleet.place(1, mc.files);
-    runtime::FleetWorkloadParams wl;
-    wl.ops_per_endpoint_per_sec = 4.0;
-    wl.cross_segment_fraction = 0.25;
-    wl.duration = sec_f(mc.sim_secs);
-    fleet.set_workload(wl);
+/// One fleet run at `p.threads`: appends its wall time to `p` and
+/// overwrites `p`'s digests and counters with this run's.
+void run_macro(const MacroConfig& mc, SweepPoint& p) {
+  shard::ShardedClusterConfig cfg;
+  cfg.endpoints = mc.endpoints;
+  cfg.replication = 3;
+  cfg.seed = mc.seed;
+  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
+  cfg.idea.detection_period = sec(2);
+  cfg.runtime.threads = p.threads;
+  cfg.runtime.segments = mc.segments;  // pinned across the sweep
+  cfg.sync_sizes();
+  runtime::ShardedFleet fleet(cfg);
+  fleet.place(1, mc.files);
+  runtime::FleetWorkloadParams wl;
+  wl.ops_per_endpoint_per_sec = 4.0;
+  wl.cross_segment_fraction = 0.25;
+  wl.duration = sec_f(mc.sim_secs);
+  fleet.set_workload(wl);
 
-    const auto start = WallClock::now();
-    fleet.run_for(sec_f(mc.sim_secs) + sec(5));
-    walls.push_back(secs_since(start));
+  const auto start = WallClock::now();
+  fleet.run_for(sec_f(mc.sim_secs) + sec(5));
+  p.walls.push_back(secs_since(start));
 
-    const runtime::FleetStats s = fleet.stats();
-    p.op_digest = s.op_digest;
-    p.remote_ops = s.remote_ops;
-    p.steals = s.pool.steals;
-    p.conveyor_packets = s.conveyor.packets;
-    p.endpoint_digest_xor = 0;
-    for (const auto& [endpoint, digest] : fleet.endpoint_digests()) {
-      p.endpoint_digest_xor ^= mix64(digest + endpoint);
-    }
-    p.wire_messages = 0;
-    for (const auto& [type, count] : fleet.message_counts()) {
-      p.wire_messages += count;
-    }
+  const runtime::FleetStats s = fleet.stats();
+  p.op_digest = s.op_digest;
+  p.remote_ops = s.remote_ops;
+  p.steals = s.pool.steals;
+  p.conveyor_packets = s.conveyor.packets;
+  p.endpoint_digest_xor = 0;
+  for (const auto& [endpoint, digest] : fleet.endpoint_digests()) {
+    p.endpoint_digest_xor ^= mix64(digest + endpoint);
   }
-  p.wall_s = median(walls);
-  std::printf("threads %2u: %.3f s wall, op digest %016" PRIx64
+  p.wire_messages = 0;
+  for (const auto& [type, count] : fleet.message_counts()) {
+    p.wire_messages += count;
+  }
+  std::printf("threads %2u rep %zu: %.3f s wall, op digest %016" PRIx64
               ", %" PRIu64 " remote ops, %" PRIu64 " steals\n",
-              threads, p.wall_s, p.op_digest, p.remote_ops, p.steals);
-  return p;
+              p.threads, p.walls.size() - 1, p.walls.back(), p.op_digest,
+              p.remote_ops, p.steals);
 }
 
 void write_json(const std::string& path, bool smoke, const MacroConfig& mc,
@@ -112,18 +120,22 @@ void write_json(const std::string& path, bool smoke, const MacroConfig& mc,
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
   std::fprintf(f, "  \"hardware_cores\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", IDEA_BUILD_TYPE);
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"endpoints\": %u,\n", mc.endpoints);
   std::fprintf(f, "    \"files\": %u,\n", mc.files);
   std::fprintf(f, "    \"segments\": %u,\n", mc.segments);
   std::fprintf(f, "    \"sim_secs\": %.1f,\n", mc.sim_secs);
-  std::fprintf(f, "    \"seed\": %" PRIu64 "\n", mc.seed);
+  std::fprintf(f, "    \"seed\": %" PRIu64 ",\n", mc.seed);
+  std::fprintf(f, "    \"reps\": %zu\n", sweep.front().walls.size());
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"sweep\": [\n");
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = sweep[i];
     std::fprintf(f, "    {\"threads\": %u, \"wall_s\": %.3f, ", p.threads,
                  p.wall_s);
+    std::fprintf(f, "\"wall_min_s\": %.3f, \"wall_max_s\": %.3f, ",
+                 p.wall_min_s, p.wall_max_s);
     std::fprintf(f, "\"speedup_vs_1thread\": %.3f, ", p.speedup);
     std::fprintf(f, "\"op_digest\": \"%016" PRIx64 "\", ", p.op_digest);
     std::fprintf(f, "\"endpoint_digest_xor\": \"%016" PRIx64 "\", ",
@@ -138,11 +150,12 @@ void write_json(const std::string& path, bool smoke, const MacroConfig& mc,
   std::fprintf(f, "  \"digests_match_across_threads\": %s,\n",
                digests_match ? "true" : "false");
   std::fprintf(f,
-               "  \"note\": \"speedup_vs_1thread reflects wall time only; "
-               "on a machine with fewer physical cores than threads the "
-               "workers time-share and the curve is flat.  The determinism "
-               "cross-check (identical digests at every thread count) holds "
-               "regardless of core count.\"\n");
+               "  \"note\": \"wall_s is the median over interleaved reps, "
+               "with min and max beside it; speedup_vs_1thread compares "
+               "medians.  On a machine with fewer physical cores than "
+               "threads the workers time-share and the curve is flat.  The "
+               "determinism cross-check (identical digests in every run at "
+               "every thread count) holds regardless of core count.\"\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
@@ -185,27 +198,37 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("segments", 8));
   mc.sim_secs = flags.get_double("sim-secs", smoke ? 2.0 : 5.0);
   mc.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
-  const auto reps =
-      static_cast<std::size_t>(flags.get_int("reps", 1));
+  const auto reps = static_cast<std::size_t>(
+      std::max<std::int64_t>(flags.get_int("reps", 1), 1));
   const std::vector<std::uint32_t> threads = parse_threads(
       flags.get_string("threads", smoke ? "1,2" : "1,2,4,8"));
 
-  std::vector<SweepPoint> sweep;
-  sweep.reserve(threads.size());
-  for (const std::uint32_t t : threads) {
-    sweep.push_back(run_macro(mc, t, reps));
+  std::vector<SweepPoint> sweep(threads.size());
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    sweep[i].threads = threads[i];
   }
 
+  // Interleave: every round runs each thread count once, so slow drift
+  // of the machine spreads over all points instead of biasing one.
   bool digests_match = true;
-  for (const SweepPoint& p : sweep) {
-    if (p.op_digest != sweep.front().op_digest ||
-        p.endpoint_digest_xor != sweep.front().endpoint_digest_xor ||
-        p.wire_messages != sweep.front().wire_messages) {
-      digests_match = false;
+  SweepPoint oracle;  // the first run's results
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (SweepPoint& p : sweep) {
+      run_macro(mc, p);
+      if (rep == 0 && &p == &sweep.front()) oracle = p;
+      digests_match &= p.same_result(oracle);
     }
   }
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    sweep[i].speedup = sweep.front().wall_s / sweep[i].wall_s;
+
+  for (SweepPoint& p : sweep) {
+    p.wall_s = median(p.walls);
+    p.wall_min_s = *std::min_element(p.walls.begin(), p.walls.end());
+    p.wall_max_s = *std::max_element(p.walls.begin(), p.walls.end());
+    p.speedup = sweep.front().wall_s / p.wall_s;
+    std::printf("threads %2u: median %.3f s (min %.3f, max %.3f) over %zu "
+                "reps, speedup x%.2f\n",
+                p.threads, p.wall_s, p.wall_min_s, p.wall_max_s,
+                p.walls.size(), p.speedup);
   }
 
   write_json(flags.get_string("json", "BENCH_parallel.json"), smoke, mc,

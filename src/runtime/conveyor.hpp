@@ -1,139 +1,114 @@
 #pragma once
 /// \file conveyor.hpp
 /// \brief Cross-worker packet pipeline: per-(segment,segment) batching of
-///        messages, flushed at epoch boundaries over SPSC lanes.
+///        messages, handed over at epoch boundaries.
 ///
 /// This is the thread-tier mirror of net::BatchingTransport's per-pair
 /// wire coalescing, patterned on the micmac0 node runtime's conveyor: a
 /// message crossing segments is *accumulated* into the (src,dst) outbox
-/// while the source's epoch task runs (plain vector — only the thread
-/// executing src touches it), *sealed* into one packet per destination
-/// when the task ends, and *drained* by the destination's task at the
-/// start of a later epoch.  Each (src,dst) lane is an SPSC ring: at any
-/// moment at most one thread runs the source's task (producer) and one
-/// the destination's (consumer), and the epoch barrier orders hand-offs —
-/// so the pipeline is lock-free end to end.
+/// while the source's epoch task runs, *sealed* into one packet per
+/// destination when the task ends, and *drained* by the destination's task
+/// at the start of the next epoch.
+///
+/// A lane is three plain vectors with no synchronization of their own: the
+/// outbox and two sealed sides.  A packet sealed in epoch E sits on side
+/// E % 2 of its lane; the drain in epoch E + 1 reads that side while the
+/// sources seal into the other one.  At any moment only the thread running
+/// src's task touches src's outboxes and the side being sealed, and only
+/// the thread running dst's task the side being drained; the pool's
+/// barrier between epochs orders each hand-off.  This relies on every
+/// segment draining in every epoch, which ParallelSimulator guarantees (a
+/// debug assert in seal() catches a skipped drain).
 ///
 /// Determinism contract: the destination drains sources in ascending
-/// segment order, packets per lane in FIFO order, and messages within a
-/// packet in post order.  None of that depends on which worker thread ran
-/// which task, which is exactly why a parallel run replays identically to
-/// the sequential oracle.
-///
-/// A packet sealed in epoch E is visible to drains with `current > E` —
-/// the epoch edge is the flush instant.  Packets never expire; a lane's
-/// ring being full makes seal() spin-yield (the consumer drains every
-/// epoch, so the wait is bounded by one epoch in practice; counted in
-/// stats().lane_stalls).
+/// segment order, and messages within a packet in post order.  Neither
+/// depends on which worker thread ran which task, which is exactly why a
+/// parallel run replays identically to the sequential oracle.
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
-
-#include "runtime/spsc_queue.hpp"
 
 namespace idea::runtime {
 
 struct ConveyorStats {
-  std::uint64_t messages = 0;      ///< Messages posted across all lanes.
-  std::uint64_t packets = 0;       ///< Packets sealed.
-  std::uint64_t drained = 0;       ///< Packets delivered.
-  std::uint64_t lane_stalls = 0;   ///< seal() waits on a full lane.
-  std::size_t max_packet = 0;      ///< Largest packet sealed.
+  std::uint64_t messages = 0;  ///< Messages posted across all lanes.
+  std::uint64_t packets = 0;   ///< Packets sealed.
+  std::uint64_t drained = 0;   ///< Packets delivered.
+  /// Always 0: a lane has no bound, so seal() never waits.  Kept so
+  /// existing reports keep their column.
+  std::uint64_t lane_stalls = 0;
+  std::size_t max_packet = 0;  ///< Largest packet sealed.
 };
 
 template <typename T>
 class Conveyor {
  public:
-  struct Packet {
-    std::uint64_t epoch = 0;
-    std::uint32_t src = 0;
-    std::vector<T> msgs;
-  };
+  /// Drain callback: (source segment, the packet's messages).
+  using Handler = std::function<void(std::uint32_t, std::vector<T>&)>;
 
-  explicit Conveyor(std::uint32_t segments, std::size_t lane_capacity = 64)
-      : segments_(segments) {
-    outboxes_.resize(static_cast<std::size_t>(segments_) * segments_);
-    lanes_.reserve(outboxes_.size());
-    for (std::size_t i = 0; i < outboxes_.size(); ++i) {
-      lanes_.push_back(std::make_unique<SpscQueue<Packet>>(lane_capacity));
-    }
-    stats_by_src_.resize(segments_);
-  }
-
-  [[nodiscard]] std::uint32_t segments() const { return segments_; }
+  explicit Conveyor(std::uint32_t segments)
+      : segments_(segments),
+        outboxes_(lanes()),
+        sealed_{std::vector<std::vector<T>>(lanes()),
+                std::vector<std::vector<T>>(lanes())},
+        stats_by_segment_(segments) {}
 
   /// Accumulate a message from src's running epoch task.  Only the thread
   /// executing src's task may call this.
   void post(std::uint32_t src, std::uint32_t dst, T msg) {
     outboxes_[lane_index(src, dst)].push_back(std::move(msg));
-    ++stats_by_src_[src].messages;
+    ++stats_by_segment_[src].messages;
   }
 
-  /// Seal src's non-empty outboxes into one packet per destination,
-  /// stamped with `epoch`.  Called by src's task as it ends.
+  /// Seal src's non-empty outboxes into one packet per destination, for
+  /// the destinations to drain in epoch `epoch + 1`.  Called by src's task
+  /// as it ends.
   void seal(std::uint32_t src, std::uint64_t epoch) {
+    std::vector<std::vector<T>>& side = sealed_[epoch % 2];
     for (std::uint32_t dst = 0; dst < segments_; ++dst) {
-      std::vector<T>& box = outboxes_[lane_index(src, dst)];
+      const std::size_t lane = lane_index(src, dst);
+      std::vector<T>& box = outboxes_[lane];
       if (box.empty()) continue;
-      ConveyorStats& s = stats_by_src_[src];
+      assert(side[lane].empty() && "a destination skipped its drain");
+      ConveyorStats& s = stats_by_segment_[src];
       ++s.packets;
       if (box.size() > s.max_packet) s.max_packet = box.size();
-      Packet pkt{epoch, src, std::move(box)};
-      box.clear();
-      SpscQueue<Packet>& lane = *lanes_[lane_index(src, dst)];
-      while (!lane.try_push(std::move(pkt))) {
-        ++s.lane_stalls;
-        std::this_thread::yield();
-      }
+      side[lane].swap(box);  // the outbox reuses the drained buffer
     }
   }
 
-  /// Deliver to dst every packet sealed in an epoch < `current`, sources
-  /// in ascending order, packets FIFO per lane.  Called by dst's task as
-  /// it begins.  The handler receives (src segment, sealed epoch, msgs).
-  void drain(std::uint32_t dst, std::uint64_t current,
-             const std::function<void(std::uint32_t, std::uint64_t,
-                                      std::vector<T>&)>& handler) {
+  /// Deliver to dst every packet sealed in epoch `epoch - 1`, sources in
+  /// ascending order, then clear them.  Called by dst's task as it
+  /// begins.
+  void drain(std::uint32_t dst, std::uint64_t epoch, const Handler& handler) {
+    std::vector<std::vector<T>>& side = sealed_[(epoch + 1) % 2];
     for (std::uint32_t src = 0; src < segments_; ++src) {
-      SpscQueue<Packet>& lane = *lanes_[lane_index(src, dst)];
-      Packet pkt;
-      while (lane.try_pop_if(
-          [current](const Packet& p) { return p.epoch < current; }, pkt)) {
-        ++stats_by_src_[dst].drained;
-        handler(src, pkt.epoch, pkt.msgs);
-      }
+      std::vector<T>& packet = side[lane_index(src, dst)];
+      if (packet.empty()) continue;
+      ++stats_by_segment_[dst].drained;
+      handler(src, packet);
+      packet.clear();
     }
-  }
-
-  /// Whether every lane and outbox is empty.  Only meaningful between
-  /// batches (at the barrier).
-  [[nodiscard]] bool idle() const {
-    for (const auto& lane : lanes_) {
-      if (lane->size() != 0) return false;
-    }
-    for (const auto& box : outboxes_) {
-      if (!box.empty()) return false;
-    }
-    return true;
   }
 
   /// Aggregate stats (sum over the per-segment shards; call at a barrier).
   [[nodiscard]] ConveyorStats stats() const {
     ConveyorStats total;
-    for (const ConveyorStats& s : stats_by_src_) {
+    for (const ConveyorStats& s : stats_by_segment_) {
       total.messages += s.messages;
       total.packets += s.packets;
       total.drained += s.drained;
-      total.lane_stalls += s.lane_stalls;
       if (s.max_packet > total.max_packet) total.max_packet = s.max_packet;
     }
     return total;
   }
 
  private:
+  [[nodiscard]] std::size_t lanes() const {
+    return static_cast<std::size_t>(segments_) * segments_;
+  }
   [[nodiscard]] std::size_t lane_index(std::uint32_t src,
                                        std::uint32_t dst) const {
     return static_cast<std::size_t>(src) * segments_ + dst;
@@ -143,10 +118,11 @@ class Conveyor {
   /// Accumulators, row-owned: outboxes_[src*S+dst] is touched only by the
   /// thread running src's epoch task.
   std::vector<std::vector<T>> outboxes_;
-  std::vector<std::unique_ptr<SpscQueue<Packet>>> lanes_;
+  /// Sealed packets, sealed_[epoch % 2][src*S+dst].
+  std::vector<std::vector<T>> sealed_[2];
   /// Stats sharded by segment (writer: the thread running that segment's
   /// task; drained is accounted at the destination).  Aggregated lazily.
-  std::vector<ConveyorStats> stats_by_src_;
+  std::vector<ConveyorStats> stats_by_segment_;
 };
 
 }  // namespace idea::runtime

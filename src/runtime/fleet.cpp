@@ -67,8 +67,7 @@ class ShardedFleet::Segment final : public Partition {
     cluster_->transport().rebind_owner_thread();
     const SimDuration hop = fleet_.config_.runtime.hop_latency;
     fleet_.conveyor_->drain(
-        index_, epoch,
-        [&](std::uint32_t, std::uint64_t, std::vector<FleetMsg>& msgs) {
+        index_, epoch, [&](std::uint32_t, std::vector<FleetMsg>& msgs) {
           for (FleetMsg& m : msgs) {
             // Cross-segment delivery lands at a deterministic instant:
             // the modeled hop, rounded up to this epoch's edge.
@@ -216,12 +215,6 @@ class ShardedFleet::Segment final : public Partition {
   }
 
   void post_reply(FleetMsg reply) {
-    // Replies to the segment's own ops short-circuit (a local op never
-    // builds a FleetMsg, but keep the invariant anyway).
-    if (reply.origin == index_) {
-      on_msg(reply);
-      return;
-    }
     fleet_.conveyor_->post(index_, reply.origin, std::move(reply));
   }
 

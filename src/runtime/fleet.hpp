@@ -11,8 +11,8 @@
 /// endpoint-local state: IdeaService stacks, ReplicaStores, checkpoint
 /// timers, obs registries, the event and message slabs — entirely inside
 /// one segment.  One worker thread runs a segment per epoch, so none of
-/// that state ever needs a lock; work stealing migrates whole segments
-/// between workers only across pool barriers.
+/// that state ever needs a lock; a segment moves between workers only
+/// across pool barriers.
 ///
 /// What crosses segments is the *client tier*: fleet operations originate
 /// at one segment and may target files placed on another.  Those ride the

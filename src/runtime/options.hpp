@@ -14,17 +14,17 @@ namespace idea::runtime {
 /// calling thread through the existing single-threaded sim::Simulator
 /// kernels — nothing is spawned, nothing is atomic-contended, and the
 /// schedule is the canonical sequential one.  `threads > 1` executes the
-/// same epoch protocol on a work-stealing WorkerPool; a fixed-seed run
-/// must produce byte-identical digests, message counts and metrics JSON
-/// in both modes (tests/runtime/ enforces it).
+/// same epoch protocol on a WorkerPool; a fixed-seed run must produce
+/// byte-identical digests, message counts and metrics JSON in both modes
+/// (tests/runtime/ enforces it).
 struct RuntimeOptions {
   /// Worker threads (the caller participates as worker 0).
   std::uint32_t threads = 1;
-  /// Ring segments the endpoint space is partitioned into — the unit of
-  /// work stealing and of replica-group confinement (every group lives
-  /// entirely inside one segment, so endpoint-local state never needs
-  /// locks).  0 derives max(threads, 1).  Note results depend on the
-  /// segment count (it shapes the ring) but never on `threads`.
+  /// Ring segments the endpoint space is partitioned into — one pool task
+  /// per epoch each, and the unit of replica-group confinement (every
+  /// group lives entirely inside one segment, so endpoint-local state
+  /// never needs locks).  0 derives max(threads, 1).  Note results depend
+  /// on the segment count (it shapes the ring) but never on `threads`.
   std::uint32_t segments = 0;
   /// Epoch length: the barrier cadence.  All events at time <= T execute
   /// before any event > T becomes visible across segments; cross-segment

@@ -14,8 +14,9 @@
 ///
 /// The pool's barrier brackets each epoch on both sides; a partition's
 /// state is touched by exactly one thread per epoch (whichever worker ran
-/// its task — stealing migrates partitions between workers only across
-/// barriers).
+/// its task — a partition changes workers only across barriers).  That
+/// barrier is the runtime's only synchronization: it also orders every
+/// conveyor hand-off.
 
 #include <cstdint>
 #include <vector>

@@ -1,15 +1,12 @@
 #include "runtime/worker_pool.hpp"
 
-#include <cassert>
-
 namespace idea::runtime {
 
 WorkerPool::WorkerPool(std::uint32_t threads)
-    : threads_(threads == 0 ? 1 : threads) {
-  deques_.reserve(threads_);
-  for (std::uint32_t w = 0; w < threads_; ++w) {
-    deques_.push_back(std::make_unique<WorkStealingDeque>(256));
-  }
+    : threads_(threads == 0 ? 1 : threads),
+      start_(threads_),
+      end_(threads_),
+      steals_(threads_, 0) {
   spawned_.reserve(threads_ - 1);
   for (std::uint32_t w = 1; w < threads_; ++w) {
     spawned_.emplace_back([this, w] { worker_loop(w); });
@@ -17,12 +14,9 @@ WorkerPool::WorkerPool(std::uint32_t threads)
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard lock(mu_);
-    shutdown_ = true;
-    ++generation_;
-  }
-  cv_start_.notify_all();
+  if (spawned_.empty()) return;
+  shutdown_ = true;
+  start_.arrive_and_wait();  // releases the workers into their exit
   for (std::thread& t : spawned_) t.join();
 }
 
@@ -38,96 +32,52 @@ void WorkerPool::run_tasks(std::uint32_t task_count, const TaskBody& body) {
     return;
   }
 
-  // Grow deques when a batch could overflow them.  All workers are parked
-  // and the pushes below happen-before they wake (via mu_), so replacing
-  // the deques here is race-free.
-  const std::size_t per_worker = task_count / threads_ + 2;
-  if (per_worker > deque_capacity_) {
-    deque_capacity_ = per_worker;
-    for (auto& d : deques_) {
-      d = std::make_unique<WorkStealingDeque>(deque_capacity_);
-    }
+  // Every spawned worker waits in the start barrier, so the batch state
+  // is the caller's to reset; the barrier publishes it.
+  if (claimed_.size() < task_count) {
+    claimed_ = std::vector<std::atomic<bool>>(task_count);
   }
+  for (std::uint32_t t = 0; t < task_count; ++t) claimed_[t] = false;
+  done_ = 0;
+  body_ = &body;
+  task_count_ = task_count;
 
-  // Seed: task i goes to deque i % threads.  LIFO pops mean worker w runs
-  // its own tasks in descending order; cross-task order is unspecified by
-  // contract, so the distribution only matters for balance.
-  for (std::uint32_t t = 0; t < task_count; ++t) {
-    deques_[t % threads_]->push(t);
-  }
-
-  {
-    // Wait until every spawned worker is parked: always true between
-    // batches (the tail wait below), but freshly spawned workers may not
-    // have reached their first park yet.
-    std::unique_lock lock(mu_);
-    cv_done_.wait(lock, [this] { return parked_ == threads_ - 1; });
-    body_ = &body;
-    remaining_.store(static_cast<std::int64_t>(task_count),
-                     std::memory_order_release);
-    ++generation_;
-    parked_ = 0;
-  }
-  cv_start_.notify_all();
-
+  start_.arrive_and_wait();
   work(0);  // the caller is worker 0
+  end_.arrive_and_wait();
 
-  // Wait for every spawned worker to park again: after this, no thread
-  // touches the deques or `body` until the next batch.
-  std::unique_lock lock(mu_);
-  cv_done_.wait(lock, [this] { return parked_ == threads_ - 1; });
-  body_ = nullptr;
+  for (std::uint64_t& s : steals_) {
+    stats_.steals += s;
+    s = 0;
+  }
 }
 
 void WorkerPool::worker_loop(std::uint32_t worker) {
-  std::uint64_t seen_generation = 0;
   while (true) {
-    {
-      std::unique_lock lock(mu_);
-      ++parked_;
-      cv_done_.notify_one();
-      cv_start_.wait(lock, [this, seen_generation] {
-        return generation_ != seen_generation;
-      });
-      seen_generation = generation_;
-      if (shutdown_) return;
-    }
+    start_.arrive_and_wait();
+    if (shutdown_) return;
     work(worker);
+    end_.arrive_and_wait();
   }
 }
 
 void WorkerPool::work(std::uint32_t worker) {
-  const TaskBody& body = *body_;
+  const std::uint32_t n = task_count_;
+  const auto run = [&](std::uint32_t t) {
+    if (claimed_[t].exchange(true)) return false;  // exactly-once claim
+    (*body_)(t, worker);
+    ++done_;
+    return true;
+  };
+  for (std::uint32_t t = worker; t < n; t += threads_) run(t);
   std::uint64_t steals = 0;
-  while (true) {
-    const std::uint32_t task = find_task(worker, &steals);
-    if (task == WorkStealingDeque::kEmpty) {
-      if (remaining_.load(std::memory_order_acquire) == 0) break;
-      std::this_thread::yield();  // tasks in flight elsewhere
-      continue;
-    }
-    body(task, worker);
-    remaining_.fetch_sub(1, std::memory_order_acq_rel);
+  for (std::uint32_t t = 0; t < n; ++t) {
+    if (t % threads_ != worker && run(t)) ++steals;
   }
-  if (steals > 0) {
-    std::lock_guard lock(mu_);
-    stats_.steals += steals;
-  }
-}
-
-std::uint32_t WorkerPool::find_task(std::uint32_t worker,
-                                    std::uint64_t* steals) {
-  const std::uint32_t own = deques_[worker]->pop();
-  if (own != WorkStealingDeque::kEmpty) return own;
-  for (std::uint32_t i = 1; i < threads_; ++i) {
-    const std::uint32_t victim = (worker + i) % threads_;
-    const std::uint32_t stolen = deques_[victim]->steal();
-    if (stolen != WorkStealingDeque::kEmpty) {
-      ++*steals;
-      return stolen;
-    }
-  }
-  return WorkStealingDeque::kEmpty;
+  steals_[worker] = steals;
+  // Stay awake until the batch is done: a worker asleep in the end
+  // barrier would cost the caller a wake-up in every epoch.
+  while (done_ < n) std::this_thread::yield();
 }
 
 }  // namespace idea::runtime

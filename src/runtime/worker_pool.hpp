@@ -1,15 +1,20 @@
 #pragma once
 /// \file worker_pool.hpp
-/// \brief Fixed pool of worker threads with per-worker work-stealing
-///        deques, driven in barrier-synchronized batches.
+/// \brief Fixed pool of worker threads driven in barrier-synchronized
+///        batches.
 ///
-/// The pool executes *batches*: run_tasks(N, body) distributes task ids
-/// 0..N-1 round-robin across the workers' deques, wakes every thread, and
-/// returns only when all N tasks ran and every worker parked again — a
-/// full barrier on both sides, so the caller may mutate shared state
-/// between batches without fences of its own.  Within a batch, a worker
-/// drains its own deque LIFO and steals FIFO from the others when dry, so
-/// unevenly sized tasks (hot segments) load-balance automatically.
+/// The pool executes *batches*: run_tasks(N, body) releases every worker
+/// through a start barrier, runs task ids 0..N-1 across them, and returns
+/// only after every worker reached the end barrier — a full barrier on
+/// both sides, so the caller may mutate shared state between batches
+/// without fences of its own.
+///
+/// Within a batch, task t's home is worker t % threads.  A worker runs its
+/// home tasks first, then any task nobody has claimed yet, so a slow task
+/// (a hot segment) never holds back the rest of the batch.  One atomic
+/// flag per task makes every claim exactly-once; a worker that runs out of
+/// tasks yields until the whole batch is done instead of falling asleep in
+/// the end barrier.
 ///
 /// The calling thread participates as worker 0; a pool built with
 /// `threads == 1` spawns nothing and runs every task inline in ascending
@@ -19,22 +24,19 @@
 /// Tasks must be independent: the pool guarantees nothing about cross-task
 /// ordering within a batch beyond "all complete before run_tasks returns".
 
-#include <condition_variable>
+#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
-
-#include "runtime/work_stealing.hpp"
 
 namespace idea::runtime {
 
 struct WorkerPoolStats {
   std::uint64_t batches = 0;    ///< run_tasks calls.
   std::uint64_t tasks_run = 0;  ///< Tasks executed across all batches.
-  std::uint64_t steals = 0;     ///< Tasks obtained from another deque.
+  std::uint64_t steals = 0;     ///< Tasks run away from their home worker.
 };
 
 class WorkerPool {
@@ -48,34 +50,34 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  [[nodiscard]] std::uint32_t threads() const { return threads_; }
-
   /// Execute tasks 0..task_count-1, blocking until all completed and all
-  /// workers parked.  `body` may be invoked concurrently from different
-  /// threads for different tasks.
+  /// workers reached the end barrier.  `body` may be invoked concurrently
+  /// from different threads for different tasks.
   void run_tasks(std::uint32_t task_count, const TaskBody& body);
 
   [[nodiscard]] const WorkerPoolStats& stats() const { return stats_; }
 
  private:
   void worker_loop(std::uint32_t worker);
-  /// Drain deques (own first, then steal) until the batch completes.
+  /// Run home tasks, then unclaimed ones, then wait for the batch to end.
   void work(std::uint32_t worker);
-  /// Own pop, then round-robin steal.  kEmpty when nothing is runnable.
-  std::uint32_t find_task(std::uint32_t worker, std::uint64_t* steals);
 
   const std::uint32_t threads_;
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
-  std::size_t deque_capacity_ = 256;  ///< Current per-deque capacity.
+  std::barrier<> start_;
+  std::barrier<> end_;
 
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;   ///< Bumped per batch (guarded by mu_).
-  const TaskBody* body_ = nullptr; ///< Current batch body (guarded by mu_).
-  std::uint32_t parked_ = 0;       ///< Spawned workers waiting (guarded).
+  // Batch state, written by the caller before the start barrier and only
+  // read by workers until the end barrier.
+  const TaskBody* body_ = nullptr;
+  std::uint32_t task_count_ = 0;
   bool shutdown_ = false;
-  std::atomic<std::int64_t> remaining_{0};  ///< Tasks not yet completed.
+
+  /// claimed_[t] flips once per batch, by whichever worker runs task t.
+  std::vector<std::atomic<bool>> claimed_;
+  std::atomic<std::uint32_t> done_{0};  ///< Tasks of this batch finished.
+  /// Per-worker steal counts (slot w written only by worker w; summed by
+  /// the caller after the end barrier).
+  std::vector<std::uint64_t> steals_;
 
   WorkerPoolStats stats_;
   std::vector<std::thread> spawned_;  ///< Workers 1..threads_-1.

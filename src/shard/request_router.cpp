@@ -144,8 +144,9 @@ obs::Observability* RequestRouter::observability() const {
 }
 
 double RequestRouter::level(FileId file) const {
-  if (!cluster_.is_placed(file)) return 1.0;
-  core::IdeaNode* coordinator = cluster_.replica_at_rank(file, 0);
+  const NodeId acting = cluster_.coordinator(file).second;
+  if (acting == kNoNode) return 1.0;
+  core::IdeaNode* coordinator = cluster_.replica(file, acting);
   return coordinator == nullptr ? 1.0 : coordinator->current_level();
 }
 
@@ -228,14 +229,15 @@ void RequestRouter::forget_endpoint(NodeId endpoint) {
 
 NodeId RequestRouter::pick_replica(FileId file,
                                    const std::vector<NodeId>& members,
-                                   NodeId origin, bool use_hints) const {
+                                   NodeId coordinator_ep, NodeId origin,
+                                   bool use_hints) const {
   // Selection key: (estimated versions behind, RTT, rank).  The lag
   // estimate comes from anti-entropy freshness hints and defaults to 0
   // when nothing was hinted yet — optimistic, but safe: the bounded
   // staleness serve path re-checks the bound exactly.
   std::uint64_t coordinator_total = 0;
   if (use_hints) {
-    core::IdeaNode* coordinator = cluster_.replica_at_rank(file, 0);
+    core::IdeaNode* coordinator = cluster_.replica(file, coordinator_ep);
     if (coordinator != nullptr) {
       coordinator_total = coordinator->store().evv().total_updates();
     }
@@ -247,7 +249,7 @@ NodeId RequestRouter::pick_replica(FileId file,
     const NodeId endpoint = members[rank];
     if (!cluster_.has_endpoint(endpoint)) continue;  // crashed: route around
     std::uint64_t lag = 0;
-    if (use_hints && rank != 0) {
+    if (use_hints && endpoint != coordinator_ep) {
       // A replica nobody has hinted about yet stays at lag 0 (optimistic
       // — the serve path's exact bound check is the safety net); a
       // hinted one is ranked by how far behind its last digest showed it.
@@ -483,8 +485,8 @@ client::ReadResult RequestRouter::route_read(
         res.migration_window = true;
         return res;
       }
-      const NodeId target =
-          pick_replica(file, members, origin, /*use_hints=*/false);
+      const NodeId target = pick_replica(file, members, coord_ep, origin,
+                                         /*use_hints=*/false);
       client::ReadResult res = serve_single(file, target, origin, tc);
       if (target != coord_ep) {
         core::IdeaNode* node = cluster_.replica(file, target);
@@ -504,8 +506,8 @@ client::ReadResult RequestRouter::route_read(
         res.migration_window = true;
         return res;
       }
-      const NodeId candidate =
-          pick_replica(file, members, origin, /*use_hints=*/true);
+      const NodeId candidate = pick_replica(file, members, coord_ep, origin,
+                                            /*use_hints=*/true);
       // Age of the freshness hint that informed this selection — how
       // stale the router's own routing input was at use time.
       if (candidate != coord_ep && meter.enabled()) {

@@ -121,8 +121,9 @@ class RequestRouter {
   /// Close the file on every group member.  Returns whether it was open.
   bool close(FileId file);
 
-  /// The consistency level the coordinator currently attaches to the
-  /// file; 1.0 for files that were never opened.
+  /// The consistency level the acting coordinator currently attaches to
+  /// the file; 1.0 for files that were never opened or have no live
+  /// member.
   [[nodiscard]] double level(FileId file) const;
 
   // ------------------------------------------------------------------
@@ -240,10 +241,13 @@ class RequestRouter {
 
   /// The policy's preferred serving replica among `members` (rank order,
   /// coordinator first).  `use_hints` biases selection toward replicas
-  /// recently hinted fresh (bounded staleness); otherwise pure latency.
+  /// recently hinted fresh (bounded staleness), measuring their lag
+  /// against the acting coordinator `coordinator_ep`; otherwise pure
+  /// latency.
   [[nodiscard]] NodeId pick_replica(FileId file,
                                     const std::vector<NodeId>& members,
-                                    NodeId origin, bool use_hints) const;
+                                    NodeId coordinator_ep, NodeId origin,
+                                    bool use_hints) const;
 
   /// Exact staleness of `endpoint`'s replica vs the coordinator at serve
   /// time: versions behind, and the age of the oldest missing update.

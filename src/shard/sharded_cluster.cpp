@@ -337,12 +337,13 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
       // Until the stream lands, the other ranks of the new group are
       // cold; tell the router so policy reads pin to the already-warm
       // new coordinator for the window.  Two one-way trips (batching
-      // flush + delivery) plus slack bounds the in-flight time.
+      // flush + delivery) from the adopter plus slack bounds the
+      // in-flight time.
       if (router_ != nullptr && group.members.size() > 1) {
         SimDuration horizon = 0;
-        for (std::size_t rank = 1; rank < group.members.size(); ++rank) {
-          horizon = std::max(horizon, latency_->mean(group.members.front(),
-                                                     group.members[rank]));
+        for (const NodeId member : group.members) {
+          if (member == adopter_ep) continue;
+          horizon = std::max(horizon, latency_->mean(adopter_ep, member));
         }
         const SimDuration window = 2 * horizon + msec(100);
         router_->note_migration(file, sim_.now() + window);

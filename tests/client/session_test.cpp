@@ -471,6 +471,38 @@ TEST(ClientSessionTest, CrashPurgesHintsForTheDeadIncarnation) {
   EXPECT_EQ(router.freshness_hint(file, peer), 2u);
 }
 
+TEST(ClientSessionTest, BoundedReadsMeasureLagAgainstTheActingCoordinator) {
+  // Regression (replica selection read rank 0): with rank 0 crashed there
+  // was no coordinator total to measure hinted lag against, so every
+  // replica ranked at lag 0 and a bounded read picked the nearby replica
+  // its own hint called stale, then escalated.
+  shard::ShardedCluster cluster(session_config(1307));
+  Client client(cluster);
+
+  const FileId file = 9;
+  ASSERT_NE(cluster.ensure_open(file), nullptr);
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  cluster.crash_endpoint(group[0]);
+  ASSERT_EQ(cluster.coordinator(file).second, group[1]);
+
+  // Rank 1 now coordinates; rank 2 misses every push.
+  cluster.transport().partition(group[1], group[2]);
+  ClientSession writer = client.session();
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(writer.put(file, "a" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(1));
+  cluster.router().note_freshness(file, group[2], 1, cluster.sim().now());
+
+  ClientSession reader = client.session(
+      {.level = ConsistencyLevel::bounded_staleness(1), .origin = group[2]});
+  const OpHandle<ReadResult> h = reader.read(file);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(h->served_by, group[1]);
+  EXPECT_FALSE(h->escalated);
+}
+
 TEST(ClientSessionTest, ReadCacheServesRepeatReadsInsideTheBound) {
   shard::ShardedCluster cluster(session_config(1203));
   Client client(cluster);

@@ -4,7 +4,8 @@
 ///        per-endpoint digests, per-type message counts, metrics JSON and
 ///        operation digests whether it executes on one thread (the
 ///        sequential oracle — the existing single-threaded Simulator
-///        kernels, nothing spawned) or on a work-stealing pool.
+///        kernels, nothing spawned) or on a multi-threaded WorkerPool,
+///        where any worker may run any segment's epoch task.
 ///
 /// The segment count is pinned explicitly in every scenario: results are
 /// allowed to depend on (config, seed, segments) — the partition shapes

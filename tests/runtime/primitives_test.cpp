@@ -1,13 +1,13 @@
 /// \file primitives_test.cpp
-/// \brief Units for the parallel-runtime building blocks: the SPSC lane,
-///        the Chase-Lev deque, the worker pool, the conveyor, and the
-///        epoch-barrier driver.  The concurrent cases double as TSan
-///        targets (the sanitize CI job runs this binary under
-///        -fsanitize=thread).
+/// \brief Units for the parallel-runtime building blocks: the worker pool,
+///        the conveyor, and the epoch-barrier driver.  The concurrent
+///        cases double as TSan targets (the sanitize CI job runs this
+///        binary under -fsanitize=thread, repeatedly).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <thread>
@@ -15,121 +15,10 @@
 
 #include "runtime/conveyor.hpp"
 #include "runtime/parallel_sim.hpp"
-#include "runtime/spsc_queue.hpp"
-#include "runtime/work_stealing.hpp"
 #include "runtime/worker_pool.hpp"
 
 namespace idea::runtime {
 namespace {
-
-TEST(SpscQueue, FifoWithinCapacity) {
-  SpscQueue<int> q(8);
-  EXPECT_GE(q.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(int{i}));
-  EXPECT_FALSE(q.try_push(99));  // full
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.try_pop(v));  // empty
-}
-
-TEST(SpscQueue, PopIfIsAPrefixFilter) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(int{i}));
-  int v = -1;
-  // Predicate admits values < 3: pops exactly the qualifying prefix.
-  auto lt3 = [](const int& x) { return x < 3; };
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_TRUE(q.try_pop_if(lt3, v));
-  EXPECT_FALSE(q.try_pop_if(lt3, v));  // head is 3: stays queued
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(SpscQueue, ConcurrentProducerConsumer) {
-  constexpr std::uint32_t kItems = 200000;
-  SpscQueue<std::uint32_t> q(1024);
-  std::atomic<std::uint64_t> sum{0};
-  std::thread consumer([&] {
-    std::uint64_t local = 0;
-    std::uint32_t got = 0, v = 0;
-    while (got < kItems) {
-      if (q.try_pop(v)) {
-        local += v;
-        ++got;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-    sum.store(local, std::memory_order_relaxed);
-  });
-  for (std::uint32_t i = 1; i <= kItems; ++i) {
-    while (!q.try_push(std::uint32_t{i})) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(sum.load(), std::uint64_t{kItems} * (kItems + 1) / 2);
-}
-
-TEST(WorkStealingDeque, OwnerLifoThiefFifo) {
-  WorkStealingDeque d(16);
-  d.push(1);
-  d.push(2);
-  d.push(3);
-  EXPECT_EQ(d.steal(), 1u);  // thief takes the oldest
-  EXPECT_EQ(d.pop(), 3u);    // owner takes the newest
-  EXPECT_EQ(d.pop(), 2u);
-  EXPECT_EQ(d.pop(), WorkStealingDeque::kEmpty);
-  EXPECT_EQ(d.steal(), WorkStealingDeque::kEmpty);
-}
-
-TEST(WorkStealingDeque, EveryTaskClaimedExactlyOnceUnderContention) {
-  constexpr std::uint32_t kTasks = 100000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque d(1 << 17);
-  std::vector<std::atomic<std::uint32_t>> claimed(kTasks);
-  std::atomic<bool> done{false};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (!done.load(std::memory_order_acquire)) {
-        const std::uint32_t task = d.steal();
-        if (task != WorkStealingDeque::kEmpty) {
-          claimed[task].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // Final sweep after the owner finished.
-      for (;;) {
-        const std::uint32_t task = d.steal();
-        if (task == WorkStealingDeque::kEmpty) break;
-        claimed[task].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Owner interleaves pushes and pops, racing the thieves.
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    d.push(i);
-    if ((i & 7) == 7) {
-      const std::uint32_t task = d.pop();
-      if (task != WorkStealingDeque::kEmpty) {
-        claimed[task].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  for (;;) {
-    const std::uint32_t task = d.pop();
-    if (task == WorkStealingDeque::kEmpty) break;
-    claimed[task].fetch_add(1, std::memory_order_relaxed);
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-  for (std::uint32_t i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(claimed[i].load(), 1u) << "task " << i;
-  }
-}
 
 TEST(WorkerPool, SingleThreadRunsTasksInAscendingOrder) {
   WorkerPool pool(1);
@@ -170,49 +59,94 @@ TEST(WorkerPool, BarrierMakesSideEffectsVisibleToCaller) {
   for (std::uint32_t i = 0; i < 256; ++i) ASSERT_EQ(cell[i], i);
 }
 
-TEST(Conveyor, SealedPacketsVisibleOnlyToLaterEpochs) {
+TEST(WorkerPool, StalledWorkersHomeTasksRunElsewhere) {
+  // Task 0 (home: worker 0) stalls until every other task is done, so
+  // whichever worker claims it, the other must run the rest of both
+  // workers' home tasks.
+  WorkerPool pool(2);
+  constexpr std::uint32_t kTasks = 8;
+  std::vector<std::atomic<std::uint32_t>> ran(kTasks);
+  std::atomic<std::uint32_t> others_done{0};
+  bool others_finished_first = false;
+  pool.run_tasks(kTasks, [&](std::uint32_t task, std::uint32_t) {
+    ran[task].fetch_add(1, std::memory_order_relaxed);
+    if (task != 0) {
+      others_done.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load(std::memory_order_relaxed) < kTasks - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    others_finished_first =
+        others_done.load(std::memory_order_relaxed) == kTasks - 1;
+  });
+  EXPECT_TRUE(others_finished_first);
+  for (std::uint32_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(ran[i].load(), 1u) << "task " << i;
+  }
+  EXPECT_GE(pool.stats().steals, 1u);
+}
+
+TEST(Conveyor, SealedPacketsDrainInTheNextEpochOnly) {
   Conveyor<int> c(2);
   c.post(0, 1, 7);
   c.post(0, 1, 8);
   c.seal(0, /*epoch=*/0);
   int drained = 0;
   // Same epoch: not yet visible (the edge is the flush instant).
-  c.drain(1, /*current=*/0, [&](std::uint32_t, std::uint64_t,
-                                std::vector<int>& msgs) {
+  c.drain(1, /*epoch=*/0, [&](std::uint32_t, std::vector<int>& msgs) {
     drained += static_cast<int>(msgs.size());
   });
   EXPECT_EQ(drained, 0);
-  c.drain(1, /*current=*/1, [&](std::uint32_t src, std::uint64_t epoch,
-                                std::vector<int>& msgs) {
+  c.drain(1, /*epoch=*/1, [&](std::uint32_t src, std::vector<int>& msgs) {
     EXPECT_EQ(src, 0u);
-    EXPECT_EQ(epoch, 0u);
     ASSERT_EQ(msgs.size(), 2u);
     EXPECT_EQ(msgs[0], 7);  // post order preserved
     EXPECT_EQ(msgs[1], 8);
     drained += static_cast<int>(msgs.size());
   });
   EXPECT_EQ(drained, 2);
-  EXPECT_TRUE(c.idle());
-  EXPECT_EQ(c.stats().messages, 2u);
-  EXPECT_EQ(c.stats().packets, 1u);
-  EXPECT_EQ(c.stats().drained, 1u);
+  // The drain emptied the side: epoch 2 seals into it again, and only
+  // epoch 3 sees the new packet.
+  c.post(0, 1, 9);
+  c.seal(0, 2);
+  std::vector<int> later;
+  for (std::uint64_t epoch = 2; epoch <= 3; ++epoch) {
+    c.drain(1, epoch, [&](std::uint32_t, std::vector<int>& msgs) {
+      EXPECT_EQ(epoch, 3u);
+      later.insert(later.end(), msgs.begin(), msgs.end());
+    });
+  }
+  EXPECT_EQ(later, (std::vector<int>{9}));
+  const ConveyorStats stats = c.stats();
+  EXPECT_EQ(stats.messages, 3u);
+  EXPECT_EQ(stats.packets, 2u);
+  EXPECT_EQ(stats.drained, 2u);
+  EXPECT_EQ(stats.max_packet, 2u);
+  EXPECT_EQ(stats.lane_stalls, 0u);
 }
 
-TEST(Conveyor, DrainsSourcesAscendingAndLanesFifo) {
+TEST(Conveyor, DrainsSourcesAscendingInPostOrder) {
   Conveyor<int> c(3);
   c.post(2, 0, 20);
-  c.seal(2, 0);
   c.post(1, 0, 10);
-  c.seal(1, 1);
+  c.post(2, 0, 21);
   c.post(1, 0, 11);
-  c.seal(1, 2);
+  c.post(1, 2, 12);  // another destination's lane
+  // Seal order does not matter; the drain order is by source.
+  c.seal(2, 4);
+  c.seal(1, 4);
+  std::vector<std::uint32_t> sources;
   std::vector<int> seen;
-  c.drain(0, /*current=*/3,
-          [&](std::uint32_t, std::uint64_t, std::vector<int>& msgs) {
-            for (int m : msgs) seen.push_back(m);
-          });
-  // Source 1 before source 2 (ascending), packets FIFO within the lane.
-  EXPECT_EQ(seen, (std::vector<int>{10, 11, 20}));
+  c.drain(0, /*epoch=*/5, [&](std::uint32_t src, std::vector<int>& msgs) {
+    sources.push_back(src);
+    seen.insert(seen.end(), msgs.begin(), msgs.end());
+  });
+  EXPECT_EQ(sources, (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(seen, (std::vector<int>{10, 11, 20, 21}));
 }
 
 /// Toy partition: counts epochs and posts one message per epoch to its
@@ -225,7 +159,7 @@ class CountingPartition final : public Partition {
 
   void begin_epoch(SimTime, std::uint64_t epoch) override {
     conveyor_.drain(self_, epoch,
-                    [&](std::uint32_t, std::uint64_t, std::vector<std::uint64_t>& m) {
+                    [&](std::uint32_t, std::vector<std::uint64_t>& m) {
                       for (std::uint64_t v : m) received_ += v;
                     });
   }
