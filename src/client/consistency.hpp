@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "replica/update.hpp"
@@ -79,8 +78,6 @@ struct ConsistencyLevel {
     return c;
   }
 
-  [[nodiscard]] std::string describe() const;
-
   friend bool operator==(const ConsistencyLevel&,
                          const ConsistencyLevel&) = default;
 };
@@ -114,8 +111,6 @@ struct WriteConcern {
     const std::uint32_t target = w == 0 ? k / 2 + 1 : w;
     return target < 1 ? 1 : (target > k ? k : target);
   }
-
-  [[nodiscard]] std::string describe() const;
 
   friend bool operator==(const WriteConcern&, const WriteConcern&) = default;
 };

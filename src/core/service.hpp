@@ -1,6 +1,6 @@
 #pragma once
 /// \file service.hpp
-/// \brief Multi-file IDEA endpoint: several shared files on one node.
+/// \brief Multi-file IDEA endpoint: the per-file message demultiplexer.
 ///
 /// §4.1: "because consistency is associated with a single file, the concept
 /// of top/bottom layer is also associated with a given shared file —
@@ -9,14 +9,18 @@
 /// multiple virtual white boards, each white board is treated separately
 /// and independently."
 ///
-/// IdeaService realizes exactly that: it owns one IdeaNode per opened file,
-/// claims the node's transport endpoint once, and routes incoming messages
-/// to the right file's protocol stack by the message's file id.
+/// IdeaService is what one endpoint does for the files it hosts: it claims
+/// the endpoint's transport slot once and hands each incoming message to
+/// the handler routed for the message's file id, so every file's protocol
+/// stack runs separately.  It owns no stack: whoever builds a file's
+/// IdeaNode (ShardedCluster keeps them in the file's group record) routes
+/// the file here and unroutes it before the node goes away.
 
-#include <memory>
 #include <unordered_map>
+#include <vector>
 
-#include "core/idea_node.hpp"
+#include "net/transport.hpp"
+#include "util/ids.hpp"
 
 namespace idea::core {
 
@@ -27,121 +31,69 @@ class IdeaService final : public net::MessageHandler {
     transport_.attach(self_, this);
   }
 
-  ~IdeaService() override {
-    // Drop the files before releasing the endpoint; their destructors must
-    // not detach an endpoint they never owned.
-    files_.clear();
-    transport_.detach(self_);
-  }
+  ~IdeaService() override { transport_.detach(self_); }
 
   IdeaService(const IdeaService&) = delete;
   IdeaService& operator=(const IdeaService&) = delete;
 
-  /// Open (join) a shared file with its own configuration; returns the
-  /// per-file IDEA stack.  Each file gets an independent overlay,
-  /// detector, resolution manager and controller.
-  ///
-  /// Keep-first semantics: if the file is already open, the existing stack
-  /// is returned unchanged and `config` is ignored — reconfiguring a live
-  /// stack would silently discard its overlay/detector state, so callers
-  /// that really want different settings must close() first and reopen.
-  IdeaNode& open(FileId file, IdeaConfig config) {
-    return open_via(file, std::move(config), transport_, self_,
-                    /*inbound=*/nullptr);
-  }
-
-  /// Open a file whose protocol stack runs in a private id space over a
-  /// custom transport.  Sharded deployments use this: each file's replica
-  /// group gets a rank-translating group transport, `protocol_self` is
-  /// this endpoint's dense rank within the group, and `inbound` (when
-  /// non-null) receives the file's raw transport messages so the caller
-  /// can translate ids before demultiplexing into the node's dispatcher.
-  /// Keep-first, exactly as open().
-  IdeaNode& open_via(FileId file, IdeaConfig config, net::Transport& via,
-                     NodeId protocol_self,
-                     net::MessageHandler* inbound = nullptr) {
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-      auto node = std::make_unique<IdeaNode>(
-          protocol_self, file, via, std::move(config),
-          mix64(seed_ ^ (0xF11EULL + file)),
-          /*attach_transport=*/false);
-      Entry entry;
-      entry.sink = inbound != nullptr ? inbound : &node->dispatcher();
-      entry.node = std::move(node);
-      it = files_.emplace(file, std::move(entry)).first;
-      index_sink(file, it->second.sink);
+  /// Deliver `file`'s messages to `sink` (borrowed; replaces any earlier
+  /// route for the file).
+  void route(FileId file, net::MessageHandler* sink) {
+    if (file >= kDenseFileLimit) {
+      sparse_[file] = sink;
+      return;
     }
-    return *it->second.node;
+    if (file >= sinks_.size()) sinks_.resize(file + 1, nullptr);
+    sinks_[file] = sink;
   }
 
-  /// Leave a shared file, tearing down its protocol stack.  Closing a file
-  /// that was never opened (or already closed) is a harmless no-op; the
-  /// return value says whether a stack was actually torn down.
-  bool close(FileId file) {
-    // Clear in place only: growing the dense array to null out an id that
-    // was never opened would let a stray close(huge_id) inflate memory.
-    if (file < sinks_.size()) sinks_[file] = nullptr;
-    return files_.erase(file) > 0;
+  /// Stop delivering `file`'s messages.  Unknown ids are a no-op: clearing
+  /// in place only, so a stray unroute(huge_id) cannot inflate the dense
+  /// array.
+  void unroute(FileId file) {
+    if (file < sinks_.size()) {
+      sinks_[file] = nullptr;
+    } else {
+      sparse_.erase(file);
+    }
   }
 
-  [[nodiscard]] IdeaNode* find(FileId file) {
-    auto it = files_.find(file);
-    return it == files_.end() ? nullptr : it->second.node.get();
+  /// The seed this endpoint gives its protocol stack for `file`: distinct
+  /// per file and per endpoint, fixed for a fixed service seed.
+  [[nodiscard]] std::uint64_t stack_seed(FileId file) const {
+    return mix64(seed_ ^ (0xF11EULL + file));
   }
 
-  /// Zero-copy read hook: the file's canonical contents as a shared
-  /// immutable view (IdeaNode::read_view), or nullptr when the file is
-  /// not open here.  The client session read path funnels through this
-  /// instead of copying the log per get.
-  [[nodiscard]] std::shared_ptr<const std::vector<replica::Update>>
-  read_view(FileId file) {
-    IdeaNode* node = find(file);
-    return node == nullptr ? nullptr : node->read_view();
-  }
-
-  [[nodiscard]] std::size_t open_files() const { return files_.size(); }
   [[nodiscard]] NodeId id() const { return self_; }
 
-  /// Route by the message's file id; messages for files this node has not
-  /// joined are dropped (it is a bottom-layer bystander for them at most,
+  /// Route by the message's file id; messages for files with no route are
+  /// dropped (this endpoint is a bottom-layer bystander for them at most,
   /// and gossip dedup tolerates the loss).
   ///
   /// This runs once per delivered message on an endpoint hosting hundreds
   /// of files, so small file ids resolve through a dense sink array (one
   /// indexed load); only large/sparse ids fall back to the hash map.
   void on_message(const net::Message& msg) override {
+    net::MessageHandler* sink = nullptr;
     if (msg.file < sinks_.size()) {
-      net::MessageHandler* sink = sinks_[msg.file];
-      if (sink != nullptr) sink->on_message(msg);
-      return;
+      sink = sinks_[msg.file];
+    } else if (auto it = sparse_.find(msg.file); it != sparse_.end()) {
+      sink = it->second;
     }
-    auto it = files_.find(msg.file);
-    if (it != files_.end()) it->second.sink->on_message(msg);
+    if (sink != nullptr) sink->on_message(msg);
   }
 
  private:
-  struct Entry {
-    std::unique_ptr<IdeaNode> node;
-    net::MessageHandler* sink = nullptr;  ///< Borrowed inbound handler.
-  };
-
   /// Largest file id mirrored into the dense sink array (8 bytes/slot).
   static constexpr FileId kDenseFileLimit = 1u << 20;
-
-  void index_sink(FileId file, net::MessageHandler* sink) {
-    if (file >= kDenseFileLimit) return;
-    if (file >= sinks_.size()) sinks_.resize(file + 1, nullptr);
-    sinks_[file] = sink;
-  }
 
   NodeId self_;
   net::Transport& transport_;
   std::uint64_t seed_;
-  // Hash-indexed ownership: nothing iterates this map, so ordering is
-  // irrelevant to determinism.
-  std::unordered_map<FileId, Entry> files_;
   std::vector<net::MessageHandler*> sinks_;  ///< Dense file -> sink route.
+  /// Routes of ids >= kDenseFileLimit.  Nothing iterates this map, so its
+  /// order is irrelevant to determinism.
+  std::unordered_map<FileId, net::MessageHandler*> sparse_;
 };
 
 }  // namespace idea::core

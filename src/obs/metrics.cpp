@@ -70,12 +70,6 @@ MetricId MetricId::lookup(std::string_view name) {
   return it == r.by_name.end() ? MetricId() : MetricId(it->second);
 }
 
-std::uint32_t MetricId::registered_count() {
-  Registry& r = registry();
-  std::shared_lock lock(r.mu);
-  return static_cast<std::uint32_t>(r.names.size());
-}
-
 std::string_view MetricId::name() const {
   Registry& r = registry();
   std::shared_lock lock(r.mu);

@@ -48,9 +48,6 @@ class MetricId {
   /// `name` was never interned.
   static MetricId lookup(std::string_view name);
 
-  /// Number of ids handed out so far, including the reserved id 0.
-  static std::uint32_t registered_count();
-
   /// The interned name ("?" for the invalid metric).  The returned view
   /// points into the registry and stays valid for the process lifetime.
   [[nodiscard]] std::string_view name() const;

@@ -224,12 +224,6 @@ class ReplicaSyncAgent final : public net::MessageHandler {
     return anti_entropy_timer_ != 0;
   }
 
-  /// Replicate pushes currently awaiting acks (0 when the feature is off
-  /// or everything acked — a crashed peer cannot pin this forever).
-  [[nodiscard]] std::size_t pending_acks() const {
-    return pending_acks_.size();
-  }
-
   static const net::MsgType kReplicateType;  ///< Interned "shard.replicate".
   static const net::MsgType kDigestType;     ///< Interned "shard.digest".
   static const net::MsgType kRepairType;     ///< Interned "shard.repair".

@@ -41,13 +41,14 @@ const RouterMetrics& router_metrics() {
 
 }  // namespace
 
-core::IdeaNode* RequestRouter::open(FileId file) {
+FileGroup* RequestRouter::open(FileId file) {
   const std::size_t before = cluster_.placed_files();
-  core::IdeaNode* coordinator = cluster_.ensure_open(file);
-  if (coordinator != nullptr && cluster_.placed_files() > before) {
-    ++stats_.opens;
+  FileGroup* group = cluster_.ensure_open(file);
+  if (group == nullptr || group->acting_rank() == group->ranks.size()) {
+    return nullptr;
   }
-  return coordinator;
+  if (cluster_.placed_files() > before) ++stats_.opens;
+  return group;
 }
 
 RequestRouter::WriteDispatch RequestRouter::write_with_concern(
@@ -57,20 +58,22 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   WriteDispatch d;
   // Unroutable (empty ring / every member down): not a blocked write, but
   // the callback still gets its exactly-once fire.
-  if (open(file) == nullptr) {
+  FileGroup* group = open(file);
+  if (group == nullptr) {
     if (on_result) on_result(false, 0, 0, kNoNode);
     return d;
   }
-  // open() succeeded, so the file is placed and has an acting coordinator.
-  const auto [agent, endpoint] = cluster_.coordinator(file);
-  const std::vector<NodeId>& members = *cluster_.members_of(file);
+  const std::uint32_t acting = group->acting_rank();
+  ReplicaSyncAgent* agent = group->ranks[acting].sync.get();
+  const NodeId endpoint = group->members[acting];
+  const std::vector<NodeId>& members = group->members;
 
   d.coordinator = endpoint;
   const auto k = static_cast<std::uint32_t>(members.size());
   const std::uint32_t w = concern.resolve(k);
   d.effective_w = w;
   ++stats_.coordinator_ops[endpoint];
-  const bool failover = endpoint != cluster_.coordinator_endpoint(file);
+  const bool failover = acting != 0;
   if (failover) ++stats_.failover_writes;
 
   // Sloppy quorum: when fewer than w members are alive, each crashed
@@ -144,15 +147,15 @@ obs::Observability* RequestRouter::observability() const {
 }
 
 double RequestRouter::level(FileId file) const {
-  const NodeId acting = cluster_.coordinator(file).second;
-  if (acting == kNoNode) return 1.0;
-  core::IdeaNode* coordinator = cluster_.replica(file, acting);
-  return coordinator == nullptr ? 1.0 : coordinator->current_level();
+  const FileGroup* group = cluster_.group(file);
+  if (group == nullptr) return 1.0;
+  const std::uint32_t acting = group->acting_rank();
+  return acting == group->ranks.size()
+             ? 1.0
+             : group->ranks[acting].node->current_level();
 }
 
 bool RequestRouter::close(FileId file) {
-  // close_file() drops this router's per-file state (hints, migration
-  // window) as part of the teardown.
   const bool closed = cluster_.close_file(file);
   if (closed) ++stats_.closes;
   return closed;
@@ -165,107 +168,96 @@ SimDuration RequestRouter::rtt(NodeId origin, NodeId endpoint) const {
   return 2 * cluster_.latency().mean(origin, endpoint);
 }
 
-bool RequestRouter::hint_live(const Freshness& f) const {
-  return cluster_.sim().now() <= f.at + cluster_.config().freshness_hint_ttl;
+bool RequestRouter::hint_live(const FreshnessHint& hint) const {
+  return hint.known &&
+         cluster_.sim().now() <= hint.at + cluster_.config().freshness_hint_ttl;
 }
 
-void RequestRouter::note_freshness(FileId file, NodeId endpoint,
+void RequestRouter::note_freshness(FreshnessHint& hint,
                                    std::uint64_t versions, SimTime at) {
-  Freshness& f = hints_[file][endpoint];
   // Hints may arrive out of order (digest vs repair of the same round);
   // versions are monotone per replica, so keep the maximum — but only
   // while the held hint is live.  A decayed hint yields to whatever the
   // next observation says, even a smaller count: the replica may have
   // restarted into a new incarnation whose history starts over.
-  if (f.versions > 0 && !hint_live(f)) {
+  if (hint.versions > 0 && !hint_live(hint)) {
     ++stats_.expired_hints;
     if (obs::Observability* o = observability()) {
       o->cluster_meter().add(router_metrics().hint_expired);
     }
-    f = Freshness{versions, at};
-  } else if (versions >= f.versions) {
-    f = Freshness{versions, at};
+    hint = FreshnessHint{versions, at, true};
+  } else if (versions >= hint.versions) {
+    hint = FreshnessHint{versions, at, true};
   }
   ++stats_.freshness_hints;
 }
 
-std::uint64_t RequestRouter::freshness_hint(FileId file,
-                                            NodeId endpoint) const {
-  const Freshness* f = find_hint(file, endpoint);
-  return f == nullptr ? 0 : f->versions;
+void RequestRouter::forget_hint(FreshnessHint& hint) {
+  if (hint.known) ++stats_.expired_hints;
+  hint = FreshnessHint{};
 }
 
-const RequestRouter::Freshness* RequestRouter::find_hint(
-    FileId file, NodeId endpoint) const {
-  auto fit = hints_.find(file);
-  if (fit == hints_.end()) return nullptr;
-  auto eit = fit->second.find(endpoint);
-  if (eit == fit->second.end()) return nullptr;
-  // A hint past the decay horizon no longer describes the replica:
-  // treat it as absent (selection falls back to the optimistic lag-0
-  // default, and the serve-time bound check stays the safety net).
-  return hint_live(eit->second) ? &eit->second : nullptr;
-}
-
-void RequestRouter::note_migration(FileId file, SimTime window_end) {
-  migration_until_[file] = window_end;
-}
-
-bool RequestRouter::in_migration_window(FileId file) const {
-  auto it = migration_until_.find(file);
-  return it != migration_until_.end() && cluster_.sim().now() < it->second;
-}
-
-void RequestRouter::forget_file(FileId file) {
-  hints_.erase(file);
-  migration_until_.erase(file);
-}
-
-void RequestRouter::forget_endpoint(NodeId endpoint) {
-  for (auto& [file, by_endpoint] : hints_) {
-    if (by_endpoint.erase(endpoint) > 0) ++stats_.expired_hints;
+void RequestRouter::note_freshness(FileId file, NodeId endpoint,
+                                   std::uint64_t versions, SimTime at) {
+  FileGroup* group = cluster_.group(file);
+  if (group == nullptr) return;
+  const std::uint32_t rank = group->rank_of(endpoint);
+  if (rank < group->ranks.size()) {
+    note_freshness(group->ranks[rank].hint, versions, at);
   }
 }
 
-NodeId RequestRouter::pick_replica(FileId file,
-                                   const std::vector<NodeId>& members,
-                                   NodeId coordinator_ep, NodeId origin,
-                                   bool use_hints) const {
+std::uint64_t RequestRouter::freshness_hint(FileId file,
+                                            NodeId endpoint) const {
+  const FileGroup* group = cluster_.group(file);
+  if (group == nullptr) return 0;
+  const std::uint32_t rank = group->rank_of(endpoint);
+  if (rank == group->ranks.size()) return 0;
+  const FreshnessHint& hint = group->ranks[rank].hint;
+  // A hint past the decay horizon no longer describes the replica.
+  return hint_live(hint) ? hint.versions : 0;
+}
+
+bool RequestRouter::in_migration_window(FileId file) const {
+  const FileGroup* group = cluster_.group(file);
+  return group != nullptr && cluster_.sim().now() < group->migration_until;
+}
+
+std::uint32_t RequestRouter::pick_replica(const FileGroup& group,
+                                          std::uint32_t acting,
+                                          NodeId origin,
+                                          bool use_hints) const {
   // Selection key: (estimated versions behind, RTT, rank).  The lag
   // estimate comes from anti-entropy freshness hints and defaults to 0
   // when nothing was hinted yet — optimistic, but safe: the bounded
   // staleness serve path re-checks the bound exactly.
-  std::uint64_t coordinator_total = 0;
-  if (use_hints) {
-    core::IdeaNode* coordinator = cluster_.replica(file, coordinator_ep);
-    if (coordinator != nullptr) {
-      coordinator_total = coordinator->store().evv().total_updates();
-    }
-  }
-  NodeId best = kNoNode;
+  const std::uint64_t coordinator_total =
+      use_hints ? group.ranks[acting].node->store().evv().total_updates()
+                : 0;
+  std::uint32_t best = acting;
   std::tuple<std::uint64_t, SimDuration, std::uint32_t> best_key{
       UINT64_MAX, 0, 0};
-  for (std::uint32_t rank = 0; rank < members.size(); ++rank) {
-    const NodeId endpoint = members[rank];
-    if (!cluster_.has_endpoint(endpoint)) continue;  // crashed: route around
+  for (std::uint32_t rank = 0; rank < group.ranks.size(); ++rank) {
+    const GroupRank& r = group.ranks[rank];
+    if (r.node == nullptr) continue;  // crashed: route around
     std::uint64_t lag = 0;
-    if (use_hints && endpoint != coordinator_ep) {
-      // A replica nobody has hinted about yet stays at lag 0 (optimistic
-      // — the serve path's exact bound check is the safety net); a
-      // hinted one is ranked by how far behind its last digest showed it.
-      const Freshness* hint = find_hint(file, endpoint);
-      if (hint != nullptr && coordinator_total > hint->versions) {
-        lag = coordinator_total - hint->versions;
+    if (use_hints && rank != acting) {
+      // A replica nobody has hinted about yet (or whose hint decayed)
+      // stays at lag 0 (optimistic — the serve path's exact bound check
+      // is the safety net); a hinted one is ranked by how far behind its
+      // last digest showed it.
+      if (hint_live(r.hint) && coordinator_total > r.hint.versions) {
+        lag = coordinator_total - r.hint.versions;
       }
     }
     const std::tuple<std::uint64_t, SimDuration, std::uint32_t> key{
-        lag, rtt(origin, endpoint), rank};
+        lag, rtt(origin, group.members[rank]), rank};
     if (key < best_key) {
       best_key = key;
-      best = endpoint;
+      best = rank;
     }
   }
-  return best == kNoNode ? members.front() : best;
+  return best;
 }
 
 void RequestRouter::measure_staleness(core::IdeaNode& coordinator,
@@ -282,12 +274,13 @@ void RequestRouter::measure_staleness(core::IdeaNode& coordinator,
   }
 }
 
-client::ReadResult RequestRouter::serve_single(FileId file, NodeId endpoint,
-                                               NodeId origin,
-                                               const obs::TraceContext& tc) {
+client::ReadResult RequestRouter::serve_single(
+    FileId file, const FileGroup& group, std::uint32_t rank, NodeId origin,
+    const obs::TraceContext& tc) {
   client::ReadResult res;
-  core::IdeaNode* node = cluster_.replica(file, endpoint);
+  core::IdeaNode* node = group.ranks[rank].node.get();
   if (node == nullptr) return res;
+  const NodeId endpoint = group.members[rank];
   res.updates = node->read_view();
   res.served_by = endpoint;
   res.replicas_contacted = 1;
@@ -307,44 +300,45 @@ client::ReadResult RequestRouter::serve_single(FileId file, NodeId endpoint,
 }
 
 client::ReadResult RequestRouter::serve_quorum(
-    FileId file, const std::vector<NodeId>& members, NodeId coordinator_ep,
-    NodeId origin, std::uint32_t r, const obs::TraceContext& tc) {
+    FileId file, const FileGroup& group, std::uint32_t acting, NodeId origin,
+    std::uint32_t r, const obs::TraceContext& tc) {
   // Fan out to the acting coordinator plus the r-1 nearest other live
   // replicas: the write path acks at the coordinator (W = 1), so
   // including it keeps R ∩ W nonempty and the merged view can never miss
   // an acked write.  Crashed members cannot be contacted.
-  std::vector<NodeId> targets{coordinator_ep};
-  std::vector<NodeId> others;
-  for (NodeId e : members) {
-    if (e != coordinator_ep && cluster_.has_endpoint(e)) others.push_back(e);
+  const std::vector<NodeId>& members = group.members;
+  std::vector<std::uint32_t> targets{acting};
+  std::vector<std::uint32_t> others;
+  for (std::uint32_t rank = 0; rank < members.size(); ++rank) {
+    if (rank != acting && group.ranks[rank].node != nullptr) {
+      others.push_back(rank);
+    }
   }
   std::stable_sort(others.begin(), others.end(),
-                   [&](NodeId a, NodeId b) {
-                     return rtt(origin, a) < rtt(origin, b);
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return rtt(origin, members[a]) < rtt(origin, members[b]);
                    });
-  for (NodeId e : others) {
+  for (std::uint32_t rank : others) {
     if (targets.size() >= r) break;
-    targets.push_back(e);
+    targets.push_back(rank);
   }
 
   client::ReadResult res;
   std::vector<core::IdeaNode*> nodes;
   nodes.reserve(targets.size());
   SimDuration slowest = 0;
-  NodeId freshest = targets.front();
+  NodeId freshest = members[acting];
   std::uint64_t freshest_total = 0;
-  for (NodeId e : targets) {
-    core::IdeaNode* node = cluster_.replica(file, e);
-    if (node == nullptr) continue;
+  for (std::uint32_t rank : targets) {
+    core::IdeaNode* node = group.ranks[rank].node.get();
     nodes.push_back(node);
-    slowest = std::max(slowest, rtt(origin, e));
+    slowest = std::max(slowest, rtt(origin, members[rank]));
     const std::uint64_t total = node->store().evv().total_updates();
     if (total > freshest_total) {
       freshest_total = total;
-      freshest = e;
+      freshest = members[rank];
     }
   }
-  if (nodes.empty()) return res;
 
   // Fast path: the coordinator dominates every contacted replica (the
   // steady state under push replication) — its snapshot IS the merge,
@@ -378,7 +372,7 @@ client::ReadResult RequestRouter::serve_quorum(
   }
   if (coordinator_dominates) {
     res.updates = coordinator->read_view();
-    res.served_by = targets.front();
+    res.served_by = members[acting];
   } else {
     std::map<replica::UpdateKey, replica::Update> merged;
     for (core::IdeaNode* node : nodes) {
@@ -398,16 +392,17 @@ client::ReadResult RequestRouter::serve_quorum(
   res.latency = slowest;
   // The merge covers the coordinator, so the returned view never lags
   // it: staleness is 0 by construction.
-  for (NodeId e : targets) ++stats_.reads_served_by[e];
+  for (std::uint32_t rank : targets) ++stats_.reads_served_by[members[rank]];
   if (obs::Observability* o = observability()) {
-    for (NodeId e : targets) {
-      o->endpoint_meter(e).add(router_metrics().read_served);
+    for (std::uint32_t rank : targets) {
+      o->endpoint_meter(members[rank]).add(router_metrics().read_served);
     }
     if (obs::Tracer* tr = o->tracer(); tr != nullptr && tc.active()) {
       // One fan-out span per contacted replica, each covering its own
       // modeled round trip.
       const SimTime now = cluster_.sim().now();
-      for (NodeId e : targets) {
+      for (std::uint32_t rank : targets) {
+        const NodeId e = members[rank];
         const obs::TraceContext span =
             tr->begin_span(tc, "read.fanout", e, file, now);
         tr->end_span(span.span, now + rtt(origin, e));
@@ -446,12 +441,14 @@ client::ReadResult RequestRouter::read(FileId file,
 client::ReadResult RequestRouter::route_read(
     FileId file, const client::ConsistencyLevel& level, NodeId origin,
     const obs::TraceContext& tc) {
-  core::IdeaNode* coordinator = open(file);
-  if (coordinator == nullptr) return {};
-  const std::vector<NodeId>& members = *cluster_.members_of(file);
+  const FileGroup* group = open(file);
+  if (group == nullptr) return {};
   // Reads, like writes, go to the acting coordinator: rank 0 unless it
   // crashed, in which case they fail over down the rank order.
-  const NodeId coord_ep = cluster_.coordinator(file).second;
+  const std::uint32_t acting = group->acting_rank();
+  core::IdeaNode& coordinator = *group->ranks[acting].node;
+  const NodeId coord_ep = group->members[acting];
+  const bool migrating = cluster_.sim().now() < group->migration_until;
   ++stats_.reads;
 
   obs::Observability* o = observability();
@@ -473,25 +470,24 @@ client::ReadResult RequestRouter::route_read(
     case client::Level::kStrong: {
       ++stats_.strong_reads;
       ++stats_.coordinator_ops[coord_ep];
-      return serve_single(file, coord_ep, origin, tc);
+      return serve_single(file, *group, acting, origin, tc);
     }
 
     case client::Level::kEventualNearest: {
       ++stats_.nearest_reads;
-      if (in_migration_window(file)) {
+      if (migrating) {
         ++stats_.migration_window_reads;
         meter.add(router_metrics().migration_pinned);
-        client::ReadResult res = serve_single(file, coord_ep, origin, tc);
+        client::ReadResult res = serve_single(file, *group, acting, origin, tc);
         res.migration_window = true;
         return res;
       }
-      const NodeId target = pick_replica(file, members, coord_ep, origin,
-                                         /*use_hints=*/false);
-      client::ReadResult res = serve_single(file, target, origin, tc);
-      if (target != coord_ep) {
-        core::IdeaNode* node = cluster_.replica(file, target);
-        measure_staleness(*coordinator, *node, res.staleness_versions,
-                          res.staleness_age);
+      const std::uint32_t target =
+          pick_replica(*group, acting, origin, /*use_hints=*/false);
+      client::ReadResult res = serve_single(file, *group, target, origin, tc);
+      if (target != acting) {
+        measure_staleness(coordinator, *group->ranks[target].node,
+                          res.staleness_versions, res.staleness_age);
         record_staleness(res.staleness_versions, res.staleness_age);
       }
       return res;
@@ -499,33 +495,31 @@ client::ReadResult RequestRouter::route_read(
 
     case client::Level::kBoundedStaleness: {
       ++stats_.bounded_reads;
-      if (in_migration_window(file)) {
+      if (migrating) {
         ++stats_.migration_window_reads;
         meter.add(router_metrics().migration_pinned);
-        client::ReadResult res = serve_single(file, coord_ep, origin, tc);
+        client::ReadResult res = serve_single(file, *group, acting, origin, tc);
         res.migration_window = true;
         return res;
       }
-      const NodeId candidate = pick_replica(file, members, coord_ep, origin,
-                                            /*use_hints=*/true);
+      const std::uint32_t candidate =
+          pick_replica(*group, acting, origin, /*use_hints=*/true);
+      const GroupRank& picked = group->ranks[candidate];
       // Age of the freshness hint that informed this selection — how
       // stale the router's own routing input was at use time.
-      if (candidate != coord_ep && meter.enabled()) {
-        if (const Freshness* hint = find_hint(file, candidate)) {
-          const SimTime now = cluster_.sim().now();
-          meter.observe(router_metrics().hint_age_us,
-                        static_cast<std::uint64_t>(
-                            now > hint->at ? now - hint->at : 0));
-        }
+      if (candidate != acting && meter.enabled() && hint_live(picked.hint)) {
+        const SimTime now = cluster_.sim().now();
+        meter.observe(router_metrics().hint_age_us,
+                      static_cast<std::uint64_t>(
+                          now > picked.hint.at ? now - picked.hint.at : 0));
       }
-      if (candidate == coord_ep) {
+      if (candidate == acting) {
         ++stats_.coordinator_ops[coord_ep];
-        return serve_single(file, coord_ep, origin, tc);
+        return serve_single(file, *group, acting, origin, tc);
       }
-      core::IdeaNode* node = cluster_.replica(file, candidate);
       std::uint64_t versions = 0;
       SimDuration age = 0;
-      measure_staleness(*coordinator, *node, versions, age);
+      measure_staleness(coordinator, *picked.node, versions, age);
       if (versions > level.max_versions ||
           (level.max_age > 0 && age > level.max_age)) {
         // Bound exceeded: escalate.  The client pays for the failed
@@ -534,16 +528,18 @@ client::ReadResult RequestRouter::route_read(
         ++stats_.coordinator_ops[coord_ep];
         meter.add(router_metrics().escalated);
         record_staleness(versions, age);
+        const NodeId candidate_ep = group->members[candidate];
         if (o != nullptr && tc.active() && o->tracer() != nullptr) {
-          o->tracer()->instant(tc, "read.escalate", candidate, file,
+          o->tracer()->instant(tc, "read.escalate", candidate_ep, file,
                                cluster_.sim().now());
         }
-        client::ReadResult res = serve_single(file, coord_ep, origin, tc);
-        res.latency += rtt(origin, candidate);
+        client::ReadResult res = serve_single(file, *group, acting, origin, tc);
+        res.latency += rtt(origin, candidate_ep);
         res.escalated = true;
         return res;
       }
-      client::ReadResult res = serve_single(file, candidate, origin, tc);
+      client::ReadResult res =
+          serve_single(file, *group, candidate, origin, tc);
       res.staleness_versions = versions;
       res.staleness_age = age;
       record_staleness(versions, age);
@@ -552,13 +548,13 @@ client::ReadResult RequestRouter::route_read(
 
     case client::Level::kQuorum: {
       ++stats_.quorum_reads;
-      const auto k = static_cast<std::uint32_t>(members.size());
+      const auto k = static_cast<std::uint32_t>(group->members.size());
       std::uint32_t r = level.quorum_r == 0 ? k / 2 + 1 : level.quorum_r;
       r = std::min(std::max<std::uint32_t>(r, 1), k);
       ++stats_.coordinator_ops[coord_ep];
       client::ReadResult res =
-          serve_quorum(file, members, coord_ep, origin, r, tc);
-      res.migration_window = in_migration_window(file);
+          serve_quorum(file, *group, acting, origin, r, tc);
+      res.migration_window = migrating;
       return res;
     }
   }

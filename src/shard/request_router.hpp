@@ -29,7 +29,7 @@
 /// coordinator until the window passes.
 ///
 /// Every write takes one path, write_with_concern: it goes to the file's
-/// acting coordinator (the lowest alive rank, ShardedCluster::coordinator),
+/// acting coordinator (the lowest alive rank, FileGroup::acting_rank),
 /// whose ReplicaSyncAgent applies it and pushes it to the rest of the
 /// group.  Under the default WriteConcern{1} the callback fires
 /// synchronously after the local apply; WriteConcern{w > 1} additionally
@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "client/consistency.hpp"
@@ -59,6 +58,18 @@ class ConsistencyController;
 namespace idea::shard {
 
 class ShardedCluster;
+struct FileGroup;
+
+/// The router's last observation of one replica: it was seen holding
+/// `versions` total updates at `at` (piggybacked on the anti-entropy
+/// digest/repair exchange).  Each group rank of a placed file holds one,
+/// so a group rebuild starts every replica unhinted.  `known` tells a
+/// 0-version observation apart from no observation at all.
+struct FreshnessHint {
+  std::uint64_t versions = 0;
+  SimTime at = 0;
+  bool known = false;
+};
 
 struct RouterStats {
   std::uint64_t opens = 0;  ///< Placements created on demand.
@@ -113,10 +124,9 @@ class RequestRouter {
   // Placement / lifecycle
   // ------------------------------------------------------------------
 
-  /// Ensure the file is open on its whole replica group; returns the
-  /// acting coordinator's replica stack (nullptr on an empty ring or when
-  /// every member is down).
-  core::IdeaNode* open(FileId file);
+  /// Ensure the file is open on its whole replica group; returns its
+  /// record, nullptr on an empty ring or when every member is down.
+  FileGroup* open(FileId file);
 
   /// Close the file on every group member.  Returns whether it was open.
   bool close(FileId file);
@@ -183,37 +193,35 @@ class RequestRouter {
   // Routing inputs (fed by the shard layer)
   // ------------------------------------------------------------------
 
-  /// Ingest a freshness hint: `endpoint`'s replica of `file` was observed
-  /// holding `versions` total updates at `at` (piggybacked on the
-  /// anti-entropy digest/repair exchange).  Guides bounded-staleness
-  /// replica selection; the serve-time bound check stays exact.  Hints
-  /// age out on the sim clock (config.freshness_hint_ttl): a decayed
-  /// entry stops informing selection and is overwritten by the next
-  /// observation even if that one shows fewer versions — version counts
-  /// are only monotone within a replica incarnation.
+  /// Ingest a freshness hint: a replica was observed holding `versions`
+  /// total updates at `at`.  Guides bounded-staleness replica selection;
+  /// the serve-time bound check stays exact.  Hints age out on the sim
+  /// clock (config.freshness_hint_ttl): a decayed hint stops informing
+  /// selection and is overwritten by the next observation even if that
+  /// one shows fewer versions — version counts are only monotone within
+  /// a replica incarnation.
+  void note_freshness(FreshnessHint& hint, std::uint64_t versions,
+                      SimTime at);
+
+  /// Drop a hint whose replica's volatile state just died (a crash): a
+  /// restarted incarnation must not be preferred on its pre-crash
+  /// reputation.  Counted in expired_hints when a hint was held.
+  void forget_hint(FreshnessHint& hint);
+
+  /// note_freshness() for `endpoint`'s replica of `file`; a no-op unless
+  /// the file is placed and `endpoint` is in its group.
   void note_freshness(FileId file, NodeId endpoint, std::uint64_t versions,
                       SimTime at);
 
-  /// Last hinted version count for (file, endpoint); 0 if never hinted
-  /// or if the hint has aged past the decay horizon.
+  /// Last hinted version count for (file, endpoint); 0 if never hinted,
+  /// not a group member, or if the hint has aged past the decay horizon.
   [[nodiscard]] std::uint64_t freshness_hint(FileId file,
                                              NodeId endpoint) const;
 
-  /// Mark the file as mid-migration until `window_end`: its new
-  /// non-coordinator replicas are cold while the state stream is in
-  /// flight, so policy reads pin to the new coordinator.
-  void note_migration(FileId file, SimTime window_end);
-
+  /// Whether the file's post-migration state stream may still be in
+  /// flight (its new non-coordinator replicas are cold, so policy reads
+  /// pin to the new coordinator).
   [[nodiscard]] bool in_migration_window(FileId file) const;
-
-  /// Drop per-file routing state (hints, migration window) on teardown.
-  void forget_file(FileId file);
-
-  /// Drop every hint recorded about `endpoint` across all files.  Called
-  /// when the endpoint crashes: hints describe a replica incarnation
-  /// whose volatile state just died, so consulting them after a restart
-  /// would prefer a replica that holds none of the hinted versions.
-  void forget_endpoint(NodeId endpoint);
 
   /// Round-trip estimate between a client origin and an endpoint under
   /// the cluster's latency model (mean, not sampled — routing must not
@@ -226,28 +234,18 @@ class RequestRouter {
   [[nodiscard]] const RouterStats& stats() const { return stats_; }
 
  private:
-  struct Freshness {
-    std::uint64_t versions = 0;
-    SimTime at = 0;
-  };
-
-  /// Whether the hint is still inside the decay horizon
+  /// Whether the hint holds an observation still inside the decay horizon
   /// (config.freshness_hint_ttl).
-  [[nodiscard]] bool hint_live(const Freshness& f) const;
+  [[nodiscard]] bool hint_live(const FreshnessHint& hint) const;
 
-  /// The live hint for (file, endpoint); nullptr when absent or decayed.
-  [[nodiscard]] const Freshness* find_hint(FileId file,
-                                           NodeId endpoint) const;
-
-  /// The policy's preferred serving replica among `members` (rank order,
-  /// coordinator first).  `use_hints` biases selection toward replicas
-  /// recently hinted fresh (bounded staleness), measuring their lag
-  /// against the acting coordinator `coordinator_ep`; otherwise pure
-  /// latency.
-  [[nodiscard]] NodeId pick_replica(FileId file,
-                                    const std::vector<NodeId>& members,
-                                    NodeId coordinator_ep, NodeId origin,
-                                    bool use_hints) const;
+  /// The policy's preferred serving rank of `group`.  `use_hints` biases
+  /// selection toward replicas recently hinted fresh (bounded staleness),
+  /// measuring their lag against the acting coordinator `acting`;
+  /// otherwise pure latency.
+  [[nodiscard]] std::uint32_t pick_replica(const FileGroup& group,
+                                           std::uint32_t acting,
+                                           NodeId origin,
+                                           bool use_hints) const;
 
   /// Exact staleness of `endpoint`'s replica vs the coordinator at serve
   /// time: versions behind, and the age of the oldest missing update.
@@ -255,13 +253,13 @@ class RequestRouter {
                          std::uint64_t& versions, SimDuration& age) const;
 
   [[nodiscard]] client::ReadResult serve_single(
-      FileId file, NodeId endpoint, NodeId origin,
+      FileId file, const FileGroup& group, std::uint32_t rank, NodeId origin,
       const obs::TraceContext& tc = {});
 
-  /// Quorum read over `members`, always including the acting
-  /// coordinator `coordinator_ep`.
+  /// Quorum read over `group`, always including the acting coordinator
+  /// `acting`.
   [[nodiscard]] client::ReadResult serve_quorum(
-      FileId file, const std::vector<NodeId>& members, NodeId coordinator_ep,
+      FileId file, const FileGroup& group, std::uint32_t acting,
       NodeId origin, std::uint32_t r, const obs::TraceContext& tc = {});
 
   /// The policy dispatch read() wraps: routes one read at an
@@ -276,8 +274,6 @@ class RequestRouter {
 
   ShardedCluster& cluster_;
   RouterStats stats_;
-  std::unordered_map<FileId, std::unordered_map<NodeId, Freshness>> hints_;
-  std::unordered_map<FileId, SimTime> migration_until_;
 };
 
 }  // namespace idea::shard

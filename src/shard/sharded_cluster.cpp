@@ -52,13 +52,11 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
 }
 
 ShardedCluster::~ShardedCluster() {
-  // Teardown order matters: sync agents unroute from their node's
-  // dispatcher, so they go before the services destroy the nodes; the
-  // nodes cancel timers through their GroupTransport, so the group
-  // transports (in files_) must outlive the services.
-  for (auto& [file, group] : files_) group.sync.clear();
-  services_.clear();
+  // The groups go while the router and controller are still alive: an
+  // agent's teardown fails its pending write concerns, and their
+  // callbacks reach back into the deployment.
   files_.clear();
+  services_.clear();
 }
 
 std::vector<NodeId> ShardedCluster::endpoints() const {
@@ -74,8 +72,8 @@ void ShardedCluster::place(FileId first, std::uint32_t count) {
   for (std::uint32_t i = 0; i < count; ++i) ensure_open(first + i);
 }
 
-ShardedCluster::FileGroup& ShardedCluster::open_group(
-    FileId file, std::vector<NodeId> members) {
+FileGroup& ShardedCluster::open_group(FileId file,
+                                      std::vector<NodeId> members) {
   // Scope the per-file protocol to the group: the RanSub tree, gossip peer
   // space and bottom layer all cover exactly the k replicas, in rank space.
   core::IdeaConfig idea = config_.idea;
@@ -84,60 +82,55 @@ ShardedCluster::FileGroup& ShardedCluster::open_group(
   idea.gossip.nodes = k;
   idea.two_layer.all_nodes = k;
 
-  const std::uint32_t epoch = ++epochs_[file];
-  FileGroup group;
+  const std::uint32_t epoch = ++last_epoch_;
+  FileGroup& group = files_.try_emplace(file).first->second;
   group.members = std::move(members);
-  group.transports.reserve(k);
-  group.sync.reserve(k);
+  // Every rank starts dark.  A crashed member's rank stays dark until
+  // restart rebuilds the group: sends addressed to it drop at the
+  // transport's crash window, exactly like a live-but-dead endpoint.
+  group.ranks.resize(k);
   for (std::uint32_t rank = 0; rank < k; ++rank) {
-    if (services_[group.members[rank]] == nullptr) {
-      // Crashed member: its rank stays dark until restart rebuilds the
-      // group.  Sends addressed to it drop at the transport's crash
-      // window, exactly like a live-but-dead endpoint would behave.
-      group.transports.push_back(nullptr);
-      group.sync.push_back(nullptr);
-      continue;
-    }
-    auto transport = std::make_unique<GroupTransport>(
-        edge(), group.members, rank, epoch);
-    core::IdeaNode& node = services_[group.members[rank]]->open_via(
-        file, idea, *transport, rank, transport.get());
-    transport->set_sink(&node.dispatcher());
-    group.sync.push_back(std::make_unique<ReplicaSyncAgent>(
-        node, *transport, k,
+    core::IdeaService* service = services_[group.members[rank]].get();
+    if (service == nullptr) continue;
+    GroupRank& r = group.ranks[rank];
+    r.transport = std::make_unique<GroupTransport>(edge(), group.members,
+                                                   rank, epoch);
+    r.node = std::make_unique<core::IdeaNode>(
+        rank, file, *r.transport, idea, service->stack_seed(file),
+        /*attach_transport=*/false);
+    service->route(file, r.transport.get());
+    r.transport->set_sink(&r.node->dispatcher());
+    r.sync = std::make_unique<ReplicaSyncAgent>(
+        *r.node, *r.transport, k,
         ReplicaSyncOptions{config_.replication_resend_timeout,
-                           config_.replication_max_resends}));
+                           config_.replication_max_resends});
     if (obs_ != nullptr) {
-      group.sync.back()->set_observability(obs_.get(), group.members[rank]);
+      r.sync->set_observability(obs_.get(), group.members[rank]);
     }
     // Freshness hints piggyback on the anti-entropy digest/repair
     // exchange: whenever this rank learns a peer's version count, the
-    // router's per-(file, endpoint) hint table learns it too, feeding
-    // bounded-staleness replica selection.
-    group.sync.back()->set_freshness_listener(
-        [this, file, members = group.members](NodeId peer_rank,
-                                              std::uint64_t versions) {
-          if (router_ != nullptr && peer_rank < members.size()) {
-            router_->note_freshness(file, members[peer_rank], versions,
-                                    sim_.now());
-          }
+    // peer rank's hint learns it too, feeding bounded-staleness replica
+    // selection.  The record outlives its agents, so the capture holds.
+    r.sync->set_freshness_listener(
+        [this, &group](NodeId peer_rank, std::uint64_t versions) {
+          router_->note_freshness(group.ranks[peer_rank].hint, versions,
+                                  sim_.now());
         });
     if (config_.anti_entropy_period > 0) {
-      group.sync.back()->start_anti_entropy(config_.anti_entropy_period);
+      r.sync->start_anti_entropy(config_.anti_entropy_period);
     }
-    group.transports.push_back(std::move(transport));
-    node.start();
+    r.node->start();
   }
-  return files_.emplace(file, std::move(group)).first->second;
+  return group;
 }
 
 void ShardedCluster::teardown_group(
     std::unordered_map<FileId, FileGroup>::iterator it) {
-  // Sync agents and nodes unhook from each other's dispatcher; drop the
-  // agents first, then the stacks, then the group transports they used.
-  it->second.sync.clear();
-  for (NodeId member : it->second.members) {
-    if (services_[member] != nullptr) services_[member]->close(it->first);
+  const FileGroup& group = it->second;
+  for (std::size_t rank = 0; rank < group.ranks.size(); ++rank) {
+    if (group.ranks[rank].node != nullptr) {
+      services_[group.members[rank]]->unroute(it->first);
+    }
   }
   files_.erase(it);
 }
@@ -158,25 +151,11 @@ std::vector<FileId> ShardedCluster::sorted_placed(NodeId member) const {
   return placed;
 }
 
-core::IdeaNode* ShardedCluster::ensure_open(FileId file) {
-  if (!is_placed(file)) {
-    std::vector<NodeId> members = group_of(file);
-    if (members.empty()) return nullptr;
-    // Refuse to adopt a file someone opened directly on a service: its
-    // stack runs in endpoint-id space over the shared transport, so
-    // wiring a rank-space replication group around it would misroute
-    // every push (open_via's keep-first would hand us that node
-    // unchanged).
-    for (NodeId member : members) {
-      if (services_[member] != nullptr &&
-          services_[member]->find(file) != nullptr) {
-        return nullptr;
-      }
-    }
-    open_group(file, std::move(members));
-  }
-  const NodeId acting = coordinator(file).second;
-  return acting == kNoNode ? nullptr : services_[acting]->find(file);
+FileGroup* ShardedCluster::ensure_open(FileId file) {
+  if (FileGroup* placed = group(file)) return placed;
+  std::vector<NodeId> members = group_of(file);
+  if (members.empty()) return nullptr;
+  return &open_group(file, std::move(members));
 }
 
 MembershipChange ShardedCluster::add_endpoint() {
@@ -255,11 +234,9 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     //    Invalidation flags survive by OR (resolution may have reached
     //    only part of the old group when the membership change hit).
     std::map<replica::UpdateKey, replica::Update> merged;
-    for (NodeId member : it->second.members) {
-      if (services_[member] == nullptr) continue;  // crashed: state is gone
-      core::IdeaNode* node = services_[member]->find(file);
-      if (node == nullptr) continue;
-      for (replica::Update& u : node->store().export_log()) {
+    for (const GroupRank& rank : it->second.ranks) {
+      if (rank.node == nullptr) continue;  // crashed: state is gone
+      for (replica::Update& u : rank.node->store().export_log()) {
         const bool invalidated = u.invalidated;
         auto [mit, inserted] = merged.emplace(u.key, std::move(u));
         if (!inserted && invalidated) mit->second.invalidated = true;
@@ -297,7 +274,6 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     //    its writer-0 sequence so routed writes continue the old history),
     //    then streams it to the other ranks over the wire.
     FileGroup& group = open_group(file, std::move(members));
-    if (router_ != nullptr) router_->forget_file(file);
     // Re-mint the parked hints against the new membership: a hint whose
     // target is a still-crashed member of the new group keeps its durable
     // hand-off obligation (at a fresh stand-in outside the new group);
@@ -305,10 +281,8 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     // live group adopted, which is strictly stronger than a parked copy.
     std::size_t retired = 0;
     for (replica::HintedWrite& h : parked) {
-      const bool still_owed =
-          is_crashed(h.target) &&
-          std::find(group.members.begin(), group.members.end(), h.target) !=
-              group.members.end();
+      const bool still_owed = is_crashed(h.target) &&
+                              group.rank_of(h.target) < group.members.size();
       if (!still_owed) {
         ++retired;
         continue;
@@ -321,11 +295,13 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     // The acting coordinator adopts the snapshot: rank 0 unless that
     // member is crashed, in which case the next alive rank takes it (rank
     // space is multi-writer, so this is safe).
-    const auto [adopter, adopter_ep] = coordinator(file);
-    if (!snapshot.empty() && adopter != nullptr) {
-      services_[adopter_ep]->find(file)->store().import_log(snapshot);
+    const std::uint32_t acting = group.acting_rank();
+    if (!snapshot.empty() && acting < group.ranks.size()) {
+      const GroupRank& adopter = group.ranks[acting];
+      const NodeId adopter_ep = group.members[acting];
+      adopter.node->store().import_log(snapshot);
       change.state_updates += snapshot.size();
-      const std::size_t streamed = adopter->stream_state(snapshot);
+      const std::size_t streamed = adopter.sync->stream_state(snapshot);
       change.stream_messages += streamed;
       if (obs_ != nullptr) {
         obs::Meter meter = obs_->cluster_meter();
@@ -335,18 +311,17 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
                   streamed);
       }
       // Until the stream lands, the other ranks of the new group are
-      // cold; tell the router so policy reads pin to the already-warm
-      // new coordinator for the window.  Two one-way trips (batching
-      // flush + delivery) from the adopter plus slack bounds the
-      // in-flight time.
-      if (router_ != nullptr && group.members.size() > 1) {
+      // cold, so policy reads pin to the already-warm new coordinator for
+      // the window.  Two one-way trips (batching flush + delivery) from
+      // the adopter plus slack bounds the in-flight time.
+      if (group.members.size() > 1) {
         SimDuration horizon = 0;
         for (const NodeId member : group.members) {
           if (member == adopter_ep) continue;
           horizon = std::max(horizon, latency_->mean(adopter_ep, member));
         }
         const SimDuration window = 2 * horizon + msec(100);
-        router_->note_migration(file, sim_.now() + window);
+        group.migration_until = sim_.now() + window;
         if (obs_ != nullptr) {
           obs_->cluster_meter().observe(
               obs::MetricId::intern("shard.migration_pin_us"),
@@ -403,50 +378,37 @@ bool ShardedCluster::close_file(FileId file) {
   auto it = files_.find(file);
   if (it == files_.end()) return false;
   teardown_group(it);
-  if (router_ != nullptr) router_->forget_file(file);
   hints_.drop_file(file);
   return true;
 }
 
 core::IdeaNode* ShardedCluster::replica(FileId file, NodeId endpoint) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return nullptr;
-  const auto& members = it->second.members;
-  if (std::find(members.begin(), members.end(), endpoint) == members.end()) {
-    return nullptr;
-  }
-  if (services_[endpoint] == nullptr) return nullptr;  // crashed member
-  return services_[endpoint]->find(file);
+  const FileGroup* g = group(file);
+  return g == nullptr ? nullptr : replica_at_rank(file, g->rank_of(endpoint));
 }
 
 core::IdeaNode* ShardedCluster::replica_at_rank(FileId file,
                                                 std::uint32_t rank) {
-  auto it = files_.find(file);
-  if (it == files_.end() || rank >= it->second.members.size()) {
-    return nullptr;
-  }
-  const NodeId endpoint = it->second.members[rank];
-  if (services_[endpoint] == nullptr) return nullptr;  // crashed member
-  return services_[endpoint]->find(file);
+  const FileGroup* g = group(file);
+  if (g == nullptr || rank >= g->ranks.size()) return nullptr;
+  return g->ranks[rank].node.get();  // null on a crashed member's rank
 }
 
 ReplicaSyncAgent* ShardedCluster::sync_agent(FileId file,
                                              std::uint32_t rank) {
-  auto it = files_.find(file);
-  if (it == files_.end() || rank >= it->second.sync.size()) return nullptr;
-  return it->second.sync[rank].get();
+  const FileGroup* g = group(file);
+  if (g == nullptr || rank >= g->ranks.size()) return nullptr;
+  return g->ranks[rank].sync.get();
 }
 
 bool ShardedCluster::converged(FileId file) {
-  auto it = files_.find(file);
-  if (it == files_.end()) return true;  // nothing placed, nothing diverged
+  const FileGroup* g = group(file);
+  if (g == nullptr) return true;  // nothing placed, nothing diverged
   std::uint64_t digest = 0;
   bool first = true;
-  for (NodeId member : it->second.members) {
-    if (services_[member] == nullptr) continue;  // crashed: judge the living
-    core::IdeaNode* node = services_[member]->find(file);
-    if (node == nullptr) return false;
-    const std::uint64_t d = node->store().content_digest();
+  for (const GroupRank& rank : g->ranks) {
+    if (rank.node == nullptr) continue;  // crashed: judge the living
+    const std::uint64_t d = rank.node->store().content_digest();
     if (first) {
       digest = d;
       first = false;
@@ -484,10 +446,10 @@ void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
   std::vector<replica::ReplicaRef> refs;
   refs.reserve(placed.size());
   for (FileId file : placed) {
-    const FileGroup& group = files_.find(file)->second;
-    core::IdeaNode* node = services_[endpoint]->find(file);
+    const FileGroup& g = files_.find(file)->second;
+    const core::IdeaNode* node = g.ranks[g.rank_of(endpoint)].node.get();
     if (node == nullptr) continue;
-    refs.push_back({file, &node->store(), &group.members});
+    refs.push_back({file, &node->store(), &g.members});
   }
   const replica::CheckpointRunStats run = engine_->checkpoint(
       endpoint, incarnations_[endpoint], refs, sim_.now(), storage_);
@@ -521,35 +483,29 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   // connection (crash windows act on the whole flight, not the send).
   sim_transport_->crash_node(endpoint, sim_.now());
   cancel_checkpoint_timer(endpoint);
-  // Darken the endpoint's rank in every placed group.  Agents go first
-  // (they unroute from the dispatchers the service teardown destroys);
-  // the GroupTransports stay alive with a null sink because the node
-  // destructors cancel their timers through them.  Sorted walk for a
-  // reproducible report.
+  // Darken the endpoint's rank in every placed group, in destruction
+  // order (a move-assign from an empty rank would free the transport
+  // before the node that cancels its timers through it).  Sorted walk
+  // for a reproducible report.
   for (FileId file : sorted_placed(endpoint)) {
     FileGroup& group = files_.find(file)->second;
-    for (std::size_t rank = 0; rank < group.members.size(); ++rank) {
-      if (group.members[rank] != endpoint || group.sync[rank] == nullptr) {
-        continue;
-      }
-      ++report.groups_affected;
-      core::IdeaNode* node = services_[endpoint]->find(file);
-      if (node != nullptr) {
-        report.volatile_updates_lost += node->store().update_count();
-      }
-      group.sync[rank].reset();
-      group.transports[rank]->set_sink(nullptr);
-      // A trace parked on this file waiting for a heal may have been
-      // watching the replica that just died; the restart rebuilds the
-      // group under a new epoch, so the old causal thread is moot.
-      if (obs_ != nullptr) obs_->clear_repair_trace(file);
-    }
+    GroupRank& rank = group.ranks[group.rank_of(endpoint)];
+    if (rank.node == nullptr) continue;
+    ++report.groups_affected;
+    report.volatile_updates_lost += rank.node->store().update_count();
+    rank.sync.reset();
+    rank.node.reset();
+    rank.transport.reset();
+    // The hint describes volatile state that no longer exists; a
+    // restarted incarnation must not be preferred on its pre-crash
+    // reputation.
+    router_->forget_hint(rank.hint);
+    // A trace parked on this file waiting for a heal may have been
+    // watching the replica that just died; the restart rebuilds the
+    // group under a new epoch, so the old causal thread is moot.
+    if (obs_ != nullptr) obs_->clear_repair_trace(file);
   }
   services_[endpoint].reset();
-  // The endpoint's freshness hints describe volatile state that no
-  // longer exists; a restarted incarnation must not be preferred on its
-  // pre-crash reputation.
-  if (router_ != nullptr) router_->forget_endpoint(endpoint);
   crashed_.insert(endpoint);
   crashed_at_[endpoint] = sim_.now();
   if (obs_ != nullptr) {
@@ -579,9 +535,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   for (FileId file : sorted_placed(endpoint)) {
     auto it = files_.find(file);
     const std::vector<NodeId> members = it->second.members;
-    const auto self_rank = static_cast<NodeId>(
-        std::find(members.begin(), members.end(), endpoint) -
-        members.begin());
+    const std::uint32_t self_rank = it->second.rank_of(endpoint);
 
     // 1. Capture each survivor's own log.  Survivors re-import exactly
     //    what they held (NOT the union): the restarted member's
@@ -589,13 +543,12 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     //    anti-entropy exchange — not a migration stream — heals it.
     std::map<NodeId, std::vector<replica::Update>> survivor_logs;
     std::size_t survivor_max_updates = 0;
-    for (NodeId member : members) {
-      if (member == endpoint || services_[member] == nullptr) continue;
-      core::IdeaNode* node = services_[member]->find(file);
-      if (node == nullptr) continue;
+    for (std::uint32_t rank = 0; rank < members.size(); ++rank) {
+      const core::IdeaNode* node = it->second.ranks[rank].node.get();
+      if (rank == self_rank || node == nullptr) continue;
       auto log = node->store().export_log();
       survivor_max_updates = std::max(survivor_max_updates, log.size());
-      survivor_logs.emplace(member, std::move(log));
+      survivor_logs.emplace(members[rank], std::move(log));
     }
 
     // 2. Latest durable checkpoint.  Updates are keyed by rank-space
@@ -628,19 +581,17 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     // 4. Rebuild under a new group epoch: stale pre-crash traffic fences
     //    at the GroupTransports.
     teardown_group(it);
-    open_group(file, members);
-    if (router_ != nullptr) router_->forget_file(file);
+    FileGroup& group = open_group(file, members);
 
     // 5. Survivors resume exactly where they were.
     for (const auto& [member, log] : survivor_logs) {
-      core::IdeaNode* node = services_[member]->find(file);
-      if (node != nullptr) node->store().import_log(log);
+      group.ranks[group.rank_of(member)].node->store().import_log(log);
     }
 
     // 6. The restarted member = durable checkpoint + own-writer
     //    continuation; whatever is still missing is the O(delta) gap
     //    anti-entropy streams.
-    core::IdeaNode* self = services_[endpoint]->find(file);
+    core::IdeaNode* self = group.ranks[self_rank].node.get();
     std::size_t restored = 0;
     if (ckpt != nullptr && self != nullptr) {
       const replica::ReplicaStore::ImportReport r = self->store().import_log(ckpt->updates);
@@ -675,22 +626,17 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       by_file[h.file].push_back(std::move(h.update));
     }
     for (auto& [file, batch] : by_file) {
-      if (files_.find(file) == files_.end()) continue;  // closed meanwhile
-      const auto [agent, coord_ep] = coordinator(file);
-      if (agent == nullptr) continue;
-      core::IdeaNode* node = services_[coord_ep]->find(file);
-      if (node == nullptr) continue;
+      const FileGroup* g = group(file);
+      if (g == nullptr) continue;  // closed meanwhile
+      const std::uint32_t acting = g->acting_rank();
+      if (acting == g->ranks.size()) continue;
+      const GroupRank& coord = g->ranks[acting];
       const replica::ReplicaStore::ImportReport r =
-          node->store().import_log(batch);
+          coord.node->store().import_log(batch);
       report.hinted_updates += batch.size();
       report.hinted_duplicates += r.duplicates;
-      if (coord_ep != endpoint) {
-        const std::vector<NodeId>& members = files_.find(file)->second.members;
-        const auto self_rank = static_cast<NodeId>(
-            std::find(members.begin(), members.end(), endpoint) -
-            members.begin());
-        agent->anti_entropy_with(self_rank);
-      }
+      const std::uint32_t self_rank = g->rank_of(endpoint);
+      if (acting != self_rank) coord.sync->anti_entropy_with(self_rank);
     }
     if (obs_ != nullptr) {
       obs::Meter meter = obs_->cluster_meter();

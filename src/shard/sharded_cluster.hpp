@@ -13,6 +13,11 @@
 /// group forms the file's private RanSub tree / gossip mesh / top layer —
 /// §4.1's per-file independence, now across thousands of tenants.
 ///
+/// A placed file's FileGroup record owns every replica of the file, one
+/// GroupRank per member; closing or rebuilding a group erases the record,
+/// and a crash empties the member's rank.  The endpoints' IdeaServices
+/// only route each file's messages to its ranks.
+///
 /// Elastic membership: add_endpoint()/remove_endpoint() recompute the
 /// ring and migrate exactly the files whose replica group changed (the
 /// set HashRing::rebalance quantifies).  A migrated file's group is
@@ -25,6 +30,7 @@
 /// entropy (config.anti_entropy_period) heals whatever the stream or the
 /// regular replication pushes lose.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -32,6 +38,7 @@
 #include <vector>
 
 #include "adapt/controller.hpp"
+#include "core/idea_node.hpp"
 #include "core/service.hpp"
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
@@ -153,6 +160,45 @@ struct RecoveryReport {
   std::size_t hinted_duplicates = 0;
 };
 
+/// One group member's replica of a placed file.  The fields are declared in
+/// construction order, so destroying a rank runs agent -> stack ->
+/// transport: the agent unroutes from the node's dispatcher, and the node
+/// cancels its timers through the transport.  A dark rank (a crashed
+/// member) is all null.
+struct GroupRank {
+  std::unique_ptr<GroupTransport> transport;
+  std::unique_ptr<core::IdeaNode> node;
+  std::unique_ptr<ReplicaSyncAgent> sync;
+  FreshnessHint hint;  ///< The router's last observation of this replica.
+};
+
+/// A placed file's record: its group and every member's replica.
+struct FileGroup {
+  std::vector<NodeId> members;  ///< rank -> endpoint id
+  std::vector<GroupRank> ranks;
+  /// Until then the post-migration state stream may still be in flight:
+  /// the non-coordinator ranks are cold, so policy reads pin to the
+  /// already-warm acting coordinator.  0 = no migration window.
+  SimTime migration_until = 0;
+
+  /// The one rule that picks the acting coordinator: the lowest live rank
+  /// — rank 0 unless it crashed, in which case reads, writes and migration
+  /// hand-offs fail over down the rank order (rank space is multi-writer,
+  /// so this is safe).  ranks.size() when every member is down.
+  [[nodiscard]] std::uint32_t acting_rank() const {
+    std::uint32_t rank = 0;
+    while (rank < ranks.size() && ranks[rank].node == nullptr) ++rank;
+    return rank;
+  }
+
+  /// Rank of `endpoint` in the group; members.size() when it is absent.
+  [[nodiscard]] std::uint32_t rank_of(NodeId endpoint) const {
+    return static_cast<std::uint32_t>(
+        std::find(members.begin(), members.end(), endpoint) -
+        members.begin());
+  }
+};
+
 class ShardedCluster {
  public:
   explicit ShardedCluster(ShardedClusterConfig config);
@@ -269,10 +315,9 @@ class ShardedCluster {
   /// Open files `first .. first+count-1` on their replica groups.
   void place(FileId first, std::uint32_t count);
 
-  /// Ensure one file is open on its whole group (idempotent); returns the
-  /// acting coordinator's replica stack (see coordinator()), nullptr on
-  /// an empty ring or when every member is down.
-  core::IdeaNode* ensure_open(FileId file);
+  /// Ensure one file is open on its whole group (idempotent); returns its
+  /// record, nullptr on an empty ring.
+  FileGroup* ensure_open(FileId file);
 
   /// Tear the file down on every group member.  Unknown files: no-op.
   bool close_file(FileId file);
@@ -281,6 +326,14 @@ class ShardedCluster {
     return files_.count(file) > 0;
   }
   [[nodiscard]] std::size_t placed_files() const { return files_.size(); }
+
+  /// The placed file's record; nullptr when the file is not placed.  The
+  /// record stays valid until the file closes or its group is rebuilt (a
+  /// migration, or a member's restart).
+  [[nodiscard]] FileGroup* group(FileId file) {
+    auto it = files_.find(file);
+    return it == files_.end() ? nullptr : &it->second;
+  }
 
   /// The placed file's current group members (rank order, coordinator
   /// first) without a ring walk; nullptr when the file is not placed.
@@ -321,24 +374,16 @@ class ShardedCluster {
   [[nodiscard]] ReplicaSyncAgent* sync_agent(FileId file,
                                              std::uint32_t rank);
 
-  /// The acting coordinator's sync agent and endpoint id in one placement
-  /// lookup (the router's per-op fast path): the lowest alive rank — rank
-  /// 0 unless it crashed, in which case reads, writes and migration
-  /// hand-offs fail over down the rank order (rank space is multi-writer,
-  /// so this is safe).  The one rule that picks the acting coordinator.
-  /// {nullptr, kNoNode} when the file is not placed or every member is
-  /// down.
+  /// The acting coordinator's sync agent and endpoint id (see
+  /// FileGroup::acting_rank); {nullptr, kNoNode} when the file is not
+  /// placed or every member is down.
   [[nodiscard]] std::pair<ReplicaSyncAgent*, NodeId> coordinator(
       FileId file) {
-    auto it = files_.find(file);
-    if (it == files_.end()) return {nullptr, kNoNode};
-    const FileGroup& group = it->second;
-    for (std::size_t rank = 0; rank < group.sync.size(); ++rank) {
-      if (group.sync[rank] != nullptr) {
-        return {group.sync[rank].get(), group.members[rank]};
-      }
-    }
-    return {nullptr, kNoNode};
+    const FileGroup* g = group(file);
+    if (g == nullptr) return {nullptr, kNoNode};
+    const std::uint32_t rank = g->acting_rank();
+    if (rank == g->ranks.size()) return {nullptr, kNoNode};
+    return {g->ranks[rank].sync.get(), g->members[rank]};
   }
 
   /// True iff every group replica holds byte-identical canonical contents.
@@ -396,23 +441,16 @@ class ShardedCluster {
   void run_until(SimTime t) { sim_.run_until(t); }
 
  private:
-  struct FileGroup {
-    std::vector<NodeId> members;  ///< rank -> endpoint id
-    std::vector<std::unique_ptr<GroupTransport>> transports;  ///< by rank
-    std::vector<std::unique_ptr<ReplicaSyncAgent>> sync;      ///< by rank
-  };
-
-  /// Build the file's protocol stacks + sync agents on `members` (rank
-  /// order as given).  The file must not currently be placed.  Members
-  /// whose service is down (crashed) get null transport/sync slots at
-  /// their rank: the group keeps its shape, protocol traffic to the dark
-  /// ranks drops at the transport, and restart_endpoint() fills the
-  /// slots by rebuilding the group.
+  /// Record the file's group on `members` (rank order as given) under a
+  /// new group epoch and build each live member's rank.  The file must
+  /// not currently be placed.  Members whose service is down (crashed)
+  /// get dark ranks: the group keeps its shape, protocol traffic to them
+  /// drops at the transport, and restart_endpoint() lights them by
+  /// rebuilding the group.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
 
-  /// Tear down a placed group's stacks on its live members and forget the
-  /// group (agents first: they unroute from the dispatchers the node
-  /// teardown destroys).  Leaves router state and parked hints alone.
+  /// Unroute a placed file at its live members and erase its record.
+  /// Leaves parked hints alone.
   void teardown_group(std::unordered_map<FileId, FileGroup>::iterator it);
 
   /// Placed files in ascending id order, restricted to the groups that
@@ -439,12 +477,10 @@ class ShardedCluster {
   std::unique_ptr<net::SimTransport> sim_transport_;
   std::unique_ptr<net::BatchingTransport> batching_;
   HashRing ring_;
-  /// Next group-epoch per file (see GroupTransport's fence): bumped every
-  /// time a file's group is (re)built, so in-flight traffic from a torn-
-  /// down incarnation can never reach the replacement stacks.
-  std::unordered_map<FileId, std::uint32_t> epochs_;
-  // files_ must outlive services_ (declared before = destroyed after):
-  // IdeaNode destructors cancel timers through their GroupTransport.
+  /// The last group epoch handed out (see GroupTransport's fence).  Every
+  /// group build takes the next one, so in-flight traffic from a torn-down
+  /// incarnation can never reach the replacement stacks.
+  std::uint32_t last_epoch_ = 0;
   std::unordered_map<FileId, FileGroup> files_;
   std::vector<std::unique_ptr<core::IdeaService>> services_;
   /// Per-slot incarnation counters, parallel to services_ (0 = first

@@ -70,8 +70,6 @@ void Log::write(LogLevel level, const std::string& message) {
 
 void Log::set_tags(const LogTags& tags) { g_tags = tags; }
 
-void Log::clear_tags() { g_tags = LogTags{}; }
-
 LogTags Log::tags() { return g_tags; }
 
 const char* Log::level_name(LogLevel level) {
@@ -101,11 +99,6 @@ LogCapture::LogCapture(LogLevel threshold)
 LogCapture::~LogCapture() {
   Log::set_sink(std::move(previous_sink_));
   Log::set_threshold(previous_threshold_);
-}
-
-std::string LogCapture::text() const {
-  std::scoped_lock lock(mu_);
-  return buffer_;
 }
 
 bool LogCapture::contains(const std::string& needle) const {

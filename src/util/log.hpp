@@ -52,7 +52,6 @@ class Log {
   /// Install/replace the calling thread's structured tags; write() prefixes
   /// messages with "[t=<sec> n=<endpoint> trace=<id>]" while any tag is set.
   static void set_tags(const LogTags& tags);
-  static void clear_tags();
   static LogTags tags();
 };
 
@@ -82,7 +81,6 @@ class LogCapture {
   LogCapture(const LogCapture&) = delete;
   LogCapture& operator=(const LogCapture&) = delete;
 
-  [[nodiscard]] std::string text() const;
   [[nodiscard]] bool contains(const std::string& needle) const;
 
  private:

@@ -331,6 +331,47 @@ TEST(ClientSessionTest, FreshnessHintsPiggybackOnAntiEntropy) {
   EXPECT_TRUE(hinted);
 }
 
+TEST(ClientSessionTest, MigrationStartsTheNewGroupUnhinted) {
+  // A hint describes one replica of one group build; a migrated file's
+  // new group starts unhinted, while files the join left alone keep
+  // theirs.
+  shard::ShardedCluster cluster(
+      session_config(808, /*anti_entropy=*/msec(500)));
+  Client client(cluster);
+  ClientSession writer = client.session();
+
+  constexpr FileId kFiles = 40;
+  for (FileId f = 1; f <= kFiles; ++f) {
+    ASSERT_TRUE(writer.put(f, "m" + std::to_string(f), 1.0).ok());
+  }
+  cluster.run_for(sec(3));  // digest rounds hint the peers
+
+  std::vector<std::vector<NodeId>> before(kFiles + 1);
+  for (FileId f = 1; f <= kFiles; ++f) before[f] = *cluster.members_of(f);
+  const shard::MembershipChange joined = cluster.add_endpoint();
+
+  const shard::RequestRouter& router = cluster.router();
+  std::size_t migrated = 0;
+  bool untouched_hinted = false;
+  for (FileId f = 1; f <= kFiles; ++f) {
+    const std::vector<NodeId>& members = *cluster.members_of(f);
+    if (members == before[f]) {
+      for (NodeId m : members) {
+        if (router.freshness_hint(f, m) > 0) untouched_hinted = true;
+      }
+      continue;
+    }
+    ++migrated;
+    for (NodeId m : members) {
+      EXPECT_EQ(router.freshness_hint(f, m), 0u)
+          << "file " << f << " member " << m;
+    }
+  }
+  EXPECT_GT(migrated, 0u);
+  EXPECT_EQ(migrated, joined.files_migrated);
+  EXPECT_TRUE(untouched_hinted);
+}
+
 TEST(ClientSessionTest, OpHandlesCompleteOnTheSimulatorClock) {
   shard::ShardedCluster cluster(session_config(707));
   Client client(cluster);

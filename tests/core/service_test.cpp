@@ -2,16 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "core/idea_node.hpp"
 #include "net/sim_transport.hpp"
 
 namespace idea::core {
 namespace {
 
+struct Recorder final : net::MessageHandler {
+  std::vector<FileId> files;
+  void on_message(const net::Message& msg) override {
+    files.push_back(msg.file);
+  }
+};
+
 class ServiceFixture : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kNodes = 10;
+  /// A file id past the service's dense sink array.
+  static constexpr FileId kSparseFile = (1u << 20) + 7;
 
   void SetUp() override {
     transport_ = std::make_unique<net::SimTransport>(sim_, latency_);
@@ -32,62 +46,95 @@ class ServiceFixture : public ::testing::Test {
     return cfg;
   }
 
+  /// Join `file` on endpoint `n`: a stack over the shared transport,
+  /// routed by the endpoint's service.
+  IdeaNode& open(NodeId n, FileId file, IdeaConfig config) {
+    std::unique_ptr<IdeaNode>& node = nodes_[{n, file}];
+    node = std::make_unique<IdeaNode>(n, file, *transport_, std::move(config),
+                                      services_[n]->stack_seed(file),
+                                      /*attach_transport=*/false);
+    services_[n]->route(file, &node->dispatcher());
+    return *node;
+  }
+
+  IdeaNode& node(NodeId n, FileId file) { return *nodes_.at({n, file}); }
+
   void open_everywhere(FileId file) {
-    for (auto& s : services_) s->open(file, file_config()).start();
+    for (NodeId n = 0; n < kNodes; ++n) open(n, file, file_config()).start();
+  }
+
+  /// Send a bare message about `file` from endpoint 1 to endpoint 0 and
+  /// let it arrive.
+  void deliver_to_0(FileId file) {
+    net::Message msg;
+    msg.from = 1;
+    msg.to = 0;
+    msg.file = file;
+    msg.type = net::MsgType::intern("test.route");
+    transport_->send(std::move(msg));
+    sim_.run_until(sim_.now() + sec(1));
   }
 
   sim::Simulator sim_;
   sim::ConstantLatency latency_{msec(25)};
   std::unique_ptr<net::SimTransport> transport_;
+  std::map<std::pair<NodeId, FileId>, std::unique_ptr<IdeaNode>> nodes_;
+  // Declared after the stacks, so the services detach first.
   std::vector<std::unique_ptr<IdeaService>> services_;
 };
 
-TEST_F(ServiceFixture, OpenIsIdempotent) {
-  IdeaNode& a = services_[0]->open(1, file_config());
-  IdeaNode& b = services_[0]->open(1, file_config());
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(services_[0]->open_files(), 1u);
+TEST_F(ServiceFixture, RoutesByFileIdThroughDenseAndSparseIds) {
+  Recorder dense;
+  Recorder sparse;
+  services_[0]->route(3, &dense);
+  services_[0]->route(kSparseFile, &sparse);
+  deliver_to_0(3);
+  deliver_to_0(kSparseFile);
+  deliver_to_0(4);  // no route: dropped
+  EXPECT_EQ(dense.files, std::vector<FileId>{3});
+  EXPECT_EQ(sparse.files, std::vector<FileId>{kSparseFile});
 }
 
-TEST_F(ServiceFixture, FindAndClose) {
-  services_[0]->open(1, file_config());
-  EXPECT_NE(services_[0]->find(1), nullptr);
-  EXPECT_EQ(services_[0]->find(2), nullptr);
-  EXPECT_TRUE(services_[0]->close(1));
-  EXPECT_EQ(services_[0]->find(1), nullptr);
+TEST_F(ServiceFixture, UnrouteDropsLaterMessages) {
+  Recorder dense;
+  Recorder sparse;
+  services_[0]->route(3, &dense);
+  services_[0]->route(kSparseFile, &sparse);
+  services_[0]->unroute(3);
+  services_[0]->unroute(kSparseFile);
+  deliver_to_0(3);
+  deliver_to_0(kSparseFile);
+  EXPECT_TRUE(dense.files.empty());
+  EXPECT_TRUE(sparse.files.empty());
 }
 
-TEST_F(ServiceFixture, CloseOfUnknownFileIsANoOp) {
-  EXPECT_FALSE(services_[0]->close(42));
-  services_[0]->open(1, file_config());
-  EXPECT_FALSE(services_[0]->close(2));   // never opened
-  EXPECT_TRUE(services_[0]->close(1));
-  EXPECT_FALSE(services_[0]->close(1));   // already closed
-  EXPECT_EQ(services_[0]->open_files(), 0u);
+TEST_F(ServiceFixture, UnrouteOfUnknownFileIsANoOp) {
+  Recorder sink;
+  services_[0]->route(1, &sink);
+  services_[0]->unroute(0);            // never routed, inside the array
+  services_[0]->unroute(500);          // never routed, past its end
+  services_[0]->unroute(kSparseFile);  // never routed, sparse
+  deliver_to_0(1);
+  EXPECT_EQ(sink.files, std::vector<FileId>{1});
 }
 
-TEST_F(ServiceFixture, OpenKeepsFirstConfig) {
-  IdeaConfig strict = file_config();
-  strict.controller.hint = 0.95;
-  IdeaConfig lax = file_config();
-  lax.controller.hint = 0.5;
-  IdeaNode& first = services_[0]->open(1, strict);
-  IdeaNode& again = services_[0]->open(1, lax);
-  EXPECT_EQ(&first, &again);
-  // Keep-first semantics: the second config is ignored outright.
-  EXPECT_DOUBLE_EQ(again.controller().hint(), 0.95);
+TEST_F(ServiceFixture, StackSeedsDifferPerFileAndPerEndpoint) {
+  EXPECT_NE(services_[0]->stack_seed(1), services_[0]->stack_seed(2));
+  EXPECT_NE(services_[0]->stack_seed(1), services_[1]->stack_seed(1));
+  // The derivation fixed-seed replays depend on.
+  EXPECT_EQ(services_[0]->stack_seed(1), mix64(900 ^ (0xF11EULL + 1)));
 }
 
 TEST_F(ServiceFixture, SingleFileProtocolWorksThroughService) {
   open_everywhere(1);
   // Both writes land at t=0, so staleness stays flat; the numerical gap is
   // what drives the level below the hint.
-  services_[2]->find(1)->write("a", 1.0);
-  services_[7]->find(1)->write("b", 9.0);
+  node(2, 1).write("a", 1.0);
+  node(7, 1).write("b", 9.0);
   sim_.run_until(sec(40));
   // Hint control resolved the conflict through the routed endpoint.
-  EXPECT_EQ(services_[2]->find(1)->store().content_digest(),
-            services_[7]->find(1)->store().content_digest());
+  EXPECT_EQ(node(2, 1).store().content_digest(),
+            node(7, 1).store().content_digest());
 }
 
 TEST_F(ServiceFixture, FilesHaveIndependentTopLayers) {
@@ -95,17 +142,15 @@ TEST_F(ServiceFixture, FilesHaveIndependentTopLayers) {
   open_everywhere(2);
   // Writers of file 1: nodes 2 and 7.  Writers of file 2: nodes 4 and 9.
   for (int i = 0; i < 4; ++i) {
-    services_[2]->find(1)->write("f1", 0.1);
-    services_[7]->find(1)->write("f1", 0.1);
-    services_[4]->find(2)->write("f2", 0.1);
-    services_[9]->find(2)->write("f2", 0.1);
+    node(2, 1).write("f1", 0.1);
+    node(7, 1).write("f1", 0.1);
+    node(4, 2).write("f2", 0.1);
+    node(9, 2).write("f2", 0.1);
     sim_.run_until(sim_.now() + sec(5));
   }
   sim_.run_until(sim_.now() + sec(10));
-  EXPECT_EQ(services_[0]->find(1)->top_layer(),
-            (std::vector<NodeId>{2, 7}));
-  EXPECT_EQ(services_[0]->find(2)->top_layer(),
-            (std::vector<NodeId>{4, 9}));
+  EXPECT_EQ(node(0, 1).top_layer(), (std::vector<NodeId>{2, 7}));
+  EXPECT_EQ(node(0, 2).top_layer(), (std::vector<NodeId>{4, 9}));
 }
 
 TEST_F(ServiceFixture, ConflictInOneFileDoesNotTouchAnother) {
@@ -113,24 +158,23 @@ TEST_F(ServiceFixture, ConflictInOneFileDoesNotTouchAnother) {
   open_everywhere(2);
   // File 2 is quiet and consistent; file 1 has a conflict.  Warm file 1's
   // writers first so its top layer exists before the conflicting writes.
-  services_[4]->find(2)->write("quiet", 1.0);
-  services_[2]->find(1)->write("warm", 0.0);
-  services_[7]->find(1)->write("warm", 0.0);
+  node(4, 2).write("quiet", 1.0);
+  node(2, 1).write("warm", 0.0);
+  node(7, 1).write("warm", 0.0);
   sim_.run_until(sim_.now() + sec(10));
   // The hint controller resolves the dip quickly; capture it via listener.
   double min_level = 1.0;
-  services_[2]->find(1)->set_level_listener(
+  node(2, 1).set_level_listener(
       [&](const LevelSample& s) { min_level = std::min(min_level, s.level); });
-  services_[2]->find(1)->write("a", 1.0);
-  services_[7]->find(1)->write("b", 8.0);
+  node(2, 1).write("a", 1.0);
+  node(7, 1).write("b", 8.0);
   sim_.run_until(sim_.now() + sec(3));
   EXPECT_LT(min_level, 1.0);
   // File 2's store is untouched by file 1's conflict and resolution.
-  const auto digest_before =
-      services_[4]->find(2)->store().content_digest();
+  const auto digest_before = node(4, 2).store().content_digest();
   sim_.run_until(sim_.now() + sec(20));
-  EXPECT_EQ(services_[4]->find(2)->store().content_digest(), digest_before);
-  EXPECT_EQ(services_[4]->find(2)->store().update_count(), 1u);
+  EXPECT_EQ(node(4, 2).store().content_digest(), digest_before);
+  EXPECT_EQ(node(4, 2).store().update_count(), 1u);
 }
 
 TEST_F(ServiceFixture, PerFileConfigIndependent) {
@@ -138,8 +182,8 @@ TEST_F(ServiceFixture, PerFileConfigIndependent) {
   strict.controller.hint = 0.99;
   IdeaConfig lax = file_config();
   lax.controller.hint = 0.5;
-  IdeaNode& f1 = services_[0]->open(1, strict);
-  IdeaNode& f2 = services_[0]->open(2, lax);
+  IdeaNode& f1 = open(0, 1, strict);
+  IdeaNode& f2 = open(0, 2, lax);
   EXPECT_DOUBLE_EQ(f1.controller().hint(), 0.99);
   EXPECT_DOUBLE_EQ(f2.controller().hint(), 0.5);
   f1.set_resolution(1);
@@ -153,10 +197,10 @@ TEST_F(ServiceFixture, PerFileConfigIndependent) {
 TEST_F(ServiceFixture, MessagesForUnopenedFilesDropped) {
   open_everywhere(1);
   // Node 0 additionally opens file 3 that nobody else has.
-  services_[0]->open(3, file_config()).start();
-  services_[0]->find(3)->write("lonely", 1.0);
+  open(0, 3, file_config()).start();
+  node(0, 3).write("lonely", 1.0);
   sim_.run_until(sim_.now() + sec(20));  // must not crash anywhere
-  EXPECT_EQ(services_[0]->find(3)->store().update_count(), 1u);
+  EXPECT_EQ(node(0, 3).store().update_count(), 1u);
 }
 
 }  // namespace

@@ -28,8 +28,10 @@ TEST(ShardedClusterTest, PlacementMatchesRing) {
   EXPECT_EQ(cluster.placed_files(), 40u);
 
   std::size_t open_total = 0;
-  for (NodeId e = 0; e < cluster.size(); ++e) {
-    open_total += cluster.service(e).open_files();
+  for (FileId f = 1; f <= 40; ++f) {
+    for (NodeId e = 0; e < cluster.size(); ++e) {
+      if (cluster.replica(f, e) != nullptr) ++open_total;
+    }
   }
   EXPECT_EQ(open_total, 40u * 3u);
 
@@ -45,7 +47,6 @@ TEST(ShardedClusterTest, PlacementMatchesRing) {
     for (NodeId e = 0; e < cluster.size(); ++e) {
       if (std::find(group.begin(), group.end(), e) == group.end()) {
         EXPECT_EQ(cluster.replica(f, e), nullptr);
-        EXPECT_EQ(cluster.service(e).find(f), nullptr);
       }
     }
   }
@@ -151,11 +152,36 @@ TEST(ShardedClusterTest, CloseFileTearsDownWholeGroup) {
   client::ClientSession session(cluster, {});
   EXPECT_TRUE(session.close(file));
   for (NodeId member : group) {
-    EXPECT_EQ(cluster.service(member).find(file), nullptr);
+    EXPECT_EQ(cluster.replica(file, member), nullptr);
   }
   EXPECT_FALSE(cluster.is_placed(file));
   EXPECT_FALSE(session.close(file));  // idempotent no-op
   cluster.run_for(sec(5));                     // no dangling timers blow up
+}
+
+TEST(ShardedClusterTest, CloseFileWithACrashedMemberThenRestart) {
+  // Closing a file erases its record, dark ranks included: the restart
+  // finds no group to rejoin, and the file's next write places a fresh
+  // group with the restarted member in it.
+  ShardedCluster cluster(small_cluster_config());
+  const FileId file = 5;
+  cluster.ensure_open(file);
+  const NodeId crashed = cluster.group_of(file)[1];
+  cluster.crash_endpoint(crashed);
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.close(file));
+  cluster.run_for(sec(2));
+
+  const RecoveryReport recovered = cluster.restart_endpoint(crashed);
+  EXPECT_EQ(recovered.endpoint, crashed);
+  EXPECT_EQ(recovered.files_recovered, 0u);
+
+  ASSERT_TRUE(session.put(file, "after", 1.0).ok());
+  cluster.run_for(sec(2));
+  EXPECT_TRUE(cluster.converged(file));
+  core::IdeaNode* replica = cluster.replica(file, crashed);
+  ASSERT_NE(replica, nullptr);
+  EXPECT_EQ(replica->store().update_count(), 1u);
 }
 
 TEST(ShardedClusterTest, EndToEndPlacementWriteConverge) {
