@@ -10,16 +10,33 @@
 /// rollback.
 ///
 /// Costs below are in n = updates in the log and writers = distinct
-/// writers of the file.  Every content mutation pays one O(n)
-/// recompute_meta walk; the per-message and per-read queries (peer
-/// deltas, staleness probes, invalidated keys, current snapshots) do not
-/// walk the log.
-
+/// writers of the file.  Two invariants keep appends, reads and peer
+/// queries off the whole log:
+///
+///  * Seq contiguity.  For every writer w the log holds exactly the seqs
+///    1..evv().count_of(w): apply_remote's reorder buffer admits only a
+///    writer's next seq, and since a writer's stamps never decrease,
+///    rollback_to drops only per-writer suffixes.  So the EVV alone says
+///    how far a peer lags, and writer w's missing updates are one key
+///    range of the log.
+///  * Exact meta fold.  The meta value is a floating-point sum whose
+///    (writer, seq) summation order defines its bits.  The store keeps,
+///    per writer, the running sum after that writer's range of the walk.
+///    Appending writer w's next update adds its delta to w's entry and
+///    re-adds only the ranges of writers after w, so every addition
+///    happens in the walk's exact order and the value is bit-identical to
+///    a full walk for any deltas.  invalidate, rollback_to and
+///    import_log's invalidation merges re-run the full O(n) walk.
+///
+/// A canonical-order index (pointers into the log's nodes) replaces the
+/// sort a read used to pay.  It points into the store's own map, so a
+/// store is neither copyable nor movable.
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "replica/update.hpp"
@@ -30,12 +47,16 @@ namespace idea::replica {
 class ReplicaStore {
  public:
   ReplicaStore(NodeId node, FileId file) : node_(node), file_(file) {}
+  ReplicaStore(const ReplicaStore&) = delete;
+  ReplicaStore& operator=(const ReplicaStore&) = delete;
 
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] FileId file() const { return file_; }
 
   /// Issue a local write stamped with the node's local clock.  Returns the
-  /// stored update (with its assigned sequence number).
+  /// stored update (with its assigned sequence number).  O(log n) plus the
+  /// index insert (at the tail unless writer clocks skew) plus a re-add
+  /// of the ranges of writers after this node.
   const Update& apply_local(SimTime local_now, std::string content,
                             double meta_delta);
 
@@ -43,6 +64,7 @@ class ReplicaStore {
   /// in sequence order; updates arriving ahead of their predecessors (the
   /// network may reorder messages) are buffered and applied automatically
   /// once the gap fills.  Returns true if the update is now applied.
+  /// Costs as apply_local, per applied update.
   bool apply_remote(const Update& u);
 
   /// Out-of-order updates currently parked awaiting predecessors.
@@ -55,21 +77,21 @@ class ReplicaStore {
   [[nodiscard]] const Update* find(const UpdateKey& key) const;
 
   /// Updates this replica holds that `peer_counts` does not — the payload of
-  /// a resolution/anti-entropy push — in (writer, seq) order.  Writer w's
-  /// missing updates are one contiguous key range of the log, so the query
-  /// hops writer to writer: O(writers · log n + missing), never a walk of
-  /// the whole log.  The EVV overload reads the peer's counts in place
-  /// (no counts() vector is built).
+  /// a resolution/anti-entropy push — in (writer, seq) order.  The EVV says
+  /// which writers the peer lags on; only those touch the log, each as one
+  /// contiguous key range: O(writers + lagging writers · log n + missing),
+  /// so a peer that lacks nothing costs no log lookup.  The EVV overload
+  /// reads the peer's counts in place (no counts() vector is built).
   [[nodiscard]] std::vector<Update> updates_ahead_of(
       const vv::VersionVector& peer_counts) const;
   [[nodiscard]] std::vector<Update> updates_ahead_of(
       const vv::ExtendedVersionVector& peer) const;
 
   /// How far a peer at `peer_counts` lags this replica: number of updates
-  /// it is missing and the stamp of the oldest one.  Same per-writer range
-  /// walk as updates_ahead_of, O(writers · log n + missing), but counts in
-  /// place — no update copies — so the read router can probe staleness per
-  /// routed read without touching contents.
+  /// it is missing and the stamp of the oldest one.  Answered from the EVV
+  /// alone in O(writers): per writer, mine − theirs versions, and the
+  /// oldest is the stamp of seq theirs + 1 (a writer's stamps never
+  /// decrease).  The read router probes this per routed read.
   struct StalenessProbe {
     std::uint64_t versions = 0;
     SimTime oldest_stamp = 0;  ///< Meaningless when versions == 0.
@@ -101,23 +123,26 @@ class ReplicaStore {
   /// local_seq when the batch contains this node's own writer history (a
   /// migrated or restarted coordinator continues its predecessor's
   /// sequence).  Updates already held contribute at most their
-  /// invalidation flag, which is OR'd in.
+  /// invalidation flag, which is OR'd in; a batch that merges any flag
+  /// pays one O(n) meta walk.
   ImportReport import_log(const std::vector<Update>& updates);
 
   /// Mark an update invalidated (invalidate-both policy) and recompute the
-  /// meta value.  Returns false if the update is unknown.
+  /// meta value with one O(n) walk.  Returns false if the update is
+  /// unknown.
   bool invalidate(const UpdateKey& key);
 
   /// Keys of every invalidated update in the log, in (writer, seq) order.
-  /// O(1): the list is collected by the meta walk every mutation already
-  /// runs, and is empty in the common no-conflict case.
+  /// O(1): kept beside the meta fold (a sorted insert when an update
+  /// arrives flagged, else rebuilt by the full walk), and empty in the
+  /// common no-conflict case.
   [[nodiscard]] const std::vector<UpdateKey>& invalidated_keys() const {
     return invalidated_;
   }
 
   /// Drop every update with stamp > t and rebuild the version vector; the
   /// rollback path of §4.4.2 (bottom layer contradicted the top layer).
-  /// Returns the number of updates discarded.
+  /// Returns the number of updates discarded.  O(n).
   std::size_t rollback_to(SimTime t);
 
   /// The extended version vector describing this replica.
@@ -142,14 +167,15 @@ class ReplicaStore {
     snapshot_.reset();
   }
 
-  /// Updates in canonical display order (what a reader sees); O(n log n).
+  /// Updates in canonical display order (what a reader sees); O(n)
+  /// copies from the canonical index, no sort.
   [[nodiscard]] std::vector<Update> ordered_contents() const;
 
   /// Shared immutable canonical-order view of the contents for zero-copy
   /// reads: every get between two replica mutations refcounts one
   /// allocation instead of copying the whole log.  Rebuilt lazily after
   /// any content mutation (updates, invalidation, rollback): O(1) when
-  /// current, one O(n log n) ordered_contents() on the first call after.
+  /// current, one O(n) ordered_contents() on the first call after.
   [[nodiscard]] const std::shared_ptr<const std::vector<Update>>&
   contents_snapshot() const {
     if (contents_snapshot_ == nullptr) {
@@ -168,7 +194,7 @@ class ReplicaStore {
 
   /// Order-sensitive digest of the canonical contents; equal digests mean
   /// replicas converged byte-for-byte.  Used heavily by convergence tests.
-  /// O(n log n).
+  /// O(n), read off the canonical index.
   [[nodiscard]] std::uint64_t content_digest() const;
 
   /// Current critical meta-data value (sum of live meta_deltas).
@@ -186,11 +212,19 @@ class ReplicaStore {
   }
 
  private:
-  /// Recount the meta value and the invalidated-key list after a content
-  /// mutation.  A full O(n) walk on purpose: the meta value is a floating-
-  /// point sum whose (writer, seq) summation order defines its bits, so an
-  /// incremental update would change results across replicas and replays.
-  void recompute_meta();
+  /// Index an update just placed in the log: its EVV stamp, its canonical
+  /// position, and its addition to its writer's fold entry (or its key in
+  /// invalidated_).  The writers after it need refold_after().
+  void admit(const Update& u);
+  /// Re-add the fold ranges of every writer after `writer` and publish
+  /// the meta value.
+  void refold_after(NodeId writer);
+  /// The full (writer, seq) walk: rebuild the fold and invalidated_ from
+  /// the log and publish the meta value.
+  void rewalk_meta();
+  /// Every content mutation ends here: bump mutation_count and drop the
+  /// shared message and read-view snapshots.
+  void mutated();
 
   NodeId node_;
   FileId file_;
@@ -198,7 +232,12 @@ class ReplicaStore {
   std::uint64_t mutation_count_ = 0;
   std::map<UpdateKey, Update> log_;
   std::map<UpdateKey, Update> pending_;  ///< Reorder buffer.
-  std::vector<UpdateKey> invalidated_;   ///< Rebuilt by recompute_meta.
+  std::vector<UpdateKey> invalidated_;   ///< In (writer, seq) order.
+  /// Per writer, in writer order: the running meta sum after that
+  /// writer's range of the (writer, seq) walk; back() is the meta value.
+  std::vector<std::pair<NodeId, double>> meta_fold_;
+  /// Every logged update in CanonicalOrder, pointing into log_'s nodes.
+  std::vector<const Update*> canonical_;
   vv::ExtendedVersionVector evv_;
   mutable std::shared_ptr<const vv::ExtendedVersionVector> snapshot_;
   mutable std::shared_ptr<const std::vector<Update>> contents_snapshot_;

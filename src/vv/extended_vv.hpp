@@ -101,6 +101,11 @@ class ExtendedVersionVector {
   [[nodiscard]] bool empty() const { return stamps_.empty(); }
   [[nodiscard]] std::size_t writer_count() const { return stamps_.size(); }
 
+  /// Every writer's stamp list, sorted by writer id.
+  [[nodiscard]] const std::vector<WriterStamps>& writers() const {
+    return stamps_;
+  }
+
   /// "<A:2(1,2) B:1(1) [5.0] <num=..>>" rendering per Figure 5.
   [[nodiscard]] std::string to_string() const;
 
