@@ -86,13 +86,15 @@ CheckpointRunStats IncrementalEngine::checkpoint(
   for (const ReplicaRef& ref : replicas) {
     if (ref.store == nullptr) continue;
     const std::pair<NodeId, FileId> key{endpoint, ref.file};
+    const Seen now_seen{incarnation, ref.group_epoch,
+                        ref.store->mutation_count()};
     auto it = last_.find(key);
-    // Dirty test: unchanged mutation count within the same life means the
+    // Dirty test: an unchanged mutation count of the same store means the
     // previous checkpoint still describes this replica exactly.  A new
-    // incarnation is always dirty — its store was rebuilt from recovery
-    // and the counter restarted.
-    if (it != last_.end() && it->second.incarnation == incarnation &&
-        it->second.mutations == ref.store->mutation_count()) {
+    // incarnation or group epoch is always dirty: the store was rebuilt
+    // (by recovery or a group rebuild), its counter restarted, and the
+    // record must carry the group's current members.
+    if (it != last_.end() && it->second == now_seen) {
       run.files_clean += 1;
       totals_.files_clean += 1;
       continue;
@@ -102,7 +104,7 @@ CheckpointRunStats IncrementalEngine::checkpoint(
     const std::uint64_t bytes = checkpoint_bytes(record);
     storage.put(std::move(record));
     account(run, totals_, updates, bytes);
-    last_[key] = Seen{incarnation, ref.store->mutation_count()};
+    last_[key] = now_seen;
   }
   return run;
 }

@@ -19,7 +19,8 @@
 ///
 ///  * IncrementalEngine — dirty-file tracking: a replica is persisted
 ///    only when its ReplicaStore::mutation_count() moved since the last
-///    checkpoint epoch (an incarnation change always counts as dirty).
+///    checkpoint epoch (an incarnation or group-epoch change always
+///    counts as dirty).
 ///    Clean files cost nothing per period; recovery still finds a
 ///    complete image, because an unchanged replica's previous checkpoint
 ///    is by definition still current.
@@ -109,6 +110,10 @@ struct ReplicaRef {
   FileId file = 0;
   const ReplicaStore* store = nullptr;
   const std::vector<NodeId>* members = nullptr;  ///< rank -> endpoint.
+  /// The replica group's epoch.  Every group build (migration, a peer's
+  /// restart, reopen) starts a new epoch with fresh stores whose
+  /// mutation counts restart at 0.
+  std::uint32_t group_epoch = 0;
 };
 
 /// What one checkpoint pass over one endpoint did.
@@ -153,7 +158,8 @@ class FullSnapshotEngine final : public CheckpointEngine {
 };
 
 /// Dirty-file engine: a replica is written only when its mutation count
-/// moved since this engine last persisted it (libcrpm dirtybit-style).
+/// moved since this engine last persisted it, within the same incarnation
+/// and group epoch (libcrpm dirtybit-style).
 class IncrementalEngine final : public CheckpointEngine {
  public:
   [[nodiscard]] const char* name() const override { return "incremental"; }
@@ -164,9 +170,13 @@ class IncrementalEngine final : public CheckpointEngine {
  private:
   struct Seen {
     std::uint32_t incarnation = 0;
+    std::uint32_t group_epoch = 0;
     std::uint64_t mutations = 0;
+
+    friend bool operator==(const Seen&, const Seen&) = default;
   };
-  /// Last persisted (incarnation, mutation_count) per (endpoint, file).
+  /// Last persisted (incarnation, group epoch, mutation_count) per
+  /// (endpoint, file).
   std::map<std::pair<NodeId, FileId>, Seen> last_;
 };
 

@@ -447,9 +447,10 @@ void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
   refs.reserve(placed.size());
   for (FileId file : placed) {
     const FileGroup& g = files_.find(file)->second;
-    const core::IdeaNode* node = g.ranks[g.rank_of(endpoint)].node.get();
-    if (node == nullptr) continue;
-    refs.push_back({file, &node->store(), &g.members});
+    const GroupRank& rank = g.ranks[g.rank_of(endpoint)];
+    if (rank.node == nullptr) continue;
+    refs.push_back({file, &rank.node->store(), &g.members,
+                    rank.transport->epoch()});
   }
   const replica::CheckpointRunStats run = engine_->checkpoint(
       endpoint, incarnations_[endpoint], refs, sim_.now(), storage_);

@@ -9,10 +9,13 @@
 /// and recovery must be invisible in the converged state.  A second
 /// scenario pins the O(delta) property: with a durable checkpoint the
 /// restarted replica heals only the checkpoint→crash gap over the wire,
-/// while the no-checkpoint control re-streams the whole log.
+/// while the no-checkpoint control re-streams the whole log.  A third pins
+/// that incremental checkpoints follow a group rebuild (a join's
+/// migration), so a later restart still finds every file's checkpoint.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -339,6 +342,61 @@ TEST(CrashRecoveryTest, CheckpointEnginesAndDurableStorageSemantics) {
   cluster.run_for(sec(2) + msec(100));
   EXPECT_NE(storage.latest(group[1], kFile), nullptr);
   EXPECT_NE(storage.latest(group[2], kFile), nullptr);
+}
+
+TEST(CrashRecoveryTest, IncrementalCheckpointsFollowAGroupRebuild) {
+  // A join migrates some files to new groups.  Each surviving member's
+  // store is rebuilt under the same incarnation and re-imports the same
+  // updates, so its mutation count lands where the old store's stood.
+  // The incremental engine must still treat the rebuilt replica as dirty
+  // and persist it under the new membership: a record that keeps the old
+  // members is discarded on restart, and the file recovers from zero.
+  constexpr FileId kFiles = 60;
+  constexpr NodeId kVictim = 0;
+  ShardedCluster cluster(crash_config(
+      61, replica::CheckpointEngineKind::kIncremental, /*loss_rate=*/0.0));
+  cluster.place(1, kFiles);
+  client::ClientSession session(cluster, {});
+  for (FileId file = 1; file <= kFiles; ++file) {
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(session.put(file, "w" + std::to_string(i), 1.0).ok());
+    }
+  }
+  cluster.run_for(sec(2) + msec(100));  // pushes land, checkpoints run
+  std::vector<std::vector<NodeId>> before(kFiles + 1);
+  for (FileId file = 1; file <= kFiles; ++file) {
+    before[file] = cluster.group_of(file);
+  }
+  cluster.add_endpoint();
+  cluster.run_for(sec(3));  // no writes: only the rebuild dirties stores
+
+  const replica::DurableStorage& storage = cluster.durable_storage();
+  std::size_t moved = 0;
+  std::size_t hosted = 0;
+  for (FileId file = 1; file <= kFiles; ++file) {
+    const std::vector<NodeId> members = cluster.group_of(file);
+    if (members != before[file]) ++moved;
+    if (std::find(members.begin(), members.end(), kVictim) != members.end()) {
+      ++hosted;
+    }
+    for (NodeId endpoint : members) {
+      const replica::CheckpointRecord* latest =
+          storage.latest(endpoint, file);
+      ASSERT_NE(latest, nullptr) << "file " << file << " endpoint "
+                                 << endpoint;
+      EXPECT_EQ(latest->members, members)
+          << "file " << file << " endpoint " << endpoint
+          << ": the latest record predates the group rebuild";
+    }
+  }
+  ASSERT_GT(moved, 0u) << "the join migrated nothing; the test is moot";
+
+  cluster.crash_endpoint(kVictim);
+  const RecoveryReport rec = cluster.restart_endpoint(kVictim);
+  EXPECT_EQ(rec.files_recovered, hosted);
+  EXPECT_EQ(rec.checkpoint_files, hosted)
+      << "every hosted file must reload from its checkpoint";
+  EXPECT_EQ(rec.gap_updates, 0u);
 }
 
 }  // namespace
