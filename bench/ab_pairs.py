@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""A/B two idea_bench binaries in alternating single-episode pairs.
+
+  python3 bench/ab_pairs.py PARENT_BIN CHANGE_BIN [--workload rw_loss]
+      [--pairs 10] [--seed 100] [--scale 0.25] [--threads N] [--json FILE]
+
+Pair i runs one episode of each binary at load seed --seed + i; the order
+alternates from pair to pair (parent first in even pairs), so a drift of
+the host's speed does not favour one side.  Per side it prints the median
+and quartiles of each episode's sim_s_per_ref_s (sim seconds per
+reference second, the per-episode value perfbench/run.py takes the median
+of), setup_s (reference seconds) and peak_rss_mb; then how many pairs the
+change won on sim_s_per_ref_s, how many pairs had identical fingerprints,
+and perfbench/README.md's gain verdict: a gain only when the change wins
+at least nine pairs in ten and its median beats the parent's by more than
+the parent's interquartile range.
+
+Exits 1 if any episode reports a failed operation or an unconverged file,
+2 on a usage or run error.  It reads only idea_bench's JSON output.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from statistics import median, quantiles
+
+EPISODE_TIMEOUT_S = 300
+METRICS = ("sim_s_per_ref_s", "setup_s", "peak_rss_mb")
+
+
+def episode(binary, workload, seed, scale, threads):
+    cmd = [binary, "--workload", workload, "--seed", str(seed),
+           "--scale", str(scale), "--trace", "0", "--threads", str(threads)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                         timeout=EPISODE_TIMEOUT_S)
+    e = json.loads(out.stdout.strip().splitlines()[-1])
+    e["sim_s_per_ref_s"] = e["sim_s"] / (e["wall_s"] * e["ref_per_wall"])
+    e["setup_s"] = e["setup_s"] * e["ref_per_wall"]
+    return e
+
+
+def quartiles(values):
+    """(q1, median, q3), inclusive method so a handful of runs works."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", default="rw_loss")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=100)
+    ap.add_argument("--scale", type=float, default=0.25)
+    ap.add_argument("--threads", type=int, default=0,
+                    help="worker threads (default: 2 for fleet_1000, "
+                         "capped by the host's cores, else 1)")
+    ap.add_argument("--json", help="also write every episode here")
+    args = ap.parse_args()
+    threads = args.threads or (min(2, os.cpu_count() or 1)
+                               if args.workload == "fleet_1000" else 1)
+
+    sides = {"parent": [], "change": []}
+    problems = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            binary = getattr(args, side)
+            try:
+                e = episode(binary, args.workload, seed, args.scale, threads)
+            except (subprocess.SubprocessError, OSError, ValueError) as err:
+                print(f"{side} episode at seed {seed} failed: {err}",
+                      file=sys.stderr)
+                return 2
+            sides[side].append(e)
+            if e["failed"] > 0:
+                problems.append(f"{side} seed {seed}: {e['failed']} failed ops")
+            if e["converged"] != e["files"]:
+                problems.append(f"{side} seed {seed}: {e['converged']} of "
+                                f"{e['files']} files converged")
+        p, c = sides["parent"][-1], sides["change"][-1]
+        print(f"pair {i + 1:2d} seed {seed}: parent "
+              f"{p['sim_s_per_ref_s']:8.2f}  change {c['sim_s_per_ref_s']:8.2f}"
+              f"  {'same' if p['fingerprint'] == c['fingerprint'] else 'DIFFERENT'}"
+              " fingerprint", flush=True)
+
+    print(f"\n{args.workload}, {args.pairs} pairs, scale {args.scale}, "
+          f"threads {threads}:")
+    stats = {}
+    for side, episodes in sides.items():
+        stats[side] = {m: quartiles([e[m] for e in episodes]) for m in METRICS}
+        print(f"  {side:6s} " + "  ".join(
+            f"{m} {q2:.4g} [{q1:.4g}, {q3:.4g}]"
+            for m, (q1, q2, q3) in stats[side].items()))
+    pairs = list(zip(sides["parent"], sides["change"]))
+    wins = sum(c["sim_s_per_ref_s"] > p["sim_s_per_ref_s"] for p, c in pairs)
+    same = sum(c["fingerprint"] == p["fingerprint"] for p, c in pairs)
+    p_q1, p_med, p_q3 = stats["parent"]["sim_s_per_ref_s"]
+    c_med = stats["change"]["sim_s_per_ref_s"][1]
+    gap, iqr = c_med - p_med, p_q3 - p_q1
+    gain = wins >= 0.9 * len(pairs) and gap > iqr
+    print(f"  change won {wins}/{len(pairs)} pairs; "
+          f"{same}/{len(pairs)} pairs had identical fingerprints")
+    print(f"  median gap {gap:+.4g} ({100 * gap / p_med:+.1f} %), "
+          f"parent IQR {iqr:.4g}: "
+          f"{'GAIN' if gain else 'no gain shown'} "
+          "(needs >= 9/10 wins and a median gap above the parent's IQR)")
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(sides, f, indent=1)
+    for problem in problems:
+        print(f"  FAILED CHECK: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,14 +4,17 @@
 ///
 /// Every future PR is measured against this bench: it emits
 /// BENCH_hotpath.json so the perf trajectory accumulates per PR (the CI
-/// Release job uploads the file as an artifact).  Four sections:
+/// Release job uploads the file as an artifact).  Five sections:
 ///
 ///   1. sim_events  — schedule/cancel/periodic churn through the Simulator.
 ///   2. transport   — SimTransport message storm with realistic EVV payloads
 ///                    (each hop re-sends, so the cost of forwarding a
 ///                    payload across transport hops is on the clock).
 ///   3. vv_merge    — VersionVector merge + compare walks.
-///   4. macro       — the PR 1 shard-scalability headline configuration
+///   4. replica_store — one hot replica's per-message work (apply a peer's
+///                    update, probe a peer's lag, answer a digest) at two
+///                    log lengths, so a cost that grows with the log shows.
+///   5. macro       — the shard-scalability headline configuration
 ///                    (32 endpoints / 2000 files, k=3), reporting logical
 ///                    messages per wall-clock second plus the per-type
 ///                    message counts and replica digest used by the
@@ -25,6 +28,7 @@
 /// unpooled simulator) on the reference build machine; speedups in the
 /// JSON are relative to them.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -34,6 +38,7 @@
 #include "bench/common.hpp"
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
+#include "replica/store.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
@@ -55,6 +60,15 @@ constexpr double kBaselineTransportMsgs = 0.88e6;
 constexpr double kBaselineBatchedTransportMsgs = 0.57e6;
 constexpr double kBaselineVvMerges = 3.32e6;
 constexpr double kBaselineMacroMsgsPerWallSec = 0.43e6;
+
+// The replica_store section before the store kept a per-writer meta fold
+// and a canonical-order index (every apply re-walked the whole log):
+// medians of 5 Release runs on a 4-core x86-64 box, interleaved with the
+// runs of the current store.  The section calls only APIs that store had.
+constexpr double kBeforeFoldCoordinatorLog100 = 1.34e6;
+constexpr double kBeforeFoldCoordinatorLog5000 = 32.3e3;
+constexpr double kBeforeFoldRoundRobinLog100 = 1.30e6;
+constexpr double kBeforeFoldRoundRobinLog5000 = 25.1e3;
 
 // ---------------------------------------------------------------------------
 // 1. Simulator kernel: schedule / cancel / periodic churn.
@@ -254,7 +268,85 @@ VvResult bench_vv(std::uint64_t iters) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Macro: the PR 1 shard-scalability headline configuration.
+// 4. Replica store: one op is what a hot file's replica does per message —
+//    apply_remote of the next update of a 3-writer history, a lag probe
+//    of a peer one update behind (the read router's), and the updates a
+//    peer at this replica's own EVV lacks (an anti-entropy digest reply,
+//    which carries nothing).  Each store starts at `log_size` updates and
+//    takes log_size / 10 ops, so the log stays within 10 % of its size.
+//
+//    Two histories.  "coordinator" is the shape of a file replicated by
+//    this system, where writes go through the acting coordinator:
+//    writers 1 and 2 hold 8 updates each from a past failover, and the
+//    coordinator (writer 0) writes the rest.  "round_robin" has the three
+//    writers take turns; it is the meta fold's worst case, because an
+//    append re-adds the ranges of the writers after its own (about a
+//    third of the log per op on average).
+// ---------------------------------------------------------------------------
+struct StoreResult {
+  std::uint32_t log_size = 0;
+  std::uint64_t ops = 0;
+  double wall_s = 0.0;
+  double ops_per_sec = 0.0;
+};
+
+/// Update i of the history; stamps climb with i.
+replica::Update history_update(std::uint64_t i, bool round_robin) {
+  constexpr std::uint64_t kFailover = 8;
+  replica::UpdateKey key;
+  if (round_robin) {
+    key = replica::UpdateKey{static_cast<NodeId>(i % 3), i / 3 + 1};
+  } else if (i < 2 * kFailover) {
+    key = replica::UpdateKey{static_cast<NodeId>(1 + i / kFailover),
+                             i % kFailover + 1};
+  } else {
+    key = replica::UpdateKey{0, i - 2 * kFailover + 1};
+  }
+  return replica::Update{key, 1, msec(static_cast<std::int64_t>(i)), "x",
+                         1.0, false};
+}
+
+StoreResult bench_store(std::uint32_t log_size, bool round_robin,
+                        std::uint64_t min_ops) {
+  const std::uint64_t per_store = std::max<std::uint64_t>(1, log_size / 10);
+  std::vector<replica::Update> history;
+  for (std::uint64_t i = 0; i < log_size + per_store; ++i) {
+    history.push_back(history_update(i, round_robin));
+  }
+  StoreResult r;
+  r.log_size = log_size;
+  std::uint64_t checksum = 0;
+  while (r.ops < min_ops) {
+    // Untimed fill, back to front: every update but each writer's first
+    // parks in the reorder buffer, and the first drains the rest in one
+    // apply, so the fill stays cheap however the store applies.
+    replica::ReplicaStore store(3, 1);
+    vv::ExtendedVersionVector peer;
+    for (std::uint64_t i = log_size; i-- > 0;) store.apply_remote(history[i]);
+    for (std::uint64_t i = 0; i < log_size; ++i) {
+      peer.record_update(history[i].key.writer, history[i].stamp, 0.0);
+    }
+    const auto start = WallClock::now();
+    for (std::uint64_t i = log_size; i < log_size + per_store; ++i) {
+      const replica::Update& u = history[i];
+      store.apply_remote(u);
+      checksum += store.staleness_ahead_of(peer).versions;
+      checksum += store.updates_ahead_of(store.evv()).size();
+      peer.record_update(u.key.writer, u.stamp, 0.0);
+    }
+    r.wall_s += secs_since(start);
+    r.ops += per_store;
+  }
+  r.ops_per_sec = static_cast<double>(r.ops) / r.wall_s;
+  std::printf("replica_store %s: log %u, %" PRIu64 " ops in %.3f s -> "
+              "%.2fM ops/s (checksum %" PRIu64 ")\n",
+              round_robin ? "round_robin" : "coordinator", log_size, r.ops,
+              r.wall_s, r.ops_per_sec / 1e6, checksum);
+  return r;
+}
+
+// ---------------------------------------------------------------------------
+// 5. Macro: the shard-scalability headline configuration.
 // ---------------------------------------------------------------------------
 struct MacroResult {
   std::uint32_t endpoints = 0;
@@ -290,6 +382,7 @@ double speedup_vs(double now, double baseline) {
 void write_json(const std::string& path, bool smoke,
                 const SimEventsResult& se, const TransportResult& tr,
                 const TransportResult& trb, const VvResult& vvr,
+                const std::vector<StoreResult>& store,  // see main()
                 const MacroResult& mc) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -305,6 +398,11 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "    \"batched_transport_msgs_per_sec\": %.0f,\n",
                trb.msgs_per_sec);
   std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f,\n", vvr.ops_per_sec);
+  std::fprintf(f, "    \"replica_store_ops_per_sec\": {"
+               "\"coordinator\": {\"log_100\": %.0f, \"log_5000\": %.0f}, "
+               "\"round_robin\": {\"log_100\": %.0f, \"log_5000\": %.0f}},\n",
+               store[0].ops_per_sec, store[1].ops_per_sec,
+               store[2].ops_per_sec, store[3].ops_per_sec);
   std::fprintf(f, "    \"macro\": {\n");
   std::fprintf(f, "      \"endpoints\": %u,\n", mc.endpoints);
   std::fprintf(f, "      \"files\": %u,\n", mc.files);
@@ -333,6 +431,11 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "    \"macro_msgs_per_wall_sec\": %.0f\n",
                kBaselineMacroMsgsPerWallSec);
   std::fprintf(f, "  },\n");
+  std::fprintf(f, "  \"replica_store_before_fold\": {"
+               "\"coordinator\": {\"log_100\": %.0f, \"log_5000\": %.0f}, "
+               "\"round_robin\": {\"log_100\": %.0f, \"log_5000\": %.0f}},\n",
+               kBeforeFoldCoordinatorLog100, kBeforeFoldCoordinatorLog5000,
+               kBeforeFoldRoundRobinLog100, kBeforeFoldRoundRobinLog5000);
   std::fprintf(f, "  \"speedup\": {\n");
   std::fprintf(f, "    \"sim_events\": %.2f,\n",
                speedup_vs(se.ops_per_sec, kBaselineSimEvents));
@@ -342,6 +445,14 @@ void write_json(const std::string& path, bool smoke,
                speedup_vs(trb.msgs_per_sec, kBaselineBatchedTransportMsgs));
   std::fprintf(f, "    \"vv_merge\": %.2f,\n",
                speedup_vs(vvr.ops_per_sec, kBaselineVvMerges));
+  std::fprintf(f, "    \"replica_store_coordinator_log_100\": %.2f,\n",
+               speedup_vs(store[0].ops_per_sec, kBeforeFoldCoordinatorLog100));
+  std::fprintf(f, "    \"replica_store_coordinator_log_5000\": %.2f,\n",
+               speedup_vs(store[1].ops_per_sec, kBeforeFoldCoordinatorLog5000));
+  std::fprintf(f, "    \"replica_store_round_robin_log_100\": %.2f,\n",
+               speedup_vs(store[2].ops_per_sec, kBeforeFoldRoundRobinLog100));
+  std::fprintf(f, "    \"replica_store_round_robin_log_5000\": %.2f,\n",
+               speedup_vs(store[3].ops_per_sec, kBeforeFoldRoundRobinLog5000));
   std::fprintf(f, "    \"macro\": %.2f\n",
                speedup_vs(mc.msgs_per_wall_sec, kBaselineMacroMsgsPerWallSec));
   std::fprintf(f, "  }\n");
@@ -359,7 +470,9 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const bool smoke = flags.get_bool("smoke", false);
 
-  print_header("Hot path: kernel, transport, version vectors, macro run");
+  print_header(
+      "Hot path: kernel, transport, version vectors, replica store, macro "
+      "run");
 
   const std::uint64_t n_events = smoke ? 200'000 : 2'000'000;
   const std::uint64_t n_flows = smoke ? 2'000 : 20'000;
@@ -378,9 +491,15 @@ int main(int argc, char** argv) {
   const TransportResult trb =
       bench_transport(n_flows, hops, true, endpoints, files);
   const VvResult vvr = bench_vv(n_vv);
+  // Coordinator at logs 100 and 5000, then round robin at both.
+  std::vector<StoreResult> store;
+  for (const bool round_robin : {false, true}) {
+    store.push_back(bench_store(100, round_robin, smoke ? 20'000 : 200'000));
+    store.push_back(bench_store(5000, round_robin, smoke ? 2'000 : 20'000));
+  }
   const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
 
   write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, se, tr,
-             trb, vvr, mc);
+             trb, vvr, store, mc);
   return 0;
 }

@@ -101,9 +101,10 @@ bool ReplicaStore::apply_remote(const Update& u) {
   if (u.key.seq <= known) return true;  // duplicate of an applied update
   admit(log_.emplace(u.key, u).first->second);
   // Drain any parked successors that are now applicable.
-  for (auto next = pending_.find(UpdateKey{writer, u.key.seq + 1});
-       next != pending_.end();
-       next = pending_.find(UpdateKey{writer, evv_.count_of(writer) + 1})) {
+  const auto successor = [&] {
+    return pending_.find(UpdateKey{writer, evv_.count_of(writer) + 1});
+  };
+  for (auto next = successor(); next != pending_.end(); next = successor()) {
     admit(log_.insert(pending_.extract(next)).position->second);
   }
   refold_after(writer);
@@ -160,12 +161,6 @@ ReplicaStore::ImportReport ReplicaStore::import_log(
       } else {
         ++report.duplicates;
       }
-      continue;
-    }
-    if (u.key.seq <= evv_.count_of(u.key.writer)) {
-      // Covered by the counts but absent from the log — a hole rollback
-      // can leave; nothing to (re)apply.
-      ++report.duplicates;
       continue;
     }
     apply_remote(u);

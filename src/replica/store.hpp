@@ -111,7 +111,7 @@ class ReplicaStore {
   struct ImportReport {
     std::size_t applied = 0;     ///< Newly added to the log (including any
                                  ///< parked successors the batch unblocked).
-    std::size_t duplicates = 0;  ///< Already held (or covered by counts).
+    std::size_t duplicates = 0;  ///< Already held.
     /// Invalidation flags OR'd onto updates already held un-flagged: the
     /// batch knew a resolution outcome this replica had missed.
     std::size_t invalidation_merges = 0;
