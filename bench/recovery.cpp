@@ -1,23 +1,25 @@
 /// \file recovery.cpp
-/// \brief Durability cost vs recovery speed across checkpoint engines and
-///        intervals — the trade-off the crash-stop fault model exposes.
+/// \brief Durability cost vs recovery speed across checkpoint intervals —
+///        the trade-off the crash-stop fault model exposes.
 ///
-/// One deployment per (engine, interval) cell, same seed and workload: a
-/// live kv write stream, one endpoint crash-stopped mid-workload and
-/// restarted two seconds later.  Each cell reports what durability cost
-/// (checkpoint records/updates/bytes written over the run) bought at
-/// recovery time: how much state came back from the durable image vs how
-/// much had to be re-streamed over anti-entropy (the checkpoint→crash
-/// gap), and how many repair messages the healing took cluster-wide.
+/// One deployment per cell, same seed and workload: a live kv write
+/// stream, one endpoint crash-stopped mid-workload and restarted two
+/// seconds later.  Each cell reports what durability cost (checkpoint
+/// records/updates/bytes written over the run) bought at recovery time:
+/// how much state came back from the durable image vs how much had to be
+/// re-streamed over anti-entropy (the checkpoint→crash gap), and how many
+/// repair messages the healing took cluster-wide.
 ///
-/// The no-checkpoint baseline pays nothing up front and re-streams the
-/// whole log; the full engine rewrites every replica every period; the
-/// incremental engine skips clean replicas and should land near the full
-/// engine's recovery profile at a fraction of its write amplification.
+/// The no-checkpoint baseline (`none`) pays nothing up front and
+/// re-streams the whole log; the `incremental` cells checkpoint every
+/// period, persisting only the replicas that changed, and their gap grows
+/// with the interval.  --strict exits non-zero unless every checkpointed
+/// cell recovers as many files as the baseline, reloads some updates from
+/// its checkpoints, and leaves a gap no larger than the baseline's.
 /// Emits BENCH_recovery.json for the CI perf trajectory.
 ///
 ///   $ ./recovery [--endpoints 16] [--files 200] [--seed 2007] [--smoke]
-///                [--json FILE]
+///                [--strict] [--json FILE]
 
 #include <cinttypes>
 #include <cstdio>
@@ -222,8 +224,6 @@ int main(int argc, char** argv) {
       smoke ? std::vector<SimDuration>{msec(500), sec(2)}
             : std::vector<SimDuration>{msec(500), sec(1), sec(2), sec(4)};
   for (SimDuration period : periods) {
-    cells.push_back(
-        run_cell(s, replica::CheckpointEngineKind::kFull, period, "full"));
     cells.push_back(run_cell(s, replica::CheckpointEngineKind::kIncremental,
                              period, "incremental"));
   }
@@ -231,5 +231,30 @@ int main(int argc, char** argv) {
 
   write_json(flags.get_string("json", "BENCH_recovery.json"), smoke, s,
              cells);
+
+  if (flags.get_bool("strict", false)) {
+    const Cell& none = cells.front();
+    bool ok = true;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+      const Cell& c = cells[i];
+      if (c.files_recovered != none.files_recovered ||
+          c.from_checkpoint == 0 || c.gap > none.gap) {
+        std::fprintf(stderr,
+                     "strict: %s %" PRId64 " ms recovered %" PRIu64
+                     " files (none: %" PRIu64 "), %" PRIu64
+                     " updates from checkpoints, gap %" PRIu64
+                     " (none: %" PRIu64 ")\n",
+                     c.engine.c_str(), c.period_ms, c.files_recovered,
+                     none.files_recovered, c.from_checkpoint, c.gap,
+                     none.gap);
+        ok = false;
+      }
+    }
+    if (!ok) return 1;
+    std::printf("strict: every checkpointed cell recovers %" PRIu64
+                " files, as none does, with a gap no larger than none's %"
+                PRIu64 "\n",
+                none.files_recovered, none.gap);
+  }
   return 0;
 }

@@ -155,8 +155,9 @@ OpHandle<ReadResult> ClientSession::read(FileId file,
   // zero router traffic iff the snapshot is *provably* inside the
   // declared bound.  Only the age bound is provable without contacting
   // the cluster — a cached view's staleness age grows exactly with the
-  // sim clock — so hits require BoundedStaleness with max_age > 0; the
-  // versions bound was enforced when the snapshot was originally served.
+  // sim clock — so hits require BoundedStaleness with max_age > 0.  The
+  // snapshot's versions lag, as measured when it was served, must fit
+  // the bound too: a read at another level may have cached it.
   if (options_.cache_reads && level.level == Level::kBoundedStaleness &&
       level.max_age > 0) {
     auto it = cache_.find(file);
@@ -164,7 +165,8 @@ OpHandle<ReadResult> ClientSession::read(FileId file,
       const SimTime now = cluster_.sim().now();
       const SimDuration age = it->second.snapshot.staleness_age +
                               (now - it->second.served_at);
-      if (age <= level.max_age) {
+      if (age <= level.max_age &&
+          it->second.snapshot.staleness_versions <= level.max_versions) {
         ++ops_;
         ++stats_->reads;
         ++stats_->cache_hits;
@@ -190,8 +192,9 @@ OpHandle<ReadResult> ClientSession::read(FileId file,
         return OpHandle<ReadResult>(cluster_.sim(), std::move(result),
                                     /*latency=*/0, /*ok=*/true);
       }
-      // Aged past the declared bound: the snapshot can never be served
-      // under this level again (age only grows).
+      // Outside the declared bound: the snapshot can never be served
+      // under this level again (its age only grows, its lag never
+      // shrinks).
       ++stats_->cache_expiries;
       cache_.erase(it);
     }

@@ -102,7 +102,7 @@ struct SessionStats {
   std::uint64_t hinted_puts = 0;       ///< Puts that hinted a stand-in.
   // Session read cache (zero unless cache_reads is on).
   std::uint64_t cache_hits = 0;      ///< Reads served router-free.
-  std::uint64_t cache_expiries = 0;  ///< Snapshots aged past the bound.
+  std::uint64_t cache_expiries = 0;  ///< Snapshots outside the bound.
 };
 
 class ClientSession {

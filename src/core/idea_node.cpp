@@ -86,7 +86,7 @@ bool IdeaNode::write(std::string content, double meta_delta) {
   const SimTime local_now = transport_.local_time(self_);
   store_.apply_local(local_now, std::move(content), meta_delta);
   note_replica_activity();
-  if (config_.detect_on_write) probe();
+  probe();  // the paper's write trigger
   return true;
 }
 

@@ -55,8 +55,6 @@ struct IdeaConfig {
   SimDuration detection_period = sec(1);
   /// Background-resolution period; 0 disables background resolution.
   SimDuration background_period = 0;
-  /// Also run detect() on every local write (the paper's write trigger).
-  bool detect_on_write = true;
   /// Alert threshold for top-vs-bottom layer disagreement (§4.4.2's "78%
   /// vs 80%" closeness test).
   double discrepancy_threshold = 0.05;

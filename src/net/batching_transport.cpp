@@ -108,7 +108,7 @@ void BatchingTransport::flush(PairKey key) {
   envelope.to = batch.front().to;
   envelope.file = batch.front().file;  // informational; unwrap ignores it
   envelope.type = kBatchType;
-  envelope.wire_bytes = options_.header_bytes;
+  envelope.wire_bytes = kHeaderBytes;
   for (const Message& m : batch) envelope.wire_bytes += m.wire_bytes;
   ++stats_.envelopes;
   stats_.largest_batch =

@@ -33,8 +33,6 @@ struct BatchingOptions {
   SimDuration window = 0;
   /// Queues at this size flush immediately instead of waiting the window.
   std::size_t max_batch = 64;
-  /// Per-envelope framing overhead added to the sum of member sizes.
-  std::uint32_t header_bytes = 24;
 };
 
 struct BatchingStats {
@@ -97,6 +95,9 @@ class BatchingTransport final : public Transport, private MessageHandler {
   static const MsgType kBatchType;  ///< Interned "net.batch".
 
  private:
+  /// Per-envelope framing overhead added to the sum of member sizes.
+  static constexpr std::uint32_t kHeaderBytes = 24;
+
   /// Key of a pending queue: one ordered (from, to) pair.  Batching across
   /// senders would break the latency model, which samples per pair.
   using PairKey = std::uint64_t;

@@ -10,11 +10,12 @@ void HintStore::enqueue(HintedWrite hint) {
   ++stats_.queued;
 }
 
-std::vector<HintedWrite> HintStore::drain_for(NodeId target) {
+template <typename Match>
+std::vector<HintedWrite> HintStore::extract(Match match) {
   std::vector<HintedWrite> out;
   auto keep = hints_.begin();
   for (auto it = hints_.begin(); it != hints_.end(); ++it) {
-    if (it->target == target) {
+    if (match(*it)) {
       out.push_back(std::move(*it));
     } else {
       if (keep != it) *keep = std::move(*it);
@@ -22,34 +23,24 @@ std::vector<HintedWrite> HintStore::drain_for(NodeId target) {
     }
   }
   hints_.erase(keep, hints_.end());
+  return out;
+}
+
+std::vector<HintedWrite> HintStore::drain_for(NodeId target) {
+  std::vector<HintedWrite> out =
+      extract([target](const HintedWrite& h) { return h.target == target; });
   stats_.drained += out.size();
   return out;
 }
 
 std::size_t HintStore::drop_file(FileId file) {
-  const std::size_t before = hints_.size();
-  hints_.erase(std::remove_if(
-                   hints_.begin(), hints_.end(),
-                   [file](const HintedWrite& h) { return h.file == file; }),
-               hints_.end());
-  const std::size_t dropped = before - hints_.size();
+  const std::size_t dropped = take_file(file).size();
   stats_.dropped += dropped;
   return dropped;
 }
 
 std::vector<HintedWrite> HintStore::take_file(FileId file) {
-  std::vector<HintedWrite> out;
-  auto keep = hints_.begin();
-  for (auto it = hints_.begin(); it != hints_.end(); ++it) {
-    if (it->file == file) {
-      out.push_back(std::move(*it));
-    } else {
-      if (keep != it) *keep = std::move(*it);
-      ++keep;
-    }
-  }
-  hints_.erase(keep, hints_.end());
-  return out;
+  return extract([file](const HintedWrite& h) { return h.file == file; });
 }
 
 void HintStore::re_mint(HintedWrite hint) {

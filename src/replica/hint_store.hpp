@@ -97,6 +97,11 @@ class HintStore {
   [[nodiscard]] const HintStoreStats& stats() const { return stats_; }
 
  private:
+  /// Remove and return the hints `match` accepts, in queue order; the
+  /// rest keep theirs.
+  template <typename Match>
+  std::vector<HintedWrite> extract(Match match);
+
   std::vector<HintedWrite> hints_;  ///< Queue order; scanned on drain.
   HintStoreStats stats_;
 };

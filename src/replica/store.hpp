@@ -204,9 +204,9 @@ class ReplicaStore {
   [[nodiscard]] std::uint64_t local_seq() const { return local_seq_; }
 
   /// Monotone count of content mutations (every apply/invalidate/rollback
-  /// that changed what a reader would see).  The incremental checkpoint
-  /// engine's dirty test: a replica whose mutation_count is unchanged
-  /// since the last checkpoint epoch has nothing new to persist.
+  /// that changed what a reader would see).  DurableStorage's dirty
+  /// test: a replica whose mutation_count is unchanged since its
+  /// checkpoint record (same store) has nothing new to persist.
   [[nodiscard]] std::uint64_t mutation_count() const {
     return mutation_count_;
   }

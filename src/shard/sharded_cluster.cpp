@@ -8,9 +8,7 @@ namespace idea::shard {
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)),
-      ring_(config_.ring),
-      storage_(config_.checkpoint.retain),
-      engine_(replica::make_checkpoint_engine(config_.checkpoint.engine)) {
+      ring_(config_.ring) {
   // Re-sync unconditionally: a caller that set `endpoints` but forgot
   // sync_sizes() would otherwise hand the latency model a smaller node
   // count and read out of bounds on the first cross-endpoint message.
@@ -439,36 +437,41 @@ void ShardedCluster::cancel_checkpoint_timer(NodeId endpoint) {
 }
 
 void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
-  if (engine_ == nullptr || !has_endpoint(endpoint)) return;
-  // Sorted file walk so the durable record/epoch stream replays
-  // identically under a fixed seed.
-  const std::vector<FileId> placed = sorted_placed(endpoint);
-  std::vector<replica::ReplicaRef> refs;
-  refs.reserve(placed.size());
-  for (FileId file : placed) {
+  if (config_.checkpoint.engine == replica::CheckpointEngineKind::kNone ||
+      !has_endpoint(endpoint)) {
+    return;
+  }
+  std::uint64_t written = 0;
+  std::uint64_t clean = 0;
+  std::uint64_t updates = 0;
+  std::uint64_t bytes = 0;
+  for (FileId file : sorted_placed(endpoint)) {
     const FileGroup& g = files_.find(file)->second;
     const GroupRank& rank = g.ranks[g.rank_of(endpoint)];
     if (rank.node == nullptr) continue;
-    refs.push_back({file, &rank.node->store(), &g.members,
-                    rank.transport->epoch()});
+    const replica::CheckpointRecord* record = storage_.checkpoint(
+        endpoint, incarnations_[endpoint],
+        {file, rank.node->store(), g.members, rank.transport->epoch()},
+        sim_.now());
+    if (record == nullptr) {
+      ++clean;
+      continue;
+    }
+    ++written;
+    updates += record->updates.size();
+    bytes += record->bytes;
   }
-  const replica::CheckpointRunStats run = engine_->checkpoint(
-      endpoint, incarnations_[endpoint], refs, sim_.now(), storage_);
 
   if (obs_ != nullptr) {
     obs::Meter meter = obs_->endpoint_meter(endpoint);
     meter.add(obs::MetricId::intern("ckpt.runs"));
-    meter.add(obs::MetricId::intern("ckpt.files_written"),
-              run.files_written);
-    meter.add(obs::MetricId::intern("ckpt.files_clean"), run.files_clean);
-    meter.add(obs::MetricId::intern("ckpt.updates_written"),
-              run.updates_written);
-    meter.add(obs::MetricId::intern("ckpt.bytes_written"),
-              run.bytes_written);
-    const std::uint64_t offered = run.files_written + run.files_clean;
-    if (offered > 0) {
+    meter.add(obs::MetricId::intern("ckpt.files_written"), written);
+    meter.add(obs::MetricId::intern("ckpt.files_clean"), clean);
+    meter.add(obs::MetricId::intern("ckpt.updates_written"), updates);
+    meter.add(obs::MetricId::intern("ckpt.bytes_written"), bytes);
+    if (written + clean > 0) {
       meter.observe(obs::MetricId::intern("ckpt.dirty_ratio_pct"),
-                    100 * run.files_written / offered);
+                    100 * written / (written + clean));
     }
   }
 }

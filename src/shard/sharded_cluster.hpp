@@ -74,7 +74,7 @@ struct ShardedClusterConfig {
   /// RNG and sends no messages, so fixed-seed replays stay byte-identical
   /// (the determinism goldens run with it on).
   obs::ObservabilityConfig observability;
-  /// Durable checkpointing for crash recovery (engine + period + retain).
+  /// Durable checkpointing for crash recovery (engine + period).
   /// Off by default; enabling it is behavior-neutral too — checkpoint
   /// passes draw no RNG and send no messages, so existing goldens hold.
   replica::CheckpointConfig checkpoint;
@@ -284,10 +284,6 @@ class ShardedCluster {
   [[nodiscard]] replica::DurableStorage& durable_storage() {
     return storage_;
   }
-  /// The configured engine; nullptr when checkpointing is off.
-  [[nodiscard]] replica::CheckpointEngine* checkpoint_engine() {
-    return engine_.get();
-  }
 
   /// Run one checkpoint pass for `endpoint` right now (what the periodic
   /// timer fires; exposed so tests and benches control epochs exactly).
@@ -493,7 +489,6 @@ class ShardedCluster {
   std::set<NodeId> crashed_;
   std::map<NodeId, SimTime> crashed_at_;
   replica::DurableStorage storage_;
-  std::unique_ptr<replica::CheckpointEngine> engine_;
   /// Hinted-handoff queue (durable medium at the stand-ins, modeled
   /// cluster-wide like storage_).
   replica::HintStore hints_;

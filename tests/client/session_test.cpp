@@ -614,6 +614,41 @@ TEST(ClientSessionTest, ReadCacheServesRepeatReadsInsideTheBound) {
   EXPECT_EQ(reader.stats().cache_hits, 3u);
 }
 
+TEST(ClientSessionTest, ReadCacheHitsRespectTheVersionsBound) {
+  // A snapshot cached by a read at a looser level must not be served to
+  // a bounded read whose versions bound it exceeds, however young it is.
+  shard::ShardedCluster cluster(session_config(1203));
+  Client client(cluster);
+  const FileId file = 6;
+  cluster.ensure_open(file);
+  const std::vector<NodeId> group = cluster.group_of(file);
+  // Rank 2 misses every push from the coordinator.
+  cluster.transport().partition(group[0], group[2]);
+  ClientSession writer = client.session();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(writer.put(file, "w" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(1));
+
+  const ConsistencyLevel bounded =
+      ConsistencyLevel::bounded_staleness(1, sec(10));
+  ClientSession reader = client.session(
+      {.level = bounded, .origin = group[2], .cache_reads = true});
+  const OpHandle<ReadResult> eventual =
+      reader.read(file, ConsistencyLevel::eventual_nearest());
+  ASSERT_TRUE(eventual.ok());
+  ASSERT_EQ(eventual->served_by, group[2]);
+  ASSERT_EQ(eventual->staleness_versions, 3u);
+
+  // Well inside the age bound, but three versions behind: the read
+  // routes instead of hitting the cache.
+  const OpHandle<ReadResult> declared = reader.read(file);
+  ASSERT_TRUE(declared.ok());
+  EXPECT_EQ(reader.stats().cache_hits, 0u);
+  EXPECT_LE(declared->staleness_versions, bounded.max_versions);
+  EXPECT_GT(declared.latency(), 0);
+}
+
 TEST(ClientSessionTest, PerOpOverrideAndSessionStats) {
   shard::ShardedCluster cluster(session_config(808));
   Client client(cluster);
