@@ -26,13 +26,17 @@
 /// reads survive any single stale replica.  The bounded_2v_cached cell
 /// serves repeat reads from the session cache while provably inside the
 /// declared age bound, with zero router traffic.  Emits
-/// BENCH_read_policies.json for the CI perf trajectory.
+/// BENCH_read_policies.json for the CI perf trajectory.  --strict exits
+/// non-zero when a cell breaks its level's staleness guarantee: a Strong
+/// or Quorum read served any staleness, or a Bounded read served more
+/// versions than its declared bound.
 ///
 ///   $ ./read_policies [--endpoints 32] [--files 256] [--sim-secs 12]
-///                     [--seed 2007] [--smoke] [--json FILE]
+///                     [--seed 2007] [--smoke] [--json FILE] [--strict]
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -67,6 +71,7 @@ struct Cell {
 
 struct LevelResult {
   std::string name;
+  client::ConsistencyLevel level;
   std::uint64_t reads = 0;
   double mean_latency_ms = 0.0;
   double p95_latency_ms = 0.0;
@@ -147,6 +152,7 @@ LevelResult run_level(const Setup& s, const Cell& cell) {
   const std::uint32_t hot = std::min<std::uint32_t>(8, s.files);
   LevelResult result;
   result.name = cell.name;
+  result.level = level;
   result.w = cell.concern.w;
   std::vector<client::ClientSession> readers;
   readers.reserve(s.endpoints);
@@ -312,6 +318,21 @@ void write_json(const std::string& path, bool smoke, const Setup& s,
   std::printf("wrote %s\n", path.c_str());
 }
 
+/// The most staleness `level` may serve, in versions: none for Strong and
+/// Quorum, the declared bound for Bounded, unbounded for Eventual.
+std::uint64_t staleness_cap(const client::ConsistencyLevel& level) {
+  switch (level.level) {
+    case client::Level::kStrong:
+    case client::Level::kQuorum:
+      return 0;
+    case client::Level::kBoundedStaleness:
+      return level.max_versions;
+    case client::Level::kEventualNearest:
+      break;
+  }
+  return UINT64_MAX;
+}
+
 }  // namespace
 }  // namespace idea::bench
 
@@ -364,5 +385,18 @@ int main(int argc, char** argv) {
 
   write_json(flags.get_string("json", "BENCH_read_policies.json"), smoke, s,
              results);
+
+  if (!flags.get_bool("strict", false)) return 0;
+  int failed = 0;
+  for (const LevelResult& r : results) {
+    if (r.staleness_max <= staleness_cap(r.level)) continue;
+    std::fprintf(stderr,
+                 "strict: %s served %" PRIu64 " versions stale, cap %" PRIu64
+                 "\n",
+                 r.name.c_str(), r.staleness_max, staleness_cap(r.level));
+    ++failed;
+  }
+  if (failed > 0) return 1;
+  std::printf("strict: every cell within its level's staleness cap\n");
   return 0;
 }

@@ -75,7 +75,7 @@ const Update& ReplicaStore::apply_local(SimTime local_now,
                                         std::string content,
                                         double meta_delta) {
   Update u;
-  u.key = UpdateKey{node_, ++local_seq_};
+  u.key = UpdateKey{node_, local_seq() + 1};
   u.file = file_;
   u.stamp = local_now;
   u.content = std::move(content);
@@ -211,7 +211,6 @@ std::size_t ReplicaStore::rollback_to(SimTime t) {
     }
     fresh.set_triple(evv_.triple());
     evv_ = std::move(fresh);
-    local_seq_ = evv_.count_of(node_);
     rewalk_meta();
     mutated();
   }
@@ -239,9 +238,6 @@ std::uint64_t ReplicaStore::content_digest() const {
 
 void ReplicaStore::admit(const Update& u) {
   evv_.record_update(u.key.writer, u.stamp, 0.0);
-  if (u.key.writer == node_ && u.key.seq > local_seq_) {
-    local_seq_ = u.key.seq;  // rejoining after rollback of our own state
-  }
   canonical_.insert(std::upper_bound(canonical_.begin(), canonical_.end(),
                                      &u, canonical_less),
                     &u);
@@ -297,6 +293,7 @@ void ReplicaStore::mutated() {
   ++mutation_count_;
   snapshot_.reset();
   contents_snapshot_.reset();
+  if (listener_ != nullptr) listener_->on_store_mutation();
 }
 
 }  // namespace idea::replica

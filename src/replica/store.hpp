@@ -31,6 +31,11 @@
 /// A canonical-order index (pointers into the log's nodes) replaces the
 /// sort a read used to pay.  It points into the store's own map, so a
 /// store is neither copyable nor movable.
+///
+/// One MutationListener may watch the store: it hears every content
+/// mutation, whichever layer caused it (a local write, a replication
+/// push, a repair or migration batch, import_log, resolution's
+/// invalidate or rollback).
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -43,6 +48,18 @@
 #include "vv/extended_vv.hpp"
 
 namespace idea::replica {
+
+/// Observer of a store's content mutations (see
+/// ReplicaStore::set_mutation_listener).  Listeners are borrowed, not
+/// owned.
+class MutationListener {
+ public:
+  /// Called after each mutation_count() bump.
+  virtual void on_store_mutation() = 0;
+
+ protected:
+  ~MutationListener() = default;
+};
 
 class ReplicaStore {
  public:
@@ -201,14 +218,24 @@ class ReplicaStore {
   [[nodiscard]] double meta_value() const { return evv_.meta(); }
 
   [[nodiscard]] std::size_t update_count() const { return log_.size(); }
-  [[nodiscard]] std::uint64_t local_seq() const { return local_seq_; }
+  /// This node's newest writer seq: by seq contiguity, its EVV count.
+  [[nodiscard]] std::uint64_t local_seq() const {
+    return evv_.count_of(node_);
+  }
 
   /// Monotone count of content mutations (every apply/invalidate/rollback
   /// that changed what a reader would see).  DurableStorage's dirty
   /// test: a replica whose mutation_count is unchanged since its
-  /// checkpoint record (same store) has nothing new to persist.
+  /// checkpoint record (same store) has nothing new to persist.  The
+  /// anti-entropy agent keys its matched peers on it the same way.
   [[nodiscard]] std::uint64_t mutation_count() const {
     return mutation_count_;
+  }
+
+  /// Install the store's one mutation listener (nullptr removes it).  The
+  /// listener must stay alive until it is removed or the store is gone.
+  void set_mutation_listener(MutationListener* listener) {
+    listener_ = listener;
   }
 
  private:
@@ -222,14 +249,14 @@ class ReplicaStore {
   /// The full (writer, seq) walk: rebuild the fold and invalidated_ from
   /// the log and publish the meta value.
   void rewalk_meta();
-  /// Every content mutation ends here: bump mutation_count and drop the
-  /// shared message and read-view snapshots.
+  /// Every content mutation ends here: bump mutation_count, drop the
+  /// shared message and read-view snapshots and tell the listener.
   void mutated();
 
   NodeId node_;
   FileId file_;
-  std::uint64_t local_seq_ = 0;
   std::uint64_t mutation_count_ = 0;
+  MutationListener* listener_ = nullptr;
   std::map<UpdateKey, Update> log_;
   std::map<UpdateKey, Update> pending_;  ///< Reorder buffer.
   std::vector<UpdateKey> invalidated_;   ///< In (writer, seq) order.

@@ -1,5 +1,6 @@
 #include "shard/replica_sync.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -253,26 +254,62 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
 void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
   stop_anti_entropy();
   if (period <= 0 || group_size_ < 2) return;
-  anti_entropy_timer_ =
+  ae_ = std::make_unique<AntiEntropy>();
+  ae_->period = period;
+  ae_->origin = transport_.now();
+  ae_->matched.assign(group_size_, kUnmatched);
+  ae_->timer =
       transport_.call_every(period, [this] { anti_entropy_round(); });
+  node_.store().set_mutation_listener(this);
 }
 
 void ReplicaSyncAgent::stop_anti_entropy() {
-  if (anti_entropy_timer_ != 0) {
-    transport_.cancel_call(anti_entropy_timer_);
-    anti_entropy_timer_ = 0;
-  }
+  if (ae_ == nullptr) return;
+  node_.store().set_mutation_listener(nullptr);
+  if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
+  ae_.reset();
 }
 
 void ReplicaSyncAgent::anti_entropy_round() {
-  if (group_size_ < 2) return;
-  ++stats_.ae_rounds;
-  ++rounds_since_heal_;
-  meter_.add(agent_metrics().ae_rounds);
-  // Deterministic rotation: consecutive rounds visit every other rank
+  // Deterministic rotation: consecutive rounds visit every unmatched rank
   // before repeating, so a pairwise exchange happens within k-1 periods.
-  const std::uint32_t offset = 1 + (ae_rotation_++ % (group_size_ - 1));
-  send_digest(static_cast<NodeId>((node_.id() + offset) % group_size_));
+  const std::uint64_t count = node_.store().mutation_count();
+  for (std::uint32_t tried = 1; tried < group_size_; ++tried) {
+    const std::uint32_t offset = 1 + (ae_->rotation++ % (group_size_ - 1));
+    const auto peer = static_cast<NodeId>((node_.id() + offset) % group_size_);
+    if (ae_->matched[peer] == count) continue;
+    ++stats_.ae_rounds;
+    ++rounds_since_heal_;
+    meter_.add(agent_metrics().ae_rounds);
+    send_digest(peer);
+    return;
+  }
+}
+
+void ReplicaSyncAgent::on_store_mutation() {
+  if (ae_->timer != 0) return;
+  // Rejoin the grid anti-entropy started on: replicas built together keep
+  // their rounds in the same instant, so batching still merges their
+  // digests.
+  const SimDuration into = (transport_.now() - ae_->origin) % ae_->period;
+  ae_->timer = transport_.call_after(ae_->period - into, [this] {
+    ae_->timer =
+        transport_.call_every(ae_->period, [this] { anti_entropy_round(); });
+    anti_entropy_round();
+  });
+}
+
+void ReplicaSyncAgent::note_identical(NodeId peer) {
+  if (ae_ == nullptr) return;
+  const std::uint64_t count = node_.store().mutation_count();
+  ae_->matched[peer] = count;
+  for (NodeId rank = 0; rank < group_size_; ++rank) {
+    if (rank != node_.id() && ae_->matched[rank] != count) return;
+  }
+  if (ae_->timer != 0) {
+    transport_.cancel_call(ae_->timer);
+    ae_->timer = 0;
+  }
 }
 
 void ReplicaSyncAgent::anti_entropy_with(NodeId peer_rank) {
@@ -478,10 +515,22 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       }
     }
     if (body.respond) {
+      // The reply to a digest this agent sent.  Push back what the peer
+      // lacks, updates or flags (the push-back carries this replica's
+      // invalidated set).  With nothing to push back and nothing
+      // received the pair is identical, unless a resolution rolled this
+      // replica back after its digest left: hence the dominance check.
+      const replica::ReplicaStore& store = node_.store();
       std::vector<replica::Update> back =
-          node_.store().updates_ahead_of(*body.sender_evv);
-      if (!back.empty()) {
+          store.updates_ahead_of(*body.sender_evv);
+      const std::vector<replica::UpdateKey>& flags = store.invalidated_keys();
+      if (!back.empty() ||
+          !std::includes(body.invalidated.begin(), body.invalidated.end(),
+                         flags.begin(), flags.end())) {
         send_repair(msg.from, std::move(back), /*respond=*/false, inbound);
+      } else if (body.updates.empty() &&
+                 store.evv().dominates(*body.sender_evv)) {
+        note_identical(msg.from);
       }
     }
     return;

@@ -1,8 +1,9 @@
 #pragma once
 /// \file replica_sync.hpp
 /// \brief Pushes application writes to the rest of a file's replica group,
-///        heals cold replicas with periodic anti-entropy, and streams whole
-///        replica states during membership migration.
+///        heals cold replicas with anti-entropy rounds while a replica may
+///        differ from a peer, and streams whole replica states during
+///        membership migration.
 ///
 /// IDEA's own machinery ships update contents only inside resolution
 /// rounds among top-layer writers; a replica group needs every durable
@@ -16,14 +17,22 @@
 ///    group stays in the file's top layer.
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
-///    network would leave a replica cold forever, so each agent may run a
-///    periodic push-pull round: it sends its EVV digest (the shared
-///    ReplicaStore::evv_snapshot() allocation — no copy) to one rotating
-///    peer; the peer replies with the updates the digest shows missing
+///    network would leave a replica cold forever, so each agent may run
+///    push-pull rounds: it sends its EVV digest (the shared
+///    ReplicaStore::evv_snapshot() allocation — no copy) to one peer; the
+///    peer replies with the updates the digest shows missing
 ///    (ReplicaStore::updates_ahead_of) plus its own EVV snapshot, and the
-///    initiator pushes back whatever the peer lacks in turn.  Any single
-///    surviving copy of an update therefore spreads to the whole group in
-///    O(group size) rounds, whatever the loss pattern was.
+///    initiator pushes back whatever the peer lacks in turn.  Rounds run
+///    only while this replica may differ from some peer: an exchange the
+///    agent started that found the pair identical marks that peer as
+///    matched at the store's mutation_count(), rounds rotate over the
+///    peers not matched at the current count, and the round timer stops
+///    once every peer is matched.  Any store mutation re-arms it on the
+///    round grid anti-entropy started on.  A replica holding an update a
+///    peer lacks has mutated since it last matched that peer, so it keeps
+///    digesting until the peer has it: any single surviving copy of an
+///    update still spreads to the whole group in O(group size) rounds,
+///    whatever the loss pattern was, and a quiet group sends nothing.
 ///
 ///  * State streaming ("shard.migrate"): when membership changes move a
 ///    file to a new replica group, the new coordinator adopts the merged
@@ -130,12 +139,14 @@ struct PutConcern {
 /// counts straight off it.  Only the counts are modeled on the wire (12
 /// bytes per writer), the same as a plain version vector.
 ///
-/// `invalidated` carries the replier's full invalidated-key set: version
+/// `invalidated` carries the sender's full invalidated-key set: version
 /// counts cannot express invalidation (the update stays in the log), so a
 /// replica that missed a resolution's invalidate message would otherwise
 /// diverge forever — no digest would ever re-send an update its counts
-/// already cover.  Receivers OR the flags in; the set is tiny in practice
-/// (only conflict-resolved updates carry it).
+/// already cover.  Receivers OR the flags in, and an initiator whose
+/// flags the replier lacks answers with the push-back even when it has no
+/// update to send.  The set is tiny in practice (only conflict-resolved
+/// updates carry it).
 struct RepairPayload {
   std::vector<replica::Update> updates;
   std::vector<replica::UpdateKey> invalidated;
@@ -143,7 +154,8 @@ struct RepairPayload {
   bool respond = false;
 };
 
-class ReplicaSyncAgent final : public net::MessageHandler {
+class ReplicaSyncAgent final : public net::MessageHandler,
+                               private replica::MutationListener {
  public:
   /// `node` and `transport` are borrowed; `transport` is the file's
   /// rank-space group transport and `group_size` its member count.
@@ -174,21 +186,26 @@ class ReplicaSyncAgent final : public net::MessageHandler {
            const obs::TraceContext& tc = {},
            const replica::Update** applied_out = nullptr);
 
-  /// Arm the periodic anti-entropy exchange (idempotent re-arm; 0 stops).
-  /// Rounds rotate deterministically over the other ranks, so every pair
-  /// digests each other within group_size - 1 periods.
+  /// Start anti-entropy with rounds on the grid now + n·period (a
+  /// restart forgets every match; 0 stops).  Rounds run only while this
+  /// replica may differ from some peer: each round digests the next peer
+  /// in a deterministic rotation that skips peers matched at the store's
+  /// current mutation_count(), so every unmatched pair exchanges within
+  /// group_size - 1 periods.  The timer stops once every peer is matched
+  /// and the next store mutation re-arms it on the same grid.  Every peer
+  /// starts unmatched, so a new group exchanges once per pair (which is
+  /// also how the router first learns each rank's freshness hint).
   void start_anti_entropy(SimDuration period);
+  /// Stop anti-entropy for good: no rounds, and store mutations no
+  /// longer re-arm it.
   void stop_anti_entropy();
-
-  /// Run one anti-entropy round right now (what the timer fires; exposed
-  /// so tests and benches can count rounds-to-convergence exactly).
-  void anti_entropy_round();
 
   /// One targeted digest exchange with `peer_rank`, outside the periodic
   /// rotation (it does not advance the round-robin cursor).  Used by the
   /// give-up path and by the cluster to heal a specific returning member
   /// (hinted-handoff drain) without waiting for the rotation to come
-  /// around.  No-op on self/out-of-range ranks.
+  /// around.  Like a round, it can match the peer.  No-op on
+  /// self/out-of-range ranks.
   void anti_entropy_with(NodeId peer_rank);
 
   /// Observer for peer version counts learned from the digest/repair
@@ -220,8 +237,11 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   void on_message(const net::Message& msg) override;
 
   [[nodiscard]] const ReplicaSyncStats& stats() const { return stats_; }
+  /// True while the round timer is armed: anti-entropy is started and
+  /// this replica may still differ from some peer.  False when stopped,
+  /// and when started but every peer is matched.
   [[nodiscard]] bool anti_entropy_running() const {
-    return anti_entropy_timer_ != 0;
+    return ae_ != nullptr && ae_->timer != 0;
   }
 
   static const net::MsgType kReplicateType;  ///< Interned "shard.replicate".
@@ -262,6 +282,15 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   /// Build and send one digest message to `peer` (the shared anti-entropy
   /// body of the periodic round and the targeted exchange).
   void send_digest(NodeId peer);
+  /// What the round timer fires: digest the next unmatched peer.
+  void anti_entropy_round();
+  /// A store mutation un-matches every peer: re-arm a stopped round timer
+  /// on the grid.
+  void on_store_mutation() override;
+  /// An exchange this agent started found the pair identical: match
+  /// `peer` at the current mutation_count(), and stop the rounds once
+  /// every peer is matched.
+  void note_identical(NodeId peer);
 
   /// The ack timeout tracked puts run under: the configured resend
   /// timeout, or a fixed default when a write concern needs tracking
@@ -282,8 +311,24 @@ class ReplicaSyncAgent final : public net::MessageHandler {
   ReplicaSyncOptions options_;
   ReplicaSyncStats stats_;
   std::map<replica::UpdateKey, PendingReplication> pending_acks_;
-  std::uint64_t anti_entropy_timer_ = 0;
-  std::uint32_t ae_rotation_ = 0;  ///< Round-robin peer cursor.
+
+  /// Anti-entropy state, allocated by start_anti_entropy: an agent with
+  /// anti-entropy off carries only the null pointer and listens to
+  /// nothing.
+  struct AntiEntropy {
+    SimDuration period = 0;
+    SimTime origin = 0;          ///< Rounds fire at origin + n·period.
+    std::uint64_t timer = 0;     ///< Armed round timer, 0 when stopped.
+    std::uint32_t rotation = 0;  ///< Round-robin peer cursor.
+    /// Per peer rank: the store's mutation_count() at the last exchange
+    /// this agent started that found the pair identical (kUnmatched
+    /// before the first).  A peer is matched while this equals the
+    /// current count.
+    std::vector<std::uint64_t> matched;
+  };
+  static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};
+  std::unique_ptr<AntiEntropy> ae_;
+
   FreshnessListener on_freshness_;
   obs::Observability* obs_ = nullptr;
   NodeId endpoint_ = kNoNode;  ///< Global endpoint id of this rank.

@@ -65,9 +65,10 @@ struct ShardedClusterConfig {
   bool batching = true;  ///< Coalesce same-pair sends per tick.
   net::BatchingOptions batch;
   std::uint64_t seed = 2007;
-  /// Period of each replica's anti-entropy digest exchange; 0 disables it
-  /// (the default keeps fixed-seed replays of push-only deployments
-  /// byte-identical with earlier captures).
+  /// Period of each replica's anti-entropy rounds, which run only while
+  /// the replica may differ from a peer; 0 disables them (the default
+  /// keeps fixed-seed replays of push-only deployments byte-identical
+  /// with earlier captures).
   SimDuration anti_entropy_period = 0;
   /// Cluster-wide observability (metrics registries + causal tracing).
   /// Off by default; enabling it is behavior-neutral — recording draws no

@@ -7,15 +7,22 @@
 /// fault leaves replicas permanently diverged — the push-only protocol
 /// never retransmits — so the convergence observed in the main runs is
 /// attributable to the digest/repair exchange, not to luck.
+///
+/// Rounds run only while a replica may differ from a peer, so the tests
+/// also pin that a quiet group sends no digest, and that generated fault
+/// schedules still converge when only the changed side starts rounds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/session.hpp"
 #include "shard/sharded_cluster.hpp"
+#include "util/rng.hpp"
 
 namespace idea::shard {
 namespace {
@@ -173,39 +180,85 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   constexpr FileId kFile = 5;
   ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
   cluster.ensure_open(kFile);
+  // A new group starts unmatched: every rank has rounds to run.
   for (std::uint32_t rank = 0; rank < 3; ++rank) {
     EXPECT_TRUE(cluster.sync_agent(kFile, rank)->anti_entropy_running());
   }
+
+  struct Totals {
+    std::uint64_t rounds = 0;
+    std::uint64_t digests = 0;
+    std::uint64_t repairs = 0;
+  };
+  auto totals = [&] {
+    Totals t;
+    for (std::uint32_t rank = 0; rank < 3; ++rank) {
+      const ReplicaSyncStats& s = cluster.sync_agent(kFile, rank)->stats();
+      t.rounds += s.ae_rounds;
+      t.digests += s.digests_received;
+      t.repairs += s.repairs_sent;
+    }
+    return t;
+  };
+  auto all_matched = [&] {
+    for (std::uint32_t rank = 0; rank < 3; ++rank) {
+      if (cluster.sync_agent(kFile, rank)->anti_entropy_running()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto digests_on_wire = [&] {
+    return cluster.batching()->counters().messages_of("shard.digest");
+  };
 
   client::ClientSession session(cluster, {});
   ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
   cluster.run_for(sec(3));
 
-  std::uint64_t rounds = 0;
-  std::uint64_t digests = 0;
-  std::uint64_t repairs = 0;
-  for (std::uint32_t rank = 0; rank < 3; ++rank) {
-    const ReplicaSyncStats& s = cluster.sync_agent(kFile, rank)->stats();
-    rounds += s.ae_rounds;
-    digests += s.digests_received;
-    repairs += s.repairs_sent;
-  }
-  // ~6 periods elapsed; every rank initiates one round per period and
-  // every received digest is answered by exactly one repair (possibly
-  // empty).  Digests from the final tick may still be in flight when the
-  // clock stops, so allow one outstanding round per agent.
-  EXPECT_GT(rounds, 6u);
-  EXPECT_LE(digests, rounds);
-  EXPECT_GE(digests + 3, rounds);
-  EXPECT_EQ(repairs, digests);
+  // The pushes delivered the put, so each ordered pair exchanged once and
+  // found the pair identical: k(k-1) = 6 rounds, each digest answered by
+  // exactly one repair and none needing a push-back.  Then every pair is
+  // matched and every round timer is stopped.
+  Totals t = totals();
+  EXPECT_EQ(t.rounds, 6u);
+  EXPECT_EQ(t.digests, t.rounds);
+  EXPECT_EQ(t.repairs, t.digests);
+  EXPECT_TRUE(all_matched());
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+  EXPECT_EQ(cluster.batching()->counters().messages_of("shard.repair"),
+            t.repairs);
+
+  // A quiet group sends nothing.
+  const std::uint64_t quiet_digests = digests_on_wire();
+  EXPECT_EQ(quiet_digests, t.digests);
+  cluster.run_for(sec(5));
+  EXPECT_EQ(digests_on_wire(), quiet_digests);
+  EXPECT_EQ(totals().rounds, t.rounds);
+
+  // A second put changes every replica, so every rank runs rounds again
+  // until it matches both peers once more.
+  ASSERT_TRUE(session.put(kFile, "again", 1.0).ok());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+  cluster.run_for(sec(3));
+  const Totals again = totals();
+  EXPECT_EQ(again.rounds, 2 * t.rounds);
+  EXPECT_EQ(again.repairs, again.digests);
+  EXPECT_GT(digests_on_wire(), quiet_digests);
+  EXPECT_TRUE(all_matched());
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 
-  // The wire saw the new message types.
-  EXPECT_GT(cluster.batching()->counters().messages_of("shard.digest"), 0u);
-  EXPECT_GT(cluster.batching()->counters().messages_of("shard.repair"), 0u);
-
-  cluster.sync_agent(kFile, 0)->stop_anti_entropy();
-  EXPECT_FALSE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+  // Stopped means stopped: a later write does not re-arm rank 0's rounds,
+  // while the ranks its push reached still run theirs.
+  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  coord->stop_anti_entropy();
+  const std::uint64_t coord_rounds = coord->stats().ae_rounds;
+  ASSERT_TRUE(session.put(kFile, "after stop", 1.0).ok());
+  EXPECT_FALSE(coord->anti_entropy_running());
+  cluster.run_for(sec(3));
+  EXPECT_EQ(coord->stats().ae_rounds, coord_rounds);
+  EXPECT_GT(totals().rounds, again.rounds);
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
 }
 
 TEST(AntiEntropyTest, InvalidationFlagsPropagateThroughRepair) {
@@ -243,6 +296,178 @@ TEST(AntiEntropyTest, InvalidationFlagsPropagateThroughRepair) {
     healed += cluster.sync_agent(kFile, rank)->stats().invalidations_healed;
   }
   EXPECT_EQ(healed, 2u);  // one per replica that missed the flag
+}
+
+TEST(AntiEntropyTest, InvalidationFlagReachesRepliersThatStartNoRounds) {
+  // The flag travels in the initiator's push-back, which must go out even
+  // when the initiator has no update the replier lacks: here only rank 0
+  // starts rounds, so the push-back is the flag's one way to ranks 1 and
+  // 2.
+  constexpr FileId kFile = 11;
+  ShardedCluster cluster(ae_config(808, /*anti_entropy=*/true));
+  cluster.ensure_open(kFile);
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session.put(kFile, "v" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(replicas_identical(cluster, kFile));
+
+  cluster.sync_agent(kFile, 1)->stop_anti_entropy();
+  cluster.sync_agent(kFile, 2)->stop_anti_entropy();
+  core::IdeaNode* coord = cluster.replica_at_rank(kFile, 0);
+  ASSERT_TRUE(coord->store().invalidate(replica::UpdateKey{0, 2}));
+  ASSERT_FALSE(cluster.converged(kFile));
+
+  cluster.run_for(sec(10));
+  EXPECT_TRUE(cluster.converged(kFile));
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    const replica::Update* u =
+        cluster.replica_at_rank(kFile, rank)->store().find(
+            replica::UpdateKey{0, 2});
+    ASSERT_NE(u, nullptr);
+    EXPECT_TRUE(u->invalidated) << "rank " << rank;
+  }
+  // Once both peers hold the flag, rank 0 matches them and stops.
+  EXPECT_FALSE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+}
+
+TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
+  // Rank 1 misses a put while cut off from both peers and stays cut off
+  // from rank 2, so only rank 0's rounds can heal it.  Rank 0's push-back
+  // to rank 1 is then lost in flight: an exchange that needed a push-back
+  // must not match the pair, so rank 0's next round retries.
+  constexpr FileId kFile = 4;
+  ShardedClusterConfig cfg = ae_config(31, /*anti_entropy=*/true);
+  cfg.batching = false;  // every send reaches the wire at once
+  ShardedCluster cluster(cfg);
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  ASSERT_EQ(m.size(), 3u);
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "seen by all", 1.0).ok());
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(replicas_identical(cluster, kFile));
+
+  net::SimTransport& wire = cluster.transport();
+  wire.partition(m[1], m[0]);
+  wire.partition(m[1], m[2]);
+  ASSERT_TRUE(session.put(kFile, "missed by rank 1", 1.0).ok());
+  cluster.run_for(sec(2));
+  wire.heal(m[1], m[0]);
+
+  // Step to the instant rank 1 answers rank 0's digest, then cut the pair
+  // again: the answer is already on the wire, rank 0's push-back is not.
+  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  const ReplicaSyncStats& cold = cluster.sync_agent(kFile, 1)->stats();
+  const SimTime deadline = cluster.sim().now() + sec(5);
+  const auto step_until = [&](const std::uint64_t& counter) {
+    const std::uint64_t before = counter;
+    while (counter == before && cluster.sim().now() < deadline) {
+      cluster.sim().step();
+    }
+    return counter != before;
+  };
+  ASSERT_TRUE(step_until(cold.repairs_sent));
+  wire.partition(m[1], m[0]);
+  ASSERT_TRUE(step_until(coord->stats().repairs_sent));
+  wire.heal(m[1], m[0]);
+  ASSERT_FALSE(replicas_identical(cluster, kFile));
+  EXPECT_TRUE(coord->anti_entropy_running());
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 2u);
+}
+
+/// One generated fault schedule over a 6-endpoint, k = 3, 12-file
+/// deployment: random puts, random full-loss windows and one pairwise
+/// partition, every put and every fault before the last heal.
+struct FaultSchedule {
+  struct Put {
+    SimTime at = 0;
+    FileId file = 0;
+  };
+  std::vector<Put> puts;
+  std::vector<std::pair<SimTime, SimTime>> drop_windows;
+  NodeId cut_a = 0;
+  NodeId cut_b = 0;
+  SimTime cut_at = 0;
+  SimTime heal_at = 0;
+  SimTime last_heal = 0;
+};
+
+constexpr FileId kScheduleFiles = 12;
+
+FaultSchedule generate_schedule(std::uint64_t seed) {
+  Rng rng(seed);
+  FaultSchedule s;
+  const auto ms = [](double m) { return static_cast<SimTime>(m * 1000.0); };
+  const auto windows = rng.uniform_int(1, 3);
+  for (std::int64_t i = 0; i < windows; ++i) {
+    const SimTime from = ms(rng.uniform(0.0, 5000.0));
+    s.drop_windows.emplace_back(from, from + ms(rng.uniform(100.0, 1500.0)));
+    s.last_heal = std::max(s.last_heal, s.drop_windows.back().second);
+  }
+  s.cut_a = static_cast<NodeId>(rng.next_below(6));
+  s.cut_b = static_cast<NodeId>((s.cut_a + 1 + rng.next_below(5)) % 6);
+  s.cut_at = ms(rng.uniform(0.0, 4000.0));
+  s.heal_at = s.cut_at + ms(rng.uniform(500.0, 2500.0));
+  s.last_heal = std::max(s.last_heal, s.heal_at);
+  const double span_ms = 1e-3 * static_cast<double>(s.last_heal);
+  const auto puts = rng.uniform_int(20, 60);
+  for (std::int64_t i = 0; i < puts; ++i) {
+    const SimTime at = ms(rng.uniform(0.0, span_ms));
+    s.puts.push_back(
+        {at, 1 + static_cast<FileId>(rng.next_below(kScheduleFiles))});
+  }
+  return s;
+}
+
+/// Replay `s` until its last heal, then run up to `max_periods` more
+/// anti-entropy periods; returns how many it took until every file's
+/// replicas were identical, or -1.
+int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
+                    bool anti_entropy, int max_periods) {
+  ShardedCluster cluster(ae_config(seed, anti_entropy));
+  cluster.place(1, kScheduleFiles);
+  auto session = std::make_shared<client::ClientSession>(
+      cluster, client::SessionOptions{});
+  for (std::size_t i = 0; i < s.puts.size(); ++i) {
+    const FaultSchedule::Put put = s.puts[i];
+    cluster.sim().schedule_at(put.at, [session, put, i] {
+      session->put(put.file, "g" + std::to_string(i), 1.0);
+    });
+  }
+  for (const auto& [from, until] : s.drop_windows) {
+    cluster.transport().add_drop_window(from, until);
+  }
+  net::SimTransport& wire = cluster.transport();
+  cluster.sim().schedule_at(s.cut_at,
+                            [&wire, &s] { wire.partition(s.cut_a, s.cut_b); });
+  cluster.sim().schedule_at(s.heal_at,
+                            [&wire, &s] { wire.heal(s.cut_a, s.cut_b); });
+  cluster.run_until(s.last_heal);
+  return periods_to_convergence(cluster, 1, kScheduleFiles, max_periods);
+}
+
+TEST(AntiEntropyTest, GeneratedFaultSchedulesConvergeAfterTheLastHeal) {
+  // Only a replica that changed starts rounds, so a replica that merely
+  // missed an update waits for a holder to digest it.  Every holder has
+  // changed since it last matched the peer that lacks the update, so it
+  // reaches that peer within k - 1 rounds of its rotation; the bound
+  // allows that twice plus two periods of message latency.
+  constexpr int kGroup = 3;
+  constexpr int kBound = 2 * (kGroup - 1) + 2;
+  int control_diverged = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const FaultSchedule s = generate_schedule(0xFA17 + seed);
+    const int periods = replay_schedule(s, seed, true, kBound);
+    EXPECT_NE(periods, -1) << "seed " << seed << ": not converged "
+                           << kBound << " periods after the last heal";
+    if (replay_schedule(s, seed, false, kBound) == -1) ++control_diverged;
+  }
+  // The schedules must actually lose pushes: without anti-entropy some
+  // file stays diverged.
+  EXPECT_GE(control_diverged, 1);
 }
 
 TEST(AntiEntropyTest, DisabledByDefaultKeepsPushOnlyBehavior) {

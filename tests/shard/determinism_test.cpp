@@ -190,14 +190,14 @@ TEST(ShardedClusterDeterminism, ChurnSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 9823u);
-  EXPECT_EQ(r.wire_messages, 2231u);
+  EXPECT_EQ(r.logical_messages, 6226u);
+  EXPECT_EQ(r.wire_messages, 1888u);
   const Golden expected{
       {"detect.probe", 1054},   {"detect.reply", 976},
       {"gossip.push", 1080},    {"ransub.collect", 274},
       {"ransub.distribute", 274}, {"ransub.epoch", 274},
-      {"shard.digest", 2751},   {"shard.migrate", 76},
-      {"shard.repair", 2688},   {"shard.replicate", 376},
+      {"shard.digest", 927},    {"shard.migrate", 76},
+      {"shard.repair", 915},    {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
 }
@@ -283,15 +283,15 @@ TEST(ShardedClusterDeterminism, CrashSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);  // crash+restart heals every file
   EXPECT_EQ(r.digest, 4624972137363858675ull);
-  EXPECT_EQ(r.logical_messages, 9455u);
-  EXPECT_EQ(r.wire_messages, 1902u);
+  EXPECT_EQ(r.logical_messages, 5899u);
+  EXPECT_EQ(r.wire_messages, 1534u);
   // No shard.migrate: restart recovery streams deltas over digest/repair,
   // never the membership-migration path.
   const Golden expected{
       {"detect.probe", 980},      {"detect.reply", 878},
       {"gossip.push", 1080},      {"ransub.collect", 286},
       {"ransub.distribute", 286}, {"ransub.epoch", 286},
-      {"shard.digest", 2695},     {"shard.repair", 2588},
+      {"shard.digest", 870},      {"shard.repair", 857},
       {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
@@ -424,7 +424,7 @@ TEST(ShardedClusterDeterminism, AdaptiveSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.writes, 353u);
   EXPECT_EQ(r.content_digest, 6857582279335632097ull);
   EXPECT_EQ(r.ctl.decisions, 29u);
-  EXPECT_EQ(r.decision_digest, 4072593623399845738ull);
+  EXPECT_EQ(r.decision_digest, 11674086907367605672ull);
 }
 
 TEST(ShardedClusterDeterminism, ReplayIsInternallyReproducible) {
