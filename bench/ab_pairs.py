@@ -2,17 +2,23 @@
 """A/B two idea_bench binaries in alternating single-episode pairs.
 
   python3 bench/ab_pairs.py PARENT_BIN CHANGE_BIN [--workload rw_loss]
-      [--pairs 10] [--seed 100] [--scale 0.25] [--threads N] [--json FILE]
+      [--pairs 10] [--seed 100] [--scale 0.25] [--threads N]
+      [--metric sim_s_per_ref_s|setup_s|peak_rss_mb] [--json FILE]
 
 Pair i runs one episode of each binary at load seed --seed + i; the order
 alternates from pair to pair (parent first in even pairs), so a drift of
 the host's speed does not favour one side.  Per side it prints the median
 and quartiles of each episode's sim_s_per_ref_s (sim seconds per
 reference second, the per-episode value perfbench/run.py takes the median
-of), setup_s (reference seconds) and peak_rss_mb; then how many pairs the
-change won on sim_s_per_ref_s, how many pairs had identical fingerprints,
-and perfbench/README.md's gain verdict: a gain only when the change wins
-at least nine pairs in ten and its median beats the parent's by more than
+of), setup_s (reference seconds) and peak_rss_mb, and the medians of the
+raw readings behind the first two: wall_s and setup (construct_s +
+place_s) in wall seconds, and the speed probe's ref_per_wall.  A change
+that speeds the probe moves the reference-second metrics without moving
+the raw ones.  Then it prints how many pairs the change won on --metric
+(default sim_s_per_ref_s; "won" in the direction BENCHMARK.json gives the
+metric), how many pairs had identical fingerprints, and
+perfbench/README.md's gain verdict: a gain only when the change wins at
+least nine pairs in ten and its median beats the parent's by more than
 the parent's interquartile range.
 
 Exits 1 if any episode reports a failed operation or an unconverged file,
@@ -24,10 +30,16 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 from statistics import median, quantiles
 
 EPISODE_TIMEOUT_S = 300
 METRICS = ("sim_s_per_ref_s", "setup_s", "peak_rss_mb")
+RAW = ("wall_s", "raw_setup_s", "ref_per_wall")
+SPEC = json.loads((Path(__file__).resolve().parent.parent /
+                   "BENCHMARK.json").read_text())
+HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher"
+                    for m in SPEC["end_to_end"]}
 
 
 def episode(binary, workload, seed, scale, threads):
@@ -37,6 +49,7 @@ def episode(binary, workload, seed, scale, threads):
                          timeout=EPISODE_TIMEOUT_S)
     e = json.loads(out.stdout.strip().splitlines()[-1])
     e["sim_s_per_ref_s"] = e["sim_s"] / (e["wall_s"] * e["ref_per_wall"])
+    e["raw_setup_s"] = e["construct_s"] + e["place_s"]
     e["setup_s"] = e["setup_s"] * e["ref_per_wall"]
     return e
 
@@ -60,8 +73,12 @@ def main():
     ap.add_argument("--threads", type=int, default=0,
                     help="worker threads (default: 2 for fleet_1000, "
                          "capped by the host's cores, else 1)")
+    ap.add_argument("--metric", choices=METRICS, default=METRICS[0],
+                    help="the metric the wins and the gain verdict judge")
     ap.add_argument("--json", help="also write every episode here")
     args = ap.parse_args()
+    metric = args.metric
+    higher = HIGHER_IS_BETTER[metric]
     threads = args.threads or (min(2, os.cpu_count() or 1)
                                if args.workload == "fleet_1000" else 1)
 
@@ -85,8 +102,8 @@ def main():
                 problems.append(f"{side} seed {seed}: {e['converged']} of "
                                 f"{e['files']} files converged")
         p, c = sides["parent"][-1], sides["change"][-1]
-        print(f"pair {i + 1:2d} seed {seed}: parent "
-              f"{p['sim_s_per_ref_s']:8.2f}  change {c['sim_s_per_ref_s']:8.2f}"
+        print(f"pair {i + 1:2d} seed {seed}: {metric} parent "
+              f"{p[metric]:8.4g}  change {c[metric]:8.4g}"
               f"  {'same' if p['fingerprint'] == c['fingerprint'] else 'DIFFERENT'}"
               " fingerprint", flush=True)
 
@@ -98,19 +115,25 @@ def main():
         print(f"  {side:6s} " + "  ".join(
             f"{m} {q2:.4g} [{q1:.4g}, {q3:.4g}]"
             for m, (q1, q2, q3) in stats[side].items()))
+        print("         raw: " + "  ".join(
+            f"{m} {median(e[m] for e in episodes):.4g}" for m in RAW))
     pairs = list(zip(sides["parent"], sides["change"]))
-    wins = sum(c["sim_s_per_ref_s"] > p["sim_s_per_ref_s"] for p, c in pairs)
+    sign = 1 if higher else -1
+    wins = sum(sign * (c[metric] - p[metric]) > 0 for p, c in pairs)
     same = sum(c["fingerprint"] == p["fingerprint"] for p, c in pairs)
-    p_q1, p_med, p_q3 = stats["parent"]["sim_s_per_ref_s"]
-    c_med = stats["change"]["sim_s_per_ref_s"][1]
-    gap, iqr = c_med - p_med, p_q3 - p_q1
+    p_q1, p_med, p_q3 = stats["parent"][metric]
+    c_med = stats["change"][metric][1]
+    gap, iqr = sign * (c_med - p_med), p_q3 - p_q1
     gain = wins >= 0.9 * len(pairs) and gap > iqr
-    print(f"  change won {wins}/{len(pairs)} pairs; "
+    print(f"  {metric} ({'higher' if higher else 'lower'} is better): "
+          f"change won {wins}/{len(pairs)} pairs; "
           f"{same}/{len(pairs)} pairs had identical fingerprints")
-    print(f"  median gap {gap:+.4g} ({100 * gap / p_med:+.1f} %), "
+    print(f"  median {p_med:.4g} -> {c_med:.4g} "
+          f"({100 * (c_med - p_med) / p_med:+.1f} %), improvement {gap:+.4g}, "
           f"parent IQR {iqr:.4g}: "
           f"{'GAIN' if gain else 'no gain shown'} "
-          "(needs >= 9/10 wins and a median gap above the parent's IQR)")
+          "(needs >= 9/10 wins and a median improvement above the "
+          "parent's IQR)")
     if args.json:
         with open(args.json, "w") as f:
             json.dump(sides, f, indent=1)

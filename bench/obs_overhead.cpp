@@ -10,6 +10,11 @@
 /// full instrumentation within a few percent of wall-clock of the
 /// uninstrumented run.
 ///
+/// The mode that runs first rotates from rep to rep (rep r starts with
+/// mode r mod 3), so no mode always pays for a cold heap or always runs
+/// after the heaviest one.  Each mode reports its median, min and max
+/// wall time; the JSON records hardware_cores and build_type beside them.
+///
 ///   $ ./obs_overhead [--smoke] [--json BENCH_obs_overhead.json]
 ///                    [--endpoints 32] [--files 2000] [--sim-secs 10]
 ///                    [--reps 3] [--trace-out trace.json] [--strict]
@@ -19,10 +24,12 @@
 /// when the full-mode overhead exceeds --max-overhead (default 1.05).
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -78,17 +85,37 @@ RunResult run_macro(ObsMode mode, std::uint32_t endpoints,
   return r;
 }
 
-double median_wall_ms(const std::vector<RunResult>& runs) {
+/// One mode's wall times over the reps.
+struct WallSpread {
+  double median_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+};
+
+WallSpread wall_spread(const std::vector<RunResult>& runs) {
   std::vector<double> walls;
   walls.reserve(runs.size());
   for (const RunResult& r : runs) walls.push_back(r.run.wall_ms);
-  return median(std::move(walls));
+  const auto [lo, hi] = std::minmax_element(walls.begin(), walls.end());
+  return {median(walls), *lo, *hi};
+}
+
+/// One `"field": {"obs_off": .., "obs_metrics": .., "obs_full": ..},`
+/// member of the JSON object.
+void write_modes(std::FILE* f, const char* field, double off, double metrics,
+                 double full) {
+  std::fprintf(f, "  \"%s\": {\n", field);
+  std::fprintf(f, "    \"obs_off\": %.1f,\n", off);
+  std::fprintf(f, "    \"obs_metrics\": %.1f,\n", metrics);
+  std::fprintf(f, "    \"obs_full\": %.1f\n", full);
+  std::fprintf(f, "  },\n");
 }
 
 void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
                 std::uint32_t files, double sim_secs, std::size_t reps,
-                double off_ms, double metrics_ms, double full_ms,
-                const RunResult& full_sample, bool digests_match) {
+                const WallSpread& off, const WallSpread& metrics,
+                const WallSpread& full, const RunResult& full_sample,
+                bool digests_match) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -97,20 +124,24 @@ void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"obs_overhead\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
+  std::fprintf(f, "  \"hardware_cores\": %u,\n",
+               std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"build_type\": \"%s\",\n", IDEA_BUILD_TYPE);
   std::fprintf(f, "  \"config\": {\n");
   std::fprintf(f, "    \"endpoints\": %u,\n", endpoints);
   std::fprintf(f, "    \"files\": %u,\n", files);
   std::fprintf(f, "    \"sim_secs\": %.1f,\n", sim_secs);
   std::fprintf(f, "    \"reps\": %zu\n", reps);
   std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"median_wall_ms\": {\n");
-  std::fprintf(f, "    \"obs_off\": %.1f,\n", off_ms);
-  std::fprintf(f, "    \"obs_metrics\": %.1f,\n", metrics_ms);
-  std::fprintf(f, "    \"obs_full\": %.1f\n", full_ms);
-  std::fprintf(f, "  },\n");
+  write_modes(f, "median_wall_ms", off.median_ms, metrics.median_ms,
+              full.median_ms);
+  write_modes(f, "min_wall_ms", off.min_ms, metrics.min_ms, full.min_ms);
+  write_modes(f, "max_wall_ms", off.max_ms, metrics.max_ms, full.max_ms);
   std::fprintf(f, "  \"overhead_ratio\": {\n");
-  std::fprintf(f, "    \"metrics_vs_off\": %.4f,\n", metrics_ms / off_ms);
-  std::fprintf(f, "    \"full_vs_off\": %.4f\n", full_ms / off_ms);
+  std::fprintf(f, "    \"metrics_vs_off\": %.4f,\n",
+               metrics.median_ms / off.median_ms);
+  std::fprintf(f, "    \"full_vs_off\": %.4f\n",
+               full.median_ms / off.median_ms);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"full_run\": {\n");
   std::fprintf(f, "    \"puts_applied\": %" PRIu64 ",\n",
@@ -153,12 +184,15 @@ int main(int argc, char** argv) {
   const bool strict = flags.get_bool("strict", false);
 
   const SimDuration sim_duration = sec_f(sim_secs);
+  constexpr std::array<ObsMode, 3> kModes = {ObsMode::kOff, ObsMode::kMetrics,
+                                             ObsMode::kFull};
   std::vector<RunResult> off_runs, metrics_runs, full_runs;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     // Interleave the three modes within each repetition so machine drift
-    // (thermal, cache, background load) hits all of them equally.
-    for (const ObsMode mode :
-         {ObsMode::kOff, ObsMode::kMetrics, ObsMode::kFull}) {
+    // (thermal, cache, background load) hits all of them equally, and
+    // rotate which one goes first so none always runs on a cold heap.
+    for (std::size_t i = 0; i < kModes.size(); ++i) {
+      const ObsMode mode = kModes[(rep + i) % kModes.size()];
       // Only the first full-mode rep exports the sample trace.
       const std::string out =
           (mode == ObsMode::kFull && rep == 0) ? trace_out : "";
@@ -197,16 +231,19 @@ int main(int argc, char** argv) {
                  "FAIL: digests/message counts diverge across obs modes\n");
   }
 
-  const double off_ms = median_wall_ms(off_runs);
-  const double metrics_ms = median_wall_ms(metrics_runs);
-  const double full_ms = median_wall_ms(full_runs);
-  std::printf("medians: off %.1f ms, metrics %.1f ms (x%.3f), "
-              "full %.1f ms (x%.3f)\n",
-              off_ms, metrics_ms, metrics_ms / off_ms, full_ms,
-              full_ms / off_ms);
+  const WallSpread off = wall_spread(off_runs);
+  const WallSpread metrics = wall_spread(metrics_runs);
+  const WallSpread full = wall_spread(full_runs);
+  const double off_ms = off.median_ms;
+  const double full_ms = full.median_ms;
+  std::printf("medians: off %.1f ms [%.1f, %.1f], metrics %.1f ms [%.1f, "
+              "%.1f] (x%.3f), full %.1f ms [%.1f, %.1f] (x%.3f)\n",
+              off_ms, off.min_ms, off.max_ms, metrics.median_ms,
+              metrics.min_ms, metrics.max_ms, metrics.median_ms / off_ms,
+              full_ms, full.min_ms, full.max_ms, full_ms / off_ms);
 
   write_json(flags.get_string("json", "BENCH_obs_overhead.json"), smoke,
-             endpoints, files, sim_secs, reps, off_ms, metrics_ms, full_ms,
+             endpoints, files, sim_secs, reps, off, metrics, full,
              full_runs.front(), digests_match);
 
   if (!digests_match) return 1;

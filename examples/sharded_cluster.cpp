@@ -1,12 +1,14 @@
 /// \file sharded_cluster.cpp
 /// \brief Tour of the multi-tenant shard layer (src/shard/).
 ///
-/// Stands up a sharded deployment — 8 IdeaService endpoints behind a
-/// batching transport — places 200 tenant files on the consistent-hash
-/// ring, drives a key-value workload through a client session, and shows
-/// the three things the layer buys: balanced placement, replica-group
-/// convergence through the stock IDEA protocols, and batched fan-out.
-/// (See client_sessions.cpp for the consistency-level tour.)
+/// Stands up a sharded deployment — 8 endpoints behind a batching
+/// transport, each an IdeaService that hands every inbound message to the
+/// replica its file's group record names — places 200 tenant files on
+/// the consistent-hash ring, drives a key-value workload through a client
+/// session, and shows the three things the layer buys: balanced
+/// placement, replica-group convergence through the stock IDEA
+/// protocols, and batched fan-out.  (See client_sessions.cpp for the
+/// consistency-level tour.)
 ///
 ///   $ ./sharded_cluster
 

@@ -10,24 +10,38 @@
 /// and independently."
 ///
 /// IdeaService is what one endpoint does for the files it hosts: it claims
-/// the endpoint's transport slot once and hands each incoming message to
-/// the handler routed for the message's file id, so every file's protocol
-/// stack runs separately.  It owns no stack: whoever builds a file's
-/// IdeaNode (ShardedCluster keeps them in the file's group record) routes
-/// the file here and unroutes it before the node goes away.
-
-#include <unordered_map>
-#include <vector>
+/// the endpoint's transport slot for its lifetime and hands each incoming
+/// message to the handler its deployment names for the message's file, so
+/// every file's protocol stack runs separately.  It keeps no per-file
+/// state: which handler serves (endpoint, file) is the deployment's fact
+/// (ShardedCluster reads it from the file's group record), asked through
+/// FileSinks once per message.
 
 #include "net/transport.hpp"
 #include "util/ids.hpp"
 
 namespace idea::core {
 
+/// The one question an endpoint asks its deployment: which handler takes
+/// `file`'s messages at `endpoint`.
+class FileSinks {
+ public:
+  /// The handler (borrowed) for `file`'s messages arriving at `endpoint`;
+  /// nullptr when the endpoint hosts no live replica of the file, and the
+  /// message drops.
+  [[nodiscard]] virtual net::MessageHandler* sink(NodeId endpoint,
+                                                  FileId file) = 0;
+
+ protected:
+  ~FileSinks() = default;
+};
+
 class IdeaService final : public net::MessageHandler {
  public:
-  IdeaService(NodeId self, net::Transport& transport, std::uint64_t seed)
-      : self_(self), transport_(transport), seed_(seed) {
+  /// `transport` and `sinks` are borrowed and must outlive the service.
+  IdeaService(NodeId self, net::Transport& transport, FileSinks& sinks,
+              std::uint64_t seed)
+      : self_(self), transport_(transport), sinks_(sinks), seed_(seed) {
     transport_.attach(self_, this);
   }
 
@@ -35,28 +49,6 @@ class IdeaService final : public net::MessageHandler {
 
   IdeaService(const IdeaService&) = delete;
   IdeaService& operator=(const IdeaService&) = delete;
-
-  /// Deliver `file`'s messages to `sink` (borrowed; replaces any earlier
-  /// route for the file).
-  void route(FileId file, net::MessageHandler* sink) {
-    if (file >= kDenseFileLimit) {
-      sparse_[file] = sink;
-      return;
-    }
-    if (file >= sinks_.size()) sinks_.resize(file + 1, nullptr);
-    sinks_[file] = sink;
-  }
-
-  /// Stop delivering `file`'s messages.  Unknown ids are a no-op: clearing
-  /// in place only, so a stray unroute(huge_id) cannot inflate the dense
-  /// array.
-  void unroute(FileId file) {
-    if (file < sinks_.size()) {
-      sinks_[file] = nullptr;
-    } else {
-      sparse_.erase(file);
-    }
-  }
 
   /// The seed this endpoint gives its protocol stack for `file`: distinct
   /// per file and per endpoint, fixed for a fixed service seed.
@@ -66,34 +58,20 @@ class IdeaService final : public net::MessageHandler {
 
   [[nodiscard]] NodeId id() const { return self_; }
 
-  /// Route by the message's file id; messages for files with no route are
-  /// dropped (this endpoint is a bottom-layer bystander for them at most,
-  /// and gossip dedup tolerates the loss).
-  ///
-  /// This runs once per delivered message on an endpoint hosting hundreds
-  /// of files, so small file ids resolve through a dense sink array (one
-  /// indexed load); only large/sparse ids fall back to the hash map.
+  /// Hand the message to its file's sink; messages for files with no sink
+  /// here are dropped (this endpoint is a bottom-layer bystander for them
+  /// at most, and gossip dedup tolerates the loss).
   void on_message(const net::Message& msg) override {
-    net::MessageHandler* sink = nullptr;
-    if (msg.file < sinks_.size()) {
-      sink = sinks_[msg.file];
-    } else if (auto it = sparse_.find(msg.file); it != sparse_.end()) {
-      sink = it->second;
+    if (net::MessageHandler* sink = sinks_.sink(self_, msg.file)) {
+      sink->on_message(msg);
     }
-    if (sink != nullptr) sink->on_message(msg);
   }
 
  private:
-  /// Largest file id mirrored into the dense sink array (8 bytes/slot).
-  static constexpr FileId kDenseFileLimit = 1u << 20;
-
   NodeId self_;
   net::Transport& transport_;
+  FileSinks& sinks_;
   std::uint64_t seed_;
-  std::vector<net::MessageHandler*> sinks_;  ///< Dense file -> sink route.
-  /// Routes of ids >= kDenseFileLimit.  Nothing iterates this map, so its
-  /// order is irrelevant to determinism.
-  std::unordered_map<FileId, net::MessageHandler*> sparse_;
 };
 
 }  // namespace idea::core

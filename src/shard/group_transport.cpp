@@ -21,7 +21,6 @@ void GroupTransport::send(net::Message msg) {
   // Protocol agents address ranks; out of range means a misconfigured
   // group size — drop rather than alias another endpoint.
   if (msg.to >= members_.size() || msg.from >= members_.size()) return;
-  counters_.record(msg.type, msg.wire_bytes);
   msg.from = members_[msg.from];
   msg.to = members_[msg.to];
   msg.epoch = epoch_;

@@ -13,6 +13,9 @@
 /// demultiplexed into the node's dispatcher.  Latency, loss and clock skew
 /// still come from the real endpoint pair, so the group inherits the
 /// simulated topology faithfully.
+///
+/// A GroupTransport keeps no message accounting: its counters() stay
+/// empty.  Every send passes to the inner transport, which counts it.
 
 #include <vector>
 
@@ -65,7 +68,9 @@ class GroupTransport final : public net::Transport,
     inner_.cancel_call(handle);
   }
 
-  // --- net::MessageHandler (endpoint id space, via IdeaService) --------
+  // --- net::MessageHandler (endpoint id space) --------------------------
+  /// Inbound from the endpoint's IdeaService, which delivers here when its
+  /// deployment names this rank as the file's sink (core::FileSinks).
   void on_message(const net::Message& msg) override;
 
  private:

@@ -34,7 +34,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   for (NodeId n = 0; n < config_.endpoints; ++n) {
     ring_.add_node(n);
     services_.push_back(std::make_unique<core::IdeaService>(
-        n, edge(), mix64(config_.seed ^ (0x5E4D1CEULL + n))));
+        n, edge(), *this, mix64(config_.seed ^ (0x5E4D1CEULL + n))));
     arm_checkpoint_timer(n);
   }
   router_ = std::make_unique<RequestRouter>(*this);
@@ -52,7 +52,9 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
 ShardedCluster::~ShardedCluster() {
   // The groups go while the router and controller are still alive: an
   // agent's teardown fails its pending write concerns, and their
-  // callbacks reach back into the deployment.
+  // callbacks reach back into the deployment.  The dense index goes
+  // first, so their lookups find no record that is being destroyed.
+  by_file_.clear();
   files_.clear();
   services_.clear();
 }
@@ -82,6 +84,10 @@ FileGroup& ShardedCluster::open_group(FileId file,
 
   const std::uint32_t epoch = ++last_epoch_;
   FileGroup& group = files_.try_emplace(file).first->second;
+  if (file < kDenseFileLimit) {
+    if (file >= by_file_.size()) by_file_.resize(file + 1, nullptr);
+    by_file_[file] = &group;
+  }
   group.members = std::move(members);
   // Every rank starts dark.  A crashed member's rank stays dark until
   // restart rebuilds the group: sends addressed to it drop at the
@@ -96,7 +102,6 @@ FileGroup& ShardedCluster::open_group(FileId file,
     r.node = std::make_unique<core::IdeaNode>(
         rank, file, *r.transport, idea, service->stack_seed(file),
         /*attach_transport=*/false);
-    service->route(file, r.transport.get());
     r.transport->set_sink(&r.node->dispatcher());
     r.sync = std::make_unique<ReplicaSyncAgent>(
         *r.node, *r.transport, k,
@@ -124,12 +129,7 @@ FileGroup& ShardedCluster::open_group(FileId file,
 
 void ShardedCluster::teardown_group(
     std::unordered_map<FileId, FileGroup>::iterator it) {
-  const FileGroup& group = it->second;
-  for (std::size_t rank = 0; rank < group.ranks.size(); ++rank) {
-    if (group.ranks[rank].node != nullptr) {
-      services_[group.members[rank]]->unroute(it->first);
-    }
-  }
+  if (it->first < by_file_.size()) by_file_[it->first] = nullptr;
   files_.erase(it);
 }
 
@@ -181,7 +181,7 @@ MembershipChange ShardedCluster::add_endpoint() {
   sim_transport_->ensure_node(id);
   ring_.add_node(id, incarnation);
   services_[id] = std::make_unique<core::IdeaService>(
-      id, edge(),
+      id, edge(), *this,
       mix64(config_.seed ^ (0x5E4D1CEULL + id) ^
             (static_cast<std::uint64_t>(incarnation) << 40)));
   if (obs_ != nullptr) {
@@ -529,7 +529,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   const std::uint32_t incarnation = ++incarnations_[endpoint];
   report.incarnation = incarnation;
   services_[endpoint] = std::make_unique<core::IdeaService>(
-      endpoint, edge(),
+      endpoint, edge(), *this,
       mix64(config_.seed ^ (0x5E4D1CEULL + endpoint) ^
             (static_cast<std::uint64_t>(incarnation) << 40)));
   arm_checkpoint_timer(endpoint);

@@ -15,8 +15,11 @@
 ///
 /// A placed file's FileGroup record owns every replica of the file, one
 /// GroupRank per member; closing or rebuilding a group erases the record,
-/// and a crash empties the member's rank.  The endpoints' IdeaServices
-/// only route each file's messages to its ranks.
+/// and a crash empties the member's rank.  The record is also the only
+/// route: an endpoint's IdeaService asks the cluster (its core::FileSinks)
+/// for each inbound message's sink, and the cluster answers from a file
+/// id -> record index with the receiving endpoint's rank transport, or
+/// nullptr (drop) for a closed file, a non-member or a dark rank.
 ///
 /// Elastic membership: add_endpoint()/remove_endpoint() recompute the
 /// ring and migrate exactly the files whose replica group changed (the
@@ -198,9 +201,17 @@ struct FileGroup {
         std::find(members.begin(), members.end(), endpoint) -
         members.begin());
   }
+
+  /// Where the file's messages arriving at `endpoint` go: that member's
+  /// rank transport; nullptr when the endpoint is not a member or its
+  /// rank is dark.
+  [[nodiscard]] net::MessageHandler* sink(NodeId endpoint) const {
+    const std::uint32_t rank = rank_of(endpoint);
+    return rank < ranks.size() ? ranks[rank].transport.get() : nullptr;
+  }
 };
 
-class ShardedCluster {
+class ShardedCluster : public core::FileSinks {
  public:
   explicit ShardedCluster(ShardedClusterConfig config);
   ~ShardedCluster();
@@ -328,8 +339,19 @@ class ShardedCluster {
   /// record stays valid until the file closes or its group is rebuilt (a
   /// migration, or a member's restart).
   [[nodiscard]] FileGroup* group(FileId file) {
+    if (file < by_file_.size()) return by_file_[file];
+    if (file < kDenseFileLimit) return nullptr;
     auto it = files_.find(file);
     return it == files_.end() ? nullptr : &it->second;
+  }
+
+  /// core::FileSinks: FileGroup::sink of the placed file's record;
+  /// nullptr when the file is not placed.  Every message an endpoint
+  /// receives resolves through here.
+  [[nodiscard]] net::MessageHandler* sink(NodeId endpoint,
+                                          FileId file) override {
+    const FileGroup* g = group(file);
+    return g == nullptr ? nullptr : g->sink(endpoint);
   }
 
   /// The placed file's current group members (rank order, coordinator
@@ -386,6 +408,9 @@ class ShardedCluster {
   /// True iff every group replica holds byte-identical canonical contents.
   [[nodiscard]] bool converged(FileId file);
 
+  /// The endpoint's message handler (what its transport slot delivers
+  /// to).  Precondition: has_endpoint(endpoint); a removed or crashed
+  /// endpoint has no service.
   [[nodiscard]] core::IdeaService& service(NodeId endpoint) {
     return *services_.at(endpoint);
   }
@@ -446,8 +471,8 @@ class ShardedCluster {
   /// rebuilding the group.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
 
-  /// Unroute a placed file at its live members and erase its record.
-  /// Leaves parked hints alone.
+  /// Drop a placed file's index entry and erase its record, which stops
+  /// its traffic at every member.  Leaves parked hints alone.
   void teardown_group(std::unordered_map<FileId, FileGroup>::iterator it);
 
   /// Placed files in ascending id order, restricted to the groups that
@@ -478,7 +503,15 @@ class ShardedCluster {
   /// group build takes the next one, so in-flight traffic from a torn-down
   /// incarnation can never reach the replacement stacks.
   std::uint32_t last_epoch_ = 0;
+  /// Largest file id mirrored into the dense index (8 bytes per slot).
+  static constexpr FileId kDenseFileLimit = 1u << 20;
+
+  /// Records of the placed files.  Node-based, so the index's pointers
+  /// stay valid while other files come and go.
   std::unordered_map<FileId, FileGroup> files_;
+  /// Dense file id -> record index for ids below kDenseFileLimit (null =
+  /// not placed); group() finds larger ids in files_.
+  std::vector<FileGroup*> by_file_;
   std::vector<std::unique_ptr<core::IdeaService>> services_;
   /// Per-slot incarnation counters, parallel to services_ (0 = first
   /// life).  Bumped when add_endpoint() reuses an id off the free-list.

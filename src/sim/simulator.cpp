@@ -48,27 +48,17 @@ void Simulator::EventHeap::pop() {
 
 void Simulator::EventHeap::rebalance() {
   // Open the next band: everything up to (earliest far entry + kBand)
-  // becomes near.  Each entry migrates far->near at most once, and the
-  // far heap is rebuilt in place — O(far) per band advance, amortized
-  // O(1) per entry over a run.
+  // becomes near.  Only those entries move, popped off the far heap in
+  // (time, key) order, so they arrive sorted — and a sorted array is
+  // already a valid heap, so the (empty) near band needs no heapify.
+  // O(log far) per migrated entry; each entry migrates at most once.
   horizon_ = far_.front().time + kBand;
-  std::size_t kept = 0;
-  for (QEntry& e : far_) {
-    if (e.time <= horizon_) {
-      near_.push_back(e);
-    } else {
-      far_[kept++] = e;
-    }
+  while (!far_.empty() && far_.front().time <= horizon_) {
+    near_.push_back(far_.front());
+    far_.front() = far_.back();
+    far_.pop_back();
+    sift_down_from(far_, 0);
   }
-  far_.resize(kept);
-  const auto heapify = [](std::vector<QEntry>& heap) {
-    if (heap.size() < 2) return;
-    for (std::size_t i = (heap.size() - 2) / 4 + 1; i-- > 0;) {
-      sift_down_from(heap, i);
-    }
-  };
-  heapify(near_);
-  heapify(far_);
 }
 
 std::uint32_t Simulator::alloc_slot() {

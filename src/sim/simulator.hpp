@@ -133,10 +133,10 @@ class Simulator {
   /// millisecond scale; keeping everything in one heap makes every
   /// send/pop sift through all of it.  Entries within `kBand` of the
   /// current horizon live in a small 4-ary "near" heap (the hot one); the
-  /// rest wait in a "far" heap and migrate in bulk whenever the near band
-  /// drains.  Both bands order by the same total (time, key) order and the
-  /// bands partition time disjointly, so the pop sequence is exactly the
-  /// single-heap sequence.
+  /// rest wait in a "far" heap, and whenever the near band drains the
+  /// entries due in the next band pop off it in order.  Both bands order
+  /// by the same total (time, key) order and the bands partition time
+  /// disjointly, so the pop sequence is exactly the single-heap sequence.
   class EventHeap {
    public:
     [[nodiscard]] bool empty() const {
@@ -145,8 +145,8 @@ class Simulator {
     [[nodiscard]] std::size_t size() const {
       return near_.size() + far_.size();
     }
-    /// The global minimum.  May migrate far->near first (amortized O(1)
-    /// per entry over a run).
+    /// The global minimum.  May migrate far->near first (O(log far) per
+    /// migrated entry, each entry at most once).
     [[nodiscard]] const QEntry& top() {
       if (near_.empty()) rebalance();
       return near_.front();

@@ -21,17 +21,25 @@ struct Recorder final : net::MessageHandler {
   }
 };
 
+/// The deployment side of the services under test: (endpoint, file) ->
+/// sink, as a plain map.
+struct MapSinks final : FileSinks {
+  std::map<std::pair<NodeId, FileId>, net::MessageHandler*> sinks;
+  net::MessageHandler* sink(NodeId endpoint, FileId file) override {
+    auto it = sinks.find({endpoint, file});
+    return it == sinks.end() ? nullptr : it->second;
+  }
+};
+
 class ServiceFixture : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kNodes = 10;
-  /// A file id past the service's dense sink array.
-  static constexpr FileId kSparseFile = (1u << 20) + 7;
 
   void SetUp() override {
     transport_ = std::make_unique<net::SimTransport>(sim_, latency_);
     for (NodeId n = 0; n < kNodes; ++n) {
       services_.push_back(
-          std::make_unique<IdeaService>(n, *transport_, 900 + n));
+          std::make_unique<IdeaService>(n, *transport_, sinks_, 900 + n));
     }
   }
 
@@ -46,14 +54,14 @@ class ServiceFixture : public ::testing::Test {
     return cfg;
   }
 
-  /// Join `file` on endpoint `n`: a stack over the shared transport,
-  /// routed by the endpoint's service.
+  /// Join `file` on endpoint `n`: a stack over the shared transport, named
+  /// as the endpoint's sink for the file.
   IdeaNode& open(NodeId n, FileId file, IdeaConfig config) {
     std::unique_ptr<IdeaNode>& node = nodes_[{n, file}];
     node = std::make_unique<IdeaNode>(n, file, *transport_, std::move(config),
                                       services_[n]->stack_seed(file),
                                       /*attach_transport=*/false);
-    services_[n]->route(file, &node->dispatcher());
+    sinks_.sinks[{n, file}] = &node->dispatcher();
     return *node;
   }
 
@@ -78,44 +86,21 @@ class ServiceFixture : public ::testing::Test {
   sim::Simulator sim_;
   sim::ConstantLatency latency_{msec(25)};
   std::unique_ptr<net::SimTransport> transport_;
+  MapSinks sinks_;
   std::map<std::pair<NodeId, FileId>, std::unique_ptr<IdeaNode>> nodes_;
   // Declared after the stacks, so the services detach first.
   std::vector<std::unique_ptr<IdeaService>> services_;
 };
 
-TEST_F(ServiceFixture, RoutesByFileIdThroughDenseAndSparseIds) {
-  Recorder dense;
-  Recorder sparse;
-  services_[0]->route(3, &dense);
-  services_[0]->route(kSparseFile, &sparse);
+TEST_F(ServiceFixture, DeliversToTheSinkItsDeploymentNames) {
+  Recorder at_0;
+  Recorder at_1;
+  sinks_.sinks[{0, 3}] = &at_0;
+  sinks_.sinks[{1, 3}] = &at_1;
   deliver_to_0(3);
-  deliver_to_0(kSparseFile);
-  deliver_to_0(4);  // no route: dropped
-  EXPECT_EQ(dense.files, std::vector<FileId>{3});
-  EXPECT_EQ(sparse.files, std::vector<FileId>{kSparseFile});
-}
-
-TEST_F(ServiceFixture, UnrouteDropsLaterMessages) {
-  Recorder dense;
-  Recorder sparse;
-  services_[0]->route(3, &dense);
-  services_[0]->route(kSparseFile, &sparse);
-  services_[0]->unroute(3);
-  services_[0]->unroute(kSparseFile);
-  deliver_to_0(3);
-  deliver_to_0(kSparseFile);
-  EXPECT_TRUE(dense.files.empty());
-  EXPECT_TRUE(sparse.files.empty());
-}
-
-TEST_F(ServiceFixture, UnrouteOfUnknownFileIsANoOp) {
-  Recorder sink;
-  services_[0]->route(1, &sink);
-  services_[0]->unroute(0);            // never routed, inside the array
-  services_[0]->unroute(500);          // never routed, past its end
-  services_[0]->unroute(kSparseFile);  // never routed, sparse
-  deliver_to_0(1);
-  EXPECT_EQ(sink.files, std::vector<FileId>{1});
+  deliver_to_0(4);  // no sink at endpoint 0: dropped
+  EXPECT_EQ(at_0.files, std::vector<FileId>{3});
+  EXPECT_TRUE(at_1.files.empty());  // the lookup is per endpoint
 }
 
 TEST_F(ServiceFixture, StackSeedsDifferPerFileAndPerEndpoint) {

@@ -184,6 +184,108 @@ TEST(ShardedClusterTest, CloseFileWithACrashedMemberThenRestart) {
   EXPECT_EQ(replica->store().update_count(), 1u);
 }
 
+// Routing: an endpoint delivers each message through its file's record
+// (ShardedCluster::sink).  Ids below 2^20 resolve through the dense index,
+// larger ones through the record map.
+
+TEST(ShardedClusterTest, LargeFileIdsReplicateBesideSmallOnes) {
+  ShardedCluster cluster(small_cluster_config());
+  const std::vector<FileId> files = {3, (1u << 20) + 7, 4, 1u << 20,
+                                     (1u << 20) - 1, 0xFFFFFFF0u};
+  client::ClientSession session(cluster, {});
+  for (const FileId f : files) {
+    ASSERT_TRUE(session.put(f, "v", 1.0).ok()) << "file " << f;
+  }
+  cluster.run_for(sec(2));
+  for (const FileId f : files) {
+    EXPECT_TRUE(cluster.converged(f)) << "file " << f;
+    const FileGroup* group = cluster.group(f);
+    ASSERT_NE(group, nullptr) << "file " << f;
+    for (std::uint32_t rank = 0; rank < group->ranks.size(); ++rank) {
+      EXPECT_EQ(group->ranks[rank].node->store().update_count(), 1u)
+          << "file " << f << " rank " << rank;
+      EXPECT_EQ(cluster.sink(group->members[rank], f),
+                group->ranks[rank].transport.get());
+    }
+    for (NodeId e = 0; e < cluster.size(); ++e) {
+      if (group->rank_of(e) == group->members.size()) {
+        EXPECT_EQ(cluster.sink(e, f), nullptr) << "file " << f;
+      }
+    }
+  }
+  EXPECT_EQ(cluster.sink(0, 5), nullptr);              // never placed
+  EXPECT_EQ(cluster.sink(0, (1u << 20) + 8), nullptr);  // never placed
+}
+
+TEST(ShardedClusterTest, ClosedFilesDropTheirTraffic) {
+  // Replication pushes are still in flight when the files close; they must
+  // arrive at endpoints whose record is gone and drop there.
+  ShardedCluster cluster(small_cluster_config());
+  const std::vector<FileId> files = {5, (1u << 20) + 7};
+  client::ClientSession session(cluster, {});
+  std::vector<std::vector<NodeId>> members;
+  for (const FileId f : files) {
+    ASSERT_TRUE(session.put(f, "v", 1.0).ok());
+    members.push_back(*cluster.members_of(f));
+  }
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    ASSERT_TRUE(session.close(files[i]));
+    for (const NodeId e : members[i]) {
+      EXPECT_EQ(cluster.sink(e, files[i]), nullptr);
+      net::Message msg;
+      msg.from = members[i][0];
+      msg.to = e;
+      msg.file = files[i];
+      msg.type = net::MsgType::intern("shard.replicate");
+      cluster.service(e).on_message(msg);  // dropped, nothing to reach
+    }
+  }
+  cluster.run_for(sec(2));
+  EXPECT_EQ(cluster.placed_files(), 0u);
+
+  // Reopened, the files route again.
+  for (const FileId f : files) {
+    ASSERT_TRUE(session.put(f, "again", 1.0).ok());
+  }
+  cluster.run_for(sec(2));
+  for (const FileId f : files) {
+    EXPECT_TRUE(cluster.converged(f));
+    EXPECT_EQ(cluster.replica_at_rank(f, 2)->store().update_count(), 1u);
+  }
+}
+
+TEST(ShardedClusterTest, ACrashedMembersRankDropsItsTraffic) {
+  ShardedClusterConfig cfg = small_cluster_config();
+  cfg.anti_entropy_period = msec(500);  // heals the restart's gap
+  ShardedCluster cluster(cfg);
+  const std::vector<FileId> files = {5, (1u << 20) + 7};
+  for (const FileId f : files) cluster.ensure_open(f);
+  const NodeId crashed = cluster.group_of(files[0])[1];
+  cluster.crash_endpoint(crashed);
+  client::ClientSession session(cluster, {});
+  for (const FileId f : files) {
+    const FileGroup* group = cluster.group(f);
+    const std::uint32_t rank = group->rank_of(crashed);
+    if (rank < group->members.size()) {
+      EXPECT_EQ(cluster.sink(crashed, f), nullptr) << "file " << f;
+    }
+    ASSERT_TRUE(session.put(f, "while-down", 1.0).ok());
+  }
+  cluster.run_for(sec(2));  // pushes to the dark rank drop
+  for (const FileId f : files) EXPECT_TRUE(cluster.converged(f));
+
+  // The restart lights the rank again: pushes and repairs reach it.
+  cluster.restart_endpoint(crashed);
+  ASSERT_TRUE(session.put(files[0], "after", 1.0).ok());
+  cluster.run_for(sec(5));
+  const FileGroup* group = cluster.group(files[0]);
+  const std::uint32_t rank = group->rank_of(crashed);
+  EXPECT_EQ(cluster.sink(crashed, files[0]),
+            group->ranks[rank].transport.get());
+  EXPECT_EQ(group->ranks[rank].node->store().update_count(), 2u);
+  EXPECT_TRUE(cluster.converged(files[0]));
+}
+
 TEST(ShardedClusterTest, EndToEndPlacementWriteConverge) {
   // The acceptance flow: place a tenant population, write through a
   // client session, run the sim, and require every group to converge.

@@ -2,10 +2,11 @@
 /// \brief The shard layer running over the wall-clock ThreadTransport.
 ///
 /// The shard stack was sim-only until now (ROADMAP follow-up).  This test
-/// assembles the same pieces a ShardedCluster wires — IdeaService
-/// endpoints routing each file to its ranks, and per file a FileGroup
+/// assembles the same pieces a ShardedCluster wires — per file a FileGroup
 /// record whose GroupRanks hold the rank-translating GroupTransport, the
-/// IdeaNode and the ReplicaSyncAgent with anti-entropy — over
+/// IdeaNode and the ReplicaSyncAgent with anti-entropy, and IdeaService
+/// endpoints that deliver each message through its file's record
+/// (FileGroup::sink, the rule ShardedCluster answers with) — over
 /// net::ThreadTransport, so group replication and digest/repair healing
 /// are exercised under real concurrency instead of the discrete-event
 /// kernel.  All protocol activity runs on the transport's dispatcher
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,10 +38,22 @@
 namespace idea::shard {
 namespace {
 
+/// The test's deployment: every placed file's record, and the endpoints'
+/// sink lookup over them.  Records are built before any traffic flows and
+/// never change afterwards, so the dispatcher thread reads them freely.
+struct Groups final : core::FileSinks {
+  std::map<FileId, FileGroup> files;
+  net::MessageHandler* sink(NodeId endpoint, FileId file) override {
+    auto it = files.find(file);
+    return it == files.end() ? nullptr : it->second.sink(endpoint);
+  }
+};
+
 /// Mirror of ShardedCluster::open_group over an arbitrary transport.
-FileGroup open_group(
+FileGroup& open_group(
     FileId file, std::vector<NodeId> members, net::Transport& edge,
-    std::vector<std::unique_ptr<core::IdeaService>>& services) {
+    Groups& groups,
+    const std::vector<std::unique_ptr<core::IdeaService>>& services) {
   core::IdeaConfig idea;
   idea.maxima = vv::TripleMaxima{20, 20, 20};
   const auto k = static_cast<std::uint32_t>(members.size());
@@ -47,17 +61,16 @@ FileGroup open_group(
   idea.gossip.nodes = k;
   idea.two_layer.all_nodes = k;
 
-  FileGroup group;
+  FileGroup& group = groups.files[file];
   group.members = std::move(members);
   group.ranks.resize(k);
   for (std::uint32_t rank = 0; rank < k; ++rank) {
-    core::IdeaService& service = *services[group.members[rank]];
+    const core::IdeaService& service = *services[group.members[rank]];
     GroupRank& r = group.ranks[rank];
     r.transport = std::make_unique<GroupTransport>(edge, group.members, rank);
     r.node = std::make_unique<core::IdeaNode>(rank, file, *r.transport, idea,
                                               service.stack_seed(file),
                                               /*attach_transport=*/false);
-    service.route(file, r.transport.get());
     r.transport->set_sink(&r.node->dispatcher());
     r.sync = std::make_unique<ReplicaSyncAgent>(*r.node, *r.transport, k);
   }
@@ -73,26 +86,26 @@ TEST(ThreadShardTest, GroupReplicationOverThreadTransport) {
   topt.time_scale = 0.001;  // 1000x faster than the virtual timeline
   net::ThreadTransport transport(latency, topt);
 
-  std::vector<FileGroup> groups;
+  Groups groups;
   std::vector<std::unique_ptr<core::IdeaService>> services;
   for (NodeId n = 0; n < kEndpoints; ++n) {
     services.push_back(std::make_unique<core::IdeaService>(
-        n, transport, mix64(0xABC + n)));
+        n, transport, groups, mix64(0xABC + n)));
   }
-  groups.push_back(open_group(1, {0, 2, 4}, transport, services));
-  groups.push_back(open_group(2, {1, 3, 0}, transport, services));
+  FileGroup& f1 = open_group(1, {0, 2, 4}, transport, groups, services);
+  FileGroup& f2 = open_group(2, {1, 3, 0}, transport, groups, services);
 
   // Writes execute on the dispatcher thread, like every protocol callback.
   for (int i = 0; i < 8; ++i) {
-    transport.call_after(msec(10) * (i + 1), [&groups, i] {
-      groups[0].ranks[0].sync->put("f1-" + std::to_string(i), 1.0);
-      groups[1].ranks[0].sync->put("f2-" + std::to_string(i), 2.0);
+    transport.call_after(msec(10) * (i + 1), [&f1, &f2, i] {
+      f1.ranks[0].sync->put("f1-" + std::to_string(i), 1.0);
+      f2.ranks[0].sync->put("f2-" + std::to_string(i), 2.0);
     });
   }
   ASSERT_TRUE(transport.wait_idle(sec(3600)));
 
   for (FileId file : {FileId{1}, FileId{2}}) {
-    const FileGroup& group = groups[file - 1];
+    const FileGroup& group = groups.files.at(file);
     const std::uint64_t digest =
         group.ranks[0].node->store().content_digest();
     for (std::size_t rank = 0; rank < group.ranks.size(); ++rank) {
@@ -116,13 +129,14 @@ TEST(ThreadShardTest, AntiEntropyHealsColdReplicaOverThreadTransport) {
   topt.time_scale = 0.001;
   net::ThreadTransport transport(latency, topt);
 
-  FileGroup group;
+  Groups groups;
   std::vector<std::unique_ptr<core::IdeaService>> services;
   for (NodeId n = 0; n < 3; ++n) {
     services.push_back(std::make_unique<core::IdeaService>(
-        n, transport, mix64(0xD1CE + n)));
+        n, transport, groups, mix64(0xD1CE + n)));
   }
-  group = open_group(kFile, {0, 1, 2}, transport, services);
+  FileGroup& group = open_group(kFile, {0, 1, 2}, transport, groups,
+                                services);
 
   // Seed divergence without touching the network: rank 0 applies updates
   // straight into its store, as if every replication push had been lost.

@@ -148,17 +148,24 @@ TEST(Simulator, RunWithLimit) {
 }
 
 TEST(Simulator, ManyEventsStressOrder) {
+  // Spread over 1000 s, so nearly every event waits in the far band and
+  // migrates to the near one; ten events share each second, so their
+  // insertion-order tie-break must survive the migration.
   Simulator sim;
   SimTime last = -1;
-  bool monotone = true;
+  int last_i = -1;
+  bool ordered = true;
   for (int i = 0; i < 10000; ++i) {
-    sim.schedule_at(sec((i * 7919) % 1000), [&] {
-      if (sim.now() < last) monotone = false;
+    sim.schedule_at(sec((i * 7919) % 1000), [&, i] {
+      if (sim.now() < last || (sim.now() == last && i < last_i)) {
+        ordered = false;
+      }
       last = sim.now();
+      last_i = i;
     });
   }
   sim.run();
-  EXPECT_TRUE(monotone);
+  EXPECT_TRUE(ordered);
   EXPECT_EQ(sim.events_processed(), 10000u);
 }
 
