@@ -3,7 +3,8 @@
 
   python3 bench/ab_pairs.py PARENT_BIN CHANGE_BIN [--workload rw_loss]
       [--pairs 10] [--seed 100] [--scale 0.25] [--threads N]
-      [--metric sim_s_per_ref_s|setup_s|peak_rss_mb] [--json FILE]
+      [--metric sim_s_per_ref_s|setup_s|peak_rss_mb|wire_bytes_per_op|
+                wire_msgs_per_op] [--json FILE]
 
 Pair i runs one episode of each binary at load seed --seed + i; the order
 alternates from pair to pair (parent first in even pairs), so a drift of
@@ -14,9 +15,13 @@ of), setup_s (reference seconds) and peak_rss_mb, and the medians of the
 raw readings behind the first two: wall_s and setup (construct_s +
 place_s) in wall seconds, and the speed probe's ref_per_wall.  A change
 that speeds the probe moves the reference-second metrics without moving
-the raw ones.  Then it prints how many pairs the change won on --metric
-(default sim_s_per_ref_s; "won" in the direction BENCHMARK.json gives the
-metric), how many pairs had identical fingerprints, and
+the raw ones.  --metric may also name wire_bytes_per_op or
+wire_msgs_per_op: the episode's wire_bytes or wire_msgs over its
+attempted operations (deterministic per load seed), whose quartiles are
+then printed too.  Then it prints how many pairs the change won and lost
+on --metric (default sim_s_per_ref_s; "won" in the direction
+BENCHMARK.json gives the metric, and a pair with equal values counts for
+neither side), how many pairs had identical fingerprints, and
 perfbench/README.md's gain verdict: a gain only when the change wins at
 least nine pairs in ten and its median beats the parent's by more than
 the parent's interquartile range.
@@ -35,6 +40,7 @@ from statistics import median, quantiles
 
 EPISODE_TIMEOUT_S = 300
 METRICS = ("sim_s_per_ref_s", "setup_s", "peak_rss_mb")
+PER_OP = {"wire_bytes_per_op": "wire_bytes", "wire_msgs_per_op": "wire_msgs"}
 RAW = ("wall_s", "raw_setup_s", "ref_per_wall")
 SPEC = json.loads((Path(__file__).resolve().parent.parent /
                    "BENCHMARK.json").read_text())
@@ -51,6 +57,8 @@ def episode(binary, workload, seed, scale, threads):
     e["sim_s_per_ref_s"] = e["sim_s"] / (e["wall_s"] * e["ref_per_wall"])
     e["raw_setup_s"] = e["construct_s"] + e["place_s"]
     e["setup_s"] = e["setup_s"] * e["ref_per_wall"]
+    for name, count in PER_OP.items():
+        e[name] = e[count] / e["attempted"]
     return e
 
 
@@ -73,7 +81,8 @@ def main():
     ap.add_argument("--threads", type=int, default=0,
                     help="worker threads (default: 2 for fleet_1000, "
                          "capped by the host's cores, else 1)")
-    ap.add_argument("--metric", choices=METRICS, default=METRICS[0],
+    ap.add_argument("--metric", choices=METRICS + tuple(PER_OP),
+                    default=METRICS[0],
                     help="the metric the wins and the gain verdict judge")
     ap.add_argument("--json", help="also write every episode here")
     args = ap.parse_args()
@@ -109,9 +118,10 @@ def main():
 
     print(f"\n{args.workload}, {args.pairs} pairs, scale {args.scale}, "
           f"threads {threads}:")
+    shown = METRICS if metric in METRICS else METRICS + (metric,)
     stats = {}
     for side, episodes in sides.items():
-        stats[side] = {m: quartiles([e[m] for e in episodes]) for m in METRICS}
+        stats[side] = {m: quartiles([e[m] for e in episodes]) for m in shown}
         print(f"  {side:6s} " + "  ".join(
             f"{m} {q2:.4g} [{q1:.4g}, {q3:.4g}]"
             for m, (q1, q2, q3) in stats[side].items()))
@@ -120,13 +130,15 @@ def main():
     pairs = list(zip(sides["parent"], sides["change"]))
     sign = 1 if higher else -1
     wins = sum(sign * (c[metric] - p[metric]) > 0 for p, c in pairs)
+    losses = sum(sign * (c[metric] - p[metric]) < 0 for p, c in pairs)
     same = sum(c["fingerprint"] == p["fingerprint"] for p, c in pairs)
     p_q1, p_med, p_q3 = stats["parent"][metric]
     c_med = stats["change"][metric][1]
     gap, iqr = sign * (c_med - p_med), p_q3 - p_q1
     gain = wins >= 0.9 * len(pairs) and gap > iqr
     print(f"  {metric} ({'higher' if higher else 'lower'} is better): "
-          f"change won {wins}/{len(pairs)} pairs; "
+          f"change won {wins}/{len(pairs)} pairs and lost {losses} "
+          f"({len(pairs) - wins - losses} equal); "
           f"{same}/{len(pairs)} pairs had identical fingerprints")
     print(f"  median {p_med:.4g} -> {c_med:.4g} "
           f"({100 * (c_med - p_med) / p_med:+.1f} %), improvement {gap:+.4g}, "

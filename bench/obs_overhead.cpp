@@ -2,26 +2,35 @@
 /// \brief Observability overhead trajectory: the macro shard run (the
 ///        hotpath.cpp headline configuration) executed three times per
 ///        repetition — observability off, metrics-only, and full
-///        metrics+tracing — interleaved to cancel machine drift.
+///        metrics+tracing — back to back to cancel machine drift.
 ///
 /// Emits BENCH_obs_overhead.json so CI accumulates the overhead ratio per
 /// PR.  The contract the obs layer must keep: identical replica digests
 /// across all three modes (observation never perturbs the protocol), and
-/// full instrumentation within a few percent of wall-clock of the
-/// uninstrumented run.
+/// full instrumentation within a few percent of the uninstrumented run.
 ///
 /// The mode that runs first rotates from rep to rep (rep r starts with
 /// mode r mod 3), so no mode always pays for a cold heap or always runs
-/// after the heaviest one.  Each mode reports its median, min and max
-/// wall time; the JSON records hardware_cores and build_type beside them.
+/// after the heaviest one.  Each run is timed from cluster construction
+/// through teardown twice: by wall clock and by the thread's CPU clock
+/// (CLOCK_THREAD_CPUTIME_ID, which does not count time the host gave to
+/// other processes).  The overhead estimator is paired: each rep divides
+/// its metrics and full runs by the same rep's off run, and the JSON
+/// reports every rep's ratios plus their median and quartiles.  Pairing
+/// cancels host-speed drift between reps, not swings within a rep: on a
+/// shared 4-core host, where the off mode's full-size runs took 374–569
+/// ms, the per-rep ratios still spread about ±10 %.  The JSON also
+/// records each mode's median, min and max, hardware_cores and
+/// build_type.
 ///
 ///   $ ./obs_overhead [--smoke] [--json BENCH_obs_overhead.json]
 ///                    [--endpoints 32] [--files 2000] [--sim-secs 10]
 ///                    [--reps 3] [--trace-out trace.json] [--strict]
 ///
-/// --trace-out writes the full-mode run's chrome trace (load it at
-/// chrome://tracing or https://ui.perfetto.dev).  --strict exits nonzero
-/// when the full-mode overhead exceeds --max-overhead (default 1.05).
+/// --trace-out writes the chrome trace of one extra, untimed full-mode run
+/// (load it at chrome://tracing or https://ui.perfetto.dev).  --strict
+/// exits nonzero when the median paired wall ratio full/off exceeds
+/// --max-overhead (default 1.05).
 
 #include <algorithm>
 #include <array>
@@ -31,6 +40,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <time.h>
 
 #include "bench/common.hpp"
 #include "obs/observability.hpp"
@@ -85,19 +96,60 @@ RunResult run_macro(ObsMode mode, std::uint32_t endpoints,
   return r;
 }
 
-/// One mode's wall times over the reps.
-struct WallSpread {
-  double median_ms = 0.0;
-  double min_ms = 0.0;
-  double max_ms = 0.0;
+/// This thread's CPU clock, in ms.
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return 1e3 * static_cast<double>(ts.tv_sec) +
+         1e-6 * static_cast<double>(ts.tv_nsec);
+}
+
+/// The `q` quantile of `values`, interpolating linearly between order
+/// statistics (the "inclusive" method, so a handful of reps works).
+double quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+/// Median and quartiles of a sample.
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
 };
 
-WallSpread wall_spread(const std::vector<RunResult>& runs) {
-  std::vector<double> walls;
-  walls.reserve(runs.size());
-  for (const RunResult& r : runs) walls.push_back(r.run.wall_ms);
-  const auto [lo, hi] = std::minmax_element(walls.begin(), walls.end());
-  return {median(walls), *lo, *hi};
+Spread spread(const std::vector<double>& values) {
+  return {quantile(values, 0.25), quantile(values, 0.5),
+          quantile(values, 0.75)};
+}
+
+/// One mode's runs over the reps, in rep order.
+struct ModeRuns {
+  std::vector<double> wall_ms;
+  std::vector<double> cpu_ms;
+};
+
+double lowest(const std::vector<double>& values) {
+  return *std::min_element(values.begin(), values.end());
+}
+
+double highest(const std::vector<double>& values) {
+  return *std::max_element(values.begin(), values.end());
+}
+
+/// Per rep, `mode`'s cost over the same rep's off run.
+std::vector<double> paired(const std::vector<double>& mode,
+                           const std::vector<double>& off) {
+  std::vector<double> ratios;
+  for (std::size_t rep = 0; rep < off.size(); ++rep) {
+    ratios.push_back(mode[rep] / off[rep]);
+  }
+  return ratios;
 }
 
 /// One `"field": {"obs_off": .., "obs_metrics": .., "obs_full": ..},`
@@ -111,10 +163,22 @@ void write_modes(std::FILE* f, const char* field, double off, double metrics,
   std::fprintf(f, "  },\n");
 }
 
+/// `"name": {"per_rep": [..], "median": .., "q1": .., "q3": ..}`.
+void write_ratios(std::FILE* f, const char* name,
+                  const std::vector<double>& ratios, bool last) {
+  const Spread s = spread(ratios);
+  std::fprintf(f, "      \"%s\": {\"per_rep\": [", name);
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    std::fprintf(f, "%s%.4f", i == 0 ? "" : ", ", ratios[i]);
+  }
+  std::fprintf(f, "], \"median\": %.4f, \"q1\": %.4f, \"q3\": %.4f}%s\n",
+               s.median, s.q1, s.q3, last ? "" : ",");
+}
+
 void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
                 std::uint32_t files, double sim_secs, std::size_t reps,
-                const WallSpread& off, const WallSpread& metrics,
-                const WallSpread& full, const RunResult& full_sample,
+                const ModeRuns& off, const ModeRuns& metrics,
+                const ModeRuns& full, const RunResult& full_sample,
                 bool digests_match) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -133,15 +197,24 @@ void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
   std::fprintf(f, "    \"sim_secs\": %.1f,\n", sim_secs);
   std::fprintf(f, "    \"reps\": %zu\n", reps);
   std::fprintf(f, "  },\n");
-  write_modes(f, "median_wall_ms", off.median_ms, metrics.median_ms,
-              full.median_ms);
-  write_modes(f, "min_wall_ms", off.min_ms, metrics.min_ms, full.min_ms);
-  write_modes(f, "max_wall_ms", off.max_ms, metrics.max_ms, full.max_ms);
-  std::fprintf(f, "  \"overhead_ratio\": {\n");
-  std::fprintf(f, "    \"metrics_vs_off\": %.4f,\n",
-               metrics.median_ms / off.median_ms);
-  std::fprintf(f, "    \"full_vs_off\": %.4f\n",
-               full.median_ms / off.median_ms);
+  write_modes(f, "median_wall_ms", spread(off.wall_ms).median,
+              spread(metrics.wall_ms).median, spread(full.wall_ms).median);
+  write_modes(f, "min_wall_ms", lowest(off.wall_ms), lowest(metrics.wall_ms),
+              lowest(full.wall_ms));
+  write_modes(f, "max_wall_ms", highest(off.wall_ms), highest(metrics.wall_ms),
+              highest(full.wall_ms));
+  write_modes(f, "median_thread_cpu_ms", spread(off.cpu_ms).median,
+              spread(metrics.cpu_ms).median, spread(full.cpu_ms).median);
+  std::fprintf(f, "  \"paired_ratio\": {\n");
+  std::fprintf(f, "    \"wall\": {\n");
+  write_ratios(f, "metrics_vs_off", paired(metrics.wall_ms, off.wall_ms),
+               false);
+  write_ratios(f, "full_vs_off", paired(full.wall_ms, off.wall_ms), true);
+  std::fprintf(f, "    },\n");
+  std::fprintf(f, "    \"thread_cpu\": {\n");
+  write_ratios(f, "metrics_vs_off", paired(metrics.cpu_ms, off.cpu_ms), false);
+  write_ratios(f, "full_vs_off", paired(full.cpu_ms, off.cpu_ms), true);
+  std::fprintf(f, "    }\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"full_run\": {\n");
   std::fprintf(f, "    \"puts_applied\": %" PRIu64 ",\n",
@@ -186,70 +259,69 @@ int main(int argc, char** argv) {
   const SimDuration sim_duration = sec_f(sim_secs);
   constexpr std::array<ObsMode, 3> kModes = {ObsMode::kOff, ObsMode::kMetrics,
                                              ObsMode::kFull};
-  std::vector<RunResult> off_runs, metrics_runs, full_runs;
+  std::array<std::vector<RunResult>, 3> runs;
+  std::array<ModeRuns, 3> costs;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    // Interleave the three modes within each repetition so machine drift
-    // (thermal, cache, background load) hits all of them equally, and
-    // rotate which one goes first so none always runs on a cold heap.
+    // Run the three modes back to back within each repetition so machine
+    // drift (thermal, cache, background load) hits all of them alike,
+    // and rotate which one goes first so none always runs on a cold heap.
     for (std::size_t i = 0; i < kModes.size(); ++i) {
-      const ObsMode mode = kModes[(rep + i) % kModes.size()];
-      // Only the first full-mode rep exports the sample trace.
-      const std::string out =
-          (mode == ObsMode::kFull && rep == 0) ? trace_out : "";
+      const std::size_t m = (rep + i) % kModes.size();
+      const auto wall_start = WallClock::now();
+      const double cpu_start = thread_cpu_ms();
       const RunResult r =
-          run_macro(mode, endpoints, files, sim_duration, seed, out);
-      std::printf("rep %zu %-7s: %7.1f ms wall, %" PRIu64
+          run_macro(kModes[m], endpoints, files, sim_duration, seed, "");
+      const double wall_ms = ms_since(wall_start);
+      const double cpu_ms = thread_cpu_ms() - cpu_start;
+      std::printf("rep %zu %-7s: %7.1f ms wall, %7.1f ms cpu, %" PRIu64
                   " logical msgs, digest %016" PRIx64 "\n",
-                  rep, mode_name(mode), r.run.wall_ms,
+                  rep, mode_name(kModes[m]), wall_ms, cpu_ms,
                   r.run.logical_messages, r.run.digest_xor);
-      switch (mode) {
-        case ObsMode::kOff:
-          off_runs.push_back(r);
-          break;
-        case ObsMode::kMetrics:
-          metrics_runs.push_back(r);
-          break;
-        case ObsMode::kFull:
-          full_runs.push_back(r);
-          break;
-      }
+      runs[m].push_back(r);
+      costs[m].wall_ms.push_back(wall_ms);
+      costs[m].cpu_ms.push_back(cpu_ms);
     }
+  }
+  const auto& [off_runs, metrics_runs, full_runs] = runs;
+  const auto& [off, metrics, full] = costs;
+  if (!trace_out.empty()) {
+    run_macro(ObsMode::kFull, endpoints, files, sim_duration, seed,
+              trace_out);
   }
 
   // Pure-observer check: instrumentation must not change what the cluster
   // computed.  A digest mismatch is a correctness bug, not a perf result.
   bool digests_match = true;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    const KvMacroResult& off = off_runs[rep].run;
-    digests_match &= off.digest_xor == metrics_runs[rep].run.digest_xor;
-    digests_match &= off.digest_xor == full_runs[rep].run.digest_xor;
+    const KvMacroResult& base = off_runs[rep].run;
+    digests_match &= base.digest_xor == metrics_runs[rep].run.digest_xor;
+    digests_match &= base.digest_xor == full_runs[rep].run.digest_xor;
     digests_match &=
-        off.logical_messages == full_runs[rep].run.logical_messages;
+        base.logical_messages == full_runs[rep].run.logical_messages;
   }
   if (!digests_match) {
     std::fprintf(stderr,
                  "FAIL: digests/message counts diverge across obs modes\n");
   }
 
-  const WallSpread off = wall_spread(off_runs);
-  const WallSpread metrics = wall_spread(metrics_runs);
-  const WallSpread full = wall_spread(full_runs);
-  const double off_ms = off.median_ms;
-  const double full_ms = full.median_ms;
-  std::printf("medians: off %.1f ms [%.1f, %.1f], metrics %.1f ms [%.1f, "
-              "%.1f] (x%.3f), full %.1f ms [%.1f, %.1f] (x%.3f)\n",
-              off_ms, off.min_ms, off.max_ms, metrics.median_ms,
-              metrics.min_ms, metrics.max_ms, metrics.median_ms / off_ms,
-              full_ms, full.min_ms, full.max_ms, full_ms / off_ms);
+  const auto report = [](const char* name, const Spread& r) {
+    std::printf("  %-16s %.3f [%.3f, %.3f]\n", name, r.median, r.q1, r.q3);
+  };
+  const Spread full_wall = spread(paired(full.wall_ms, off.wall_ms));
+  std::printf("paired ratios, median [q1, q3] over %zu reps:\n", reps);
+  report("wall metrics/off", spread(paired(metrics.wall_ms, off.wall_ms)));
+  report("wall full/off", full_wall);
+  report("cpu metrics/off", spread(paired(metrics.cpu_ms, off.cpu_ms)));
+  report("cpu full/off", spread(paired(full.cpu_ms, off.cpu_ms)));
 
   write_json(flags.get_string("json", "BENCH_obs_overhead.json"), smoke,
              endpoints, files, sim_secs, reps, off, metrics, full,
              full_runs.front(), digests_match);
 
   if (!digests_match) return 1;
-  if (strict && full_ms / off_ms > max_overhead) {
-    std::fprintf(stderr, "FAIL: full-mode overhead x%.3f exceeds x%.3f\n",
-                 full_ms / off_ms, max_overhead);
+  if (strict && full_wall.median > max_overhead) {
+    std::fprintf(stderr, "FAIL: paired full/off wall x%.3f exceeds x%.3f\n",
+                 full_wall.median, max_overhead);
     return 1;
   }
   return 0;

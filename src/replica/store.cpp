@@ -31,26 +31,6 @@ std::uint64_t peer_count(const vv::ExtendedVersionVector& peer,
   return peer.count_of(writer);
 }
 
-/// Every logged update a peer at counts C lacks, in (writer, seq) order.
-/// The EVV names the writers the peer lags on; by seq contiguity writer
-/// w's missing updates are the key range starting at {w, C[w] + 1}, so
-/// a writer the peer is not behind on costs no log lookup.
-template <typename Peer>
-std::vector<Update> collect_ahead_of(const Log& log,
-                                     const vv::ExtendedVersionVector& mine,
-                                     const Peer& peer) {
-  std::vector<Update> out;
-  for (const auto& [writer, stamps] : mine.writers()) {
-    const std::uint64_t theirs = peer_count(peer, writer);
-    if (theirs >= stamps.size()) continue;
-    for (auto it = log.lower_bound(UpdateKey{writer, theirs + 1});
-         it != log.end() && it->first.writer == writer; ++it) {
-      out.push_back(it->second);
-    }
-  }
-  return out;
-}
-
 /// The lag of a peer at counts C, from the stamp lists alone: writer w
 /// contributes mine − C[w] versions, the oldest stamped at seq C[w] + 1.
 template <typename Peer>
@@ -123,12 +103,19 @@ const Update* ReplicaStore::find(const UpdateKey& key) const {
 
 std::vector<Update> ReplicaStore::updates_ahead_of(
     const vv::VersionVector& peer_counts) const {
-  return collect_ahead_of(log_, evv_, peer_counts);
-}
-
-std::vector<Update> ReplicaStore::updates_ahead_of(
-    const vv::ExtendedVersionVector& peer) const {
-  return collect_ahead_of(log_, evv_, peer);
+  // The EVV names the writers the peer lags on; by seq contiguity writer
+  // w's missing updates are the key range starting at {w, C[w] + 1}, so
+  // a writer the peer is not behind on costs no log lookup.
+  std::vector<Update> out;
+  for (const auto& [writer, stamps] : evv_.writers()) {
+    const std::uint64_t theirs = peer_counts.get(writer);
+    if (theirs >= stamps.size()) continue;
+    for (auto it = log_.lower_bound(UpdateKey{writer, theirs + 1});
+         it != log_.end() && it->first.writer == writer; ++it) {
+      out.push_back(it->second);
+    }
+  }
+  return out;
 }
 
 ReplicaStore::StalenessProbe ReplicaStore::staleness_ahead_of(

@@ -97,12 +97,9 @@ class ReplicaStore {
   /// a resolution/anti-entropy push — in (writer, seq) order.  The EVV says
   /// which writers the peer lags on; only those touch the log, each as one
   /// contiguous key range: O(writers + lagging writers · log n + missing),
-  /// so a peer that lacks nothing costs no log lookup.  The EVV overload
-  /// reads the peer's counts in place (no counts() vector is built).
+  /// so a peer that lacks nothing costs no log lookup.
   [[nodiscard]] std::vector<Update> updates_ahead_of(
       const vv::VersionVector& peer_counts) const;
-  [[nodiscard]] std::vector<Update> updates_ahead_of(
-      const vv::ExtendedVersionVector& peer) const;
 
   /// How far a peer at `peer_counts` lags this replica: number of updates
   /// it is missing and the stamp of the oldest one.  Answered from the EVV

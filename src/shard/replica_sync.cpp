@@ -29,6 +29,11 @@ std::uint32_t batch_wire_bytes(const std::vector<replica::Update>& updates) {
   return bytes;
 }
 
+/// Per-writer counts on the wire: writer id (4) + count (8) per entry.
+std::uint32_t counts_wire_bytes(const vv::VersionVector& counts) {
+  return static_cast<std::uint32_t>(12 * counts.writer_count());
+}
+
 /// The agent's metric ids, interned once per process.
 struct AgentMetrics {
   obs::MetricId replicate_pushed = obs::MetricId::intern("replicate.pushed");
@@ -323,10 +328,9 @@ void ReplicaSyncAgent::send_digest(NodeId peer) {
   msg.to = peer;
   msg.file = node_.file();
   msg.type = kDigestType;
-  // The digest is the store's shared EVV snapshot: zero-copy, and always
-  // current because every store mutation invalidates the snapshot.
-  msg.payload = net::Payload::wrap(node_.store().evv_snapshot());
-  msg.wire_bytes = 16 + node_.store().evv().wire_bytes();
+  vv::VersionVector counts = node_.store().evv().counts();
+  msg.wire_bytes = 16 + counts_wire_bytes(counts);
+  msg.payload = std::move(counts);
   // Adopt the repair trace the router parked for this file (a traced read
   // that observed staleness): the round is tagged, not altered, and the
   // parked context stays until a traced repair actually heals something.
@@ -386,10 +390,10 @@ std::size_t ReplicaSyncAgent::apply_batch(
 
 void ReplicaSyncAgent::send_repair(NodeId to_rank,
                                    std::vector<replica::Update> updates,
-                                   bool respond,
+                                   vv::VersionVector counts, bool respond,
                                    const obs::TraceContext& tc) {
   RepairPayload body;
-  body.sender_evv = node_.store().evv_snapshot();
+  body.sender_counts = std::move(counts);
   body.invalidated = node_.store().invalidated_keys();
   body.respond = respond;
   body.updates = std::move(updates);
@@ -400,8 +404,7 @@ void ReplicaSyncAgent::send_repair(NodeId to_rank,
   msg.file = node_.file();
   msg.type = kRepairType;
   msg.wire_bytes =
-      batch_wire_bytes(body.updates) +
-      static_cast<std::uint32_t>(12 * body.sender_evv->writer_count()) +
+      batch_wire_bytes(body.updates) + counts_wire_bytes(body.sender_counts) +
       static_cast<std::uint32_t>(12 * body.invalidated.size());
   stats_.repair_updates_sent += body.updates.size();
   if (!body.updates.empty()) {
@@ -476,20 +479,24 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
   if (msg.type == kDigestType) {
     ++stats_.digests_received;
     meter_.add(agent_metrics().ae_digests_received);
-    const auto& peer_evv = msg.payload.as<vv::ExtendedVersionVector>();
-    if (on_freshness_) on_freshness_(msg.from, peer_evv.total_updates());
+    const auto& peer = msg.payload.as<vv::VersionVector>();
+    if (on_freshness_) on_freshness_(msg.from, peer.total());
+    vv::VersionVector mine = node_.store().evv().counts();
+    // Equal counts leave nothing to send, and the pair is identical unless
+    // the initiator holds flags this replica lacks: its push-back then
+    // carries them and un-matches the pair by mutating this store.
+    const bool identical = mine == peer;
     // Always reply, even with nothing to offer: the initiator needs our
     // counts to push back the other half of the delta.  A traced digest's
     // repair joins the same trace.
-    send_repair(msg.from, node_.store().updates_ahead_of(peer_evv),
+    send_repair(msg.from, node_.store().updates_ahead_of(peer), std::move(mine),
                 /*respond=*/true, inbound);
+    if (identical) note_identical(msg.from);
     return;
   }
   if (msg.type == kRepairType) {
     const auto& body = msg.payload.as<RepairPayload>();
-    if (on_freshness_) {
-      on_freshness_(msg.from, body.sender_evv->total_updates());
-    }
+    if (on_freshness_) on_freshness_(msg.from, body.sender_counts.total());
     const std::size_t applied =
         apply_batch(body.updates, stats_.repair_updates_applied);
     if (applied > 0) {
@@ -519,17 +526,18 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       // lacks, updates or flags (the push-back carries this replica's
       // invalidated set).  With nothing to push back and nothing
       // received the pair is identical, unless a resolution rolled this
-      // replica back after its digest left: hence the dominance check.
+      // replica back after its digest left: hence the equal-counts check.
       const replica::ReplicaStore& store = node_.store();
       std::vector<replica::Update> back =
-          store.updates_ahead_of(*body.sender_evv);
+          store.updates_ahead_of(body.sender_counts);
       const std::vector<replica::UpdateKey>& flags = store.invalidated_keys();
+      vv::VersionVector mine = store.evv().counts();
       if (!back.empty() ||
           !std::includes(body.invalidated.begin(), body.invalidated.end(),
                          flags.begin(), flags.end())) {
-        send_repair(msg.from, std::move(back), /*respond=*/false, inbound);
-      } else if (body.updates.empty() &&
-                 store.evv().dominates(*body.sender_evv)) {
+        send_repair(msg.from, std::move(back), std::move(mine),
+                    /*respond=*/false, inbound);
+      } else if (body.updates.empty() && mine == body.sender_counts) {
         note_identical(msg.from);
       }
     }

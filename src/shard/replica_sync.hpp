@@ -18,21 +18,25 @@
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
 ///    network would leave a replica cold forever, so each agent may run
-///    push-pull rounds: it sends its EVV digest (the shared
-///    ReplicaStore::evv_snapshot() allocation — no copy) to one peer; the
-///    peer replies with the updates the digest shows missing
-///    (ReplicaStore::updates_ahead_of) plus its own EVV snapshot, and the
-///    initiator pushes back whatever the peer lacks in turn.  Rounds run
-///    only while this replica may differ from some peer: an exchange the
-///    agent started that found the pair identical marks that peer as
-///    matched at the store's mutation_count(), rounds rotate over the
-///    peers not matched at the current count, and the round timer stops
-///    once every peer is matched.  Any store mutation re-arms it on the
-///    round grid anti-entropy started on.  A replica holding an update a
-///    peer lacks has mutated since it last matched that peer, so it keeps
-///    digesting until the peer has it: any single surviving copy of an
-///    update still spreads to the whole group in O(group size) rounds,
-///    whatever the loss pattern was, and a quiet group sends nothing.
+///    push-pull rounds: it sends its per-writer update counts (a
+///    vv::VersionVector, 12 bytes per writer: the store keeps each
+///    writer's seqs contiguous, so counts alone say which updates a peer
+///    lacks) to one peer; the peer replies with the updates the digest
+///    shows missing (ReplicaStore::updates_ahead_of) plus its own counts,
+///    and the initiator pushes back whatever the peer lacks in turn.
+///    Rounds run only while this replica may differ from some peer: an
+///    exchange that found the pair identical marks that peer as matched at
+///    the store's mutation_count(), rounds rotate over the peers not
+///    matched at the current count, and the round timer stops once every
+///    peer is matched.  Both sides match on one exchange: the initiator
+///    when the reply needs no push-back, the replier when it has nothing
+///    to send and the digest's counts equal its own.  Any store mutation
+///    re-arms the rounds on the grid anti-entropy started on.  A replica
+///    holding an update a peer lacks has mutated since it last matched
+///    that peer, so it keeps digesting until the peer has it: any single
+///    surviving copy of an update still spreads to the whole group in
+///    O(group size) rounds, whatever the loss pattern was, and a quiet
+///    group sends nothing.
 ///
 ///  * State streaming ("shard.migrate"): when membership changes move a
 ///    file to a new replica group, the new coordinator adopts the merged
@@ -65,7 +69,7 @@
 #include "core/idea_node.hpp"
 #include "net/transport.hpp"
 #include "obs/observability.hpp"
-#include "vv/extended_vv.hpp"
+#include "vv/version_vector.hpp"
 
 namespace idea::shard {
 
@@ -130,14 +134,13 @@ struct PutConcern {
 };
 
 /// Body of a "shard.repair" message: the updates the digest sender was
-/// missing, plus the replier's own EVV so the initiator can push back the
-/// other half of the delta (`respond` asks for exactly one such reply,
-/// keeping a round at three messages, not a ping-pong).
+/// missing, plus the replier's own per-writer counts so the initiator can
+/// push back the other half of the delta (`respond` asks for exactly one
+/// such reply, keeping a round at three messages, not a ping-pong).
 ///
-/// `sender_evv` is the replier store's shared evv_snapshot(), as in the
-/// digest: a refcount, not a copy, and the initiator reads the per-writer
-/// counts straight off it.  Only the counts are modeled on the wire (12
-/// bytes per writer), the same as a plain version vector.
+/// `sender_counts` is charged like a digest's counts, 12 bytes per
+/// writer; counts are all either side reads (update timestamps stay in
+/// the EVV, for the detector).
 ///
 /// `invalidated` carries the sender's full invalidated-key set: version
 /// counts cannot express invalidation (the update stays in the log), so a
@@ -150,7 +153,7 @@ struct PutConcern {
 struct RepairPayload {
   std::vector<replica::Update> updates;
   std::vector<replica::UpdateKey> invalidated;
-  std::shared_ptr<const vv::ExtendedVersionVector> sender_evv;
+  vv::VersionVector sender_counts;
   bool respond = false;
 };
 
@@ -193,8 +196,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// current mutation_count(), so every unmatched pair exchanges within
   /// group_size - 1 periods.  The timer stops once every peer is matched
   /// and the next store mutation re-arms it on the same grid.  Every peer
-  /// starts unmatched, so a new group exchanges once per pair (which is
-  /// also how the router first learns each rank's freshness hint).
+  /// starts unmatched, so a new group exchanges at least once per pair
+  /// (which is also how the router first learns each rank's freshness
+  /// hint); an exchange that finds the pair identical matches it on both
+  /// sides, so after a put that reached every rank each pair exchanges
+  /// once, not once per side.
   void start_anti_entropy(SimDuration period);
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
@@ -255,8 +261,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// per newly applied update and noting replica activity once.
   std::size_t apply_batch(const std::vector<replica::Update>& updates,
                           std::uint64_t& applied_stat);
+  /// Send `updates` and this replica's `counts` (and invalidated set) to
+  /// `to_rank`; `respond` asks the receiver for the push-back.
   void send_repair(NodeId to_rank, std::vector<replica::Update> updates,
-                   bool respond, const obs::TraceContext& tc = {});
+                   vv::VersionVector counts, bool respond,
+                   const obs::TraceContext& tc = {});
 
   /// The deployment tracer (nullptr when untraced/unwired).
   [[nodiscard]] obs::Tracer* tracer() const {
@@ -280,16 +289,22 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   };
 
   /// Build and send one digest message to `peer` (the shared anti-entropy
-  /// body of the periodic round and the targeted exchange).
+  /// body of the periodic round and the targeted exchange): the store's
+  /// per-writer counts, charged 16 bytes of header plus 12 per writer, so
+  /// a digest costs O(writers) whatever the log length.
   void send_digest(NodeId peer);
   /// What the round timer fires: digest the next unmatched peer.
   void anti_entropy_round();
   /// A store mutation un-matches every peer: re-arm a stopped round timer
   /// on the grid.
   void on_store_mutation() override;
-  /// An exchange this agent started found the pair identical: match
-  /// `peer` at the current mutation_count(), and stop the rounds once
-  /// every peer is matched.
+  /// An exchange with `peer` found the pair identical (on the initiator:
+  /// the reply needed no push-back; on the replier: the digest's counts
+  /// equal its own and it has nothing to send): match `peer` at the
+  /// current mutation_count(), and stop the rounds once every peer is
+  /// matched.  A replier that matched while the initiator holds flags it
+  /// lacks is un-matched by the push-back that carries them; if that is
+  /// lost, the initiator, which did not match, digests it again.
   void note_identical(NodeId peer);
 
   /// The ack timeout tracked puts run under: the configured resend
@@ -321,9 +336,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     std::uint64_t timer = 0;     ///< Armed round timer, 0 when stopped.
     std::uint32_t rotation = 0;  ///< Round-robin peer cursor.
     /// Per peer rank: the store's mutation_count() at the last exchange
-    /// this agent started that found the pair identical (kUnmatched
-    /// before the first).  A peer is matched while this equals the
-    /// current count.
+    /// with it that found the pair identical (kUnmatched before the
+    /// first).  A peer is matched while this equals the current count.
     std::vector<std::uint64_t> matched;
   };
   static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};

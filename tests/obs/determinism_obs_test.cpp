@@ -168,14 +168,14 @@ TEST(ObservabilityDeterminism, ChurnSeed2007GoldensHoldWithObsEnabled) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 6226u);
-  EXPECT_EQ(r.wire_messages, 1888u);
+  EXPECT_EQ(r.logical_messages, 5543u);
+  EXPECT_EQ(r.wire_messages, 1757u);
   const Golden expected{
       {"detect.probe", 1054},   {"detect.reply", 976},
       {"gossip.push", 1080},    {"ransub.collect", 274},
       {"ransub.distribute", 274}, {"ransub.epoch", 274},
-      {"shard.digest", 927},    {"shard.migrate", 76},
-      {"shard.repair", 915},    {"shard.replicate", 376},
+      {"shard.digest", 581},    {"shard.migrate", 76},
+      {"shard.repair", 578},    {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
   // Churn exercises the AE + migration instrumentation.

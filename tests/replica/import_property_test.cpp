@@ -19,9 +19,10 @@
 ///  * invalidation merge — flags arriving after the fact OR in and move
 ///    the meta value exactly as the oracle computes;
 ///  * peer-delta queries — updates_ahead_of, staleness_ahead_of (peer as
-///    a VersionVector and as an EVV) and invalidated_keys match a brute-
-///    force walk of the whole log after every batch (parked arrivals
-///    included), after the invalidation merge and after a rollback_to.
+///    a VersionVector, and for the probe also as an EVV) and
+///    invalidated_keys match a brute-force walk of the whole log after
+///    every batch (parked arrivals included), after the invalidation merge
+///    and after a rollback_to.
 
 #include "replica/store.hpp"
 

@@ -22,9 +22,9 @@
 ///  * invalidated_keys() lists the log's flagged keys in key order;
 ///  * each writer's logged seqs are exactly 1..evv().count_of(w), with the
 ///    EVV's stamps;
-///  * updates_ahead_of and staleness_ahead_of, peer as a VersionVector and
-///    as an EVV, match a brute-force walk of the log (peer_oracle.hpp,
-///    shared with import_property_test.cpp).
+///  * updates_ahead_of (peer as a VersionVector) and staleness_ahead_of
+///    (peer as a VersionVector and as an EVV) match a brute-force walk of
+///    the log (peer_oracle.hpp, shared with import_property_test.cpp).
 
 #include "replica/store.hpp"
 

@@ -9,8 +9,10 @@
 /// attributable to the digest/repair exchange, not to luck.
 ///
 /// Rounds run only while a replica may differ from a peer, so the tests
-/// also pin that a quiet group sends no digest, and that generated fault
-/// schedules still converge when only the changed side starts rounds.
+/// also pin that a quiet group sends no digest, that one exchange matches
+/// a pair on both sides, that a digest's size does not grow with the log,
+/// and that generated fault schedules still converge when only the
+/// changed side starts rounds.
 
 #include <gtest/gtest.h>
 
@@ -216,12 +218,12 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
   cluster.run_for(sec(3));
 
-  // The pushes delivered the put, so each ordered pair exchanged once and
-  // found the pair identical: k(k-1) = 6 rounds, each digest answered by
-  // exactly one repair and none needing a push-back.  Then every pair is
-  // matched and every round timer is stopped.
+  // The pushes delivered the put, so each pair exchanged once, found the
+  // pair identical and matched on both sides: k(k-1)/2 = 3 rounds, each
+  // digest answered by exactly one repair and none needing a push-back.
+  // Then every pair is matched and every round timer is stopped.
   Totals t = totals();
-  EXPECT_EQ(t.rounds, 6u);
+  EXPECT_EQ(t.rounds, 3u);
   EXPECT_EQ(t.digests, t.rounds);
   EXPECT_EQ(t.repairs, t.digests);
   EXPECT_TRUE(all_matched());
@@ -237,7 +239,7 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   EXPECT_EQ(totals().rounds, t.rounds);
 
   // A second put changes every replica, so every rank runs rounds again
-  // until it matches both peers once more.
+  // until it matches both peers once more: 3 more rounds, 6 in all.
   ASSERT_TRUE(session.put(kFile, "again", 1.0).ok());
   EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
   cluster.run_for(sec(3));
@@ -376,6 +378,125 @@ TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
 
   cluster.run_for(sec(3));
   EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 2u);
+}
+
+TEST(AntiEntropyTest, ALostFlagPushBackAfterTheReplierMatchedHeals) {
+  // Rank 0 holds an invalidation flag its peers lack, and rank 1 is cut
+  // off from rank 2, so only rank 0 can bring rank 1 the flag.  A digest
+  // carries counts only: rank 1 finds equal counts, has nothing to send
+  // and matches rank 0 on that digest (they never exchanged before).
+  // Rank 0 sees rank 1 lacks the flag and pushes it back, but the
+  // push-back is lost in flight.  Rank 1 stays matched, so rank 0 must
+  // not match: its next rounds have to carry the flag.
+  constexpr FileId kFile = 11;
+  constexpr int kGroup = 3;
+  constexpr int kBound = 2 * (kGroup - 1) + 2;
+  ShardedClusterConfig cfg = ae_config(808, /*anti_entropy=*/true);
+  cfg.batching = false;  // every send reaches the wire at once
+  ShardedCluster cluster(cfg);
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session.put(kFile, "v" + std::to_string(i), 1.0).ok());
+  }
+  // The pushes land before the first round: every rank holds the puts and
+  // no pair has exchanged yet.
+  cluster.run_for(kAePeriod - msec(100));
+  ASSERT_TRUE(replicas_identical(cluster, kFile));
+  for (std::uint32_t rank = 0; rank < kGroup; ++rank) {
+    ASSERT_EQ(cluster.sync_agent(kFile, rank)->stats().ae_rounds, 0u);
+  }
+  net::SimTransport& wire = cluster.transport();
+  wire.partition(m[1], m[2]);
+  const replica::UpdateKey flagged{0, 2};
+  ASSERT_TRUE(cluster.replica_at_rank(kFile, 0)->store().invalidate(flagged));
+
+  // Step to the instant rank 1 answers rank 0's digest, then cut the pair
+  // until just before the next round: the answer is already on the wire,
+  // the push-back is not.
+  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  const ReplicaSyncStats& cold = cluster.sync_agent(kFile, 1)->stats();
+  const SimTime deadline = cluster.sim().now() + sec(5);
+  while (cold.repairs_sent == 0 && cluster.sim().now() < deadline) {
+    cluster.sim().step();
+  }
+  ASSERT_EQ(cold.repairs_sent, 1u) << "rank 1 never answered rank 0";
+  wire.partition(m[1], m[0]);
+  const std::uint64_t repairs = coord->stats().repairs_sent;
+  const std::uint64_t digests = coord->stats().digests_received;
+  cluster.run_until((cluster.sim().now() / kAePeriod + 1) * kAePeriod - 1);
+  wire.heal(m[1], m[0]);
+  // Every repair rank 0 sent in the cut that answered no digest was a
+  // push-back, and it carried the flag rank 1 still lacks.
+  EXPECT_EQ(coord->stats().repairs_sent - repairs,
+            coord->stats().digests_received - digests + 1);
+  EXPECT_FALSE(
+      cluster.replica_at_rank(kFile, 1)->store().find(flagged)->invalidated);
+  EXPECT_TRUE(coord->anti_entropy_running());
+
+  const int periods = periods_to_convergence(cluster, kFile, 1, kBound);
+  ASSERT_NE(periods, -1) << "not converged within " << kBound << " periods";
+  for (std::uint32_t rank = 0; rank < kGroup; ++rank) {
+    const replica::Update* u =
+        cluster.replica_at_rank(kFile, rank)->store().find(flagged);
+    ASSERT_NE(u, nullptr);
+    EXPECT_TRUE(u->invalidated) << "rank " << rank;
+  }
+}
+
+/// Stands in for an endpoint on the edge transport: records the wire size
+/// of every digest delivered to it, then hands the message on.
+class DigestRecorder final : public net::MessageHandler {
+ public:
+  DigestRecorder(net::MessageHandler& target,
+                 std::vector<std::uint32_t>& sizes)
+      : target_(target), sizes_(sizes) {}
+
+  void on_message(const net::Message& msg) override {
+    if (msg.type == ReplicaSyncAgent::kDigestType) {
+      sizes_.push_back(msg.wire_bytes);
+    }
+    target_.on_message(msg);
+  }
+
+ private:
+  net::MessageHandler& target_;
+  std::vector<std::uint32_t>& sizes_;
+};
+
+TEST(AntiEntropyTest, DigestSizeDoesNotGrowWithTheLog) {
+  // A digest carries per-writer counts, so with one writer it costs the
+  // same whether the log holds 1 update or 50.
+  constexpr FileId kFile = 6;
+  std::vector<std::uint32_t> sizes;
+  std::vector<std::unique_ptr<DigestRecorder>> recorders;
+  ShardedCluster cluster(ae_config(77, /*anti_entropy=*/true));
+  cluster.ensure_open(kFile);
+  for (const NodeId e : cluster.endpoints()) {
+    recorders.push_back(
+        std::make_unique<DigestRecorder>(cluster.service(e), sizes));
+    cluster.edge().attach(e, recorders.back().get());
+  }
+  client::ClientSession session(cluster, {});
+
+  ASSERT_TRUE(session.put(kFile, "p1", 1.0).ok());
+  cluster.run_for(sec(3));
+  ASSERT_FALSE(sizes.empty());
+  const std::vector<std::uint32_t> after_one = sizes;
+
+  sizes.clear();
+  for (int i = 2; i <= 50; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  ASSERT_FALSE(sizes.empty());
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 50u);
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+
+  // Every digest after either batch: a 16-byte header plus 12 bytes for
+  // the one writer.
+  for (const std::uint32_t bytes : after_one) EXPECT_EQ(bytes, 28u);
+  for (const std::uint32_t bytes : sizes) EXPECT_EQ(bytes, after_one.back());
 }
 
 /// One generated fault schedule over a 6-endpoint, k = 3, 12-file
