@@ -15,10 +15,14 @@ of), setup_s (reference seconds) and peak_rss_mb, and the medians of the
 raw readings behind the first two: wall_s and setup (construct_s +
 place_s) in wall seconds, and the speed probe's ref_per_wall.  A change
 that speeds the probe moves the reference-second metrics without moving
-the raw ones.  --metric may also name wire_bytes_per_op or
-wire_msgs_per_op: the episode's wire_bytes or wire_msgs over its
-attempted operations (deterministic per load seed), whose quartiles are
-then printed too.  Then it prints how many pairs the change won and lost
+the raw ones.  Each pair's line and the summary also give the paired
+ratios change/parent of wall_s and of ref_per_wall (the summary with
+their median and quartiles): per-side medians of a noisy host can hide
+how far raw time moved pair by pair, and only the paired view shows
+whether raw time moved or only the speed probe did.  --metric may also
+name wire_bytes_per_op or wire_msgs_per_op: the episode's wire_bytes or
+wire_msgs over its attempted operations (deterministic per load seed),
+whose quartiles are then printed too.  Then it prints how many pairs the change won and lost
 on --metric (default sim_s_per_ref_s; "won" in the direction
 BENCHMARK.json gives the metric, and a pair with equal values counts for
 neither side), how many pairs had identical fingerprints, and
@@ -42,6 +46,7 @@ EPISODE_TIMEOUT_S = 300
 METRICS = ("sim_s_per_ref_s", "setup_s", "peak_rss_mb")
 PER_OP = {"wire_bytes_per_op": "wire_bytes", "wire_msgs_per_op": "wire_msgs"}
 RAW = ("wall_s", "raw_setup_s", "ref_per_wall")
+PAIRED = ("wall_s", "ref_per_wall")
 SPEC = json.loads((Path(__file__).resolve().parent.parent /
                    "BENCHMARK.json").read_text())
 HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher"
@@ -111,10 +116,12 @@ def main():
                 problems.append(f"{side} seed {seed}: {e['converged']} of "
                                 f"{e['files']} files converged")
         p, c = sides["parent"][-1], sides["change"][-1]
+        same = p["fingerprint"] == c["fingerprint"]
         print(f"pair {i + 1:2d} seed {seed}: {metric} parent "
-              f"{p[metric]:8.4g}  change {c[metric]:8.4g}"
-              f"  {'same' if p['fingerprint'] == c['fingerprint'] else 'DIFFERENT'}"
-              " fingerprint", flush=True)
+              f"{p[metric]:8.4g}  change {c[metric]:8.4g}  change/parent "
+              + "  ".join(f"{m} {c[m] / p[m]:.3f}" for m in PAIRED)
+              + f"  {'same' if same else 'DIFFERENT'} fingerprint",
+              flush=True)
 
     print(f"\n{args.workload}, {args.pairs} pairs, scale {args.scale}, "
           f"threads {threads}:")
@@ -128,6 +135,10 @@ def main():
         print("         raw: " + "  ".join(
             f"{m} {median(e[m] for e in episodes):.4g}" for m in RAW))
     pairs = list(zip(sides["parent"], sides["change"]))
+    ratios = {m: quartiles([c[m] / p[m] for p, c in pairs]) for m in PAIRED}
+    print("  paired change/parent: " + "  ".join(
+        f"{m} {q2:.4f} [{q1:.4f}, {q3:.4f}]"
+        for m, (q1, q2, q3) in ratios.items()))
     sign = 1 if higher else -1
     wins = sum(sign * (c[metric] - p[metric]) > 0 for p, c in pairs)
     losses = sum(sign * (c[metric] - p[metric]) < 0 for p, c in pairs)

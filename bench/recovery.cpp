@@ -138,7 +138,9 @@ Cell run_cell(const Setup& s, replica::CheckpointEngineKind engine,
     for (std::uint32_t rank = 0; rank < group.size(); ++rank) {
       if (group[rank] != victim) continue;
       const shard::ReplicaSyncAgent* agent = cluster->sync_agent(f, rank);
-      if (agent != nullptr) repair_updates += agent->stats().repair_updates_applied;
+      if (agent != nullptr) {
+        repair_updates += agent->stats().repair_updates_applied;
+      }
     }
   }
   cell.repair_updates = repair_updates;
@@ -173,7 +175,8 @@ void write_json(const std::string& path, bool smoke, const Setup& s,
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     std::fprintf(f, "    {\"engine\": \"%s\", \"period_ms\": %" PRId64
-                    ", \"ckpt_records\": %" PRIu64 ", \"ckpt_updates\": %" PRIu64
+                    ", \"ckpt_records\": %" PRIu64
+                    ", \"ckpt_updates\": %" PRIu64
                     ", \"ckpt_bytes\": %" PRIu64 ",\n",
                  c.engine.c_str(), c.period_ms, c.ckpt_records,
                  c.ckpt_updates, c.ckpt_bytes);

@@ -129,7 +129,8 @@ client::ConsistencyLevel ConsistencyController::effective_level(
     FileId file, std::uint32_t tenant,
     const client::ConsistencyLevel& declared) const {
   auto it = files_.find(file);
-  const Target target = it == files_.end() ? Target::kDeclared : it->second.target;
+  const Target target =
+      it == files_.end() ? Target::kDeclared : it->second.target;
   switch (target) {
     case Target::kStrong:
       return client::ConsistencyLevel::strong();

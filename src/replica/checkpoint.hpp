@@ -12,9 +12,13 @@
 ///
 /// The store holds exactly one record per (endpoint, file): the newest,
 /// which is all recovery ever reads.  A checkpoint pass offers the store
-/// each hosted replica, and the store does its own dirty test (libcrpm
-/// dirtybit-style): a replica whose incarnation, group epoch and
-/// ReplicaStore::mutation_count() still match its record is clean and
+/// only the hosted replicas that were rebuilt or mutated since the last
+/// pass: each replica's sync agent puts it on its endpoint's dirty list
+/// on its first mutation after a pass, and a group rebuild lists every
+/// live rank, so a pass costs O(dirty replicas), not O(placed files).
+/// The store still does its own dirty test (libcrpm dirtybit-style): a
+/// replica whose incarnation, group epoch and mutation count
+/// (ReplicaStore::mutation_count()) still match its record is clean and
 /// costs nothing; any other is persisted as a full export_log() image
 /// that replaces the record.  Recovery always finds a complete image,
 /// because a clean replica's record is by definition still current.

@@ -35,7 +35,10 @@
 /// One MutationListener may watch the store: it hears every content
 /// mutation, whichever layer caused it (a local write, a replication
 /// push, a repair or migration batch, import_log, resolution's
-/// invalidate or rollback).
+/// invalidate or rollback).  On the sharded path the listener is the
+/// rank's sync agent, for the rank's whole life, and it fans each
+/// mutation out: anti-entropy's re-arm and the endpoint's checkpoint
+/// dirty list.
 #include <cstdint>
 #include <map>
 #include <memory>

@@ -76,9 +76,11 @@ ReplicaSyncAgent::ReplicaSyncAgent(core::IdeaNode& node,
       group_size_(group_size),
       options_(options) {
   node_.dispatcher().route("shard.", this);
+  node_.store().set_mutation_listener(this);
 }
 
 ReplicaSyncAgent::~ReplicaSyncAgent() {
+  node_.store().set_mutation_listener(nullptr);
   stop_anti_entropy();
   for (auto& [key, pending] : pending_acks_) {
     transport_.cancel_call(pending.timer);
@@ -265,12 +267,10 @@ void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
   ae_->matched.assign(group_size_, kUnmatched);
   ae_->timer =
       transport_.call_every(period, [this] { anti_entropy_round(); });
-  node_.store().set_mutation_listener(this);
 }
 
 void ReplicaSyncAgent::stop_anti_entropy() {
   if (ae_ == nullptr) return;
-  node_.store().set_mutation_listener(nullptr);
   if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
   ae_.reset();
 }
@@ -291,8 +291,18 @@ void ReplicaSyncAgent::anti_entropy_round() {
   }
 }
 
+void ReplicaSyncAgent::set_dirty_list(std::vector<FileId>& dirty) {
+  dirty_ = &dirty;
+  listed_ = true;
+  dirty.push_back(node_.file());
+}
+
 void ReplicaSyncAgent::on_store_mutation() {
-  if (ae_->timer != 0) return;
+  if (dirty_ != nullptr && !listed_) {
+    listed_ = true;
+    dirty_->push_back(node_.file());
+  }
+  if (ae_ == nullptr || ae_->timer != 0) return;
   // Rejoin the grid anti-entropy started on: replicas built together keep
   // their rounds in the same instant, so batching still merges their
   // digests.

@@ -38,6 +38,12 @@
 ///    O(group size) rounds, whatever the loss pattern was, and a quiet
 ///    group sends nothing.
 ///
+///  * Dirty listing: the agent is its store's one MutationListener for the
+///    rank's whole life.  Besides re-arming anti-entropy, the first
+///    mutation after each checkpoint pass puts the file id on the
+///    endpoint's dirty list (set_dirty_list), so a pass visits only the
+///    replicas that changed instead of every hosted one.
+///
 ///  * State streaming ("shard.migrate"): when membership changes move a
 ///    file to a new replica group, the new coordinator adopts the merged
 ///    log and streams it to the other ranks as one batch message each.
@@ -162,7 +168,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
  public:
   /// `node` and `transport` are borrowed; `transport` is the file's
   /// rank-space group transport and `group_size` its member count.
-  /// Registers itself on the node's dispatcher under "shard.".
+  /// Registers itself on the node's dispatcher under "shard." and as the
+  /// node's store's mutation listener, until destroyed.
   ReplicaSyncAgent(core::IdeaNode& node, net::Transport& transport,
                    std::uint32_t group_size, ReplicaSyncOptions options = {});
   ~ReplicaSyncAgent() override;
@@ -205,6 +212,16 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
   void stop_anti_entropy();
+
+  /// Report this replica to its endpoint's checkpoint pass: append the
+  /// file id to `dirty` now (a new group epoch is always dirty) and again
+  /// on the first store mutation after each checkpoint_offered(), so a
+  /// pass visits only the replicas that may differ from their durable
+  /// record.  `dirty` is borrowed and must outlive the agent.
+  void set_dirty_list(std::vector<FileId>& dirty);
+  /// The checkpoint pass offered this replica to durable storage: its
+  /// next store mutation lists it again.
+  void checkpoint_offered() { listed_ = false; }
 
   /// One targeted digest exchange with `peer_rank`, outside the periodic
   /// rotation (it does not advance the round-robin cursor).  Used by the
@@ -295,8 +312,10 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   void send_digest(NodeId peer);
   /// What the round timer fires: digest the next unmatched peer.
   void anti_entropy_round();
-  /// A store mutation un-matches every peer: re-arm a stopped round timer
-  /// on the grid.
+  /// The store's one mutation listener for the rank's whole life: list
+  /// the replica for the next checkpoint pass (once per pass), and, while
+  /// anti-entropy runs, re-arm a stopped round timer on the grid (a
+  /// mutation un-matches every peer).
   void on_store_mutation() override;
   /// An exchange with `peer` found the pair identical (on the initiator:
   /// the reply needed no push-back; on the replier: the digest's counts
@@ -323,13 +342,16 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   core::IdeaNode& node_;
   net::Transport& transport_;
   std::uint32_t group_size_;
+  /// True while the file id sits on dirty_ awaiting a checkpoint pass.
+  bool listed_ = false;
+  /// The endpoint's checkpoint dirty list; nullptr without checkpoints.
+  std::vector<FileId>* dirty_ = nullptr;
   ReplicaSyncOptions options_;
   ReplicaSyncStats stats_;
   std::map<replica::UpdateKey, PendingReplication> pending_acks_;
 
   /// Anti-entropy state, allocated by start_anti_entropy: an agent with
-  /// anti-entropy off carries only the null pointer and listens to
-  /// nothing.
+  /// anti-entropy off carries only the null pointer.
   struct AntiEntropy {
     SimDuration period = 0;
     SimTime origin = 0;          ///< Rounds fire at origin + n·period.

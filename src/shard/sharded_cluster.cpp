@@ -6,6 +6,27 @@
 
 namespace idea::shard {
 
+namespace {
+
+/// The checkpoint pass's metric ids, interned once per process.
+struct CheckpointMetrics {
+  obs::MetricId runs = obs::MetricId::intern("ckpt.runs");
+  obs::MetricId files_written = obs::MetricId::intern("ckpt.files_written");
+  obs::MetricId files_clean = obs::MetricId::intern("ckpt.files_clean");
+  obs::MetricId updates_written =
+      obs::MetricId::intern("ckpt.updates_written");
+  obs::MetricId bytes_written = obs::MetricId::intern("ckpt.bytes_written");
+  obs::MetricId dirty_ratio_pct =
+      obs::MetricId::intern("ckpt.dirty_ratio_pct");
+};
+
+const CheckpointMetrics& checkpoint_metrics() {
+  static const CheckpointMetrics m;
+  return m;
+}
+
+}  // namespace
+
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
     : config_(std::move(config)),
       ring_(config_.ring) {
@@ -30,7 +51,7 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   }
   services_.reserve(config_.endpoints);
   incarnations_.assign(config_.endpoints, 0);
-  checkpoint_timers_.assign(config_.endpoints, 0);
+  checkpoints_.resize(config_.endpoints);
   for (NodeId n = 0; n < config_.endpoints; ++n) {
     ring_.add_node(n);
     services_.push_back(std::make_unique<core::IdeaService>(
@@ -93,7 +114,11 @@ FileGroup& ShardedCluster::open_group(FileId file,
   // restart rebuilds the group: sends addressed to it drop at the
   // transport's crash window, exactly like a live-but-dead endpoint.
   group.ranks.resize(k);
+  const bool checkpoints =
+      config_.checkpoint.engine != replica::CheckpointEngineKind::kNone;
   for (std::uint32_t rank = 0; rank < k; ++rank) {
+    EndpointCheckpoints& ckpt = checkpoints_[group.members[rank]];
+    ++ckpt.hosted;
     core::IdeaService* service = services_[group.members[rank]].get();
     if (service == nullptr) continue;
     GroupRank& r = group.ranks[rank];
@@ -119,6 +144,7 @@ FileGroup& ShardedCluster::open_group(FileId file,
           router_->note_freshness(group.ranks[peer_rank].hint, versions,
                                   sim_.now());
         });
+    if (checkpoints) r.sync->set_dirty_list(ckpt.dirty);
     if (config_.anti_entropy_period > 0) {
       r.sync->start_anti_entropy(config_.anti_entropy_period);
     }
@@ -130,6 +156,9 @@ FileGroup& ShardedCluster::open_group(FileId file,
 void ShardedCluster::teardown_group(
     std::unordered_map<FileId, FileGroup>::iterator it) {
   if (it->first < by_file_.size()) by_file_[it->first] = nullptr;
+  for (const NodeId member : it->second.members) {
+    --checkpoints_[member].hosted;
+  }
   files_.erase(it);
 }
 
@@ -172,7 +201,7 @@ MembershipChange ShardedCluster::add_endpoint() {
     id = static_cast<NodeId>(services_.size());
     services_.push_back(nullptr);
     incarnations_.push_back(0);
-    checkpoint_timers_.push_back(0);
+    checkpoints_.emplace_back();
   }
   // Grow the latency topology and the transport's per-node state first:
   // the new endpoint's IdeaService attaches to the transport immediately.
@@ -208,6 +237,7 @@ MembershipChange ShardedCluster::remove_endpoint(NodeId endpoint) {
   // received yet).
   migrate_changed_groups(before, change);
   cancel_checkpoint_timer(endpoint);
+  checkpoints_[endpoint].dirty.clear();  // its replicas are gone
   services_[endpoint].reset();  // detaches its transport slot
   free_ids_.insert(endpoint);
   return change;
@@ -419,20 +449,18 @@ bool ShardedCluster::converged(FileId file) {
 
 void ShardedCluster::arm_checkpoint_timer(NodeId endpoint) {
   if (!config_.checkpoint.enabled()) return;
-  if (endpoint >= checkpoint_timers_.size()) {
-    checkpoint_timers_.resize(endpoint + 1, 0);
-  }
-  if (checkpoint_timers_[endpoint] != 0) return;
-  checkpoint_timers_[endpoint] = sim_.schedule_periodic(
+  std::uint64_t& timer = checkpoints_[endpoint].timer;
+  if (timer != 0) return;
+  timer = sim_.schedule_periodic(
       config_.checkpoint.period,
       [this, endpoint] { checkpoint_endpoint(endpoint); });
 }
 
 void ShardedCluster::cancel_checkpoint_timer(NodeId endpoint) {
-  if (endpoint < checkpoint_timers_.size() &&
-      checkpoint_timers_[endpoint] != 0) {
-    sim_.cancel(checkpoint_timers_[endpoint]);
-    checkpoint_timers_[endpoint] = 0;
+  std::uint64_t& timer = checkpoints_[endpoint].timer;
+  if (timer != 0) {
+    sim_.cancel(timer);
+    timer = 0;
   }
 }
 
@@ -441,37 +469,44 @@ void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
       !has_endpoint(endpoint)) {
     return;
   }
+  // Only a listed replica can differ from its record: every other one
+  // has not mutated since a pass offered it, nor been rebuilt.  Durable
+  // storage still does the dirty test, in ascending file order.
+  EndpointCheckpoints& ckpt = checkpoints_[endpoint];
+  std::vector<FileId>& dirty = ckpt.dirty;
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   std::uint64_t written = 0;
-  std::uint64_t clean = 0;
   std::uint64_t updates = 0;
   std::uint64_t bytes = 0;
-  for (FileId file : sorted_placed(endpoint)) {
-    const FileGroup& g = files_.find(file)->second;
-    const GroupRank& rank = g.ranks[g.rank_of(endpoint)];
-    if (rank.node == nullptr) continue;
+  for (FileId file : dirty) {
+    const FileGroup* g = group(file);
+    if (g == nullptr) continue;  // closed since it was listed
+    const std::uint32_t r = g->rank_of(endpoint);
+    if (r == g->ranks.size()) continue;  // migrated off this endpoint
+    const GroupRank& rank = g->ranks[r];
+    rank.sync->checkpoint_offered();
     const replica::CheckpointRecord* record = storage_.checkpoint(
         endpoint, incarnations_[endpoint],
-        {file, rank.node->store(), g.members, rank.transport->epoch()},
+        {file, rank.node->store(), g->members, rank.transport->epoch()},
         sim_.now());
-    if (record == nullptr) {
-      ++clean;
-      continue;
-    }
+    if (record == nullptr) continue;
     ++written;
     updates += record->updates.size();
     bytes += record->bytes;
   }
+  dirty.clear();
 
   if (obs_ != nullptr) {
+    const CheckpointMetrics& m = checkpoint_metrics();
     obs::Meter meter = obs_->endpoint_meter(endpoint);
-    meter.add(obs::MetricId::intern("ckpt.runs"));
-    meter.add(obs::MetricId::intern("ckpt.files_written"), written);
-    meter.add(obs::MetricId::intern("ckpt.files_clean"), clean);
-    meter.add(obs::MetricId::intern("ckpt.updates_written"), updates);
-    meter.add(obs::MetricId::intern("ckpt.bytes_written"), bytes);
-    if (written + clean > 0) {
-      meter.observe(obs::MetricId::intern("ckpt.dirty_ratio_pct"),
-                    100 * written / (written + clean));
+    meter.add(m.runs);
+    meter.add(m.files_written, written);
+    meter.add(m.files_clean, ckpt.hosted - written);
+    meter.add(m.updates_written, updates);
+    meter.add(m.bytes_written, bytes);
+    if (ckpt.hosted > 0) {
+      meter.observe(m.dirty_ratio_pct, 100 * written / ckpt.hosted);
     }
   }
 }
@@ -487,6 +522,7 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   // connection (crash windows act on the whole flight, not the send).
   sim_transport_->crash_node(endpoint, sim_.now());
   cancel_checkpoint_timer(endpoint);
+  checkpoints_[endpoint].dirty.clear();  // its replicas die below
   // Darken the endpoint's rank in every placed group, in destruction
   // order (a move-assign from an empty rank would free the transport
   // before the node that cancels its timers through it).  Sorted walk
@@ -598,7 +634,8 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     core::IdeaNode* self = group.ranks[self_rank].node.get();
     std::size_t restored = 0;
     if (ckpt != nullptr && self != nullptr) {
-      const replica::ReplicaStore::ImportReport r = self->store().import_log(ckpt->updates);
+      const replica::ReplicaStore::ImportReport r =
+          self->store().import_log(ckpt->updates);
       restored += r.applied;
       ++report.checkpoint_files;
       report.checkpoint_updates += r.applied;
@@ -607,7 +644,8 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       std::vector<replica::Update> batch;
       batch.reserve(reconcile.size());
       for (const auto& [key, u] : reconcile) batch.push_back(u);
-      const replica::ReplicaStore::ImportReport r = self->store().import_log(batch);
+      const replica::ReplicaStore::ImportReport r =
+          self->store().import_log(batch);
       report.reconciled_updates += r.applied;
       restored += r.applied;
     }

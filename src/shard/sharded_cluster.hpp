@@ -34,6 +34,7 @@
 /// regular replication pushes lose.
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -299,6 +300,9 @@ class ShardedCluster : public core::FileSinks {
 
   /// Run one checkpoint pass for `endpoint` right now (what the periodic
   /// timer fires; exposed so tests and benches control epochs exactly).
+  /// The pass offers durable storage only the replicas on the endpoint's
+  /// dirty list, in ascending file order: O(dirty replicas), not
+  /// O(placed files).
   void checkpoint_endpoint(NodeId endpoint);
 
   /// Ids of the live endpoints, ascending.
@@ -468,7 +472,8 @@ class ShardedCluster : public core::FileSinks {
   /// not currently be placed.  Members whose service is down (crashed)
   /// get dark ranks: the group keeps its shape, protocol traffic to them
   /// drops at the transport, and restart_endpoint() lights them by
-  /// rebuilding the group.
+  /// rebuilding the group.  Every live rank goes on its endpoint's
+  /// checkpoint dirty list: a new group epoch is always dirty.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
 
   /// Drop a placed file's index entry and erase its record, which stops
@@ -526,8 +531,20 @@ class ShardedCluster : public core::FileSinks {
   /// Hinted-handoff queue (durable medium at the stand-ins, modeled
   /// cluster-wide like storage_).
   replica::HintStore hints_;
-  /// Periodic checkpoint timer per endpoint id (0 = none armed).
-  std::vector<std::uint64_t> checkpoint_timers_;
+  /// What an endpoint's checkpoint passes work from.
+  struct EndpointCheckpoints {
+    std::uint64_t timer = 0;  ///< Periodic pass timer (0 = none armed).
+    /// Placed groups that list the endpoint as a member.  A live endpoint
+    /// has no dark rank, so this is how many replicas it hosts.
+    std::uint32_t hosted = 0;
+    /// Files whose replica here was rebuilt or mutated since the last
+    /// pass, fed by the ranks' sync agents; unsorted, and a file may
+    /// repeat when its group was rebuilt in between.
+    std::vector<FileId> dirty;
+  };
+  /// Per endpoint id.  A deque, so the agents' pointers to `dirty` stay
+  /// valid while endpoints join.
+  std::deque<EndpointCheckpoints> checkpoints_;
   std::unique_ptr<RequestRouter> router_;
   /// Constructed after router_ (its level probe calls into the router);
   /// null unless config.adapt.enabled.

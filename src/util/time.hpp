@@ -40,7 +40,9 @@ constexpr SimDuration sec_f(double n) {
 }
 
 /// A SimDuration expressed as fractional milliseconds (for reporting).
-constexpr double to_ms(SimDuration d) { return static_cast<double>(d) / 1000.0; }
+constexpr double to_ms(SimDuration d) {
+  return static_cast<double>(d) / 1000.0;
+}
 
 /// A SimDuration expressed as fractional seconds (for reporting).
 constexpr double to_sec(SimDuration d) {

@@ -189,11 +189,12 @@ void ExtendedVersionVector::merge(const ExtendedVersionVector& other) {
     }
   }
   if (stamps_.size() > original) {
-    std::inplace_merge(
-        stamps_.begin(), stamps_.begin() + static_cast<std::ptrdiff_t>(original),
-        stamps_.end(), [](const WriterStamps& a, const WriterStamps& b) {
-          return a.first < b.first;
-        });
+    std::inplace_merge(stamps_.begin(),
+                       stamps_.begin() + static_cast<std::ptrdiff_t>(original),
+                       stamps_.end(),
+                       [](const WriterStamps& a, const WriterStamps& b) {
+                         return a.first < b.first;
+                       });
   }
   if (other_newer) meta_ = other.meta_;
 }

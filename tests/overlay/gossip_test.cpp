@@ -126,7 +126,8 @@ TEST_F(GossipFixture, EnvelopeCarriesPayload) {
         3000 + n));
     transport_->attach(n, agents_.back().get());
   }
-  agents_[1]->broadcast(7, net::MsgType::intern("payload.test"), std::string("hello"), 5);
+  agents_[1]->broadcast(7, net::MsgType::intern("payload.test"),
+                        std::string("hello"), 5);
   sim_.run();
   EXPECT_EQ(got, "hello");
   EXPECT_EQ(origin_seen, 1u);

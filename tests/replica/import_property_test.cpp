@@ -59,7 +59,8 @@ Case generate(Rng& rng) {
       u.file = 7;
       // Writer-local stamps are non-decreasing in real histories.
       u.stamp = sec(seq) + msec(rng.uniform_int(0, 999));
-      u.content = std::string(1, static_cast<char>('a' + rng.uniform_int(0, 25)));
+      u.content =
+          std::string(1, static_cast<char>('a' + rng.uniform_int(0, 25)));
       // Integral deltas keep the oracle's meta sum exact in floating point.
       u.meta_delta = static_cast<double>(rng.uniform_int(0, 4));
       u.invalidated = rng.chance(0.15);

@@ -12,6 +12,9 @@
 /// while the no-checkpoint control re-streams the whole log.  A third pins
 /// that incremental checkpoints follow a group rebuild (a join's
 /// migration), so a later restart still finds every file's checkpoint.
+/// A fourth pins that a checkpoint pass, which visits only the replicas
+/// on its endpoint's dirty list, still hears of every kind of store
+/// mutation, with anti-entropy on and off.
 
 #include <gtest/gtest.h>
 
@@ -396,6 +399,100 @@ TEST(CrashRecoveryTest, IncrementalCheckpointsFollowAGroupRebuild) {
   EXPECT_EQ(rec.checkpoint_files, hosted)
       << "every hosted file must reload from its checkpoint";
   EXPECT_EQ(rec.gap_updates, 0u);
+}
+
+/// Drives every source of a store mutation under anti-entropy period `ae`
+/// (0 = off), stops traffic for three checkpoint periods, and requires
+/// each live replica's durable record to describe its store.
+void check_every_mutation_source_reaches_the_record(SimDuration ae) {
+  // Files above kWritten are never written, so only their group builds
+  // can list them.
+  constexpr FileId kFiles = 40;
+  constexpr FileId kWritten = 30;
+  ShardedClusterConfig cfg = crash_config(
+      515, replica::CheckpointEngineKind::kIncremental, /*loss_rate=*/0.0);
+  cfg.anti_entropy_period = ae;
+  // A give-up digests the silent ranks, so a push lost in the window is
+  // repaired even with anti-entropy off.
+  cfg.replication_resend_timeout = msec(200);
+  ShardedCluster cluster(cfg);
+  cluster.place(1, kFiles);
+  // w = all: while a member is down, its writes park hints at a stand-in,
+  // and its restart drains them.
+  client::SessionOptions options;
+  options.write_concern = client::WriteConcern::all();
+  client::ClientSession session(cluster, options);
+  constexpr int kPuts = 160;  // one per 50 ms until 8 s
+  for (int i = 0; i < kPuts; ++i) {
+    const FileId file = 1 + static_cast<FileId>(i) % kWritten;
+    cluster.sim().schedule_at(msec(50) * (i + 1), [&session, file, i] {
+      session.put(file, "w" + std::to_string(i), 1.0);
+    });
+  }
+  constexpr NodeId kVictim = 1;
+  constexpr NodeId kLeaver = 4;
+  RecoveryReport rec;
+  MembershipChange joined, left;
+  ShardedCluster* c = &cluster;
+  cluster.sim().schedule_at(sec(2) + msec(30),
+                            [c] { c->crash_endpoint(kVictim); });
+  cluster.sim().schedule_at(sec(3) + msec(70), [c, &rec] {
+    rec = c->restart_endpoint(kVictim);
+  });
+  cluster.sim().schedule_at(sec(4) + msec(10),
+                            [c, &joined] { joined = c->add_endpoint(); });
+  cluster.sim().schedule_at(sec(5) + msec(10), [c, &left] {
+    left = c->remove_endpoint(kLeaver);
+  });
+  cluster.transport().add_drop_window(sec(6), sec(6) + msec(600));
+  cluster.run_until(sec(8));
+  cluster.run_for(3 * cfg.checkpoint.period);  // no traffic
+
+  ASSERT_GT(rec.files_recovered, 0u);
+  EXPECT_GT(rec.checkpoint_updates, 0u);
+  EXPECT_GT(rec.hinted_updates, 0u) << "no hint drained on restart";
+  EXPECT_GT(joined.stream_messages, 0u);
+  EXPECT_GT(left.stream_messages, 0u);
+  EXPECT_GT(cluster.transport().fault_dropped(), 0u);
+  std::uint64_t repaired = 0;
+  const replica::DurableStorage& storage = cluster.durable_storage();
+  for (FileId file = 1; file <= kFiles; ++file) {
+    const FileGroup* g = cluster.group(file);
+    ASSERT_NE(g, nullptr);
+    for (std::uint32_t rank = 0; rank < g->ranks.size(); ++rank) {
+      const NodeId endpoint = g->members[rank];
+      const GroupRank& r = g->ranks[rank];
+      ASSERT_NE(r.node, nullptr) << "endpoint " << endpoint << " is down";
+      repaired += r.sync->stats().repair_updates_applied;
+      const replica::CheckpointRecord* latest =
+          storage.latest(endpoint, file);
+      ASSERT_NE(latest, nullptr) << "file " << file << " endpoint "
+                                 << endpoint << ": never checkpointed";
+      EXPECT_EQ(latest->mutations, r.node->store().mutation_count())
+          << "file " << file << " endpoint " << endpoint;
+      EXPECT_EQ(latest->group_epoch, r.transport->epoch())
+          << "file " << file << " endpoint " << endpoint;
+      EXPECT_EQ(latest->members, g->members)
+          << "file " << file << " endpoint " << endpoint;
+    }
+  }
+  EXPECT_GT(repaired, 0u) << "the loss window left nothing to repair";
+}
+
+TEST(CrashRecoveryTest, EveryMutationSourceReachesTheDurableRecord) {
+  // A checkpoint pass offers durable storage only the replicas on its
+  // endpoint's dirty list, so every source of a store mutation must list
+  // its replica: puts, repairs after a loss window, restart imports and
+  // the hinted-handoff drain, migration streams, and each group build.
+  // With anti-entropy off too: listing must not depend on it.
+  {
+    SCOPED_TRACE("anti-entropy every 500 ms");
+    check_every_mutation_source_reaches_the_record(kAePeriod);
+  }
+  {
+    SCOPED_TRACE("anti-entropy off");
+    check_every_mutation_source_reaches_the_record(0);
+  }
 }
 
 }  // namespace
