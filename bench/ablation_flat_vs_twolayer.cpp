@@ -98,7 +98,7 @@ AblationResult run(bool flat, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   RunningStat two_ms, flat_ms, two_msgs, flat_msgs, two_det, flat_det;

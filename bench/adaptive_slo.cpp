@@ -214,9 +214,6 @@ CellResult run_cell(const Setup& s, const Scenario& sc, const Mode& mode) {
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
   cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
-  cfg.idea.detection_period = sec(2);
   cfg.observability.enabled = true;
   // Hints ride the 500 ms anti-entropy exchange: an 800 ms TTL keeps
   // them live between healthy rounds but lets them decay inside loss
@@ -414,7 +411,9 @@ void write_json(const std::string& path, bool smoke, const Setup& s,
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"endpoints", "files", "json", "seed",
+                                 "sim-secs", "slo-p95-ms", "slo-p99-staleness",
+                                 "smoke", "strict"});
   const bool smoke = flags.get_bool("smoke", false);
 
   Setup s;

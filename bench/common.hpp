@@ -70,10 +70,7 @@ inline LevelSnapshot snapshot_levels(core::IdeaCluster& cluster) {
 }
 
 /// The macro deployment the perf benches share (32 endpoints x 2000
-/// files in the headline runs): k = 3 replica groups, batching on,
-/// hint-based adaptation at 0.85, and detection stretched to every 2 s so
-/// thousands of co-located tenants keep the event volume proportional to
-/// useful work.
+/// files in the headline runs): k = 3 replica groups and batching on.
 inline shard::ShardedClusterConfig macro_config(std::uint32_t endpoints,
                                                 std::uint64_t seed) {
   shard::ShardedClusterConfig cfg;
@@ -83,9 +80,6 @@ inline shard::ShardedClusterConfig macro_config(std::uint32_t endpoints,
   cfg.seed = seed;
   cfg.sync_sizes();
   cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  cfg.idea.detection_period = sec(2);
   return cfg;
 }
 

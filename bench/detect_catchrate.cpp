@@ -83,7 +83,7 @@ CatchResult run(double cold_fraction, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   print_header("Top-layer catch rate (supporting the §4.3 claim that the "

@@ -46,7 +46,7 @@ TimeSeries run_series(SimDuration period, std::uint64_t seed,
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"csv", "seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   std::unique_ptr<SeriesCsv> csv;
   if (flags.has("csv")) {

@@ -192,7 +192,7 @@ ProtocolResult run_idea(std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   std::vector<ProtocolResult> results;

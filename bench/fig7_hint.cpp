@@ -83,7 +83,7 @@ void report(double hint, const RunResult& r) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"csv", "duration", "hint", "seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   const SimDuration duration = sec(flags.get_int("duration", 100));
   std::unique_ptr<SeriesCsv> csv;

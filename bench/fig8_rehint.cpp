@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"csv", "first-hint", "second-hint", "seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   const double first_hint = flags.get_double("first-hint", 0.95);
   const double second_hint = flags.get_double("second-hint", 0.90);

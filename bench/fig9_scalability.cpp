@@ -104,7 +104,7 @@ Point measure(std::uint32_t n_writers, bool parallel_collect,
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"csv", "max-top-layer", "reps", "seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   const auto max_n =
       static_cast<std::uint32_t>(flags.get_int("max-top-layer", 10));

@@ -55,7 +55,7 @@ double measure_round_cost(std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   const double c_bytes = measure_round_cost(seed);

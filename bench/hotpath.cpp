@@ -470,7 +470,8 @@ void write_json(const std::string& path, bool smoke,
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"endpoints", "files", "json", "seed",
+                                 "sim-secs", "smoke"});
   const bool smoke = flags.get_bool("smoke", false);
 
   print_header(

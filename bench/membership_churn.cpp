@@ -46,7 +46,6 @@ Deployment stand_up(const Setup& s) {
   cfg.anti_entropy_period = s.ae_period;
   cfg.sync_sizes();
   cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
 
   Deployment d;
   d.cluster = std::make_unique<shard::ShardedCluster>(cfg);
@@ -169,7 +168,7 @@ void run(const Setup& s) {
 }  // namespace idea::bench
 
 int main(int argc, char** argv) {
-  idea::Flags flags(argc, argv);
+  idea::Flags flags(argc, argv, {"ae-ms", "endpoints", "files", "seed"});
   idea::bench::Setup s;
   s.endpoints =
       static_cast<std::uint32_t>(flags.get_int("endpoints", s.endpoints));

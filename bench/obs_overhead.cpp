@@ -239,7 +239,9 @@ void write_json(const std::string& path, bool smoke, std::uint32_t endpoints,
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"endpoints", "files", "json", "max-overhead",
+                                 "reps", "seed", "sim-secs", "smoke", "strict",
+                                 "trace-out"});
   const bool smoke = flags.get_bool("smoke", false);
 
   print_header("Observability overhead: macro run off / metrics / full");

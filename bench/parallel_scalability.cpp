@@ -73,7 +73,6 @@ void run_macro(const MacroConfig& mc, SweepPoint& p) {
   cfg.replication = 3;
   cfg.seed = mc.seed;
   cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.runtime.threads = p.threads;
   cfg.runtime.segments = mc.segments;  // pinned across the sweep
   cfg.sync_sizes();
@@ -184,7 +183,8 @@ std::vector<std::uint32_t> parse_threads(const std::string& spec) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"endpoints", "files", "json", "reps", "seed",
+                                 "segments", "sim-secs", "smoke", "threads"});
   const bool smoke = flags.get_bool("smoke", false);
 
   print_header("Parallel runtime scalability: fleet macro vs thread count");

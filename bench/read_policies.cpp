@@ -118,9 +118,6 @@ LevelResult run_level(const Setup& s, const Cell& cell) {
   cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
   // On-demand mode, no hint: no resolution rounds block the write
   // stream, so every level sees the identical update history.
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
-  cfg.idea.detection_period = sec(2);
   // Metrics on (tracing off): the numbers reported below come out of the
   // deployment's own registry, the way an operator would read them.
   cfg.observability.enabled = true;
@@ -339,7 +336,8 @@ std::uint64_t staleness_cap(const client::ConsistencyLevel& level) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"endpoints", "files", "json", "seed",
+                                 "sim-secs", "smoke", "strict"});
   const bool smoke = flags.get_bool("smoke", false);
 
   Setup s;

@@ -148,7 +148,10 @@ void add_row(TextTable& table, const RunResult& r, const char* note) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"clients-per-endpoint", "csv", "endpoints",
+                                 "files", "no-compare", "seed", "sim-secs",
+                                 "skip-sweep", "skip-window-sweep",
+                                 "window-csv"});
 
   RunConfig top;
   top.endpoints =

@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   RunningStat phase1_dispatch, phase1_acks, phase2, total;

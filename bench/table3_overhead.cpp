@@ -66,7 +66,7 @@ OverheadResult run_period(SimDuration period, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace idea;
   using namespace idea::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
 
   const OverheadResult fast = run_period(sec(20), seed);

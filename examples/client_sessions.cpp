@@ -39,8 +39,6 @@ int main() {
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
   cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   shard::ShardedCluster cluster(cfg);
   Client client(cluster);
 

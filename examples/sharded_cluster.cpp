@@ -29,8 +29,6 @@ int main() {
   cfg.seed = 2026;
   cfg.sync_sizes();
   cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.9;
   ShardedCluster cluster(cfg);
 
   // --- 2. Place 200 tenant files on the ring. -----------------------------
@@ -59,7 +57,7 @@ int main() {
   cluster.run_for(sec(40));  // run, then settle
 
   std::printf("\nworkload: %llu ops attempted, %llu puts applied, "
-              "%llu blocked by resolution\n",
+              "%llu not applied\n",
               static_cast<unsigned long long>(workload.attempted()),
               static_cast<unsigned long long>(kv.puts()),
               static_cast<unsigned long long>(kv.blocked_puts()));

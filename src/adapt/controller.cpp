@@ -182,9 +182,9 @@ void ConsistencyController::tick() {
   for (auto& [file, f] : files_) {
     meter.observe(metrics().window_writes, f.writes);
     // Contention evidence: enough writes this window AND any of router
-    // escalations, stale policy reads, or the detector's level sagging.
-    // The detector probe is consulted last — it is the most expensive
-    // signal and only breaks ties.
+    // escalations, stale policy reads, or the file's level sagging.  The
+    // level probe is consulted last — it is the most expensive signal and
+    // only breaks ties.
     const bool hot = f.writes >= config_.hot_writes;
     const bool contended =
         hot && (f.escalations >= config_.escalation_trigger ||

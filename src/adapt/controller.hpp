@@ -5,7 +5,8 @@
 ///
 /// The paper's thesis is that *detecting* inconsistency and adapting beats
 /// statically chosen levels.  Every signal the loop needs already exists —
-/// the detector attaches a consistency level to each file, the router
+/// each file carries a consistency level (the detector's rule over the
+/// peer counts anti-entropy reports, RequestRouter::level), the router
 /// counts escalations and measures exact per-read staleness, and obs
 /// records all of it deterministically.  The ConsistencyController is the
 /// missing consumer: a periodic sim-clock tick that turns those signals
@@ -16,7 +17,7 @@
 ///
 ///  * Escalate  — a file that saw >= hot_writes writes in the window AND
 ///    any contention evidence (bounded escalations, stale policy reads, or
-///    the detector's consistency level dropping under detector_floor) has
+///    the file's consistency level dropping under detector_floor) has
 ///    its target raised to Strong (or Quorum{r} when escalate_to_quorum):
 ///    hot contended files are served from the coordinator until they calm.
 ///  * Step down — an escalated file with hold_windows consecutive calm
@@ -67,8 +68,8 @@ struct ControllerConfig {
   /// Bounded escalations per window at or above which a hot file counts
   /// as contended.
   std::uint32_t escalation_trigger = 1;
-  /// Detector consistency level under which a hot file counts as
-  /// contended (the detector's level is 1.0 when fully consistent).
+  /// Consistency level under which a hot file counts as contended (the
+  /// level is 1.0 when fully consistent).
   double detector_floor = 0.75;
   /// Consecutive write-free windows before a file relaxes to Eventual.
   std::uint32_t cold_windows = 4;
@@ -113,8 +114,8 @@ class ConsistencyController {
     kQuorum,    ///< Hot contended file: quorum reads.
   };
 
-  /// `probe` answers "what consistency level does the detector attach to
-  /// this file right now" (RequestRouter::level); wired by the cluster.
+  /// `probe` answers "what consistency level does this file carry right
+  /// now" (RequestRouter::level); wired by the cluster.
   ConsistencyController(sim::Simulator& sim, ControllerConfig config,
                         obs::Observability* obs);
 

@@ -43,7 +43,7 @@ class KvStore {
   [[nodiscard]] FileId bucket_of(const std::string& key) const;
 
   /// Route "key=value" to the bucket's coordinator; replicated from there.
-  /// Returns false while the bucket's resolution blocks writes.
+  /// Returns false when the bucket has no live replica.
   bool put(const std::string& key, const std::string& value);
 
   /// Latest live value of `key` in the view the session's consistency

@@ -91,7 +91,7 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
   // the acting coordinator confirms w replica applies (hinted stand-ins
   // counting), or when the replication budget gives up.  The callback
   // fires exactly once: synchronously, inside write_with_concern, under
-  // the default w = 1 or when the write is blocked or unroutable.
+  // the default w = 1 or when the write is unroutable.
   const bool wack = !(concern == WriteConcern::one());
   if (wack) ++stats_->wack_puts;
   OpHandle<WriteAck> handle =

@@ -75,7 +75,7 @@ struct SessionOptions {
 
 /// Ack of one routed write.
 struct WriteAck {
-  bool applied = false;  ///< false: resolution blocked the write.
+  bool applied = false;  ///< false: the file had no live replica.
   NodeId coordinator = kNoNode;
   /// Confirmed replica applies (coordinator included; hinted stand-ins
   /// not).  1 under the default WriteConcern.

@@ -3,9 +3,10 @@
 /// \brief One IDEA middleware node: the public API of the library.
 ///
 /// An IdeaNode sits between an application replica and the network.  It owns
-/// the node's replica of one shared file, its temperature bookkeeping, its
-/// view of the two-layer overlay, the inconsistency detector and the
-/// resolution manager, and the adaptive controller.  Applications interact
+/// the node's replica of one shared file and, behind one pointer, the
+/// paper's per-node stack: its temperature bookkeeping, its view of the
+/// two-layer overlay, gossip and RanSub, the inconsistency detector, the
+/// resolution manager and the adaptive controller.  Applications interact
 /// through:
 ///
 ///  * write()/read()               — the data path;
@@ -16,7 +17,14 @@
 ///    adjustment (§5.1);
 ///  * listeners                    — consistency-level updates, resolution
 ///    round stats, bottom-layer discrepancy alerts.
+///
+/// A store-only node (the second constructor) holds the replica and
+/// nothing else: a sharded replica group keeps its members in step by
+/// pushes and anti-entropy instead (shard/replica_sync.hpp), so its ranks
+/// build no stack.  On such a node only id(), file(), store() and an
+/// untriggered read() are valid; every other member asserts.
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -94,6 +102,9 @@ class IdeaNode {
   IdeaNode(NodeId self, FileId file, net::Transport& transport,
            IdeaConfig config, std::uint64_t seed,
            bool attach_transport = true);
+  /// A store-only node: the replica of `file` at `self`, with no stack,
+  /// no transport and no timers.
+  IdeaNode(NodeId self, FileId file);
   ~IdeaNode();
 
   IdeaNode(const IdeaNode&) = delete;
@@ -116,20 +127,6 @@ class IdeaNode {
   /// accordingly.
   [[nodiscard]] std::vector<replica::Update> read(
       bool trigger_detection = false);
-
-  /// Zero-copy read: a shared immutable canonical-order view of the
-  /// replica (ReplicaStore::contents_snapshot).  The session read path
-  /// serves gets from this, so fan-out reads share one allocation
-  /// instead of copying the log per get.
-  [[nodiscard]] std::shared_ptr<const std::vector<replica::Update>>
-  read_view(bool trigger_detection = false);
-
-  /// Record hosting activity for temperature purposes without issuing a
-  /// write.  Sharded replicas call this when they ingest a replicated
-  /// update: the whole replica group then stays hot and surfaces as the
-  /// file's top layer, so detection and resolution span every durable
-  /// copy rather than just the original writer.
-  void note_replica_activity();
 
   // ------------------------------------------------------------------
   // Table-1 developer API
@@ -172,27 +169,37 @@ class IdeaNode {
   // Introspection
   // ------------------------------------------------------------------
 
-  [[nodiscard]] double current_level() const { return level_.level; }
-  [[nodiscard]] const LevelSample& last_sample() const { return level_; }
+  [[nodiscard]] double current_level() const { return stack().level.level; }
+  [[nodiscard]] const LevelSample& last_sample() const {
+    return stack().level;
+  }
   [[nodiscard]] NodeId id() const { return self_; }
   [[nodiscard]] FileId file() const { return file_; }
   [[nodiscard]] const replica::ReplicaStore& store() const { return store_; }
   [[nodiscard]] replica::ReplicaStore& store() { return store_; }
-  [[nodiscard]] AdaptiveController& controller() { return controller_; }
-  [[nodiscard]] ResolutionManager& resolution() { return resolution_; }
-  [[nodiscard]] detect::InconsistencyDetector& detector() {
-    return detector_;
+  [[nodiscard]] AdaptiveController& controller() {
+    return stack().controller;
   }
-  [[nodiscard]] const IdeaConfig& config() const { return config_; }
+  [[nodiscard]] ResolutionManager& resolution() {
+    return stack().resolution;
+  }
+  [[nodiscard]] detect::InconsistencyDetector& detector() {
+    return stack().detector;
+  }
+  [[nodiscard]] const IdeaConfig& config() const { return stack().config; }
   [[nodiscard]] std::vector<NodeId> top_layer() const;
   [[nodiscard]] std::uint64_t blocked_writes() const {
-    return blocked_writes_;
+    return stack().blocked_writes;
   }
 
-  void set_level_listener(LevelListener cb) { on_level_ = std::move(cb); }
-  void set_round_listener(RoundListener cb) { on_round_user_ = std::move(cb); }
+  void set_level_listener(LevelListener cb) {
+    stack().on_level = std::move(cb);
+  }
+  void set_round_listener(RoundListener cb) {
+    stack().on_round_user = std::move(cb);
+  }
   void set_discrepancy_listener(DiscrepancyListener cb) {
-    on_discrepancy_ = std::move(cb);
+    stack().on_discrepancy = std::move(cb);
   }
 
   /// Run one detection round immediately (also used by benches to align
@@ -200,9 +207,48 @@ class IdeaNode {
   void probe(detect::InconsistencyDetector::DetectCallback cb = nullptr);
 
   /// The node's protocol demultiplexer (used by IdeaService routing).
-  [[nodiscard]] net::Dispatcher& dispatcher() { return dispatcher_; }
+  [[nodiscard]] net::Dispatcher& dispatcher() { return stack().dispatcher; }
 
  private:
+  /// The paper's per-node stack, in construction order.
+  struct Stack {
+    Stack(IdeaNode& node, net::Transport& transport, IdeaConfig config,
+          std::uint64_t seed);
+
+    net::Transport& transport;
+    IdeaConfig config;
+    overlay::TemperatureTracker temperature;
+    overlay::TwoLayerView two_layer;
+    net::Dispatcher dispatcher;
+    overlay::GossipAgent gossip;
+    overlay::RanSubAgent ransub;
+    detect::InconsistencyDetector detector;
+    ResolutionManager resolution;
+    AdaptiveController controller;
+
+    LevelSample level;
+    std::uint64_t detection_timer = 0;
+    std::uint64_t background_timer = 0;
+    std::uint64_t blocked_writes = 0;
+
+    bool attached = false;
+    LevelListener on_level;
+    RoundListener on_round_user;
+    DiscrepancyListener on_discrepancy;
+  };
+
+  [[nodiscard]] Stack& stack() {
+    assert(stack_ != nullptr && "store-only IdeaNode has no stack");
+    return *stack_;
+  }
+  [[nodiscard]] const Stack& stack() const {
+    assert(stack_ != nullptr && "store-only IdeaNode has no stack");
+    return *stack_;
+  }
+
+  /// Record hosting activity for temperature purposes: the node stays
+  /// hot and in the file's top layer.
+  void note_replica_activity();
   void on_detection(const detect::DetectionResult& result);
   void on_scan_report(const detect::ScanReport& report);
   void arm_background_timer(SimDuration period);
@@ -211,29 +257,8 @@ class IdeaNode {
 
   NodeId self_;
   FileId file_;
-  net::Transport& transport_;
-  IdeaConfig config_;
-
   replica::ReplicaStore store_;
-  overlay::TemperatureTracker temperature_;
-  overlay::TwoLayerView two_layer_;
-  net::Dispatcher dispatcher_;
-  overlay::GossipAgent gossip_;
-  overlay::RanSubAgent ransub_;
-  detect::InconsistencyDetector detector_;
-  ResolutionManager resolution_;
-  AdaptiveController controller_;
-
-  LevelSample level_;
-  std::uint64_t detection_timer_ = 0;
-  std::uint64_t background_timer_ = 0;
-  SimDuration background_period_ = 0;
-  std::uint64_t blocked_writes_ = 0;
-
-  bool attached_ = false;
-  LevelListener on_level_;
-  RoundListener on_round_user_;
-  DiscrepancyListener on_discrepancy_;
+  std::unique_ptr<Stack> stack_;  ///< Null on a store-only node.
 };
 
 }  // namespace idea::core

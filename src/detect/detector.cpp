@@ -43,23 +43,22 @@ const net::MsgType InconsistencyDetector::kScanInnerType =
 NodeId choose_reference(
     const std::vector<std::pair<NodeId, vv::ExtendedVersionVector>>&
         gathered) {
-  std::vector<vv::VersionVector> counts;
+  std::vector<std::pair<NodeId, vv::VersionVector>> counts;
   counts.reserve(gathered.size());
-  for (const auto& [node, evv] : gathered) counts.push_back(evv.counts());
-  return choose_reference_by_counts(gathered, counts);
+  for (const auto& [node, evv] : gathered) {
+    counts.emplace_back(node, evv.counts());
+  }
+  return choose_reference_by_counts(counts);
 }
 
 NodeId choose_reference_by_counts(
-    const std::vector<std::pair<NodeId, vv::ExtendedVersionVector>>& gathered,
-    const std::vector<vv::VersionVector>& counts) {
+    const std::vector<std::pair<NodeId, vv::VersionVector>>& counts) {
   NodeId best = kNoNode;
-  for (std::size_t i = 0; i < gathered.size(); ++i) {
-    const NodeId node = gathered[i].first;
+  for (const auto& [node, mine] : counts) {
     bool dominated = false;
-    for (std::size_t j = 0; j < gathered.size(); ++j) {
-      const NodeId other_node = gathered[j].first;
+    for (const auto& [other_node, theirs] : counts) {
       if (other_node == node) continue;
-      const vv::Order o = vv::VersionVector::compare(counts[i], counts[j]);
+      const vv::Order o = vv::VersionVector::compare(mine, theirs);
       if (o == vv::Order::kBefore) {
         dominated = true;
         break;
@@ -149,18 +148,17 @@ void InconsistencyDetector::finish_round(std::uint64_t round_id) {
 
   // Extract each gathered EVV's counts once; every pairwise comparison in
   // this round works on the flat vectors.
-  std::vector<vv::VersionVector> counts;
+  std::vector<std::pair<NodeId, vv::VersionVector>> counts;
   counts.reserve(result.gathered.size());
   for (const auto& [node, evv] : result.gathered) {
-    counts.push_back(evv.counts());
+    counts.emplace_back(node, evv.counts());
   }
 
   // "fail" iff any pair of gathered EVVs differ (paper: two replicas are
   // inconsistent if their version vectors are different).
-  for (std::size_t i = 0; !result.conflict && i < result.gathered.size();
-       ++i) {
-    for (std::size_t j = i + 1; j < result.gathered.size(); ++j) {
-      if (vv::VersionVector::compare(counts[i], counts[j]) !=
+  for (std::size_t i = 0; !result.conflict && i < counts.size(); ++i) {
+    for (std::size_t j = i + 1; j < counts.size(); ++j) {
+      if (vv::VersionVector::compare(counts[i].second, counts[j].second) !=
           vv::Order::kEqual) {
         result.conflict = true;
         break;
@@ -168,7 +166,7 @@ void InconsistencyDetector::finish_round(std::uint64_t round_id) {
     }
   }
 
-  result.reference = choose_reference_by_counts(result.gathered, counts);
+  result.reference = choose_reference_by_counts(counts);
   for (const auto& [node, evv] : result.gathered) {
     if (node == result.reference) {
       result.reference_evv = evv;

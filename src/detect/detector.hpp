@@ -61,13 +61,13 @@ struct DetectorParams {
 NodeId choose_reference(
     const std::vector<std::pair<NodeId, vv::ExtendedVersionVector>>& gathered);
 
-/// Same rule over pre-extracted count vectors (`counts[i]` belongs to
-/// `gathered[i]`).  Detection rounds compare every pair, so extracting each
-/// EVV's counts once instead of per comparison keeps rounds O(k^2) compares
-/// without O(k^2) vector rebuilds.
+/// Same rule over per-writer counts, one (node, counts) entry per replica.
+/// Detection rounds compare every pair, so extracting each EVV's counts
+/// once instead of per comparison keeps rounds O(k^2) compares without
+/// O(k^2) vector rebuilds; a sharded replica group runs it over the counts
+/// its peers reported in anti-entropy exchanges.
 NodeId choose_reference_by_counts(
-    const std::vector<std::pair<NodeId, vv::ExtendedVersionVector>>& gathered,
-    const std::vector<vv::VersionVector>& counts);
+    const std::vector<std::pair<NodeId, vv::VersionVector>>& counts);
 
 class InconsistencyDetector final : public net::MessageHandler {
  public:

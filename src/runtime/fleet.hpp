@@ -8,7 +8,7 @@
 /// file's replica group is chosen from one ring, so giving every segment
 /// its *own* ring (a disjoint slice of the endpoint space, seeded
 /// per-segment) confines each replica group — and with it every piece of
-/// endpoint-local state: per-file replica stacks, ReplicaStores, checkpoint
+/// endpoint-local state: per-file replicas and sync agents, checkpoint
 /// timers, obs registries, the event and message slabs — entirely inside
 /// one segment.  One worker thread runs a segment per epoch, so none of
 /// that state ever needs a lock; a segment moves between workers only

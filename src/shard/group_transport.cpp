@@ -35,7 +35,7 @@ SimTime GroupTransport::local_time(NodeId rank) const {
 void GroupTransport::on_message(const net::Message& msg) {
   if (sink_ == nullptr) return;
   // Epoch fence: a message sent before a migration rebuilt this group
-  // must not be demultiplexed into the new stacks — the sender's rank
+  // must not reach the new replicas — the sender's rank
   // mapping (and possibly the whole protocol state it speaks for) belongs
   // to the previous incarnation.
   if (msg.epoch != epoch_) return;

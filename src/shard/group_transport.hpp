@@ -3,14 +3,14 @@
 /// \brief Per-file transport adapter mapping replica-group ranks to real
 ///        endpoint ids.
 ///
-/// The per-file protocol stack (RanSub tree, gossip peer sampling, the
-/// two-layer view) addresses a dense id space 0..k-1 with node 0 as the
-/// RanSub root.  A consistent-hash replica group, however, is an arbitrary
+/// A replica group's protocol (the ReplicaSyncAgent's pushes, digests and
+/// repairs, and the writer ids in every update) addresses a dense id space
+/// 0..k-1.  A consistent-hash replica group, however, is an arbitrary
 /// subset of endpoints, e.g. {3, 17, 29}.  GroupTransport bridges the two:
-/// each group member's IdeaNode runs with its *rank* within the group as
+/// each group member's replica runs with its *rank* within the group as
 /// its node id, outbound messages have rank ids translated to real
 /// endpoint ids, and inbound messages are translated back before being
-/// demultiplexed into the node's dispatcher.  Latency, loss and clock skew
+/// handed to the rank's sink (its sync agent).  Latency, loss and clock skew
 /// still come from the real endpoint pair, so the group inherits the
 /// simulated topology faithfully.
 ///
@@ -27,7 +27,7 @@ class GroupTransport final : public net::Transport,
                              public net::MessageHandler {
  public:
   /// `inner` is the endpoint-id-space transport (borrowed; must outlive
-  /// this adapter *and* the IdeaNode using it, which cancels its timers
+  /// this adapter *and* the agent using it, which cancels its timers
   /// through here on destruction).  `members` maps rank -> endpoint id and
   /// must be identical on every member, in the same order.  `epoch` fences
   /// group incarnations: outbound messages are stamped with it and inbound
@@ -37,8 +37,8 @@ class GroupTransport final : public net::Transport,
   GroupTransport(net::Transport& inner, std::vector<NodeId> members,
                  std::uint32_t self_rank, std::uint32_t epoch = 0);
 
-  /// Where translated inbound messages go (the IdeaNode's dispatcher).
-  /// Set after the node is constructed; messages arriving earlier drop.
+  /// Where translated inbound messages go (the rank's sync agent).  Set
+  /// after the agent is constructed; messages arriving earlier drop.
   void set_sink(net::MessageHandler* sink) { sink_ = sink; }
 
   [[nodiscard]] const std::vector<NodeId>& members() const {

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <utility>
 
+#include "core/formula.hpp"
+#include "detect/detector.hpp"
 #include "util/log.hpp"
 
 namespace idea::shard {
@@ -67,20 +69,19 @@ const AgentMetrics& agent_metrics() {
 
 }  // namespace
 
-ReplicaSyncAgent::ReplicaSyncAgent(core::IdeaNode& node,
+ReplicaSyncAgent::ReplicaSyncAgent(replica::ReplicaStore& store,
                                    net::Transport& transport,
                                    std::uint32_t group_size,
                                    ReplicaSyncOptions options)
-    : node_(node),
+    : store_(store),
       transport_(transport),
       group_size_(group_size),
       options_(options) {
-  node_.dispatcher().route("shard.", this);
-  node_.store().set_mutation_listener(this);
+  store_.set_mutation_listener(this);
 }
 
 ReplicaSyncAgent::~ReplicaSyncAgent() {
-  node_.store().set_mutation_listener(nullptr);
+  store_.set_mutation_listener(nullptr);
   stop_anti_entropy();
   for (auto& [key, pending] : pending_acks_) {
     transport_.cancel_call(pending.timer);
@@ -89,43 +90,30 @@ ReplicaSyncAgent::~ReplicaSyncAgent() {
     // rebuild, shutdown), so the honest answer is "ack target not met".
     finish_concern(pending, /*satisfied=*/false);
   }
-  node_.dispatcher().unroute("shard.");
 }
 
-bool ReplicaSyncAgent::put(std::string content, double meta_delta,
-                           PutConcern concern, const obs::TraceContext& tc,
-                           const replica::Update** applied_out) {
-  if (applied_out != nullptr) *applied_out = nullptr;
-  if (!node_.write(std::move(content), meta_delta)) {
-    ++stats_.blocked_puts;
-    if (concern.on_result) concern.on_result(false, 0);
-    return false;
-  }
+const replica::Update& ReplicaSyncAgent::put(std::string content,
+                                             double meta_delta,
+                                             PutConcern concern,
+                                             const obs::TraceContext& tc) {
+  const replica::Update& u = store_.apply_local(
+      transport_.local_time(self()), std::move(content), meta_delta);
   ++stats_.puts;
-
-  const replica::ReplicaStore& store = node_.store();
-  const replica::Update* u =
-      store.find(replica::UpdateKey{node_.id(), store.local_seq()});
-  if (u == nullptr) {  // defensive; apply_local just stored it
-    if (concern.on_result) concern.on_result(concern.peer_acks_needed == 0, 1);
-    return true;
-  }
-  if (applied_out != nullptr) *applied_out = u;
 
   // One shared allocation for the whole fan-out; each send refcounts it.
   // Receivers ack exactly the pushes that ask: every push while resends
   // are on, and a write-concern put's pushes even when they are off.
   const bool want_ack =
       options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
-  const net::Payload payload = std::vector<replica::Update>{*u};
-  const auto bytes = static_cast<std::uint32_t>(16 + u->wire_bytes());
+  const net::Payload payload = std::vector<replica::Update>{u};
+  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes());
   std::uint64_t pushed = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if (rank == node_.id()) continue;
+    if (rank == self()) continue;
     net::Message msg;
-    msg.from = node_.id();
+    msg.from = self();
     msg.to = rank;
-    msg.file = node_.file();
+    msg.file = store_.file();
     msg.type = kReplicateType;
     msg.payload = payload;
     msg.wire_bytes = bytes;
@@ -146,7 +134,7 @@ bool ReplicaSyncAgent::put(std::string content, double meta_delta,
   if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
-    if (track_pending(*u, concern.peer_acks_needed,
+    if (track_pending(u, concern.peer_acks_needed,
                       std::move(concern.on_result)) &&
         concern.peer_acks_needed > 0) {
       ++stats_.wack_tracked;
@@ -158,7 +146,7 @@ bool ReplicaSyncAgent::put(std::string content, double meta_delta,
     meter_.add(agent_metrics().wack_failed);
     concern.on_result(false, 1);
   }
-  return true;
+  return u;
 }
 
 SimDuration ReplicaSyncAgent::effective_resend_timeout() const {
@@ -197,7 +185,7 @@ bool ReplicaSyncAgent::track_pending(const replica::Update& u,
   PendingReplication pending;
   pending.update = u;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if (rank != node_.id()) pending.unacked |= 1ull << rank;
+    if (rank != self()) pending.unacked |= 1ull << rank;
   }
   pending.resends_left = options_.max_resends;
   pending.acks_needed = acks_needed;
@@ -242,9 +230,9 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if ((pending.unacked & (1ull << rank)) == 0) continue;
     net::Message msg;
-    msg.from = node_.id();
+    msg.from = self();
     msg.to = rank;
-    msg.file = node_.file();
+    msg.file = store_.file();
     msg.type = kReplicateType;
     msg.payload = payload;
     msg.wire_bytes = bytes;
@@ -278,10 +266,10 @@ void ReplicaSyncAgent::stop_anti_entropy() {
 void ReplicaSyncAgent::anti_entropy_round() {
   // Deterministic rotation: consecutive rounds visit every unmatched rank
   // before repeating, so a pairwise exchange happens within k-1 periods.
-  const std::uint64_t count = node_.store().mutation_count();
+  const std::uint64_t count = store_.mutation_count();
   for (std::uint32_t tried = 1; tried < group_size_; ++tried) {
     const std::uint32_t offset = 1 + (ae_->rotation++ % (group_size_ - 1));
-    const auto peer = static_cast<NodeId>((node_.id() + offset) % group_size_);
+    const auto peer = static_cast<NodeId>((self() + offset) % group_size_);
     if (ae_->matched[peer] == count) continue;
     ++stats_.ae_rounds;
     ++rounds_since_heal_;
@@ -294,13 +282,13 @@ void ReplicaSyncAgent::anti_entropy_round() {
 void ReplicaSyncAgent::set_dirty_list(std::vector<FileId>& dirty) {
   dirty_ = &dirty;
   listed_ = true;
-  dirty.push_back(node_.file());
+  dirty.push_back(store_.file());
 }
 
 void ReplicaSyncAgent::on_store_mutation() {
   if (dirty_ != nullptr && !listed_) {
     listed_ = true;
-    dirty_->push_back(node_.file());
+    dirty_->push_back(store_.file());
   }
   if (ae_ == nullptr || ae_->timer != 0) return;
   // Rejoin the grid anti-entropy started on: replicas built together keep
@@ -316,10 +304,10 @@ void ReplicaSyncAgent::on_store_mutation() {
 
 void ReplicaSyncAgent::note_identical(NodeId peer) {
   if (ae_ == nullptr) return;
-  const std::uint64_t count = node_.store().mutation_count();
+  const std::uint64_t count = store_.mutation_count();
   ae_->matched[peer] = count;
   for (NodeId rank = 0; rank < group_size_; ++rank) {
-    if (rank != node_.id() && ae_->matched[rank] != count) return;
+    if (rank != self() && ae_->matched[rank] != count) return;
   }
   if (ae_->timer != 0) {
     transport_.cancel_call(ae_->timer);
@@ -327,25 +315,80 @@ void ReplicaSyncAgent::note_identical(NodeId peer) {
   }
 }
 
+void ReplicaSyncAgent::note_report(NodeId peer_rank,
+                                   const vv::VersionVector& counts) {
+  if (on_freshness_) on_freshness_(peer_rank, counts.total());
+  if (peer_rank >= group_size_) return;
+  if (reports_.empty()) reports_.resize(group_size_);
+  PeerReport& report = reports_[peer_rank];
+  report.counts = counts;  // reuses the held entries' storage
+  report.at = transport_.now();
+  report.known = true;
+}
+
+double ReplicaSyncAgent::level(const vv::TripleWeights& weights,
+                               const vv::TripleMaxima& maxima) const {
+  if (reports_.empty()) return 1.0;
+  const vv::ExtendedVersionVector& mine = store_.evv();
+  std::vector<std::pair<NodeId, vv::VersionVector>> counts;
+  counts.reserve(group_size_);
+  counts.emplace_back(self(), mine.counts());
+  for (NodeId rank = 0; rank < reports_.size(); ++rank) {
+    if (reports_[rank].known) counts.emplace_back(rank, reports_[rank].counts);
+  }
+  const NodeId ref = detect::choose_reference_by_counts(counts);
+  if (ref == self()) return 1.0;
+  const PeerReport& report = reports_[ref];
+  // A reference is never dominated, so one that holds nothing this
+  // replica lacks has equal counts: R is this EVV, and the triple zero.
+  if (report.counts == counts.front().second) {
+    return core::consistency_level(vv::TactTriple{}, weights, maxima);
+  }
+
+  // R: this replica's stamps cut at the reference's counts, then the
+  // updates only the reference holds, stamped when its report arrived or
+  // at the writer's last shared stamp if later (a writer's stamps never
+  // decrease, and its clock may run ahead of this one).
+  vv::ExtendedVersionVector reference;
+  for (const auto& [writer, stamps] : mine.writers()) {
+    const std::uint64_t cut = std::min<std::uint64_t>(
+        stamps.size(), report.counts.get(writer));
+    for (std::uint64_t k = 0; k < cut; ++k) {
+      reference.record_update(writer, stamps[k], mine.meta());
+    }
+  }
+  for (const auto& [writer, count] : report.counts.entries()) {
+    const std::uint64_t have = mine.count_of(writer);
+    const SimTime at =
+        std::max(report.at, have == 0 ? 0 : mine.stamp_of(writer, have));
+    for (std::uint64_t k = have; k < count; ++k) {
+      reference.record_update(writer, at, mine.meta());
+    }
+  }
+  reference.set_meta(mine.meta());
+  return core::consistency_level(mine.triple_against(reference), weights,
+                                 maxima);
+}
+
 void ReplicaSyncAgent::anti_entropy_with(NodeId peer_rank) {
-  if (peer_rank == node_.id() || peer_rank >= group_size_) return;
+  if (peer_rank == self() || peer_rank >= group_size_) return;
   send_digest(peer_rank);
 }
 
 void ReplicaSyncAgent::send_digest(NodeId peer) {
   net::Message msg;
-  msg.from = node_.id();
+  msg.from = self();
   msg.to = peer;
-  msg.file = node_.file();
+  msg.file = store_.file();
   msg.type = kDigestType;
-  vv::VersionVector counts = node_.store().evv().counts();
+  vv::VersionVector counts = store_.evv().counts();
   msg.wire_bytes = 16 + counts_wire_bytes(counts);
   msg.payload = std::move(counts);
   // Adopt the repair trace the router parked for this file (a traced read
   // that observed staleness): the round is tagged, not altered, and the
   // parked context stays until a traced repair actually heals something.
   if (obs_ != nullptr) {
-    stamp_wire_span(msg, obs_->peek_repair_trace(node_.file()),
+    stamp_wire_span(msg, obs_->peek_repair_trace(store_.file()),
                     "msg.shard.digest");
   }
   transport_.send(std::move(msg));
@@ -358,11 +401,11 @@ std::size_t ReplicaSyncAgent::stream_state(
   const std::uint32_t bytes = batch_wire_bytes(updates);
   std::size_t sent = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if (rank == node_.id()) continue;
+    if (rank == self()) continue;
     net::Message msg;
-    msg.from = node_.id();
+    msg.from = self();
     msg.to = rank;
-    msg.file = node_.file();
+    msg.file = store_.file();
     msg.type = kMigrateType;
     msg.payload = payload;
     msg.wire_bytes = bytes;
@@ -377,24 +420,15 @@ std::size_t ReplicaSyncAgent::apply_batch(
     std::uint64_t& applied_stat) {
   std::size_t applied = 0;
   for (const replica::Update& u : updates) {
-    const replica::Update* held = node_.store().find(u.key);
-    if (held != nullptr) {
-      // Counts cover the update, but its invalidation flag may be news
-      // (the sender saw a resolution outcome this replica missed).
-      if (u.invalidated && !held->invalidated) {
-        node_.store().invalidate(u.key);
-        ++stats_.invalidations_healed;
-      } else {
-        ++stats_.redundant;
-      }
+    if (store_.has(u.key)) {
+      ++stats_.redundant;
       continue;
     }
-    if (node_.store().apply_remote(u)) {
+    if (store_.apply_remote(u)) {
       ++applied_stat;
       ++applied;
     }
   }
-  if (applied > 0) node_.note_replica_activity();
   return applied;
 }
 
@@ -404,18 +438,16 @@ void ReplicaSyncAgent::send_repair(NodeId to_rank,
                                    const obs::TraceContext& tc) {
   RepairPayload body;
   body.sender_counts = std::move(counts);
-  body.invalidated = node_.store().invalidated_keys();
   body.respond = respond;
   body.updates = std::move(updates);
 
   net::Message msg;
-  msg.from = node_.id();
+  msg.from = self();
   msg.to = to_rank;
-  msg.file = node_.file();
+  msg.file = store_.file();
   msg.type = kRepairType;
   msg.wire_bytes =
-      batch_wire_bytes(body.updates) + counts_wire_bytes(body.sender_counts) +
-      static_cast<std::uint32_t>(12 * body.invalidated.size());
+      batch_wire_bytes(body.updates) + counts_wire_bytes(body.sender_counts);
   stats_.repair_updates_sent += body.updates.size();
   if (!body.updates.empty()) {
     meter_.add(agent_metrics().ae_repair_updates_sent, body.updates.size());
@@ -454,9 +486,9 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     // hold must still clear its pending slot over there).
     if (msg.want_ack && !batch.empty()) {
       net::Message ack;
-      ack.from = node_.id();
+      ack.from = self();
       ack.to = msg.from;
-      ack.file = node_.file();
+      ack.file = store_.file();
       ack.type = kAckType;
       ack.payload = batch.front().key;  // a push carries one update
       ack.wire_bytes = 24;
@@ -490,23 +522,21 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     ++stats_.digests_received;
     meter_.add(agent_metrics().ae_digests_received);
     const auto& peer = msg.payload.as<vv::VersionVector>();
-    if (on_freshness_) on_freshness_(msg.from, peer.total());
-    vv::VersionVector mine = node_.store().evv().counts();
-    // Equal counts leave nothing to send, and the pair is identical unless
-    // the initiator holds flags this replica lacks: its push-back then
-    // carries them and un-matches the pair by mutating this store.
+    note_report(msg.from, peer);
+    vv::VersionVector mine = store_.evv().counts();
+    // Equal counts leave nothing to send: the pair is identical.
     const bool identical = mine == peer;
     // Always reply, even with nothing to offer: the initiator needs our
     // counts to push back the other half of the delta.  A traced digest's
     // repair joins the same trace.
-    send_repair(msg.from, node_.store().updates_ahead_of(peer), std::move(mine),
+    send_repair(msg.from, store_.updates_ahead_of(peer), std::move(mine),
                 /*respond=*/true, inbound);
     if (identical) note_identical(msg.from);
     return;
   }
   if (msg.type == kRepairType) {
     const auto& body = msg.payload.as<RepairPayload>();
-    if (on_freshness_) on_freshness_(msg.from, body.sender_counts.total());
+    note_report(msg.from, body.sender_counts);
     const std::size_t applied =
         apply_batch(body.updates, stats_.repair_updates_applied);
     if (applied > 0) {
@@ -524,30 +554,17 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         obs_->clear_repair_trace(msg.file);
       }
     }
-    for (const replica::UpdateKey& key : body.invalidated) {
-      const replica::Update* held = node_.store().find(key);
-      if (held != nullptr && !held->invalidated) {
-        node_.store().invalidate(key);
-        ++stats_.invalidations_healed;
-      }
-    }
     if (body.respond) {
-      // The reply to a digest this agent sent.  Push back what the peer
-      // lacks, updates or flags (the push-back carries this replica's
-      // invalidated set).  With nothing to push back and nothing
-      // received the pair is identical, unless a resolution rolled this
-      // replica back after its digest left: hence the equal-counts check.
-      const replica::ReplicaStore& store = node_.store();
+      // The reply to a digest this agent sent: push back what the peer
+      // lacks.  With nothing to push back and nothing received the pair
+      // is identical: the replier held nothing past the digest, this
+      // replica holds nothing past the reply, and the store only appends.
       std::vector<replica::Update> back =
-          store.updates_ahead_of(body.sender_counts);
-      const std::vector<replica::UpdateKey>& flags = store.invalidated_keys();
-      vv::VersionVector mine = store.evv().counts();
-      if (!back.empty() ||
-          !std::includes(body.invalidated.begin(), body.invalidated.end(),
-                         flags.begin(), flags.end())) {
-        send_repair(msg.from, std::move(back), std::move(mine),
+          store_.updates_ahead_of(body.sender_counts);
+      if (!back.empty()) {
+        send_repair(msg.from, std::move(back), store_.evv().counts(),
                     /*respond=*/false, inbound);
-      } else if (body.updates.empty() && mine == body.sender_counts) {
+      } else if (body.updates.empty()) {
         note_identical(msg.from);
       }
     }

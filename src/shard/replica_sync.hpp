@@ -8,13 +8,15 @@
 /// IDEA's own machinery ships update contents only inside resolution
 /// rounds among top-layer writers; a replica group needs every durable
 /// copy to hold the data even when a single coordinator does all the
-/// writing.  ReplicaSyncAgent closes that gap three ways:
+/// writing.  A group has k = 3 members that replication keeps hot, so the
+/// paper's two layers would save nothing: a rank runs no detection,
+/// gossip, RanSub or resolution, and the agent alone keeps its replica in
+/// step with the group:
 ///
-///  * Push ("shard.replicate"): the coordinator's put() applies the write
-///    locally, then pushes the new update to every other rank.  Receivers
-///    apply it idempotently (ReplicaStore::apply_remote buffers
-///    out-of-order arrivals) and record hosting activity so the whole
-///    group stays in the file's top layer.
+///  * Push ("shard.replicate"): the coordinator's put() appends the write
+///    to its store, then pushes the new update to every other rank.
+///    Receivers apply it idempotently (ReplicaStore::apply_remote buffers
+///    out-of-order arrivals).
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
 ///    network would leave a replica cold forever, so each agent may run
@@ -37,6 +39,10 @@
 ///    surviving copy of an update still spreads to the whole group in
 ///    O(group size) rounds, whatever the loss pattern was, and a quiet
 ///    group sends nothing.
+///
+///  * Level: the agent keeps the counts each peer last reported in a
+///    digest or repair, and level() runs the detector's rule over them on
+///    demand, with no probe message.
 ///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
@@ -72,16 +78,16 @@
 #include <string_view>
 #include <vector>
 
-#include "core/idea_node.hpp"
 #include "net/transport.hpp"
 #include "obs/observability.hpp"
+#include "replica/store.hpp"
+#include "vv/tact_triple.hpp"
 #include "vv/version_vector.hpp"
 
 namespace idea::shard {
 
 struct ReplicaSyncStats {
   std::uint64_t puts = 0;            ///< Local writes accepted.
-  std::uint64_t blocked_puts = 0;    ///< Writes refused mid-resolution.
   std::uint64_t pushed = 0;          ///< Updates sent to peers.
   std::uint64_t applied = 0;         ///< Remote updates applied here.
   std::uint64_t redundant = 0;       ///< Remote updates we already held.
@@ -91,7 +97,6 @@ struct ReplicaSyncStats {
   std::uint64_t repairs_sent = 0;     ///< Repair messages sent.
   std::uint64_t repair_updates_sent = 0;
   std::uint64_t repair_updates_applied = 0;
-  std::uint64_t invalidations_healed = 0;  ///< Flags OR'd in via repair.
   // Migration streaming.
   std::uint64_t migrate_updates_applied = 0;
   // Acked replication (all zero while the feature is off).
@@ -146,19 +151,9 @@ struct PutConcern {
 ///
 /// `sender_counts` is charged like a digest's counts, 12 bytes per
 /// writer; counts are all either side reads (update timestamps stay in
-/// the EVV, for the detector).
-///
-/// `invalidated` carries the sender's full invalidated-key set: version
-/// counts cannot express invalidation (the update stays in the log), so a
-/// replica that missed a resolution's invalidate message would otherwise
-/// diverge forever — no digest would ever re-send an update its counts
-/// already cover.  Receivers OR the flags in, and an initiator whose
-/// flags the replier lacks answers with the push-back even when it has no
-/// update to send.  The set is tiny in practice (only conflict-resolved
-/// updates carry it).
+/// the EVV).
 struct RepairPayload {
   std::vector<replica::Update> updates;
-  std::vector<replica::UpdateKey> invalidated;
   vv::VersionVector sender_counts;
   bool respond = false;
 };
@@ -166,35 +161,34 @@ struct RepairPayload {
 class ReplicaSyncAgent final : public net::MessageHandler,
                                private replica::MutationListener {
  public:
-  /// `node` and `transport` are borrowed; `transport` is the file's
-  /// rank-space group transport and `group_size` its member count.
-  /// Registers itself on the node's dispatcher under "shard." and as the
-  /// node's store's mutation listener, until destroyed.
-  ReplicaSyncAgent(core::IdeaNode& node, net::Transport& transport,
+  /// `store` and `transport` are borrowed; `transport` is the file's
+  /// rank-space group transport, `group_size` its member count, and the
+  /// store's node id is this replica's rank.  Registers itself as the
+  /// store's mutation listener until destroyed; the caller routes the
+  /// rank's inbound messages to on_message.
+  ReplicaSyncAgent(replica::ReplicaStore& store, net::Transport& transport,
                    std::uint32_t group_size, ReplicaSyncOptions options = {});
   ~ReplicaSyncAgent() override;
 
   ReplicaSyncAgent(const ReplicaSyncAgent&) = delete;
   ReplicaSyncAgent& operator=(const ReplicaSyncAgent&) = delete;
 
-  /// Apply a write locally and push it to every other group member.
-  /// Returns false (nothing applied, nothing pushed) while resolution
-  /// blocks updates, mirroring IdeaNode::write.  A traced write (`tc`
-  /// active) records each replication push as a wire span of `tc`'s
-  /// trace, closed by the receiving rank at delivery.
+  /// Append a write to the store, stamped with this rank's local clock,
+  /// and push it to every other group member; returns the stored update
+  /// (valid until the store next mutates).  A traced write (`tc` active)
+  /// records each replication push as a wire span of `tc`'s trace,
+  /// closed by the receiving rank at delivery.
   ///
   /// `concern.on_result`, when set, fires exactly once: synchronously
-  /// when the write is blocked or `peer_acks_needed` is 0 (w = 1);
-  /// otherwise the pushes ask for acks, the put is tracked against the
-  /// group's resend budget, and the callback is satisfied once
-  /// `peer_acks_needed` distinct ranks confirmed their apply, or failed
-  /// when the budget runs out first (the give-up path has then already
-  /// scheduled targeted anti-entropy, so the data still converges even
-  /// though the ack did not).  `applied_out`, when non-null, receives
-  /// the locally applied update (for hint queueing).
-  bool put(std::string content, double meta_delta, PutConcern concern = {},
-           const obs::TraceContext& tc = {},
-           const replica::Update** applied_out = nullptr);
+  /// when `peer_acks_needed` is 0 (w = 1); otherwise the pushes ask for
+  /// acks, the put is tracked against the group's resend budget, and the
+  /// callback is satisfied once `peer_acks_needed` distinct ranks
+  /// confirmed their apply, or failed when the budget runs out first (the
+  /// give-up path has then already scheduled targeted anti-entropy, so
+  /// the data still converges even though the ack did not).
+  const replica::Update& put(std::string content, double meta_delta,
+                             PutConcern concern = {},
+                             const obs::TraceContext& tc = {});
 
   /// Start anti-entropy with rounds on the grid now + n·period (a
   /// restart forgets every match; 0 stops).  Rounds run only while this
@@ -242,8 +236,22 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     on_freshness_ = std::move(fn);
   }
 
+  /// The consistency level this replica attaches to the file (Formula 1
+  /// under `weights` and `maxima`): the detector's rule over the counts
+  /// its peers last reported.  The reference is choose_reference_by_counts
+  /// over this replica's counts and every reported peer's; the level is
+  /// 1.0 when no peer has reported (anti-entropy off) or the reference is
+  /// this replica.  Otherwise it is Formula 1 of this EVV's triple_against
+  /// R: this EVV's stamps cut at the reference's count per writer, plus,
+  /// where that count exceeds this replica's, that many updates stamped
+  /// when the report arrived (the real stamps come with the repair), and
+  /// this EVV's meta value (the missing deltas are unknown).  O(updates)
+  /// only while the reference holds updates this replica lacks.
+  [[nodiscard]] double level(const vv::TripleWeights& weights,
+                             const vv::TripleMaxima& maxima) const;
+
   /// Hook this rank into the deployment's observability: `endpoint` is
-  /// the rank's *global* endpoint id (node_.id() is the group rank), used
+  /// the rank's *global* endpoint id (self() is the group rank), used
   /// for the per-endpoint registry, span placement and log tags.  The
   /// agent records replicate/AE/migrate metrics into the endpoint
   /// registry, stamps wire spans onto traced messages, and adopts the
@@ -275,11 +283,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
 
  private:
   /// Apply a batch of updates (repair or migration), bumping `applied_stat`
-  /// per newly applied update and noting replica activity once.
+  /// per newly applied update.
   std::size_t apply_batch(const std::vector<replica::Update>& updates,
                           std::uint64_t& applied_stat);
-  /// Send `updates` and this replica's `counts` (and invalidated set) to
-  /// `to_rank`; `respond` asks the receiver for the push-back.
+  /// Send `updates` and this replica's `counts` to `to_rank`; `respond`
+  /// asks the receiver for the push-back.
   void send_repair(NodeId to_rank, std::vector<replica::Update> updates,
                    vv::VersionVector counts, bool respond,
                    const obs::TraceContext& tc = {});
@@ -319,12 +327,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   void on_store_mutation() override;
   /// An exchange with `peer` found the pair identical (on the initiator:
   /// the reply needed no push-back; on the replier: the digest's counts
-  /// equal its own and it has nothing to send): match `peer` at the
-  /// current mutation_count(), and stop the rounds once every peer is
-  /// matched.  A replier that matched while the initiator holds flags it
-  /// lacks is un-matched by the push-back that carries them; if that is
-  /// lost, the initiator, which did not match, digests it again.
+  /// equal its own): match `peer` at the current mutation_count(), and
+  /// stop the rounds once every peer is matched.
   void note_identical(NodeId peer);
+  /// `peer_rank` reported `counts` in a digest or repair: tell the
+  /// freshness listener, and keep them, stamped now, for level().
+  void note_report(NodeId peer_rank, const vv::VersionVector& counts);
+
+  /// This replica's rank.
+  [[nodiscard]] NodeId self() const { return store_.node(); }
 
   /// The ack timeout tracked puts run under: the configured resend
   /// timeout, or a fixed default when a write concern needs tracking
@@ -339,7 +350,7 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// Fire-and-clear a pending put's concern callback (exactly-once).
   void finish_concern(PendingReplication& pending, bool satisfied);
 
-  core::IdeaNode& node_;
+  replica::ReplicaStore& store_;
   net::Transport& transport_;
   std::uint32_t group_size_;
   /// True while the file id sits on dirty_ awaiting a checkpoint pass.
@@ -364,6 +375,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   };
   static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};
   std::unique_ptr<AntiEntropy> ae_;
+
+  /// What one peer last reported: its counts, and when they arrived.
+  struct PeerReport {
+    vv::VersionVector counts;
+    SimTime at = 0;
+    bool known = false;
+  };
+  /// Per peer rank; empty until the first report arrives.
+  std::vector<PeerReport> reports_;
 
   FreshnessListener on_freshness_;
   obs::Observability* obs_ = nullptr;

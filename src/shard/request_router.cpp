@@ -56,8 +56,8 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
     const client::WriteConcern& concern, WriteAckCallback on_result,
     const obs::TraceContext& tc) {
   WriteDispatch d;
-  // Unroutable (empty ring / every member down): not a blocked write, but
-  // the callback still gets its exactly-once fire.
+  // Unroutable (empty ring / every member down): the callback still gets
+  // its exactly-once fire.
   FileGroup* group = open(file);
   if (group == nullptr) {
     if (on_result) on_result(false, 0, 0, kNoNode);
@@ -108,14 +108,8 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
     };
   }
 
-  const replica::Update* applied = nullptr;
-  const bool accepted = agent->put(std::move(content), meta_delta,
-                                   std::move(agent_concern), tc, &applied);
-  if (!accepted) {
-    // The agent already failed the callback.
-    ++stats_.blocked_writes;
-    return d;
-  }
+  const replica::Update& applied = agent->put(
+      std::move(content), meta_delta, std::move(agent_concern), tc);
   ++stats_.writes;
   d.applied = true;
   if (adapt::ConsistencyController* ctl = cluster_.controller()) {
@@ -124,9 +118,9 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   if (w > 1) ++stats_.wack_writes;
 
   // Park the hints only after the local apply produced the real update.
-  if (applied != nullptr && !hint_plan.empty()) {
+  if (!hint_plan.empty()) {
     for (const auto& [target, stand_in] : hint_plan) {
-      cluster_.queue_hint(file, target, stand_in, *applied);
+      cluster_.queue_hint(file, target, stand_in, applied);
       ++stats_.hinted_writes;
     }
     ++stats_.sloppy_writes;
@@ -150,9 +144,9 @@ double RequestRouter::level(FileId file) const {
   const FileGroup* group = cluster_.group(file);
   if (group == nullptr) return 1.0;
   const std::uint32_t acting = group->acting_rank();
-  return acting == group->ranks.size()
-             ? 1.0
-             : group->ranks[acting].node->current_level();
+  if (acting == group->ranks.size()) return 1.0;
+  const core::IdeaConfig& idea = cluster_.config().idea;
+  return group->ranks[acting].sync->level(idea.weights, idea.maxima);
 }
 
 bool RequestRouter::close(FileId file) {
@@ -281,7 +275,7 @@ client::ReadResult RequestRouter::serve_single(
   core::IdeaNode* node = group.ranks[rank].node.get();
   if (node == nullptr) return res;
   const NodeId endpoint = group.members[rank];
-  res.updates = node->read_view();
+  res.updates = node->store().contents_snapshot();
   res.served_by = endpoint;
   res.replicas_contacted = 1;
   res.latency = rtt(origin, endpoint);
@@ -342,8 +336,7 @@ client::ReadResult RequestRouter::serve_quorum(
 
   // Fast path: the coordinator dominates every contacted replica (the
   // steady state under push replication) — its snapshot IS the merge,
-  // shared zero-copy.  Otherwise union the logs, OR-ing invalidation
-  // flags, and render canonically.
+  // shared zero-copy.  Otherwise union the logs and render canonically.
   core::IdeaNode* coordinator = nodes.front();
   bool coordinator_dominates = true;
   for (core::IdeaNode* node : nodes) {
@@ -352,33 +345,14 @@ client::ReadResult RequestRouter::serve_quorum(
       break;
     }
   }
-  // Version counts cannot see invalidation (the update stays in the
-  // log), so a contacted replica may know an update is invalidated
-  // while the dominating coordinator still shows it live — the exact
-  // divergence anti-entropy repair exists to heal.  Such a flag must
-  // reach the merged view, so it forces the slow path.
   if (coordinator_dominates) {
-    for (std::size_t i = 1; i < nodes.size() && coordinator_dominates;
-         ++i) {
-      for (const replica::UpdateKey& key :
-           nodes[i]->store().invalidated_keys()) {
-        const replica::Update* held = coordinator->store().find(key);
-        if (held == nullptr || !held->invalidated) {
-          coordinator_dominates = false;
-          break;
-        }
-      }
-    }
-  }
-  if (coordinator_dominates) {
-    res.updates = coordinator->read_view();
+    res.updates = coordinator->store().contents_snapshot();
     res.served_by = members[acting];
   } else {
     std::map<replica::UpdateKey, replica::Update> merged;
     for (core::IdeaNode* node : nodes) {
       for (const auto& [key, u] : node->store().log()) {
-        auto [it, inserted] = merged.emplace(key, u);
-        if (!inserted && u.invalidated) it->second.invalidated = true;
+        merged.emplace(key, u);
       }
     }
     auto out = std::make_shared<std::vector<replica::Update>>();

@@ -74,7 +74,6 @@ struct FreshnessHint {
 struct RouterStats {
   std::uint64_t opens = 0;  ///< Placements created on demand.
   std::uint64_t writes = 0;
-  std::uint64_t blocked_writes = 0;  ///< Writes refused mid-resolution.
   /// Writes coordinated by a lower-ranked member because rank 0 was
   /// crashed (rank space is multi-writer, so failover is safe).
   std::uint64_t failover_writes = 0;
@@ -131,9 +130,11 @@ class RequestRouter {
   /// Close the file on every group member.  Returns whether it was open.
   bool close(FileId file);
 
-  /// The consistency level the acting coordinator currently attaches to
-  /// the file; 1.0 for files that were never opened or have no live
-  /// member.
+  /// The consistency level the acting coordinator attaches to the file
+  /// (ReplicaSyncAgent::level over the peer counts anti-entropy taught
+  /// it, scaled by config.idea's weights and maxima); 1.0 for files that
+  /// were never opened or have no live member, and while no peer has
+  /// reported, as with anti-entropy off.
   [[nodiscard]] double level(FileId file) const;
 
   // ------------------------------------------------------------------
@@ -165,7 +166,7 @@ class RequestRouter {
   /// at a live stand-in endpoint (counting toward w), to be drained back
   /// through anti-entropy when the member restarts.  `on_result` fires
   /// exactly once — synchronously when w resolves to 1 or the write was
-  /// blocked/unroutable.  A traced write (`tc` active) has its
+  /// unroutable.  A traced write (`tc` active) has its
   /// replication fan-out recorded under `tc`'s trace.
   WriteDispatch write_with_concern(FileId file, std::string content,
                                    double meta_delta,

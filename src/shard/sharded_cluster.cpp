@@ -62,8 +62,8 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   if (config_.adapt.enabled) {
     controller_ = std::make_unique<adapt::ConsistencyController>(
         sim_, config_.adapt, obs_.get());
-    // The detector probe: what consistency level the coordinator's stack
-    // currently attaches to the file (1.0 = fully consistent).
+    // The level probe: what consistency level the acting coordinator
+    // attaches to the file (1.0 = fully consistent).
     controller_->set_level_probe(
         [this](FileId file) { return router_->level(file); });
     controller_->start();
@@ -95,14 +95,7 @@ void ShardedCluster::place(FileId first, std::uint32_t count) {
 
 FileGroup& ShardedCluster::open_group(FileId file,
                                       std::vector<NodeId> members) {
-  // Scope the per-file protocol to the group: the RanSub tree, gossip peer
-  // space and bottom layer all cover exactly the k replicas, in rank space.
-  core::IdeaConfig idea = config_.idea;
   const auto k = static_cast<std::uint32_t>(members.size());
-  idea.ransub.nodes = k;
-  idea.gossip.nodes = k;
-  idea.two_layer.all_nodes = k;
-
   const std::uint32_t epoch = ++last_epoch_;
   FileGroup& group = files_.try_emplace(file).first->second;
   if (file < kDenseFileLimit) {
@@ -119,19 +112,16 @@ FileGroup& ShardedCluster::open_group(FileId file,
   for (std::uint32_t rank = 0; rank < k; ++rank) {
     EndpointCheckpoints& ckpt = checkpoints_[group.members[rank]];
     ++ckpt.hosted;
-    core::IdeaService* service = services_[group.members[rank]].get();
-    if (service == nullptr) continue;
+    if (services_[group.members[rank]] == nullptr) continue;
     GroupRank& r = group.ranks[rank];
     r.transport = std::make_unique<GroupTransport>(edge(), group.members,
                                                    rank, epoch);
-    r.node = std::make_unique<core::IdeaNode>(
-        rank, file, *r.transport, idea, service->stack_seed(file),
-        /*attach_transport=*/false);
-    r.transport->set_sink(&r.node->dispatcher());
+    r.node = std::make_unique<core::IdeaNode>(rank, file);
     r.sync = std::make_unique<ReplicaSyncAgent>(
-        *r.node, *r.transport, k,
+        r.node->store(), *r.transport, k,
         ReplicaSyncOptions{config_.replication_resend_timeout,
                            config_.replication_max_resends});
+    r.transport->set_sink(r.sync.get());
     if (obs_ != nullptr) {
       r.sync->set_observability(obs_.get(), group.members[rank]);
     }
@@ -148,7 +138,6 @@ FileGroup& ShardedCluster::open_group(FileId file,
     if (config_.anti_entropy_period > 0) {
       r.sync->start_anti_entropy(config_.anti_entropy_period);
     }
-    r.node->start();
   }
   return group;
 }
@@ -259,15 +248,11 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     // 1. Union snapshot of every old replica's log: under loss the old
     //    coordinator may be missing updates a peer applied, and the
     //    leaving endpoint may hold updates nobody else received yet.
-    //    Invalidation flags survive by OR (resolution may have reached
-    //    only part of the old group when the membership change hit).
     std::map<replica::UpdateKey, replica::Update> merged;
     for (const GroupRank& rank : it->second.ranks) {
       if (rank.node == nullptr) continue;  // crashed: state is gone
       for (replica::Update& u : rank.node->store().export_log()) {
-        const bool invalidated = u.invalidated;
-        auto [mit, inserted] = merged.emplace(u.key, std::move(u));
-        if (!inserted && invalidated) mit->second.invalidated = true;
+        merged.emplace(u.key, std::move(u));
       }
     }
     // Parked hints may hold the *only* surviving copy of a sloppy-quorum
@@ -279,9 +264,7 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
     // owe a crashed member of the *new* group a hand-off.
     std::vector<replica::HintedWrite> parked = hints_.take_file(file);
     for (const replica::HintedWrite& h : parked) {
-      const bool invalidated = h.update.invalidated;
-      auto [mit, inserted] = merged.emplace(h.update.key, h.update);
-      if (!inserted && invalidated) mit->second.invalidated = true;
+      merged.emplace(h.update.key, h.update);
     }
     std::vector<replica::Update> snapshot;
     snapshot.reserve(merged.size());
@@ -297,7 +280,7 @@ void ShardedCluster::migrate_changed_groups(const HashRing& before,
       continue;
     }
 
-    // 3. Fresh stacks on the new members; the new coordinator adopts the
+    // 3. Fresh replicas on the new members; the new coordinator adopts the
     //    snapshot synchronously (the durable hand-off — this also advances
     //    its writer-0 sequence so routed writes continue the old history),
     //    then streams it to the other ranks over the wire.
@@ -525,7 +508,7 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   checkpoints_[endpoint].dirty.clear();  // its replicas die below
   // Darken the endpoint's rank in every placed group, in destruction
   // order (a move-assign from an empty rank would free the transport
-  // before the node that cancels its timers through it).  Sorted walk
+  // before the agent that cancels its timers through it).  Sorted walk
   // for a reproducible report.
   for (FileId file : sorted_placed(endpoint)) {
     FileGroup& group = files_.find(file)->second;

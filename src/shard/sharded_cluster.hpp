@@ -8,10 +8,15 @@
 /// A ShardedCluster stands up `endpoints` IdeaService endpoints over one
 /// simulated transport (optionally wrapped in a BatchingTransport so the
 /// routing fan-out coalesces per tick), and places every file on the
-/// replica group the HashRing assigns it.  Each file's protocol stack is
-/// scoped to its group through a rank-translating GroupTransport, so the
-/// group forms the file's private RanSub tree / gossip mesh / top layer —
-/// §4.1's per-file independence, now across thousands of tenants.
+/// replica group the HashRing assigns it.  Each replica talks to its
+/// group through a rank-translating GroupTransport, so every file's group
+/// runs separately — §4.1's per-file independence, now across thousands
+/// of tenants.  A group has k members that replication keeps hot, so the
+/// paper's two layers would save nothing here: a rank holds a store-only
+/// replica and a ReplicaSyncAgent, and the group converges through pushes
+/// and anti-entropy instead of detection and resolution.  The file's
+/// consistency level comes from the peer counts anti-entropy teaches the
+/// acting coordinator (RequestRouter::level).
 ///
 /// A placed file's FileGroup record owns every replica of the file, one
 /// GroupRank per member; closing or rebuilding a group erases the record,
@@ -24,8 +29,8 @@
 /// Elastic membership: add_endpoint()/remove_endpoint() recompute the
 /// ring and migrate exactly the files whose replica group changed (the
 /// set HashRing::rebalance quantifies).  A migrated file's group is
-/// rebuilt on the new members — a fresh group epoch: overlay and detector
-/// state restart, rank ids are reassigned by the new ring order — and its
+/// rebuilt on the new members — a fresh group epoch: replicas and agents
+/// restart, rank ids are reassigned by the new ring order — and its
 /// state moves by streaming: the union of the old replicas' logs seeds
 /// the new coordinator synchronously (its durable hand-off), which then
 /// streams the batch to the other ranks as "shard.migrate" messages over
@@ -63,7 +68,10 @@ struct ShardedClusterConfig {
   std::uint32_t endpoints = 8;    ///< Service endpoints to stand up.
   std::uint32_t replication = 3;  ///< Replica-group size k per file.
   HashRingParams ring;
-  core::IdeaConfig idea;  ///< Template; group-scoped copies per file.
+  /// Only `weights` and `maxima` are read: they scale the level
+  /// (RequestRouter::level).  A rank builds no paper stack, so every other
+  /// field is ignored.
+  core::IdeaConfig idea;
   sim::PlanetLabParams latency;
   net::SimTransportOptions transport;
   bool batching = true;  ///< Coalesce same-pair sends per tick.
@@ -165,14 +173,15 @@ struct RecoveryReport {
   std::size_t hinted_duplicates = 0;
 };
 
-/// One group member's replica of a placed file.  The fields are declared in
-/// construction order, so destroying a rank runs agent -> stack ->
-/// transport: the agent unroutes from the node's dispatcher, and the node
-/// cancels its timers through the transport.  A dark rank (a crashed
-/// member) is all null.
+/// One group member's replica of a placed file: its transport, a
+/// store-only core::IdeaNode holding the replica, and the sync agent that
+/// receives the rank's messages.  The fields are declared in construction
+/// order, so destroying a rank runs agent -> replica -> transport: the
+/// agent cancels its timers through the transport and leaves the store.
+/// A dark rank (a crashed member) is all null.
 struct GroupRank {
   std::unique_ptr<GroupTransport> transport;
-  std::unique_ptr<core::IdeaNode> node;
+  std::unique_ptr<core::IdeaNode> node;  ///< Store-only: no paper stack.
   std::unique_ptr<ReplicaSyncAgent> sync;
   FreshnessHint hint;  ///< The router's last observation of this replica.
 };
@@ -250,7 +259,7 @@ class ShardedCluster : public core::FileSinks {
   // ------------------------------------------------------------------
 
   /// Crash-stop `endpoint` right now: its volatile state (every hosted
-  /// replica stack) is dropped, no goodbye messages are sent, and the
+  /// replica) is dropped, no goodbye messages are sent, and the
   /// transport loses all in-flight traffic to or from it.  The endpoint
   /// keeps its ring points and group memberships — its ranks simply go
   /// dark (pushes to them drop; reads and writes route around them via
@@ -385,11 +394,12 @@ class ShardedCluster : public core::FileSinks {
   // Access
   // ------------------------------------------------------------------
 
-  /// The file's replica stack on `endpoint`; nullptr if that endpoint is
-  /// not in the file's group or the file is not placed.
+  /// The file's replica on `endpoint` (a store-only core::IdeaNode);
+  /// nullptr if that endpoint is not in the file's group or the file is
+  /// not placed.
   [[nodiscard]] core::IdeaNode* replica(FileId file, NodeId endpoint);
 
-  /// The file's replica stack at group rank `rank` (0 = coordinator).
+  /// The file's replica at group rank `rank` (0 = coordinator).
   [[nodiscard]] core::IdeaNode* replica_at_rank(FileId file,
                                                 std::uint32_t rank);
 
@@ -506,7 +516,7 @@ class ShardedCluster : public core::FileSinks {
   HashRing ring_;
   /// The last group epoch handed out (see GroupTransport's fence).  Every
   /// group build takes the next one, so in-flight traffic from a torn-down
-  /// incarnation can never reach the replacement stacks.
+  /// incarnation can never reach the replacement replicas.
   std::uint32_t last_epoch_ = 0;
   /// Largest file id mirrored into the dense index (8 bytes per slot).
   static constexpr FileId kDenseFileLimit = 1u << 20;

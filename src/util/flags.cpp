@@ -22,6 +22,23 @@ Flags::Flags(int argc, char** argv) : program_(argc > 0 ? argv[0] : "") {
   }
 }
 
+Flags::Flags(int argc, char** argv,
+             std::initializer_list<std::string_view> accepted)
+    : Flags(argc, argv) {
+  for (const auto& [name, value] : values_) {
+    bool known = false;
+    for (const std::string_view a : accepted) known = known || a == name;
+    if (known) continue;
+    std::string message = "unknown flag --" + name + "; " + program_ +
+                          " accepts";
+    for (const std::string_view a : accepted) {
+      message += " --";
+      message += a;
+    }
+    throw std::invalid_argument(message);
+  }
+}
+
 bool Flags::has(const std::string& name) const {
   return values_.count(name) > 0;
 }

@@ -2,20 +2,29 @@
 /// \file flags.hpp
 /// \brief Minimal command-line flag parsing for bench and example binaries.
 ///
-/// Supports `--name value` and `--name=value`; unknown flags are reported.
-/// This keeps the bench binaries dependency-free and scriptable
+/// Supports `--name value` and `--name=value`.  A binary that declares the
+/// names it accepts gets every other name rejected, so a typo such as
+/// `--stric` fails loudly instead of silently dropping a gate.  This keeps
+/// the bench binaries dependency-free and scriptable
 /// (e.g. `fig7_hint --hint 0.85 --seed 42 --csv out.csv`).
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace idea {
 
 class Flags {
  public:
-  /// Parse argv; throws std::invalid_argument on malformed input.
+  /// Parse argv; throws std::invalid_argument on malformed input.  Any
+  /// flag name is kept.
   Flags(int argc, char** argv);
+  /// Parse argv, accepting only the names in `accepted`; throws
+  /// std::invalid_argument on malformed input or on any other name.
+  Flags(int argc, char** argv,
+        std::initializer_list<std::string_view> accepted);
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get_string(const std::string& name,

@@ -216,48 +216,6 @@ TEST(ClientSessionTest, QuorumMajorityNeverOlderThanAckedWrite) {
   EXPECT_GT(cluster.router().stats().quorum_reads, 0u);
 }
 
-TEST(ClientSessionTest, QuorumMergesInvalidationFlagsFromAnyReplica) {
-  // Version counts cannot express invalidation (the update stays in the
-  // log), so the quorum merge must not trust count dominance alone: a
-  // contacted replica may know an update was invalidated while the
-  // coordinator's copy is still live — the divergence anti-entropy
-  // repair exists to heal.  The merged view must carry the flag.
-  shard::ShardedCluster cluster(session_config(909));
-  Client client(cluster);
-  ClientSession writer = client.session();
-
-  const FileId file = 8;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(writer.put(file, "v" + std::to_string(i), 1.0).ok());
-  }
-  cluster.run_for(sec(1));  // pushes deliver; counts equal everywhere
-
-  // Mimic a resolution outcome whose invalidate message reached only a
-  // non-coordinator replica.
-  const std::vector<NodeId> group = cluster.group_of(file);
-  ASSERT_EQ(group.size(), 3u);
-  core::IdeaNode* lagging = cluster.replica(file, group[1]);
-  ASSERT_TRUE(lagging->store().invalidate(replica::UpdateKey{0, 2}));
-
-  // A full-group quorum contacts the flagged replica; the returned view
-  // must show the update invalidated even though the coordinator's
-  // counts dominate (equal) and its own copy is live.
-  ClientSession reader =
-      client.session({.level = ConsistencyLevel::quorum(3), .origin = 0});
-  const OpHandle<ReadResult> h = reader.read(file);
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(h->replicas_contacted, 3u);
-  bool found = false;
-  for (const replica::Update& u : *h->updates) {
-    if (u.key == replica::UpdateKey{0, 2}) {
-      found = true;
-      EXPECT_TRUE(u.invalidated)
-          << "quorum view dropped a contacted replica's invalidation";
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(ClientSessionTest, MigrationWindowPinsPolicyReadsToWarmCoordinator) {
   shard::ShardedCluster cluster(session_config(505));
   Client client(cluster);

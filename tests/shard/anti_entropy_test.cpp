@@ -263,77 +263,6 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 }
 
-TEST(AntiEntropyTest, InvalidationFlagsPropagateThroughRepair) {
-  // Version counts cannot express invalidation, so a replica that missed
-  // a resolution's invalidate message needs the repair path to OR the
-  // flag in — otherwise it diverges forever with identical counts.
-  constexpr FileId kFile = 11;
-  ShardedCluster cluster(ae_config(808, /*anti_entropy=*/true));
-  cluster.ensure_open(kFile);
-  client::ClientSession session(cluster, {});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(session.put(kFile, "v" + std::to_string(i), 1.0).ok());
-  }
-  cluster.run_for(sec(1));
-  ASSERT_TRUE(replicas_identical(cluster, kFile));
-
-  // Mimic a resolution outcome whose invalidate message reached only the
-  // coordinator: flag one update there and nowhere else.
-  core::IdeaNode* coord = cluster.replica_at_rank(kFile, 0);
-  ASSERT_TRUE(coord->store().invalidate(replica::UpdateKey{0, 2}));
-  EXPECT_FALSE(replicas_identical(cluster, kFile))
-      << "content digests should diverge on invalidation";
-
-  const int periods = periods_to_convergence(cluster, kFile, 1, 4);
-  ASSERT_NE(periods, -1) << "invalidation flag never propagated";
-  for (std::uint32_t rank = 1; rank < 3; ++rank) {
-    core::IdeaNode* node = cluster.replica_at_rank(kFile, rank);
-    const replica::Update* u =
-        node->store().find(replica::UpdateKey{0, 2});
-    ASSERT_NE(u, nullptr);
-    EXPECT_TRUE(u->invalidated) << "rank " << rank;
-  }
-  std::uint64_t healed = 0;
-  for (std::uint32_t rank = 0; rank < 3; ++rank) {
-    healed += cluster.sync_agent(kFile, rank)->stats().invalidations_healed;
-  }
-  EXPECT_EQ(healed, 2u);  // one per replica that missed the flag
-}
-
-TEST(AntiEntropyTest, InvalidationFlagReachesRepliersThatStartNoRounds) {
-  // The flag travels in the initiator's push-back, which must go out even
-  // when the initiator has no update the replier lacks: here only rank 0
-  // starts rounds, so the push-back is the flag's one way to ranks 1 and
-  // 2.
-  constexpr FileId kFile = 11;
-  ShardedCluster cluster(ae_config(808, /*anti_entropy=*/true));
-  cluster.ensure_open(kFile);
-  client::ClientSession session(cluster, {});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(session.put(kFile, "v" + std::to_string(i), 1.0).ok());
-  }
-  cluster.run_for(sec(1));
-  ASSERT_TRUE(replicas_identical(cluster, kFile));
-
-  cluster.sync_agent(kFile, 1)->stop_anti_entropy();
-  cluster.sync_agent(kFile, 2)->stop_anti_entropy();
-  core::IdeaNode* coord = cluster.replica_at_rank(kFile, 0);
-  ASSERT_TRUE(coord->store().invalidate(replica::UpdateKey{0, 2}));
-  ASSERT_FALSE(cluster.converged(kFile));
-
-  cluster.run_for(sec(10));
-  EXPECT_TRUE(cluster.converged(kFile));
-  for (std::uint32_t rank = 1; rank < 3; ++rank) {
-    const replica::Update* u =
-        cluster.replica_at_rank(kFile, rank)->store().find(
-            replica::UpdateKey{0, 2});
-    ASSERT_NE(u, nullptr);
-    EXPECT_TRUE(u->invalidated) << "rank " << rank;
-  }
-  // Once both peers hold the flag, rank 0 matches them and stops.
-  EXPECT_FALSE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
-}
-
 TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
   // Rank 1 misses a put while cut off from both peers and stays cut off
   // from rank 2, so only rank 0's rounds can heal it.  Rank 0's push-back
@@ -378,70 +307,6 @@ TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
 
   cluster.run_for(sec(3));
   EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 2u);
-}
-
-TEST(AntiEntropyTest, ALostFlagPushBackAfterTheReplierMatchedHeals) {
-  // Rank 0 holds an invalidation flag its peers lack, and rank 1 is cut
-  // off from rank 2, so only rank 0 can bring rank 1 the flag.  A digest
-  // carries counts only: rank 1 finds equal counts, has nothing to send
-  // and matches rank 0 on that digest (they never exchanged before).
-  // Rank 0 sees rank 1 lacks the flag and pushes it back, but the
-  // push-back is lost in flight.  Rank 1 stays matched, so rank 0 must
-  // not match: its next rounds have to carry the flag.
-  constexpr FileId kFile = 11;
-  constexpr int kGroup = 3;
-  constexpr int kBound = 2 * (kGroup - 1) + 2;
-  ShardedClusterConfig cfg = ae_config(808, /*anti_entropy=*/true);
-  cfg.batching = false;  // every send reaches the wire at once
-  ShardedCluster cluster(cfg);
-  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
-  client::ClientSession session(cluster, {});
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(session.put(kFile, "v" + std::to_string(i), 1.0).ok());
-  }
-  // The pushes land before the first round: every rank holds the puts and
-  // no pair has exchanged yet.
-  cluster.run_for(kAePeriod - msec(100));
-  ASSERT_TRUE(replicas_identical(cluster, kFile));
-  for (std::uint32_t rank = 0; rank < kGroup; ++rank) {
-    ASSERT_EQ(cluster.sync_agent(kFile, rank)->stats().ae_rounds, 0u);
-  }
-  net::SimTransport& wire = cluster.transport();
-  wire.partition(m[1], m[2]);
-  const replica::UpdateKey flagged{0, 2};
-  ASSERT_TRUE(cluster.replica_at_rank(kFile, 0)->store().invalidate(flagged));
-
-  // Step to the instant rank 1 answers rank 0's digest, then cut the pair
-  // until just before the next round: the answer is already on the wire,
-  // the push-back is not.
-  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
-  const ReplicaSyncStats& cold = cluster.sync_agent(kFile, 1)->stats();
-  const SimTime deadline = cluster.sim().now() + sec(5);
-  while (cold.repairs_sent == 0 && cluster.sim().now() < deadline) {
-    cluster.sim().step();
-  }
-  ASSERT_EQ(cold.repairs_sent, 1u) << "rank 1 never answered rank 0";
-  wire.partition(m[1], m[0]);
-  const std::uint64_t repairs = coord->stats().repairs_sent;
-  const std::uint64_t digests = coord->stats().digests_received;
-  cluster.run_until((cluster.sim().now() / kAePeriod + 1) * kAePeriod - 1);
-  wire.heal(m[1], m[0]);
-  // Every repair rank 0 sent in the cut that answered no digest was a
-  // push-back, and it carried the flag rank 1 still lacks.
-  EXPECT_EQ(coord->stats().repairs_sent - repairs,
-            coord->stats().digests_received - digests + 1);
-  EXPECT_FALSE(
-      cluster.replica_at_rank(kFile, 1)->store().find(flagged)->invalidated);
-  EXPECT_TRUE(coord->anti_entropy_running());
-
-  const int periods = periods_to_convergence(cluster, kFile, 1, kBound);
-  ASSERT_NE(periods, -1) << "not converged within " << kBound << " periods";
-  for (std::uint32_t rank = 0; rank < kGroup; ++rank) {
-    const replica::Update* u =
-        cluster.replica_at_rank(kFile, rank)->store().find(flagged);
-    ASSERT_NE(u, nullptr);
-    EXPECT_TRUE(u->invalidated) << "rank " << rank;
-  }
 }
 
 /// Stands in for an endpoint on the edge transport: records the wire size

@@ -69,22 +69,22 @@ TEST(ShardedClusterTest, WriteReplicatesAcrossGroup) {
   EXPECT_EQ(cluster.sync_agent(file, 0)->stats().pushed, 2u);
 }
 
-TEST(ShardedClusterTest, ConflictingWritesConvergeThroughResolution) {
+TEST(ShardedClusterTest, ConflictingWritesConvergeThroughPushes) {
   ShardedCluster cluster(small_cluster_config());
   const FileId file = 11;
   cluster.ensure_open(file);
-  // Warm the group so its top layer exists before the conflict.
-  ASSERT_TRUE(cluster.sync_agent(file, 0)->put("warm", 0.0));
-  cluster.run_for(sec(12));  // a couple of RanSub epochs
+  cluster.sync_agent(file, 0)->put("warm", 0.0);
+  cluster.run_for(sec(12));
 
-  // Conflicting writes from two different group members: a large
-  // numerical gap, as in the seed's service test.
-  ASSERT_TRUE(cluster.sync_agent(file, 0)->put("a", 1.0));
-  ASSERT_TRUE(cluster.sync_agent(file, 1)->put("b", 9.0));
-  cluster.run_for(sec(40));  // detect -> hint dips -> resolution round
+  // Conflicting writes from two different group members, with a large
+  // numerical gap: each rank pushes its own write to the whole group, so
+  // every replica ends with both, with no detection or resolution.
+  cluster.sync_agent(file, 0)->put("a", 1.0);
+  cluster.sync_agent(file, 1)->put("b", 9.0);
+  cluster.run_for(sec(40));
 
   EXPECT_TRUE(cluster.converged(file))
-      << "replica digests still differ after resolution";
+      << "replica digests still differ after the pushes";
   for (std::uint32_t rank = 0; rank < 3; ++rank) {
     EXPECT_GE(cluster.replica_at_rank(file, rank)->store().update_count(),
               3u);
@@ -284,6 +284,105 @@ TEST(ShardedClusterTest, ACrashedMembersRankDropsItsTraffic) {
             group->ranks[rank].transport.get());
   EXPECT_EQ(group->ranks[rank].node->store().update_count(), 2u);
   EXPECT_TRUE(cluster.converged(files[0]));
+}
+
+TEST(ShardedClusterTest, IdlePlacedGroupsScheduleNothing) {
+  // A rank is a store and a sync agent: with anti-entropy, replication
+  // resends and checkpoints off (the defaults), a placed file that sees no
+  // operation runs no timer at all.
+  ShardedClusterConfig cfg = small_cluster_config();
+  ASSERT_EQ(cfg.anti_entropy_period, 0);
+  ASSERT_EQ(cfg.replication_resend_timeout, 0);
+  ASSERT_FALSE(cfg.checkpoint.enabled());
+  ShardedCluster cluster(cfg);
+  cluster.place(1, 40);
+  const std::uint64_t before = cluster.sim().events_processed();
+  cluster.run_for(sec(60));
+  EXPECT_EQ(cluster.sim().events_processed(), before);
+}
+
+/// Level-rule cluster: anti-entropy on, batching off so each digest
+/// reaches the wire at once.
+ShardedClusterConfig level_config(bool anti_entropy) {
+  ShardedClusterConfig cfg = small_cluster_config(5150);
+  cfg.batching = false;
+  if (anti_entropy) cfg.anti_entropy_period = sec(1);
+  return cfg;
+}
+
+TEST(ShardedClusterTest, LevelIsOneForAConvergedGroup) {
+  ShardedCluster cluster(level_config(/*anti_entropy=*/true));
+  client::ClientSession session(cluster, {});
+  const FileId file = 21;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(session.put(file, "v" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(10));
+  ASSERT_TRUE(cluster.converged(file));
+  // Every pair exchanged: the coordinator heard from both peers.
+  EXPECT_GT(cluster.sync_agent(file, 0)->stats().digests_received +
+                cluster.sync_agent(file, 0)->stats().ae_rounds,
+            0u);
+  EXPECT_EQ(cluster.router().level(file), 1.0);
+  EXPECT_EQ(session.level(file), 1.0);
+}
+
+TEST(ShardedClusterTest, LevelIsOneWithoutAntiEntropy) {
+  // Without anti-entropy no peer ever reports its counts, so the acting
+  // coordinator has nothing to measure against: the level reads 1.0 even
+  // while a replica misses a push.
+  ShardedCluster cluster(level_config(/*anti_entropy=*/false));
+  client::ClientSession session(cluster, {});
+  const FileId file = 21;
+  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
+  cluster.transport().partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(file, "lost-at-rank-1", 1.0).ok());
+  cluster.run_for(sec(5));
+  EXPECT_FALSE(cluster.converged(file));
+  EXPECT_EQ(cluster.router().level(file), 1.0);
+}
+
+TEST(ShardedClusterTest, LevelDipsWhileAPeerReportsUpdatesTheCoordinatorLacks) {
+  ShardedCluster cluster(level_config(/*anti_entropy=*/true));
+  client::ClientSession session(cluster, {});
+  const FileId file = 21;
+  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
+  ASSERT_TRUE(session.put(file, "base", 1.0).ok());
+  cluster.run_for(sec(10));
+  ASSERT_TRUE(cluster.converged(file));
+  ASSERT_EQ(cluster.router().level(file), 1.0);
+
+  // A w = 1 put whose push reaches rank 2 but not rank 1, then the
+  // coordinator crashes: rank 1 takes over without the update.
+  cluster.transport().partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(file, "only-rank-2", 5.0).ok());
+  cluster.run_for(msec(400));
+  ASSERT_EQ(cluster.replica_at_rank(file, 2)->store().update_count(), 2u);
+  cluster.crash_endpoint(m[0]);
+  cluster.transport().heal(m[0], m[1]);
+  ASSERT_EQ(cluster.coordinator(file).second, m[1]);
+  EXPECT_EQ(cluster.router().level(file), 1.0) << "no peer reported yet";
+
+  // Rank 2's mutation re-armed its rounds; step until its digest reaches
+  // rank 1, the acting coordinator.  The level then reflects the update
+  // rank 1 lacks, until the push-back lands.
+  const ReplicaSyncStats& acting = cluster.sync_agent(file, 1)->stats();
+  const std::uint64_t digests = acting.digests_received;
+  const SimTime deadline = cluster.sim().now() + sec(10);
+  while (acting.digests_received == digests &&
+         cluster.sim().now() < deadline) {
+    cluster.sim().step();
+  }
+  ASSERT_GT(acting.digests_received, digests) << "rank 2 never digested";
+  ASSERT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
+  const double dipped = cluster.router().level(file);
+  EXPECT_LT(dipped, 1.0);
+  EXPECT_GT(dipped, 0.0);
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 2u);
+  EXPECT_TRUE(cluster.converged(file));
+  EXPECT_EQ(cluster.router().level(file), 1.0);
 }
 
 TEST(ShardedClusterTest, EndToEndPlacementWriteConverge) {

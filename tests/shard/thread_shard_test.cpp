@@ -4,19 +4,20 @@
 /// The shard stack was sim-only until now (ROADMAP follow-up).  This test
 /// assembles the same pieces a ShardedCluster wires — per file a FileGroup
 /// record whose GroupRanks hold the rank-translating GroupTransport, the
-/// IdeaNode and the ReplicaSyncAgent with anti-entropy, and IdeaService
+/// store-only IdeaNode and the ReplicaSyncAgent with anti-entropy, and
+/// IdeaService
 /// endpoints that deliver each message through its file's record
 /// (FileGroup::sink, the rule ShardedCluster answers with) — over
 /// net::ThreadTransport, so group replication and digest/repair healing
 /// are exercised under real concurrency instead of the discrete-event
 /// kernel.  All protocol activity runs on the transport's dispatcher
 /// thread; the test thread only schedules work via call_after and joins
-/// the timeline with wait_idle (the nodes are not start()ed, so no
-/// periodic timers keep the queue busy forever).
+/// the timeline with wait_idle (a rank runs no periodic timer but
+/// anti-entropy, which the test stops before it waits).
 ///
 /// Destruction runs in reverse declaration order: the services detach
-/// first, then each record's ranks tear down agent -> node -> transport by
-/// construction, and the ThreadTransport (declared first) joins its
+/// first, then each record's ranks tear down agent -> replica -> transport
+/// by construction, and the ThreadTransport (declared first) joins its
 /// dispatcher thread last.
 
 #include <gtest/gtest.h>
@@ -54,25 +55,18 @@ FileGroup& open_group(
     FileId file, std::vector<NodeId> members, net::Transport& edge,
     Groups& groups,
     const std::vector<std::unique_ptr<core::IdeaService>>& services) {
-  core::IdeaConfig idea;
-  idea.maxima = vv::TripleMaxima{20, 20, 20};
   const auto k = static_cast<std::uint32_t>(members.size());
-  idea.ransub.nodes = k;
-  idea.gossip.nodes = k;
-  idea.two_layer.all_nodes = k;
-
   FileGroup& group = groups.files[file];
   group.members = std::move(members);
   group.ranks.resize(k);
   for (std::uint32_t rank = 0; rank < k; ++rank) {
-    const core::IdeaService& service = *services[group.members[rank]];
+    if (services[group.members[rank]] == nullptr) continue;
     GroupRank& r = group.ranks[rank];
     r.transport = std::make_unique<GroupTransport>(edge, group.members, rank);
-    r.node = std::make_unique<core::IdeaNode>(rank, file, *r.transport, idea,
-                                              service.stack_seed(file),
-                                              /*attach_transport=*/false);
-    r.transport->set_sink(&r.node->dispatcher());
-    r.sync = std::make_unique<ReplicaSyncAgent>(*r.node, *r.transport, k);
+    r.node = std::make_unique<core::IdeaNode>(rank, file);
+    r.sync =
+        std::make_unique<ReplicaSyncAgent>(r.node->store(), *r.transport, k);
+    r.transport->set_sink(r.sync.get());
   }
   return group;
 }

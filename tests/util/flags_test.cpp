@@ -62,5 +62,40 @@ TEST(Flags, RejectsPositional) {
   EXPECT_THROW(make({"prog", "positional"}), std::invalid_argument);
 }
 
+Flags make_declared(std::vector<std::string> args) {
+  static std::vector<std::string> storage;
+  storage = std::move(args);
+  std::vector<char*> argv;
+  for (auto& s : storage) argv.push_back(s.data());
+  return Flags(static_cast<int>(argv.size()), argv.data(),
+               {"smoke", "strict", "seed"});
+}
+
+TEST(Flags, DeclaredNamesAreAccepted) {
+  Flags f = make_declared({"prog", "--smoke", "--seed=7", "--strict"});
+  EXPECT_TRUE(f.get_bool("smoke", false));
+  EXPECT_TRUE(f.get_bool("strict", false));
+  EXPECT_EQ(f.get_int("seed", 0), 7);
+}
+
+TEST(Flags, RejectsUndeclaredNames) {
+  // A typo must not silently drop a gate, and --help is not a flag.
+  EXPECT_THROW(make_declared({"prog", "--smoke", "--stric"}),
+               std::invalid_argument);
+  EXPECT_THROW(make_declared({"prog", "--help"}), std::invalid_argument);
+  EXPECT_THROW(make_declared({"prog", "--sed=7"}), std::invalid_argument);
+  try {
+    make_declared({"prog", "--stric"});
+    FAIL() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--stric"), std::string::npos);
+  }
+}
+
+TEST(Flags, UndeclaredFormKeepsAnyName) {
+  Flags f = make({"prog", "--anything", "1"});
+  EXPECT_EQ(f.get_int("anything", 0), 1);
+}
+
 }  // namespace
 }  // namespace idea
