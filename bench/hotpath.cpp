@@ -13,7 +13,9 @@
 ///   3. vv_merge    — VersionVector merge + compare walks.
 ///   4. replica_store — one hot replica's per-message work (apply a peer's
 ///                    update, probe a peer's lag, answer a digest) at two
-///                    log lengths, so a cost that grows with the log shows.
+///                    log lengths, so a cost that grows with the log shows;
+///                    and replica_read_after_write, an apply followed by a
+///                    read of the replica's view.
 ///   5. macro       — the shard-scalability headline configuration
 ///                    (32 endpoints / 2000 files, k=3), reporting logical
 ///                    messages per wall-clock second plus the per-type
@@ -69,6 +71,13 @@ constexpr double kBeforeFoldCoordinatorLog100 = 1.34e6;
 constexpr double kBeforeFoldCoordinatorLog5000 = 32.3e3;
 constexpr double kBeforeFoldRoundRobinLog100 = 1.30e6;
 constexpr double kBeforeFoldRoundRobinLog5000 = 25.1e3;
+
+// The replica_read_after_write row before the store's log became its read
+// view (the first read after each write copied the whole log into a fresh
+// snapshot): medians of 5 Release runs on a 4-core x86-64 box, interleaved
+// with the runs of the current store.
+constexpr double kBeforeViewLog100 = 0.945e6;
+constexpr double kBeforeViewLog5000 = 19.4e3;
 
 // ---------------------------------------------------------------------------
 // 1. Simulator kernel: schedule / cancel / periodic churn.
@@ -307,13 +316,23 @@ replica::Update history_update(std::uint64_t i, bool round_robin) {
                          1.0, false};
 }
 
-StoreResult bench_store(std::uint32_t log_size, bool round_robin,
-                        std::uint64_t min_ops) {
-  const std::uint64_t per_store = std::max<std::uint64_t>(1, log_size / 10);
+/// The first `log_size` updates of the history, plus `per_store` ops
+/// past them.
+std::vector<replica::Update> store_history(std::uint32_t log_size,
+                                           std::uint64_t per_store,
+                                           bool round_robin) {
   std::vector<replica::Update> history;
   for (std::uint64_t i = 0; i < log_size + per_store; ++i) {
     history.push_back(history_update(i, round_robin));
   }
+  return history;
+}
+
+StoreResult bench_store(std::uint32_t log_size, bool round_robin,
+                        std::uint64_t min_ops) {
+  const std::uint64_t per_store = std::max<std::uint64_t>(1, log_size / 10);
+  const std::vector<replica::Update> history =
+      store_history(log_size, per_store, round_robin);
   StoreResult r;
   r.log_size = log_size;
   std::uint64_t checksum = 0;
@@ -345,6 +364,41 @@ StoreResult bench_store(std::uint32_t log_size, bool round_robin,
               "%.2fM ops/s (checksum %" PRIu64 ")\n",
               round_robin ? "round_robin" : "coordinator", log_size, r.ops,
               r.wall_s, r.ops_per_sec / 1e6, checksum);
+  return r;
+}
+
+/// One op is what a replica does when a read follows each replicated
+/// write: apply_remote of a coordinator-shaped file's next update, then
+/// contents_snapshot(), the view a read is served from.  The reader keeps
+/// only a size, so it drops its view before the next op.
+StoreResult bench_read_after_write(std::uint32_t log_size,
+                                   std::uint64_t min_ops) {
+  const std::uint64_t per_store = std::max<std::uint64_t>(1, log_size / 10);
+  const std::vector<replica::Update> history =
+      store_history(log_size, per_store, /*round_robin=*/false);
+  StoreResult r;
+  r.log_size = log_size;
+  std::uint64_t checksum = 0;
+  while (r.ops < min_ops) {
+    // Untimed fill in stamp order: every apply is a tail append, and
+    // with the coordinator writing last it re-adds no later writer.
+    replica::ReplicaStore store(3, 1);
+    for (std::uint64_t i = 0; i < log_size; ++i) {
+      store.apply_remote(history[i]);
+    }
+    const auto start = WallClock::now();
+    for (std::uint64_t i = log_size; i < log_size + per_store; ++i) {
+      store.apply_remote(history[i]);
+      const auto view = store.contents_snapshot();
+      checksum += view->size();
+    }
+    r.wall_s += secs_since(start);
+    r.ops += per_store;
+  }
+  r.ops_per_sec = static_cast<double>(r.ops) / r.wall_s;
+  std::printf("replica_read_after_write: log %u, %" PRIu64 " ops in %.3f s "
+              "-> %.2fM ops/s (checksum %" PRIu64 ")\n",
+              log_size, r.ops, r.wall_s, r.ops_per_sec / 1e6, checksum);
   return r;
 }
 
@@ -386,6 +440,7 @@ void write_json(const std::string& path, bool smoke,
                 const SimEventsResult& se, const TransportResult& tr,
                 const TransportResult& trb, const VvResult& vvr,
                 const std::vector<StoreResult>& store,  // see main()
+                const std::vector<StoreResult>& read_after_write,
                 const MacroResult& mc) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -406,6 +461,10 @@ void write_json(const std::string& path, bool smoke,
                "\"round_robin\": {\"log_100\": %.0f, \"log_5000\": %.0f}},\n",
                store[0].ops_per_sec, store[1].ops_per_sec,
                store[2].ops_per_sec, store[3].ops_per_sec);
+  std::fprintf(f, "    \"replica_read_after_write_ops_per_sec\": "
+               "{\"log_100\": %.0f, \"log_5000\": %.0f},\n",
+               read_after_write[0].ops_per_sec,
+               read_after_write[1].ops_per_sec);
   std::fprintf(f, "    \"macro\": {\n");
   std::fprintf(f, "      \"endpoints\": %u,\n", mc.endpoints);
   std::fprintf(f, "      \"files\": %u,\n", mc.files);
@@ -439,6 +498,9 @@ void write_json(const std::string& path, bool smoke,
                "\"round_robin\": {\"log_100\": %.0f, \"log_5000\": %.0f}},\n",
                kBeforeFoldCoordinatorLog100, kBeforeFoldCoordinatorLog5000,
                kBeforeFoldRoundRobinLog100, kBeforeFoldRoundRobinLog5000);
+  std::fprintf(f, "  \"replica_read_after_write_before_view\": "
+               "{\"log_100\": %.0f, \"log_5000\": %.0f},\n",
+               kBeforeViewLog100, kBeforeViewLog5000);
   std::fprintf(f, "  \"speedup\": {\n");
   std::fprintf(f, "    \"sim_events\": %.2f,\n",
                speedup_vs(se.ops_per_sec, kBaselineSimEvents));
@@ -456,6 +518,11 @@ void write_json(const std::string& path, bool smoke,
                speedup_vs(store[2].ops_per_sec, kBeforeFoldRoundRobinLog100));
   std::fprintf(f, "    \"replica_store_round_robin_log_5000\": %.2f,\n",
                speedup_vs(store[3].ops_per_sec, kBeforeFoldRoundRobinLog5000));
+  std::fprintf(f, "    \"replica_read_after_write_log_100\": %.2f,\n",
+               speedup_vs(read_after_write[0].ops_per_sec, kBeforeViewLog100));
+  std::fprintf(f, "    \"replica_read_after_write_log_5000\": %.2f,\n",
+               speedup_vs(read_after_write[1].ops_per_sec,
+                          kBeforeViewLog5000));
   std::fprintf(f, "    \"macro\": %.2f\n",
                speedup_vs(mc.msgs_per_wall_sec, kBaselineMacroMsgsPerWallSec));
   std::fprintf(f, "  }\n");
@@ -501,9 +568,12 @@ int main(int argc, char** argv) {
     store.push_back(bench_store(100, round_robin, smoke ? 20'000 : 200'000));
     store.push_back(bench_store(5000, round_robin, smoke ? 2'000 : 20'000));
   }
+  const std::vector<StoreResult> read_after_write{
+      bench_read_after_write(100, smoke ? 20'000 : 200'000),
+      bench_read_after_write(5000, smoke ? 2'000 : 20'000)};
   const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
 
   write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, se, tr,
-             trb, vvr, store, mc);
+             trb, vvr, store, read_after_write, mc);
   return 0;
 }

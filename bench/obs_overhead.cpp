@@ -9,23 +9,31 @@
 /// across all three modes (observation never perturbs the protocol), and
 /// full instrumentation within a few percent of the uninstrumented run.
 ///
-/// The mode that runs first rotates from rep to rep (rep r starts with
-/// mode r mod 3), so no mode always pays for a cold heap or always runs
-/// after the heaviest one.  Each run is timed from cluster construction
-/// through teardown twice: by wall clock and by the thread's CPU clock
+/// One untimed warm-up run per mode comes first: the first runs in a
+/// process pay page faults and a cold heap (the first off run read about
+/// 1.5x its warm time), which would bias whichever mode the first rep
+/// starts with.  Then the mode that runs first rotates from rep to rep
+/// (rep r starts with mode r mod 3), so no mode always runs after the
+/// heaviest one.  Each run is timed from cluster construction through
+/// teardown twice: by wall clock and by the thread's CPU clock
 /// (CLOCK_THREAD_CPUTIME_ID, which does not count time the host gave to
 /// other processes).  The overhead estimator is paired: each rep divides
 /// its metrics and full runs by the same rep's off run, and the JSON
 /// reports every rep's ratios plus their median and quartiles.  Pairing
-/// cancels host-speed drift between reps, not swings within a rep: on a
-/// shared 4-core host, where the off mode's full-size runs took 374–569
-/// ms, the per-rep ratios still spread about ±10 %.  The JSON also
-/// records each mode's median, min and max, hardware_cores and
+/// cancels host-speed drift between reps, not swings within a rep.  The
+/// JSON also records each mode's median, min and max, hardware_cores and
 /// build_type.
+///
+/// --smoke, the CI gate, runs the same macro with 30 reps instead of 60.
+/// A run takes about 17 ms, so the gate costs under two seconds.  On a
+/// shared 4-core host the gate's median full/off ratio spread 0.067 over
+/// 20 gate runs (1.027-1.093); with 15 reps it spread up to 0.134 and
+/// with 5 up to 0.24.  Smaller runs overstate the overhead: at 8
+/// endpoints and 200 files full tracing costs about 20 %.
 ///
 ///   $ ./obs_overhead [--smoke] [--json BENCH_obs_overhead.json]
 ///                    [--endpoints 32] [--files 2000] [--sim-secs 10]
-///                    [--reps 3] [--trace-out trace.json] [--strict]
+///                    [--reps 60] [--trace-out trace.json] [--strict]
 ///
 /// --trace-out writes the chrome trace of one extra, untimed full-mode run
 /// (load it at chrome://tracing or https://ui.perfetto.dev).  --strict
@@ -246,14 +254,13 @@ int main(int argc, char** argv) {
 
   print_header("Observability overhead: macro run off / metrics / full");
 
-  const auto endpoints = static_cast<std::uint32_t>(
-      flags.get_int("endpoints", smoke ? 8 : 32));
-  const auto files =
-      static_cast<std::uint32_t>(flags.get_int("files", smoke ? 200 : 2000));
-  const double sim_secs = flags.get_double("sim-secs", smoke ? 3.0 : 10.0);
+  const auto endpoints =
+      static_cast<std::uint32_t>(flags.get_int("endpoints", 32));
+  const auto files = static_cast<std::uint32_t>(flags.get_int("files", 2000));
+  const double sim_secs = flags.get_double("sim-secs", 10.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   const auto reps =
-      static_cast<std::size_t>(flags.get_int("reps", smoke ? 1 : 3));
+      static_cast<std::size_t>(flags.get_int("reps", smoke ? 30 : 60));
   const std::string trace_out = flags.get_string("trace-out", "");
   const double max_overhead = flags.get_double("max-overhead", 1.05);
   const bool strict = flags.get_bool("strict", false);
@@ -263,6 +270,10 @@ int main(int argc, char** argv) {
                                              ObsMode::kFull};
   std::array<std::vector<RunResult>, 3> runs;
   std::array<ModeRuns, 3> costs;
+  // Untimed warm-up, one run per mode (see the file comment).
+  for (const ObsMode mode : kModes) {
+    run_macro(mode, endpoints, files, sim_duration, seed, "");
+  }
   for (std::size_t rep = 0; rep < reps; ++rep) {
     // Run the three modes back to back within each repetition so machine
     // drift (thermal, cache, background load) hits all of them alike,

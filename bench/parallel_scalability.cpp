@@ -9,14 +9,17 @@
 ///      hits all of them alike; each point reports the median, min and
 ///      max.  Meaningful only on a machine with real cores; the JSON
 ///      records hardware_cores and build_type so a 1-core CI container's
-///      flat curve is not mistaken for a runtime regression.
+///      flat curve is not mistaken for a runtime regression.  The default
+///      60 sim-seconds make a 1-thread Release run take about a second on
+///      a 4-core x86-64 box: at 5 sim-seconds a run took about 0.09 s and
+///      4 threads read x0.83-x1.04, a cost that a longer run amortizes.
 ///   2. The determinism oracle — every run at every thread count must
 ///      produce the exact op digest, endpoint digests and message counts
 ///      of the first threads=1 run (the sequential oracle).  A mismatch
 ///      fails the bench regardless of speed.
 ///
 ///   $ ./parallel_scalability [--smoke] [--json BENCH_parallel.json]
-///       [--endpoints 1000] [--files 4000] [--segments 8] [--sim-secs 5]
+///       [--endpoints 1000] [--files 4000] [--segments 8] [--sim-secs 60]
 ///       [--threads 1,2,4,8] [--reps 1] [--seed 2007]
 
 #include <algorithm>
@@ -196,7 +199,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("files", smoke ? 120 : 4000));
   mc.segments =
       static_cast<std::uint32_t>(flags.get_int("segments", 8));
-  mc.sim_secs = flags.get_double("sim-secs", smoke ? 2.0 : 5.0);
+  mc.sim_secs = flags.get_double("sim-secs", smoke ? 2.0 : 60.0);
   mc.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   const auto reps = static_cast<std::size_t>(
       std::max<std::int64_t>(flags.get_int("reps", 1), 1));

@@ -4,22 +4,18 @@
 #include <cassert>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 namespace idea::replica {
 
 namespace {
 
-using Log = std::map<UpdateKey, Update>;
-using Fold = std::vector<std::pair<NodeId, double>>;
-
-bool canonical_less(const Update* a, const Update* b) {
-  return CanonicalOrder{}(*a, *b);
-}
-
-Fold::iterator fold_entry(Fold& fold, NodeId writer) {
-  return std::lower_bound(
-      fold.begin(), fold.end(), writer,
-      [](const Fold::value_type& e, NodeId w) { return e.first < w; });
+/// The view every store starts with: one allocation shared by all empty
+/// stores.  Never mutated, since the shared copy keeps its use count above
+/// one and so every store clones it on its first write.
+const std::shared_ptr<std::vector<Update>>& empty_view() {
+  static const auto empty = std::make_shared<std::vector<Update>>();
+  return empty;
 }
 
 /// A peer's update count for `writer`, from either form of its history.
@@ -49,7 +45,18 @@ ReplicaStore::StalenessProbe probe_ahead_of(
   return probe;
 }
 
+/// The first entry of `writers` not before `writer`.
+template <typename Logs>
+auto writer_entry(Logs& writers, NodeId writer) {
+  return std::lower_bound(
+      writers.begin(), writers.end(), writer,
+      [](const auto& w, NodeId id) { return w.writer < id; });
+}
+
 }  // namespace
+
+ReplicaStore::ReplicaStore(NodeId node, FileId file)
+    : node_(node), file_(file), view_(empty_view()) {}
 
 const Update& ReplicaStore::apply_local(SimTime local_now,
                                         std::string content,
@@ -60,59 +67,38 @@ const Update& ReplicaStore::apply_local(SimTime local_now,
   u.stamp = local_now;
   u.content = std::move(content);
   u.meta_delta = meta_delta;
-  auto [it, inserted] = log_.emplace(u.key, std::move(u));
-  assert(inserted);
-  admit(it->second);
+  const std::size_t first_new = update_count();
+  append(std::move(u));
+  place_tail(first_new);
   refold_after(node_);
   mutated();
-  return it->second;
+  return (*view_)[writer_log(node_).at.back()];
 }
 
 bool ReplicaStore::apply_remote(const Update& u) {
   assert(u.file == file_);
-  if (log_.count(u.key) > 0) return true;
-  const NodeId writer = u.key.writer;
-  const std::uint64_t known = evv_.count_of(writer);
-  if (u.key.seq > known + 1) {
-    // A predecessor is still in flight; park this update until it lands.
-    pending_.emplace(u.key, u);
-    return false;
-  }
-  if (u.key.seq <= known) return true;  // duplicate of an applied update
-  admit(log_.emplace(u.key, u).first->second);
-  // Drain any parked successors that are now applicable.
-  const auto successor = [&] {
-    return pending_.find(UpdateKey{writer, evv_.count_of(writer) + 1});
-  };
-  for (auto next = successor(); next != pending_.end(); next = successor()) {
-    admit(log_.insert(pending_.extract(next)).position->second);
-  }
-  refold_after(writer);
+  if (has(u.key)) return true;
+  const std::size_t first_new = update_count();
+  if (!arrive(u)) return false;
+  place_tail(first_new);
+  refold_after(u.key.writer);
   mutated();
   return true;
 }
 
-bool ReplicaStore::has(const UpdateKey& key) const {
-  return log_.count(key) > 0;
-}
-
 const Update* ReplicaStore::find(const UpdateKey& key) const {
-  auto it = log_.find(key);
-  return it == log_.end() ? nullptr : &it->second;
+  if (!has(key)) return nullptr;
+  return &(*view_)[position(key)];
 }
 
 std::vector<Update> ReplicaStore::updates_ahead_of(
     const vv::VersionVector& peer_counts) const {
-  // The EVV names the writers the peer lags on; by seq contiguity writer
-  // w's missing updates are the key range starting at {w, C[w] + 1}, so
-  // a writer the peer is not behind on costs no log lookup.
+  // By seq contiguity writer w's missing updates are its seqs from
+  // C[w] + 1 on, so a writer the peer is not behind on costs nothing.
   std::vector<Update> out;
-  for (const auto& [writer, stamps] : evv_.writers()) {
-    const std::uint64_t theirs = peer_counts.get(writer);
-    if (theirs >= stamps.size()) continue;
-    for (auto it = log_.lower_bound(UpdateKey{writer, theirs + 1});
-         it != log_.end() && it->first.writer == writer; ++it) {
-      out.push_back(it->second);
+  for (const WriterLog& w : writers_) {
+    for (std::uint64_t i = peer_counts.get(w.writer); i < w.at.size(); ++i) {
+      out.push_back((*view_)[w.at[i]]);
     }
   }
   return out;
@@ -130,46 +116,61 @@ ReplicaStore::StalenessProbe ReplicaStore::staleness_ahead_of(
 
 std::vector<Update> ReplicaStore::export_log() const {
   std::vector<Update> out;
-  out.reserve(log_.size());
-  for (const auto& [key, u] : log_) out.push_back(u);
+  out.reserve(update_count());
+  for (const WriterLog& w : writers_) {
+    for (const std::uint32_t at : w.at) out.push_back((*view_)[at]);
+  }
   return out;
 }
 
 ReplicaStore::ImportReport ReplicaStore::import_log(
     const std::vector<Update>& updates) {
   ImportReport report;
-  const std::size_t before = log_.size();
+  const std::size_t before = update_count();
+  NodeId lowest = std::numeric_limits<NodeId>::max();
+  std::uint64_t arrived = 0;
   for (const Update& u : updates) {
-    auto it = log_.find(u.key);
-    if (it != log_.end()) {
-      if (u.invalidated && !it->second.invalidated) {
-        it->second.invalidated = true;
+    if (has(u.key)) {
+      const std::uint32_t at = position(u.key);
+      if (u.invalidated && !(*view_)[at].invalidated) {
+        writable_view()[at].invalidated = true;
         ++report.invalidation_merges;
       } else {
         ++report.duplicates;
       }
       continue;
     }
-    apply_remote(u);
+    if (arrive(u)) {
+      ++arrived;
+      lowest = std::min(lowest, u.key.writer);
+    } else {
+      ++report.parked;
+    }
   }
-  if (report.invalidation_merges > 0) {
+  place_tail(before);
+  const bool merged = report.invalidation_merges > 0;
+  if (merged) {
     // A merged flag changes sums the fold already holds; one walk
     // settles the whole batch.
     rewalk_meta();
-    mutated();
+  } else if (arrived > 0) {
+    // Every touched writer's entry already holds its own additions, in
+    // seq order; re-adding the ranges after the lowest one finishes the
+    // fold exactly as per-update refolds would have.
+    refold_after(lowest);
   }
-  // An exported log is per-writer complete, so nothing from this batch
-  // stays parked in the reorder buffer; the size delta also counts any
-  // previously parked successors the batch unblocked.
-  report.applied = log_.size() - before;
+  // One mutation per update apply_remote would have applied, and one
+  // for the flags.
+  if (arrived > 0 || merged) mutated(arrived + (merged ? 1 : 0));
+  report.applied = update_count() - before;
   return report;
 }
 
 bool ReplicaStore::invalidate(const UpdateKey& key) {
-  auto it = log_.find(key);
-  if (it == log_.end()) return false;
-  if (!it->second.invalidated) {
-    it->second.invalidated = true;
+  if (!has(key)) return false;
+  const std::uint32_t at = position(key);
+  if (!(*view_)[at].invalidated) {
+    writable_view()[at].invalidated = true;
     rewalk_meta();
     mutated();
   }
@@ -177,109 +178,159 @@ bool ReplicaStore::invalidate(const UpdateKey& key) {
 }
 
 std::size_t ReplicaStore::rollback_to(SimTime t) {
-  const auto after_cut = [t](const auto& entry) {
-    return entry.second.stamp > t;
-  };
-  std::erase_if(pending_, after_cut);
-  // The index points into the log's nodes, so unindex first.  It is
-  // stamp-ordered: the dropped updates are its tail.
-  canonical_.erase(
-      std::partition_point(canonical_.begin(), canonical_.end(),
-                           [t](const Update* u) { return u->stamp <= t; }),
-      canonical_.end());
-  const std::size_t dropped = std::erase_if(log_, after_cut);
-  if (dropped > 0) {
-    // Rebuild the EVV from the surviving log.  A writer's stamps are
-    // non-decreasing, so dropping stamp > t removes a per-writer suffix and
-    // the remaining history is still a valid prefix.
-    vv::ExtendedVersionVector fresh;
-    for (const auto& [key, u] : log_) {
-      fresh.record_update(key.writer, u.stamp, 0.0);
+  std::erase_if(pending_,
+                [t](const auto& entry) { return entry.second.stamp > t; });
+  // The view is stamp-ordered: the dropped updates are its tail.
+  const auto kept =
+      std::partition_point(view_->begin(), view_->end(),
+                           [t](const Update& u) { return u.stamp <= t; });
+  const auto cut = static_cast<std::size_t>(kept - view_->begin());
+  const std::size_t dropped = update_count() - cut;
+  if (dropped == 0) return 0;
+  std::vector<Update>& view = writable_view();
+  view.erase(view.begin() + static_cast<std::ptrdiff_t>(cut), view.end());
+  // A writer's stamps are non-decreasing, so its dropped updates are a
+  // suffix of its seqs (the positions past the cut), and the rest is
+  // still a valid prefix.  Rebuild the EVV from it.
+  vv::ExtendedVersionVector fresh;
+  for (WriterLog& w : writers_) {
+    w.at.erase(std::lower_bound(w.at.begin(), w.at.end(), cut), w.at.end());
+    for (const std::uint32_t at : w.at) {
+      fresh.record_update(w.writer, view[at].stamp, 0.0);
     }
-    fresh.set_triple(evv_.triple());
-    evv_ = std::move(fresh);
-    rewalk_meta();
-    mutated();
   }
+  std::erase_if(writers_, [](const WriterLog& w) { return w.at.empty(); });
+  fresh.set_triple(evv_.triple());
+  evv_ = std::move(fresh);
+  rewalk_meta();
+  mutated();
   return dropped;
-}
-
-std::vector<Update> ReplicaStore::ordered_contents() const {
-  std::vector<Update> out;
-  out.reserve(canonical_.size());
-  for (const Update* u : canonical_) out.push_back(*u);
-  return out;
 }
 
 std::uint64_t ReplicaStore::content_digest() const {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ file_;
-  for (const Update* u : canonical_) {
-    if (u->invalidated) continue;
-    h = mix64(h ^ u->key.writer);
-    h = mix64(h ^ u->key.seq);
-    h = mix64(h ^ static_cast<std::uint64_t>(u->stamp));
-    for (char c : u->content) h = mix64(h ^ static_cast<std::uint8_t>(c));
+  for (const Update& u : *view_) {
+    if (u.invalidated) continue;
+    h = mix64(h ^ u.key.writer);
+    h = mix64(h ^ u.key.seq);
+    h = mix64(h ^ static_cast<std::uint64_t>(u.stamp));
+    for (char c : u.content) h = mix64(h ^ static_cast<std::uint8_t>(c));
   }
   return h;
 }
 
-void ReplicaStore::admit(const Update& u) {
-  evv_.record_update(u.key.writer, u.stamp, 0.0);
-  canonical_.insert(std::upper_bound(canonical_.begin(), canonical_.end(),
-                                     &u, canonical_less),
-                    &u);
-  auto entry = fold_entry(meta_fold_, u.key.writer);
-  if (entry == meta_fold_.end() || entry->first != u.key.writer) {
-    // A new writer's range starts where the walk leaves its predecessor.
-    const double start =
-        entry == meta_fold_.begin() ? 0.0 : std::prev(entry)->second;
-    entry = meta_fold_.emplace(entry, u.key.writer, start);
+std::vector<Update>& ReplicaStore::writable_view() {
+  if (view_.use_count() != 1) {
+    auto clone = std::make_shared<std::vector<Update>>();
+    clone->reserve(view_->capacity());
+    clone->assign(view_->begin(), view_->end());
+    view_ = std::move(clone);
   }
+  return *view_;
+}
+
+bool ReplicaStore::arrive(const Update& u) {
+  const NodeId writer = u.key.writer;
+  const std::uint64_t known = evv_.count_of(writer);
+  if (u.key.seq != known + 1) {
+    // A predecessor is still in flight; park this update until it lands.
+    if (u.key.seq > known + 1) pending_.emplace(u.key, u);
+    return false;
+  }
+  append(u);
+  // Drain any parked successors that are now applicable.
+  const auto successor = [&] {
+    return pending_.find(UpdateKey{writer, evv_.count_of(writer) + 1});
+  };
+  for (auto next = successor(); next != pending_.end(); next = successor()) {
+    append(std::move(pending_.extract(next).mapped()));
+  }
+  return true;
+}
+
+void ReplicaStore::append(Update u) {
+  std::vector<Update>& view = writable_view();
+  evv_.record_update(u.key.writer, u.stamp, 0.0);
+  WriterLog& w = writer_log(u.key.writer);
+  w.at.push_back(static_cast<std::uint32_t>(view.size()));
   // u is its writer's last seq, so its key sorts last among its writer's.
   if (u.invalidated) {
     invalidated_.insert(
         std::upper_bound(invalidated_.begin(), invalidated_.end(), u.key),
         u.key);
   } else {
-    entry->second += u.meta_delta;
+    w.fold += u.meta_delta;
+  }
+  view.push_back(std::move(u));
+}
+
+void ReplicaStore::place_tail(std::size_t first_new) {
+  std::vector<Update>& view = *view_;
+  const auto first = view.begin() + static_cast<std::ptrdiff_t>(first_new);
+  if (first == view.end()) return;
+  const CanonicalOrder less;
+  const bool sorted = std::is_sorted(first, view.end(), less);
+  if (!sorted) std::sort(first, view.end(), less);
+  auto from = first;
+  if (first != view.begin() && less(*first, *std::prev(first))) {
+    from = std::upper_bound(view.begin(), first, *first, less);
+    std::inplace_merge(from, first, view.end(), less);
+  } else if (sorted) {
+    return;  // appended in canonical order: nothing moved
+  }
+  for (auto it = from; it != view.end(); ++it) {
+    writer_log(it->key.writer).at[it->key.seq - 1] =
+        static_cast<std::uint32_t>(it - view.begin());
   }
 }
 
+std::uint32_t ReplicaStore::position(const UpdateKey& key) const {
+  return writer_entry(writers_, key.writer)->at[key.seq - 1];
+}
+
+ReplicaStore::WriterLog& ReplicaStore::writer_log(NodeId writer) {
+  auto w = writer_entry(writers_, writer);
+  if (w == writers_.end() || w->writer != writer) {
+    // A new writer's range starts where the walk leaves its predecessor.
+    const double start = w == writers_.begin() ? 0.0 : std::prev(w)->fold;
+    w = writers_.insert(w, WriterLog{writer, start, {}});
+  }
+  return *w;
+}
+
 void ReplicaStore::refold_after(NodeId writer) {
-  auto entry = fold_entry(meta_fold_, writer);
-  double meta = entry->second;
-  for (auto it = log_.upper_bound(
-           UpdateKey{writer, std::numeric_limits<std::uint64_t>::max()});
-       it != log_.end(); ++it) {
-    if (it->first.writer != entry->first) ++entry;  // next writer's range
-    if (!it->second.invalidated) meta += it->second.meta_delta;
-    entry->second = meta;
+  auto w = writer_entry(writers_, writer);
+  double meta = w->fold;
+  for (++w; w != writers_.end(); ++w) {
+    for (const std::uint32_t at : w->at) {
+      const Update& u = (*view_)[at];
+      if (!u.invalidated) meta += u.meta_delta;
+    }
+    w->fold = meta;
   }
   evv_.set_meta(meta);
 }
 
 void ReplicaStore::rewalk_meta() {
-  meta_fold_.clear();
   invalidated_.clear();
   double meta = 0.0;
-  for (const auto& [key, u] : log_) {
-    if (meta_fold_.empty() || meta_fold_.back().first != key.writer) {
-      meta_fold_.emplace_back(key.writer, meta);
+  for (WriterLog& w : writers_) {
+    for (const std::uint32_t at : w.at) {
+      const Update& u = (*view_)[at];
+      if (u.invalidated) {
+        invalidated_.push_back(u.key);
+      } else {
+        meta += u.meta_delta;
+      }
     }
-    if (u.invalidated) {
-      invalidated_.push_back(key);
-    } else {
-      meta += u.meta_delta;
-    }
-    meta_fold_.back().second = meta;
+    w.fold = meta;
   }
   evv_.set_meta(meta);
 }
 
-void ReplicaStore::mutated() {
-  ++mutation_count_;
+void ReplicaStore::mutated(std::uint64_t mutations) {
+  mutation_count_ += mutations;
   snapshot_.reset();
-  contents_snapshot_.reset();
   if (listener_ != nullptr) listener_->on_store_mutation();
 }
 

@@ -44,6 +44,8 @@ struct Update {
   [[nodiscard]] std::uint32_t wire_bytes() const {
     return static_cast<std::uint32_t>(40 + content.size());
   }
+
+  friend bool operator==(const Update&, const Update&) = default;
 };
 
 /// Canonical display order: by stamp, ties by writer then seq.  All replicas

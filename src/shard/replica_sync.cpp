@@ -418,17 +418,14 @@ std::size_t ReplicaSyncAgent::stream_state(
 std::size_t ReplicaSyncAgent::apply_batch(
     const std::vector<replica::Update>& updates,
     std::uint64_t& applied_stat) {
-  std::size_t applied = 0;
-  for (const replica::Update& u : updates) {
-    if (store_.has(u.key)) {
-      ++stats_.redundant;
-      continue;
-    }
-    if (store_.apply_remote(u)) {
-      ++applied_stat;
-      ++applied;
-    }
-  }
+  // One import puts the store's view in canonical order once for the
+  // whole batch.  Flag merges cannot happen here: nothing on the sharded
+  // path invalidates an update.
+  const replica::ReplicaStore::ImportReport r = store_.import_log(updates);
+  const std::size_t held = r.duplicates + r.invalidation_merges;
+  stats_.redundant += held;
+  const std::size_t applied = updates.size() - held - r.parked;
+  applied_stat += applied;
   return applied;
 }
 

@@ -1,6 +1,8 @@
 #include "shard/request_router.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 #include <tuple>
 
 #include "adapt/controller.hpp"
@@ -335,8 +337,9 @@ client::ReadResult RequestRouter::serve_quorum(
   }
 
   // Fast path: the coordinator dominates every contacted replica (the
-  // steady state under push replication) — its snapshot IS the merge,
-  // shared zero-copy.  Otherwise union the logs and render canonically.
+  // steady state under push replication) — its view IS the merge,
+  // shared zero-copy.  Otherwise union the views, which are canonical
+  // already.
   core::IdeaNode* coordinator = nodes.front();
   bool coordinator_dominates = true;
   for (core::IdeaNode* node : nodes) {
@@ -349,17 +352,22 @@ client::ReadResult RequestRouter::serve_quorum(
     res.updates = coordinator->store().contents_snapshot();
     res.served_by = members[acting];
   } else {
-    std::map<replica::UpdateKey, replica::Update> merged;
+    // A writer fixes its update's stamp, so copies of one update held by
+    // several replicas are equivalent in CanonicalOrder, and set_union
+    // keeps the copy merged first: the coordinator's.
+    std::vector<replica::Update> merged;
     for (core::IdeaNode* node : nodes) {
-      for (const auto& [key, u] : node->store().log()) {
-        merged.emplace(key, u);
-      }
+      const auto view = node->store().contents_snapshot();
+      std::vector<replica::Update> next;
+      next.reserve(merged.size() + view->size());
+      std::set_union(std::make_move_iterator(merged.begin()),
+                     std::make_move_iterator(merged.end()), view->begin(),
+                     view->end(), std::back_inserter(next),
+                     replica::CanonicalOrder{});
+      merged = std::move(next);
     }
-    auto out = std::make_shared<std::vector<replica::Update>>();
-    out->reserve(merged.size());
-    for (auto& [key, u] : merged) out->push_back(std::move(u));
-    std::sort(out->begin(), out->end(), replica::CanonicalOrder{});
-    res.updates = std::move(out);
+    res.updates =
+        std::make_shared<const std::vector<replica::Update>>(std::move(merged));
     res.served_by = freshest;
   }
   res.replicas_contacted = static_cast<std::uint32_t>(nodes.size());

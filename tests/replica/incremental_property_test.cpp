@@ -4,21 +4,22 @@
 ///
 /// The store does not re-derive its summaries from the log per mutation.
 /// The meta value is a per-writer fold of the (writer, seq) walk, reads
-/// come from a canonical-order index, the invalidated-key list is kept
+/// share the canonical-order view, the invalidated-key list is kept
 /// beside the fold, and peer lag probes are answered from the EVV on the
 /// strength of every writer's logged seqs being exactly 1..count_of(w).
 /// Each case drives one store through a random mix of out-of-order
 /// apply_remote, apply_local on a monotone clock, invalidate, rollback_to
 /// and shuffled import_log batches, and after every operation re-derives
-/// all of it from log() alone:
+/// all of it from the key-ordered log (export_log()) alone:
 ///
 ///  * meta_value() has the exact bits of a left-to-right (writer, seq)
 ///    sum of the live deltas.  The deltas are non-integral and some are
 ///    about 1e5, so the rounding depends on the summation order; the
 ///    test also counts how often a stamp-order sum differs, to show the
 ///    check would catch a fold that adds in the wrong order;
-///  * ordered_contents() and contents_snapshot() are log() sorted by
-///    CanonicalOrder;
+///  * ordered_contents() and contents_snapshot() are the log sorted by
+///    CanonicalOrder, and a view taken before the operation is unchanged
+///    by it;
 ///  * invalidated_keys() lists the log's flagged keys in key order;
 ///  * each writer's logged seqs are exactly 1..evv().count_of(w), with the
 ///    EVV's stamps;
@@ -33,7 +34,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -83,14 +83,15 @@ struct Sensitivity {
   std::uint64_t stamp_order_differs = 0;
 };
 
-/// Re-derive every incrementally kept summary from log() and compare.
+/// Re-derive every incrementally kept summary from the key-ordered log
+/// and compare.
 void check_against_log(const ReplicaStore& store, Rng& probe_rng,
                        Sensitivity& sensitivity, const std::string& where) {
-  const auto& log = store.log();
+  const std::vector<Update> log = store.export_log();
 
   double walk = 0.0;
   std::vector<Update> sorted;
-  for (const auto& [key, u] : log) {
+  for (const Update& u : log) {
     if (!u.invalidated) walk += u.meta_delta;
     sorted.push_back(u);
   }
@@ -119,11 +120,11 @@ void check_against_log(const ReplicaStore& store, Rng& probe_rng,
   // Seq contiguity: writer w's keys are exactly (w, 1..count_of(w)).
   const vv::ExtendedVersionVector& evv = store.evv();
   for (auto it = log.begin(); it != log.end();) {
-    const NodeId writer = it->first.writer;
+    const NodeId writer = it->key.writer;
     std::uint64_t seq = 0;
-    for (; it != log.end() && it->first.writer == writer; ++it) {
-      ASSERT_EQ(it->first.seq, ++seq) << where << " writer " << writer;
-      ASSERT_EQ(it->second.stamp, evv.stamp_of(writer, seq)) << where;
+    for (; it != log.end() && it->key.writer == writer; ++it) {
+      ASSERT_EQ(it->key.seq, ++seq) << where << " writer " << writer;
+      ASSERT_EQ(it->stamp, evv.stamp_of(writer, seq)) << where;
     }
     ASSERT_EQ(seq, evv.count_of(writer)) << where << " writer " << writer;
   }
@@ -144,6 +145,9 @@ void run_case(Rng& rng, Rng& probe_rng, Sensitivity& sensitivity, int n) {
   for (int op = 0; op < kOpsPerCase; ++op) {
     const std::string where =
         "case " + std::to_string(n) + " op " + std::to_string(op);
+    // A reader holding the view across the op must not see it change.
+    const auto held = store.contents_snapshot();
+    const std::vector<Update> held_copy = *held;
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 45) {
       // apply_remote around the writer's next seq: duplicates, the next
@@ -163,9 +167,9 @@ void run_case(Rng& rng, Rng& probe_rng, Sensitivity& sensitivity, int n) {
       if (store.update_count() == 0 || rng.chance(0.2)) {
         ASSERT_FALSE(store.invalidate(UpdateKey{kWriters, 1})) << where;
       } else {
-        const auto pick = static_cast<std::ptrdiff_t>(
+        const auto pick = static_cast<std::size_t>(
             rng.next_below(store.update_count()));
-        const UpdateKey key = std::next(store.log().begin(), pick)->first;
+        const UpdateKey key = store.export_log()[pick].key;
         ASSERT_TRUE(store.invalidate(key)) << where;
       }
     } else if (roll < 92) {
@@ -189,16 +193,17 @@ void run_case(Rng& rng, Rng& probe_rng, Sensitivity& sensitivity, int n) {
     } else {
       SimTime cut = msec(rng.uniform_int(0, 100));
       if (store.update_count() > 0) {
-        const auto pick = static_cast<std::ptrdiff_t>(
+        const auto pick = static_cast<std::size_t>(
             rng.next_below(store.update_count()));
-        cut = std::next(store.log().begin(), pick)->second.stamp;
+        cut = store.export_log()[pick].stamp;
       }
       std::size_t expected = 0;
-      for (const auto& [key, u] : store.log()) {
+      for (const Update& u : store.export_log()) {
         if (u.stamp > cut) ++expected;
       }
       ASSERT_EQ(store.rollback_to(cut), expected) << where;
     }
+    ASSERT_TRUE(*held == held_copy) << where << ": a held view changed";
     ASSERT_NO_FATAL_FAILURE(
         check_against_log(store, probe_rng, sensitivity, where));
   }

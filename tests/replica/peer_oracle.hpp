@@ -66,8 +66,8 @@ inline vv::ExtendedVersionVector as_evv(const vv::VersionVector& counts) {
 inline std::vector<Update> oracle_ahead_of(const ReplicaStore& store,
                                            const vv::VersionVector& peer) {
   std::vector<Update> out;
-  for (const auto& [key, u] : store.log()) {
-    if (key.seq > peer.get(key.writer)) out.push_back(u);
+  for (const Update& u : store.export_log()) {
+    if (u.key.seq > peer.get(u.key.writer)) out.push_back(u);
   }
   return out;
 }
@@ -111,8 +111,8 @@ inline void check_peer_queries(const ReplicaStore& store, Rng& rng,
     }
   }
   std::vector<UpdateKey> invalidated;
-  for (const auto& [key, u] : store.log()) {
-    if (u.invalidated) invalidated.push_back(key);
+  for (const Update& u : store.export_log()) {
+    if (u.invalidated) invalidated.push_back(u.key);
   }
   ASSERT_EQ(store.invalidated_keys(), invalidated) << where;
 }

@@ -7,10 +7,11 @@ namespace {
 
 TEST(ReplicaStore, LocalWritesSequence) {
   ReplicaStore s(0, 1);
-  const Update& u1 = s.apply_local(sec(1), "a", 1.0);
-  const Update& u2 = s.apply_local(sec(2), "b", 2.0);
-  EXPECT_EQ(u1.key.seq, 1u);
-  EXPECT_EQ(u2.key.seq, 2u);
+  // The returned reference lives only until the next mutation: copy.
+  const UpdateKey k1 = s.apply_local(sec(1), "a", 1.0).key;
+  const UpdateKey k2 = s.apply_local(sec(2), "b", 2.0).key;
+  EXPECT_EQ(k1.seq, 1u);
+  EXPECT_EQ(k2.seq, 2u);
   EXPECT_EQ(s.local_seq(), 2u);
   EXPECT_EQ(s.update_count(), 2u);
   EXPECT_DOUBLE_EQ(s.meta_value(), 3.0);
@@ -107,6 +108,94 @@ TEST(ReplicaStore, ContentsSnapshotIsSharedAndInvalidatedOnMutation) {
   EXPECT_TRUE(s.invalidate(UpdateKey{0, 1}));
   EXPECT_NE(s.contents_snapshot().get(), after.get());
   EXPECT_TRUE((*s.contents_snapshot())[0].invalidated);
+}
+
+/// Hold the store's view across `mutate`: the held view must still equal
+/// the copy taken before it, and the store's new view must equal its
+/// ordered contents.
+template <typename Mutation>
+void expect_held_view_survives(ReplicaStore& s, Mutation mutate) {
+  const auto held = s.contents_snapshot();
+  const std::vector<Update> before = *held;
+  mutate();
+  EXPECT_EQ(*held, before);
+  EXPECT_NE(s.contents_snapshot().get(), held.get());
+  EXPECT_EQ(*s.contents_snapshot(), s.ordered_contents());
+}
+
+Update remote(NodeId writer, std::uint64_t seq, SimTime stamp,
+              bool invalidated = false) {
+  return Update{UpdateKey{writer, seq}, 1, stamp, "r", 1.0, invalidated};
+}
+
+TEST(ReplicaStore, HeldViewSurvivesEveryKindOfMutation) {
+  ReplicaStore s(0, 1);
+  s.apply_local(sec(1), "a", 1.0);
+  s.apply_local(sec(5), "b", 1.0);
+  {
+    SCOPED_TRACE("apply_local");
+    expect_held_view_survives(s, [&] { s.apply_local(sec(6), "c", 1.0); });
+  }
+  {
+    SCOPED_TRACE("tail apply_remote");
+    expect_held_view_survives(
+        s, [&] { EXPECT_TRUE(s.apply_remote(remote(1, 1, sec(7)))); });
+  }
+  {
+    SCOPED_TRACE("mid-order apply_remote");
+    // A second writer with an older stamp lands between writer 0's.
+    expect_held_view_survives(
+        s, [&] { EXPECT_TRUE(s.apply_remote(remote(2, 1, sec(3)))); });
+    EXPECT_EQ(s.ordered_contents()[1].key, (UpdateKey{2, 1}));
+  }
+  {
+    SCOPED_TRACE("reorder-buffer drain");
+    EXPECT_FALSE(s.apply_remote(remote(2, 4, sec(5))));
+    EXPECT_FALSE(s.apply_remote(remote(2, 3, sec(5))));
+    expect_held_view_survives(s, [&] {
+      // (2, 2) unblocks its parked successors: one mid-order batch.
+      EXPECT_TRUE(s.apply_remote(remote(2, 2, sec(4))));
+    });
+    EXPECT_EQ(s.pending_remote(), 0u);
+    EXPECT_EQ(s.evv().count_of(2), 4u);
+  }
+  {
+    SCOPED_TRACE("import_log with a flag merge");
+    expect_held_view_survives(s, [&] {
+      const auto r = s.import_log(
+          {remote(2, 1, sec(3), true), remote(1, 3, sec(9)),
+           remote(1, 1, sec(7)), remote(3, 1, sec(2))});
+      EXPECT_EQ(r.invalidation_merges, 1u);
+      EXPECT_EQ(r.applied, 1u);  // (3, 1)
+      EXPECT_EQ(r.parked, 1u);   // (1, 3) is ahead of (1, 2)
+      EXPECT_EQ(r.duplicates, 1u);
+    });
+    EXPECT_TRUE(s.find(UpdateKey{2, 1})->invalidated);
+  }
+  {
+    SCOPED_TRACE("invalidate");
+    expect_held_view_survives(
+        s, [&] { EXPECT_TRUE(s.invalidate(UpdateKey{0, 1})); });
+  }
+  {
+    SCOPED_TRACE("rollback_to");
+    expect_held_view_survives(
+        s, [&] { EXPECT_EQ(s.rollback_to(sec(5)), 2u); });
+  }
+}
+
+TEST(ReplicaStore, ViewIsClonedOnlyWhileAReaderHoldsIt) {
+  ReplicaStore a(0, 1), b(1, 1);
+  // Fresh stores share one empty view: placing a file allocates nothing.
+  EXPECT_EQ(a.contents_snapshot().get(), b.contents_snapshot().get());
+  a.apply_local(sec(1), "a", 1.0);
+  EXPECT_TRUE(b.contents_snapshot()->empty());
+  // A reader that drops its view before the next write costs no clone:
+  // the write appends to the same vector.
+  const auto* first = a.contents_snapshot().get();
+  a.apply_local(sec(2), "b", 1.0);
+  EXPECT_EQ(a.contents_snapshot().get(), first);
+  EXPECT_EQ(a.contents_snapshot()->size(), 2u);
 }
 
 TEST(ReplicaStore, UpdatesAheadOfMultiWriterSorted) {
