@@ -1,7 +1,8 @@
 /// \file adaptive_slo.cpp
 /// \brief The headline reproduce-and-extend result (ROADMAP item 4):
-///        detection-driven adaptive consistency vs every static level,
-///        scored against a composite tenant SLO.
+///        adaptive consistency, driven by router escalations and
+///        measured stale reads, vs every static level, scored against a
+///        composite tenant SLO.
 ///
 /// Three adversarial scenarios, generated by the shared open-loop
 /// workload engine, each run once per mode (adaptive + the four static
@@ -213,7 +214,6 @@ CellResult run_cell(const Setup& s, const Scenario& sc, const Mode& mode) {
   cfg.seed = s.seed;
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
   cfg.observability.enabled = true;
   // Hints ride the 500 ms anti-entropy exchange: an 800 ms TTL keeps
   // them live between healthy rounds but lets them decay inside loss

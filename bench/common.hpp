@@ -79,7 +79,6 @@ inline shard::ShardedClusterConfig macro_config(std::uint32_t endpoints,
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
   return cfg;
 }
 

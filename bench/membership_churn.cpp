@@ -45,7 +45,6 @@ Deployment stand_up(const Setup& s) {
   cfg.seed = s.seed;
   cfg.anti_entropy_period = s.ae_period;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
 
   Deployment d;
   d.cluster = std::make_unique<shard::ShardedCluster>(cfg);

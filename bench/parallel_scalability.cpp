@@ -75,7 +75,6 @@ void run_macro(const MacroConfig& mc, SweepPoint& p) {
   cfg.endpoints = mc.endpoints;
   cfg.replication = 3;
   cfg.seed = mc.seed;
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
   cfg.runtime.threads = p.threads;
   cfg.runtime.segments = mc.segments;  // pinned across the sweep
   cfg.sync_sizes();

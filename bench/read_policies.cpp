@@ -115,9 +115,6 @@ LevelResult run_level(const Setup& s, const Cell& cell) {
   cfg.seed = s.seed;
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  // On-demand mode, no hint: no resolution rounds block the write
-  // stream, so every level sees the identical update history.
   // Metrics on (tracing off): the numbers reported below come out of the
   // deployment's own registry, the way an operator would read them.
   cfg.observability.enabled = true;

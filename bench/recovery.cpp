@@ -70,7 +70,6 @@ Cell run_cell(const Setup& s, replica::CheckpointEngineKind engine,
   cfg.seed = s.seed;
   cfg.anti_entropy_period = kAePeriod;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
   cfg.checkpoint.engine = engine;
   cfg.checkpoint.period = period;
 

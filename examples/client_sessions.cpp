@@ -38,7 +38,6 @@ int main() {
   cfg.seed = 2026;
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
   shard::ShardedCluster cluster(cfg);
   Client client(cluster);
 

@@ -28,7 +28,6 @@ int main() {
   cfg.replication = 3;
   cfg.seed = 2026;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
   ShardedCluster cluster(cfg);
 
   // --- 2. Place 200 tenant files on the ring. -----------------------------

@@ -181,15 +181,12 @@ void ConsistencyController::tick() {
 
   for (auto& [file, f] : files_) {
     meter.observe(metrics().window_writes, f.writes);
-    // Contention evidence: enough writes this window AND any of router
-    // escalations, stale policy reads, or the file's level sagging.  The
-    // level probe is consulted last — it is the most expensive signal and
-    // only breaks ties.
+    // Contention evidence: enough writes this window AND router
+    // escalations or stale policy reads.
     const bool hot = f.writes >= config_.hot_writes;
     const bool contended =
         hot && (f.escalations >= config_.escalation_trigger ||
-                f.stale_reads > 0 ||
-                (probe_ && probe_(file) < config_.detector_floor));
+                f.stale_reads > 0);
 
     f.idle_windows = f.writes == 0 ? f.idle_windows + 1 : 0;
     // An escalated file served Strong/Quorum produces no escalations or

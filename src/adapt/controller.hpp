@@ -1,25 +1,26 @@
 #pragma once
 /// \file controller.hpp
-/// \brief Detection-driven adaptive consistency: the per-file/per-tenant
-///        control loop that closes ROADMAP item 4.
+/// \brief Adaptive consistency for the sharded cluster: the
+///        per-file/per-tenant control loop over routed reads and writes.
 ///
-/// The paper's thesis is that *detecting* inconsistency and adapting beats
-/// statically chosen levels.  Every signal the loop needs already exists —
-/// each file carries a consistency level (the detector's rule over the
-/// peer counts anti-entropy reports, RequestRouter::level), the router
-/// counts escalations and measures exact per-read staleness, and obs
-/// records all of it deterministically.  The ConsistencyController is the
-/// missing consumer: a periodic sim-clock tick that turns those signals
-/// into a per-file consistency *target*, plus a per-tenant negotiator that
-/// retunes bounded-staleness bounds against a declared Slo.
+/// The paper's thesis is that adapting to observed inconsistency beats
+/// statically chosen levels.  On the sharded path the observations are
+/// the router's: it counts bounded-staleness escalations and measures
+/// exact per-read staleness, and obs records both deterministically.  (The
+/// paper's detector and Formula 1 level run on the single-file path,
+/// core::IdeaNode; a sharded rank runs no detection.)  The
+/// ConsistencyController turns those signals, on a periodic sim-clock
+/// tick, into a per-file consistency *target*, plus a per-tenant
+/// negotiator that retunes bounded-staleness bounds against a declared
+/// Slo.
 ///
 /// Control rules (each evaluated once per tick window):
 ///
 ///  * Escalate  — a file that saw >= hot_writes writes in the window AND
-///    any contention evidence (bounded escalations, stale policy reads, or
-///    the file's consistency level dropping under detector_floor) has
-///    its target raised to Strong (or Quorum{r} when escalate_to_quorum):
-///    hot contended files are served from the coordinator until they calm.
+///    any contention evidence (bounded escalations or stale policy reads)
+///    has its target raised to Strong (or Quorum{r} when
+///    escalate_to_quorum): hot contended files are served from the
+///    coordinator until they calm.
 ///  * Step down — an escalated file with hold_windows consecutive calm
 ///    windows (no contention evidence AND write volume below hot_writes)
 ///    returns to the session's declared level.
@@ -43,7 +44,6 @@
 /// every routing path is byte-identical to the pre-adaptive build.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -57,6 +57,8 @@
 
 namespace idea::adapt {
 
+/// The control loop's knobs.  Its signals are the router's bounded
+/// escalations and measured stale reads, plus write volume.
 struct ControllerConfig {
   /// Master switch: off (default) means the cluster never constructs a
   /// controller and the routing hot path is byte-identical to today.
@@ -68,9 +70,6 @@ struct ControllerConfig {
   /// Bounded escalations per window at or above which a hot file counts
   /// as contended.
   std::uint32_t escalation_trigger = 1;
-  /// Consistency level under which a hot file counts as contended (the
-  /// level is 1.0 when fully consistent).
-  double detector_floor = 0.75;
   /// Consecutive write-free windows before a file relaxes to Eventual.
   std::uint32_t cold_windows = 4;
   /// Consecutive calm windows before an escalated file steps down.
@@ -114,17 +113,11 @@ class ConsistencyController {
     kQuorum,    ///< Hot contended file: quorum reads.
   };
 
-  /// `probe` answers "what consistency level does this file carry right
-  /// now" (RequestRouter::level); wired by the cluster.
   ConsistencyController(sim::Simulator& sim, ControllerConfig config,
                         obs::Observability* obs);
 
   ConsistencyController(const ConsistencyController&) = delete;
   ConsistencyController& operator=(const ConsistencyController&) = delete;
-
-  void set_level_probe(std::function<double(FileId)> probe) {
-    probe_ = std::move(probe);
-  }
 
   /// Begin ticking on the sim clock; idempotent.
   void start();
@@ -210,7 +203,6 @@ class ConsistencyController {
   sim::Simulator& sim_;
   ControllerConfig config_;
   obs::Observability* obs_;
-  std::function<double(FileId)> probe_;
   // Ordered maps: tick() iterates them, and decision order must be
   // reproducible.  File states are never GC'd — a target must outlive
   // the window that set it.

@@ -119,10 +119,6 @@ std::vector<std::string> SharedWhiteboard::view(NodeId user) {
   return out;
 }
 
-double SharedWhiteboard::level() {
-  return sessions_.empty() ? 1.0 : sessions_.front().level(board_);
-}
-
 bool SharedWhiteboard::boards_match() {
   if (sessions_.empty()) return true;
   const client::OpHandle<client::ReadResult> strong =

@@ -97,9 +97,6 @@ class SharedWhiteboard {
   /// The routed read behind view(), with its staleness/latency detail.
   [[nodiscard]] client::OpHandle<client::ReadResult> read(NodeId user);
 
-  /// The consistency level IDEA attaches to the board's coordinator.
-  [[nodiscard]] double level();
-
   /// True iff every participant's declared-level view currently matches
   /// the coordinator's strong view.
   [[nodiscard]] bool boards_match();

@@ -250,8 +250,4 @@ bool ClientSession::close(FileId file) {
   return cluster_.router().close(file);
 }
 
-double ClientSession::level(FileId file) const {
-  return cluster_.router().level(file);
-}
-
 }  // namespace idea::client

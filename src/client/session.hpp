@@ -56,13 +56,13 @@ struct SessionOptions {
   /// The cache is invalidated by the session's own writes to the file,
   /// by close(), and by bound expiry.
   bool cache_reads = false;
-  /// Opt into detection-driven adaptive consistency: the cluster's
-  /// ConsistencyController (config.adapt.enabled) may serve this
-  /// session's reads at a different level than declared — hot contended
-  /// files escalate toward Strong/Quorum, cold files relax to Eventual,
-  /// and BoundedStaleness bounds are renegotiated against the tenant's
-  /// SLO.  Off (default) keeps the session byte-identical to a static
-  /// one even on an adaptive cluster.
+  /// Opt into adaptive consistency: the cluster's ConsistencyController
+  /// (config.adapt.enabled), acting on router escalations and measured
+  /// stale reads, may serve this session's reads at a different level
+  /// than declared — hot contended files escalate toward Strong/Quorum,
+  /// cold files relax to Eventual, and BoundedStaleness bounds are
+  /// renegotiated against the tenant's SLO.  Off (default) keeps the
+  /// session byte-identical to a static one even on an adaptive cluster.
   bool adaptive = false;
   /// Tenant this session belongs to (SLO accounting + renegotiation
   /// scope).  Only meaningful with `adaptive`.
@@ -138,10 +138,6 @@ class ClientSession {
 
   /// Close the file cluster-wide.  Returns whether it was open.
   bool close(FileId file);
-
-  /// The consistency level IDEA currently attaches to the file's
-  /// coordinator replica (1.0 for files never opened).
-  [[nodiscard]] double level(FileId file) const;
 
   [[nodiscard]] const SessionOptions& options() const { return options_; }
   [[nodiscard]] const SessionStats& stats() const { return *stats_; }

@@ -3,9 +3,9 @@
 /// \brief Deterministic metrics: interned names, counters, gauges and
 ///        fixed-bucket histograms.
 ///
-/// The observability substrate every future controller reads from (the
-/// ROADMAP's detection-driven adaptive consistency needs to *see* staleness,
-/// escalation, repair and latency behavior before it can act on them).  Two
+/// The observability substrate every future controller reads from (an
+/// adaptive consistency controller needs to *see* staleness, escalation,
+/// repair and latency behavior before it can act on them).  Two
 /// properties drive the design:
 ///
 ///  * **Hot-path recording is an array index.**  A MetricId is the interned

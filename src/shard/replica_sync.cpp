@@ -1,13 +1,10 @@
 #include "shard/replica_sync.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
 
-#include "core/formula.hpp"
-#include "detect/detector.hpp"
 #include "util/log.hpp"
 
 namespace idea::shard {
@@ -238,7 +235,6 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
     msg.wire_bytes = bytes;
     msg.want_ack = true;  // a tracked push always wants its ack back
     transport_.send(std::move(msg));
-    ++stats_.resends;
     ++resent;
   }
   if (resent > 0) meter_.add(agent_metrics().replicate_resends, resent);
@@ -318,56 +314,6 @@ void ReplicaSyncAgent::note_identical(NodeId peer) {
 void ReplicaSyncAgent::note_report(NodeId peer_rank,
                                    const vv::VersionVector& counts) {
   if (on_freshness_) on_freshness_(peer_rank, counts.total());
-  if (peer_rank >= group_size_) return;
-  if (reports_.empty()) reports_.resize(group_size_);
-  PeerReport& report = reports_[peer_rank];
-  report.counts = counts;  // reuses the held entries' storage
-  report.at = transport_.now();
-  report.known = true;
-}
-
-double ReplicaSyncAgent::level(const vv::TripleWeights& weights,
-                               const vv::TripleMaxima& maxima) const {
-  if (reports_.empty()) return 1.0;
-  const vv::ExtendedVersionVector& mine = store_.evv();
-  std::vector<std::pair<NodeId, vv::VersionVector>> counts;
-  counts.reserve(group_size_);
-  counts.emplace_back(self(), mine.counts());
-  for (NodeId rank = 0; rank < reports_.size(); ++rank) {
-    if (reports_[rank].known) counts.emplace_back(rank, reports_[rank].counts);
-  }
-  const NodeId ref = detect::choose_reference_by_counts(counts);
-  if (ref == self()) return 1.0;
-  const PeerReport& report = reports_[ref];
-  // A reference is never dominated, so one that holds nothing this
-  // replica lacks has equal counts: R is this EVV, and the triple zero.
-  if (report.counts == counts.front().second) {
-    return core::consistency_level(vv::TactTriple{}, weights, maxima);
-  }
-
-  // R: this replica's stamps cut at the reference's counts, then the
-  // updates only the reference holds, stamped when its report arrived or
-  // at the writer's last shared stamp if later (a writer's stamps never
-  // decrease, and its clock may run ahead of this one).
-  vv::ExtendedVersionVector reference;
-  for (const auto& [writer, stamps] : mine.writers()) {
-    const std::uint64_t cut = std::min<std::uint64_t>(
-        stamps.size(), report.counts.get(writer));
-    for (std::uint64_t k = 0; k < cut; ++k) {
-      reference.record_update(writer, stamps[k], mine.meta());
-    }
-  }
-  for (const auto& [writer, count] : report.counts.entries()) {
-    const std::uint64_t have = mine.count_of(writer);
-    const SimTime at =
-        std::max(report.at, have == 0 ? 0 : mine.stamp_of(writer, have));
-    for (std::uint64_t k = have; k < count; ++k) {
-      reference.record_update(writer, at, mine.meta());
-    }
-  }
-  reference.set_meta(mine.meta());
-  return core::consistency_level(mine.triple_against(reference), weights,
-                                 maxima);
 }
 
 void ReplicaSyncAgent::anti_entropy_with(NodeId peer_rank) {
@@ -422,9 +368,8 @@ std::size_t ReplicaSyncAgent::apply_batch(
   // whole batch.  Flag merges cannot happen here: nothing on the sharded
   // path invalidates an update.
   const replica::ReplicaStore::ImportReport r = store_.import_log(updates);
-  const std::size_t held = r.duplicates + r.invalidation_merges;
-  stats_.redundant += held;
-  const std::size_t applied = updates.size() - held - r.parked;
+  const std::size_t applied =
+      updates.size() - r.duplicates - r.invalidation_merges - r.parked;
   applied_stat += applied;
   return applied;
 }
@@ -490,7 +435,6 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       ack.payload = batch.front().key;  // a push carries one update
       ack.wire_bytes = 24;
       transport_.send(std::move(ack));
-      ++stats_.acks_sent;
     }
     return;
   }

@@ -40,10 +40,6 @@
 ///    O(group size) rounds, whatever the loss pattern was, and a quiet
 ///    group sends nothing.
 ///
-///  * Level: the agent keeps the counts each peer last reported in a
-///    digest or repair, and level() runs the detector's rule over them on
-///    demand, with no probe message.
-///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
 ///    mutation after each checkpoint pass puts the file id on the
@@ -81,7 +77,6 @@
 #include "net/transport.hpp"
 #include "obs/observability.hpp"
 #include "replica/store.hpp"
-#include "vv/tact_triple.hpp"
 #include "vv/version_vector.hpp"
 
 namespace idea::shard {
@@ -90,7 +85,6 @@ struct ReplicaSyncStats {
   std::uint64_t puts = 0;            ///< Local writes accepted.
   std::uint64_t pushed = 0;          ///< Updates sent to peers.
   std::uint64_t applied = 0;         ///< Remote updates applied here.
-  std::uint64_t redundant = 0;       ///< Remote updates we already held.
   // Anti-entropy.
   std::uint64_t ae_rounds = 0;        ///< Digest rounds initiated here.
   std::uint64_t digests_received = 0;
@@ -100,9 +94,7 @@ struct ReplicaSyncStats {
   // Migration streaming.
   std::uint64_t migrate_updates_applied = 0;
   // Acked replication (all zero while the feature is off).
-  std::uint64_t acks_sent = 0;
   std::uint64_t acks_received = 0;
-  std::uint64_t resends = 0;          ///< Re-sent replicate messages.
   std::uint64_t resend_gaveups = 0;   ///< Updates abandoned after budget.
   /// Targeted digests sent at give-up time so an abandoned update cannot
   /// silently diverge the group (see on_resend_timeout).
@@ -236,20 +228,6 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     on_freshness_ = std::move(fn);
   }
 
-  /// The consistency level this replica attaches to the file (Formula 1
-  /// under `weights` and `maxima`): the detector's rule over the counts
-  /// its peers last reported.  The reference is choose_reference_by_counts
-  /// over this replica's counts and every reported peer's; the level is
-  /// 1.0 when no peer has reported (anti-entropy off) or the reference is
-  /// this replica.  Otherwise it is Formula 1 of this EVV's triple_against
-  /// R: this EVV's stamps cut at the reference's count per writer, plus,
-  /// where that count exceeds this replica's, that many updates stamped
-  /// when the report arrived (the real stamps come with the repair), and
-  /// this EVV's meta value (the missing deltas are unknown).  O(updates)
-  /// only while the reference holds updates this replica lacks.
-  [[nodiscard]] double level(const vv::TripleWeights& weights,
-                             const vv::TripleMaxima& maxima) const;
-
   /// Hook this rank into the deployment's observability: `endpoint` is
   /// the rank's *global* endpoint id (self() is the group rank), used
   /// for the per-endpoint registry, span placement and log tags.  The
@@ -331,7 +309,7 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// stop the rounds once every peer is matched.
   void note_identical(NodeId peer);
   /// `peer_rank` reported `counts` in a digest or repair: tell the
-  /// freshness listener, and keep them, stamped now, for level().
+  /// freshness listener.
   void note_report(NodeId peer_rank, const vv::VersionVector& counts);
 
   /// This replica's rank.
@@ -375,15 +353,6 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   };
   static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};
   std::unique_ptr<AntiEntropy> ae_;
-
-  /// What one peer last reported: its counts, and when they arrived.
-  struct PeerReport {
-    vv::VersionVector counts;
-    SimTime at = 0;
-    bool known = false;
-  };
-  /// Per peer rank; empty until the first report arrives.
-  std::vector<PeerReport> reports_;
 
   FreshnessListener on_freshness_;
   obs::Observability* obs_ = nullptr;

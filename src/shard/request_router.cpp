@@ -142,19 +142,8 @@ obs::Observability* RequestRouter::observability() const {
   return cluster_.obs();
 }
 
-double RequestRouter::level(FileId file) const {
-  const FileGroup* group = cluster_.group(file);
-  if (group == nullptr) return 1.0;
-  const std::uint32_t acting = group->acting_rank();
-  if (acting == group->ranks.size()) return 1.0;
-  const core::IdeaConfig& idea = cluster_.config().idea;
-  return group->ranks[acting].sync->level(idea.weights, idea.maxima);
-}
-
 bool RequestRouter::close(FileId file) {
-  const bool closed = cluster_.close_file(file);
-  if (closed) ++stats_.closes;
-  return closed;
+  return cluster_.close_file(file);
 }
 
 SimDuration RequestRouter::rtt(NodeId origin, NodeId endpoint) const {
@@ -281,7 +270,6 @@ client::ReadResult RequestRouter::serve_single(
   res.served_by = endpoint;
   res.replicas_contacted = 1;
   res.latency = rtt(origin, endpoint);
-  ++stats_.reads_served_by[endpoint];
   if (obs::Observability* o = observability()) {
     o->endpoint_meter(endpoint).add(router_metrics().read_served);
     if (obs::Tracer* tr = o->tracer(); tr != nullptr && tc.active()) {
@@ -374,7 +362,6 @@ client::ReadResult RequestRouter::serve_quorum(
   res.latency = slowest;
   // The merge covers the coordinator, so the returned view never lags
   // it: staleness is 0 by construction.
-  for (std::uint32_t rank : targets) ++stats_.reads_served_by[members[rank]];
   if (obs::Observability* o = observability()) {
     for (std::uint32_t rank : targets) {
       o->endpoint_meter(members[rank]).add(router_metrics().read_served);

@@ -78,7 +78,6 @@ struct RouterStats {
   /// crashed (rank space is multi-writer, so failover is safe).
   std::uint64_t failover_writes = 0;
   std::uint64_t reads = 0;
-  std::uint64_t closes = 0;
   // Per-policy read counts.
   std::uint64_t strong_reads = 0;
   std::uint64_t nearest_reads = 0;
@@ -98,9 +97,6 @@ struct RouterStats {
   std::uint64_t hinted_writes = 0;  ///< Hints queued at stand-ins.
   /// Ops handled per coordinator endpoint (load-balance probe).
   std::map<NodeId, std::uint64_t> coordinator_ops;
-  /// Reads served per endpoint (shows policy reads spreading off the
-  /// coordinators).
-  std::map<NodeId, std::uint64_t> reads_served_by;
 };
 
 /// Per-read routing context beyond the declared level: whether the
@@ -129,13 +125,6 @@ class RequestRouter {
 
   /// Close the file on every group member.  Returns whether it was open.
   bool close(FileId file);
-
-  /// The consistency level the acting coordinator attaches to the file
-  /// (ReplicaSyncAgent::level over the peer counts anti-entropy taught
-  /// it, scaled by config.idea's weights and maxima); 1.0 for files that
-  /// were never opened or have no live member, and while no peer has
-  /// reported, as with anti-entropy off.
-  [[nodiscard]] double level(FileId file) const;
 
   // ------------------------------------------------------------------
   // Data path

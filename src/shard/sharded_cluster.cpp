@@ -62,10 +62,6 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   if (config_.adapt.enabled) {
     controller_ = std::make_unique<adapt::ConsistencyController>(
         sim_, config_.adapt, obs_.get());
-    // The level probe: what consistency level the acting coordinator
-    // attaches to the file (1.0 = fully consistent).
-    controller_->set_level_probe(
-        [this](FileId file) { return router_->level(file); });
     controller_->start();
   }
 }

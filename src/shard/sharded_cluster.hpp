@@ -14,9 +14,10 @@
 /// of tenants.  A group has k members that replication keeps hot, so the
 /// paper's two layers would save nothing here: a rank holds a store-only
 /// replica and a ReplicaSyncAgent, and the group converges through pushes
-/// and anti-entropy instead of detection and resolution.  The file's
-/// consistency level comes from the peer counts anti-entropy teaches the
-/// acting coordinator (RequestRouter::level).
+/// and anti-entropy instead of detection and resolution.  Nothing here
+/// measures the paper's consistency level (Formula 1 over the detector's
+/// triple), which lives only on the single-file path; the adaptive
+/// controller acts on router escalations and measured stale reads.
 ///
 /// A placed file's FileGroup record owns every replica of the file, one
 /// GroupRank per member; closing or rebuilding a group erases the record,
@@ -68,9 +69,8 @@ struct ShardedClusterConfig {
   std::uint32_t endpoints = 8;    ///< Service endpoints to stand up.
   std::uint32_t replication = 3;  ///< Replica-group size k per file.
   HashRingParams ring;
-  /// Only `weights` and `maxima` are read: they scale the level
-  /// (RequestRouter::level).  A rank builds no paper stack, so every other
-  /// field is ignored.
+  /// Unread: a rank builds no paper stack.  Kept only because
+  /// perfbench/idea_bench.cpp still sets it.
   core::IdeaConfig idea;
   sim::PlanetLabParams latency;
   net::SimTransportOptions transport;
@@ -102,9 +102,10 @@ struct ShardedClusterConfig {
   /// Routing consults hints without sending messages or drawing RNG, so
   /// the default does not perturb write/AE-only replays.
   SimDuration freshness_hint_ttl = sec(10);
-  /// Detection-driven adaptive consistency (see adapt/controller.hpp).
-  /// Off by default: no controller is constructed, routing is
-  /// byte-identical to the pre-adaptive build, and existing goldens hold.
+  /// Adaptive consistency driven by router escalations and measured
+  /// stale reads (see adapt/controller.hpp).  Off by default: no
+  /// controller is constructed, routing is byte-identical to the
+  /// pre-adaptive build, and existing goldens hold.
   adapt::ControllerConfig adapt;
   /// Multicore execution (see runtime/options.hpp).  Consumed by
   /// runtime::ShardedFleet, which splits `endpoints` across ring segments
@@ -556,8 +557,7 @@ class ShardedCluster : public core::FileSinks {
   /// valid while endpoints join.
   std::deque<EndpointCheckpoints> checkpoints_;
   std::unique_ptr<RequestRouter> router_;
-  /// Constructed after router_ (its level probe calls into the router);
-  /// null unless config.adapt.enabled.
+  /// Null unless config.adapt.enabled.
   std::unique_ptr<adapt::ConsistencyController> controller_;
 };
 

@@ -65,7 +65,7 @@ TEST(ConsistencyControllerTest, EscalatesHotContendedFile) {
   EXPECT_EQ(served.level, client::Level::kStrong);
 }
 
-TEST(ConsistencyControllerTest, StaleReadsAndProbeAreAlsoEvidence) {
+TEST(ConsistencyControllerTest, StaleReadsAreAlsoEvidence) {
   sim::Simulator sim;
   ConsistencyController ctl(sim, test_config(), nullptr);
 
@@ -75,18 +75,12 @@ TEST(ConsistencyControllerTest, StaleReadsAndProbeAreAlsoEvidence) {
   ctl.tick();
   EXPECT_EQ(ctl.target_of(2), Target::kStrong);
 
-  // The detector probe breaks ties for hot files with no read evidence.
-  ConsistencyController probed(sim, test_config(), nullptr);
-  probed.set_level_probe([](FileId) { return 0.5; });  // under the floor
-  for (int i = 0; i < 5; ++i) probed.on_write(3);
-  probed.tick();
-  EXPECT_EQ(probed.target_of(3), Target::kStrong);
-
-  ConsistencyController healthy(sim, test_config(), nullptr);
-  healthy.set_level_probe([](FileId) { return 1.0; });
-  for (int i = 0; i < 5; ++i) healthy.on_write(3);
-  healthy.tick();
-  EXPECT_EQ(healthy.target_of(3), Target::kDeclared);
+  // Write volume alone is not evidence: a hot file with neither an
+  // escalation nor a stale read keeps its declared level.
+  for (int i = 0; i < 5; ++i) ctl.on_write(3);
+  ctl.tick();
+  EXPECT_EQ(ctl.target_of(3), Target::kDeclared);
+  EXPECT_EQ(ctl.stats().escalations, 1u);
 }
 
 TEST(ConsistencyControllerTest, EscalatesToQuorumWhenConfigured) {

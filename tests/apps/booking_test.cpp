@@ -137,9 +137,6 @@ TEST(Booking, DesksRunOverSessionsAndStrongDesksNeverOversell) {
   cfg.replication = 3;
   cfg.seed = 99;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   shard::ShardedCluster cluster(cfg);
 
   BookingParams bp;

@@ -11,9 +11,6 @@ shard::ShardedClusterConfig kv_cluster_config() {
   cfg.replication = 3;
   cfg.seed = 616;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.9;
   return cfg;
 }
 

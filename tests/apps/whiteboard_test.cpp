@@ -128,9 +128,6 @@ TEST(Whiteboard, SharedBoardRunsOverSessions) {
   cfg.replication = 3;
   cfg.seed = 321;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{20, 20, 20};
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   shard::ShardedCluster cluster(cfg);
 
   const FileId board_file = 1;
@@ -151,7 +148,6 @@ TEST(Whiteboard, SharedBoardRunsOverSessions) {
   ASSERT_TRUE(handle.ok());
   EXPECT_NE(handle->served_by, kNoNode);
   EXPECT_GT(handle->latency, 0);
-  EXPECT_GT(board.level(), 0.0);
 }
 
 }  // namespace

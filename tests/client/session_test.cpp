@@ -32,11 +32,6 @@ shard::ShardedClusterConfig session_config(std::uint64_t seed,
   cfg.replication = 3;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  // On-demand mode, no hint: resolution never blocks writes, so acked
-  // writes are exactly the issued writes and the oracles stay simple.
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   cfg.anti_entropy_period = anti_entropy;
   return cfg;
 }

@@ -43,10 +43,6 @@ ObsReplayResult replay_with_obs(std::uint64_t seed) {
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  cfg.idea.detection_period = sec(2);
   cfg.observability.enabled = true;
   cfg.observability.tracing = true;
   ShardedCluster cluster(cfg);
@@ -93,8 +89,6 @@ ObsReplayResult replay_churn_with_obs(std::uint64_t seed) {
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.anti_entropy_period = sec(1);
   cfg.observability.enabled = true;
   cfg.observability.tracing = true;

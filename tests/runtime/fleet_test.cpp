@@ -38,8 +38,6 @@ shard::ShardedClusterConfig fleet_config(std::uint32_t threads,
   cfg.endpoints = 16;  // 4 per segment
   cfg.replication = 3;
   cfg.seed = seed;
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.observability.enabled = true;
   cfg.runtime.threads = threads;
   cfg.runtime.segments = kSegments;  // pinned: never derived from threads

@@ -37,11 +37,6 @@ ShardedClusterConfig ae_config(std::uint64_t seed, bool anti_entropy) {
   cfg.replication = 3;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  // No hint, on-demand mode: resolution never runs, so anti-entropy is
-  // the *only* mechanism that can heal a missed push.
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   cfg.anti_entropy_period = anti_entropy ? kAePeriod : 0;
   return cfg;
 }

@@ -40,12 +40,6 @@ ShardedClusterConfig crash_config(std::uint64_t seed,
   cfg.seed = seed;
   cfg.transport.loss_rate = loss_rate;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  // On-demand mode, no hint: resolution never runs, so the converged
-  // contents depend only on the writes — crashing and healing replicas
-  // cannot change what the control run converges to.
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   cfg.anti_entropy_period = kAePeriod;
   cfg.checkpoint.engine = engine;
   cfg.checkpoint.period = sec(1);

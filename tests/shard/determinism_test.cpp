@@ -49,10 +49,6 @@ ReplayResult replay(std::uint64_t seed) {
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.85;
-  cfg.idea.detection_period = sec(2);
   ShardedCluster cluster(cfg);
   cluster.place(1, kFiles);
 
@@ -122,8 +118,6 @@ ReplayResult replay_churn(std::uint64_t seed) {
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.anti_entropy_period = sec(1);
   ShardedCluster cluster(cfg);
   cluster.place(1, kFiles);
@@ -208,8 +202,6 @@ ReplayResult replay_crash(std::uint64_t seed) {
   cfg.batching = true;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.anti_entropy_period = sec(1);
   cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
   cfg.checkpoint.period = sec(1);
@@ -320,8 +312,6 @@ AdaptiveReplay replay_adaptive(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.anti_entropy_period = msec(500);
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{100, 100, 100};
-  cfg.idea.detection_period = sec(2);
   cfg.freshness_hint_ttl = msec(800);
   cfg.adapt.enabled = true;
   ShardedCluster cluster(cfg);

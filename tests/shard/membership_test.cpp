@@ -31,12 +31,6 @@ ShardedClusterConfig membership_config(std::uint64_t seed = 77) {
   cfg.replication = 3;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{50, 50, 50};
-  // On-demand mode with no hint: detection runs but never triggers
-  // resolution, so no write is ever blocked and churned/unchurned runs
-  // issue identical update histories (what the digest comparison needs).
-  cfg.idea.controller.mode = core::AdaptiveMode::kOnDemand;
-  cfg.idea.controller.hint = 0.0;
   return cfg;
 }
 

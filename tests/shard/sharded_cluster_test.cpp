@@ -16,9 +16,6 @@ ShardedClusterConfig small_cluster_config(std::uint64_t seed = 4207) {
   cfg.replication = 3;
   cfg.seed = seed;
   cfg.sync_sizes();
-  cfg.idea.maxima = vv::TripleMaxima{10, 10, 10};
-  cfg.idea.controller.mode = core::AdaptiveMode::kHintBased;
-  cfg.idea.controller.hint = 0.9;
   return cfg;
 }
 
@@ -301,71 +298,34 @@ TEST(ShardedClusterTest, IdlePlacedGroupsScheduleNothing) {
   EXPECT_EQ(cluster.sim().events_processed(), before);
 }
 
-/// Level-rule cluster: anti-entropy on, batching off so each digest
-/// reaches the wire at once.
-ShardedClusterConfig level_config(bool anti_entropy) {
+TEST(ShardedClusterTest, FailoverCoordinatorLearnsAnUpdateOnlyAPeerHeld) {
+  // Anti-entropy on; batching off so each digest reaches the wire at once.
   ShardedClusterConfig cfg = small_cluster_config(5150);
   cfg.batching = false;
-  if (anti_entropy) cfg.anti_entropy_period = sec(1);
-  return cfg;
-}
-
-TEST(ShardedClusterTest, LevelIsOneForAConvergedGroup) {
-  ShardedCluster cluster(level_config(/*anti_entropy=*/true));
-  client::ClientSession session(cluster, {});
-  const FileId file = 21;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(session.put(file, "v" + std::to_string(i), 1.0).ok());
-  }
-  cluster.run_for(sec(10));
-  ASSERT_TRUE(cluster.converged(file));
-  // Every pair exchanged: the coordinator heard from both peers.
-  EXPECT_GT(cluster.sync_agent(file, 0)->stats().digests_received +
-                cluster.sync_agent(file, 0)->stats().ae_rounds,
-            0u);
-  EXPECT_EQ(cluster.router().level(file), 1.0);
-  EXPECT_EQ(session.level(file), 1.0);
-}
-
-TEST(ShardedClusterTest, LevelIsOneWithoutAntiEntropy) {
-  // Without anti-entropy no peer ever reports its counts, so the acting
-  // coordinator has nothing to measure against: the level reads 1.0 even
-  // while a replica misses a push.
-  ShardedCluster cluster(level_config(/*anti_entropy=*/false));
-  client::ClientSession session(cluster, {});
-  const FileId file = 21;
-  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
-  cluster.transport().partition(m[0], m[1]);
-  ASSERT_TRUE(session.put(file, "lost-at-rank-1", 1.0).ok());
-  cluster.run_for(sec(5));
-  EXPECT_FALSE(cluster.converged(file));
-  EXPECT_EQ(cluster.router().level(file), 1.0);
-}
-
-TEST(ShardedClusterTest, LevelDipsWhileAPeerReportsUpdatesTheCoordinatorLacks) {
-  ShardedCluster cluster(level_config(/*anti_entropy=*/true));
+  cfg.anti_entropy_period = sec(1);
+  ShardedCluster cluster(cfg);
   client::ClientSession session(cluster, {});
   const FileId file = 21;
   const std::vector<NodeId> m = cluster.ensure_open(file)->members;
   ASSERT_TRUE(session.put(file, "base", 1.0).ok());
   cluster.run_for(sec(10));
   ASSERT_TRUE(cluster.converged(file));
-  ASSERT_EQ(cluster.router().level(file), 1.0);
 
   // A w = 1 put whose push reaches rank 2 but not rank 1, then the
-  // coordinator crashes: rank 1 takes over without the update.
+  // coordinator crashes: rank 1 takes over without the update, and only
+  // rank 2 still holds it.
   cluster.transport().partition(m[0], m[1]);
   ASSERT_TRUE(session.put(file, "only-rank-2", 5.0).ok());
   cluster.run_for(msec(400));
   ASSERT_EQ(cluster.replica_at_rank(file, 2)->store().update_count(), 2u);
+  ASSERT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
   cluster.crash_endpoint(m[0]);
   cluster.transport().heal(m[0], m[1]);
   ASSERT_EQ(cluster.coordinator(file).second, m[1]);
-  EXPECT_EQ(cluster.router().level(file), 1.0) << "no peer reported yet";
 
   // Rank 2's mutation re-armed its rounds; step until its digest reaches
-  // rank 1, the acting coordinator.  The level then reflects the update
-  // rank 1 lacks, until the push-back lands.
+  // rank 1, the acting coordinator.  The digest carries counts only: the
+  // update follows as the push-back to rank 1's reply.
   const ReplicaSyncStats& acting = cluster.sync_agent(file, 1)->stats();
   const std::uint64_t digests = acting.digests_received;
   const SimTime deadline = cluster.sim().now() + sec(10);
@@ -374,15 +334,19 @@ TEST(ShardedClusterTest, LevelDipsWhileAPeerReportsUpdatesTheCoordinatorLacks) {
     cluster.sim().step();
   }
   ASSERT_GT(acting.digests_received, digests) << "rank 2 never digested";
-  ASSERT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
-  const double dipped = cluster.router().level(file);
-  EXPECT_LT(dipped, 1.0);
-  EXPECT_GT(dipped, 0.0);
+  EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
 
   cluster.run_for(sec(3));
   EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 2u);
   EXPECT_TRUE(cluster.converged(file));
-  EXPECT_EQ(cluster.router().level(file), 1.0);
+  // A strong read, served by the new coordinator, sees the update.
+  const auto read = session.read(file);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read->served_by, m[1]);
+  EXPECT_TRUE(std::any_of(read->updates->begin(), read->updates->end(),
+                          [](const replica::Update& u) {
+                            return u.content == "only-rank-2";
+                          }));
 }
 
 TEST(ShardedClusterTest, EndToEndPlacementWriteConverge) {
