@@ -12,11 +12,20 @@
 ///     anti-entropy periods the cluster needs to make every replica group
 ///     identical again, against the repair traffic it cost.
 ///
+/// Exits non-zero unless the join and the leave each migrate exactly the
+/// files the ring delta predicted (rebalance.group_changed), and every
+/// experiment is whole again within 2(k-1)+2 anti-entropy periods of
+/// 13 s, one second after the workload's last write: k-1 rounds for a
+/// holder's rotation to reach a lagging peer, twice, plus two periods of
+/// message latency.
+///
 ///   $ ./membership_churn [--endpoints 16] [--files 800] [--seed 2007]
 ///                        [--ae-ms 500]
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "apps/kvstore.hpp"
 #include "bench/common.hpp"
@@ -32,6 +41,9 @@ struct Setup {
   SimDuration ae_period = msec(500);
 };
 
+constexpr std::uint32_t kReplication = 3;
+constexpr int kHealBound = 2 * (kReplication - 1) + 2;
+
 struct Deployment {
   std::unique_ptr<shard::ShardedCluster> cluster;
   std::unique_ptr<apps::KvStore> kv;
@@ -41,7 +53,7 @@ struct Deployment {
 Deployment stand_up(const Setup& s) {
   shard::ShardedClusterConfig cfg;
   cfg.endpoints = s.endpoints;
-  cfg.replication = 3;
+  cfg.replication = kReplication;
   cfg.seed = s.seed;
   cfg.anti_entropy_period = s.ae_period;
   cfg.sync_sizes();
@@ -92,10 +104,28 @@ void report_change(const char* label, const shard::MembershipChange& change,
       wall_ms);
 }
 
-void run(const Setup& s) {
-  std::printf("# membership churn: %u endpoints, %u files, k=3, ae=%lld ms\n",
-              s.endpoints, s.files,
+/// Runs the three experiments; returns each failed check, one line each.
+std::vector<std::string> run(const Setup& s) {
+  std::printf("# membership churn: %u endpoints, %u files, k=%u, ae=%lld ms\n",
+              s.endpoints, s.files, kReplication,
               static_cast<long long>(s.ae_period / 1000));
+  std::vector<std::string> failures;
+  const auto check_change = [&failures](const char* label,
+                                        const shard::MembershipChange& c) {
+    if (c.files_migrated != c.rebalance.group_changed) {
+      failures.push_back(std::string(label) + " migrated " +
+                         std::to_string(c.files_migrated) +
+                         " files, the ring delta predicted " +
+                         std::to_string(c.rebalance.group_changed));
+    }
+  };
+  const auto check_heal = [&failures](const char* label, int heal) {
+    if (heal < 0 || heal > kHealBound) {
+      failures.push_back(std::string(label) + " whole again after " +
+                         std::to_string(heal) + " ae-period(s), bound " +
+                         std::to_string(kHealBound));
+    }
+  };
 
   // --- 1. join ------------------------------------------------------
   {
@@ -114,6 +144,8 @@ void run(const Setup& s) {
     std::printf("         groups whole again after %d ae-period(s); "
                 "%llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
+    check_change("join", joined);
+    check_heal("join", heal);
   }
 
   // --- 2. leave -----------------------------------------------------
@@ -134,6 +166,8 @@ void run(const Setup& s) {
     std::printf("         groups whole again after %d ae-period(s); "
                 "%llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
+    check_change("leave", left);
+    check_heal("leave", heal);
   }
 
   // --- 3. loss window + anti-entropy heal ---------------------------
@@ -160,7 +194,9 @@ void run(const Setup& s) {
             d.cluster->transport().fault_dropped()),
         static_cast<unsigned long long>(digest_msgs),
         static_cast<unsigned long long>(repair_msgs));
+    check_heal("heal", heal);
   }
+  return failures;
 }
 
 }  // namespace
@@ -174,6 +210,13 @@ int main(int argc, char** argv) {
   s.files = static_cast<std::uint32_t>(flags.get_int("files", s.files));
   s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2007));
   s.ae_period = idea::msec(flags.get_int("ae-ms", 500));
-  idea::bench::run(s);
+  const std::vector<std::string> failures = idea::bench::run(s);
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "check failed: %s\n", f.c_str());
+  }
+  if (!failures.empty()) return 1;
+  std::printf("check: join and leave migrated exactly the predicted files; "
+              "every experiment whole within %d ae-periods\n",
+              idea::bench::kHealBound);
   return 0;
 }

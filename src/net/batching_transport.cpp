@@ -128,6 +128,12 @@ void BatchingTransport::flush_all() {
   for (PairKey key : keys) flush(key);
 }
 
+void BatchingTransport::discard_from(NodeId node) {
+  for (auto& [key, queue] : queues_) {
+    if ((key >> 32) == node) queue.pending.clear();
+  }
+}
+
 void BatchingTransport::on_message(const Message& msg) {
   if (msg.type == kBatchType) {
     const auto& members = msg.payload.as<std::vector<Message>>();

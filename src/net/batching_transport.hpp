@@ -84,6 +84,10 @@ class BatchingTransport final : public Transport, private MessageHandler {
   /// Force every pending queue onto the wire (e.g. before tearing down).
   void flush_all();
 
+  /// Drop every message `node` queued that is not on the wire yet: a
+  /// crashed endpoint loses its unsent buffers with its connections.
+  void discard_from(NodeId node);
+
   [[nodiscard]] const BatchingStats& stats() const { return stats_; }
 
   /// Install a metrics sink: flush() records the "net.batch.occupancy"

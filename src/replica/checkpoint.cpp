@@ -16,8 +16,8 @@ const CheckpointRecord* DurableStorage::checkpoint(NodeId endpoint,
   const std::uint64_t mutations = replica.store.mutation_count();
   // Dirty test: an unchanged mutation count of the same store means the
   // record still describes this replica exactly.  A new incarnation or
-  // group epoch is always dirty: the store was rebuilt (by recovery or a
-  // group rebuild), its counter restarted, and the record must carry the
+  // group epoch is always dirty: the store was rebuilt (by a restart or
+  // a migration), its counter restarted, and the record must carry the
   // group's current members.
   if (record.epoch > 0 && record.incarnation == incarnation &&
       record.group_epoch == replica.group_epoch &&

@@ -12,10 +12,10 @@
 ///
 /// The store holds exactly one record per (endpoint, file): the newest,
 /// which is all recovery ever reads.  A checkpoint pass offers the store
-/// only the hosted replicas that were rebuilt or mutated since the last
+/// only the hosted replicas that were built or mutated since the last
 /// pass: each replica's sync agent puts it on its endpoint's dirty list
-/// on its first mutation after a pass, and a group rebuild lists every
-/// live rank, so a pass costs O(dirty replicas), not O(placed files).
+/// when it is built and on its first mutation after a pass, so a pass
+/// costs O(dirty replicas), not O(placed files).
 /// The store still does its own dirty test (libcrpm dirtybit-style): a
 /// replica whose incarnation, group epoch and mutation count
 /// (ReplicaStore::mutation_count()) still match its record is clean and
@@ -66,9 +66,10 @@ struct ReplicaRef {
   FileId file = 0;
   const ReplicaStore& store;
   const std::vector<NodeId>& members;  ///< rank -> endpoint.
-  /// The replica group's epoch.  Every group build (migration, a peer's
-  /// restart, reopen) starts a new epoch with fresh stores whose
-  /// mutation counts restart at 0.
+  /// The replica group's epoch: every group opening (placement,
+  /// migration, reopen) starts one, with fresh stores whose mutation
+  /// counts restart at 0.  A member's restart keeps it and builds only
+  /// that member's store, under a new incarnation.
   std::uint32_t group_epoch = 0;
 };
 

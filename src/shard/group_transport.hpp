@@ -45,7 +45,6 @@ class GroupTransport final : public net::Transport,
     return members_;
   }
   [[nodiscard]] std::uint32_t self_rank() const { return self_rank_; }
-  [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
 
   /// Rank of a real endpoint id within the group; kNoNode if absent.
   [[nodiscard]] NodeId rank_of(NodeId endpoint) const;

@@ -83,8 +83,9 @@ ReplicaSyncAgent::~ReplicaSyncAgent() {
   for (auto& [key, pending] : pending_acks_) {
     transport_.cancel_call(pending.timer);
     // A write concern that never completed must not leave its client
-    // handle pending forever: the group is tearing down (crash, epoch
-    // rebuild, shutdown), so the honest answer is "ack target not met".
+    // handle pending forever: this replica is going away (its member
+    // crashed or left, the file migrated or closed, or the deployment is
+    // shutting down), so the honest answer is "ack target not met".
     finish_concern(pending, /*satisfied=*/false);
   }
 }
@@ -220,12 +221,19 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
     return;
   }
   --pending.resends_left;
+  resend(pending, pending.unacked);
+  pending.timer = transport_.call_after(
+      effective_resend_timeout(), [this, key] { on_resend_timeout(key); });
+}
+
+void ReplicaSyncAgent::resend(const PendingReplication& pending,
+                              std::uint64_t ranks) {
   const net::Payload payload = std::vector<replica::Update>{pending.update};
   const auto bytes =
       static_cast<std::uint32_t>(16 + pending.update.wire_bytes());
   std::uint64_t resent = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if ((pending.unacked & (1ull << rank)) == 0) continue;
+    if ((ranks & (1ull << rank)) == 0) continue;
     net::Message msg;
     msg.from = self();
     msg.to = rank;
@@ -237,9 +245,7 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
     transport_.send(std::move(msg));
     ++resent;
   }
-  if (resent > 0) meter_.add(agent_metrics().replicate_resends, resent);
-  pending.timer = transport_.call_after(
-      effective_resend_timeout(), [this, key] { on_resend_timeout(key); });
+  meter_.add(agent_metrics().replicate_resends, resent);
 }
 
 void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
@@ -257,6 +263,17 @@ void ReplicaSyncAgent::stop_anti_entropy() {
   if (ae_ == nullptr) return;
   if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
   ae_.reset();
+}
+
+void ReplicaSyncAgent::peer_restarted(NodeId rank) {
+  if (ae_ != nullptr) start_anti_entropy(ae_->period);
+  for (auto& [key, pending] : pending_acks_) {
+    if ((pending.unacked & (1ull << rank)) == 0) continue;
+    resend(pending, 1ull << rank);
+    transport_.cancel_call(pending.timer);
+    pending.timer = transport_.call_after(
+        effective_resend_timeout(), [this, k = key] { on_resend_timeout(k); });
+  }
 }
 
 void ReplicaSyncAgent::anti_entropy_round() {

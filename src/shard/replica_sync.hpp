@@ -198,9 +198,14 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
   void stop_anti_entropy();
+  /// Peer `rank` restarted after a crash: restart anti-entropy (same
+  /// period, new grid), and push the peer now, together rather than at
+  /// scattered resend timers, every tracked update it has not acked,
+  /// restarting those timers without spending resend budget.
+  void peer_restarted(NodeId rank);
 
   /// Report this replica to its endpoint's checkpoint pass: append the
-  /// file id to `dirty` now (a new group epoch is always dirty) and again
+  /// file id to `dirty` now (a newly built replica is always dirty) and again
   /// on the first store mutation after each checkpoint_offered(), so a
   /// pass visits only the replicas that may differ from their durable
   /// record.  `dirty` is borrowed and must outlive the agent.
@@ -325,6 +330,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   bool track_pending(const replica::Update& u, std::uint32_t acks_needed,
                      WriteConcernCallback on_result);
   void on_resend_timeout(replica::UpdateKey key);
+  /// Push `pending`'s update again to every rank set in `ranks`.
+  void resend(const PendingReplication& pending, std::uint64_t ranks);
   /// Fire-and-clear a pending put's concern callback (exactly-once).
   void finish_concern(PendingReplication& pending, bool satisfied);
 

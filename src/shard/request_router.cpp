@@ -74,7 +74,6 @@ RequestRouter::WriteDispatch RequestRouter::write_with_concern(
   const auto k = static_cast<std::uint32_t>(members.size());
   const std::uint32_t w = concern.resolve(k);
   d.effective_w = w;
-  ++stats_.coordinator_ops[endpoint];
   const bool failover = acting != 0;
   if (failover) ++stats_.failover_writes;
 
@@ -416,7 +415,6 @@ client::ReadResult RequestRouter::route_read(
   // crashed, in which case they fail over down the rank order.
   const std::uint32_t acting = group->acting_rank();
   core::IdeaNode& coordinator = *group->ranks[acting].node;
-  const NodeId coord_ep = group->members[acting];
   const bool migrating = cluster_.sim().now() < group->migration_until;
   ++stats_.reads;
 
@@ -438,7 +436,6 @@ client::ReadResult RequestRouter::route_read(
   switch (level.level) {
     case client::Level::kStrong: {
       ++stats_.strong_reads;
-      ++stats_.coordinator_ops[coord_ep];
       return serve_single(file, *group, acting, origin, tc);
     }
 
@@ -483,7 +480,6 @@ client::ReadResult RequestRouter::route_read(
                           now > picked.hint.at ? now - picked.hint.at : 0));
       }
       if (candidate == acting) {
-        ++stats_.coordinator_ops[coord_ep];
         return serve_single(file, *group, acting, origin, tc);
       }
       std::uint64_t versions = 0;
@@ -494,7 +490,6 @@ client::ReadResult RequestRouter::route_read(
         // Bound exceeded: escalate.  The client pays for the failed
         // probe plus the coordinator round trip.
         ++stats_.bounded_escalations;
-        ++stats_.coordinator_ops[coord_ep];
         meter.add(router_metrics().escalated);
         record_staleness(versions, age);
         const NodeId candidate_ep = group->members[candidate];
@@ -520,7 +515,6 @@ client::ReadResult RequestRouter::route_read(
       const auto k = static_cast<std::uint32_t>(group->members.size());
       std::uint32_t r = level.quorum_r == 0 ? k / 2 + 1 : level.quorum_r;
       r = std::min(std::max<std::uint32_t>(r, 1), k);
-      ++stats_.coordinator_ops[coord_ep];
       client::ReadResult res =
           serve_quorum(file, *group, acting, origin, r, tc);
       res.migration_window = migrating;

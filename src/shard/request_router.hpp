@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "client/consistency.hpp"
@@ -62,9 +61,9 @@ struct FileGroup;
 
 /// The router's last observation of one replica: it was seen holding
 /// `versions` total updates at `at` (piggybacked on the anti-entropy
-/// digest/repair exchange).  Each group rank of a placed file holds one,
-/// so a group rebuild starts every replica unhinted.  `known` tells a
-/// 0-version observation apart from no observation at all.
+/// digest/repair exchange).  Each group rank of a placed file holds one:
+/// a migrated group starts unhinted, and a crash forgets only the dead
+/// rank's hint.  `known` tells a 0-version observation from none.
 struct FreshnessHint {
   std::uint64_t versions = 0;
   SimTime at = 0;
@@ -95,8 +94,6 @@ struct RouterStats {
   std::uint64_t wack_writes = 0;    ///< Writes dispatched with w > 1.
   std::uint64_t sloppy_writes = 0;  ///< Writes where a hint counted to w.
   std::uint64_t hinted_writes = 0;  ///< Hints queued at stand-ins.
-  /// Ops handled per coordinator endpoint (load-balance probe).
-  std::map<NodeId, std::uint64_t> coordinator_ops;
 };
 
 /// Per-read routing context beyond the declared level: whether the

@@ -91,51 +91,53 @@ void ShardedCluster::place(FileId first, std::uint32_t count) {
 
 FileGroup& ShardedCluster::open_group(FileId file,
                                       std::vector<NodeId> members) {
-  const auto k = static_cast<std::uint32_t>(members.size());
-  const std::uint32_t epoch = ++last_epoch_;
   FileGroup& group = files_.try_emplace(file).first->second;
   if (file < kDenseFileLimit) {
     if (file >= by_file_.size()) by_file_.resize(file + 1, nullptr);
     by_file_[file] = &group;
   }
   group.members = std::move(members);
-  // Every rank starts dark.  A crashed member's rank stays dark until
-  // restart rebuilds the group: sends addressed to it drop at the
-  // transport's crash window, exactly like a live-but-dead endpoint.
-  group.ranks.resize(k);
-  const bool checkpoints =
-      config_.checkpoint.engine != replica::CheckpointEngineKind::kNone;
-  for (std::uint32_t rank = 0; rank < k; ++rank) {
-    EndpointCheckpoints& ckpt = checkpoints_[group.members[rank]];
-    ++ckpt.hosted;
-    if (services_[group.members[rank]] == nullptr) continue;
-    GroupRank& r = group.ranks[rank];
-    r.transport = std::make_unique<GroupTransport>(edge(), group.members,
-                                                   rank, epoch);
-    r.node = std::make_unique<core::IdeaNode>(rank, file);
-    r.sync = std::make_unique<ReplicaSyncAgent>(
-        r.node->store(), *r.transport, k,
-        ReplicaSyncOptions{config_.replication_resend_timeout,
-                           config_.replication_max_resends});
-    r.transport->set_sink(r.sync.get());
-    if (obs_ != nullptr) {
-      r.sync->set_observability(obs_.get(), group.members[rank]);
-    }
-    // Freshness hints piggyback on the anti-entropy digest/repair
-    // exchange: whenever this rank learns a peer's version count, the
-    // peer rank's hint learns it too, feeding bounded-staleness replica
-    // selection.  The record outlives its agents, so the capture holds.
-    r.sync->set_freshness_listener(
-        [this, &group](NodeId peer_rank, std::uint64_t versions) {
-          router_->note_freshness(group.ranks[peer_rank].hint, versions,
-                                  sim_.now());
-        });
-    if (checkpoints) r.sync->set_dirty_list(ckpt.dirty);
-    if (config_.anti_entropy_period > 0) {
-      r.sync->start_anti_entropy(config_.anti_entropy_period);
-    }
+  group.epoch = ++last_epoch_;
+  // Every rank starts dark.  A crashed member's rank stays dark until its
+  // restart builds it: sends addressed to it drop at the transport's
+  // crash window, exactly like a live-but-dead endpoint.
+  group.ranks.resize(group.members.size());
+  for (std::uint32_t rank = 0; rank < group.members.size(); ++rank) {
+    const NodeId member = group.members[rank];
+    ++checkpoints_[member].hosted;
+    if (services_[member] != nullptr) build_rank(file, group, rank);
   }
   return group;
+}
+
+GroupRank& ShardedCluster::build_rank(FileId file, FileGroup& group,
+                                      std::uint32_t rank) {
+  const NodeId endpoint = group.members[rank];
+  GroupRank& r = group.ranks[rank];
+  r.transport = std::make_unique<GroupTransport>(edge(), group.members, rank,
+                                                 group.epoch);
+  r.node = std::make_unique<core::IdeaNode>(rank, file);
+  r.sync = std::make_unique<ReplicaSyncAgent>(
+      r.node->store(), *r.transport,
+      static_cast<std::uint32_t>(group.members.size()),
+      ReplicaSyncOptions{config_.replication_resend_timeout,
+                         config_.replication_max_resends});
+  r.transport->set_sink(r.sync.get());
+  if (obs_ != nullptr) r.sync->set_observability(obs_.get(), endpoint);
+  // Freshness hints piggyback on the anti-entropy digest/repair exchange:
+  // whenever this rank learns a peer's version count, the peer rank's
+  // hint learns it too, feeding bounded-staleness replica selection.  The
+  // record outlives its agents, so the capture holds.
+  r.sync->set_freshness_listener(
+      [this, &group](NodeId peer_rank, std::uint64_t versions) {
+        router_->note_freshness(group.ranks[peer_rank].hint, versions,
+                                sim_.now());
+      });
+  if (config_.checkpoint.engine != replica::CheckpointEngineKind::kNone) {
+    r.sync->set_dirty_list(checkpoints_[endpoint].dirty);
+  }
+  r.sync->start_anti_entropy(config_.anti_entropy_period);
+  return r;
 }
 
 void ShardedCluster::teardown_group(
@@ -350,7 +352,7 @@ NodeId ShardedCluster::stand_in_for(FileId file, NodeId target) const {
   // Walk the ring successors past the replica group: ask for enough
   // candidates to skip every member plus every currently-down endpoint.
   const auto want = static_cast<std::uint32_t>(
-      group.size() + crashed_.size() + 1);
+      group.size() + crashed_at_.size() + 1);
   std::vector<NodeId> candidates;
   for (NodeId candidate : ring_.replicas(file, want)) {
     if (!has_endpoint(candidate)) continue;
@@ -467,7 +469,7 @@ void ShardedCluster::checkpoint_endpoint(NodeId endpoint) {
     rank.sync->checkpoint_offered();
     const replica::CheckpointRecord* record = storage_.checkpoint(
         endpoint, incarnations_[endpoint],
-        {file, rank.node->store(), g->members, rank.transport->epoch()},
+        {file, rank.node->store(), g->members, g->epoch},
         sim_.now());
     if (record == nullptr) continue;
     ++written;
@@ -497,9 +499,10 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
   report.incarnation = incarnations_[endpoint];
   report.at = sim_.now();
   // Sever the wire first: from this instant nothing reaches or leaves the
-  // endpoint, and every message already in flight dies with its
-  // connection (crash windows act on the whole flight, not the send).
+  // endpoint, and every message in flight or still in a batch queue dies
+  // with its connection (crash windows act on the whole flight).
   sim_transport_->crash_node(endpoint, sim_.now());
+  if (batching_ != nullptr) batching_->discard_from(endpoint);
   cancel_checkpoint_timer(endpoint);
   checkpoints_[endpoint].dirty.clear();  // its replicas die below
   // Darken the endpoint's rank in every placed group, in destruction
@@ -520,12 +523,11 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
     // reputation.
     router_->forget_hint(rank.hint);
     // A trace parked on this file waiting for a heal may have been
-    // watching the replica that just died; the restart rebuilds the
-    // group under a new epoch, so the old causal thread is moot.
+    // watching the replica that just died; the restart builds a fresh
+    // one, so the old causal thread is moot.
     if (obs_ != nullptr) obs_->clear_repair_trace(file);
   }
   services_[endpoint].reset();
-  crashed_.insert(endpoint);
   crashed_at_[endpoint] = sim_.now();
   if (obs_ != nullptr) {
     obs_->cluster_meter().add(obs::MetricId::intern("crash.crashes"));
@@ -535,11 +537,11 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
 
 RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   RecoveryReport report;
-  if (!is_crashed(endpoint)) return report;
+  const auto down = crashed_at_.find(endpoint);
+  if (down == crashed_at_.end()) return report;
   report.endpoint = endpoint;
-  report.downtime = sim_.now() - crashed_at_[endpoint];
-  crashed_.erase(endpoint);
-  crashed_at_.erase(endpoint);
+  report.downtime = sim_.now() - down->second;
+  crashed_at_.erase(down);
   sim_transport_->revive_node(endpoint, sim_.now());
   const std::uint32_t incarnation = ++incarnations_[endpoint];
   report.incarnation = incarnation;
@@ -549,87 +551,47 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
             (static_cast<std::uint64_t>(incarnation) << 40)));
   arm_checkpoint_timer(endpoint);
 
-  // Rebuild every group the endpoint belongs to under a fresh epoch, in
-  // sorted file order so the rebuild's sends replay deterministically.
+  // Build the endpoint's dark rank in every group it belongs to, in
+  // sorted file order so the sends replay deterministically.
   for (FileId file : sorted_placed(endpoint)) {
-    auto it = files_.find(file);
-    const std::vector<NodeId> members = it->second.members;
-    const std::uint32_t self_rank = it->second.rank_of(endpoint);
+    FileGroup& g = *group(file);
+    const std::uint32_t self_rank = g.rank_of(endpoint);
+    replica::ReplicaStore& self = build_rank(file, g, self_rank).node->store();
 
-    // 1. Capture each survivor's own log.  Survivors re-import exactly
-    //    what they held (NOT the union): the restarted member's
-    //    checkpoint→crash gap must stay a gap so the ordinary
-    //    anti-entropy exchange — not a migration stream — heals it.
-    std::map<NodeId, std::vector<replica::Update>> survivor_logs;
-    std::size_t survivor_max_updates = 0;
-    for (std::uint32_t rank = 0; rank < members.size(); ++rank) {
-      const core::IdeaNode* node = it->second.ranks[rank].node.get();
-      if (rank == self_rank || node == nullptr) continue;
-      auto log = node->store().export_log();
-      survivor_max_updates = std::max(survivor_max_updates, log.size());
-      survivor_logs.emplace(members[rank], std::move(log));
-    }
-
-    // 2. Latest durable checkpoint.  Updates are keyed by rank-space
+    // 1. The latest durable checkpoint.  Updates are keyed by rank-space
     //    writer ids, so a record from a different membership (rank
-    //    mapping) is unusable — discard it and recover from zero + AE.
+    //    mapping) is unusable: recover from zero + anti-entropy instead.
     const replica::CheckpointRecord* ckpt = storage_.latest(endpoint, file);
-    if (ckpt != nullptr && ckpt->members != members) ckpt = nullptr;
-    std::uint64_t ckpt_own_max = 0;
-    if (ckpt != nullptr) {
-      for (const replica::Update& u : ckpt->updates) {
-        if (u.key.writer == self_rank) {
-          ckpt_own_max = std::max(ckpt_own_max, u.key.seq);
-        }
-      }
-    }
-
-    // 3. Own-writer continuation: writes this endpoint coordinated after
-    //    its last checkpoint live on in the survivors; re-adopting them
-    //    before traffic resumes keeps its writer sequence from reusing
-    //    numbers the group already saw.
-    std::map<replica::UpdateKey, replica::Update> reconcile;
-    for (const auto& [member, log] : survivor_logs) {
-      for (const replica::Update& u : log) {
-        if (u.key.writer == self_rank && u.key.seq > ckpt_own_max) {
-          reconcile.emplace(u.key, u);
-        }
-      }
-    }
-
-    // 4. Rebuild under a new group epoch: stale pre-crash traffic fences
-    //    at the GroupTransports.
-    teardown_group(it);
-    FileGroup& group = open_group(file, members);
-
-    // 5. Survivors resume exactly where they were.
-    for (const auto& [member, log] : survivor_logs) {
-      group.ranks[group.rank_of(member)].node->store().import_log(log);
-    }
-
-    // 6. The restarted member = durable checkpoint + own-writer
-    //    continuation; whatever is still missing is the O(delta) gap
-    //    anti-entropy streams.
-    core::IdeaNode* self = group.ranks[self_rank].node.get();
-    std::size_t restored = 0;
-    if (ckpt != nullptr && self != nullptr) {
-      const replica::ReplicaStore::ImportReport r =
-          self->store().import_log(ckpt->updates);
-      restored += r.applied;
+    if (ckpt != nullptr && ckpt->members == g.members) {
+      report.checkpoint_updates += self.import_log(ckpt->updates).applied;
       ++report.checkpoint_files;
-      report.checkpoint_updates += r.applied;
     }
-    if (!reconcile.empty() && self != nullptr) {
-      std::vector<replica::Update> batch;
-      batch.reserve(reconcile.size());
-      for (const auto& [key, u] : reconcile) batch.push_back(u);
-      const replica::ReplicaStore::ImportReport r =
-          self->store().import_log(batch);
-      report.reconciled_updates += r.applied;
-      restored += r.applied;
+
+    // 2. The survivors carry on; they restart anti-entropy, so the
+    //    group's rounds share one grid and batching merges their digests.
+    //    Own-writer continuation: writes this endpoint coordinated after
+    //    its last checkpoint live on in the survivors; re-adopting them
+    //    keeps its writer sequence from reusing numbers the group saw.
+    //    The survivor's counts, with this writer's lowered to what is
+    //    already loaded, select exactly those writes.
+    std::size_t survivor_max_updates = 0;
+    for (std::uint32_t rank = 0; rank < g.ranks.size(); ++rank) {
+      const GroupRank& peer = g.ranks[rank];
+      if (rank == self_rank || peer.node == nullptr) continue;
+      peer.sync->peer_restarted(self_rank);
+      const replica::ReplicaStore& theirs = peer.node->store();
+      survivor_max_updates =
+          std::max(survivor_max_updates, theirs.update_count());
+      vv::VersionVector known = theirs.evv().counts();
+      known.set(self_rank, self.local_seq());
+      report.reconciled_updates +=
+          self.import_log(theirs.updates_ahead_of(known)).applied;
     }
-    if (survivor_max_updates > restored) {
-      report.gap_updates += survivor_max_updates - restored;
+
+    // 3. Whatever is still missing is the O(delta) gap anti-entropy
+    //    streams.
+    if (survivor_max_updates > self.update_count()) {
+      report.gap_updates += survivor_max_updates - self.update_count();
     }
     ++report.files_recovered;
   }

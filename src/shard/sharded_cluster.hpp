@@ -20,12 +20,14 @@
 /// controller acts on router escalations and measured stale reads.
 ///
 /// A placed file's FileGroup record owns every replica of the file, one
-/// GroupRank per member; closing or rebuilding a group erases the record,
-/// and a crash empties the member's rank.  The record is also the only
-/// route: an endpoint's IdeaService asks the cluster (its core::FileSinks)
-/// for each inbound message's sink, and the cluster answers from a file
-/// id -> record index with the receiving endpoint's rank transport, or
-/// nullptr (drop) for a closed file, a non-member or a dark rank.
+/// GroupRank per member; closing or migrating a group erases the record.
+/// A crash empties the member's rank and its restart builds just that
+/// rank again; the other members carry on.  The record is also the only
+/// route: an endpoint's IdeaService asks the cluster (its
+/// core::FileSinks) for each inbound message's sink, and the cluster
+/// answers from a file id -> record index with the receiving endpoint's
+/// rank transport, or nullptr (drop) for a closed file, a non-member or
+/// a dark rank.
 ///
 /// Elastic membership: add_endpoint()/remove_endpoint() recompute the
 /// ring and migrate exactly the files whose replica group changed (the
@@ -191,6 +193,9 @@ struct GroupRank {
 struct FileGroup {
   std::vector<NodeId> members;  ///< rank -> endpoint id
   std::vector<GroupRank> ranks;
+  /// The group epoch every rank's transport stamps and fences on (see
+  /// GroupTransport), taken when the file was placed on these members.
+  std::uint32_t epoch = 0;
   /// Until then the post-migration state stream may still be in flight:
   /// the non-coordinator ranks are cold, so policy reads pin to the
   /// already-warm acting coordinator.  0 = no migration window.
@@ -269,18 +274,20 @@ class ShardedCluster : public core::FileSinks {
   CrashReport crash_endpoint(NodeId endpoint);
 
   /// Restart a crashed endpoint as a new incarnation on the same ring
-  /// points.  Every group it belongs to is rebuilt under a new group
-  /// epoch (fencing pre-crash traffic); survivors re-adopt exactly their
-  /// own pre-rebuild state, and the restarted member reloads each shard
-  /// from its latest durable checkpoint plus the own-writer continuation
-  /// held by survivors.  The checkpoint→crash gap is NOT streamed — the
-  /// ordinary shard.digest/repair anti-entropy heals it, O(delta).
-  /// No-op unless the endpoint is currently crashed.
+  /// points.  Only its own dark rank in each of its groups is built, under
+  /// the group's current epoch (the crash already lost every message the
+  /// dead incarnation sent or was sent), and loaded with its latest
+  /// durable checkpoint plus the own-writer continuation the survivors
+  /// hold.  The survivors keep their replicas, agents, pending acks, write
+  /// concerns, hints and records; they restart anti-entropy and push the
+  /// new rank every write it never acked.  The checkpoint→crash gap is
+  /// not streamed: anti-entropy heals it, O(delta).  No-op unless the
+  /// endpoint is crashed.
   RecoveryReport restart_endpoint(NodeId endpoint);
 
   /// Whether `endpoint` is crashed (down, awaiting restart_endpoint()).
   [[nodiscard]] bool is_crashed(NodeId endpoint) const {
-    return crashed_.count(endpoint) > 0;
+    return crashed_at_.count(endpoint) > 0;
   }
 
   // ------------------------------------------------------------------
@@ -319,10 +326,10 @@ class ShardedCluster : public core::FileSinks {
   [[nodiscard]] std::vector<NodeId> endpoints() const;
 
   /// The incarnation `endpoint` is currently (or was last) alive with:
-  /// 0 for a first life, n for the (n+1)-th life of a reused id.  Stale-
-  /// incarnation traffic cannot reach a reused id's new service: every
-  /// group the old incarnation belonged to was rebuilt under a new group
-  /// epoch when it left, and GroupTransport fences on the epoch.
+  /// 0 for a first life, n for the (n+1)-th life of a reused or restarted
+  /// id.  An old life's traffic cannot reach the new one: a departed
+  /// incarnation's groups were rebuilt under new epochs (GroupTransport
+  /// fences on them), and a crashed one's traffic died with the crash.
   [[nodiscard]] std::uint32_t incarnation(NodeId endpoint) const {
     return endpoint < incarnations_.size() ? incarnations_[endpoint] : 0;
   }
@@ -349,9 +356,9 @@ class ShardedCluster : public core::FileSinks {
   }
   [[nodiscard]] std::size_t placed_files() const { return files_.size(); }
 
-  /// The placed file's record; nullptr when the file is not placed.  The
-  /// record stays valid until the file closes or its group is rebuilt (a
-  /// migration, or a member's restart).
+  /// The placed file's record; nullptr when the file is not placed.
+  /// Valid until the file closes or migrates; a member's crash and
+  /// restart only empty and rebuild that member's rank.
   [[nodiscard]] FileGroup* group(FileId file) {
     if (file < by_file_.size()) return by_file_[file];
     if (file < kDenseFileLimit) return nullptr;
@@ -479,13 +486,18 @@ class ShardedCluster : public core::FileSinks {
 
  private:
   /// Record the file's group on `members` (rank order as given) under a
-  /// new group epoch and build each live member's rank.  The file must
-  /// not currently be placed.  Members whose service is down (crashed)
-  /// get dark ranks: the group keeps its shape, protocol traffic to them
-  /// drops at the transport, and restart_endpoint() lights them by
-  /// rebuilding the group.  Every live rank goes on its endpoint's
-  /// checkpoint dirty list: a new group epoch is always dirty.
+  /// new group epoch and build each live member's rank with build_rank().
+  /// The file must not currently be placed.  Members whose service is
+  /// down (crashed) get dark ranks: the group keeps its shape, protocol
+  /// traffic to them drops at the transport, and restart_endpoint()
+  /// builds each one when its member returns.
   FileGroup& open_group(FileId file, std::vector<NodeId> members);
+
+  /// Build the empty replica at dark `rank` of `group` (its member alive)
+  /// under the group's epoch: transport, store-only node and sync agent,
+  /// wired to the rank's freshness hint, its endpoint's checkpoint dirty
+  /// list (a new replica is always dirty) and anti-entropy.
+  GroupRank& build_rank(FileId file, FileGroup& group, std::uint32_t rank);
 
   /// Drop a placed file's index entry and erase its record, which stops
   /// its traffic at every member.  Leaves parked hints alone.
@@ -516,8 +528,8 @@ class ShardedCluster : public core::FileSinks {
   std::unique_ptr<net::BatchingTransport> batching_;
   HashRing ring_;
   /// The last group epoch handed out (see GroupTransport's fence).  Every
-  /// group build takes the next one, so in-flight traffic from a torn-down
-  /// incarnation can never reach the replacement replicas.
+  /// open_group() takes the next one, so in-flight traffic from a
+  /// torn-down group can never reach its replacement replicas.
   std::uint32_t last_epoch_ = 0;
   /// Largest file id mirrored into the dense index (8 bytes per slot).
   static constexpr FileId kDenseFileLimit = 1u << 20;
@@ -534,9 +546,9 @@ class ShardedCluster : public core::FileSinks {
   std::vector<std::uint32_t> incarnations_;
   /// Ids of removed endpoints awaiting reuse, smallest first.
   std::set<NodeId> free_ids_;
-  // Crash/recovery state.  Crashed ids stay out of free_ids_ (their ring
-  // points and group memberships persist until restart).
-  std::set<NodeId> crashed_;
+  /// Crashed endpoints and when each went down.  Crashed ids stay out of
+  /// free_ids_: their ring points and group memberships persist until
+  /// restart.
   std::map<NodeId, SimTime> crashed_at_;
   replica::DurableStorage storage_;
   /// Hinted-handoff queue (durable medium at the stand-ins, modeled
@@ -548,9 +560,9 @@ class ShardedCluster : public core::FileSinks {
     /// Placed groups that list the endpoint as a member.  A live endpoint
     /// has no dark rank, so this is how many replicas it hosts.
     std::uint32_t hosted = 0;
-    /// Files whose replica here was rebuilt or mutated since the last
+    /// Files whose replica here was built or mutated since the last
     /// pass, fed by the ranks' sync agents; unsorted, and a file may
-    /// repeat when its group was rebuilt in between.
+    /// repeat when its replica was built again in between.
     std::vector<FileId> dirty;
   };
   /// Per endpoint id.  A deque, so the agents' pointers to `dirty` stay

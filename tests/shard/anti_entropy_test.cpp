@@ -11,8 +11,8 @@
 /// Rounds run only while a replica may differ from a peer, so the tests
 /// also pin that a quiet group sends no digest, that one exchange matches
 /// a pair on both sides, that a digest's size does not grow with the log,
-/// and that generated fault schedules still converge when only the
-/// changed side starts rounds.
+/// and that generated fault schedules, with and without crashes and
+/// churn, still converge when only the changed side starts rounds.
 
 #include <gtest/gtest.h>
 
@@ -361,7 +361,9 @@ TEST(AntiEntropyTest, DigestSizeDoesNotGrowWithTheLog) {
 
 /// One generated fault schedule over a 6-endpoint, k = 3, 12-file
 /// deployment: random puts, random full-loss windows and one pairwise
-/// partition, every put and every fault before the last heal.
+/// partition, every put and every fault before the last heal.  A churned
+/// schedule adds one crash and restart of an endpoint, and one endpoint
+/// that joins and leaves again.
 struct FaultSchedule {
   struct Put {
     SimTime at = 0;
@@ -374,11 +376,20 @@ struct FaultSchedule {
   SimTime cut_at = 0;
   SimTime heal_at = 0;
   SimTime last_heal = 0;
+  bool churned = false;
+  NodeId victim = 0;
+  SimTime crash_at = 0;
+  SimTime restart_at = 0;
+  SimTime join_at = 0;
+  SimTime leave_at = 0;
+  SimTime last_event = 0;  ///< The last heal, restart or leave.
 };
 
 constexpr FileId kScheduleFiles = 12;
 
-FaultSchedule generate_schedule(std::uint64_t seed) {
+/// The churn draws follow the fault draws, so a churned schedule keeps
+/// the faults and puts of the plain schedule of the same seed.
+FaultSchedule generate_schedule(std::uint64_t seed, bool churned) {
   Rng rng(seed);
   FaultSchedule s;
   const auto ms = [](double m) { return static_cast<SimTime>(m * 1000.0); };
@@ -400,15 +411,30 @@ FaultSchedule generate_schedule(std::uint64_t seed) {
     s.puts.push_back(
         {at, 1 + static_cast<FileId>(rng.next_below(kScheduleFiles))});
   }
+  s.last_event = s.last_heal;
+  if (!churned) return s;
+  s.churned = true;
+  s.victim = static_cast<NodeId>(rng.next_below(6));
+  s.crash_at = ms(rng.uniform(0.0, 4000.0));
+  s.restart_at = s.crash_at + ms(rng.uniform(300.0, 2000.0));
+  s.join_at = ms(rng.uniform(0.0, 4000.0));
+  s.leave_at = s.join_at + ms(rng.uniform(300.0, 2000.0));
+  s.last_event = std::max({s.last_heal, s.restart_at, s.leave_at});
   return s;
 }
 
-/// Replay `s` until its last heal, then run up to `max_periods` more
-/// anti-entropy periods; returns how many it took until every file's
-/// replicas were identical, or -1.
+/// Replay `s` until its last event (with incremental checkpoints on when
+/// it is churned), then run up to `max_periods` more anti-entropy periods;
+/// returns how many it took until every file's replicas were identical,
+/// or -1.
 int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
                     bool anti_entropy, int max_periods) {
-  ShardedCluster cluster(ae_config(seed, anti_entropy));
+  ShardedClusterConfig cfg = ae_config(seed, anti_entropy);
+  if (s.churned) {
+    cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
+    cfg.checkpoint.period = sec(1);
+  }
+  ShardedCluster cluster(cfg);
   cluster.place(1, kScheduleFiles);
   auto session = std::make_shared<client::ClientSession>(
       cluster, client::SessionOptions{});
@@ -426,29 +452,54 @@ int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
                             [&wire, &s] { wire.partition(s.cut_a, s.cut_b); });
   cluster.sim().schedule_at(s.heal_at,
                             [&wire, &s] { wire.heal(s.cut_a, s.cut_b); });
-  cluster.run_until(s.last_heal);
+  ShardedCluster* c = &cluster;
+  NodeId joined = kNoNode;
+  if (s.churned) {
+    cluster.sim().schedule_at(s.crash_at,
+                              [c, &s] { c->crash_endpoint(s.victim); });
+    cluster.sim().schedule_at(s.restart_at,
+                              [c, &s] { c->restart_endpoint(s.victim); });
+    cluster.sim().schedule_at(
+        s.join_at, [c, &joined] { joined = c->add_endpoint().endpoint; });
+    cluster.sim().schedule_at(s.leave_at,
+                              [c, &joined] { c->remove_endpoint(joined); });
+  }
+  cluster.run_until(s.last_event);
   return periods_to_convergence(cluster, 1, kScheduleFiles, max_periods);
 }
 
+// Only a replica that changed starts rounds, so a replica that merely
+// missed an update waits for a holder to digest it.  Every holder has
+// changed since it last matched the peer that lacks the update, so it
+// reaches that peer within k - 1 rounds of its rotation; the bound allows
+// that twice plus two periods of message latency.
+constexpr int kScheduleBound = 2 * (3 - 1) + 2;
+
 TEST(AntiEntropyTest, GeneratedFaultSchedulesConvergeAfterTheLastHeal) {
-  // Only a replica that changed starts rounds, so a replica that merely
-  // missed an update waits for a holder to digest it.  Every holder has
-  // changed since it last matched the peer that lacks the update, so it
-  // reaches that peer within k - 1 rounds of its rotation; the bound
-  // allows that twice plus two periods of message latency.
-  constexpr int kGroup = 3;
-  constexpr int kBound = 2 * (kGroup - 1) + 2;
   int control_diverged = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const FaultSchedule s = generate_schedule(0xFA17 + seed);
-    const int periods = replay_schedule(s, seed, true, kBound);
+    const FaultSchedule s = generate_schedule(0xFA17 + seed, false);
+    const int periods = replay_schedule(s, seed, true, kScheduleBound);
     EXPECT_NE(periods, -1) << "seed " << seed << ": not converged "
-                           << kBound << " periods after the last heal";
-    if (replay_schedule(s, seed, false, kBound) == -1) ++control_diverged;
+                           << kScheduleBound << " periods after the last heal";
+    if (replay_schedule(s, seed, false, kScheduleBound) == -1) {
+      ++control_diverged;
+    }
   }
   // The schedules must actually lose pushes: without anti-entropy some
   // file stays diverged.
   EXPECT_GE(control_diverged, 1);
+}
+
+TEST(AntiEntropyTest, GeneratedChurnedSchedulesConvergeAfterTheLastEvent) {
+  // A restart or a migration restarts its group's rounds, so the same
+  // bound counts from the schedule's last heal, restart or leave.
+  for (std::uint64_t seed = 21; seed <= 40; ++seed) {
+    const FaultSchedule s = generate_schedule(0xFA17 + seed, true);
+    EXPECT_NE(replay_schedule(s, seed, true, kScheduleBound), -1)
+        << "seed " << seed << ": not converged " << kScheduleBound
+        << " periods after the last event";
+  }
 }
 
 TEST(AntiEntropyTest, DisabledByDefaultKeepsPushOnlyBehavior) {

@@ -14,7 +14,11 @@
 /// migration), so a later restart still finds every file's checkpoint.
 /// A fourth pins that a checkpoint pass, which visits only the replicas
 /// on its endpoint's dirty list, still hears of every kind of store
-/// mutation, with anti-entropy on and off.
+/// mutation, with anti-entropy on and off.  A fifth pins that a restart
+/// builds only the returning member's replicas: the survivors keep their
+/// agents and their durable records stay current.  A sixth pins that a
+/// crash also loses the pushes its batch queues still held, so a restart
+/// inside the batching window cannot split a sequence number.
 
 #include <gtest/gtest.h>
 
@@ -395,6 +399,110 @@ TEST(CrashRecoveryTest, IncrementalCheckpointsFollowAGroupRebuild) {
   EXPECT_EQ(rec.gap_updates, 0u);
 }
 
+TEST(CrashRecoveryTest, QuietRestartLeavesTheSurvivorsAlone) {
+  // Nothing is written while the victim is down, so a restart that
+  // touched only the victim's ranks leaves every survivor exactly as it
+  // was: the same agent with its counters running on, and a store whose
+  // durable record still describes it.
+  constexpr FileId kFiles = 24;
+  constexpr NodeId kVictim = 2;
+  ShardedCluster cluster(crash_config(
+      83, replica::CheckpointEngineKind::kIncremental, /*loss_rate=*/0.0));
+  cluster.place(1, kFiles);
+  client::ClientSession session(cluster, {});
+  for (FileId file = 1; file <= kFiles; ++file) {
+    ASSERT_TRUE(session.put(file, "w", 1.0).ok());
+  }
+  cluster.run_for(sec(3));  // pushes land, pairs match, records written
+  cluster.crash_endpoint(kVictim);
+  cluster.run_for(sec(2));
+
+  struct Survivor {
+    FileId file = 0;
+    std::uint32_t rank = 0;
+    ReplicaSyncStats stats;
+  };
+  std::vector<Survivor> survivors;
+  for (FileId file = 1; file <= kFiles; ++file) {
+    const FileGroup* g = cluster.group(file);
+    if (g->rank_of(kVictim) == g->members.size()) continue;
+    for (std::uint32_t rank = 0; rank < g->ranks.size(); ++rank) {
+      if (g->members[rank] == kVictim) continue;
+      survivors.push_back({file, rank, g->ranks[rank].sync->stats()});
+    }
+  }
+  ASSERT_FALSE(survivors.empty()) << "the victim hosts no file";
+
+  const RecoveryReport rec = cluster.restart_endpoint(kVictim);
+  ASSERT_EQ(rec.files_recovered * 2, survivors.size());
+  EXPECT_EQ(rec.checkpoint_files, rec.files_recovered);
+  EXPECT_EQ(rec.gap_updates, 0u);
+
+  for (const Survivor& s : survivors) {
+    const ReplicaSyncStats& now = cluster.sync_agent(s.file, s.rank)->stats();
+    const std::string where =
+        "file " + std::to_string(s.file) + " rank " + std::to_string(s.rank);
+    EXPECT_GT(s.stats.puts + s.stats.applied, 0u) << where;
+    EXPECT_EQ(now.puts, s.stats.puts) << where;
+    EXPECT_EQ(now.pushed, s.stats.pushed) << where;
+    EXPECT_EQ(now.applied, s.stats.applied) << where;
+    EXPECT_EQ(now.ae_rounds, s.stats.ae_rounds) << where;
+    EXPECT_EQ(now.digests_received, s.stats.digests_received) << where;
+    EXPECT_EQ(now.repairs_sent, s.stats.repairs_sent) << where;
+  }
+
+  // The next pass of every endpoint writes the restarted replicas'
+  // records, one per hosted file, and no survivor's.
+  const replica::DurableStorage& storage = cluster.durable_storage();
+  const std::uint64_t written = storage.records_written();
+  for (const NodeId endpoint : cluster.endpoints()) {
+    cluster.checkpoint_endpoint(endpoint);
+  }
+  EXPECT_EQ(storage.records_written() - written, rec.files_recovered);
+  const SimTime restarted_at = cluster.sim().now();
+  for (FileId file = 1; file <= kFiles; ++file) {
+    for (const NodeId endpoint : cluster.group(file)->members) {
+      const replica::CheckpointRecord* latest =
+          storage.latest(endpoint, file);
+      ASSERT_NE(latest, nullptr);
+      EXPECT_EQ(latest->taken_at == restarted_at, endpoint == kVictim)
+          << "file " << file << " endpoint " << endpoint;
+    }
+  }
+}
+
+TEST(CrashRecoveryTest, ACrashLosesItsUnflushedBatches) {
+  // Under a 50 ms batching window the coordinator's pushes of its write
+  // still wait in its batch queues when it crashes, and it restarts
+  // before the window closes.  The crash must lose them with the rest of
+  // its volatile state.  Flushed after the restart, they would hand the
+  // survivors a write the restarted replica never reloads, and its next
+  // write would reuse that sequence number with other content: a split
+  // that digests, which compare counts only, never repair.
+  constexpr FileId kFile = 5;
+  ShardedClusterConfig cfg =
+      crash_config(91, replica::CheckpointEngineKind::kNone, 0.0);
+  cfg.batch.window = msec(50);
+  ShardedCluster cluster(cfg);
+  cluster.ensure_open(kFile);
+  const NodeId coordinator = cluster.group_of(kFile)[0];
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "lost", 1.0).ok());
+  cluster.crash_endpoint(coordinator);
+  cluster.run_for(msec(10));
+  cluster.restart_endpoint(coordinator);
+  ASSERT_EQ(cluster.coordinator(kFile).second, coordinator);
+  ASSERT_TRUE(session.put(kFile, "kept", 1.0).ok());
+
+  EXPECT_NE(periods_to_convergence(cluster, kFile, 6), -1);
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    const replica::ReplicaStore& store =
+        cluster.replica_at_rank(kFile, rank)->store();
+    ASSERT_EQ(store.update_count(), 1u) << "rank " << rank;
+    EXPECT_EQ(store.export_log().front().content, "kept") << "rank " << rank;
+  }
+}
+
 /// Drives every source of a store mutation under anti-entropy period `ae`
 /// (0 = off), stops traffic for three checkpoint periods, and requires
 /// each live replica's durable record to describe its store.
@@ -464,7 +572,7 @@ void check_every_mutation_source_reaches_the_record(SimDuration ae) {
                                  << endpoint << ": never checkpointed";
       EXPECT_EQ(latest->mutations, r.node->store().mutation_count())
           << "file " << file << " endpoint " << endpoint;
-      EXPECT_EQ(latest->group_epoch, r.transport->epoch())
+      EXPECT_EQ(latest->group_epoch, g->epoch)
           << "file " << file << " endpoint " << endpoint;
       EXPECT_EQ(latest->members, g->members)
           << "file " << file << " endpoint " << endpoint;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "client/session.hpp"
@@ -100,10 +101,14 @@ TEST(ShardedClusterTest, RouterSpreadsCoordinators) {
   EXPECT_EQ(stats.writes, 64u);
   EXPECT_EQ(stats.opens, 64u);
   // The ring should never funnel 64 tenants through one coordinator.
-  EXPECT_GT(stats.coordinator_ops.size(), 3u);
-  for (const auto& [endpoint, ops] : stats.coordinator_ops) {
-    EXPECT_LT(ops, 64u / 2) << "endpoint " << endpoint
-                            << " coordinates too many tenants";
+  std::map<NodeId, std::uint32_t> coordinated;
+  for (FileId f = 1; f <= 64; ++f) {
+    ++coordinated[cluster.coordinator(f).second];
+  }
+  EXPECT_GT(coordinated.size(), 3u);
+  for (const auto& [endpoint, files] : coordinated) {
+    EXPECT_LT(files, 64u / 2) << "endpoint " << endpoint
+                              << " coordinates too many tenants";
   }
 }
 

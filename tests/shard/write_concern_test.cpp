@@ -12,6 +12,10 @@
 ///    the hint drains exactly once when the member restarts;
 ///  * an exhausted resend budget is never silent — give-up fires targeted
 ///    anti-entropy digests, so the group converges with periodic AE off;
+///  * a pending put outlives a peer's restart: the coordinator keeps its
+///    agent, so the put resolves satisfied once a resend lands, and the
+///    restart pushes the returning member the put at once, so its ack
+///    can satisfy the put before any resend timer fires;
 ///  * every w-acked write survives any single-endpoint crash among the
 ///    group (coordinator included), observed through majority quorum
 ///    reads (R + W > N);
@@ -330,6 +334,77 @@ TEST(WriteConcernTest, GiveUpFiresTargetedAntiEntropy) {
   // The divergence healed through the give-up digests alone: periodic
   // anti-entropy is off in this deployment.
   EXPECT_EQ(versions_behind(cluster, file, group[1]), 0u);
+  EXPECT_EQ(versions_behind(cluster, file, group[2]), 0u);
+}
+
+TEST(WriteConcernTest, PendingPutSurvivesAPeersRestart) {
+  // The third member is down and the push to the live peer falls in a
+  // full-loss window, so a w = majority put waits for a resend (the
+  // write-concern timeout is 500 ms).  The third member restarts inside
+  // the window, so the push the restart sends it is lost too.  A restart
+  // builds only that member's replica, so the coordinator's agent and
+  // the put it tracks carry on, and the resend collects the ack the
+  // concern needs.
+  shard::ShardedCluster cluster(concern_config(88));
+  Client client(cluster);
+  ClientSession session = client.session(
+      {.write_concern = WriteConcern::majority(), .origin = 0});
+
+  const FileId file = 4;
+  ASSERT_TRUE(session.open(file));
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  cluster.crash_endpoint(group[2]);
+  const SimTime start = cluster.sim().now();
+  cluster.transport().add_drop_window(start, start + msec(300));
+
+  const OpHandle<WriteAck> h = session.put(file, "kept", 1.0);
+  cluster.run_for(msec(200));
+  ASSERT_FALSE(h.resolved()) << "the push to the live peer was not lost";
+  cluster.restart_endpoint(group[2]);
+  EXPECT_FALSE(h.resolved()) << "the restart resolved the pending put";
+
+  cluster.run_for(sec(1));
+  ASSERT_TRUE(h.resolved());
+  EXPECT_TRUE(h.ok());
+  EXPECT_TRUE(h->w_satisfied);
+  EXPECT_GE(h->acks, 2u);
+  EXPECT_EQ(h->hinted, 0u);
+  const shard::ReplicaSyncAgent* agent = cluster.coordinator(file).first;
+  ASSERT_NE(agent, nullptr);
+  EXPECT_EQ(agent->stats().wack_satisfied, 1u);
+  EXPECT_EQ(agent->stats().wack_failed, 0u);
+  EXPECT_EQ(versions_behind(cluster, file, group[1]), 0u);
+}
+
+TEST(WriteConcernTest, ARestartedPeerGetsItsUnackedPushAtOnce) {
+  // As above, but the loss window closes before the third member
+  // restarts.  The restart pushes that member the put it never acked at
+  // once, not at the 500 ms resend timer, so its ack satisfies the
+  // w = majority put while the live peer still lacks the write.
+  shard::ShardedCluster cluster(concern_config(89));
+  Client client(cluster);
+  ClientSession session = client.session(
+      {.write_concern = WriteConcern::majority(), .origin = 0});
+
+  const FileId file = 4;
+  ASSERT_TRUE(session.open(file));
+  const std::vector<NodeId> group = cluster.group_of(file);
+  ASSERT_EQ(group.size(), 3u);
+  cluster.crash_endpoint(group[2]);
+  const SimTime start = cluster.sim().now();
+  cluster.transport().add_drop_window(start, start + msec(150));
+
+  const OpHandle<WriteAck> h = session.put(file, "pushed", 1.0);
+  cluster.run_for(msec(200));
+  ASSERT_FALSE(h.resolved()) << "the push to the live peer was not lost";
+  cluster.restart_endpoint(group[2]);
+  cluster.run_for(msec(250));  // the put's resend timer is not yet due
+
+  ASSERT_TRUE(h.resolved());
+  EXPECT_TRUE(h->w_satisfied);
+  EXPECT_EQ(h->acks, 2u);
+  EXPECT_EQ(versions_behind(cluster, file, group[1]), 1u);
   EXPECT_EQ(versions_behind(cluster, file, group[2]), 0u);
 }
 
