@@ -157,7 +157,7 @@ Scenario diurnal(const Setup& s) {
   writer.name = "writer";
   writer.keys = 8;
   writer.read_fraction = 0.0;
-  writer.rate = steady_rate(16.0);  // 1 write/window/file: below hot_writes
+  writer.rate = steady_rate(16.0);  // 1 write/window/file: never hot (4)
   sc.tenants.push_back(writer);
   workload::TenantSpec east;
   east.name = "east";

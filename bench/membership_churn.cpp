@@ -2,22 +2,24 @@
 /// \brief Cost and recovery profile of elastic membership + anti-entropy.
 ///
 /// Three experiments on one deployment (default 16 endpoints, 800 files,
-/// k=3, live kv workload):
+/// k=3, a kv workload that writes until the experiment's event):
 ///
-///  1. Join: add an endpoint mid-workload; report how many files the ring
-///     delta predicted would move vs how many actually migrated, the
-///     state volume streamed, and how long until every group converges.
-///  2. Leave: remove an endpoint; same accounting.
-///  3. Heal: a scripted 100%-loss window mid-workload; report how many
+///  1. Join: add an endpoint at 4 s; report how many files the ring delta
+///     predicted would move vs how many actually migrated, the state
+///     volume streamed, and how long until every group converges.
+///  2. Leave: remove an endpoint at 4 s; same accounting.
+///  3. Heal: a scripted 100%-loss window from 3 s to 5 s; report how many
 ///     anti-entropy periods the cluster needs to make every replica group
 ///     identical again, against the repair traffic it cost.
 ///
-/// Exits non-zero unless the join and the leave each migrate exactly the
-/// files the ring delta predicted (rebalance.group_changed), and every
-/// experiment is whole again within 2(k-1)+2 anti-entropy periods of
-/// 13 s, one second after the workload's last write: k-1 rounds for a
-/// holder's rotation to reach a lagging peer, twice, plus two periods of
-/// message latency.
+/// Each heal time counts anti-entropy periods from the experiment's
+/// event (the join, the leave, the window's close), where its writes
+/// stop, so it measures that event's repair and nothing after it.  Exits
+/// non-zero unless the join and the leave each migrate exactly the files
+/// the ring delta predicted (rebalance.group_changed), and every
+/// experiment is whole again within 2(k-1)+2 anti-entropy periods of its
+/// event: k-1 rounds for a holder's rotation to reach a lagging peer,
+/// twice, plus two periods of message latency.
 ///
 ///   $ ./membership_churn [--endpoints 16] [--files 800] [--seed 2007]
 ///                        [--ae-ms 500]
@@ -50,7 +52,8 @@ struct Deployment {
   std::unique_ptr<apps::KvWorkload> workload;
 };
 
-Deployment stand_up(const Setup& s) {
+/// A deployment whose workload writes from 0 until `writes_until`.
+Deployment stand_up(const Setup& s, SimTime writes_until) {
   shard::ShardedClusterConfig cfg;
   cfg.endpoints = s.endpoints;
   cfg.replication = kReplication;
@@ -67,7 +70,7 @@ Deployment stand_up(const Setup& s) {
   apps::KvWorkloadParams wl;
   wl.clients = 2 * s.endpoints;
   wl.interval = msec(250);
-  wl.duration = sec(12);
+  wl.duration = writes_until;
   wl.keyspace = 4 * s.files;
   d.workload = std::make_unique<apps::KvWorkload>(*d.kv, d.cluster->sim(),
                                                   wl, s.seed ^ 0xBEEF);
@@ -121,15 +124,16 @@ std::vector<std::string> run(const Setup& s) {
   };
   const auto check_heal = [&failures](const char* label, int heal) {
     if (heal < 0 || heal > kHealBound) {
-      failures.push_back(std::string(label) + " whole again after " +
-                         std::to_string(heal) + " ae-period(s), bound " +
+      failures.push_back(std::string(label) + " whole again " +
+                         std::to_string(heal) +
+                         " ae-period(s) after its event, bound " +
                          std::to_string(kHealBound));
     }
   };
 
   // --- 1. join ------------------------------------------------------
   {
-    Deployment d = stand_up(s);
+    Deployment d = stand_up(s, sec(4));
     d.cluster->run_until(sec(4));
     const auto t0 = std::chrono::steady_clock::now();
     const shard::MembershipChange joined = d.cluster->add_endpoint();
@@ -138,11 +142,10 @@ std::vector<std::string> run(const Setup& s) {
             std::chrono::steady_clock::now() - t0)
             .count();
     report_change("join", joined, wall_ms);
-    d.cluster->run_until(sec(13));
     const int heal =
         periods_to_heal(*d.cluster, s.files, s.ae_period, 20);
-    std::printf("         groups whole again after %d ae-period(s); "
-                "%llu puts applied\n",
+    std::printf("         groups whole again %d ae-period(s) after the "
+                "join; %llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
     check_change("join", joined);
     check_heal("join", heal);
@@ -150,7 +153,7 @@ std::vector<std::string> run(const Setup& s) {
 
   // --- 2. leave -----------------------------------------------------
   {
-    Deployment d = stand_up(s);
+    Deployment d = stand_up(s, sec(4));
     d.cluster->run_until(sec(4));
     const auto t0 = std::chrono::steady_clock::now();
     const shard::MembershipChange left =
@@ -160,11 +163,10 @@ std::vector<std::string> run(const Setup& s) {
             std::chrono::steady_clock::now() - t0)
             .count();
     report_change("leave", left, wall_ms);
-    d.cluster->run_until(sec(13));
     const int heal =
         periods_to_heal(*d.cluster, s.files, s.ae_period, 20);
-    std::printf("         groups whole again after %d ae-period(s); "
-                "%llu puts applied\n",
+    std::printf("         groups whole again %d ae-period(s) after the "
+                "leave; %llu puts applied\n",
                 heal, static_cast<unsigned long long>(d.kv->puts()));
     check_change("leave", left);
     check_heal("leave", heal);
@@ -172,11 +174,10 @@ std::vector<std::string> run(const Setup& s) {
 
   // --- 3. loss window + anti-entropy heal ---------------------------
   {
-    Deployment d = stand_up(s);
+    Deployment d = stand_up(s, sec(5));
     d.cluster->transport().add_drop_window(sec(3), sec(5));
     d.cluster->run_until(sec(5));
     const std::size_t diverged_mid = diverged_files(*d.cluster, s.files);
-    d.cluster->run_until(sec(13));
     const int heal =
         periods_to_heal(*d.cluster, s.files, s.ae_period, 40);
     std::uint64_t repair_msgs =
@@ -185,7 +186,7 @@ std::vector<std::string> run(const Setup& s) {
         d.cluster->batching()->counters().messages_of("shard.digest");
     std::printf(
         "  heal   2s full-loss window: %zu/%u groups diverged at close; "
-        "whole after %d ae-period(s)\n",
+        "whole %d ae-period(s) after it\n",
         diverged_mid, s.files, heal);
     std::printf(
         "         faults dropped %llu msgs; repair traffic: %llu digests, "
@@ -216,7 +217,7 @@ int main(int argc, char** argv) {
   }
   if (!failures.empty()) return 1;
   std::printf("check: join and leave migrated exactly the predicted files; "
-              "every experiment whole within %d ae-periods\n",
+              "every experiment whole within %d ae-periods of its event\n",
               idea::bench::kHealBound);
   return 0;
 }

@@ -9,6 +9,25 @@ namespace idea::adapt {
 
 namespace {
 
+/// Control-loop tick period.
+constexpr SimDuration kPeriod = msec(500);
+/// Writes per window at or above which a file counts as hot.
+constexpr std::uint32_t kHotWrites = 4;
+/// Bounded escalations per window at or above which a hot file counts as
+/// contended.
+constexpr std::uint32_t kEscalationTrigger = 1;
+/// Consecutive write-free windows before a file relaxes to Eventual.
+constexpr std::uint32_t kColdWindows = 4;
+/// Consecutive calm windows before an escalated file steps down.
+constexpr std::uint32_t kHoldWindows = 2;
+/// Ceiling for a renegotiated staleness bound and its shift (versions).
+constexpr std::uint64_t kMaxBound = 8;
+/// Fraction of a tenant's window reads allowed over the latency clause
+/// before the bound loosens.
+constexpr double kLatencyPressure = 0.05;
+/// Fraction allowed over the staleness clause before the bound tightens.
+constexpr double kStalenessPressure = 0.01;
+
 /// Interned once; recording is an array index (see metrics.hpp).
 struct ControllerMetrics {
   obs::MetricId ticks = obs::MetricId::intern("adapt.ticks");
@@ -37,8 +56,6 @@ const char* target_name(ConsistencyController::Target t) {
       return "eventual";
     case ConsistencyController::Target::kStrong:
       return "strong";
-    case ConsistencyController::Target::kQuorum:
-      return "quorum";
   }
   return "?";
 }
@@ -64,15 +81,13 @@ std::string Slo::describe() const {
 }
 
 ConsistencyController::ConsistencyController(sim::Simulator& sim,
-                                             ControllerConfig config,
                                              obs::Observability* obs)
-    : sim_(sim), config_(config), obs_(obs) {}
+    : sim_(sim), obs_(obs) {}
 
 void ConsistencyController::start() {
   if (running_) return;
   running_ = true;
-  tick_event_ =
-      sim_.schedule_periodic(config_.period, [this] { tick(); });
+  tick_event_ = sim_.schedule_periodic(kPeriod, [this] { tick(); });
 }
 
 void ConsistencyController::stop() {
@@ -134,8 +149,6 @@ client::ConsistencyLevel ConsistencyController::effective_level(
   switch (target) {
     case Target::kStrong:
       return client::ConsistencyLevel::strong();
-    case Target::kQuorum:
-      return client::ConsistencyLevel::quorum(config_.quorum_r);
     case Target::kEventual:
       return client::ConsistencyLevel::eventual_nearest();
     case Target::kDeclared:
@@ -148,8 +161,8 @@ client::ConsistencyLevel ConsistencyController::effective_level(
           static_cast<std::int64_t>(declared.max_versions) + t->second.shift;
       const std::uint64_t bound =
           shifted < 0 ? 0
-                      : (static_cast<std::uint64_t>(shifted) > config_.max_bound
-                             ? config_.max_bound
+                      : (static_cast<std::uint64_t>(shifted) > kMaxBound
+                             ? kMaxBound
                              : static_cast<std::uint64_t>(shifted));
       return client::ConsistencyLevel::bounded_staleness(bound,
                                                          declared.max_age);
@@ -175,36 +188,32 @@ void ConsistencyController::tick() {
       obs_ != nullptr ? obs_->cluster_meter() : obs::Meter();
   meter.add(metrics().ticks);
 
-  const Target hot_target =
-      config_.escalate_to_quorum ? Target::kQuorum : Target::kStrong;
   std::uint64_t overridden = 0;
 
   for (auto& [file, f] : files_) {
     meter.observe(metrics().window_writes, f.writes);
     // Contention evidence: enough writes this window AND router
     // escalations or stale policy reads.
-    const bool hot = f.writes >= config_.hot_writes;
+    const bool hot = f.writes >= kHotWrites;
     const bool contended =
-        hot && (f.escalations >= config_.escalation_trigger ||
-                f.stale_reads > 0);
+        hot && (f.escalations >= kEscalationTrigger || f.stale_reads > 0);
 
     f.idle_windows = f.writes == 0 ? f.idle_windows + 1 : 0;
-    // An escalated file served Strong/Quorum produces no escalations or
-    // stale reads by construction, so "calm" must also require the write
+    // An escalated file served Strong produces no escalations or stale
+    // reads by construction, so "calm" must also require the write
     // pressure to have subsided — otherwise every escalation would step
-    // down after hold_windows and immediately re-escalate.
-    const bool escalated =
-        f.target == Target::kStrong || f.target == Target::kQuorum;
+    // down after kHoldWindows and immediately re-escalate.
+    const bool escalated = f.target == Target::kStrong;
     f.calm_windows =
         (contended || (escalated && hot)) ? 0 : f.calm_windows + 1;
 
-    if (contended && f.target != hot_target) {
+    if (contended && !escalated) {
       char detail[96];
       std::snprintf(detail, sizeof(detail),
                     "%s->%s w=%u esc=%u stale=%u", target_name(f.target),
-                    target_name(hot_target), f.writes, f.escalations,
+                    target_name(Target::kStrong), f.writes, f.escalations,
                     f.stale_reads);
-      f.target = hot_target;
+      f.target = Target::kStrong;
       ++stats_.escalations;
       meter.add(metrics().escalations);
       decide("escalate", static_cast<std::int64_t>(file), 0, detail);
@@ -217,14 +226,13 @@ void ConsistencyController::tick() {
                                   sim_.now());
         }
       }
-    } else if ((f.target == Target::kStrong || f.target == Target::kQuorum) &&
-               f.calm_windows >= config_.hold_windows) {
+    } else if (escalated && f.calm_windows >= kHoldWindows) {
       f.target = Target::kDeclared;
       ++stats_.step_downs;
       meter.add(metrics().step_downs);
       decide("step_down", static_cast<std::int64_t>(file), 0, "calm");
     } else if (f.target == Target::kDeclared &&
-               f.idle_windows >= config_.cold_windows && f.reads > 0 &&
+               f.idle_windows >= kColdWindows && f.reads > 0 &&
                f.escalations == 0 && f.stale_reads == 0) {
       // Relax requires the window to be *quiet*, not just write-free:
       // right after a loss window an idle file's replicas can still lag
@@ -254,14 +262,13 @@ void ConsistencyController::tick() {
     std::int64_t step = 0;
     // Staleness pressure wins ties: the bound exists to cap staleness,
     // and tightening is the only lever that restores it.
-    if (stale_frac > config_.staleness_pressure) {
+    if (stale_frac > kStalenessPressure) {
       step = -1;
-    } else if (lat_frac > config_.latency_pressure) {
+    } else if (lat_frac > kLatencyPressure) {
       step = 1;
     }
     if (step != 0) {
-      const std::int64_t limit =
-          static_cast<std::int64_t>(config_.max_bound);
+      const std::int64_t limit = static_cast<std::int64_t>(kMaxBound);
       std::int64_t next = t.shift + step;
       if (next > limit) next = limit;
       if (next < -limit) next = -limit;

@@ -14,27 +14,30 @@
 /// negotiator that retunes bounded-staleness bounds against a declared
 /// Slo.
 ///
-/// Control rules (each evaluated once per tick window):
+/// Control rules (each evaluated once per 500 ms tick window):
 ///
-///  * Escalate  — a file that saw >= hot_writes writes in the window AND
-///    any contention evidence (bounded escalations or stale policy reads)
-///    has its target raised to Strong (or Quorum{r} when
-///    escalate_to_quorum): hot contended files are served from the
-///    coordinator until they calm.
-///  * Step down — an escalated file with hold_windows consecutive calm
-///    windows (no contention evidence AND write volume below hot_writes)
-///    returns to the session's declared level.
-///  * Relax     — a file with cold_windows consecutive write-free windows,
-///    the last of them quiet (no escalations or stale reads — replicas
-///    proved healed), relaxes to EventualNearest: nothing is changing, so
-///    the nearest replica is as good as any.  A renewed write rewarms the
+///  * Escalate  — a file that saw >= 4 writes in the window (hot) AND any
+///    contention evidence (a bounded escalation or a stale policy read)
+///    has its target raised to Strong: hot contended files are served
+///    from the coordinator until they calm.
+///  * Step down — an escalated file with 2 consecutive calm windows (no
+///    contention evidence AND fewer than 4 writes) returns to the
+///    session's declared level.
+///  * Relax     — a file with 4 consecutive write-free windows, the last
+///    of them quiet (no escalations or stale reads — replicas proved
+///    healed), relaxes to EventualNearest: nothing is changing, so the
+///    nearest replica is as good as any.  A renewed write rewarms the
 ///    file to the declared level synchronously (inside on_write, before
 ///    any later read routes), since Eventual has no bound to cap what a
 ///    read between the write and the next tick would see.
 ///  * Renegotiate — per tenant, the window's reads are scored against the
-///    declared Slo: too many reads over the latency clause loosens the
-///    tenant's staleness bound by one version (fewer escalations, lower
-///    latency); too many stale-beyond-SLO reads tightens it.
+///    declared Slo: more than 1 % of them stale beyond the SLO tightens
+///    the tenant's staleness bound by one version; otherwise more than
+///    5 % over the latency clause loosens it by one (fewer escalations,
+///    lower latency).  The shift and the bound stay within 8 versions.
+///
+/// These values are protocol constants (controller.cpp); the only
+/// setting is whether the cluster runs a controller at all.
 ///
 /// Determinism: the controller runs on the sim clock, iterates files and
 /// tenants in ordered-map order, draws no RNG, and appends every decision
@@ -57,40 +60,19 @@
 
 namespace idea::adapt {
 
-/// The control loop's knobs.  Its signals are the router's bounded
-/// escalations and measured stale reads, plus write volume.
+/// Whether a cluster runs the control loop.  Its signals are the
+/// router's bounded escalations and measured stale reads, plus write
+/// volume; its thresholds are constants (see the rules above).
 struct ControllerConfig {
-  /// Master switch: off (default) means the cluster never constructs a
-  /// controller and the routing hot path is byte-identical to today.
+  /// Off (default) means the cluster never constructs a controller and
+  /// the routing hot path is byte-identical to today.
   bool enabled = false;
-  /// Control-loop tick period.
-  SimDuration period = msec(500);
-  /// Writes per window at or above which a file counts as hot.
-  std::uint32_t hot_writes = 4;
-  /// Bounded escalations per window at or above which a hot file counts
-  /// as contended.
-  std::uint32_t escalation_trigger = 1;
-  /// Consecutive write-free windows before a file relaxes to Eventual.
-  std::uint32_t cold_windows = 4;
-  /// Consecutive calm windows before an escalated file steps down.
-  std::uint32_t hold_windows = 2;
-  /// Escalate to Quorum{quorum_r} instead of Strong.
-  bool escalate_to_quorum = false;
-  std::uint32_t quorum_r = 0;
-  /// Ceiling for a renegotiated staleness bound (versions).
-  std::uint64_t max_bound = 8;
-  /// Fraction of a tenant's window reads allowed over the latency clause
-  /// before the bound loosens.
-  double latency_pressure = 0.05;
-  /// Fraction allowed over the staleness clause before the bound
-  /// tightens.
-  double staleness_pressure = 0.01;
 };
 
 struct ControllerStats {
   std::uint64_t ticks = 0;
   std::uint64_t decisions = 0;     ///< Log lines appended.
-  std::uint64_t escalations = 0;   ///< Declared/eventual -> strong/quorum.
+  std::uint64_t escalations = 0;   ///< Declared/eventual -> strong.
   std::uint64_t step_downs = 0;    ///< Escalated -> declared.
   std::uint64_t relaxations = 0;   ///< Declared -> eventual.
   std::uint64_t rewarms = 0;       ///< Eventual -> declared on new writes.
@@ -110,11 +92,9 @@ class ConsistencyController {
     kDeclared,  ///< No override: serve the declared level (default).
     kEventual,  ///< Cold file: relax to EventualNearest.
     kStrong,    ///< Hot contended file: coordinator reads.
-    kQuorum,    ///< Hot contended file: quorum reads.
   };
 
-  ConsistencyController(sim::Simulator& sim, ControllerConfig config,
-                        obs::Observability* obs);
+  ConsistencyController(sim::Simulator& sim, obs::Observability* obs);
 
   ConsistencyController(const ConsistencyController&) = delete;
   ConsistencyController& operator=(const ConsistencyController&) = delete;
@@ -201,7 +181,6 @@ class ConsistencyController {
               const std::string& detail);
 
   sim::Simulator& sim_;
-  ControllerConfig config_;
   obs::Observability* obs_;
   // Ordered maps: tick() iterates them, and decision order must be
   // reproducible.  File states are never GC'd — a target must outlive

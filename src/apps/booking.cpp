@@ -8,6 +8,14 @@
 
 namespace idea::apps {
 
+namespace {
+
+/// A seat's price is drawn uniformly from this range.
+constexpr double kPriceMin = 80.0;
+constexpr double kPriceMax = 400.0;
+
+}  // namespace
+
 BookingSystem::BookingSystem(core::IdeaCluster& cluster,
                              std::vector<NodeId> servers,
                              BookingParams params, std::uint64_t seed)
@@ -25,7 +33,7 @@ bool BookingSystem::try_book(NodeId server) {
     if (seats_truly_available) ++undersold_;
     return false;
   }
-  const double price = rng_.uniform(params_.price_min, params_.price_max);
+  const double price = rng_.uniform(kPriceMin, kPriceMax);
   char content[64];
   std::snprintf(content, sizeof(content), "seat@%.2f", price);
   if (!cluster_.node(server).write(content, price)) {
@@ -142,7 +150,7 @@ bool BookingDesks::try_book(NodeId desk) {
     ++sold_out_;
     return false;
   }
-  const double price = rng_.uniform(params_.price_min, params_.price_max);
+  const double price = rng_.uniform(kPriceMin, kPriceMax);
   char content[64];
   std::snprintf(content, sizeof(content), "seat@%.2f", price);
   if (!session_of(desk).put(flight_, content, price).ok()) {

@@ -25,10 +25,9 @@ class ShardedCluster;
 
 namespace idea::apps {
 
+/// Seat prices are drawn from a fixed 80-400 range (booking.cpp).
 struct BookingParams {
   std::uint32_t capacity = 200;  ///< Seats on the flight.
-  double price_min = 80.0;
-  double price_max = 400.0;
 };
 
 class BookingSystem {

@@ -7,9 +7,7 @@
 namespace idea::apps {
 
 KvStore::KvStore(shard::ShardedCluster& cluster, KvStoreOptions options)
-    : cluster_(cluster),
-      options_(options),
-      session_(cluster, options.session) {}
+    : cluster_(cluster), options_(options), session_(cluster, {}) {}
 
 FileId KvStore::bucket_of(const std::string& key) const {
   std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a over the key bytes

@@ -8,7 +8,7 @@
 /// shared files as the cluster hosts.  KvStore hashes keys into a fixed
 /// universe of bucket files placed on the ring (several keys share a
 /// bucket, like rows sharing a tablet), routes puts and gets through a
-/// client session at a declared consistency level, and KvWorkload drives
+/// default client session (Strong: coordinator reads), and KvWorkload drives
 /// scripted clients against it on the simulator with uniform or
 /// Zipf-skewed key popularity.
 
@@ -22,12 +22,11 @@
 
 namespace idea::apps {
 
+/// Where the store's buckets live.  It issues every operation through a
+/// default session: Strong, no origin.
 struct KvStoreOptions {
   std::uint32_t buckets = 1024;  ///< Bucket files keys hash into.
   FileId first_file = 1;         ///< Bucket file ids: first..first+buckets-1.
-  /// Session the store issues its operations under.  The default —
-  /// Strong, no origin — reproduces coordinator reads byte-exactly.
-  client::SessionOptions session;
 };
 
 class KvStore {
@@ -46,8 +45,7 @@ class KvStore {
   /// Returns false when the bucket has no live replica.
   bool put(const std::string& key, const std::string& value);
 
-  /// Latest live value of `key` in the view the session's consistency
-  /// level routes the read to (the bucket coordinator under Strong).
+  /// Latest live value of `key` at the bucket's coordinator (Strong).
   [[nodiscard]] std::optional<std::string> get(const std::string& key);
 
   /// Meta-data contribution of one kv pair: scaled ASCII sum, like the

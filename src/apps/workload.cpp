@@ -29,10 +29,8 @@ UpdateWorkload::UpdateWorkload(core::IdeaCluster& cluster,
 
 void UpdateWorkload::start() {
   const SimTime now = cluster_.sim().now();
-  end_time_ = now + params_.start_delay + params_.duration;
-  for (NodeId w : writers_) {
-    schedule_writer(w, 0, now + params_.start_delay);
-  }
+  end_time_ = now + params_.duration;
+  for (NodeId w : writers_) schedule_writer(w, 0, now);
 }
 
 void UpdateWorkload::schedule_writer(NodeId writer, int index, SimTime when) {

@@ -17,11 +17,11 @@
 
 namespace idea::apps {
 
+/// Each writer's first update goes out when the workload starts.
 struct WorkloadParams {
   SimDuration interval = sec(5);   ///< Nominal inter-update gap per writer.
   double jitter_frac = 0.0;        ///< Uniform jitter: ±frac of interval.
   SimDuration duration = sec(100); ///< Stop issuing after this long.
-  SimDuration start_delay = 0;     ///< Delay before the first update.
 };
 
 /// Per-update content: returns (content, meta_delta).

@@ -79,13 +79,10 @@ OpHandle<WriteAck> ClientSession::put(FileId file, std::string content,
 
   obs::Observability* o = cluster_.obs();
   obs::TraceContext tc;
-  if (o != nullptr && o->tracer() != nullptr &&
-      ops_ % std::max<std::uint32_t>(1, o->config().trace_sample_every) ==
-          0) {
+  if (o != nullptr && o->tracer() != nullptr) {
     tc = o->tracer()->start_trace("session.put", options_.origin, file,
                                   cluster_.sim().now());
   }
-  ++ops_;
 
   // Every put takes the write-concern path.  The handle resolves when
   // the acting coordinator confirms w replica applies (hinted stand-ins
@@ -167,7 +164,6 @@ OpHandle<ReadResult> ClientSession::read(FileId file,
                               (now - it->second.served_at);
       if (age <= level.max_age &&
           it->second.snapshot.staleness_versions <= level.max_versions) {
-        ++ops_;
         ++stats_->reads;
         ++stats_->cache_hits;
         ReadResult result = it->second.snapshot;
@@ -200,13 +196,10 @@ OpHandle<ReadResult> ClientSession::read(FileId file,
     }
   }
   obs::TraceContext tc;
-  if (o != nullptr && o->tracer() != nullptr &&
-      ops_ % std::max<std::uint32_t>(1, o->config().trace_sample_every) ==
-          0) {
+  if (o != nullptr && o->tracer() != nullptr) {
     tc = o->tracer()->start_trace("session.read", options_.origin, file,
                                   cluster_.sim().now());
   }
-  ++ops_;
 
   const shard::ReadContext ctx{options_.adaptive, options_.tenant};
   ReadResult result =

@@ -160,9 +160,6 @@ class ClientSession {
   std::shared_ptr<SessionStats> stats_;
   /// Last served snapshot per file (only populated with cache_reads on).
   std::unordered_map<FileId, CachedRead> cache_;
-  /// Operations issued — the trace-sampling counter (every Nth op mints a
-  /// trace when the cluster's observability has tracing on).
-  std::uint64_t ops_ = 0;
 };
 
 /// Unified entry point (`idea::client::Client`): opens sessions against

@@ -9,6 +9,17 @@ namespace idea::core {
 
 namespace {
 
+/// Wait for commit acknowledgements before closing the round.
+constexpr SimDuration kCommitTimeout = sec(3);
+/// Wait for call-for-attention acks before deciding; a member that never
+/// answers (crashed) is treated as not-initiating, so the round proceeds.
+constexpr SimDuration kAttnTimeout = sec(2);
+/// Randomized retry window after a failed call-for-attention, and how
+/// many retries a round gets before it gives up.
+constexpr SimDuration kBackoffMin = msec(100);
+constexpr SimDuration kBackoffMax = msec(800);
+constexpr int kMaxBackoffs = 8;
+
 struct AttnPayload {
   std::uint64_t round_id;
 };
@@ -128,7 +139,7 @@ void ResolutionManager::send_attn() {
   // the timeout the round proceeds with whatever answers arrived.
   const std::uint64_t expected_round = round_id_;
   timer_ = transport_.call_after(
-      config_.attn_timeout, [this, expected_round] {
+      kAttnTimeout, [this, expected_round] {
         timer_ = 0;
         if (state_ != State::kAttnWait || round_id_ != expected_round) return;
         stats_.phase1_total = transport_.now() - stats_.started_at;
@@ -199,15 +210,14 @@ void ResolutionManager::handle_attn_ack(const net::Message& msg) {
 }
 
 void ResolutionManager::enter_backoff() {
-  if (stats_.backoffs >= config_.max_backoffs) {
+  if (stats_.backoffs >= kMaxBackoffs) {
     state_ = State::kIdle;
     finish_round(false);
     return;
   }
   ++stats_.backoffs;
   state_ = State::kBackoff;
-  const SimDuration wait =
-      rng_.uniform_int(config_.backoff_min, config_.backoff_max);
+  const SimDuration wait = rng_.uniform_int(kBackoffMin, kBackoffMax);
   timer_ = transport_.call_after(wait, [this] {
     timer_ = 0;
     if (state_ != State::kBackoff) return;
@@ -284,7 +294,7 @@ void ResolutionManager::handle_collect(const net::Message& msg) {
   if (participant_timer_ != 0) transport_.cancel_call(participant_timer_);
   // Safety valve: release the write-block if the initiator disappears.
   participant_timer_ = transport_.call_after(
-      config_.collect_timeout + config_.commit_timeout, [this, p] {
+      config_.collect_timeout + kCommitTimeout, [this, p] {
         participant_timer_ = 0;
         if (participating_round_ == p.round_id) participating_round_ = 0;
       });
@@ -417,7 +427,7 @@ void ResolutionManager::commit_round() {
     finish_round(true);
     return;
   }
-  timer_ = transport_.call_after(config_.commit_timeout, [this] {
+  timer_ = transport_.call_after(kCommitTimeout, [this] {
     timer_ = 0;
     if (state_ == State::kCommitWait) finish_round(true);
   });

@@ -14,7 +14,9 @@
 /// call-for-attention; only when every member acknowledges that nobody else
 /// is initiating does phase 2 start.  Competing initiators back off for a
 /// random interval and cancel entirely if they observe another initiator's
-/// call while waiting (§4.5.2).
+/// call while waiting (§4.5.2).  The protocol's waits are constants
+/// (resolution.cpp): 2 s for attention acks, 3 s for commit acks, and up
+/// to 8 back-offs of 100-800 ms.
 ///
 /// *Background* resolution runs phase 2 directly on a timer.
 ///
@@ -34,6 +36,8 @@
 
 namespace idea::core {
 
+/// The tunable parts of a resolution round; its attention and commit
+/// waits and its back-off are constants (see the file comment).
 struct ResolutionConfig {
   PolicyContext policy;
   /// Simulated local CPU cost of dispatching one protocol message; phase 1's
@@ -44,15 +48,6 @@ struct ResolutionConfig {
   SimDuration collect_processing = msec(8);
   /// Per-peer wait before skipping an unresponsive member in phase 2.
   SimDuration collect_timeout = sec(3);
-  /// Wait for commit acknowledgements before closing the round.
-  SimDuration commit_timeout = sec(3);
-  /// Wait for call-for-attention acks before deciding; a member that never
-  /// answers (crashed) is treated as not-initiating, so the round proceeds.
-  SimDuration attn_timeout = sec(2);
-  /// Randomized retry window after a failed call-for-attention.
-  SimDuration backoff_min = msec(100);
-  SimDuration backoff_max = msec(800);
-  int max_backoffs = 8;
   /// Ablation: visit members in parallel during phase 2 (the paper notes
   /// this option; default is the paper's sequential design).
   bool parallel_collect = false;

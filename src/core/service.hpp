@@ -39,9 +39,8 @@ class FileSinks {
 class IdeaService final : public net::MessageHandler {
  public:
   /// `transport` and `sinks` are borrowed and must outlive the service.
-  IdeaService(NodeId self, net::Transport& transport, FileSinks& sinks,
-              std::uint64_t seed)
-      : self_(self), transport_(transport), sinks_(sinks), seed_(seed) {
+  IdeaService(NodeId self, net::Transport& transport, FileSinks& sinks)
+      : self_(self), transport_(transport), sinks_(sinks) {
     transport_.attach(self_, this);
   }
 
@@ -49,12 +48,6 @@ class IdeaService final : public net::MessageHandler {
 
   IdeaService(const IdeaService&) = delete;
   IdeaService& operator=(const IdeaService&) = delete;
-
-  /// The seed this endpoint gives its protocol stack for `file`: distinct
-  /// per file and per endpoint, fixed for a fixed service seed.
-  [[nodiscard]] std::uint64_t stack_seed(FileId file) const {
-    return mix64(seed_ ^ (0xF11EULL + file));
-  }
 
   [[nodiscard]] NodeId id() const { return self_; }
 
@@ -71,7 +64,6 @@ class IdeaService final : public net::MessageHandler {
   NodeId self_;
   net::Transport& transport_;
   FileSinks& sinks_;
-  std::uint64_t seed_;
 };
 
 }  // namespace idea::core

@@ -222,7 +222,7 @@ void InconsistencyDetector::handle_report(const net::Message& msg) {
 }
 
 void InconsistencyDetector::start_background_scan() {
-  if (!params_.enable_bottom_scan || scan_timer_ != 0) return;
+  if (scan_timer_ != 0) return;
   scan_timer_ =
       transport_.call_every(params_.scan_period, [this] { run_scan(); });
 }

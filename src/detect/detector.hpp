@@ -49,10 +49,10 @@ struct ScanReport {
   SimTime received_at = 0;
 };
 
+/// The bottom-layer scan always runs once started (§4.4.2).
 struct DetectorParams {
   SimDuration probe_timeout = msec(1500);  ///< Give up on missing replies.
   SimDuration scan_period = sec(10);       ///< Bottom-layer gossip period.
-  bool enable_bottom_scan = true;
 };
 
 /// Chooses the reference consistent state among gathered replicas: the

@@ -5,6 +5,13 @@
 
 namespace idea::net {
 
+namespace {
+
+/// Queues at this size flush immediately instead of waiting the window.
+constexpr std::size_t kMaxBatch = 64;
+
+}  // namespace
+
 const MsgType BatchingTransport::kBatchType = MsgType::intern("net.batch");
 
 BatchingTransport::BatchingTransport(Transport& inner, BatchingOptions options)
@@ -47,7 +54,7 @@ void BatchingTransport::send(Message msg) {
   const PairKey key = pair_key(msg.from, msg.to);
   Queue& queue = queues_[key];
   queue.pending.push_back(std::move(msg));
-  if (queue.pending.size() >= options_.max_batch) {
+  if (queue.pending.size() >= kMaxBatch) {
     ++stats_.flushes_by_size;
     flush(key);
     return;

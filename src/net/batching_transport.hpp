@@ -10,7 +10,8 @@
 /// envelope per message.  BatchingTransport sits between the endpoints and
 /// the real transport: sends are queued per (from, to) pair and flushed as
 /// one "net.batch" envelope after a configurable window (default: the same
-/// simulator tick), then unwrapped transparently on the receive side.
+/// simulator tick), or at once when a queue reaches 64 messages, then
+/// unwrapped transparently on the receive side.
 ///
 /// Accounting: this decorator's own counters record the *logical* messages
 /// the protocols sent; the inner transport's counters see only the batch
@@ -26,19 +27,19 @@
 
 namespace idea::net {
 
+/// How long a queue may wait.  A queue that reaches 64 messages flushes
+/// at once, whatever the window.
 struct BatchingOptions {
   /// How long a destination queue may wait for more traffic before it is
   /// flushed.  0 flushes at the end of the current simulator tick, which
   /// coalesces every send issued at the same instant.
   SimDuration window = 0;
-  /// Queues at this size flush immediately instead of waiting the window.
-  std::size_t max_batch = 64;
 };
 
 struct BatchingStats {
   std::uint64_t logical_messages = 0;  ///< Sends accepted from protocols.
   std::uint64_t envelopes = 0;         ///< Batch envelopes actually sent.
-  std::uint64_t flushes_by_size = 0;   ///< Flushes forced by max_batch.
+  std::uint64_t flushes_by_size = 0;   ///< Flushes at 64 queued messages.
   std::uint64_t largest_batch = 0;
   /// Time messages sat in destination queues before their flush (the
   /// latency cost a nonzero window trades for bigger batches).

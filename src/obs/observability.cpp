@@ -3,10 +3,9 @@
 namespace idea::obs {
 
 Observability::Observability(std::uint32_t endpoints,
-                             ObservabilityConfig config)
-    : config_(config) {
+                             ObservabilityConfig config) {
   ensure_endpoints(endpoints);
-  if (config_.tracing) tracer_ = std::make_unique<Tracer>();
+  if (config.tracing) tracer_ = std::make_unique<Tracer>();
 }
 
 MetricsRegistry& Observability::endpoint(NodeId id) {

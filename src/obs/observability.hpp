@@ -39,15 +39,14 @@
 
 namespace idea::obs {
 
+/// What a deployment records: metrics, and optionally a trace of every
+/// session operation.
 struct ObservabilityConfig {
   /// Master switch.  Off (default): no registries, no tracer, components
   /// hold null Meters — the one-branch null sink.
   bool enabled = false;
-  /// Mint + propagate trace contexts for session operations.
+  /// Mint + propagate a trace context for every session operation.
   bool tracing = false;
-  /// Trace every Nth operation per session (1 = all).  Sampling keeps the
-  /// span log bounded on long runs while still catching escalations.
-  std::uint32_t trace_sample_every = 1;
 };
 
 class Observability {
@@ -56,8 +55,6 @@ class Observability {
 
   Observability(const Observability&) = delete;
   Observability& operator=(const Observability&) = delete;
-
-  [[nodiscard]] const ObservabilityConfig& config() const { return config_; }
 
   // --- registries ------------------------------------------------------
   [[nodiscard]] MetricsRegistry& cluster() { return cluster_; }
@@ -101,7 +98,6 @@ class Observability {
   void clear_repair_trace(FileId file);
 
  private:
-  ObservabilityConfig config_;
   MetricsRegistry cluster_;
   std::deque<MetricsRegistry> endpoints_;  ///< Stable refs across growth.
   std::unique_ptr<Tracer> tracer_;

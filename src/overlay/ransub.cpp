@@ -7,6 +7,13 @@ namespace idea::overlay {
 
 namespace {
 
+/// Fan-out of the agents' tree.
+constexpr std::uint32_t kArity = 4;
+/// How long an internal node waits for its children's collect samples
+/// before proceeding without the stragglers.  A crashed child must not
+/// stall the wave (and with it the whole overlay).
+constexpr SimDuration kCollectDeadline = sec(2);
+
 struct CollectPayload {
   std::uint64_t epoch;
   std::vector<TempAd> ads;
@@ -52,7 +59,7 @@ RanSubAgent::RanSubAgent(
     std::function<void(const std::vector<TempAd>&)> deliver,
     std::uint64_t seed)
     : self_(self), file_(file), transport_(transport), params_(params),
-      tree_{params.arity, params.nodes}, supply_ads_(std::move(supply_ads)),
+      tree_{kArity, params.nodes}, supply_ads_(std::move(supply_ads)),
       deliver_(std::move(deliver)), rng_(seed) {
   assert(params_.nodes > 0 && self_ < params_.nodes);
 }
@@ -147,7 +154,7 @@ void RanSubAgent::arm_collect_deadline() {
   if (deadline_handle_ != 0) transport_.cancel_call(deadline_handle_);
   const std::uint64_t epoch = current_epoch_;
   deadline_handle_ = transport_.call_after(
-      params_.collect_deadline, [this, epoch] {
+      kCollectDeadline, [this, epoch] {
         deadline_handle_ = 0;
         if (epoch != current_epoch_ || collect_done_) return;
         // Stragglers (possibly crashed children) are left behind; the wave

@@ -3,7 +3,7 @@
 /// \brief RanSub (Kostić et al. [9]): epoch-based uniform random subset
 ///        distribution over a tree, carrying temperature advertisements.
 ///
-/// Nodes are arranged in a k-ary tree by id.  Each epoch has two waves:
+/// Nodes are arranged in a 4-ary tree by id.  Each epoch has two waves:
 ///
 ///  * collect — leaves send their own state up; each internal node merges
 ///    its children's samples with its own state into a uniform sample of its
@@ -34,15 +34,13 @@ struct TempAd {
   SimTime stamped_at = 0;
 };
 
+/// The tree's fan-out (4) and the 2 s an internal node waits for its
+/// children's collect samples before it proceeds without the stragglers
+/// are constants (ransub.cpp).
 struct RanSubParams {
-  std::uint32_t arity = 4;          ///< Tree fan-out.
   std::uint32_t sample_size = 8;    ///< Ads per sample.
   SimDuration epoch = sec(5);       ///< Epoch length (root timer).
   std::uint32_t nodes = 0;          ///< Total node count (tree shape).
-  /// How long an internal node waits for its children's collect samples
-  /// before proceeding without the stragglers.  A crashed child must not
-  /// stall the wave (and with it the whole overlay).
-  SimDuration collect_deadline = sec(2);
 };
 
 /// Static k-ary tree helper (node 0 is the root).

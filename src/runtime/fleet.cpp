@@ -12,6 +12,10 @@ namespace idea::runtime {
 
 namespace {
 
+/// Modeled one-way latency of a cross-segment hop, applied before the
+/// delivery is rounded up to the next epoch edge.
+constexpr SimDuration kHopLatency = msec(20);
+
 /// FNV-1a over a byte string (explicit, so digests never depend on the
 /// standard library's std::hash).
 std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
@@ -65,13 +69,12 @@ class ShardedFleet::Segment final : public Partition {
     // The pool barrier synchronized the hand-off; stamp the new owner.
     cluster_->sim().rebind_owner_thread();
     cluster_->transport().rebind_owner_thread();
-    const SimDuration hop = fleet_.config_.runtime.hop_latency;
     fleet_.conveyor_->drain(
         index_, epoch, [&](std::uint32_t, std::vector<FleetMsg>& msgs) {
           for (FleetMsg& m : msgs) {
             // Cross-segment delivery lands at a deterministic instant:
             // the modeled hop, rounded up to this epoch's edge.
-            const SimTime at = std::max(start, m.issued_at + hop);
+            const SimTime at = std::max(start, m.issued_at + kHopLatency);
             cluster_->sim().schedule_at(
                 at, [this, msg = std::move(m)]() mutable { on_msg(msg); });
           }

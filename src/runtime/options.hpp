@@ -28,11 +28,9 @@ struct RuntimeOptions {
   std::uint32_t segments = 0;
   /// Epoch length: the barrier cadence.  All events at time <= T execute
   /// before any event > T becomes visible across segments; cross-segment
-  /// messages flush at epoch edges (conveyor semantics).
+  /// messages flush at epoch edges (conveyor semantics) and land 20 ms
+  /// after they were issued, rounded up to the next epoch edge.
   SimDuration epoch = msec(50);
-  /// Modeled one-way latency of a cross-segment hop, applied before the
-  /// delivery is rounded up to the next epoch edge.
-  SimDuration hop_latency = msec(20);
 
   [[nodiscard]] std::uint32_t effective_segments() const {
     if (segments != 0) return segments;

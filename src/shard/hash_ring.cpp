@@ -4,27 +4,35 @@
 
 namespace idea::shard {
 
-HashRing::HashRing(HashRingParams params) : params_(params) {}
+namespace {
 
-std::uint64_t HashRing::point_hash(NodeId node, std::uint32_t vnode,
-                                   std::uint32_t incarnation) const {
+/// Ring points per endpoint.  More points = smoother load at the cost of
+/// ring size; 64-128 is the usual sweet spot.
+constexpr std::uint32_t kVnodesPerNode = 96;
+/// Salt for the point and key hash streams.
+constexpr std::uint64_t kSeed = 0x51A2DULL;
+
+std::uint64_t point_hash(NodeId node, std::uint32_t vnode,
+                         std::uint32_t incarnation) {
   // Double mixing decorrelates the (node, vnode) lattice; a single mix64
   // over the packed pair leaves visible stripes for small vnode counts.
   // Incarnation 0 must hash exactly as the pre-incarnation ring did, so
   // the salt only folds in for reused ids.
-  std::uint64_t seed = params_.seed;
+  std::uint64_t seed = kSeed;
   if (incarnation != 0) seed ^= mix64(0x14CA'0000ULL + incarnation);
   return mix64(seed ^ mix64((static_cast<std::uint64_t>(node) << 32) | vnode));
 }
 
-std::uint64_t HashRing::key_hash(FileId file) const {
-  return mix64(params_.seed ^ (0xF17EULL << 32) ^ file);
+std::uint64_t key_hash(FileId file) {
+  return mix64(kSeed ^ (0xF17EULL << 32) ^ file);
 }
+
+}  // namespace
 
 void HashRing::add_node(NodeId node, std::uint32_t incarnation) {
   if (!nodes_.insert(node).second) return;
   if (incarnation != 0) incarnations_[node] = incarnation;
-  for (std::uint32_t v = 0; v < params_.vnodes_per_node; ++v) {
+  for (std::uint32_t v = 0; v < kVnodesPerNode; ++v) {
     // Collisions across 64 bits are vanishingly rare; keep the first owner
     // so add/remove of another node can never silently reassign a point.
     ring_.emplace(point_hash(node, v, incarnation), node);

@@ -3,8 +3,8 @@
 /// \brief Consistent-hash placement ring: FileId -> home replica group.
 ///
 /// The multi-tenant cluster layer spreads files across service endpoints
-/// the standard way: every endpoint owns `vnodes_per_node` pseudo-random
-/// points on a 64-bit ring, a file hashes to a ring position, and its
+/// the standard way: every endpoint owns 96 pseudo-random points
+/// (virtual nodes) on a 64-bit ring, a file hashes to a ring position, and its
 /// replica group is the next k *distinct* endpoints clockwise.  Virtual
 /// nodes smooth the per-endpoint load; consistent hashing guarantees that
 /// an endpoint joining or leaving only remaps the keys it gains or loses
@@ -19,15 +19,6 @@
 #include "util/ids.hpp"
 
 namespace idea::shard {
-
-struct HashRingParams {
-  /// Ring points per endpoint.  More points = smoother load at the cost of
-  /// ring size; 64-128 is the usual sweet spot.
-  std::uint32_t vnodes_per_node = 96;
-  /// Salt for the point/key hash streams, so independent rings (e.g. a
-  /// planned-next-epoch ring) can be compared without aliasing.
-  std::uint64_t seed = 0x51A2DULL;
-};
 
 /// What a membership change did to a keyset's placement.
 struct RebalanceStats {
@@ -47,8 +38,6 @@ struct RebalanceStats {
 
 class HashRing {
  public:
-  explicit HashRing(HashRingParams params = {});
-
   /// Add an endpoint's virtual nodes to the ring.  Idempotent (a present
   /// node is left unchanged, whatever incarnation it joined with).
   ///
@@ -99,14 +88,8 @@ class HashRing {
       const std::vector<FileId>& keys) const;
 
   [[nodiscard]] std::size_t point_count() const { return ring_.size(); }
-  [[nodiscard]] const HashRingParams& params() const { return params_; }
 
  private:
-  [[nodiscard]] std::uint64_t point_hash(NodeId node, std::uint32_t vnode,
-                                         std::uint32_t incarnation) const;
-  [[nodiscard]] std::uint64_t key_hash(FileId file) const;
-
-  HashRingParams params_;
   std::map<std::uint64_t, NodeId> ring_;  ///< point -> owning endpoint
   std::set<NodeId> nodes_;
   /// Nonzero incarnations of present nodes (reused ids only).

@@ -28,8 +28,7 @@ const CheckpointMetrics& checkpoint_metrics() {
 }  // namespace
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
-    : config_(std::move(config)),
-      ring_(config_.ring) {
+    : config_(std::move(config)) {
   // Re-sync unconditionally: a caller that set `endpoints` but forgot
   // sync_sizes() would otherwise hand the latency model a smaller node
   // count and read out of bounds on the first cross-endpoint message.
@@ -54,14 +53,13 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   checkpoints_.resize(config_.endpoints);
   for (NodeId n = 0; n < config_.endpoints; ++n) {
     ring_.add_node(n);
-    services_.push_back(std::make_unique<core::IdeaService>(
-        n, edge(), *this, mix64(config_.seed ^ (0x5E4D1CEULL + n))));
+    services_.push_back(std::make_unique<core::IdeaService>(n, edge(), *this));
     arm_checkpoint_timer(n);
   }
   router_ = std::make_unique<RequestRouter>(*this);
   if (config_.adapt.enabled) {
-    controller_ = std::make_unique<adapt::ConsistencyController>(
-        sim_, config_.adapt, obs_.get());
+    controller_ =
+        std::make_unique<adapt::ConsistencyController>(sim_, obs_.get());
     controller_->start();
   }
 }
@@ -196,10 +194,7 @@ MembershipChange ShardedCluster::add_endpoint() {
   latency_->ensure_nodes(id + 1);
   sim_transport_->ensure_node(id);
   ring_.add_node(id, incarnation);
-  services_[id] = std::make_unique<core::IdeaService>(
-      id, edge(), *this,
-      mix64(config_.seed ^ (0x5E4D1CEULL + id) ^
-            (static_cast<std::uint64_t>(incarnation) << 40)));
+  services_[id] = std::make_unique<core::IdeaService>(id, edge(), *this);
   if (obs_ != nullptr) {
     obs_->ensure_endpoints(static_cast<std::uint32_t>(services_.size()));
   }
@@ -538,17 +533,18 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
 RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   RecoveryReport report;
   const auto down = crashed_at_.find(endpoint);
-  if (down == crashed_at_.end()) return report;
+  // A restart in the crash's own instant is refused: the transport's crash
+  // window closes only after it opened, and a window closed at once would
+  // still let the dead incarnation's same-instant sends land after this
+  // restart read the survivors' logs.
+  if (down == crashed_at_.end() || down->second == sim_.now()) return report;
   report.endpoint = endpoint;
   report.downtime = sim_.now() - down->second;
   crashed_at_.erase(down);
   sim_transport_->revive_node(endpoint, sim_.now());
-  const std::uint32_t incarnation = ++incarnations_[endpoint];
-  report.incarnation = incarnation;
-  services_[endpoint] = std::make_unique<core::IdeaService>(
-      endpoint, edge(), *this,
-      mix64(config_.seed ^ (0x5E4D1CEULL + endpoint) ^
-            (static_cast<std::uint64_t>(incarnation) << 40)));
+  report.incarnation = ++incarnations_[endpoint];
+  services_[endpoint] =
+      std::make_unique<core::IdeaService>(endpoint, edge(), *this);
   arm_checkpoint_timer(endpoint);
 
   // Build the endpoint's dark rank in every group it belongs to, in

@@ -67,10 +67,11 @@
 
 namespace idea::shard {
 
+/// A deployment's settings.  Files are placed on a HashRing, whose 96
+/// points per endpoint are fixed.
 struct ShardedClusterConfig {
   std::uint32_t endpoints = 8;    ///< Service endpoints to stand up.
   std::uint32_t replication = 3;  ///< Replica-group size k per file.
-  HashRingParams ring;
   /// Unread: a rank builds no paper stack.  Kept only because
   /// perfbench/idea_bench.cpp still sets it.
   core::IdeaConfig idea;
@@ -282,7 +283,9 @@ class ShardedCluster : public core::FileSinks {
   /// concerns, hints and records; they restart anti-entropy and push the
   /// new rank every write it never acked.  The checkpoint→crash gap is
   /// not streamed: anti-entropy heals it, O(delta).  No-op unless the
-  /// endpoint is crashed.
+  /// endpoint is crashed, and also in the sim instant of its crash: that
+  /// call returns an empty report and the endpoint stays crashed, so
+  /// restart it at a later instant.
   RecoveryReport restart_endpoint(NodeId endpoint);
 
   /// Whether `endpoint` is crashed (down, awaiting restart_endpoint()).

@@ -5,6 +5,14 @@
 
 namespace idea::sim {
 
+namespace {
+
+/// Sigma of PlanetLabLatency's lognormal queueing jitter (on the
+/// underlying normal).
+constexpr double kJitterSigma = 0.15;
+
+}  // namespace
+
 MatrixLatency::MatrixLatency(std::vector<std::vector<SimDuration>> base,
                              double jitter_sigma)
     : base_(std::move(base)), jitter_sigma_(jitter_sigma) {
@@ -55,17 +63,15 @@ SimDuration PlanetLabLatency::base(NodeId from, NodeId to) const {
 SimDuration PlanetLabLatency::sample(NodeId from, NodeId to, Rng& rng) {
   const SimDuration b = base(from, to);
   if (b == 0) return 0;
-  if (params_.jitter_sigma <= 0.0) return b;
-  const double factor = rng.lognormal(0.0, params_.jitter_sigma);
+  const double factor = rng.lognormal(0.0, kJitterSigma);
   return static_cast<SimDuration>(static_cast<double>(b) * factor);
 }
 
 SimDuration PlanetLabLatency::mean(NodeId from, NodeId to) const {
   const SimDuration b = base(from, to);
-  if (params_.jitter_sigma <= 0.0) return b;
+  // E[lognormal(0, s)] = exp(s^2/2).
   return static_cast<SimDuration>(
-      static_cast<double>(b) *
-      std::exp(params_.jitter_sigma * params_.jitter_sigma / 2));
+      static_cast<double>(b) * std::exp(kJitterSigma * kJitterSigma / 2));
 }
 
 SimDuration PlanetLabLatency::mean_pairwise() const {

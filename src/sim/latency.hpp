@@ -78,15 +78,15 @@ class MatrixLatency final : public LatencyModel {
   double jitter_sigma_;
 };
 
-/// Parameters of the synthetic Planet-Lab-like continental topology.
+/// Parameters of the synthetic Planet-Lab-like continental topology.  The
+/// queueing jitter is a constant: lognormal with sigma 0.15 on the
+/// underlying normal.
 struct PlanetLabParams {
   std::uint32_t nodes = 40;
   /// Propagation delay across the full coordinate plane diagonal (one way).
   SimDuration diameter_delay = msec(60);
   /// Per-message processing/forwarding floor added to every delay.
   SimDuration processing_floor = msec(2);
-  /// Sigma of the lognormal queueing jitter (on the underlying normal).
-  double jitter_sigma = 0.15;
   /// Seed used to place nodes on the plane (separate from message jitter).
   std::uint64_t placement_seed = 40'2007;
 };

@@ -19,17 +19,6 @@ namespace {
 
 using Target = ConsistencyController::Target;
 
-ControllerConfig test_config() {
-  ControllerConfig cfg;
-  cfg.enabled = true;
-  cfg.period = msec(500);
-  cfg.hot_writes = 4;
-  cfg.escalation_trigger = 1;
-  cfg.cold_windows = 2;
-  cfg.hold_windows = 2;
-  return cfg;
-}
-
 client::ReadResult read_result(SimDuration latency, std::uint64_t staleness,
                                bool escalated = false) {
   client::ReadResult r;
@@ -48,7 +37,7 @@ void hot_window(ConsistencyController& ctl, FileId file,
 
 TEST(ConsistencyControllerTest, EscalatesHotContendedFile) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
 
   // Hot writes alone are not contention: no read-side evidence.
   for (int i = 0; i < 6; ++i) ctl.on_write(1);
@@ -67,7 +56,7 @@ TEST(ConsistencyControllerTest, EscalatesHotContendedFile) {
 
 TEST(ConsistencyControllerTest, StaleReadsAreAlsoEvidence) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
 
   // Stale (but not escalated) policy reads count.
   for (int i = 0; i < 5; ++i) ctl.on_write(2);
@@ -83,24 +72,9 @@ TEST(ConsistencyControllerTest, StaleReadsAreAlsoEvidence) {
   EXPECT_EQ(ctl.stats().escalations, 1u);
 }
 
-TEST(ConsistencyControllerTest, EscalatesToQuorumWhenConfigured) {
-  sim::Simulator sim;
-  ControllerConfig cfg = test_config();
-  cfg.escalate_to_quorum = true;
-  cfg.quorum_r = 2;
-  ConsistencyController ctl(sim, cfg, nullptr);
-  hot_window(ctl, 4);
-  ctl.tick();
-  EXPECT_EQ(ctl.target_of(4), Target::kQuorum);
-  const client::ConsistencyLevel served = ctl.effective_level(
-      4, 0, client::ConsistencyLevel::bounded_staleness(2));
-  EXPECT_EQ(served.level, client::Level::kQuorum);
-  EXPECT_EQ(served.quorum_r, 2u);
-}
-
 TEST(ConsistencyControllerTest, HoldsEscalationWhileWritesStayHot) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
   hot_window(ctl, 5);
   ctl.tick();
   ASSERT_EQ(ctl.target_of(5), Target::kStrong);
@@ -116,7 +90,7 @@ TEST(ConsistencyControllerTest, HoldsEscalationWhileWritesStayHot) {
   }
   EXPECT_EQ(ctl.stats().step_downs, 0u);
 
-  // Writes stop: hold_windows calm windows later the file steps down.
+  // Writes stop: two calm windows later the file steps down.
   ctl.tick();
   EXPECT_EQ(ctl.target_of(5), Target::kStrong);
   ctl.tick();
@@ -126,11 +100,14 @@ TEST(ConsistencyControllerTest, HoldsEscalationWhileWritesStayHot) {
 
 TEST(ConsistencyControllerTest, RelaxesColdQuietFilesAndRewarmsOnWrite) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
 
-  // Two write-free windows with (quiet) reads: relax to Eventual.
-  ctl.on_read(6, 0, false, read_result(msec(10), 0));
-  ctl.tick();
+  // Four write-free windows with (quiet) reads: relax to Eventual.
+  for (int w = 0; w < 3; ++w) {
+    ctl.on_read(6, 0, false, read_result(msec(10), 0));
+    ctl.tick();
+    EXPECT_EQ(ctl.target_of(6), Target::kDeclared) << "window " << w;
+  }
   ctl.on_read(6, 0, false, read_result(msec(10), 0));
   ctl.tick();
   EXPECT_EQ(ctl.target_of(6), Target::kEventual);
@@ -147,7 +124,7 @@ TEST(ConsistencyControllerTest, RelaxesColdQuietFilesAndRewarmsOnWrite) {
 
 TEST(ConsistencyControllerTest, StaleEvidenceBlocksRelaxation) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
   // Write-free windows whose reads still observe staleness (replicas not
   // yet healed): the file must NOT relax to an unbounded level.
   for (int w = 0; w < 4; ++w) {
@@ -163,7 +140,7 @@ TEST(ConsistencyControllerTest, StaleEvidenceBlocksRelaxation) {
 
 TEST(ConsistencyControllerTest, RenegotiatesBoundsAgainstTheSlo) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
   ctl.declare_slo(1, Slo{2, msec(50)});
 
   // >5% of the window's adaptive reads over the latency clause: loosen.
@@ -202,7 +179,7 @@ TEST(ConsistencyControllerTest, RenegotiatesBoundsAgainstTheSlo) {
 
 TEST(ConsistencyControllerTest, UnknownFilesServeTheDeclaredLevel) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
   const client::ConsistencyLevel declared =
       client::ConsistencyLevel::bounded_staleness(2, sec(1));
   EXPECT_EQ(ctl.target_of(42), Target::kDeclared);
@@ -212,8 +189,8 @@ TEST(ConsistencyControllerTest, UnknownFilesServeTheDeclaredLevel) {
 TEST(ConsistencyControllerTest, SameFeedbackSameDecisionHistory) {
   sim::Simulator sim_a;
   sim::Simulator sim_b;
-  ConsistencyController a(sim_a, test_config(), nullptr);
-  ConsistencyController b(sim_b, test_config(), nullptr);
+  ConsistencyController a(sim_a, nullptr);
+  ConsistencyController b(sim_b, nullptr);
   for (ConsistencyController* ctl : {&a, &b}) {
     ctl->declare_slo(1, Slo{2, msec(50)});
     hot_window(*ctl, 1);
@@ -235,7 +212,7 @@ TEST(ConsistencyControllerTest, SameFeedbackSameDecisionHistory) {
 
 TEST(ConsistencyControllerTest, PeriodicTickRunsOnTheSimClock) {
   sim::Simulator sim;
-  ConsistencyController ctl(sim, test_config(), nullptr);
+  ConsistencyController ctl(sim, nullptr);
   ctl.start();
   ctl.start();  // idempotent
   sim.run_until(msec(2600));

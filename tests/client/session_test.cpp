@@ -456,6 +456,7 @@ TEST(ClientSessionTest, CrashPurgesHintsForTheDeadIncarnation) {
       << "crash must purge the dead incarnation's hints";
   EXPECT_GT(router.stats().expired_hints, 0u);
 
+  cluster.run_for(msec(1));  // a restart in the crash's instant is refused
   cluster.restart_endpoint(peer);
   // The restarted incarnation starts unhinted — not preferred on its
   // pre-crash reputation — and an honest low observation is accepted

@@ -39,7 +39,7 @@ class ServiceFixture : public ::testing::Test {
     transport_ = std::make_unique<net::SimTransport>(sim_, latency_);
     for (NodeId n = 0; n < kNodes; ++n) {
       services_.push_back(
-          std::make_unique<IdeaService>(n, *transport_, sinks_, 900 + n));
+          std::make_unique<IdeaService>(n, *transport_, sinks_));
     }
   }
 
@@ -54,12 +54,13 @@ class ServiceFixture : public ::testing::Test {
     return cfg;
   }
 
-  /// Join `file` on endpoint `n`: a stack over the shared transport, named
-  /// as the endpoint's sink for the file.
+  /// Join `file` on endpoint `n`: a stack over the shared transport,
+  /// seeded per endpoint and file, named as the endpoint's sink for the
+  /// file.
   IdeaNode& open(NodeId n, FileId file, IdeaConfig config) {
     std::unique_ptr<IdeaNode>& node = nodes_[{n, file}];
     node = std::make_unique<IdeaNode>(n, file, *transport_, std::move(config),
-                                      services_[n]->stack_seed(file),
+                                      mix64((900 + n) ^ (0xF11EULL + file)),
                                       /*attach_transport=*/false);
     sinks_.sinks[{n, file}] = &node->dispatcher();
     return *node;
@@ -101,13 +102,6 @@ TEST_F(ServiceFixture, DeliversToTheSinkItsDeploymentNames) {
   deliver_to_0(4);  // no sink at endpoint 0: dropped
   EXPECT_EQ(at_0.files, std::vector<FileId>{3});
   EXPECT_TRUE(at_1.files.empty());  // the lookup is per endpoint
-}
-
-TEST_F(ServiceFixture, StackSeedsDifferPerFileAndPerEndpoint) {
-  EXPECT_NE(services_[0]->stack_seed(1), services_[0]->stack_seed(2));
-  EXPECT_NE(services_[0]->stack_seed(1), services_[1]->stack_seed(1));
-  // The derivation fixed-seed replays depend on.
-  EXPECT_EQ(services_[0]->stack_seed(1), mix64(900 ^ (0xF11EULL + 1)));
 }
 
 TEST_F(ServiceFixture, SingleFileProtocolWorksThroughService) {

@@ -82,20 +82,16 @@ TEST_F(BatchingFixture, LaterTickStartsNewBatch) {
 }
 
 TEST_F(BatchingFixture, MaxBatchForcesEarlyFlush) {
-  BatchingOptions options;
-  options.max_batch = 3;
-  BatchingTransport tight(inner_, options);
-  tight.attach(2, &a_);
-  tight.attach(3, &b_);
-  for (int i = 0; i < 7; ++i) tight.send(make(2, 3, "t.x"));
+  batching_.attach(2, &a_);
+  batching_.attach(3, &b_);
+  for (int i = 0; i < 2 * 64 + 1; ++i) batching_.send(make(2, 3, "t.x"));
   sim_.run();
 
-  EXPECT_EQ(b_.received.size(), 7u);
-  // 3 + 3 flushed by size, the remaining 1 by the tick window.
-  EXPECT_EQ(tight.stats().flushes_by_size, 2u);
-  EXPECT_EQ(tight.stats().envelopes, 3u);
-  tight.detach(2);
-  tight.detach(3);
+  EXPECT_EQ(b_.received.size(), 2u * 64 + 1);
+  // 64 + 64 flushed by size, the remaining 1 by the tick window.
+  EXPECT_EQ(batching_.stats().flushes_by_size, 2u);
+  EXPECT_EQ(batching_.stats().envelopes, 3u);
+  EXPECT_EQ(batching_.stats().largest_batch, 64u);
 }
 
 TEST_F(BatchingFixture, FlushAllShipsPendingQueues) {

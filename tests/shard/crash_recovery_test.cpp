@@ -18,7 +18,9 @@
 /// builds only the returning member's replicas: the survivors keep their
 /// agents and their durable records stay current.  A sixth pins that a
 /// crash also loses the pushes its batch queues still held, so a restart
-/// inside the batching window cannot split a sequence number.
+/// inside the batching window cannot split a sequence number.  A seventh
+/// pins that a restart in the crash's own instant is refused, so the
+/// endpoint cannot come back behind a crash window that never closes.
 
 #include <gtest/gtest.h>
 
@@ -392,6 +394,7 @@ TEST(CrashRecoveryTest, IncrementalCheckpointsFollowAGroupRebuild) {
   ASSERT_GT(moved, 0u) << "the join migrated nothing; the test is moot";
 
   cluster.crash_endpoint(kVictim);
+  cluster.run_for(msec(1));  // a restart in the crash's instant is refused
   const RecoveryReport rec = cluster.restart_endpoint(kVictim);
   EXPECT_EQ(rec.files_recovered, hosted);
   EXPECT_EQ(rec.checkpoint_files, hosted)
@@ -579,6 +582,42 @@ void check_every_mutation_source_reaches_the_record(SimDuration ae) {
     }
   }
   EXPECT_GT(repaired, 0u) << "the loss window left nothing to repair";
+}
+
+TEST(CrashRecoveryTest, ARestartAtTheCrashInstantIsRefused) {
+  // The transport closes a crash window only after it opened, so a
+  // restart in the crash's own instant would leave the endpoint behind a
+  // window that never closes: every message to or from it would drop.
+  // That restart is refused and the endpoint stays crashed; a restart one
+  // millisecond later brings it back, and every group heals.
+  constexpr FileId kFiles = 12;
+  constexpr NodeId kVictim = 2;
+  ShardedCluster cluster(crash_config(
+      2007, replica::CheckpointEngineKind::kNone, /*loss_rate=*/0.0));
+  cluster.place(1, kFiles);
+  cluster.run_until(sec(1));
+  ASSERT_EQ(cluster.crash_endpoint(kVictim).endpoint, kVictim);
+  const RecoveryReport refused = cluster.restart_endpoint(kVictim);
+  EXPECT_EQ(refused.endpoint, kNoNode);
+  EXPECT_EQ(refused.files_recovered, 0u);
+  EXPECT_TRUE(cluster.is_crashed(kVictim));
+
+  cluster.run_for(msec(1));
+  const RecoveryReport rec = cluster.restart_endpoint(kVictim);
+  EXPECT_EQ(rec.endpoint, kVictim);
+  EXPECT_GT(rec.files_recovered, 0u);
+  EXPECT_FALSE(cluster.is_crashed(kVictim));
+  EXPECT_FALSE(
+      cluster.transport().node_crashed(kVictim, cluster.sim().now()));
+
+  client::ClientSession session(cluster, {});
+  for (FileId file = 1; file <= kFiles; ++file) {
+    ASSERT_TRUE(session.put(file, "after", 1.0).ok());
+  }
+  for (FileId file = 1; file <= kFiles; ++file) {
+    EXPECT_NE(periods_to_convergence(cluster, file, 6), -1)
+        << "file " << file << " never converged";
+  }
 }
 
 TEST(CrashRecoveryTest, EveryMutationSourceReachesTheDurableRecord) {

@@ -15,8 +15,8 @@ std::vector<FileId> keyset(std::size_t n) {
   return keys;
 }
 
-HashRing ring_of(std::uint32_t nodes, HashRingParams params = {}) {
-  HashRing ring(params);
+HashRing ring_of(std::uint32_t nodes) {
+  HashRing ring;
   for (NodeId n = 0; n < nodes; ++n) ring.add_node(n);
   return ring;
 }

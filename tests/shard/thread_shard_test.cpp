@@ -83,8 +83,8 @@ TEST(ThreadShardTest, GroupReplicationOverThreadTransport) {
   Groups groups;
   std::vector<std::unique_ptr<core::IdeaService>> services;
   for (NodeId n = 0; n < kEndpoints; ++n) {
-    services.push_back(std::make_unique<core::IdeaService>(
-        n, transport, groups, mix64(0xABC + n)));
+    services.push_back(
+        std::make_unique<core::IdeaService>(n, transport, groups));
   }
   FileGroup& f1 = open_group(1, {0, 2, 4}, transport, groups, services);
   FileGroup& f2 = open_group(2, {1, 3, 0}, transport, groups, services);
@@ -126,8 +126,8 @@ TEST(ThreadShardTest, AntiEntropyHealsColdReplicaOverThreadTransport) {
   Groups groups;
   std::vector<std::unique_ptr<core::IdeaService>> services;
   for (NodeId n = 0; n < 3; ++n) {
-    services.push_back(std::make_unique<core::IdeaService>(
-        n, transport, groups, mix64(0xD1CE + n)));
+    services.push_back(
+        std::make_unique<core::IdeaService>(n, transport, groups));
   }
   FileGroup& group = open_group(kFile, {0, 1, 2}, transport, groups,
                                 services);
