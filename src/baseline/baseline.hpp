@@ -91,7 +91,6 @@ class OptimisticNode final : public BaselineNode {
 struct StrongParams {
   NodeId primary = 0;
   std::uint32_t nodes = 0;
-  SimDuration ack_timeout = sec(5);
 };
 
 /// Primary-copy strong consistency [1-style]: a total order at the primary,

@@ -33,6 +33,30 @@ std::uint32_t counts_wire_bytes(const vv::VersionVector& counts) {
   return static_cast<std::uint32_t>(12 * counts.writer_count());
 }
 
+/// Body of a "shard.replicate" push: the one new update and, while the
+/// pusher runs anti-entropy, its per-writer counts after the write (12
+/// bytes per writer on the wire, as a digest's).  Without anti-entropy the
+/// counts are empty and cost nothing.  Re-sends share the original body,
+/// so they carry the same counts.
+struct CountedPush {
+  std::vector<replica::Update> updates;
+  vv::VersionVector counts;
+};
+
+/// Body of a "shard.ack": the acked update's key and, while the acker
+/// runs anti-entropy, its per-writer counts after the apply (empty, and
+/// free, otherwise).
+struct CountedAck {
+  replica::UpdateKey key;
+  vv::VersionVector counts;
+};
+
+/// A push's or ack's counts are carried iff they name a writer (see
+/// ReplicaSyncAgent::counts_to_carry).
+bool carried(const vv::VersionVector& counts) {
+  return counts.writer_count() > 0;
+}
+
 /// The agent's metric ids, interned once per process.
 struct AgentMetrics {
   obs::MetricId replicate_pushed = obs::MetricId::intern("replicate.pushed");
@@ -98,13 +122,16 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
       transport_.local_time(self()), std::move(content), meta_delta);
   ++stats_.puts;
 
-  // One shared allocation for the whole fan-out; each send refcounts it.
-  // Receivers ack exactly the pushes that ask: every push while resends
-  // are on, and a write-concern put's pushes even when they are off.
+  // One shared allocation for the whole fan-out and its re-sends; each
+  // send refcounts it.  Receivers ack exactly the pushes that ask: every
+  // push while resends are on, and a write-concern put's pushes even when
+  // they are off.
   const bool want_ack =
       options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
-  const net::Payload payload = std::vector<replica::Update>{u};
-  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes());
+  vv::VersionVector counts = counts_to_carry();
+  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes() +
+                                                counts_wire_bytes(counts));
+  const net::Payload payload = CountedPush{{u}, std::move(counts)};
   std::uint64_t pushed = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if (rank == self()) continue;
@@ -132,7 +159,7 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
   if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
-    if (track_pending(u, concern.peer_acks_needed,
+    if (track_pending(u.key, payload, bytes, concern.peer_acks_needed,
                       std::move(concern.on_result)) &&
         concern.peer_acks_needed > 0) {
       ++stats_.wack_tracked;
@@ -169,7 +196,9 @@ void ReplicaSyncAgent::finish_concern(PendingReplication& pending,
   cb(satisfied, 1 + pending.acks_got);
 }
 
-bool ReplicaSyncAgent::track_pending(const replica::Update& u,
+bool ReplicaSyncAgent::track_pending(replica::UpdateKey key,
+                                     net::Payload push,
+                                     std::uint32_t push_bytes,
                                      std::uint32_t acks_needed,
                                      WriteConcernCallback on_result) {
   if (group_size_ > 64) {  // unacked is a rank bitmask
@@ -181,18 +210,18 @@ bool ReplicaSyncAgent::track_pending(const replica::Update& u,
     return false;
   }
   PendingReplication pending;
-  pending.update = u;
+  pending.push = std::move(push);
+  pending.push_bytes = push_bytes;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if (rank != self()) pending.unacked |= 1ull << rank;
   }
   pending.resends_left = options_.max_resends;
   pending.acks_needed = acks_needed;
   pending.on_result = std::move(on_result);
-  auto [it, inserted] = pending_acks_.emplace(u.key, std::move(pending));
+  auto [it, inserted] = pending_acks_.emplace(key, std::move(pending));
   if (!inserted) return false;  // defensive; keys are unique per put
   it->second.timer = transport_.call_after(
-      effective_resend_timeout(),
-      [this, key = u.key] { on_resend_timeout(key); });
+      effective_resend_timeout(), [this, key] { on_resend_timeout(key); });
   return true;
 }
 
@@ -228,9 +257,6 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
 
 void ReplicaSyncAgent::resend(const PendingReplication& pending,
                               std::uint64_t ranks) {
-  const net::Payload payload = std::vector<replica::Update>{pending.update};
-  const auto bytes =
-      static_cast<std::uint32_t>(16 + pending.update.wire_bytes());
   std::uint64_t resent = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if ((ranks & (1ull << rank)) == 0) continue;
@@ -239,8 +265,8 @@ void ReplicaSyncAgent::resend(const PendingReplication& pending,
     msg.to = rank;
     msg.file = store_.file();
     msg.type = kReplicateType;
-    msg.payload = payload;
-    msg.wire_bytes = bytes;
+    msg.payload = pending.push;
+    msg.wire_bytes = pending.push_bytes;
     msg.want_ack = true;  // a tracked push always wants its ack back
     transport_.send(std::move(msg));
     ++resent;
@@ -254,9 +280,11 @@ void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
   ae_ = std::make_unique<AntiEntropy>();
   ae_->period = period;
   ae_->origin = transport_.now();
-  ae_->matched.assign(group_size_, kUnmatched);
-  ae_->timer =
-      transport_.call_every(period, [this] { anti_entropy_round(); });
+  // Every store is empty at placement, so one that never mutated already
+  // matches every peer.
+  ae_->matched.assign(group_size_,
+                      store_.mutation_count() == 0 ? 0 : kUnmatched);
+  update_rounds();
 }
 
 void ReplicaSyncAgent::stop_anti_entropy() {
@@ -266,7 +294,15 @@ void ReplicaSyncAgent::stop_anti_entropy() {
 }
 
 void ReplicaSyncAgent::peer_restarted(NodeId rank) {
-  if (ae_ != nullptr) start_anti_entropy(ae_->period);
+  if (ae_ != nullptr) {
+    // The restarted rank shares the restart's grid: batching merges the
+    // group's digests again.
+    if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
+    ae_->timer = 0;
+    ae_->origin = transport_.now();
+    ae_->matched[rank] = kUnmatched;
+    update_rounds();
+  }
   for (auto& [key, pending] : pending_acks_) {
     if ((pending.unacked & (1ull << rank)) == 0) continue;
     resend(pending, 1ull << rank);
@@ -276,20 +312,36 @@ void ReplicaSyncAgent::peer_restarted(NodeId rank) {
   }
 }
 
-void ReplicaSyncAgent::anti_entropy_round() {
-  // Deterministic rotation: consecutive rounds visit every unmatched rank
-  // before repeating, so a pairwise exchange happens within k-1 periods.
-  const std::uint64_t count = store_.mutation_count();
-  for (std::uint32_t tried = 1; tried < group_size_; ++tried) {
-    const std::uint32_t offset = 1 + (ae_->rotation++ % (group_size_ - 1));
-    const auto peer = static_cast<NodeId>((self() + offset) % group_size_);
-    if (ae_->matched[peer] == count) continue;
-    ++stats_.ae_rounds;
-    ++rounds_since_heal_;
-    meter_.add(agent_metrics().ae_rounds);
-    send_digest(peer);
-    return;
+void ReplicaSyncAgent::set_star(NodeId acting, std::uint64_t dark) {
+  dark_ = dark;
+  if (acting != acting_ && ae_ != nullptr && store_.mutation_count() > 0) {
+    ae_->matched.assign(group_size_, kUnmatched);
   }
+  acting_ = acting;
+  // A rank gone dark may leave every remaining star peer matched.
+  update_rounds();
+}
+
+void ReplicaSyncAgent::anti_entropy_round() {
+  const std::uint64_t count = store_.mutation_count();
+  bool sent = false;
+  for (NodeId peer = 0; peer < group_size_; ++peer) {
+    if (!in_star(peer) || ae_->matched[peer] == count) continue;
+    send_digest(peer);
+    sent = true;
+  }
+  if (!sent) return;
+  ++stats_.ae_rounds;
+  ++rounds_since_heal_;
+  meter_.add(agent_metrics().ae_rounds);
+}
+
+bool ReplicaSyncAgent::star_matched() const {
+  const std::uint64_t count = store_.mutation_count();
+  for (NodeId peer = 0; peer < group_size_; ++peer) {
+    if (in_star(peer) && ae_->matched[peer] != count) return false;
+  }
+  return true;
 }
 
 void ReplicaSyncAgent::set_dirty_list(std::vector<FileId>& dirty) {
@@ -303,7 +355,17 @@ void ReplicaSyncAgent::on_store_mutation() {
     listed_ = true;
     dirty_->push_back(store_.file());
   }
-  if (ae_ == nullptr || ae_->timer != 0) return;
+  if (!applying_push_) update_rounds();
+}
+
+void ReplicaSyncAgent::update_rounds() {
+  if (ae_ == nullptr) return;
+  if (star_matched()) {
+    if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
+    ae_->timer = 0;
+    return;
+  }
+  if (ae_->timer != 0) return;
   // Rejoin the grid anti-entropy started on: replicas built together keep
   // their rounds in the same instant, so batching still merges their
   // digests.
@@ -317,20 +379,18 @@ void ReplicaSyncAgent::on_store_mutation() {
 
 void ReplicaSyncAgent::note_identical(NodeId peer) {
   if (ae_ == nullptr) return;
-  const std::uint64_t count = store_.mutation_count();
-  ae_->matched[peer] = count;
-  for (NodeId rank = 0; rank < group_size_; ++rank) {
-    if (rank != self() && ae_->matched[rank] != count) return;
-  }
-  if (ae_->timer != 0) {
-    transport_.cancel_call(ae_->timer);
-    ae_->timer = 0;
-  }
+  ae_->matched[peer] = store_.mutation_count();
+  update_rounds();
 }
 
 void ReplicaSyncAgent::note_report(NodeId peer_rank,
                                    const vv::VersionVector& counts) {
   if (on_freshness_) on_freshness_(peer_rank, counts.total());
+}
+
+vv::VersionVector ReplicaSyncAgent::counts_to_carry() const {
+  if (ae_ == nullptr) return {};
+  return store_.evv().counts();
 }
 
 void ReplicaSyncAgent::anti_entropy_with(NodeId peer_rank) {
@@ -433,13 +493,21 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
   }
 
   if (msg.type == kReplicateType) {
-    const auto& batch = msg.payload.as<std::vector<replica::Update>>();
+    const auto& push = msg.payload.as<CountedPush>();
+    const std::vector<replica::Update>& batch = push.updates;
+    // The apply re-arms the rounds only after the match test, so a push
+    // that lands arms nothing.
+    applying_push_ = true;
     const std::size_t applied = apply_batch(batch, stats_.applied);
+    applying_push_ = false;
     if (applied > 0) meter_.add(agent_metrics().replicate_applied, applied);
     if (tr != nullptr && inbound.active() && applied > 0) {
       tr->instant(inbound, "replicate.apply", endpoint_, msg.file,
                   transport_.now());
     }
+    vv::VersionVector mine = counts_to_carry();
+    if (carried(push.counts) && mine == push.counts) note_identical(msg.from);
+    update_rounds();
     // Ack every replicate that asks (even redundant ones — the sender
     // wants delivery confirmation, and re-sends of an update we already
     // hold must still clear its pending slot over there).
@@ -449,15 +517,23 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       ack.to = msg.from;
       ack.file = store_.file();
       ack.type = kAckType;
-      ack.payload = batch.front().key;  // a push carries one update
-      ack.wire_bytes = 24;
+      ack.wire_bytes = 24 + counts_wire_bytes(mine);
+      // A push carries one update.
+      ack.payload = CountedAck{batch.front().key, std::move(mine)};
       transport_.send(std::move(ack));
     }
     return;
   }
   if (msg.type == kAckType) {
     ++stats_.acks_received;
-    auto it = pending_acks_.find(msg.payload.as<replica::UpdateKey>());
+    const auto& ack = msg.payload.as<CountedAck>();
+    if (carried(ack.counts)) {
+      note_report(msg.from, ack.counts);
+      if (ae_ != nullptr && ack.counts == store_.evv().counts()) {
+        note_identical(msg.from);
+      }
+    }
+    auto it = pending_acks_.find(ack.key);
     if (it == pending_acks_.end()) return;  // already resolved/abandoned
     PendingReplication& pending = it->second;
     const std::uint64_t bit = 1ull << msg.from;

@@ -20,25 +20,44 @@
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
 ///    network would leave a replica cold forever, so each agent may run
-///    push-pull rounds: it sends its per-writer update counts (a
-///    vv::VersionVector, 12 bytes per writer: the store keeps each
-///    writer's seqs contiguous, so counts alone say which updates a peer
-///    lacks) to one peer; the peer replies with the updates the digest
+///    push-pull rounds.  A round sends the replica's per-writer update
+///    counts (a vv::VersionVector, 12 bytes per writer: the store keeps
+///    each writer's seqs contiguous, so counts alone say which updates a
+///    peer lacks) to a peer.  The peer replies with the updates the digest
 ///    shows missing (ReplicaStore::updates_ahead_of) plus its own counts,
 ///    and the initiator pushes back whatever the peer lacks in turn.
-///    Rounds run only while this replica may differ from some peer: an
-///    exchange that found the pair identical marks that peer as matched at
-///    the store's mutation_count(), rounds rotate over the peers not
-///    matched at the current count, and the round timer stops once every
-///    peer is matched.  Both sides match on one exchange: the initiator
-///    when the reply needs no push-back, the replier when it has nothing
-///    to send and the digest's counts equal its own.  Any store mutation
-///    re-arms the rounds on the grid anti-entropy started on.  A replica
-///    holding an update a peer lacks has mutated since it last matched
-///    that peer, so it keeps digesting until the peer has it: any single
-///    surviving copy of an update still spreads to the whole group in
-///    O(group size) rounds, whatever the loss pattern was, and a quiet
-///    group sends nothing.
+///
+///    Rounds run only where two replicas may really differ.  A peer is
+///    matched while its entry equals the store's mutation_count().  Any
+///    exchange that shows equal counts sets the entry, on the side that
+///    sees them: the initiator when the reply needs no push-back, the
+///    replier when the digest's counts equal its own.  While anti-entropy
+///    runs, a push also carries the pusher's counts after the write, and
+///    an ack the acker's counts after the apply.  So a push that lands
+///    matches its receiver with the pusher, and its ack matches the
+///    pusher with the receiver.  A store that never mutated starts
+///    matched with every peer: at placement every store is empty.
+///
+///    Rounds run on the star around the group's acting coordinator
+///    (set_star).  Each round, the coordinator digests every unmatched
+///    live peer, and any other rank digests only the coordinator; a dark
+///    rank, whose member is down, is no one's star peer until it restarts.
+///    The round timer stops once every star peer is matched, and any
+///    store mutation re-arms it on the grid anti-entropy started on.  A
+///    quiet group sends nothing, even while a member is down.
+///
+///    Why this converges: a match says the peer held at least what this
+///    replica holds.  Stores only append, and a restarted peer, which
+///    lost its state, is un-matched.  So a rank that holds an update a
+///    star peer lacks has mutated since it last matched that peer, and its
+///    rounds reach that peer until an exchange delivers the update.  An
+///    update held only by a non-coordinator thus reaches the coordinator
+///    in one round, and the other live ranks in the next, whatever the
+///    loss pattern was.  A dark rank lost its state anyway.  Its restart
+///    un-matches it at every star peer that may hold more: at the
+///    coordinator (peer_restarted), or, when it returns as the
+///    coordinator, at every survivor (a change of coordinator).  Their
+///    next round heals it.
 ///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
@@ -65,7 +84,9 @@
 ///    w - 1 peers confirmed their apply, or fails it when the re-send
 ///    budget runs out first.  A receiver acks a push iff the push carries
 ///    the want_ack flag; the sender sets it whenever resends are on or
-///    the put needs peer acks.
+///    the put needs peer acks, whether or not anti-entropy runs.  Pushes
+///    and acks have one body each; the counts they carry are empty (and
+///    cost nothing on the wire) while the sender runs no anti-entropy.
 
 #include <functional>
 #include <map>
@@ -86,7 +107,9 @@ struct ReplicaSyncStats {
   std::uint64_t pushed = 0;          ///< Updates sent to peers.
   std::uint64_t applied = 0;         ///< Remote updates applied here.
   // Anti-entropy.
-  std::uint64_t ae_rounds = 0;        ///< Digest rounds initiated here.
+  /// Digest rounds run here: one per round event, which digests every
+  /// unmatched star peer.
+  std::uint64_t ae_rounds = 0;
   std::uint64_t digests_received = 0;
   std::uint64_t repairs_sent = 0;     ///< Repair messages sent.
   std::uint64_t repair_updates_sent = 0;
@@ -182,27 +205,34 @@ class ReplicaSyncAgent final : public net::MessageHandler,
                              PutConcern concern = {},
                              const obs::TraceContext& tc = {});
 
-  /// Start anti-entropy with rounds on the grid now + n·period (a
-  /// restart forgets every match; 0 stops).  Rounds run only while this
-  /// replica may differ from some peer: each round digests the next peer
-  /// in a deterministic rotation that skips peers matched at the store's
-  /// current mutation_count(), so every unmatched pair exchanges within
-  /// group_size - 1 periods.  The timer stops once every peer is matched
-  /// and the next store mutation re-arms it on the same grid.  Every peer
-  /// starts unmatched, so a new group exchanges at least once per pair
-  /// (which is also how the router first learns each rank's freshness
-  /// hint); an exchange that finds the pair identical matches it on both
-  /// sides, so after a put that reached every rank each pair exchanges
-  /// once, not once per side.
+  /// Start anti-entropy with rounds on the grid now + n·period (0
+  /// stops).  Rounds run only while a star peer is unmatched at the
+  /// store's current mutation_count(): each round digests every unmatched
+  /// star peer, so an unmatched pair exchanges within one period.  The
+  /// timer stops once every star peer is matched, and the next store
+  /// mutation re-arms it on the same grid.  A store that never mutated
+  /// starts matched with every peer (at placement every store is empty,
+  /// so placement runs no round); any other store starts unmatched.
   void start_anti_entropy(SimDuration period);
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
   void stop_anti_entropy();
-  /// Peer `rank` restarted after a crash: restart anti-entropy (same
-  /// period, new grid), and push the peer now, together rather than at
+  /// Peer `rank` restarted after a crash and lost what it held: un-match
+  /// it (every other match stands), move the rounds to the restart's grid
+  /// now + n·period, and push the peer now, together rather than at
   /// scattered resend timers, every tracked update it has not acked,
   /// restarting those timers without spending resend budget.
   void peer_restarted(NodeId rank);
+  /// The group's acting coordinator is `acting`, and bit r of `dark` is
+  /// set when rank r's member is down (rank 0 and none until told; ranks
+  /// from 64 on always count as live).  Rounds run on the star around the
+  /// coordinator: it digests every unmatched peer that is not dark, any
+  /// other rank only the coordinator.  No exchange could match a dark
+  /// rank, so leaving it out lets the rounds stop.  A change of
+  /// coordinator forgets every match, because a rank matched with the old
+  /// coordinator may hold pushes the new one lacks; a store that never
+  /// mutated holds nothing, so it keeps its matches.
+  void set_star(NodeId acting, std::uint64_t dark);
 
   /// Report this replica to its endpoint's checkpoint pass: append the
   /// file id to `dirty` now (a newly built replica is always dirty) and again
@@ -215,16 +245,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   void checkpoint_offered() { listed_ = false; }
 
   /// One targeted digest exchange with `peer_rank`, outside the periodic
-  /// rotation (it does not advance the round-robin cursor).  Used by the
-  /// give-up path and by the cluster to heal a specific returning member
-  /// (hinted-handoff drain) without waiting for the rotation to come
-  /// around.  Like a round, it can match the peer.  No-op on
+  /// rounds and their star.  Used by the give-up path and by the cluster
+  /// to heal a specific returning member (hinted-handoff drain) without
+  /// waiting for a round.  Like a round, it can match the peer.  No-op on
   /// self/out-of-range ranks.
   void anti_entropy_with(NodeId peer_rank);
 
-  /// Observer for peer version counts learned from the digest/repair
-  /// exchange: called as (peer_rank, peer_total_versions) whenever a
-  /// digest or repair reveals how much a peer holds.  The shard layer
+  /// Observer for peer version counts learned from anti-entropy's
+  /// counts: called as (peer_rank, peer_total_versions) whenever a digest,
+  /// a repair or an ack reveals how much a peer holds.  The shard layer
   /// uses this to piggyback per-replica freshness hints to the request
   /// router without any extra messages.
   using FreshnessListener =
@@ -252,8 +281,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
 
   [[nodiscard]] const ReplicaSyncStats& stats() const { return stats_; }
   /// True while the round timer is armed: anti-entropy is started and
-  /// this replica may still differ from some peer.  False when stopped,
-  /// and when started but every peer is matched.
+  /// this replica may still differ from some star peer.  False when
+  /// stopped, and when started but every star peer is matched.
   [[nodiscard]] bool anti_entropy_running() const {
     return ae_ != nullptr && ae_->timer != 0;
   }
@@ -286,7 +315,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
 
   /// One tracked replicate push awaiting acks.
   struct PendingReplication {
-    replica::Update update;       ///< Kept for re-sends.
+    net::Payload push;            ///< The push's body, shared by re-sends.
+    std::uint32_t push_bytes = 0;  ///< Its wire size.
     std::uint64_t unacked = 0;    ///< Bitmask of silent ranks.
     std::uint32_t resends_left = 0;
     std::uint64_t timer = 0;
@@ -301,21 +331,39 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// per-writer counts, charged 16 bytes of header plus 12 per writer, so
   /// a digest costs O(writers) whatever the log length.
   void send_digest(NodeId peer);
-  /// What the round timer fires: digest the next unmatched peer.
+  /// What the round timer fires: digest every unmatched star peer.
   void anti_entropy_round();
   /// The store's one mutation listener for the rank's whole life: list
   /// the replica for the next checkpoint pass (once per pass), and, while
   /// anti-entropy runs, re-arm a stopped round timer on the grid (a
-  /// mutation un-matches every peer).
+  /// mutation un-matches every peer).  A push's apply leaves the re-arm
+  /// to its handler, which may match the pusher first.
   void on_store_mutation() override;
-  /// An exchange with `peer` found the pair identical (on the initiator:
-  /// the reply needed no push-back; on the replier: the digest's counts
-  /// equal its own): match `peer` at the current mutation_count(), and
-  /// stop the rounds once every peer is matched.
+  /// Keep the round timer armed exactly while some star peer is
+  /// unmatched: arm a stopped one on the grid, or stop a running one.
+  void update_rounds();
+  /// `peer` is in this rank's star: any peer that is not dark on the
+  /// coordinator, only the coordinator elsewhere.
+  [[nodiscard]] bool in_star(NodeId peer) const {
+    return peer != self() && (self() == acting_ || peer == acting_) &&
+           (peer >= 64 || ((dark_ >> peer) & 1) == 0);
+  }
+  /// Every star peer is matched at the store's current mutation_count().
+  [[nodiscard]] bool star_matched() const;
+  /// An exchange with `peer` showed equal counts (on the initiator: the
+  /// reply needed no push-back; on the replier: the digest's counts equal
+  /// its own; on a push's receiver: the pushed counts equal its own; on
+  /// the pusher: the ack's counts equal its own): match `peer` at the
+  /// current mutation_count(), and stop the rounds once every star peer
+  /// is matched.
   void note_identical(NodeId peer);
-  /// `peer_rank` reported `counts` in a digest or repair: tell the
+  /// `peer_rank` reported `counts` in a digest, repair or ack: tell the
   /// freshness listener.
   void note_report(NodeId peer_rank, const vv::VersionVector& counts);
+  /// This store's per-writer counts while anti-entropy runs, for a push
+  /// or ack to carry; empty otherwise, which a receiver reads as none
+  /// carried (a store that pushed or applied an update has a writer).
+  [[nodiscard]] vv::VersionVector counts_to_carry() const;
 
   /// This replica's rank.
   [[nodiscard]] NodeId self() const { return store_.node(); }
@@ -327,10 +375,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
 
   /// Start tracking a just-pushed update; returns false when the group is
   /// too large for the rank bitmask (the caller fails the concern).
-  bool track_pending(const replica::Update& u, std::uint32_t acks_needed,
+  bool track_pending(replica::UpdateKey key, net::Payload push,
+                     std::uint32_t push_bytes, std::uint32_t acks_needed,
                      WriteConcernCallback on_result);
   void on_resend_timeout(replica::UpdateKey key);
-  /// Push `pending`'s update again to every rank set in `ranks`.
+  /// Push `pending`'s body again to every rank set in `ranks`.
   void resend(const PendingReplication& pending, std::uint64_t ranks);
   /// Fire-and-clear a pending put's concern callback (exactly-once).
   void finish_concern(PendingReplication& pending, bool satisfied);
@@ -340,6 +389,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   std::uint32_t group_size_;
   /// True while the file id sits on dirty_ awaiting a checkpoint pass.
   bool listed_ = false;
+  /// True while a push applies (see on_store_mutation).
+  bool applying_push_ = false;
   /// The endpoint's checkpoint dirty list; nullptr without checkpoints.
   std::vector<FileId>* dirty_ = nullptr;
   ReplicaSyncOptions options_;
@@ -350,12 +401,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// anti-entropy off carries only the null pointer.
   struct AntiEntropy {
     SimDuration period = 0;
-    SimTime origin = 0;          ///< Rounds fire at origin + n·period.
-    std::uint64_t timer = 0;     ///< Armed round timer, 0 when stopped.
-    std::uint32_t rotation = 0;  ///< Round-robin peer cursor.
+    SimTime origin = 0;       ///< Rounds fire at origin + n·period.
+    std::uint64_t timer = 0;  ///< Armed round timer, 0 when stopped.
     /// Per peer rank: the store's mutation_count() at the last exchange
-    /// with it that found the pair identical (kUnmatched before the
-    /// first).  A peer is matched while this equals the current count.
+    /// with it that showed equal counts (kUnmatched before the first).  A
+    /// peer is matched while this equals the current count.
     std::vector<std::uint64_t> matched;
   };
   static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};
@@ -364,6 +414,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   FreshnessListener on_freshness_;
   obs::Observability* obs_ = nullptr;
   NodeId endpoint_ = kNoNode;  ///< Global endpoint id of this rank.
+  /// The group's acting coordinator, the centre of the round star.
+  NodeId acting_ = 0;
+  /// The group's dark ranks as a rank bitmask, left out of the star (see
+  /// set_star).
+  std::uint64_t dark_ = 0;
   obs::Meter meter_;           ///< This endpoint's registry (null = off).
   std::uint64_t rounds_since_heal_ = 0;  ///< AE rounds since last repair.
 };

@@ -105,6 +105,7 @@ FileGroup& ShardedCluster::open_group(FileId file,
     ++checkpoints_[member].hosted;
     if (services_[member] != nullptr) build_rank(file, group, rank);
   }
+  announce_star(group);
   return group;
 }
 
@@ -122,10 +123,11 @@ GroupRank& ShardedCluster::build_rank(FileId file, FileGroup& group,
                          config_.replication_max_resends});
   r.transport->set_sink(r.sync.get());
   if (obs_ != nullptr) r.sync->set_observability(obs_.get(), endpoint);
-  // Freshness hints piggyback on the anti-entropy digest/repair exchange:
-  // whenever this rank learns a peer's version count, the peer rank's
-  // hint learns it too, feeding bounded-staleness replica selection.  The
-  // record outlives its agents, so the capture holds.
+  // Freshness hints piggyback on anti-entropy's counts: whenever this rank
+  // learns a peer's version count from a digest, a repair or (while
+  // anti-entropy runs) an ack, the peer rank's hint learns it too, feeding
+  // bounded-staleness replica selection.  The record outlives its agents,
+  // so the capture holds.
   r.sync->set_freshness_listener(
       [this, &group](NodeId peer_rank, std::uint64_t versions) {
         router_->note_freshness(group.ranks[peer_rank].hint, versions,
@@ -136,6 +138,18 @@ GroupRank& ShardedCluster::build_rank(FileId file, FileGroup& group,
   }
   r.sync->start_anti_entropy(config_.anti_entropy_period);
   return r;
+}
+
+void ShardedCluster::announce_star(const FileGroup& group) {
+  std::uint64_t dark = 0;  // ranks past 63 count as live
+  for (std::uint32_t rank = 0; rank < group.ranks.size() && rank < 64;
+       ++rank) {
+    if (group.ranks[rank].node == nullptr) dark |= 1ull << rank;
+  }
+  const std::uint32_t acting = group.acting_rank();
+  for (const GroupRank& rank : group.ranks) {
+    if (rank.sync != nullptr) rank.sync->set_star(acting, dark);
+  }
 }
 
 void ShardedCluster::teardown_group(
@@ -517,6 +531,7 @@ CrashReport ShardedCluster::crash_endpoint(NodeId endpoint) {
     // restarted incarnation must not be preferred on its pre-crash
     // reputation.
     router_->forget_hint(rank.hint);
+    announce_star(group);
     // A trace parked on this file waiting for a heal may have been
     // watching the replica that just died; the restart builds a fresh
     // one, so the old causal thread is moot.
@@ -552,7 +567,13 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   for (FileId file : sorted_placed(endpoint)) {
     FileGroup& g = *group(file);
     const std::uint32_t self_rank = g.rank_of(endpoint);
+    // The new rank needs no round of its own to heal.  A restarted
+    // follower is un-matched at the coordinator (peer_restarted below),
+    // whose next round sends it what it lacks.  A restarted coordinator
+    // changed the acting rank, so every survivor forgot its matches and
+    // digests it at its next round.
     replica::ReplicaStore& self = build_rank(file, g, self_rank).node->store();
+    announce_star(g);
 
     // 1. The latest durable checkpoint.  Updates are keyed by rank-space
     //    writer ids, so a record from a different membership (rank
@@ -563,8 +584,8 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       ++report.checkpoint_files;
     }
 
-    // 2. The survivors carry on; they restart anti-entropy, so the
-    //    group's rounds share one grid and batching merges their digests.
+    // 2. The survivors carry on; their rounds move to the restart's grid,
+    //    so batching merges the group's digests.
     //    Own-writer continuation: writes this endpoint coordinated after
     //    its last checkpoint live on in the survivors; re-adopting them
     //    keeps its writer sequence from reusing numbers the group saw.

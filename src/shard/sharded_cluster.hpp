@@ -499,8 +499,15 @@ class ShardedCluster : public core::FileSinks {
   /// Build the empty replica at dark `rank` of `group` (its member alive)
   /// under the group's epoch: transport, store-only node and sync agent,
   /// wired to the rank's freshness hint, its endpoint's checkpoint dirty
-  /// list (a new replica is always dirty) and anti-entropy.
+  /// list (a new replica is always dirty) and anti-entropy.  The caller
+  /// then tells the group's live agents their star (announce_star).
   GroupRank& build_rank(FileId file, FileGroup& group, std::uint32_t rank);
+
+  /// Tell every live agent of `group` its acting coordinator and its dark
+  /// ranks, which shape its anti-entropy rounds
+  /// (ReplicaSyncAgent::set_star): once a group is placed, and after each
+  /// crash and restart of a member.
+  void announce_star(const FileGroup& group);
 
   /// Drop a placed file's index entry and erase its record, which stops
   /// its traffic at every member.  Leaves parked hints alone.

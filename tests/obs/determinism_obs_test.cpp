@@ -157,11 +157,11 @@ TEST(ObservabilityDeterminism, ChurnSeed2007GoldensHoldWithObsEnabled) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 1612u);
-  EXPECT_EQ(r.wire_messages, 859u);
+  EXPECT_EQ(r.logical_messages, 1092u);
+  EXPECT_EQ(r.wire_messages, 767u);
   const Golden expected{
-      {"shard.digest", 581},  {"shard.migrate", 76},
-      {"shard.repair", 579},  {"shard.replicate", 376},
+      {"shard.digest", 320},  {"shard.migrate", 76},
+      {"shard.repair", 320},  {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
   // Churn exercises the AE + migration instrumentation.

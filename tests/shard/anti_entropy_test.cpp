@@ -8,11 +8,17 @@
 /// never retransmits — so the convergence observed in the main runs is
 /// attributable to the digest/repair exchange, not to luck.
 ///
-/// Rounds run only while a replica may differ from a peer, so the tests
-/// also pin that a quiet group sends no digest, that one exchange matches
-/// a pair on both sides, that a digest's size does not grow with the log,
-/// and that generated fault schedules, with and without crashes and
-/// churn, still converge when only the changed side starts rounds.
+/// Rounds run only where two replicas may differ, on the star around the
+/// acting coordinator and without dark ranks, so the tests also pin that
+/// placement and a quiet group send no digest, even while a member is
+/// down, that an acked push that lands sends none either (its ack
+/// refreshes the follower's hint, while an ack without anti-entropy
+/// carries no counts), that a put with acks off costs one coordinator
+/// round of k - 1 digests, that followers never digest each other, that
+/// the survivors of a coordinator crash exchange within one period, that
+/// a restarted follower or coordinator heals within one period, that a
+/// digest's size does not grow with the log, and that generated fault
+/// schedules, with and without crashes, churn and acks, still converge.
 
 #include <gtest/gtest.h>
 
@@ -173,89 +179,145 @@ TEST(AntiEntropyTest, IsolatedReplicaCatchesUpAfterHeal) {
             0u);
 }
 
+struct Totals {
+  std::uint64_t rounds = 0;
+  std::uint64_t digests = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t repair_updates = 0;
+};
+
+/// Sums over the file's live ranks.
+Totals ae_totals(ShardedCluster& cluster, FileId file) {
+  Totals t;
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    const ReplicaSyncAgent* agent = cluster.sync_agent(file, rank);
+    if (agent == nullptr) continue;
+    const ReplicaSyncStats& s = agent->stats();
+    t.rounds += s.ae_rounds;
+    t.digests += s.digests_received;
+    t.repairs += s.repairs_sent;
+    t.repair_updates += s.repair_updates_sent;
+  }
+  return t;
+}
+
+bool all_matched(ShardedCluster& cluster, FileId file) {
+  for (std::uint32_t rank = 0; rank < 3; ++rank) {
+    const ReplicaSyncAgent* agent = cluster.sync_agent(file, rank);
+    if (agent != nullptr && agent->anti_entropy_running()) return false;
+  }
+  return true;
+}
+
+std::uint64_t digests_on_wire(ShardedCluster& cluster) {
+  return cluster.batching()->counters().messages_of("shard.digest");
+}
+
 TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   constexpr FileId kFile = 5;
   ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
   cluster.ensure_open(kFile);
-  // A new group starts unmatched: every rank has rounds to run.
-  for (std::uint32_t rank = 0; rank < 3; ++rank) {
-    EXPECT_TRUE(cluster.sync_agent(kFile, rank)->anti_entropy_running());
-  }
+  // Placement runs no round: every store is empty, so every rank starts
+  // matched with every peer.
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  cluster.run_for(sec(3));
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
 
-  struct Totals {
-    std::uint64_t rounds = 0;
-    std::uint64_t digests = 0;
-    std::uint64_t repairs = 0;
-  };
-  auto totals = [&] {
-    Totals t;
-    for (std::uint32_t rank = 0; rank < 3; ++rank) {
-      const ReplicaSyncStats& s = cluster.sync_agent(kFile, rank)->stats();
-      t.rounds += s.ae_rounds;
-      t.digests += s.digests_received;
-      t.repairs += s.repairs_sent;
-    }
-    return t;
-  };
-  auto all_matched = [&] {
-    for (std::uint32_t rank = 0; rank < 3; ++rank) {
-      if (cluster.sync_agent(kFile, rank)->anti_entropy_running()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const auto digests_on_wire = [&] {
-    return cluster.batching()->counters().messages_of("shard.digest");
-  };
-
+  // With acks off the coordinator never learns that its pushes landed,
+  // so one put costs exactly k - 1 = 2 digests, both sent by the
+  // coordinator in one round; the receivers matched it on the push.
   client::ClientSession session(cluster, {});
   ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
   cluster.run_for(sec(3));
-
-  // The pushes delivered the put, so each pair exchanged once, found the
-  // pair identical and matched on both sides: k(k-1)/2 = 3 rounds, each
-  // digest answered by exactly one repair and none needing a push-back.
-  // Then every pair is matched and every round timer is stopped.
-  Totals t = totals();
-  EXPECT_EQ(t.rounds, 3u);
-  EXPECT_EQ(t.digests, t.rounds);
-  EXPECT_EQ(t.repairs, t.digests);
-  EXPECT_TRUE(all_matched());
+  const ReplicaSyncStats& coord = cluster.sync_agent(kFile, 0)->stats();
+  const Totals t = ae_totals(cluster, kFile);
+  EXPECT_EQ(coord.ae_rounds, 1u);
+  EXPECT_EQ(t.rounds, coord.ae_rounds);  // the followers ran none
+  EXPECT_EQ(t.digests, 2u);
+  EXPECT_EQ(digests_on_wire(cluster), t.digests);
+  EXPECT_EQ(t.repairs, t.digests);  // each answered once, no push-back
+  EXPECT_TRUE(all_matched(cluster, kFile));
   EXPECT_TRUE(replicas_identical(cluster, kFile));
   EXPECT_EQ(cluster.batching()->counters().messages_of("shard.repair"),
             t.repairs);
 
   // A quiet group sends nothing.
-  const std::uint64_t quiet_digests = digests_on_wire();
-  EXPECT_EQ(quiet_digests, t.digests);
   cluster.run_for(sec(5));
-  EXPECT_EQ(digests_on_wire(), quiet_digests);
-  EXPECT_EQ(totals().rounds, t.rounds);
+  EXPECT_EQ(digests_on_wire(cluster), t.digests);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, t.rounds);
 
-  // A second put changes every replica, so every rank runs rounds again
-  // until it matches both peers once more: 3 more rounds, 6 in all.
+  // A second put costs the same one round again.
   ASSERT_TRUE(session.put(kFile, "again", 1.0).ok());
   EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
   cluster.run_for(sec(3));
-  const Totals again = totals();
+  const Totals again = ae_totals(cluster, kFile);
   EXPECT_EQ(again.rounds, 2 * t.rounds);
+  EXPECT_EQ(again.digests, 2 * t.digests);
   EXPECT_EQ(again.repairs, again.digests);
-  EXPECT_GT(digests_on_wire(), quiet_digests);
-  EXPECT_TRUE(all_matched());
+  EXPECT_TRUE(all_matched(cluster, kFile));
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 
-  // Stopped means stopped: a later write does not re-arm rank 0's rounds,
-  // while the ranks its push reached still run theirs.
-  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
-  coord->stop_anti_entropy();
-  const std::uint64_t coord_rounds = coord->stats().ae_rounds;
+  // Stopped means stopped: a later write does not re-arm rank 0's rounds.
+  // Its push now carries no counts, so the ranks it reached cannot match
+  // it on the push and run rounds of their own.
+  ReplicaSyncAgent* agent = cluster.sync_agent(kFile, 0);
+  agent->stop_anti_entropy();
+  const std::uint64_t coord_rounds = coord.ae_rounds;
   ASSERT_TRUE(session.put(kFile, "after stop", 1.0).ok());
-  EXPECT_FALSE(coord->anti_entropy_running());
+  EXPECT_FALSE(agent->anti_entropy_running());
   cluster.run_for(sec(3));
-  EXPECT_EQ(coord->stats().ae_rounds, coord_rounds);
-  EXPECT_GT(totals().rounds, again.rounds);
+  EXPECT_EQ(coord.ae_rounds, coord_rounds);
+  EXPECT_GT(ae_totals(cluster, kFile).rounds, again.rounds);
   EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, AnAckedPutSendsNoDigestAndRefreshesTheHints) {
+  // With acks on, the push matches each receiver with the coordinator and
+  // the ack matches the coordinator with the receiver: nothing is left
+  // for a round.  The acks' counts feed each follower's freshness hint.
+  constexpr FileId kFile = 5;
+  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/true);
+  cfg.replication_resend_timeout = msec(300);
+  ShardedCluster cluster(cfg);
+  cluster.ensure_open(kFile);
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
+  ASSERT_TRUE(session.put(kFile, "again", 1.0).ok());
+  cluster.run_for(sec(3));
+
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+  const FileGroup* g = cluster.group(kFile);
+  const std::uint64_t count =
+      g->ranks[0].node->store().evv().counts().total();
+  EXPECT_EQ(count, 2u);
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    EXPECT_TRUE(g->ranks[rank].hint.known) << "rank " << rank;
+    EXPECT_EQ(g->ranks[rank].hint.versions, count) << "rank " << rank;
+  }
+}
+
+TEST(AntiEntropyTest, WithoutAntiEntropyAcksCarryNoCounts) {
+  // Pushes and acks have one body each.  An agent that runs no
+  // anti-entropy sends them with empty counts, which a receiver reads as
+  // none carried: the acks leave the followers' freshness hints unknown.
+  constexpr FileId kFile = 5;
+  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/false);
+  cfg.replication_resend_timeout = msec(300);
+  ShardedCluster cluster(cfg);
+  cluster.ensure_open(kFile);
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
+  cluster.run_for(sec(3));
+
+  EXPECT_EQ(cluster.sync_agent(kFile, 0)->stats().acks_received, 2u);
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+  const FileGroup* g = cluster.group(kFile);
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    EXPECT_FALSE(g->ranks[rank].hint.known) << "rank " << rank;
+  }
 }
 
 TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
@@ -304,59 +366,223 @@ TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
   EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 2u);
 }
 
-/// Stands in for an endpoint on the edge transport: records the wire size
-/// of every digest delivered to it, then hands the message on.
+/// One digest delivered on the edge transport (global endpoint ids).
+struct SeenDigest {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+  std::uint32_t bytes = 0;
+};
+
+/// Stands in for an endpoint on the edge transport: records every digest
+/// delivered to it, then hands the message on.
 class DigestRecorder final : public net::MessageHandler {
  public:
-  DigestRecorder(net::MessageHandler& target,
-                 std::vector<std::uint32_t>& sizes)
-      : target_(target), sizes_(sizes) {}
+  DigestRecorder(net::MessageHandler& target, std::vector<SeenDigest>& seen)
+      : target_(target), seen_(seen) {}
 
   void on_message(const net::Message& msg) override {
     if (msg.type == ReplicaSyncAgent::kDigestType) {
-      sizes_.push_back(msg.wire_bytes);
+      seen_.push_back({msg.from, msg.to, msg.wire_bytes});
     }
     target_.on_message(msg);
   }
 
  private:
   net::MessageHandler& target_;
-  std::vector<std::uint32_t>& sizes_;
+  std::vector<SeenDigest>& seen_;
 };
+
+/// Route every endpoint's edge deliveries through a DigestRecorder.
+std::vector<std::unique_ptr<DigestRecorder>> record_digests(
+    ShardedCluster& cluster, std::vector<SeenDigest>& seen) {
+  std::vector<std::unique_ptr<DigestRecorder>> recorders;
+  for (const NodeId e : cluster.endpoints()) {
+    recorders.push_back(
+        std::make_unique<DigestRecorder>(cluster.service(e), seen));
+    cluster.edge().attach(e, recorders.back().get());
+  }
+  return recorders;
+}
 
 TEST(AntiEntropyTest, DigestSizeDoesNotGrowWithTheLog) {
   // A digest carries per-writer counts, so with one writer it costs the
   // same whether the log holds 1 update or 50.
   constexpr FileId kFile = 6;
-  std::vector<std::uint32_t> sizes;
-  std::vector<std::unique_ptr<DigestRecorder>> recorders;
+  std::vector<SeenDigest> seen;
   ShardedCluster cluster(ae_config(77, /*anti_entropy=*/true));
   cluster.ensure_open(kFile);
-  for (const NodeId e : cluster.endpoints()) {
-    recorders.push_back(
-        std::make_unique<DigestRecorder>(cluster.service(e), sizes));
-    cluster.edge().attach(e, recorders.back().get());
-  }
+  const auto recorders = record_digests(cluster, seen);
   client::ClientSession session(cluster, {});
 
   ASSERT_TRUE(session.put(kFile, "p1", 1.0).ok());
   cluster.run_for(sec(3));
-  ASSERT_FALSE(sizes.empty());
-  const std::vector<std::uint32_t> after_one = sizes;
+  ASSERT_FALSE(seen.empty());
+  const std::vector<SeenDigest> after_one = seen;
 
-  sizes.clear();
+  seen.clear();
   for (int i = 2; i <= 50; ++i) {
     ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
   }
   cluster.run_for(sec(3));
-  ASSERT_FALSE(sizes.empty());
+  ASSERT_FALSE(seen.empty());
   EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 50u);
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 
   // Every digest after either batch: a 16-byte header plus 12 bytes for
   // the one writer.
-  for (const std::uint32_t bytes : after_one) EXPECT_EQ(bytes, 28u);
-  for (const std::uint32_t bytes : sizes) EXPECT_EQ(bytes, after_one.back());
+  for (const SeenDigest& d : after_one) EXPECT_EQ(d.bytes, 28u);
+  for (const SeenDigest& d : seen) EXPECT_EQ(d.bytes, 28u);
+}
+
+TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
+  // Each follower in turn misses three puts that the other holds, so the
+  // followers differ from each other while one of them is healed.  Rounds
+  // still run only on the star: no digest passes between the followers.
+  constexpr FileId kFile = 9;
+  std::vector<SeenDigest> seen;
+  ShardedCluster cluster(ae_config(555, /*anti_entropy=*/true));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  ASSERT_EQ(m.size(), 3u);
+  const auto recorders = record_digests(cluster, seen);
+  client::ClientSession session(cluster, {});
+  net::SimTransport& wire = cluster.transport();
+  int n = 0;
+  for (const NodeId cut : {m[1], m[2]}) {
+    wire.partition(m[0], cut);
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(session.put(kFile, "p" + std::to_string(n++), 1.0).ok());
+    }
+    cluster.run_for(msec(300));
+    wire.heal(m[0], cut);
+    cluster.run_for(sec(3));
+    ASSERT_TRUE(replicas_identical(cluster, kFile));
+  }
+
+  std::size_t from_followers = 0;
+  for (const SeenDigest& d : seen) {
+    EXPECT_TRUE(d.from == m[0] || d.to == m[0])
+        << "digest " << d.from << " -> " << d.to;
+    if (d.from != m[0]) ++from_followers;
+  }
+  // The followers did run rounds: the repair that healed each one changed
+  // its store after it last matched the coordinator.
+  EXPECT_GT(from_followers, 0u);
+}
+
+TEST(AntiEntropyTest, AfterTheCoordinatorCrashesTheSurvivorsExchange) {
+  // A settled group sends nothing.  When rank 0 crashes, rank 1 acts and
+  // every survivor forgets its matches: rank 1 and rank 2 exchange within
+  // one period, with no write to prompt them.  The dark rank 0 is no one's
+  // star peer, so once the survivors match the group is quiet again, and
+  // a put while rank 0 is down costs one round.
+  constexpr FileId kFile = 5;
+  std::vector<SeenDigest> seen;
+  ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(all_matched(cluster, kFile));
+
+  const auto recorders = record_digests(cluster, seen);
+  cluster.crash_endpoint(m[0]);
+  ASSERT_EQ(cluster.coordinator(kFile).second, m[1]);
+  EXPECT_TRUE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
+  cluster.run_for(kAePeriod);
+  const Totals t = ae_totals(cluster, kFile);
+  EXPECT_GT(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 0u);
+  EXPECT_GT(cluster.sync_agent(kFile, 2)->stats().ae_rounds, 0u);
+  cluster.run_for(msec(400));  // the digests in flight land
+  bool one_to_two = false;
+  bool two_to_one = false;
+  for (const SeenDigest& d : seen) {
+    one_to_two = one_to_two || (d.from == m[1] && d.to == m[2]);
+    two_to_one = two_to_one || (d.from == m[2] && d.to == m[1]);
+  }
+  EXPECT_TRUE(one_to_two);
+  EXPECT_TRUE(two_to_one);
+  EXPECT_GE(ae_totals(cluster, kFile).repairs, t.repairs + 2);
+  EXPECT_TRUE(cluster.converged(kFile));
+
+  cluster.run_for(sec(2));
+  ASSERT_TRUE(all_matched(cluster, kFile));
+  const std::uint64_t settled = digests_on_wire(cluster);
+  cluster.run_for(sec(5));
+  EXPECT_EQ(digests_on_wire(cluster), settled);
+
+  ASSERT_TRUE(session.put(kFile, "while rank 0 is down", 1.0).ok());
+  const std::uint64_t rounds = ae_totals(cluster, kFile).rounds;
+  cluster.run_for(sec(5));
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, rounds + 1);
+  EXPECT_EQ(digests_on_wire(cluster), settled + 1);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(cluster.converged(kFile));
+}
+
+TEST(AntiEntropyTest, ARestartedFollowerWithoutACheckpointHealsInOnePeriod) {
+  // No checkpoints: the restarted follower reloads nothing, so its store
+  // is as empty as at placement and it runs no round of its own.  The
+  // restart un-matches it at the coordinator, whose round one period
+  // after the restart sends it the whole delta once, and the group is
+  // whole by the next period.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  cluster.crash_endpoint(m[1]);
+  cluster.run_for(sec(1));
+  const RecoveryReport rec = cluster.restart_endpoint(m[1]);
+  ASSERT_EQ(rec.files_recovered, 1u);
+  ASSERT_EQ(rec.checkpoint_files, 0u);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 0u);
+  EXPECT_FALSE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+  const std::uint64_t sent = ae_totals(cluster, kFile).repair_updates;
+
+  cluster.run_for(kAePeriod);
+  EXPECT_EQ(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 0u);
+  EXPECT_NE(periods_to_convergence(cluster, kFile, 1, 1), -1);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 4u);
+  cluster.run_for(sec(3));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  // The delta travelled once.
+  EXPECT_EQ(ae_totals(cluster, kFile).repair_updates, sent + 4);
+}
+
+TEST(AntiEntropyTest, ARestartedCoordinatorWithoutACheckpointHealsInOnePeriod) {
+  // Rank 0 crashes before the group's first write, so its restart
+  // reloads and re-adopts nothing and its store starts matched.  Its
+  // return moves the acting rank back to it, so the survivors forget
+  // their matches and digest it one period after the restart.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  cluster.crash_endpoint(m[0]);
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(all_matched(cluster, kFile));
+  const RecoveryReport rec = cluster.restart_endpoint(m[0]);
+  ASSERT_EQ(rec.files_recovered, 1u);
+  ASSERT_EQ(cluster.coordinator(kFile).second, m[0]);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 0u);
+  EXPECT_FALSE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
+
+  cluster.run_for(kAePeriod);
+  EXPECT_EQ(cluster.sync_agent(kFile, 0)->stats().ae_rounds, 0u);
+  EXPECT_NE(periods_to_convergence(cluster, kFile, 1, 1), -1);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 4u);
+  cluster.run_for(sec(3));
+  EXPECT_TRUE(all_matched(cluster, kFile));
 }
 
 /// One generated fault schedule over a 6-endpoint, k = 3, 12-file
@@ -426,10 +652,12 @@ FaultSchedule generate_schedule(std::uint64_t seed, bool churned) {
 /// Replay `s` until its last event (with incremental checkpoints on when
 /// it is churned), then run up to `max_periods` more anti-entropy periods;
 /// returns how many it took until every file's replicas were identical,
-/// or -1.
+/// or -1.  `resend_timeout` > 0 turns replication acks on.
 int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
-                    bool anti_entropy, int max_periods) {
+                    bool anti_entropy, int max_periods,
+                    SimDuration resend_timeout = 0) {
   ShardedClusterConfig cfg = ae_config(seed, anti_entropy);
+  cfg.replication_resend_timeout = resend_timeout;
   if (s.churned) {
     cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
     cfg.checkpoint.period = sec(1);
@@ -470,9 +698,11 @@ int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
 
 // Only a replica that changed starts rounds, so a replica that merely
 // missed an update waits for a holder to digest it.  Every holder has
-// changed since it last matched the peer that lacks the update, so it
-// reaches that peer within k - 1 rounds of its rotation; the bound allows
-// that twice plus two periods of message latency.
+// changed since it last matched the peer that lacks the update, and
+// rounds run on the star around the coordinator, so an update reaches
+// every rank within two rounds; the bound, which once allowed a rotation
+// over k - 1 peers twice, keeps that slack plus two periods of message
+// latency.
 constexpr int kScheduleBound = 2 * (3 - 1) + 2;
 
 TEST(AntiEntropyTest, GeneratedFaultSchedulesConvergeAfterTheLastHeal) {
@@ -497,6 +727,18 @@ TEST(AntiEntropyTest, GeneratedChurnedSchedulesConvergeAfterTheLastEvent) {
   for (std::uint64_t seed = 21; seed <= 40; ++seed) {
     const FaultSchedule s = generate_schedule(0xFA17 + seed, true);
     EXPECT_NE(replay_schedule(s, seed, true, kScheduleBound), -1)
+        << "seed " << seed << ": not converged " << kScheduleBound
+        << " periods after the last event";
+  }
+}
+
+TEST(AntiEntropyTest, GeneratedSchedulesConvergeWithAcksOn) {
+  // The same 40 schedules with replication acks on, as the benchmark runs
+  // them: pushes and acks carry counts and match pairs, re-sends and
+  // give-ups run, and the bound still holds.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const FaultSchedule s = generate_schedule(0xFA17 + seed, seed > 20);
+    EXPECT_NE(replay_schedule(s, seed, true, kScheduleBound, msec(300)), -1)
         << "seed " << seed << ": not converged " << kScheduleBound
         << " periods after the last event";
   }

@@ -18,6 +18,13 @@
 /// crash replay's counts were re-captured again when a restart stopped
 /// rebuilding the survivors' ranks: survivor traffic in flight at the
 /// restart is no longer fenced by a new group epoch, and the digest held.
+/// The churn, crash and adaptive replays were re-captured once more when
+/// a landed push began to settle its anti-entropy pair and rounds moved to
+/// the star around the acting coordinator, which leaves dark ranks out:
+/// fewer digests and repairs (the churn replay's puts, convergence and
+/// content digest held; the crash digest moved with the jitter race its
+/// test names; the adaptive replay's reads, writes and content digest
+/// held, its decisions did not).
 
 #include <gtest/gtest.h>
 
@@ -182,11 +189,11 @@ TEST(ShardedClusterDeterminism, ChurnSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);
   EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 1612u);
-  EXPECT_EQ(r.wire_messages, 859u);
+  EXPECT_EQ(r.logical_messages, 1092u);
+  EXPECT_EQ(r.wire_messages, 767u);
   const Golden expected{
-      {"shard.digest", 581},  {"shard.migrate", 76},
-      {"shard.repair", 579},  {"shard.replicate", 376},
+      {"shard.digest", 320},  {"shard.migrate", 76},
+      {"shard.repair", 320},  {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
 }
@@ -270,19 +277,20 @@ TEST(ShardedClusterDeterminism, CrashSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.puts, 188u);
   EXPECT_EQ(r.converged, 60u);  // crash+restart heals every file
   // One w = 1 put (file 34, the crashed coordinator's seq 3, applied
-  // 22.6 ms before the crash) still has both pushes in flight at the
-  // crash, so crash-stop loses it and the restart reconciles one
-  // own-writer update.  Every wire message draws its delay from one
-  // shared jitter stream, so a change in the message count before the
-  // crash can decide that race the other way and move this digest.
-  EXPECT_EQ(r.digest, 1342812657335665113ull);
-  EXPECT_EQ(r.logical_messages, 1484u);
-  EXPECT_EQ(r.wire_messages, 708u);
+  // 22.6 ms before the crash) races the crash.  Every wire message draws
+  // its delay from one shared jitter stream, so a change in the message
+  // count before the crash can decide that race either way and move this
+  // digest.  Here a survivor holds the put at the crash, so the restart
+  // reconciles two own-writer updates; when both of its pushes were
+  // still in flight, crash-stop lost it and the restart reconciled one.
+  EXPECT_EQ(r.digest, 11736777187537417876ull);
+  EXPECT_EQ(r.logical_messages, 1011u);
+  EXPECT_EQ(r.wire_messages, 638u);
   // No shard.migrate: restart recovery streams deltas over digest/repair,
   // never the membership-migration path.
   const Golden expected{
-      {"shard.digest", 563},
-      {"shard.repair", 545},
+      {"shard.digest", 300},
+      {"shard.repair", 335},
       {"shard.replicate", 376},
   };
   EXPECT_EQ(r.per_type, expected);
@@ -412,8 +420,8 @@ TEST(ShardedClusterDeterminism, AdaptiveSeed2007MatchesCapturedRun) {
   EXPECT_EQ(r.reads, 755u);
   EXPECT_EQ(r.writes, 353u);
   EXPECT_EQ(r.content_digest, 6857582279335632097ull);
-  EXPECT_EQ(r.ctl.decisions, 29u);
-  EXPECT_EQ(r.decision_digest, 16150049475129751827ull);
+  EXPECT_EQ(r.ctl.decisions, 33u);
+  EXPECT_EQ(r.decision_digest, 8965686451558105736ull);
 }
 
 TEST(ShardedClusterDeterminism, ReplayIsInternallyReproducible) {
