@@ -1,5 +1,7 @@
 #include "shard/replica_sync.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string_view>
@@ -33,23 +35,31 @@ std::uint32_t counts_wire_bytes(const vv::VersionVector& counts) {
   return static_cast<std::uint32_t>(12 * counts.writer_count());
 }
 
-/// Body of a "shard.replicate" push: the one new update and, while the
-/// pusher runs anti-entropy, its per-writer counts after the write (12
-/// bytes per writer on the wire, as a digest's).  Without anti-entropy the
-/// counts are empty and cost nothing.  Re-sends share the original body,
-/// so they carry the same counts.
+/// Body of a "shard.replicate" push: a put's one new update, or, for a
+/// re-send, every tracked update the receiving rank has not acked, in key
+/// order.  While the pusher runs anti-entropy it also carries the
+/// pusher's per-writer counts when sent (12 bytes per writer on the wire,
+/// as a digest's); without anti-entropy the counts are empty and cost
+/// nothing.
 struct CountedPush {
   std::vector<replica::Update> updates;
   vv::VersionVector counts;
 };
 
-/// Body of a "shard.ack": the acked update's key and, while the acker
-/// runs anti-entropy, its per-writer counts after the apply (empty, and
-/// free, otherwise).
+/// Body of a "shard.ack": the key of every update the acked push held and,
+/// while the acker runs anti-entropy, its per-writer counts after the
+/// apply (empty, and free, otherwise).
 struct CountedAck {
-  replica::UpdateKey key;
+  std::vector<replica::UpdateKey> keys;
   vv::VersionVector counts;
 };
+
+/// A firing of a tracked update's timer skips a rank that push_unacked
+/// pushed less than timeout / kResendSpacingDivisor ago.  At most one
+/// push per full timeout would put every update on one timer phase, so
+/// the first push after a loss heals could come up to a whole timeout
+/// late.
+constexpr SimDuration kResendSpacingDivisor = 2;
 
 /// A push's or ack's counts are carried iff they name a writer (see
 /// ReplicaSyncAgent::counts_to_carry).
@@ -159,7 +169,7 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
   if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
-    if (track_pending(u.key, payload, bytes, concern.peer_acks_needed,
+    if (track_pending(u.key, payload, concern.peer_acks_needed,
                       std::move(concern.on_result)) &&
         concern.peer_acks_needed > 0) {
       ++stats_.wack_tracked;
@@ -198,7 +208,6 @@ void ReplicaSyncAgent::finish_concern(PendingReplication& pending,
 
 bool ReplicaSyncAgent::track_pending(replica::UpdateKey key,
                                      net::Payload push,
-                                     std::uint32_t push_bytes,
                                      std::uint32_t acks_needed,
                                      WriteConcernCallback on_result) {
   if (group_size_ > 64) {  // unacked is a rank bitmask
@@ -211,7 +220,6 @@ bool ReplicaSyncAgent::track_pending(replica::UpdateKey key,
   }
   PendingReplication pending;
   pending.push = std::move(push);
-  pending.push_bytes = push_bytes;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
     if (rank != self()) pending.unacked |= 1ull << rank;
   }
@@ -250,28 +258,46 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
     return;
   }
   --pending.resends_left;
-  resend(pending, pending.unacked);
+  const SimDuration timeout = effective_resend_timeout();
+  const SimTime spaced = transport_.now() - timeout / kResendSpacingDivisor;
+  for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
+    if ((pending.unacked & (1ull << rank)) == 0) continue;
+    if (resent_at_ != nullptr && resent_at_[rank] > spaced) continue;
+    push_unacked(rank);
+  }
   pending.timer = transport_.call_after(
-      effective_resend_timeout(), [this, key] { on_resend_timeout(key); });
+      timeout, [this, key] { on_resend_timeout(key); });
 }
 
-void ReplicaSyncAgent::resend(const PendingReplication& pending,
-                              std::uint64_t ranks) {
-  std::uint64_t resent = 0;
-  for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if ((ranks & (1ull << rank)) == 0) continue;
-    net::Message msg;
-    msg.from = self();
-    msg.to = rank;
-    msg.file = store_.file();
-    msg.type = kReplicateType;
-    msg.payload = pending.push;
-    msg.wire_bytes = pending.push_bytes;
-    msg.want_ack = true;  // a tracked push always wants its ack back
-    transport_.send(std::move(msg));
-    ++resent;
+void ReplicaSyncAgent::push_unacked(NodeId rank) {
+  const std::uint64_t bit = 1ull << rank;
+  CountedPush push;
+  std::uint32_t bytes = 16;
+  for (const auto& [key, pending] : pending_acks_) {
+    if ((pending.unacked & bit) == 0) continue;
+    const replica::Update& u = pending.push.as<CountedPush>().updates.front();
+    push.updates.push_back(u);
+    bytes += u.wire_bytes();
   }
-  meter_.add(agent_metrics().replicate_resends, resent);
+  push.counts = counts_to_carry();
+  bytes += counts_wire_bytes(push.counts);
+  if (resent_at_ == nullptr) {
+    resent_at_ = std::make_unique<SimTime[]>(group_size_);
+    std::fill_n(resent_at_.get(), group_size_,
+                std::numeric_limits<SimTime>::min());
+  }
+  resent_at_[rank] = transport_.now();
+
+  net::Message msg;
+  msg.from = self();
+  msg.to = rank;
+  msg.file = store_.file();
+  msg.type = kReplicateType;
+  msg.payload = std::move(push);
+  msg.wire_bytes = bytes;
+  msg.want_ack = true;  // a tracked push always wants its ack back
+  transport_.send(std::move(msg));
+  meter_.add(agent_metrics().replicate_resends);
 }
 
 void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
@@ -303,13 +329,21 @@ void ReplicaSyncAgent::peer_restarted(NodeId rank) {
     ae_->matched[rank] = kUnmatched;
     update_rounds();
   }
+  bool owed = false;
   for (auto& [key, pending] : pending_acks_) {
     if ((pending.unacked & (1ull << rank)) == 0) continue;
-    resend(pending, 1ull << rank);
+    owed = true;
     transport_.cancel_call(pending.timer);
     pending.timer = transport_.call_after(
         effective_resend_timeout(), [this, k = key] { on_resend_timeout(k); });
   }
+  if (owed) push_unacked(rank);
+}
+
+void ReplicaSyncAgent::assume_matched() {
+  if (ae_ == nullptr) return;
+  ae_->matched.assign(group_size_, store_.mutation_count());
+  update_rounds();
 }
 
 void ReplicaSyncAgent::set_star(NodeId acting, std::uint64_t dark) {
@@ -332,7 +366,7 @@ void ReplicaSyncAgent::anti_entropy_round() {
   }
   if (!sent) return;
   ++stats_.ae_rounds;
-  ++rounds_since_heal_;
+  ++ae_->rounds_since_heal;
   meter_.add(agent_metrics().ae_rounds);
 }
 
@@ -512,14 +546,18 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     // wants delivery confirmation, and re-sends of an update we already
     // hold must still clear its pending slot over there).
     if (msg.want_ack && !batch.empty()) {
+      CountedAck body;
+      body.keys.reserve(batch.size());
+      for (const replica::Update& u : batch) body.keys.push_back(u.key);
       net::Message ack;
       ack.from = self();
       ack.to = msg.from;
       ack.file = store_.file();
       ack.type = kAckType;
-      ack.wire_bytes = 24 + counts_wire_bytes(mine);
-      // A push carries one update.
-      ack.payload = CountedAck{batch.front().key, std::move(mine)};
+      ack.wire_bytes = static_cast<std::uint32_t>(
+          24 + 12 * (batch.size() - 1) + counts_wire_bytes(mine));
+      body.counts = std::move(mine);
+      ack.payload = std::move(body);
       transport_.send(std::move(ack));
     }
     return;
@@ -533,22 +571,24 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         note_identical(msg.from);
       }
     }
-    auto it = pending_acks_.find(ack.key);
-    if (it == pending_acks_.end()) return;  // already resolved/abandoned
-    PendingReplication& pending = it->second;
     const std::uint64_t bit = 1ull << msg.from;
-    if ((pending.unacked & bit) != 0) {
-      // First ack from this rank (duplicates from re-sends don't
-      // double-count toward a write concern).
-      pending.unacked &= ~bit;
-      ++pending.acks_got;
-      if (pending.on_result && pending.acks_got >= pending.acks_needed) {
-        finish_concern(pending, /*satisfied=*/true);
+    for (const replica::UpdateKey& key : ack.keys) {
+      auto it = pending_acks_.find(key);
+      if (it == pending_acks_.end()) continue;  // resolved or abandoned
+      PendingReplication& pending = it->second;
+      if ((pending.unacked & bit) != 0) {
+        // First ack from this rank (duplicates from re-sends don't
+        // double-count toward a write concern).
+        pending.unacked &= ~bit;
+        ++pending.acks_got;
+        if (pending.on_result && pending.acks_got >= pending.acks_needed) {
+          finish_concern(pending, /*satisfied=*/true);
+        }
       }
-    }
-    if (pending.unacked == 0) {
-      transport_.cancel_call(pending.timer);
-      pending_acks_.erase(it);
+      if (pending.unacked == 0) {
+        transport_.cancel_call(pending.timer);
+        pending_acks_.erase(it);
+      }
     }
     return;
   }
@@ -571,12 +611,17 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
   if (msg.type == kRepairType) {
     const auto& body = msg.payload.as<RepairPayload>();
     note_report(msg.from, body.sender_counts);
+    // A push-back's apply re-arms the rounds only after the match test
+    // below, as a push's does.
+    applying_push_ = !body.respond;
     const std::size_t applied =
         apply_batch(body.updates, stats_.repair_updates_applied);
+    applying_push_ = false;
     if (applied > 0) {
+      const std::uint64_t rounds =
+          ae_ == nullptr ? 0 : std::exchange(ae_->rounds_since_heal, 0);
       meter_.add(agent_metrics().ae_repair_updates_applied, applied);
-      meter_.observe(agent_metrics().ae_heal_rounds, rounds_since_heal_);
-      rounds_since_heal_ = 0;
+      meter_.observe(agent_metrics().ae_heal_rounds, rounds);
       if (tr != nullptr && inbound.active()) {
         tr->instant(inbound, "ae.repair.apply", endpoint_, msg.file,
                     transport_.now());
@@ -601,6 +646,12 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
       } else if (body.updates.empty()) {
         note_identical(msg.from);
       }
+    } else if (ae_ != nullptr && body.sender_counts == store_.evv().counts()) {
+      // A push-back carries the initiator's counts: equal counts after the
+      // apply mean the pair holds the same updates.
+      note_identical(msg.from);
+    } else {
+      update_rounds();  // the re-arm the push-back's apply deferred
     }
     return;
   }

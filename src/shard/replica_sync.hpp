@@ -31,12 +31,16 @@
 ///    matched while its entry equals the store's mutation_count().  Any
 ///    exchange that shows equal counts sets the entry, on the side that
 ///    sees them: the initiator when the reply needs no push-back, the
-///    replier when the digest's counts equal its own.  While anti-entropy
-///    runs, a push also carries the pusher's counts after the write, and
-///    an ack the acker's counts after the apply.  So a push that lands
-///    matches its receiver with the pusher, and its ack matches the
-///    pusher with the receiver.  A store that never mutated starts
-///    matched with every peer: at placement every store is empty.
+///    replier when the digest's counts equal its own, and the receiver of
+///    a push-back when the pusher's counts equal its own after the apply.
+///    While anti-entropy runs, a push also carries the pusher's counts
+///    when sent, and an ack the acker's counts after the apply.  So a
+///    push that lands matches its receiver with the pusher, and its ack
+///    matches the pusher with the receiver.  A store that never mutated
+///    starts matched with every peer: at placement every store is empty.
+///    A restarted rank that is not acting takes its matches as current
+///    once the restart has reloaded its checkpoint and re-adopted its own
+///    writes (assume_matched): the coordinator's round heals it.
 ///
 ///    Rounds run on the star around the group's acting coordinator
 ///    (set_star).  Each round, the coordinator digests every unmatched
@@ -57,7 +61,9 @@
 ///    un-matches it at every star peer that may hold more: at the
 ///    coordinator (peer_restarted), or, when it returns as the
 ///    coordinator, at every survivor (a change of coordinator).  Their
-///    next round heals it.
+///    next round heals it, in both directions: the reply to the round's
+///    digest carries whatever the restarted rank holds that the
+///    coordinator lacks, so a restarted follower's own matches may stand.
 ///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
@@ -71,7 +77,15 @@
 ///
 ///  * Acked replication ("shard.ack", opt-in): with a resend timeout
 ///    configured, every replicate push is tracked until each peer acks
-///    it; unacked peers get a bounded number of re-sends.  This is the
+///    it, and each tracked update runs its own timer with a bounded
+///    re-send budget.  Re-sends are cumulative, per silent rank rather
+///    than per update: when a timer fires, each rank that has not acked
+///    the update gets one push carrying every tracked update it has not
+///    acked, and its one ack names every key the push held.  A rank that
+///    got such a push less than half a timeout ago sits the firing out
+///    (the firing still spends budget and re-arms), so a silent rank gets
+///    at most one push per half timeout however many updates are
+///    pending.  Budgets and give-up times stay per update.  This is the
 ///    crash-model plumbing — a coordinator whose replica died mid-
 ///    replication retries for a while and then gives up cleanly instead
 ///    of wedging, and a briefly-unreachable replica still converges
@@ -84,7 +98,8 @@
 ///    w - 1 peers confirmed their apply, or fails it when the re-send
 ///    budget runs out first.  A receiver acks a push iff the push carries
 ///    the want_ack flag; the sender sets it whenever resends are on or
-///    the put needs peer acks, whether or not anti-entropy runs.  Pushes
+///    the put needs peer acks, whether or not anti-entropy runs.  Only a
+///    rank's first ack of an update counts toward its concern.  Pushes
 ///    and acks have one body each; the counts they carry are empty (and
 ///    cost nothing on the wire) while the sender runs no anti-entropy.
 
@@ -217,11 +232,17 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
   void stop_anti_entropy();
+  /// This rank restarted as a follower and its store now holds what the
+  /// restart reloaded: take every match as current, so it runs no round
+  /// of its own.  The coordinator un-matched it (peer_restarted), and the
+  /// coordinator's round moves the delta both ways; a round of its own in
+  /// the same instant would only fetch the same delta twice.
+  void assume_matched();
   /// Peer `rank` restarted after a crash and lost what it held: un-match
   /// it (every other match stands), move the rounds to the restart's grid
-  /// now + n·period, and push the peer now, together rather than at
-  /// scattered resend timers, every tracked update it has not acked,
-  /// restarting those timers without spending resend budget.
+  /// now + n·period, and send the peer now one push that carries every
+  /// tracked update it has not acked, restarting those updates' timers
+  /// without spending resend budget.
   void peer_restarted(NodeId rank);
   /// The group's acting coordinator is `acting`, and bit r of `dark` is
   /// set when rank r's member is down (rank 0 and none until told; ranks
@@ -313,10 +334,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   void stamp_wire_span(net::Message& msg, const obs::TraceContext& tc,
                        std::string_view span_name);
 
-  /// One tracked replicate push awaiting acks.
+  /// One tracked update awaiting acks.
   struct PendingReplication {
-    net::Payload push;            ///< The push's body, shared by re-sends.
-    std::uint32_t push_bytes = 0;  ///< Its wire size.
+    /// The put's push body; its one update rides every re-send push to a
+    /// rank that has not acked it.
+    net::Payload push;
     std::uint64_t unacked = 0;    ///< Bitmask of silent ranks.
     std::uint32_t resends_left = 0;
     std::uint64_t timer = 0;
@@ -336,8 +358,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// The store's one mutation listener for the rank's whole life: list
   /// the replica for the next checkpoint pass (once per pass), and, while
   /// anti-entropy runs, re-arm a stopped round timer on the grid (a
-  /// mutation un-matches every peer).  A push's apply leaves the re-arm
-  /// to its handler, which may match the pusher first.
+  /// mutation un-matches every peer).  A push's or a push-back's apply
+  /// leaves the re-arm to its handler, which may match the sender first.
   void on_store_mutation() override;
   /// Keep the round timer armed exactly while some star peer is
   /// unmatched: arm a stopped one on the grid, or stop a running one.
@@ -352,10 +374,10 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   [[nodiscard]] bool star_matched() const;
   /// An exchange with `peer` showed equal counts (on the initiator: the
   /// reply needed no push-back; on the replier: the digest's counts equal
-  /// its own; on a push's receiver: the pushed counts equal its own; on
-  /// the pusher: the ack's counts equal its own): match `peer` at the
-  /// current mutation_count(), and stop the rounds once every star peer
-  /// is matched.
+  /// its own; on the receiver of a push or a push-back: the sender's
+  /// counts equal its own after the apply; on the pusher: the ack's counts
+  /// equal its own): match `peer` at the current mutation_count(), and
+  /// stop the rounds once every star peer is matched.
   void note_identical(NodeId peer);
   /// `peer_rank` reported `counts` in a digest, repair or ack: tell the
   /// freshness listener.
@@ -376,11 +398,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// Start tracking a just-pushed update; returns false when the group is
   /// too large for the rank bitmask (the caller fails the concern).
   bool track_pending(replica::UpdateKey key, net::Payload push,
-                     std::uint32_t push_bytes, std::uint32_t acks_needed,
-                     WriteConcernCallback on_result);
+                     std::uint32_t acks_needed, WriteConcernCallback on_result);
+  /// `key`'s timer fired: spend one unit of its budget and push each of
+  /// its silent ranks that got no re-send push in the last half timeout,
+  /// or, with the budget spent, give the update up.
   void on_resend_timeout(replica::UpdateKey key);
-  /// Push `pending`'s body again to every rank set in `ranks`.
-  void resend(const PendingReplication& pending, std::uint64_t ranks);
+  /// Send `rank` one push carrying every tracked update it has not acked,
+  /// in key order, and the counts this store carries now; `rank` must be
+  /// silent for at least one tracked update.
+  void push_unacked(NodeId rank);
   /// Fire-and-clear a pending put's concern callback (exactly-once).
   void finish_concern(PendingReplication& pending, bool satisfied);
 
@@ -389,13 +415,16 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   std::uint32_t group_size_;
   /// True while the file id sits on dirty_ awaiting a checkpoint pass.
   bool listed_ = false;
-  /// True while a push applies (see on_store_mutation).
+  /// True while a push or a push-back applies (see on_store_mutation).
   bool applying_push_ = false;
   /// The endpoint's checkpoint dirty list; nullptr without checkpoints.
   std::vector<FileId>* dirty_ = nullptr;
   ReplicaSyncOptions options_;
   ReplicaSyncStats stats_;
   std::map<replica::UpdateKey, PendingReplication> pending_acks_;
+  /// Per rank: when push_unacked last pushed it, for the half-timeout
+  /// spacing.  Allocated by the first such push.
+  std::unique_ptr<SimTime[]> resent_at_;
 
   /// Anti-entropy state, allocated by start_anti_entropy: an agent with
   /// anti-entropy off carries only the null pointer.
@@ -407,6 +436,10 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     /// with it that showed equal counts (kUnmatched before the first).  A
     /// peer is matched while this equals the current count.
     std::vector<std::uint64_t> matched;
+    /// Rounds since a repair last applied here (the ae.heal_rounds
+    /// histogram).  Kept here rather than in the agent, which every
+    /// placed rank carries, so resent_at_ costs the agent no size.
+    std::uint64_t rounds_since_heal = 0;
   };
   static constexpr std::uint64_t kUnmatched = ~std::uint64_t{0};
   std::unique_ptr<AntiEntropy> ae_;
@@ -420,7 +453,6 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// set_star).
   std::uint64_t dark_ = 0;
   obs::Meter meter_;           ///< This endpoint's registry (null = off).
-  std::uint64_t rounds_since_heal_ = 0;  ///< AE rounds since last repair.
 };
 
 }  // namespace idea::shard

@@ -569,10 +569,12 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     const std::uint32_t self_rank = g.rank_of(endpoint);
     // The new rank needs no round of its own to heal.  A restarted
     // follower is un-matched at the coordinator (peer_restarted below),
-    // whose next round sends it what it lacks.  A restarted coordinator
-    // changed the acting rank, so every survivor forgot its matches and
-    // digests it at its next round.
-    replica::ReplicaStore& self = build_rank(file, g, self_rank).node->store();
+    // whose next round sends it what it lacks; once the imports below
+    // are in, it takes its own matches as current.  A restarted
+    // coordinator changed the acting rank, so every survivor forgot its
+    // matches and digests it at its next round.
+    GroupRank& restarted = build_rank(file, g, self_rank);
+    replica::ReplicaStore& self = restarted.node->store();
     announce_star(g);
 
     // 1. The latest durable checkpoint.  Updates are keyed by rank-space
@@ -604,6 +606,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       report.reconciled_updates +=
           self.import_log(theirs.updates_ahead_of(known)).applied;
     }
+    if (self_rank != g.acting_rank()) restarted.sync->assume_matched();
 
     // 3. Whatever is still missing is the O(delta) gap anti-entropy
     //    streams.

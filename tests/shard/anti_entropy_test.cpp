@@ -14,11 +14,14 @@
 /// down, that an acked push that lands sends none either (its ack
 /// refreshes the follower's hint, while an ack without anti-entropy
 /// carries no counts), that a put with acks off costs one coordinator
-/// round of k - 1 digests, that followers never digest each other, that
-/// the survivors of a coordinator crash exchange within one period, that
-/// a restarted follower or coordinator heals within one period, that a
-/// digest's size does not grow with the log, and that generated fault
-/// schedules, with and without crashes, churn and acks, still converge.
+/// round of k - 1 digests, that followers never digest each other and a
+/// follower healed by the coordinator's push-back runs no round, that the
+/// survivors of a coordinator crash exchange within one period, that a
+/// restarted follower, with or without a checkpoint, or a restarted
+/// coordinator heals within one period (a follower's delta travelling
+/// once), that a digest's size does not grow with the log, and that
+/// generated fault schedules, with and without crashes, churn and acks,
+/// still converge.
 
 #include <gtest/gtest.h>
 
@@ -438,6 +441,9 @@ TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
   // Each follower in turn misses three puts that the other holds, so the
   // followers differ from each other while one of them is healed.  Rounds
   // still run only on the star: no digest passes between the followers.
+  // The coordinator's push-back that heals a follower carries the
+  // coordinator's counts, which equal the follower's after the apply, so
+  // the follower matches the coordinator and runs no round at all.
   constexpr FileId kFile = 9;
   std::vector<SeenDigest> seen;
   ShardedCluster cluster(ae_config(555, /*anti_entropy=*/true));
@@ -464,9 +470,13 @@ TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
         << "digest " << d.from << " -> " << d.to;
     if (d.from != m[0]) ++from_followers;
   }
-  // The followers did run rounds: the repair that healed each one changed
-  // its store after it last matched the coordinator.
-  EXPECT_GT(from_followers, 0u);
+  EXPECT_GT(seen.size(), 0u);
+  EXPECT_EQ(from_followers, 0u);
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    EXPECT_EQ(cluster.sync_agent(kFile, rank)->stats().ae_rounds, 0u)
+        << "rank " << rank;
+  }
+  EXPECT_TRUE(all_matched(cluster, kFile));
 }
 
 TEST(AntiEntropyTest, AfterTheCoordinatorCrashesTheSurvivorsExchange) {
@@ -552,6 +562,54 @@ TEST(AntiEntropyTest, ARestartedFollowerWithoutACheckpointHealsInOnePeriod) {
   EXPECT_TRUE(all_matched(cluster, kFile));
   // The delta travelled once.
   EXPECT_EQ(ae_totals(cluster, kFile).repair_updates, sent + 4);
+}
+
+TEST(AntiEntropyTest, ARestartedFollowerWithACheckpointHealsInOnePeriod) {
+  // The checkpointed twin of the test above: the restarted follower
+  // reloads the 4 updates its checkpoint holds, so its store mutated
+  // after it was built, yet it still runs no round of its own.  The
+  // coordinator's round one period after the restart finds it 4 updates
+  // behind: the reply to its digest carries nothing, its push-back
+  // carries the 4 updates once and matches the follower, and a second
+  // digest matches the coordinator.
+  constexpr FileId kFile = 5;
+  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/true);
+  cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
+  cfg.checkpoint.period = sec(1);
+  ShardedCluster cluster(cfg);
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  cluster.crash_endpoint(m[1]);
+  for (int i = 4; i < 8; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(1));
+  const Totals before = ae_totals(cluster, kFile);
+  const RecoveryReport rec = cluster.restart_endpoint(m[1]);
+  ASSERT_EQ(rec.files_recovered, 1u);
+  ASSERT_EQ(rec.checkpoint_files, 1u);
+  EXPECT_EQ(rec.checkpoint_updates, 4u);
+  EXPECT_EQ(rec.gap_updates, 4u);
+  EXPECT_FALSE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+
+  cluster.run_for(kAePeriod);
+  EXPECT_NE(periods_to_convergence(cluster, kFile, 1, 1), -1);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 8u);
+  cluster.run_for(sec(3));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_EQ(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 0u);
+  // Rank 0 and rank 2 survived the crash, so their stats carry on; the
+  // restarted rank's start from zero.
+  const Totals after = ae_totals(cluster, kFile);
+  EXPECT_EQ(after.repair_updates - before.repair_updates, 4u)
+      << "the delta travelled more than once";
+  EXPECT_EQ(after.digests - before.digests, 2u);
+  EXPECT_EQ(after.repairs - before.repairs, 3u);
 }
 
 TEST(AntiEntropyTest, ARestartedCoordinatorWithoutACheckpointHealsInOnePeriod) {

@@ -16,6 +16,9 @@
 ///    agent, so the put resolves satisfied once a resend lands, and the
 ///    restart pushes the returning member the put at once, so its ack
 ///    can satisfy the put before any resend timer fires;
+///  * re-sends go by silent rank: one push carries every update the rank
+///    has not acked, at most one per half timeout, and one ack answers
+///    it, while budgets and give-up times stay per update;
 ///  * every w-acked write survives any single-endpoint crash among the
 ///    group (coordinator included), observed through majority quorum
 ///    reads (R + W > N);
@@ -25,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -406,6 +410,239 @@ TEST(WriteConcernTest, ARestartedPeerGetsItsUnackedPushAtOnce) {
   EXPECT_EQ(h->acks, 2u);
   EXPECT_EQ(versions_behind(cluster, file, group[1]), 1u);
   EXPECT_EQ(versions_behind(cluster, file, group[2]), 0u);
+}
+
+/// One replicate push or ack delivered on the edge transport (global
+/// endpoint ids).
+struct SeenPush {
+  net::MsgType type;
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+  std::uint32_t bytes = 0;
+};
+
+/// Stands in for an endpoint on the edge transport: records every
+/// replicate push and ack delivered to it, then hands the message on.
+class PushRecorder final : public net::MessageHandler {
+ public:
+  PushRecorder(net::MessageHandler& target, std::vector<SeenPush>& seen)
+      : target_(target), seen_(seen) {}
+
+  void on_message(const net::Message& msg) override {
+    if (msg.type == shard::ReplicaSyncAgent::kReplicateType ||
+        msg.type == shard::ReplicaSyncAgent::kAckType) {
+      seen_.push_back({msg.type, msg.from, msg.to, msg.wire_bytes});
+    }
+    target_.on_message(msg);
+  }
+
+ private:
+  net::MessageHandler& target_;
+  std::vector<SeenPush>& seen_;
+};
+
+/// A hot file under the loss window the benchmark's rw_loss workload
+/// scripts: 20 w = 1 puts, 50 ms apart, inside a 1.2 s full-loss window,
+/// with rw_loss's 300 ms resend timeout and six re-sends, so every budget
+/// outlasts the window.  Anti-entropy is off: only re-sends can heal.
+struct HotFileUnderLoss {
+  static constexpr FileId kFile = 5;
+  static constexpr SimDuration kTimeout = msec(300);
+  static constexpr SimDuration kWindow = msec(1200);
+  static constexpr int kPuts = 20;
+
+  shard::ShardedCluster cluster;
+  Client client;
+  SimTime start = 0;
+
+  HotFileUnderLoss() : cluster(config()), client(cluster) {
+    cluster.ensure_open(kFile);
+    cluster.run_for(sec(1));
+    start = cluster.sim().now();
+    cluster.transport().add_drop_window(start, start + kWindow);
+  }
+
+  static shard::ShardedClusterConfig config() {
+    shard::ShardedClusterConfig cfg = concern_config(4207);
+    cfg.replication_resend_timeout = kTimeout;
+    cfg.replication_max_resends = 6;
+    return cfg;
+  }
+
+  /// Schedule the 20 puts from `session`, the first at the window's open.
+  void schedule_puts(ClientSession& session) {
+    for (int i = 0; i < kPuts; ++i) {
+      cluster.sim().schedule_at(start + msec(50) * i, [&session, i] {
+        ASSERT_TRUE(session.put(kFile, "hot" + std::to_string(i), 1.0).ok());
+      });
+    }
+  }
+
+  [[nodiscard]] std::uint64_t pushes_sent() {
+    return cluster.edge().counters().messages_of(
+        shard::ReplicaSyncAgent::kReplicateType);
+  }
+};
+
+TEST(WriteConcernTest, ReSendsGoOnePushPerSilentRankPerHalfTimeout) {
+  // Each of the 20 updates runs its own timer, yet each silent rank gets
+  // at most one re-send push per half timeout: at most
+  // ceil(1.2 s / 150 ms) + 1 = 9 during the window.  The full-loss window
+  // silences both followers for every update, so each gets the same
+  // pushes.  After the window one push carries every update a rank lacks:
+  // every update is acked, none is given up, and the group converges
+  // with anti-entropy off.
+  HotFileUnderLoss hot;
+  ClientSession session = hot.client.session({.origin = 0});
+  const std::uint64_t before = hot.pushes_sent();
+  hot.schedule_puts(session);
+  hot.cluster.run_until(hot.start + HotFileUnderLoss::kWindow);
+  EXPECT_EQ(hot.cluster.replica_at_rank(HotFileUnderLoss::kFile, 1)
+                ->store()
+                .update_count(),
+            0u)
+      << "the loss window let a push through";
+  const std::uint64_t resends =
+      hot.pushes_sent() - before - 2 * HotFileUnderLoss::kPuts;
+  EXPECT_GT(resends, 0u);
+  EXPECT_LE(resends, 2u * 9u);
+
+  hot.cluster.run_for(sec(3));
+  const shard::ReplicaSyncAgent* coord =
+      hot.cluster.sync_agent(HotFileUnderLoss::kFile, 0);
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+  EXPECT_EQ(coord->stats().gaveup_ae_digests, 0u);
+  EXPECT_LT(coord->stats().acks_received, 2u * HotFileUnderLoss::kPuts)
+      << "an ack answers a whole push, not one update";
+  for (const NodeId rank : {1u, 2u}) {
+    EXPECT_EQ(hot.cluster.replica_at_rank(HotFileUnderLoss::kFile, rank)
+                  ->store()
+                  .update_count(),
+              static_cast<std::size_t>(HotFileUnderLoss::kPuts))
+        << "rank " << rank;
+  }
+  EXPECT_TRUE(hot.cluster.converged(HotFileUnderLoss::kFile));
+  // Every update was acked by both ranks: nothing is left to re-send.
+  const std::uint64_t settled = hot.pushes_sent();
+  hot.cluster.run_for(sec(3));
+  EXPECT_EQ(hot.pushes_sent(), settled);
+}
+
+TEST(WriteConcernTest, AMajorityPutInsideTheWindowResolvesOnce) {
+  // A w = majority put among the hot file's w = 1 puts: both followers
+  // ack it in one cumulative ack each after the window, and the put
+  // resolves exactly once, satisfied, on the first.
+  HotFileUnderLoss hot;
+  ClientSession session = hot.client.session({.origin = 0});
+  ClientSession majority = hot.client.session(
+      {.write_concern = WriteConcern::majority(), .origin = 0});
+  hot.schedule_puts(session);
+  OpHandle<WriteAck> h;
+  int completions = 0;
+  hot.cluster.sim().schedule_at(hot.start + msec(425), [&] {
+    h = majority.put(HotFileUnderLoss::kFile, "majority", 1.0);
+    h.on_complete([&](const OpHandle<WriteAck>&) { ++completions; });
+  });
+  hot.cluster.run_until(hot.start + HotFileUnderLoss::kWindow);
+  ASSERT_TRUE(h.valid());
+  EXPECT_FALSE(h.resolved()) << "the put was acked inside the window";
+
+  hot.cluster.run_for(sec(3));
+  ASSERT_TRUE(h.resolved());
+  EXPECT_TRUE(h.ok());
+  EXPECT_TRUE(h->w_satisfied);
+  EXPECT_EQ(h->acks, 2u);
+  EXPECT_EQ(completions, 1);
+  const shard::ReplicaSyncAgent* coord =
+      hot.cluster.sync_agent(HotFileUnderLoss::kFile, 0);
+  EXPECT_EQ(coord->stats().wack_satisfied, 1u);
+  EXPECT_EQ(coord->stats().wack_failed, 0u);
+  EXPECT_TRUE(hot.cluster.converged(HotFileUnderLoss::kFile));
+}
+
+TEST(WriteConcernTest, APartitionedRankIsGivenUpOnTheUpdatesOwnSchedule) {
+  // Rank 2 is cut off for good; rank 1 acks every push.  Three puts 50 ms
+  // apart share rank 2's re-send pushes, so the later two sit out firings
+  // the first one's push already served.  Yet each update still spends
+  // its budget on its own timer: each gives up, with its digest to rank
+  // 2, exactly (max_resends + 1) timeouts after its put.
+  shard::ShardedClusterConfig cfg = concern_config(4207);
+  cfg.replication_resend_timeout = msec(300);
+  cfg.replication_max_resends = 2;
+  shard::ShardedCluster cluster(cfg);
+  Client client(cluster);
+  ClientSession session = client.session({.origin = 0});
+  const FileId file = 5;
+  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
+  cluster.run_for(sec(1));
+  cluster.transport().partition(m[0], m[2]);
+
+  const SimTime start = cluster.sim().now();
+  for (int i = 0; i < 3; ++i) {
+    cluster.sim().schedule_at(start + msec(50) * i, [&session, file, i] {
+      ASSERT_TRUE(session.put(file, "cut" + std::to_string(i), 1.0).ok());
+    });
+  }
+  const shard::ReplicaSyncStats& coord = cluster.sync_agent(file, 0)->stats();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const SimTime due = start + msec(50) * static_cast<SimDuration>(i) +
+                        3 * msec(300);
+    cluster.run_until(due - 1);
+    EXPECT_EQ(coord.resend_gaveups, i) << "update " << i << " gave up early";
+    cluster.run_until(due);
+    EXPECT_EQ(coord.resend_gaveups, i + 1) << "update " << i;
+    EXPECT_EQ(coord.gaveup_ae_digests, i + 1) << "update " << i;
+  }
+  EXPECT_EQ(cluster.sync_agent(file, 1)->stats().applied, 3u);
+  EXPECT_EQ(cluster.sync_agent(file, 2)->stats().applied, 0u);
+}
+
+TEST(WriteConcernTest, ARestartedFollowerGetsOnePushAndOneAck) {
+  // Rank 2 is down for five puts.  Its restart sends it one push that
+  // carries all five, and its one ack names all five keys: 24 bytes plus
+  // 12 per key after the first (anti-entropy is off, so no counts).  The
+  // ack clears every pending update, so no re-send follows.
+  shard::ShardedClusterConfig cfg = concern_config(4207);
+  cfg.replication_resend_timeout = msec(300);
+  shard::ShardedCluster cluster(cfg);
+  Client client(cluster);
+  ClientSession session = client.session({.origin = 0});
+  const FileId file = 5;
+  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
+  cluster.run_for(sec(1));
+  cluster.crash_endpoint(m[2]);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(session.put(file, "owed" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(msec(100));  // rank 1's acks land; no timer is due yet
+  cluster.restart_endpoint(m[2]);
+
+  std::vector<SeenPush> seen;
+  std::vector<std::unique_ptr<PushRecorder>> recorders;
+  for (const NodeId e : {m[0], m[2]}) {
+    recorders.push_back(
+        std::make_unique<PushRecorder>(cluster.service(e), seen));
+    cluster.edge().attach(e, recorders.back().get());
+  }
+  cluster.run_for(sec(2));
+
+  std::uint32_t expected_push = 16;
+  for (const replica::Update& u :
+       cluster.replica(file, m[0])->store().updates_ahead_of({})) {
+    expected_push += u.wire_bytes();
+  }
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].type, shard::ReplicaSyncAgent::kReplicateType);
+  EXPECT_EQ(seen[0].from, m[0]);
+  EXPECT_EQ(seen[0].to, m[2]);
+  EXPECT_EQ(seen[0].bytes, expected_push);
+  EXPECT_EQ(seen[1].type, shard::ReplicaSyncAgent::kAckType);
+  EXPECT_EQ(seen[1].from, m[2]);
+  EXPECT_EQ(seen[1].to, m[0]);
+  EXPECT_EQ(seen[1].bytes, 24u + 12u * 4u);
+  EXPECT_EQ(cluster.sync_agent(file, 2)->stats().applied, 5u);
+  EXPECT_EQ(cluster.sync_agent(file, 0)->stats().resend_gaveups, 0u);
+  EXPECT_EQ(versions_behind(cluster, file, m[2]), 0u);
 }
 
 TEST(WriteConcernTest, WAckedWriteSurvivesAnySingleEndpointCrash) {
