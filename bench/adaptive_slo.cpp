@@ -37,9 +37,10 @@
 ///
 /// Emits BENCH_adaptive_slo.json (SLO attainment matrix + latency and
 /// staleness columns + controller decision digest) for the CI perf
-/// trajectory.  --strict reruns the first scenario's adaptive cell and
-/// fails unless the controller's decision log and digest are
-/// byte-identical — the cross-run determinism gate.
+/// trajectory; a --smoke run writes a JSON only where --json names one.
+/// --strict reruns the first scenario's adaptive cell and fails unless
+/// the controller's decision log and digest are byte-identical — the
+/// cross-run determinism gate.
 ///
 ///   $ ./adaptive_slo [--endpoints 32] [--files 96] [--sim-secs 16]
 ///                    [--seed 2007] [--slo-p95-ms N] [--smoke]
@@ -478,8 +479,8 @@ int main(int argc, char** argv) {
               "adaptive beats every static somewhere: %s\n",
               matches ? "yes" : "NO", beats ? "yes" : "NO");
 
-  write_json(flags.get_string("json", "BENCH_adaptive_slo.json"), smoke, s,
-             names, table, matches, beats);
+  const std::string json = json_out(flags, smoke, "BENCH_adaptive_slo.json");
+  if (!json.empty()) write_json(json, smoke, s, names, table, matches, beats);
 
   if (flags.get_bool("strict", false)) {
     // Determinism gate: rerun the first scenario's adaptive cell and

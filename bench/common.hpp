@@ -25,6 +25,16 @@ namespace idea::bench {
 /// The four writers used throughout §6 (spread across the coordinate plane).
 inline const std::vector<NodeId> kWriters{3, 11, 22, 37};
 
+/// Where a bench writes its JSON: the file --json names, else `committed`
+/// (the capture's name, relative to the working directory) on a full-size
+/// run.  A --smoke run writes none unless --json names one, so a smoke run
+/// from the repo root leaves the committed capture alone.  Empty means
+/// write none.
+inline std::string json_out(const Flags& flags, bool smoke,
+                            const std::string& committed) {
+  return flags.get_string("json", smoke ? std::string() : committed);
+}
+
 /// Paper-scale cluster: 40 nodes; WAN latencies tuned so that one
 /// sequential resolution hop costs ~100 ms — the per-member cost the
 /// paper's Formula 2 reports (104.7 ms).

@@ -4,7 +4,8 @@
 ///
 /// Every future PR is measured against this bench: it emits
 /// BENCH_hotpath.json so the perf trajectory accumulates per PR (the CI
-/// Release job uploads the file as an artifact).  Five sections:
+/// Release job uploads the file as an artifact; a --smoke run writes a
+/// JSON only where --json names one).  Five sections:
 ///
 ///   1. sim_events  — schedule/cancel/periodic churn through the Simulator.
 ///   2. transport   — SimTransport message storm with realistic EVV payloads
@@ -573,7 +574,9 @@ int main(int argc, char** argv) {
       bench_read_after_write(5000, smoke ? 2'000 : 20'000)};
   const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
 
-  write_json(flags.get_string("json", "BENCH_hotpath.json"), smoke, se, tr,
-             trb, vvr, store, read_after_write, mc);
+  const std::string json = json_out(flags, smoke, "BENCH_hotpath.json");
+  if (!json.empty()) {
+    write_json(json, smoke, se, tr, trb, vvr, store, read_after_write, mc);
+  }
   return 0;
 }

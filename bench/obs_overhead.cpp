@@ -24,7 +24,8 @@
 /// JSON also records each mode's median, min and max, hardware_cores and
 /// build_type.
 ///
-/// --smoke, the CI gate, runs the same macro with 30 reps instead of 60.
+/// --smoke, the CI gate, runs the same macro with 30 reps instead of 60,
+/// and writes a JSON only where --json names one.
 /// A run takes about 17 ms, so the gate costs under two seconds.  On a
 /// shared 4-core host the gate's median full/off ratio spread 0.067 over
 /// 20 gate runs (1.027-1.093); with 15 reps it spread up to 0.134 and
@@ -327,9 +328,11 @@ int main(int argc, char** argv) {
   report("cpu metrics/off", spread(paired(metrics.cpu_ms, off.cpu_ms)));
   report("cpu full/off", spread(paired(full.cpu_ms, off.cpu_ms)));
 
-  write_json(flags.get_string("json", "BENCH_obs_overhead.json"), smoke,
-             endpoints, files, sim_secs, reps, off, metrics, full,
-             full_runs.front(), digests_match);
+  const std::string json = json_out(flags, smoke, "BENCH_obs_overhead.json");
+  if (!json.empty()) {
+    write_json(json, smoke, endpoints, files, sim_secs, reps, off, metrics,
+               full, full_runs.front(), digests_match);
+  }
 
   if (!digests_match) return 1;
   if (strict && full_wall.median > max_overhead) {

@@ -18,6 +18,8 @@
 ///      of the first threads=1 run (the sequential oracle).  A mismatch
 ///      fails the bench regardless of speed.
 ///
+/// A --smoke run writes a JSON only where --json names one.
+///
 ///   $ ./parallel_scalability [--smoke] [--json BENCH_parallel.json]
 ///       [--endpoints 1000] [--files 4000] [--segments 8] [--sim-secs 60]
 ///       [--threads 1,2,4,8] [--reps 1] [--seed 2007]
@@ -233,8 +235,8 @@ int main(int argc, char** argv) {
                 p.walls.size(), p.speedup);
   }
 
-  write_json(flags.get_string("json", "BENCH_parallel.json"), smoke, mc,
-             sweep, digests_match);
+  const std::string json = json_out(flags, smoke, "BENCH_parallel.json");
+  if (!json.empty()) write_json(json, smoke, mc, sweep, digests_match);
 
   if (!digests_match) {
     std::fprintf(stderr,

@@ -26,7 +26,8 @@
 /// reads survive any single stale replica.  The bounded_2v_cached cell
 /// serves repeat reads from the session cache while provably inside the
 /// declared age bound, with zero router traffic.  Emits
-/// BENCH_read_policies.json for the CI perf trajectory.  --strict exits
+/// BENCH_read_policies.json for the CI perf trajectory (a --smoke run
+/// writes a JSON only where --json names one).  --strict exits
 /// non-zero when a cell breaks its level's staleness guarantee: a Strong
 /// or Quorum read served any staleness, or a Bounded read served more
 /// versions than its declared bound.
@@ -378,8 +379,8 @@ int main(int argc, char** argv) {
   for (const Cell& cell : cells) results.push_back(run_level(s, cell));
   for (LevelResult& r : results) print_row(r);
 
-  write_json(flags.get_string("json", "BENCH_read_policies.json"), smoke, s,
-             results);
+  const std::string json = json_out(flags, smoke, "BENCH_read_policies.json");
+  if (!json.empty()) write_json(json, smoke, s, results);
 
   if (!flags.get_bool("strict", false)) return 0;
   int failed = 0;

@@ -16,7 +16,8 @@
 /// with the interval.  --strict exits non-zero unless every checkpointed
 /// cell recovers as many files as the baseline, reloads some updates from
 /// its checkpoints, and leaves a gap no larger than the baseline's.
-/// Emits BENCH_recovery.json for the CI perf trajectory.
+/// Emits BENCH_recovery.json for the CI perf trajectory (a --smoke run
+/// writes a JSON only where --json names one).
 ///
 ///   $ ./recovery [--endpoints 16] [--files 200] [--seed 2007] [--smoke]
 ///                [--strict] [--json FILE]
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "apps/kvstore.hpp"
+#include "bench/common.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "util/flags.hpp"
 
@@ -231,8 +233,8 @@ int main(int argc, char** argv) {
   }
   for (const Cell& c : cells) print_row(c);
 
-  write_json(flags.get_string("json", "BENCH_recovery.json"), smoke, s,
-             cells);
+  const std::string json = json_out(flags, smoke, "BENCH_recovery.json");
+  if (!json.empty()) write_json(json, smoke, s, cells);
 
   if (flags.get_bool("strict", false)) {
     const Cell& none = cells.front();

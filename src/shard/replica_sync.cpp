@@ -67,6 +67,25 @@ bool carried(const vv::VersionVector& counts) {
   return counts.writer_count() > 0;
 }
 
+/// The ack `ack` shows its sender lacking more of `mine` than the pushes
+/// in flight will bring it: besides the updates its counts hold, it will
+/// hold the `owed` tracked updates it has not acked yet and the ones this
+/// ack names past its counts (parked behind a gap), all of them writer
+/// `self`'s (a tracked update is one of the pusher's own puts).  The rest
+/// only a round can bring.
+bool lacks_beyond_owed(const CountedAck& ack, const vv::VersionVector& mine,
+                       NodeId self, std::uint32_t owed) {
+  std::uint64_t coming = owed;
+  for (const replica::UpdateKey& key : ack.keys) {
+    if (key.writer == self && key.seq > ack.counts.get(self)) ++coming;
+  }
+  for (const auto& [writer, count] : mine.entries()) {
+    const std::uint64_t held = ack.counts.get(writer);
+    if (held + (writer == self ? coming : 0) < count) return true;
+  }
+  return false;
+}
+
 /// The agent's metric ids, interned once per process.
 struct AgentMetrics {
   obs::MetricId replicate_pushed = obs::MetricId::intern("replicate.pushed");
@@ -230,6 +249,13 @@ bool ReplicaSyncAgent::track_pending(replica::UpdateKey key,
   if (!inserted) return false;  // defensive; keys are unique per put
   it->second.timer = transport_.call_after(
       effective_resend_timeout(), [this, key] { on_resend_timeout(key); });
+  if (ae_ != nullptr) {
+    for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
+      if (rank != self()) ++ae_->peers[rank].owed;
+    }
+    // The put's apply armed the rounds before its peers owed the ack.
+    update_rounds();
+  }
   return true;
 }
 
@@ -252,9 +278,13 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
       anti_entropy_with(rank);
       ++stats_.gaveup_ae_digests;
       meter_.add(agent_metrics().gaveup_digests);
+      if (ae_ != nullptr) --ae_->peers[rank].owed;
     }
     finish_concern(pending, /*satisfied=*/false);
     pending_acks_.erase(it);
+    // The silent ranks owe this update no ack now: one that owes no other
+    // is back in the rounds.
+    update_rounds();
     return;
   }
   --pending.resends_left;
@@ -308,8 +338,13 @@ void ReplicaSyncAgent::start_anti_entropy(SimDuration period) {
   ae_->origin = transport_.now();
   // Every store is empty at placement, so one that never mutated already
   // matches every peer.
-  ae_->matched.assign(group_size_,
-                      store_.mutation_count() == 0 ? 0 : kUnmatched);
+  const std::uint64_t matched = store_.mutation_count() == 0 ? 0 : kUnmatched;
+  ae_->peers.assign(group_size_, {.matched = matched});
+  for (const auto& [key, pending] : pending_acks_) {
+    for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
+      if ((pending.unacked & (1ull << rank)) != 0) ++ae_->peers[rank].owed;
+    }
+  }
   update_rounds();
 }
 
@@ -326,7 +361,7 @@ void ReplicaSyncAgent::peer_restarted(NodeId rank) {
     if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
     ae_->timer = 0;
     ae_->origin = transport_.now();
-    ae_->matched[rank] = kUnmatched;
+    ae_->peers[rank].matched = kUnmatched;
     update_rounds();
   }
   bool owed = false;
@@ -342,14 +377,14 @@ void ReplicaSyncAgent::peer_restarted(NodeId rank) {
 
 void ReplicaSyncAgent::assume_matched() {
   if (ae_ == nullptr) return;
-  ae_->matched.assign(group_size_, store_.mutation_count());
+  for (AntiEntropy::Peer& p : ae_->peers) p.matched = store_.mutation_count();
   update_rounds();
 }
 
 void ReplicaSyncAgent::set_star(NodeId acting, std::uint64_t dark) {
   dark_ = dark;
   if (acting != acting_ && ae_ != nullptr && store_.mutation_count() > 0) {
-    ae_->matched.assign(group_size_, kUnmatched);
+    for (AntiEntropy::Peer& p : ae_->peers) p.matched = kUnmatched;
   }
   acting_ = acting;
   // A rank gone dark may leave every remaining star peer matched.
@@ -360,7 +395,7 @@ void ReplicaSyncAgent::anti_entropy_round() {
   const std::uint64_t count = store_.mutation_count();
   bool sent = false;
   for (NodeId peer = 0; peer < group_size_; ++peer) {
-    if (!in_star(peer) || ae_->matched[peer] == count) continue;
+    if (settled(peer, count)) continue;
     send_digest(peer);
     sent = true;
   }
@@ -370,10 +405,10 @@ void ReplicaSyncAgent::anti_entropy_round() {
   meter_.add(agent_metrics().ae_rounds);
 }
 
-bool ReplicaSyncAgent::star_matched() const {
+bool ReplicaSyncAgent::star_settled() const {
   const std::uint64_t count = store_.mutation_count();
   for (NodeId peer = 0; peer < group_size_; ++peer) {
-    if (in_star(peer) && ae_->matched[peer] != count) return false;
+    if (!settled(peer, count)) return false;
   }
   return true;
 }
@@ -394,7 +429,7 @@ void ReplicaSyncAgent::on_store_mutation() {
 
 void ReplicaSyncAgent::update_rounds() {
   if (ae_ == nullptr) return;
-  if (star_matched()) {
+  if (star_settled()) {
     if (ae_->timer != 0) transport_.cancel_call(ae_->timer);
     ae_->timer = 0;
     return;
@@ -413,7 +448,8 @@ void ReplicaSyncAgent::update_rounds() {
 
 void ReplicaSyncAgent::note_identical(NodeId peer) {
   if (ae_ == nullptr) return;
-  ae_->matched[peer] = store_.mutation_count();
+  ae_->peers[peer].matched = store_.mutation_count();
+  ae_->peers[peer].behind = false;
   update_rounds();
 }
 
@@ -478,9 +514,8 @@ std::size_t ReplicaSyncAgent::apply_batch(
   // One import puts the store's view in canonical order once for the
   // whole batch.  Flag merges cannot happen here: nothing on the sharded
   // path invalidates an update.
-  const replica::ReplicaStore::ImportReport r = store_.import_log(updates);
-  const std::size_t applied =
-      updates.size() - r.duplicates - r.invalidation_merges - r.parked;
+  // The report's count includes the parked successors the batch released.
+  const std::size_t applied = store_.import_log(updates).applied;
   applied_stat += applied;
   return applied;
 }
@@ -565,11 +600,14 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
   if (msg.type == kAckType) {
     ++stats_.acks_received;
     const auto& ack = msg.payload.as<CountedAck>();
-    if (carried(ack.counts)) {
-      note_report(msg.from, ack.counts);
-      if (ae_ != nullptr && ack.counts == store_.evv().counts()) {
-        note_identical(msg.from);
-      }
+    if (carried(ack.counts)) note_report(msg.from, ack.counts);
+    // A peer running anti-entropy acks with its counts, so empty ones
+    // mean it holds nothing (say, a restart reloaded nothing and every
+    // push parks): all zero, not unknown.
+    vv::VersionVector mine;
+    if (ae_ != nullptr) {
+      mine = store_.evv().counts();
+      if (ack.counts == mine) note_identical(msg.from);
     }
     const std::uint64_t bit = 1ull << msg.from;
     for (const replica::UpdateKey& key : ack.keys) {
@@ -580,6 +618,7 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         // First ack from this rank (duplicates from re-sends don't
         // double-count toward a write concern).
         pending.unacked &= ~bit;
+        if (ae_ != nullptr) --ae_->peers[msg.from].owed;
         ++pending.acks_got;
         if (pending.on_result && pending.acks_got >= pending.acks_needed) {
           finish_concern(pending, /*satisfied=*/true);
@@ -590,6 +629,14 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         pending_acks_.erase(it);
       }
     }
+    if (ae_ != nullptr) {
+      AntiEntropy::Peer& peer = ae_->peers[msg.from];
+      peer.behind = lacks_beyond_owed(ack, mine, self(), peer.owed);
+    }
+    // An ack that paid the rank's last owed one, or showed it lacking more
+    // than it still owes, hands it back to the rounds: equal counts
+    // matched it above, and short ones leave it for the next grid round.
+    update_rounds();
     return;
   }
   if (msg.type == kDigestType) {

@@ -46,9 +46,21 @@
 ///    (set_star).  Each round, the coordinator digests every unmatched
 ///    live peer, and any other rank digests only the coordinator; a dark
 ///    rank, whose member is down, is no one's star peer until it restarts.
-///    The round timer stops once every star peer is matched, and any
-///    store mutation re-arms it on the grid anti-entropy started on.  A
-///    quiet group sends nothing, even while a member is down.
+///    A peer that owes this rank an ack for a tracked push (see acked
+///    replication below) is left to that ack: no round digests it until
+///    the ack lands or the update gives up.  Replication's own timeout
+///    path recovers the push, as TCP recovers a lost segment by the
+///    retransmission timer of the unacknowledged data (RFC 6298) rather
+///    than by a separate probe.  A peer whose last ack showed it lacking
+///    more than the pushes in flight will bring it (an update whose
+///    re-sends gave up, or what a restart lost) is behind, and the rounds
+///    digest it although it owes.  An ack with empty counts shows a store
+///    that holds nothing, not unknown counts: a peer running anti-entropy
+///    always acks with its counts, and one that holds nothing (a restart
+///    that reloaded nothing, say) parks every push.  The round timer stops
+///    once every star peer is matched or owes an ack without being behind,
+///    and any store mutation re-arms it on the grid anti-entropy started
+///    on.  A quiet group sends nothing, even while a member is down.
 ///
 ///    Why this converges: a match says the peer held at least what this
 ///    replica holds.  Stores only append, and a restarted peer, which
@@ -64,6 +76,19 @@
 ///    next round heals it, in both directions: the reply to the round's
 ///    digest carries whatever the restarted rank holds that the
 ///    coordinator lacks, so a restarted follower's own matches may stand.
+///    Leaving a rank that owes an ack to it delays these rounds but drops
+///    none: every pair they reached before they still reach.  A rank owing
+///    an ack is reached by its ack (equal counts match the pair; counts
+///    short only by what it owes or holds parked leave it to the pushes in
+///    flight; counts shorter than that mark it behind, and the next grid
+///    round digests it, even while it owes newer acks), by the re-sends,
+///    which carry the pusher's counts, or by the give-up's targeted
+///    digest, after which the rounds include it again.  So a skipped pair
+///    waits at most until its next ack lands or its owed updates give up
+///    (max_resends + 1 timeouts after the put, unless a restart of the
+///    peer re-armed the update's timer).  Without the behind mark a hot
+///    file would starve a rank with a gap, an empty store's included: each
+///    new put makes it owe again before a round.
 ///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
@@ -91,7 +116,10 @@
 ///    of wedging, and a briefly-unreachable replica still converges
 ///    without waiting for anti-entropy.  A give-up is never silent: the
 ///    abandoned update's silent ranks get an immediate targeted digest,
-///    so the group converges even with periodic anti-entropy off.
+///    so the group converges even with periodic anti-entropy off.  While
+///    anti-entropy runs, a rank that owes an ack sits its rounds out; the
+///    ack that pays its last owed one or shows it behind, or the give-up
+///    of its last owed update, hands it back to them (update_rounds).
 ///
 ///  * Write concerns (put's PutConcern): a client-declared WriteConcern{w}
 ///    rides the same ack machinery — the put completes its callback once
@@ -122,8 +150,8 @@ struct ReplicaSyncStats {
   std::uint64_t pushed = 0;          ///< Updates sent to peers.
   std::uint64_t applied = 0;         ///< Remote updates applied here.
   // Anti-entropy.
-  /// Digest rounds run here: one per round event, which digests every
-  /// unmatched star peer.
+  /// Digest rounds run here: one per round event that digests a peer; a
+  /// round digests every unsettled star peer (see start_anti_entropy).
   std::uint64_t ae_rounds = 0;
   std::uint64_t digests_received = 0;
   std::uint64_t repairs_sent = 0;     ///< Repair messages sent.
@@ -221,13 +249,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
                              const obs::TraceContext& tc = {});
 
   /// Start anti-entropy with rounds on the grid now + n·period (0
-  /// stops).  Rounds run only while a star peer is unmatched at the
-  /// store's current mutation_count(): each round digests every unmatched
-  /// star peer, so an unmatched pair exchanges within one period.  The
-  /// timer stops once every star peer is matched, and the next store
-  /// mutation re-arms it on the same grid.  A store that never mutated
-  /// starts matched with every peer (at placement every store is empty,
-  /// so placement runs no round); any other store starts unmatched.
+  /// stops).  Rounds run only while a star peer is unsettled: unmatched
+  /// at the store's current mutation_count(), and owing no ack or behind.
+  /// Each round digests every such peer, so a pair exchanges within one
+  /// period of becoming unsettled.  The timer stops once every star peer
+  /// is settled, and the next store mutation, ack or give-up re-arms it
+  /// on the same grid.  The owed acks are counted from the updates
+  /// tracked now.  A store that never mutated starts matched with every
+  /// peer (at placement every store is empty, so placement runs no
+  /// round); any other store starts unmatched.
   void start_anti_entropy(SimDuration period);
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
@@ -302,8 +332,8 @@ class ReplicaSyncAgent final : public net::MessageHandler,
 
   [[nodiscard]] const ReplicaSyncStats& stats() const { return stats_; }
   /// True while the round timer is armed: anti-entropy is started and
-  /// this replica may still differ from some star peer.  False when
-  /// stopped, and when started but every star peer is matched.
+  /// some star peer is unsettled (see start_anti_entropy).  False when
+  /// stopped, and when started but every star peer is settled.
   [[nodiscard]] bool anti_entropy_running() const {
     return ae_ != nullptr && ae_->timer != 0;
   }
@@ -315,8 +345,9 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   static const net::MsgType kAckType;        ///< Interned "shard.ack".
 
  private:
-  /// Apply a batch of updates (repair or migration), bumping `applied_stat`
-  /// per newly applied update.
+  /// Apply a batch of updates (push, repair or migration), bumping
+  /// `applied_stat` per update it added to the log, parked successors it
+  /// released included.
   std::size_t apply_batch(const std::vector<replica::Update>& updates,
                           std::uint64_t& applied_stat);
   /// Send `updates` and this replica's `counts` to `to_rank`; `respond`
@@ -362,7 +393,7 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// leaves the re-arm to its handler, which may match the sender first.
   void on_store_mutation() override;
   /// Keep the round timer armed exactly while some star peer is
-  /// unmatched: arm a stopped one on the grid, or stop a running one.
+  /// unsettled: arm a stopped one on the grid, or stop a running one.
   void update_rounds();
   /// `peer` is in this rank's star: any peer that is not dark on the
   /// coordinator, only the coordinator elsewhere.
@@ -370,8 +401,15 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     return peer != self() && (self() == acting_ || peer == acting_) &&
            (peer >= 64 || ((dark_ >> peer) & 1) == 0);
   }
-  /// Every star peer is matched at the store's current mutation_count().
-  [[nodiscard]] bool star_matched() const;
+  /// `peer` needs no round at the store's mutation_count() `count`: it is
+  /// no star peer, it is matched, or it owes this rank an ack (which the
+  /// ack or the update's give-up settles) and is not behind.
+  [[nodiscard]] bool settled(NodeId peer, std::uint64_t count) const {
+    const AntiEntropy::Peer& p = ae_->peers[peer];
+    return !in_star(peer) || p.matched == count || (p.owed > 0 && !p.behind);
+  }
+  /// Every star peer is settled at the store's current mutation_count().
+  [[nodiscard]] bool star_settled() const;
   /// An exchange with `peer` showed equal counts (on the initiator: the
   /// reply needed no push-back; on the replier: the digest's counts equal
   /// its own; on the receiver of a push or a push-back: the sender's
@@ -432,10 +470,22 @@ class ReplicaSyncAgent final : public net::MessageHandler,
     SimDuration period = 0;
     SimTime origin = 0;       ///< Rounds fire at origin + n·period.
     std::uint64_t timer = 0;  ///< Armed round timer, 0 when stopped.
-    /// Per peer rank: the store's mutation_count() at the last exchange
-    /// with it that showed equal counts (kUnmatched before the first).  A
-    /// peer is matched while this equals the current count.
-    std::vector<std::uint64_t> matched;
+    /// What the rounds know of one peer rank.  One vector holds them all,
+    /// so the state costs one allocation whatever it tracks.
+    struct Peer {
+      /// The store's mutation_count() at the last exchange with the peer
+      /// that showed equal counts (kUnmatched before the first).  The
+      /// peer is matched while this equals the current count.
+      std::uint64_t matched = 0;
+      /// How many tracked updates the peer has not acked: the
+      /// pending_acks_ entries whose unacked mask has its bit set.
+      std::uint32_t owed = 0;
+      /// The peer's last ack showed it lacking more than the pushes in
+      /// flight will bring it (say, an update whose re-sends gave up, or
+      /// all a restart lost), so owing does not settle it.
+      bool behind = false;
+    };
+    std::vector<Peer> peers;  ///< Indexed by rank.
     /// Rounds since a repair last applied here (the ae.heal_rounds
     /// histogram).  Kept here rather than in the agent, which every
     /// placed rank carries, so resent_at_ costs the agent no size.

@@ -13,15 +13,20 @@
 /// placement and a quiet group send no digest, even while a member is
 /// down, that an acked push that lands sends none either (its ack
 /// refreshes the follower's hint, while an ack without anti-entropy
-/// carries no counts), that a put with acks off costs one coordinator
-/// round of k - 1 digests, that followers never digest each other and a
-/// follower healed by the coordinator's push-back runs no round, that the
-/// survivors of a coordinator crash exchange within one period, that a
-/// restarted follower, with or without a checkpoint, or a restarted
-/// coordinator heals within one period (a follower's delta travelling
-/// once), that a digest's size does not grow with the log, and that
-/// generated fault schedules, with and without crashes, churn and acks,
-/// still converge.
+/// carries no counts), that a rank owing an ack is left to it (a put in
+/// flight at a grid point, sent into a loss window, or parked behind an
+/// owed one is digested by no round, a short ack or a give-up hands the
+/// rank back to the next round, and a rank whose acks show it lacking more
+/// than the pushes in flight will bring it, an empty or restarted store's
+/// included, is digested anyway), that a put with acks off costs one
+/// coordinator round of k - 1 digests, that followers never digest each
+/// other and a follower healed by the coordinator's push-back runs no
+/// round, that the survivors of a coordinator crash exchange within one
+/// period, that a restarted follower, with or without a checkpoint, or a
+/// restarted coordinator heals within one period (a follower's delta
+/// travelling once), that a digest's size does not grow with the log,
+/// that generated fault schedules, with and without crashes, churn and
+/// acks, still converge, and that the agent keeps its size.
 
 #include <gtest/gtest.h>
 
@@ -274,14 +279,20 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 }
 
+/// ae_config with replication acks on: every push is tracked until each
+/// peer acks it, and re-sent after 300 ms.
+ShardedClusterConfig acked_config(std::uint64_t seed) {
+  ShardedClusterConfig cfg = ae_config(seed, /*anti_entropy=*/true);
+  cfg.replication_resend_timeout = msec(300);
+  return cfg;
+}
+
 TEST(AntiEntropyTest, AnAckedPutSendsNoDigestAndRefreshesTheHints) {
   // With acks on, the push matches each receiver with the coordinator and
   // the ack matches the coordinator with the receiver: nothing is left
   // for a round.  The acks' counts feed each follower's freshness hint.
   constexpr FileId kFile = 5;
-  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/true);
-  cfg.replication_resend_timeout = msec(300);
-  ShardedCluster cluster(cfg);
+  ShardedCluster cluster(acked_config(4207));
   cluster.ensure_open(kFile);
   client::ClientSession session(cluster, {});
   ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
@@ -307,8 +318,8 @@ TEST(AntiEntropyTest, WithoutAntiEntropyAcksCarryNoCounts) {
   // anti-entropy sends them with empty counts, which a receiver reads as
   // none carried: the acks leave the followers' freshness hints unknown.
   constexpr FileId kFile = 5;
-  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/false);
-  cfg.replication_resend_timeout = msec(300);
+  ShardedClusterConfig cfg = acked_config(4207);
+  cfg.anti_entropy_period = 0;
   ShardedCluster cluster(cfg);
   cluster.ensure_open(kFile);
   client::ClientSession session(cluster, {});
@@ -321,6 +332,298 @@ TEST(AntiEntropyTest, WithoutAntiEntropyAcksCarryNoCounts) {
   for (std::uint32_t rank = 1; rank < 3; ++rank) {
     EXPECT_FALSE(g->ranks[rank].hint.known) << "rank " << rank;
   }
+}
+
+/// Step the simulator until `done()` holds or `limit` of sim time passed;
+/// returns whether it holds.
+template <typename Done>
+bool step_until(ShardedCluster& cluster, SimDuration limit, Done done) {
+  const SimTime deadline = cluster.sim().now() + limit;
+  while (!done() && cluster.sim().now() < deadline) cluster.sim().step();
+  return done();
+}
+
+TEST(AntiEntropyTest, APutInFlightAtTheRoundIsNotDigested) {
+  // The put goes out 5 ms before a grid point, so its pushes and acks are
+  // still in flight when the coordinator's round would fire.  Both
+  // followers owe the coordinator an ack, so no round digests them and
+  // the timer stops at once; the acks' counts then match both pairs.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const SimTime origin = cluster.sim().now();
+  cluster.ensure_open(kFile);
+  client::ClientSession session(cluster, {});
+  cluster.run_until(origin + 2 * kAePeriod - msec(5));
+  ASSERT_TRUE(session.put(kFile, "in flight", 1.0).ok());
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  EXPECT_FALSE(coord->anti_entropy_running());
+  cluster.run_until(origin + 2 * kAePeriod + msec(1));
+  ASSERT_EQ(coord->stats().acks_received, 0u) << "an ack beat the round";
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(coord->stats().acks_received, 2u);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, 0u);
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(cluster.batching()->counters().messages_of("shard.repair"), 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, NoDigestGoesIntoALossWindow) {
+  // Twelve puts, 100 ms apart, inside a 1.2 s full-loss window: every
+  // push and re-send in it is lost, and both followers owe the
+  // coordinator acks throughout, so no round digests them into the
+  // window.  The first re-send after the window carries every update a
+  // follower lacks, and its ack matches the pair: the whole episode sends
+  // no digest.
+  constexpr FileId kFile = 5;
+  constexpr SimDuration kWindow = msec(1200);
+  constexpr int kPuts = 12;
+  ShardedClusterConfig cfg = acked_config(4207);
+  cfg.replication_max_resends = 6;  // no update gives up inside the window
+  ShardedCluster cluster(cfg);
+  cluster.ensure_open(kFile);
+  cluster.run_for(sec(1));
+  const SimTime start = cluster.sim().now();
+  cluster.transport().add_drop_window(start, start + kWindow);
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < kPuts; ++i) {
+    cluster.sim().schedule_at(start + msec(100) * i, [&session, i] {
+      ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+    });
+  }
+  cluster.run_until(start + kWindow);
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  ASSERT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 0u)
+      << "the window let a push through";
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(coord->stats().ae_rounds, 0u);
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, 0u);
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    EXPECT_EQ(cluster.replica_at_rank(kFile, rank)->store().update_count(),
+              static_cast<std::size_t>(kPuts))
+        << "rank " << rank;
+  }
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, AShortAckHandsThePairToTheNextRound) {
+  // Rank 1 is cut off from the coordinator while one update's re-sends
+  // run out, so it lacks that update for good.  It misses the next put's
+  // push too, which rank 2 acks at once; the cut heals before that put's
+  // first re-send, which rank 1 parks behind the gap and acks with short
+  // counts.  That ack pays rank 1's last owed one but leaves the pair
+  // unmatched, so the coordinator's next grid round digests rank 1.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "seen by all", 1.0).ok());
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(all_matched(cluster, kFile));
+
+  net::SimTransport& wire = cluster.transport();
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  wire.partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "lost to rank 1", 1.0).ok());
+  cluster.run_for(sec(2));
+  ASSERT_EQ(coord->stats().resend_gaveups, 1u);
+  ASSERT_EQ(coord->stats().acks_received, 3u);
+
+  ASSERT_TRUE(session.put(kFile, "parked by rank 1", 1.0).ok());
+  EXPECT_FALSE(coord->anti_entropy_running()) << "both followers owe acks";
+  cluster.run_for(msec(100));
+  ASSERT_EQ(coord->stats().acks_received, 4u) << "rank 2 has not acked";
+  wire.heal(m[0], m[1]);
+  ASSERT_TRUE(step_until(cluster, sec(1), [&] {
+    return coord->stats().acks_received == 5;
+  }));
+  ASSERT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 1u)
+      << "rank 1's ack was not short";
+  EXPECT_TRUE(coord->anti_entropy_running()) << "the ack did not hand it back";
+  const std::uint64_t rounds = coord->stats().ae_rounds;
+  EXPECT_NE(periods_to_convergence(cluster, kFile, 1, 1), -1);
+  EXPECT_EQ(coord->stats().ae_rounds, rounds + 1);
+  cluster.run_for(sec(3));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  // Rank 1 counts each update it holds as applied once: the parked one
+  // when the repair that fills the gap releases it.
+  const ReplicaSyncStats& healed = cluster.sync_agent(kFile, 1)->stats();
+  EXPECT_EQ(healed.applied + healed.repair_updates_applied, 3u);
+}
+
+TEST(AntiEntropyTest, APushParkedBehindAnOwedOneIsLeftToTheReSend) {
+  // Rank 1 misses one push and parks the next behind it.  Its ack for the
+  // parked push, which lands before a grid point, shows it two updates
+  // short; but it still owes the missed one, and it holds the one it
+  // names, parked.  The missed update's re-send brings both, so no round
+  // digests rank 1, and the re-send's ack matches the pair.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const SimTime origin = cluster.sim().now();
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "seen by all", 1.0).ok());
+  cluster.run_until(origin + 4 * kAePeriod - msec(200));
+  net::SimTransport& wire = cluster.transport();
+  wire.partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "missed by rank 1", 1.0).ok());
+  cluster.run_for(msec(10));
+  wire.heal(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "parked by rank 1", 1.0).ok());
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  ASSERT_TRUE(step_until(cluster, msec(180), [&] {
+    return coord->stats().acks_received == 5;
+  })) << "rank 1's ack did not beat the grid point";
+  ASSERT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 1u);
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, ARankBehindIsDigestedWhileItOwesAcks) {
+  // Rank 1 lacks an update whose re-sends gave up while it was cut off.
+  // The file then takes a put every 50 ms, so rank 1 keeps owing the
+  // coordinator acks; but each ack shows it lacking more than the pushes
+  // in flight will bring it, so the rounds still digest it, and it holds
+  // the lost update within two periods of the heal while the puts go on.
+  // In the second run the lost update is the file's first, so rank 1
+  // holds nothing and parks every push: its acks carry no counts, which
+  // read as all zero.
+  constexpr FileId kFile = 5;
+  constexpr int kPuts = 60;
+  for (const bool seen_first : {true, false}) {
+    SCOPED_TRACE(seen_first ? "rank 1 holds the first update"
+                            : "rank 1 holds nothing");
+    ShardedCluster cluster(acked_config(4207));
+    const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+    client::ClientSession session(cluster, {});
+    if (seen_first) {
+      ASSERT_TRUE(session.put(kFile, "seen by all", 1.0).ok());
+      cluster.run_for(sec(3));
+    }
+    net::SimTransport& wire = cluster.transport();
+    wire.partition(m[0], m[1]);
+    ASSERT_TRUE(session.put(kFile, "lost to rank 1", 1.0).ok());
+    cluster.run_for(sec(2));
+    ASSERT_EQ(cluster.sync_agent(kFile, 0)->stats().resend_gaveups, 1u);
+
+    wire.heal(m[0], m[1]);
+    const SimTime healed = cluster.sim().now();
+    for (int i = 0; i < kPuts; ++i) {
+      cluster.sim().schedule_at(healed + msec(50) * i, [&session, i] {
+        ASSERT_TRUE(session.put(kFile, "hot" + std::to_string(i), 1.0).ok());
+      });
+    }
+    // Rank 1 applies the coordinator's updates in seq order and parks any
+    // past a gap, so it holds the lost one once it holds one more.
+    const std::uint64_t lost = seen_first ? 2 : 1;
+    const replica::ReplicaStore& cold =
+        cluster.replica_at_rank(kFile, 1)->store();
+    EXPECT_TRUE(step_until(cluster, 2 * kAePeriod, [&] {
+      return cold.evv().counts().total() > lost;
+    })) << "rank 1 still lacks the lost update";
+    cluster.run_for(sec(5));
+    EXPECT_EQ(cold.update_count(), kPuts + lost);
+    EXPECT_TRUE(all_matched(cluster, kFile));
+    EXPECT_TRUE(replicas_identical(cluster, kFile));
+  }
+}
+
+TEST(AntiEntropyTest, ARestartedFollowerOfAHotFileHealsWithinTwoPeriods) {
+  // No checkpoints, and a put every 50 ms before, during and after rank
+  // 1's downtime.  The restarted follower reloads nothing, so every push
+  // it gets parks behind what it lost and its acks carry no counts.  It
+  // keeps owing the coordinator acks, yet those acks show it lacking more
+  // than the pushes in flight will bring it, so the coordinator's rounds
+  // digest it: it holds what the coordinator held at the restart within
+  // two periods, while the puts go on.
+  constexpr FileId kFile = 5;
+  constexpr int kPuts = 100;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  const SimTime start = cluster.sim().now();
+  for (int i = 0; i < kPuts; ++i) {
+    cluster.sim().schedule_at(start + msec(50) * i, [&session, i] {
+      ASSERT_TRUE(session.put(kFile, "hot" + std::to_string(i), 1.0).ok());
+    });
+  }
+  cluster.run_for(sec(1));
+  cluster.crash_endpoint(m[1]);
+  cluster.run_for(sec(1));
+  const RecoveryReport rec = cluster.restart_endpoint(m[1]);
+  ASSERT_EQ(rec.files_recovered, 1u);
+  ASSERT_EQ(rec.checkpoint_files, 0u);
+  const std::uint64_t held =
+      cluster.replica_at_rank(kFile, 0)->store().evv().counts().total();
+  ASSERT_GT(held, 30u);
+  const replica::ReplicaStore& cold =
+      cluster.replica_at_rank(kFile, 1)->store();
+  EXPECT_TRUE(step_until(cluster, 2 * kAePeriod, [&] {
+    return cold.evv().counts().total() >= held;
+  })) << "rank 1 holds " << cold.evv().counts().total() << " of " << held;
+  cluster.run_for(sec(5));
+  EXPECT_EQ(cold.update_count(), static_cast<std::size_t>(kPuts));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, AGiveUpResumesTheRounds) {
+  // Rank 1 is cut off for good.  Once the put's re-sends run out, rank 1
+  // owes no ack, so the coordinator's rounds digest it every period again.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  cluster.transport().partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "lost to rank 1", 1.0).ok());
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  ASSERT_TRUE(step_until(cluster, sec(3), [&] {
+    return coord->stats().resend_gaveups == 1;
+  }));
+  EXPECT_TRUE(coord->anti_entropy_running());
+  const std::uint64_t rounds = coord->stats().ae_rounds;
+  const std::uint64_t digests = digests_on_wire(cluster);
+  cluster.run_for(4 * kAePeriod);
+  EXPECT_EQ(coord->stats().ae_rounds, rounds + 4);
+  EXPECT_EQ(digests_on_wire(cluster), digests + 4);
+  EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 0u);
+}
+
+TEST(AntiEntropyTest, StartingAntiEntropyCountsTheAcksPeersOwe) {
+  // Anti-entropy starts while a put is still tracked: inside a loss
+  // window, both followers owe the coordinator its ack, so no round
+  // digests them, and the re-send that lands after the window settles
+  // both pairs.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  cluster.ensure_open(kFile);
+  ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  coord->stop_anti_entropy();
+  cluster.run_for(sec(1));
+  const SimTime start = cluster.sim().now();
+  cluster.transport().add_drop_window(start, start + msec(400));
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "tracked", 1.0).ok());
+  cluster.run_for(msec(100));
+  coord->start_anti_entropy(kAePeriod);
+  EXPECT_FALSE(coord->anti_entropy_running());
+
+  cluster.run_for(sec(3));
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+  EXPECT_EQ(coord->stats().acks_received, 2u);
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
 }
 
 TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
@@ -760,7 +1063,10 @@ int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
 // rounds run on the star around the coordinator, so an update reaches
 // every rank within two rounds; the bound, which once allowed a rotation
 // over k - 1 peers twice, keeps that slack plus two periods of message
-// latency.
+// latency.  With acks on, a rank that owes an ack sits the rounds out
+// until its ack or its update's give-up, at most (2 + 1) x 300 ms after
+// the put, and every put comes before the last event: the same bound
+// covers that wait.
 constexpr int kScheduleBound = 2 * (3 - 1) + 2;
 
 TEST(AntiEntropyTest, GeneratedFaultSchedulesConvergeAfterTheLastHeal) {
@@ -800,6 +1106,18 @@ TEST(AntiEntropyTest, GeneratedSchedulesConvergeWithAcksOn) {
         << "seed " << seed << ": not converged " << kScheduleBound
         << " periods after the last event";
   }
+}
+
+TEST(AntiEntropyTest, TheAgentDoesNotGrow) {
+  // Every placed rank carries an agent, and its size moves the benchmark's
+  // speed probe (a 328-byte draft read fleet_1000 17 % slower per
+  // reference second at an unchanged raw wall time).  State only
+  // anti-entropy needs lives behind the agent's lazily allocated pointer.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+  EXPECT_EQ(sizeof(ReplicaSyncAgent), 312u);
+#else
+  GTEST_SKIP() << "the size is pinned for x86-64 libstdc++ only";
+#endif
 }
 
 TEST(AntiEntropyTest, DisabledByDefaultKeepsPushOnlyBehavior) {

@@ -491,7 +491,8 @@ TEST(WriteConcernTest, ReSendsGoOnePushPerSilentRankPerHalfTimeout) {
   // silences both followers for every update, so each gets the same
   // pushes.  After the window one push carries every update a rank lacks:
   // every update is acked, none is given up, and the group converges
-  // with anti-entropy off.
+  // with anti-entropy off, and each follower counts every update it
+  // holds as applied.
   HotFileUnderLoss hot;
   ClientSession session = hot.client.session({.origin = 0});
   const std::uint64_t before = hot.pushes_sent();
@@ -519,6 +520,10 @@ TEST(WriteConcernTest, ReSendsGoOnePushPerSilentRankPerHalfTimeout) {
                   ->store()
                   .update_count(),
               static_cast<std::size_t>(HotFileUnderLoss::kPuts))
+        << "rank " << rank;
+    EXPECT_EQ(
+        hot.cluster.sync_agent(HotFileUnderLoss::kFile, rank)->stats().applied,
+        static_cast<std::uint64_t>(HotFileUnderLoss::kPuts))
         << "rank " << rank;
   }
   EXPECT_TRUE(hot.cluster.converged(HotFileUnderLoss::kFile));
