@@ -93,9 +93,8 @@ inline shard::ShardedClusterConfig macro_config(std::uint32_t endpoints,
 }
 
 // ---------------------------------------------------------------------
-// Workload-shape helpers shared by the sharded-cluster benches (the Zipf
-// and arrival-schedule setup read_policies and shard_scalability used to
-// duplicate, now expressed through workload::OpenLoopEngine).
+// Workload-shape helpers shared by the sharded-cluster benches, whose
+// load all comes from workload::OpenLoopEngine.
 // ---------------------------------------------------------------------
 
 /// Scripted full-loss windows: `length` of 100% loss every `every`,
@@ -118,6 +117,20 @@ inline std::vector<workload::RatePhase> steady_rate(double ops_per_sec) {
 /// A constant Zipf skew for the whole run.
 inline std::vector<workload::ZipfPhase> steady_zipf(double s) {
   return {{0, s}};
+}
+
+/// The kv benches' load: one open-loop write tenant over `keys` keys at
+/// `ops_per_sec`, Zipf(`zipf_s`) popularity (0 = uniform).
+inline workload::TenantSpec kv_write_tenant(std::uint32_t keys,
+                                            double ops_per_sec,
+                                            double zipf_s) {
+  workload::TenantSpec writes;
+  writes.name = "kv-writers";
+  writes.keys = keys;
+  writes.read_fraction = 0.0;  // TenantSpec's default is all reads
+  writes.rate = steady_rate(ops_per_sec);
+  writes.zipf = steady_zipf(zipf_s);
+  return writes;
 }
 
 /// Client attach points 0..n-1 (one per endpoint).
@@ -159,7 +172,8 @@ inline double median(std::vector<double> values) {
 }
 
 // ---------------------------------------------------------------------
-// The KvStore macro run that hotpath and obs_overhead both time.
+// The KvStore macro run that hotpath, obs_overhead and shard_scalability
+// all time, and the heal count recovery and membership_churn share.
 // ---------------------------------------------------------------------
 
 struct KvMacroResult {
@@ -167,15 +181,17 @@ struct KvMacroResult {
   std::uint64_t puts_applied = 0;
   std::uint64_t logical_messages = 0;
   std::uint64_t wire_messages = 0;
-  double converged_pct = 0.0;    ///< Over the sampled files.
-  std::uint64_t digest_xor = 0;  ///< XOR of sampled coordinator digests.
+  double batch_factor = 1.0;       ///< Logical messages per envelope.
+  double avg_queue_wait_ms = 0.0;  ///< Mean batching delay per message.
+  double converged_pct = 0.0;      ///< Over the sampled files.
+  std::uint64_t digest_xor = 0;    ///< XOR of sampled coordinator digests.
 };
 
 /// One KvStore macro run on `cfg` (normally macro_config()): files
-/// 1..`files` placed, two Zipf(0.9) clients per endpoint issuing every
-/// 250 ms over four keys per file for `sim_duration`, then 10 s to drain.
-/// Every 7th file is sampled for convergence and its rank-0 digest.
-/// `inspect` sees the cluster last, still on the clock.
+/// 1..`files` placed, one open-loop write tenant at 8 ops/s per endpoint
+/// (Zipf(0.9) over four keys per file) for `sim_duration`, then 10 s to
+/// drain.  Every 7th file is sampled for convergence and its rank-0
+/// digest.  `inspect` sees the cluster last, still on the clock.
 inline KvMacroResult run_kv_macro(
     const shard::ShardedClusterConfig& cfg, std::uint32_t files,
     SimDuration sim_duration,
@@ -184,26 +200,25 @@ inline KvMacroResult run_kv_macro(
   shard::ShardedCluster cluster(cfg);
 
   cluster.place(1, files);
-  apps::KvStoreOptions kv_options;
-  kv_options.buckets = files;
-  kv_options.first_file = 1;
-  apps::KvStore kv(cluster, kv_options);
-  apps::KvWorkloadParams wl;
-  wl.clients = cfg.endpoints * 2;
-  wl.interval = msec(250);
-  wl.duration = sim_duration;
-  wl.keyspace = files * 4;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, cfg.seed ^ 0xBEEF);
-  workload.start();
+  apps::KvStore kv(cluster,
+                   apps::KvStoreOptions{.buckets = files, .first_file = 1});
+  workload::OpenLoopEngine engine(
+      cluster.sim(),
+      workload::EngineOptions{0, sim_duration, cfg.seed ^ 0xBEEF},
+      {kv_write_tenant(files * 4, 8.0 * cfg.endpoints, 0.9)},
+      [&kv](const workload::Op& op) { kv.issue(op); });
+  engine.start();
   cluster.run_for(sim_duration + sec(10));
 
   KvMacroResult r;
   r.puts_applied = kv.puts();
   r.wire_messages = cluster.wire_counters().total_messages();
-  r.logical_messages = cluster.batching() != nullptr
-                           ? cluster.batching()->stats().logical_messages
-                           : r.wire_messages;
+  r.logical_messages = r.wire_messages;
+  if (const net::BatchingTransport* batching = cluster.batching()) {
+    r.logical_messages = batching->stats().logical_messages;
+    r.batch_factor = batching->stats().batch_factor();
+    r.avg_queue_wait_ms = batching->stats().avg_queue_wait_usec() / 1000.0;
+  }
   std::size_t sampled = 0, converged = 0;
   for (FileId f = 1; f <= files; f += 7) {
     ++sampled;
@@ -216,6 +231,27 @@ inline KvMacroResult run_kv_macro(
   if (inspect) inspect(cluster);
   r.wall_ms = ms_since(start);
   return r;
+}
+
+/// Files in 1..`files` whose replica group has not converged.
+inline std::size_t diverged_files(shard::ShardedCluster& cluster,
+                                  std::uint32_t files) {
+  std::size_t diverged = 0;
+  for (FileId f = 1; f <= files; ++f) {
+    if (!cluster.converged(f)) ++diverged;
+  }
+  return diverged;
+}
+
+/// Periods of `period` until no group diverges; -1 if `cap` is not enough.
+inline int periods_to_heal(shard::ShardedCluster& cluster,
+                           std::uint32_t files, SimDuration period,
+                           int cap) {
+  for (int p = 0; p <= cap; ++p) {
+    if (diverged_files(cluster, files) == 0) return p;
+    cluster.run_for(period);
+  }
+  return -1;
 }
 
 }  // namespace idea::bench

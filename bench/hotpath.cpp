@@ -62,6 +62,9 @@ constexpr double kBaselineSimEvents = 14.1e6;
 constexpr double kBaselineTransportMsgs = 0.88e6;
 constexpr double kBaselineBatchedTransportMsgs = 0.57e6;
 constexpr double kBaselineVvMerges = 3.32e6;
+// The macro's baseline ran the old fixed-tick load (two scripted clients
+// per endpoint, one op each per 250 ms), not the open-loop tenant at the
+// same aggregate rate that run_kv_macro now drives.
 constexpr double kBaselineMacroMsgsPerWallSec = 0.43e6;
 
 // The replica_store section before the store kept a per-writer meta fold

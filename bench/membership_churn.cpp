@@ -2,7 +2,8 @@
 /// \brief Cost and recovery profile of elastic membership + anti-entropy.
 ///
 /// Three experiments on one deployment (default 16 endpoints, 800 files,
-/// k=3, a kv workload that writes until the experiment's event):
+/// k=3, a kv write tenant at 8 ops/s per endpoint until the experiment's
+/// event):
 ///
 ///  1. Join: add an endpoint at 4 s; report how many files the ring delta
 ///     predicted would move vs how many actually migrated, the state
@@ -49,7 +50,7 @@ constexpr int kHealBound = 2 * (kReplication - 1) + 2;
 struct Deployment {
   std::unique_ptr<shard::ShardedCluster> cluster;
   std::unique_ptr<apps::KvStore> kv;
-  std::unique_ptr<apps::KvWorkload> workload;
+  std::unique_ptr<workload::OpenLoopEngine> load;
 };
 
 /// A deployment whose workload writes from 0 until `writes_until`.
@@ -67,34 +68,14 @@ Deployment stand_up(const Setup& s, SimTime writes_until) {
   d.kv = std::make_unique<apps::KvStore>(
       *d.cluster,
       apps::KvStoreOptions{.buckets = s.files, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 2 * s.endpoints;
-  wl.interval = msec(250);
-  wl.duration = writes_until;
-  wl.keyspace = 4 * s.files;
-  d.workload = std::make_unique<apps::KvWorkload>(*d.kv, d.cluster->sim(),
-                                                  wl, s.seed ^ 0xBEEF);
-  d.workload->start();
+  d.load = std::make_unique<workload::OpenLoopEngine>(
+      d.cluster->sim(),
+      workload::EngineOptions{0, writes_until, s.seed ^ 0xBEEF},
+      std::vector<workload::TenantSpec>{
+          kv_write_tenant(4 * s.files, 8.0 * s.endpoints, 0.0)},
+      [&kv = *d.kv](const workload::Op& op) { kv.issue(op); });
+  d.load->start();
   return d;
-}
-
-std::size_t diverged_files(shard::ShardedCluster& cluster,
-                           std::uint32_t files) {
-  std::size_t diverged = 0;
-  for (FileId f = 1; f <= files; ++f) {
-    if (!cluster.converged(f)) ++diverged;
-  }
-  return diverged;
-}
-
-/// Periods of `period` until no group diverges; -1 if `cap` is not enough.
-int periods_to_heal(shard::ShardedCluster& cluster, std::uint32_t files,
-                    SimDuration period, int cap) {
-  for (int p = 0; p <= cap; ++p) {
-    if (diverged_files(cluster, files) == 0) return p;
-    cluster.run_for(period);
-  }
-  return -1;
 }
 
 void report_change(const char* label, const shard::MembershipChange& change,

@@ -3,12 +3,13 @@
 ///        the trade-off the crash-stop fault model exposes.
 ///
 /// One deployment per cell, same seed and workload: a live kv write
-/// stream, one endpoint crash-stopped mid-workload and restarted two
-/// seconds later.  Each cell reports what durability cost (checkpoint
-/// records/updates/bytes written over the run) bought at recovery time:
-/// how much state came back from the durable image vs how much had to be
-/// re-streamed over anti-entropy (the checkpoint→crash gap), and how many
-/// repair messages the healing took cluster-wide.
+/// stream (one open-loop tenant at 8 ops/s per endpoint), one endpoint
+/// crash-stopped mid-workload and restarted two seconds later.  Each cell
+/// reports what durability cost (checkpoint records/updates/bytes written
+/// over the run) bought at recovery time: how much state came back from
+/// the durable image vs how much had to be re-streamed over anti-entropy
+/// (the checkpoint→crash gap), and how many repair messages the healing
+/// took cluster-wide.
 ///
 /// The no-checkpoint baseline (`none`) pays nothing up front and
 /// re-streams the whole log; the `incremental` cells checkpoint every
@@ -79,13 +80,11 @@ Cell run_cell(const Setup& s, replica::CheckpointEngineKind engine,
   cluster->place(1, s.files);
   apps::KvStore kv(*cluster,
                    apps::KvStoreOptions{.buckets = s.files, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 2 * s.endpoints;
-  wl.interval = msec(250);
-  wl.duration = sec(10);
-  wl.keyspace = 4 * s.files;
-  apps::KvWorkload workload(kv, cluster->sim(), wl, s.seed ^ 0xBEEF);
-  workload.start();
+  workload::OpenLoopEngine load(
+      cluster->sim(), workload::EngineOptions{0, sec(10), s.seed ^ 0xBEEF},
+      {kv_write_tenant(4 * s.files, 8.0 * s.endpoints, 0.0)},
+      [&kv](const workload::Op& op) { kv.issue(op); });
+  load.start();
 
   // Crash at 7.3 s — deliberately NOT a multiple of the intervals, so
   // each interval leaves a different-sized checkpoint→crash gap — and
@@ -119,17 +118,7 @@ Cell run_cell(const Setup& s, replica::CheckpointEngineKind engine,
   cell.downtime_ms = static_cast<std::int64_t>(rec.downtime / 1000);
 
   // Heal: anti-entropy periods until every group is whole again.
-  for (int p = 0; p <= 40; ++p) {
-    std::size_t diverged = 0;
-    for (FileId f = 1; f <= s.files; ++f) {
-      if (!cluster->converged(f)) ++diverged;
-    }
-    if (diverged == 0) {
-      cell.heal_periods = p;
-      break;
-    }
-    cluster->run_for(kAePeriod);
-  }
+  cell.heal_periods = periods_to_heal(*cluster, s.files, kAePeriod, 40);
   cell.repair_msgs = cluster->edge().counters().messages_of("shard.repair") -
                      repair_msgs_before;
   std::uint64_t repair_updates = 0;

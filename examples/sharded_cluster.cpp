@@ -4,11 +4,12 @@
 /// Stands up a sharded deployment — 8 endpoints behind a batching
 /// transport, each an IdeaService that hands every inbound message to the
 /// replica its file's group record names — places 200 tenant files on
-/// the consistent-hash ring, drives a key-value workload through a client
-/// session, and shows the three things the layer buys: balanced
-/// placement, replica-group convergence through the stock IDEA
+/// the consistent-hash ring, drives an open-loop key-value write load
+/// through a client session, and shows the three things the layer buys:
+/// balanced placement, replica-group convergence through the stock IDEA
 /// protocols, and batched fan-out.  (See client_sessions.cpp for the
-/// consistency-level tour.)
+/// consistency-level tour.)  Exits non-zero unless every group converged
+/// and the demo key reads back.
 ///
 ///   $ ./sharded_cluster
 
@@ -17,6 +18,7 @@
 #include "apps/kvstore.hpp"
 #include "client/session.hpp"
 #include "shard/sharded_cluster.hpp"
+#include "workload/engine.hpp"
 
 using namespace idea;
 using namespace idea::shard;
@@ -45,19 +47,21 @@ int main() {
   // --- 3. A key-value workload writes through its client session. ---------
   apps::KvStore kv(cluster, apps::KvStoreOptions{.buckets = 200,
                                                  .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 8;
-  wl.interval = msec(250);
-  wl.duration = sec(20);
-  wl.keyspace = 1000;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, /*seed=*/7);
-  workload.start();
+  workload::TenantSpec writes;
+  writes.name = "kv-writers";
+  writes.keys = 1000;
+  writes.read_fraction = 0.0;  // the default, 1.0, is all reads
+  writes.rate = {{0, 32.0}};   // ops per simulated second
+  writes.zipf = {{0, 0.9}};    // skewed key popularity
+  workload::OpenLoopEngine load(
+      cluster.sim(), workload::EngineOptions{0, sec(20), /*seed=*/7},
+      {writes}, [&kv](const workload::Op& op) { kv.issue(op); });
+  load.start();
   cluster.run_for(sec(40));  // run, then settle
 
   std::printf("\nworkload: %llu ops attempted, %llu puts applied, "
               "%llu not applied\n",
-              static_cast<unsigned long long>(workload.attempted()),
+              static_cast<unsigned long long>(load.total_ops()),
               static_cast<unsigned long long>(kv.puts()),
               static_cast<unsigned long long>(kv.blocked_puts()));
 
@@ -74,6 +78,7 @@ int main() {
   }
   std::printf("converged replica groups: %zu / %zu\n", converged,
               tenants.size());
+  const bool ok = converged == tenants.size() && value.has_value();
 
   // --- 5. What batching did to the fan-out. --------------------------------
   if (const net::BatchingTransport* batching = cluster.batching()) {
@@ -96,5 +101,10 @@ int main() {
               node_name(3).c_str(), 100.0 * stats.moved_fraction(),
               100.0 * stats.group_changed_fraction(),
               100.0 / cfg.endpoints);
+  if (!ok) {
+    std::fprintf(stderr, "check failed: every group must converge and "
+                         "get(\"demo-key\") must hit\n");
+    return 1;
+  }
   return 0;
 }

@@ -3,9 +3,9 @@
 /// \brief Deterministic open-loop workload engine: seeded arrival schedules
 ///        on the sim clock, with phase-scheduled adversarial shape changes.
 ///
-/// The KvWorkload-style closed-loop clients the benches grew up on issue
-/// one op per fixed tick — fine for steady state, useless for the
-/// scenarios ROADMAP item 4 needs to stress the adaptive controller:
+/// It is the sharded system's one load generator: every bench, golden and
+/// example that drives a ShardedCluster makes its load here.  Its phase
+/// schedules express the shapes that stress the adaptive controller:
 ///
 ///  * flash crowds       — a scheduled jump in a tenant's Zipf exponent
 ///                         (suddenly everyone reads the same few keys);

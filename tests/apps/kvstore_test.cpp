@@ -4,8 +4,22 @@
 
 #include <set>
 
+#include "workload/engine.hpp"
+
 namespace idea::apps {
 namespace {
+
+/// A write tenant over `keys` keys at `ops_per_sec`, Zipf(`zipf_s`).
+workload::TenantSpec writes(std::uint32_t keys, double ops_per_sec,
+                            double zipf_s) {
+  workload::TenantSpec spec;
+  spec.name = "kv-writers";
+  spec.keys = keys;
+  spec.read_fraction = 0.0;
+  spec.rate = {{0, ops_per_sec}};
+  spec.zipf = {{0, zipf_s}};
+  return spec;
+}
 
 shard::ShardedClusterConfig kv_cluster_config() {
   shard::ShardedClusterConfig cfg;
@@ -64,24 +78,40 @@ TEST(KvStoreTest, KeysSpreadOverBucketsAndEndpoints) {
   EXPECT_GT(coordinators.size(), 3u);
 }
 
+TEST(KvStoreTest, IssueNamesTheKeyByRankAndTheValueByIndex) {
+  shard::ShardedCluster cluster(kv_cluster_config());
+  KvStore kv(cluster, KvStoreOptions{.buckets = 16, .first_file = 1});
+
+  workload::Op op;
+  op.is_read = false;
+  op.key = 42;
+  op.index = 7;
+  kv.issue(op);
+  cluster.run_for(sec(1));
+  EXPECT_EQ(kv.puts(), 1u);
+  EXPECT_EQ(kv.get("k000042"), std::optional<std::string>("op7"));
+
+  op.is_read = true;
+  kv.issue(op);
+  EXPECT_EQ(kv.puts(), 1u);
+  EXPECT_EQ(kv.gets(), 2u);
+  EXPECT_EQ(kv.hits(), 2u);
+}
+
 TEST(KvStoreTest, WorkloadDrivesThroughputAndConverges) {
   shard::ShardedCluster cluster(kv_cluster_config());
   KvStore kv(cluster, KvStoreOptions{.buckets = 32, .first_file = 1});
   cluster.place(1, 32);
 
-  KvWorkloadParams params;
-  params.clients = 6;
-  params.interval = msec(400);
-  params.duration = sec(10);
-  params.keyspace = 128;
-  params.zipf_s = 0.9;
-  KvWorkload workload(kv, cluster.sim(), params, 99);
-  workload.start();
+  workload::OpenLoopEngine engine(
+      cluster.sim(), workload::EngineOptions{0, sec(10), 99},
+      {writes(128, 15.0, 0.9)},
+      [&kv](const workload::Op& op) { kv.issue(op); });
+  engine.start();
   cluster.run_for(sec(30));  // run + settle
 
-  EXPECT_GT(workload.attempted(), 100u);
-  EXPECT_EQ(kv.puts() + kv.blocked_puts(),
-            workload.attempted() - kv.gets());
+  EXPECT_GT(engine.total_ops(), 100u);
+  EXPECT_EQ(kv.puts() + kv.blocked_puts(), engine.total_ops() - kv.gets());
   std::size_t converged = 0;
   for (FileId f = 1; f <= 32; ++f) {
     if (cluster.converged(f)) ++converged;
@@ -95,19 +125,16 @@ TEST(KvStoreTest, ZipfSkewsBucketLoad) {
   shard::ShardedCluster cluster(kv_cluster_config());
   KvStore kv(cluster, KvStoreOptions{.buckets = 256, .first_file = 1});
 
-  KvWorkloadParams params;
-  params.clients = 4;
-  params.interval = msec(100);
-  params.duration = sec(20);
-  params.keyspace = 2048;
-  params.zipf_s = 1.2;
-  KvWorkload workload(kv, cluster.sim(), params, 7);
-  workload.start();
+  workload::OpenLoopEngine engine(
+      cluster.sim(), workload::EngineOptions{0, sec(20), 7},
+      {writes(2048, 40.0, 1.2)},
+      [&kv](const workload::Op& op) { kv.issue(op); });
+  engine.start();
   cluster.run_for(sec(21));
 
   // Heavy skew: far fewer buckets touched than ops issued.
-  EXPECT_GT(workload.attempted(), 200u);
-  EXPECT_LT(cluster.placed_files(), workload.attempted() / 2);
+  EXPECT_GT(engine.total_ops(), 200u);
+  EXPECT_LT(cluster.placed_files(), engine.total_ops() / 2);
 }
 
 }  // namespace

@@ -29,7 +29,12 @@
 /// matches as current after the restart's imports, and a push-back whose
 /// counts equal the receiver's began to match the pair: the restarted
 /// ranks no longer run a round of their own, so fewer digests and repairs
-/// (the digest held).
+/// (the digest held).  The plain, churn and crash replays were re-captured
+/// once more when their load moved from fixed-tick scripted clients to one
+/// open-loop workload::OpenLoopEngine write tenant at the same aggregate
+/// rate (tests/shard/replays.hpp): a Poisson schedule issues other ops, so
+/// every put count, content digest and total message count moved (the
+/// churn replay's 320 digests held), and every file still converges.
 
 #include <gtest/gtest.h>
 
@@ -39,140 +44,43 @@
 #include <vector>
 
 #include "adapt/controller.hpp"
-#include "apps/kvstore.hpp"
 #include "client/session.hpp"
+#include "replays.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "workload/engine.hpp"
 
 namespace idea::shard {
 namespace {
 
-struct ReplayResult {
-  std::uint64_t puts = 0;
-  std::size_t converged = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t logical_messages = 0;
-  std::uint64_t wire_messages = 0;
-  std::map<std::string, std::uint64_t> per_type;
-};
-
-ReplayResult replay(std::uint64_t seed) {
-  constexpr std::uint32_t kFiles = 120;
-  ShardedClusterConfig cfg;
-  cfg.endpoints = 8;
-  cfg.replication = 3;
-  cfg.batching = true;
-  cfg.seed = seed;
-  cfg.sync_sizes();
-  ShardedCluster cluster(cfg);
-  cluster.place(1, kFiles);
-
-  apps::KvStore kv(cluster,
-                   apps::KvStoreOptions{.buckets = kFiles, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 16;
-  wl.interval = msec(250);
-  wl.duration = sec(6);
-  wl.keyspace = 480;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, seed ^ 0xBEEF);
-  workload.start();
-  cluster.run_for(sec(6) + sec(10));
-
-  ReplayResult r;
-  r.puts = kv.puts();
-  for (FileId f = 1; f <= kFiles; ++f) {
-    if (cluster.converged(f)) ++r.converged;
-    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
-    if (coord != nullptr) {
-      r.digest ^= coord->store().content_digest() * (f * 2654435761ull);
-    }
-  }
-  r.logical_messages = cluster.batching()->stats().logical_messages;
-  r.wire_messages = cluster.wire_counters().total_messages();
-  r.per_type = cluster.batching()->counters().by_type();
-  return r;
-}
+using replays::ReplayResult;
+using replays::replay;
+using replays::replay_churn;
+using replays::replay_crash;
 
 using Golden = std::map<std::string, std::uint64_t>;
 
 TEST(ShardedClusterDeterminism, Seed2007MatchesPreRefactorRun) {
   const ReplayResult r = replay(2007);
-  EXPECT_EQ(r.puts, 387u);
+  EXPECT_EQ(r.puts, 362u);
   EXPECT_EQ(r.converged, 120u);
-  EXPECT_EQ(r.digest, 0xd4cf90538821fb05ull);
+  EXPECT_EQ(r.digest, 3378101499864864736ull);
   // A rank runs no detection, gossip or RanSub: the pushes are the
   // whole traffic, and each goes out alone.
-  EXPECT_EQ(r.logical_messages, 774u);
-  EXPECT_EQ(r.wire_messages, 774u);
-  const Golden expected{{"shard.replicate", 774}};
+  EXPECT_EQ(r.logical_messages, 724u);
+  EXPECT_EQ(r.wire_messages, 724u);
+  const Golden expected{{"shard.replicate", 724}};
   EXPECT_EQ(r.per_type, expected);
 }
 
 TEST(ShardedClusterDeterminism, Seed555MatchesPreRefactorRun) {
   const ReplayResult r = replay(555);
-  EXPECT_EQ(r.puts, 390u);
+  EXPECT_EQ(r.puts, 370u);
   EXPECT_EQ(r.converged, 120u);
-  EXPECT_EQ(r.digest, 0xb8bd153ba9842aa6ull);
-  EXPECT_EQ(r.logical_messages, 780u);
-  EXPECT_EQ(r.wire_messages, 780u);
-  const Golden expected{{"shard.replicate", 780}};
+  EXPECT_EQ(r.digest, 16329914551967047446ull);
+  EXPECT_EQ(r.logical_messages, 740u);
+  EXPECT_EQ(r.wire_messages, 740u);
+  const Golden expected{{"shard.replicate", 740}};
   EXPECT_EQ(r.per_type, expected);
-}
-
-/// Same shape as replay(), but elastic: anti-entropy runs from the start,
-/// one endpoint joins at t=2.5s and another leaves at t=4.5s, mid-workload.
-/// Pins the whole membership machinery — migration order, state streaming,
-/// new-epoch replica construction, digest/repair rounds — to a fixed-seed
-/// outcome.
-ReplayResult replay_churn(std::uint64_t seed) {
-  constexpr std::uint32_t kFiles = 60;
-  ShardedClusterConfig cfg;
-  cfg.endpoints = 6;
-  cfg.replication = 3;
-  cfg.batching = true;
-  cfg.seed = seed;
-  cfg.sync_sizes();
-  cfg.anti_entropy_period = sec(1);
-  ShardedCluster cluster(cfg);
-  cluster.place(1, kFiles);
-
-  apps::KvStore kv(cluster,
-                   apps::KvStoreOptions{.buckets = kFiles, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 8;
-  wl.interval = msec(250);
-  wl.duration = sec(6);
-  wl.keyspace = 240;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, seed ^ 0xBEEF);
-  workload.start();
-
-  cluster.run_until(sec(2) + msec(500));
-  const MembershipChange joined = cluster.add_endpoint();
-  cluster.run_until(sec(4) + msec(500));
-  const MembershipChange left = cluster.remove_endpoint(2);
-  cluster.run_until(sec(6) + sec(10));
-
-  ReplayResult r;
-  r.puts = kv.puts();
-  for (FileId f = 1; f <= kFiles; ++f) {
-    if (cluster.converged(f)) ++r.converged;
-    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
-    if (coord != nullptr) {
-      r.digest ^= coord->store().content_digest() * (f * 2654435761ull);
-    }
-  }
-  // Fold the membership reports in so a change to migration accounting
-  // shows up even if the replica contents happen to survive it.
-  r.digest ^= mix64(0x10 + joined.files_migrated) ^
-              mix64(0x20 + joined.state_updates) ^
-              mix64(0x30 + left.files_migrated) ^
-              mix64(0x40 + left.state_updates);
-  r.logical_messages = cluster.batching()->stats().logical_messages;
-  r.wire_messages = cluster.wire_counters().total_messages();
-  r.per_type = cluster.batching()->counters().by_type();
-  return r;
 }
 
 TEST(ShardedClusterDeterminism, ChurnReplayIsInternallyReproducible) {
@@ -191,76 +99,16 @@ TEST(ShardedClusterDeterminism, ChurnSeed2007MatchesCapturedRun) {
   // divergence means the join/leave/anti-entropy machinery changed
   // behavior; if intentional, re-capture and say so in the PR.
   const ReplayResult r = replay_churn(2007);
-  EXPECT_EQ(r.puts, 188u);
+  EXPECT_EQ(r.puts, 179u);
   EXPECT_EQ(r.converged, 60u);
-  EXPECT_EQ(r.digest, 2514054996571215718ull);
-  EXPECT_EQ(r.logical_messages, 1092u);
-  EXPECT_EQ(r.wire_messages, 767u);
+  EXPECT_EQ(r.digest, 525567173011186477ull);
+  EXPECT_EQ(r.logical_messages, 1082u);
+  EXPECT_EQ(r.wire_messages, 763u);
   const Golden expected{
-      {"shard.digest", 320},  {"shard.migrate", 76},
-      {"shard.repair", 320},  {"shard.replicate", 376},
+      {"shard.digest", 320},  {"shard.migrate", 80},
+      {"shard.repair", 324},  {"shard.replicate", 358},
   };
   EXPECT_EQ(r.per_type, expected);
-}
-
-/// Crash-stop variant: anti-entropy and periodic incremental checkpoints
-/// run from the start; one endpoint crashes at t=2.5s (all volatile state
-/// and in-flight traffic lost) and restarts at t=4.5s, recovering from its
-/// durable checkpoint plus anti-entropy.  Pins the entire fault pipeline —
-/// crash teardown order, checkpoint contents, restart reconciliation,
-/// gap-healing digest/repair rounds — to a fixed-seed outcome.
-ReplayResult replay_crash(std::uint64_t seed) {
-  constexpr std::uint32_t kFiles = 60;
-  ShardedClusterConfig cfg;
-  cfg.endpoints = 6;
-  cfg.replication = 3;
-  cfg.batching = true;
-  cfg.seed = seed;
-  cfg.sync_sizes();
-  cfg.anti_entropy_period = sec(1);
-  cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
-  cfg.checkpoint.period = sec(1);
-  ShardedCluster cluster(cfg);
-  cluster.place(1, kFiles);
-
-  apps::KvStore kv(cluster,
-                   apps::KvStoreOptions{.buckets = kFiles, .first_file = 1});
-  apps::KvWorkloadParams wl;
-  wl.clients = 8;
-  wl.interval = msec(250);
-  wl.duration = sec(6);
-  wl.keyspace = 240;
-  wl.zipf_s = 0.9;
-  apps::KvWorkload workload(kv, cluster.sim(), wl, seed ^ 0xBEEF);
-  workload.start();
-
-  cluster.run_until(sec(2) + msec(500));
-  const CrashReport crash = cluster.crash_endpoint(2);
-  cluster.run_until(sec(4) + msec(500));
-  const RecoveryReport recovery = cluster.restart_endpoint(2);
-  cluster.run_until(sec(6) + sec(10));
-
-  ReplayResult r;
-  r.puts = kv.puts();
-  for (FileId f = 1; f <= kFiles; ++f) {
-    if (cluster.converged(f)) ++r.converged;
-    core::IdeaNode* coord = cluster.replica_at_rank(f, 0);
-    if (coord != nullptr) {
-      r.digest ^= coord->store().content_digest() * (f * 2654435761ull);
-    }
-  }
-  // Fold the fault reports in so a change to crash accounting or recovery
-  // sourcing shows up even if the replica contents happen to survive it.
-  r.digest ^= mix64(0x50 + crash.groups_affected) ^
-              mix64(0x60 + crash.volatile_updates_lost) ^
-              mix64(0x70 + recovery.checkpoint_updates) ^
-              mix64(0x80 + recovery.reconciled_updates) ^
-              mix64(0x90 + recovery.gap_updates) ^
-              mix64(0xA0 + recovery.files_recovered);
-  r.logical_messages = cluster.batching()->stats().logical_messages;
-  r.wire_messages = cluster.wire_counters().total_messages();
-  r.per_type = cluster.batching()->counters().by_type();
-  return r;
 }
 
 TEST(ShardedClusterDeterminism, CrashReplayIsInternallyReproducible) {
@@ -279,24 +127,24 @@ TEST(ShardedClusterDeterminism, CrashSeed2007MatchesCapturedRun) {
   // divergence means crash teardown, checkpointing or recovery changed
   // behavior; if intentional, re-capture and say so in the PR.
   const ReplayResult r = replay_crash(2007);
-  EXPECT_EQ(r.puts, 188u);
+  EXPECT_EQ(r.puts, 179u);
   EXPECT_EQ(r.converged, 60u);  // crash+restart heals every file
-  // One w = 1 put (file 34, the crashed coordinator's seq 3, applied
-  // 22.6 ms before the crash) races the crash.  Every wire message draws
-  // its delay from one shared jitter stream, so a change in the message
-  // count before the crash can decide that race either way and move this
-  // digest.  Here a survivor holds the put at the crash, so the restart
-  // reconciles two own-writer updates; when both of its pushes were
-  // still in flight, crash-stop lost it and the restart reconciled one.
-  EXPECT_EQ(r.digest, 11736777187537417876ull);
-  EXPECT_EQ(r.logical_messages, 955u);
-  EXPECT_EQ(r.wire_messages, 636u);
+  // No push races the crash here: the crashed coordinator's last put
+  // (file 10, 36.6 ms before the crash) has reached both followers, so
+  // the restart reconciles all six own-writer updates written since the
+  // last checkpoint.  Every wire message draws its delay from one shared
+  // jitter stream, so a change in the message count before the crash can
+  // leave such a push in flight, lose the put with the crash, and move
+  // this digest.
+  EXPECT_EQ(r.digest, 3884382930934112275ull);
+  EXPECT_EQ(r.logical_messages, 949u);
+  EXPECT_EQ(r.wire_messages, 629u);
   // No shard.migrate: restart recovery streams deltas over digest/repair,
   // never the membership-migration path.
   const Golden expected{
-      {"shard.digest", 272},
-      {"shard.repair", 307},
-      {"shard.replicate", 376},
+      {"shard.digest", 277},
+      {"shard.repair", 314},
+      {"shard.replicate", 358},
   };
   EXPECT_EQ(r.per_type, expected);
 }
