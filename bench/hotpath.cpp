@@ -1,11 +1,12 @@
 /// \file hotpath.cpp
 /// \brief Hot-path throughput trajectory: simulator kernel, transport
-///        send->deliver, version-vector merges, and the sharded macro run.
+///        send->deliver, version-vector merges, the sharded macro run, and
+///        placement.
 ///
 /// Every future PR is measured against this bench: it emits
 /// BENCH_hotpath.json so the perf trajectory accumulates per PR (the CI
 /// Release job uploads the file as an artifact; a --smoke run writes a
-/// JSON only where --json names one).  Five sections:
+/// JSON only where --json names one).  Six sections:
 ///
 ///   1. sim_events  — schedule/cancel/periodic churn through the Simulator.
 ///   2. transport   — SimTransport message storm with realistic EVV payloads
@@ -22,6 +23,10 @@
 ///                    messages per wall-clock second plus the per-type
 ///                    message counts and replica digest used by the
 ///                    determinism regression test.
+///   6. placement   — building the ring a 125- and a 1000-endpoint
+///                    deployment start with, and replicas(f, 3) lookups
+///                    over a 10,000-file keyset.  It runs last, so the
+///                    memory its rings free cannot shape the macro's heap.
 ///
 ///   $ ./hotpath [--smoke] [--json BENCH_hotpath.json]
 ///               [--endpoints 32] [--files 2000] [--sim-secs 10]
@@ -42,6 +47,7 @@
 #include "net/batching_transport.hpp"
 #include "net/sim_transport.hpp"
 #include "replica/store.hpp"
+#include "shard/hash_ring.hpp"
 #include "shard/sharded_cluster.hpp"
 #include "sim/latency.hpp"
 #include "sim/simulator.hpp"
@@ -62,10 +68,6 @@ constexpr double kBaselineSimEvents = 14.1e6;
 constexpr double kBaselineTransportMsgs = 0.88e6;
 constexpr double kBaselineBatchedTransportMsgs = 0.57e6;
 constexpr double kBaselineVvMerges = 3.32e6;
-// The macro's baseline ran the old fixed-tick load (two scripted clients
-// per endpoint, one op each per 250 ms), not the open-loop tenant at the
-// same aggregate rate that run_kv_macro now drives.
-constexpr double kBaselineMacroMsgsPerWallSec = 0.43e6;
 
 // The replica_store section before the store kept a per-writer meta fold
 // and a canonical-order index (every apply re-walked the whole log):
@@ -316,8 +318,8 @@ replica::Update history_update(std::uint64_t i, bool round_robin) {
   } else {
     key = replica::UpdateKey{0, i - 2 * kFailover + 1};
   }
-  return replica::Update{key, 1, msec(static_cast<std::int64_t>(i)), "x",
-                         1.0, false};
+  return replica::Update{key, msec(static_cast<std::int64_t>(i)), "x", 1.0,
+                         1, false};
 }
 
 /// The first `log_size` updates of the history, plus `per_store` ops
@@ -436,6 +438,52 @@ MacroResult bench_macro(std::uint32_t endpoints, std::uint32_t files,
   return r;
 }
 
+// ---------------------------------------------------------------------------
+// 6. Placement: the ring a deployment builds when it starts, then the
+//    replica-group lookup every file placement and migration makes.
+// ---------------------------------------------------------------------------
+struct PlacementResult {
+  std::uint32_t endpoints = 0;
+  std::uint64_t builds = 0;
+  double build_ms = 0.0;  ///< Median wall time of one build.
+  std::uint64_t lookups = 0;
+  double lookups_per_sec = 0.0;
+};
+
+PlacementResult bench_placement(std::uint32_t endpoints,
+                                std::uint64_t builds,
+                                std::uint64_t min_lookups) {
+  constexpr FileId kFiles = 10'000;
+  PlacementResult r;
+  r.endpoints = endpoints;
+  r.builds = builds;
+  std::uint64_t checksum = 0;
+  std::vector<double> build_ms;
+  for (std::uint64_t i = 0; i < builds; ++i) {
+    const auto start = WallClock::now();
+    const shard::HashRing ring(endpoints);
+    build_ms.push_back(ms_since(start));
+    checksum += ring.point_count();
+  }
+  std::sort(build_ms.begin(), build_ms.end());
+  r.build_ms = build_ms[build_ms.size() / 2];
+
+  const shard::HashRing ring(endpoints);
+  const auto start = WallClock::now();
+  while (r.lookups < min_lookups) {
+    for (FileId f = 1; f <= kFiles; ++f) {
+      checksum += ring.replicas(f, 3).back();
+    }
+    r.lookups += kFiles;
+  }
+  r.lookups_per_sec = static_cast<double>(r.lookups) / secs_since(start);
+  std::printf("placement: %u endpoints, build %.3f ms (median of %" PRIu64
+              "), replicas(f, 3) %.2fM lookups/s (checksum %" PRIu64 ")\n",
+              endpoints, r.build_ms, builds, r.lookups_per_sec / 1e6,
+              checksum);
+  return r;
+}
+
 double speedup_vs(double now, double baseline) {
   return baseline > 0.0 ? now / baseline : 0.0;
 }
@@ -445,7 +493,8 @@ void write_json(const std::string& path, bool smoke,
                 const TransportResult& trb, const VvResult& vvr,
                 const std::vector<StoreResult>& store,  // see main()
                 const std::vector<StoreResult>& read_after_write,
-                const MacroResult& mc) {
+                const MacroResult& mc,
+                const std::vector<PlacementResult>& placement) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -485,7 +534,16 @@ void write_json(const std::string& path, bool smoke,
   std::fprintf(f, "      \"converged_pct\": %.1f,\n", mc.run.converged_pct);
   std::fprintf(f, "      \"content_digest_xor\": \"%016" PRIx64 "\"\n",
                mc.run.digest_xor);
-  std::fprintf(f, "    }\n");
+  std::fprintf(f, "    },\n");
+  std::fprintf(f, "    \"placement\": {");
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    const PlacementResult& p = placement[i];
+    std::fprintf(f, "%s\"endpoints_%u\": {\"builds\": %" PRIu64
+                 ", \"build_ms\": %.3f, \"replicas_lookups_per_sec\": %.0f}",
+                 i == 0 ? "" : ", ", p.endpoints, p.builds, p.build_ms,
+                 p.lookups_per_sec);
+  }
+  std::fprintf(f, "}\n");
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"baseline_pre_refactor\": {\n");
   std::fprintf(f, "    \"sim_events_per_sec\": %.0f,\n", kBaselineSimEvents);
@@ -493,9 +551,7 @@ void write_json(const std::string& path, bool smoke,
                kBaselineTransportMsgs);
   std::fprintf(f, "    \"batched_transport_msgs_per_sec\": %.0f,\n",
                kBaselineBatchedTransportMsgs);
-  std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f,\n", kBaselineVvMerges);
-  std::fprintf(f, "    \"macro_msgs_per_wall_sec\": %.0f\n",
-               kBaselineMacroMsgsPerWallSec);
+  std::fprintf(f, "    \"vv_merge_ops_per_sec\": %.0f\n", kBaselineVvMerges);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"replica_store_before_fold\": {"
                "\"coordinator\": {\"log_100\": %.0f, \"log_5000\": %.0f}, "
@@ -524,11 +580,9 @@ void write_json(const std::string& path, bool smoke,
                speedup_vs(store[3].ops_per_sec, kBeforeFoldRoundRobinLog5000));
   std::fprintf(f, "    \"replica_read_after_write_log_100\": %.2f,\n",
                speedup_vs(read_after_write[0].ops_per_sec, kBeforeViewLog100));
-  std::fprintf(f, "    \"replica_read_after_write_log_5000\": %.2f,\n",
+  std::fprintf(f, "    \"replica_read_after_write_log_5000\": %.2f\n",
                speedup_vs(read_after_write[1].ops_per_sec,
                           kBeforeViewLog5000));
-  std::fprintf(f, "    \"macro\": %.2f\n",
-               speedup_vs(mc.msgs_per_wall_sec, kBaselineMacroMsgsPerWallSec));
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -547,7 +601,7 @@ int main(int argc, char** argv) {
 
   print_header(
       "Hot path: kernel, transport, version vectors, replica store, macro "
-      "run");
+      "run, placement");
 
   const std::uint64_t n_events = smoke ? 200'000 : 2'000'000;
   const std::uint64_t n_flows = smoke ? 2'000 : 20'000;
@@ -576,10 +630,16 @@ int main(int argc, char** argv) {
       bench_read_after_write(100, smoke ? 20'000 : 200'000),
       bench_read_after_write(5000, smoke ? 2'000 : 20'000)};
   const MacroResult mc = bench_macro(endpoints, files, sim_secs, seed);
+  std::vector<PlacementResult> placement;
+  for (const std::uint32_t ring_endpoints : {125u, 1000u}) {
+    placement.push_back(bench_placement(ring_endpoints, smoke ? 5 : 41,
+                                        smoke ? 200'000 : 2'000'000));
+  }
 
   const std::string json = json_out(flags, smoke, "BENCH_hotpath.json");
   if (!json.empty()) {
-    write_json(json, smoke, se, tr, trb, vvr, store, read_after_write, mc);
+    write_json(json, smoke, se, tr, trb, vvr, store, read_after_write, mc,
+               placement);
   }
   return 0;
 }

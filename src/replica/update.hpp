@@ -34,10 +34,10 @@ struct UpdateKeyHash {
 
 struct Update {
   UpdateKey key;
-  FileId file = 0;
   SimTime stamp = 0;        ///< Writer-local timestamp of the write.
   std::string content;      ///< Opaque application payload.
   double meta_delta = 0.0;  ///< Contribution to the critical meta value.
+  FileId file = 0;
   bool invalidated = false; ///< Set by the invalidate-both policy.
 
   /// Estimated serialized size for message accounting.
@@ -47,6 +47,10 @@ struct Update {
 
   friend bool operator==(const Update&, const Update&) = default;
 };
+// Every replica logs every update it holds, so the member order is kept
+// for the layout: `file` and `invalidated` share the word after
+// `meta_delta`; placed apart, each would pad a word of its own.
+static_assert(sizeof(Update) <= 72, "an Update pads to a wider layout");
 
 /// Canonical display order: by stamp, ties by writer then seq.  All replicas
 /// holding the same update set render the same sequence, which is what the

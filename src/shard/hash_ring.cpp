@@ -29,30 +29,48 @@ std::uint64_t key_hash(FileId file) {
 
 }  // namespace
 
+HashRing::HashRing(std::uint32_t endpoints) {
+  ring_.reserve(std::size_t{endpoints} * kVnodesPerNode);
+  for (NodeId n = 0; n < endpoints; ++n) append_node(n, 0);
+  place_points(0);
+}
+
 void HashRing::add_node(NodeId node, std::uint32_t incarnation) {
-  if (!nodes_.insert(node).second) return;
+  const std::size_t first_new = ring_.size();
+  if (append_node(node, incarnation)) place_points(first_new);
+}
+
+bool HashRing::append_node(NodeId node, std::uint32_t incarnation) {
+  if (!nodes_.insert(node).second) return false;
   if (incarnation != 0) incarnations_[node] = incarnation;
   for (std::uint32_t v = 0; v < kVnodesPerNode; ++v) {
-    // Collisions across 64 bits are vanishingly rare; keep the first owner
-    // so add/remove of another node can never silently reassign a point.
-    ring_.emplace(point_hash(node, v, incarnation), node);
+    ring_.push_back({point_hash(node, v, incarnation), node});
   }
+  return true;
+}
+
+void HashRing::place_points(std::size_t first_new) {
+  const auto first = ring_.begin() + static_cast<std::ptrdiff_t>(first_new);
+  // Both steps are stable, so among equal points the first-added owner
+  // comes first, and unique() keeps it.
+  std::ranges::stable_sort(first, ring_.end(), {}, &Point::at);
+  std::ranges::inplace_merge(ring_, first, {}, &Point::at);
+  ring_.erase(std::ranges::unique(ring_, {}, &Point::at).begin(),
+              ring_.end());
 }
 
 bool HashRing::remove_node(NodeId node) {
   if (nodes_.erase(node) == 0) return false;
   incarnations_.erase(node);
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    it = it->second == node ? ring_.erase(it) : std::next(it);
-  }
+  std::erase_if(ring_, [node](const Point& p) { return p.owner == node; });
   return true;
 }
 
 NodeId HashRing::primary(FileId file) const {
   if (ring_.empty()) return kNoNode;
-  auto it = ring_.lower_bound(key_hash(file));
+  auto it = std::ranges::lower_bound(ring_, key_hash(file), {}, &Point::at);
   if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return it->second;
+  return it->owner;
 }
 
 std::vector<NodeId> HashRing::replicas(FileId file, std::uint32_t k) const {
@@ -61,11 +79,11 @@ std::vector<NodeId> HashRing::replicas(FileId file, std::uint32_t k) const {
   const std::size_t want =
       std::min<std::size_t>(k, nodes_.size());
   group.reserve(want);
-  auto it = ring_.lower_bound(key_hash(file));
+  auto it = std::ranges::lower_bound(ring_, key_hash(file), {}, &Point::at);
   while (group.size() < want) {
     if (it == ring_.end()) it = ring_.begin();
-    if (std::find(group.begin(), group.end(), it->second) == group.end()) {
-      group.push_back(it->second);
+    if (std::find(group.begin(), group.end(), it->owner) == group.end()) {
+      group.push_back(it->owner);
     }
     ++it;
   }

@@ -10,6 +10,13 @@
 /// an endpoint joining or leaving only remaps the keys it gains or loses
 /// (~1/N of the keyspace), never reshuffling the rest — the property the
 /// rebalance() helper quantifies and tests/shard/hash_ring_test.cpp pins.
+///
+/// The ring is one vector of (point, owner) pairs sorted by point, and a
+/// lookup is a binary search plus a clockwise walk.  A deployment builds
+/// its initial ring with one append and one sort; a join appends its
+/// points and merges them in.  Two points colliding across 64 bits is
+/// vanishingly rare, but when it happens the first-added owner keeps the
+/// point, so adding or removing another node never silently reassigns it.
 
 #include <cstdint>
 #include <map>
@@ -38,6 +45,11 @@ struct RebalanceStats {
 
 class HashRing {
  public:
+  HashRing() = default;
+  /// Endpoints 0..endpoints-1 at incarnation 0, placed as add_node() in
+  /// ascending id would place them.
+  explicit HashRing(std::uint32_t endpoints);
+
   /// Add an endpoint's virtual nodes to the ring.  Idempotent (a present
   /// node is left unchanged, whatever incarnation it joined with).
   ///
@@ -90,7 +102,19 @@ class HashRing {
   [[nodiscard]] std::size_t point_count() const { return ring_.size(); }
 
  private:
-  std::map<std::uint64_t, NodeId> ring_;  ///< point -> owning endpoint
+  struct Point {
+    std::uint64_t at = 0;
+    NodeId owner = kNoNode;
+  };
+
+  /// Register `node` and append its points unplaced.  False if present.
+  bool append_node(NodeId node, std::uint32_t incarnation);
+  /// Restore the order after appends: sort the points from `first_new`
+  /// on, merge them into the sorted prefix, and drop every later point
+  /// that collides with an earlier one.
+  void place_points(std::size_t first_new);
+
+  std::vector<Point> ring_;  ///< Sorted by `at`, one owner per point.
   std::set<NodeId> nodes_;
   /// Nonzero incarnations of present nodes (reused ids only).
   std::map<NodeId, std::uint32_t> incarnations_;

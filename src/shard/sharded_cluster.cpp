@@ -28,7 +28,7 @@ const CheckpointMetrics& checkpoint_metrics() {
 }  // namespace
 
 ShardedCluster::ShardedCluster(ShardedClusterConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)), ring_(config_.endpoints) {
   // Re-sync unconditionally: a caller that set `endpoints` but forgot
   // sync_sizes() would otherwise hand the latency model a smaller node
   // count and read out of bounds on the first cross-endpoint message.
@@ -52,7 +52,6 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig config)
   incarnations_.assign(config_.endpoints, 0);
   checkpoints_.resize(config_.endpoints);
   for (NodeId n = 0; n < config_.endpoints; ++n) {
-    ring_.add_node(n);
     services_.push_back(std::make_unique<core::IdeaService>(n, edge(), *this));
     arm_checkpoint_timer(n);
   }

@@ -125,7 +125,7 @@ void expect_held_view_survives(ReplicaStore& s, Mutation mutate) {
 
 Update remote(NodeId writer, std::uint64_t seq, SimTime stamp,
               bool invalidated = false) {
-  return Update{UpdateKey{writer, seq}, 1, stamp, "r", 1.0, invalidated};
+  return Update{UpdateKey{writer, seq}, stamp, "r", 1.0, 1, invalidated};
 }
 
 TEST(ReplicaStore, HeldViewSurvivesEveryKindOfMutation) {

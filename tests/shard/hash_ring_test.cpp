@@ -21,6 +21,16 @@ HashRing ring_of(std::uint32_t nodes) {
   return ring;
 }
 
+/// A fold of every key's primary and replicas(f, 3) over files 1..10,000.
+std::uint64_t placement_digest(const HashRing& ring) {
+  std::uint64_t digest = 0;
+  for (FileId f : keyset(10000)) {
+    digest = mix64(digest ^ f) ^ ring.primary(f);
+    for (NodeId n : ring.replicas(f, 3)) digest = mix64(digest ^ n);
+  }
+  return digest;
+}
+
 TEST(HashRingTest, EmptyRing) {
   HashRing ring;
   EXPECT_EQ(ring.primary(7), kNoNode);
@@ -35,6 +45,51 @@ TEST(HashRingTest, Deterministic) {
     EXPECT_EQ(a.primary(f), b.primary(f));
     EXPECT_EQ(a.replicas(f, 3), b.replicas(f, 3));
   }
+}
+
+TEST(HashRingTest, PlacementGolden) {
+  // Pinned from the std::map ring the sorted vector replaced: storage
+  // must never move a key.  Endpoint 7 leaves, then its id comes back
+  // under incarnation 1, as ShardedCluster reuses a freed id.  Both the
+  // add_node() loop and the one-sort build must reproduce it.
+  struct Golden {
+    std::uint32_t endpoints;
+    std::uint64_t initial, after_leave, after_rejoin;
+  };
+  for (const Golden& g : {Golden{32, 0x0aeed072e1df2913, 0x153620c8225d6911,
+                                 0x472a0876944b9d41},
+                          Golden{125, 0x6378790501d682f3, 0xede900d52f483d25,
+                                 0x6d33f69ae6bed2c0}}) {
+    for (const bool bulk : {false, true}) {
+      SCOPED_TRACE(testing::Message() << g.endpoints << " endpoints, "
+                                      << (bulk ? "bulk" : "looped"));
+      HashRing ring = bulk ? HashRing(g.endpoints) : ring_of(g.endpoints);
+      EXPECT_EQ(ring.point_count(), g.endpoints * 96u);
+      EXPECT_EQ(placement_digest(ring), g.initial);
+      ASSERT_TRUE(ring.remove_node(7));
+      EXPECT_EQ(ring.point_count(), (g.endpoints - 1) * 96u);
+      EXPECT_EQ(placement_digest(ring), g.after_leave);
+      ring.add_node(7, 1);
+      EXPECT_EQ(ring.point_count(), g.endpoints * 96u);
+      EXPECT_EQ(placement_digest(ring), g.after_rejoin);
+    }
+  }
+}
+
+TEST(HashRingTest, BulkBuildEqualsAnAddNodeLoop) {
+  for (const std::uint32_t endpoints : {1u, 2u, 32u, 125u}) {
+    SCOPED_TRACE(endpoints);
+    const HashRing bulk(endpoints);
+    const HashRing looped = ring_of(endpoints);
+    EXPECT_EQ(bulk.node_count(), looped.node_count());
+    EXPECT_EQ(bulk.point_count(), looped.point_count());
+    for (FileId f : keyset(10000)) {
+      ASSERT_EQ(bulk.primary(f), looped.primary(f)) << "file " << f;
+      ASSERT_EQ(bulk.replicas(f, 3), looped.replicas(f, 3)) << "file " << f;
+    }
+  }
+  EXPECT_EQ(HashRing(0).point_count(), 0u);
+  EXPECT_EQ(HashRing(0).primary(1), kNoNode);
 }
 
 TEST(HashRingTest, AddNodeIsIdempotent) {
