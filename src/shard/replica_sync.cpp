@@ -35,20 +35,9 @@ std::uint32_t counts_wire_bytes(const vv::VersionVector& counts) {
   return static_cast<std::uint32_t>(12 * counts.writer_count());
 }
 
-/// Body of a "shard.replicate" push: a put's one new update, or, for a
-/// re-send, every tracked update the receiving rank has not acked, in key
-/// order.  While the pusher runs anti-entropy it also carries the
-/// pusher's per-writer counts when sent (12 bytes per writer on the wire,
-/// as a digest's); without anti-entropy the counts are empty and cost
-/// nothing.
-struct CountedPush {
-  std::vector<replica::Update> updates;
-  vv::VersionVector counts;
-};
-
-/// Body of a "shard.ack": the key of every update the acked push held and,
-/// while the acker runs anti-entropy, its per-writer counts after the
-/// apply (empty, and free, otherwise).
+/// Body of a "shard.ack": the key of every update the acked push held
+/// (none for a migration stream) and, while the acker runs anti-entropy,
+/// its per-writer counts after the apply (empty, and free, otherwise).
 struct CountedAck {
   std::vector<replica::UpdateKey> keys;
   vv::VersionVector counts;
@@ -60,12 +49,6 @@ struct CountedAck {
 /// the first push after a loss heals could come up to a whole timeout
 /// late.
 constexpr SimDuration kResendSpacingDivisor = 2;
-
-/// A push's or ack's counts are carried iff they name a writer (see
-/// ReplicaSyncAgent::counts_to_carry).
-bool carried(const vv::VersionVector& counts) {
-  return counts.writer_count() > 0;
-}
 
 /// The ack `ack` shows its sender lacking more of `mine` than the pushes
 /// in flight will bring it: besides the updates its counts hold, it will
@@ -154,16 +137,15 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
   // One shared allocation for the whole fan-out and its re-sends; each
   // send refcounts it.  Receivers ack exactly the pushes that ask: every
   // push while resends are on, and a write-concern put's pushes even when
-  // they are off.
+  // they are off.  A dark rank is sent nothing, yet owes the ack like any
+  // silent rank: its restart brings it the push (peer_restarted).
   const bool want_ack =
       options_.resend_timeout > 0 || concern.peer_acks_needed > 0;
-  vv::VersionVector counts = counts_to_carry();
-  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes() +
-                                                counts_wire_bytes(counts));
-  const net::Payload payload = CountedPush{{u}, std::move(counts)};
+  const auto bytes = static_cast<std::uint32_t>(16 + u.wire_bytes());
+  const net::Payload payload = std::vector<replica::Update>{u};
   std::uint64_t pushed = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if (rank == self()) continue;
+    if (rank == self() || is_dark(rank)) continue;
     net::Message msg;
     msg.from = self();
     msg.to = rank;
@@ -185,7 +167,7 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
     concern.on_result(true, 1);
     concern.on_result = nullptr;
   }
-  if (pushed > 0 && (options_.resend_timeout > 0 || concern.on_result)) {
+  if (group_size_ > 1 && (options_.resend_timeout > 0 || concern.on_result)) {
     // track_pending fails the concern itself when tracking is impossible
     // (group too large for the rank bitmask).
     if (track_pending(u.key, payload, concern.peer_acks_needed,
@@ -194,8 +176,8 @@ const replica::Update& ReplicaSyncAgent::put(std::string content,
       ++stats_.wack_tracked;
     }
   } else if (concern.on_result) {
-    // Nothing pushed (single-member group) but peer acks were required:
-    // the target is unreachable by construction.
+    // A single-member group, but peer acks were required: the target is
+    // unreachable by construction.
     ++stats_.wack_failed;
     meter_.add(agent_metrics().wack_failed);
     concern.on_result(false, 1);
@@ -270,15 +252,17 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
     // ranks: if a peer merely lost the acks this is one cheap no-delta
     // exchange, and if it lost the update the repair re-delivers it.  A
     // pending write concern fails here (its targeted heal is already on
-    // the wire, so failure means "unacked", not "lost").
+    // the wire, so failure means "unacked", not "lost").  A dark rank is
+    // sent no digest: its restart un-matches it at the coordinator.
     ++stats_.resend_gaveups;
     meter_.add(agent_metrics().replicate_gaveups);
     for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
       if ((pending.unacked & (1ull << rank)) == 0) continue;
+      if (ae_ != nullptr) --ae_->peers[rank].owed;
+      if (is_dark(rank)) continue;
       anti_entropy_with(rank);
       ++stats_.gaveup_ae_digests;
       meter_.add(agent_metrics().gaveup_digests);
-      if (ae_ != nullptr) --ae_->peers[rank].owed;
     }
     finish_concern(pending, /*satisfied=*/false);
     pending_acks_.erase(it);
@@ -291,7 +275,7 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
   const SimDuration timeout = effective_resend_timeout();
   const SimTime spaced = transport_.now() - timeout / kResendSpacingDivisor;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if ((pending.unacked & (1ull << rank)) == 0) continue;
+    if ((pending.unacked & (1ull << rank)) == 0 || is_dark(rank)) continue;
     if (resent_at_ != nullptr && resent_at_[rank] > spaced) continue;
     push_unacked(rank);
   }
@@ -301,16 +285,15 @@ void ReplicaSyncAgent::on_resend_timeout(replica::UpdateKey key) {
 
 void ReplicaSyncAgent::push_unacked(NodeId rank) {
   const std::uint64_t bit = 1ull << rank;
-  CountedPush push;
+  std::vector<replica::Update> push;
   std::uint32_t bytes = 16;
   for (const auto& [key, pending] : pending_acks_) {
     if ((pending.unacked & bit) == 0) continue;
-    const replica::Update& u = pending.push.as<CountedPush>().updates.front();
-    push.updates.push_back(u);
+    const replica::Update& u =
+        pending.push.as<std::vector<replica::Update>>().front();
+    push.push_back(u);
     bytes += u.wire_bytes();
   }
-  push.counts = counts_to_carry();
-  bytes += counts_wire_bytes(push.counts);
   if (resent_at_ == nullptr) {
     resent_at_ = std::make_unique<SimTime[]>(group_size_);
     std::fill_n(resent_at_.get(), group_size_,
@@ -375,20 +358,24 @@ void ReplicaSyncAgent::peer_restarted(NodeId rank) {
   if (owed) push_unacked(rank);
 }
 
-void ReplicaSyncAgent::assume_matched() {
+void ReplicaSyncAgent::forget_matches() {
   if (ae_ == nullptr) return;
-  for (AntiEntropy::Peer& p : ae_->peers) p.matched = store_.mutation_count();
+  for (AntiEntropy::Peer& p : ae_->peers) p.matched = kUnmatched;
   update_rounds();
 }
 
 void ReplicaSyncAgent::set_star(NodeId acting, std::uint64_t dark) {
   dark_ = dark;
-  if (acting != acting_ && ae_ != nullptr && store_.mutation_count() > 0) {
-    for (AntiEntropy::Peer& p : ae_->peers) p.matched = kUnmatched;
-  }
+  // A newly built agent's first star is no change: its store is empty,
+  // as every store at placement, or restart_endpoint forgets for it.
+  const bool becomes_acting =
+      acting == self() && acting_ != kNoNode && acting != acting_;
   acting_ = acting;
-  // A rank gone dark may leave every remaining star peer matched.
-  update_rounds();
+  if (becomes_acting) {
+    forget_matches();
+  } else {
+    update_rounds();  // a rank gone dark may settle the star
+  }
 }
 
 void ReplicaSyncAgent::anti_entropy_round() {
@@ -424,7 +411,7 @@ void ReplicaSyncAgent::on_store_mutation() {
     listed_ = true;
     dirty_->push_back(store_.file());
   }
-  if (!applying_push_) update_rounds();
+  update_rounds();
 }
 
 void ReplicaSyncAgent::update_rounds() {
@@ -449,7 +436,7 @@ void ReplicaSyncAgent::update_rounds() {
 void ReplicaSyncAgent::note_identical(NodeId peer) {
   if (ae_ == nullptr) return;
   ae_->peers[peer].matched = store_.mutation_count();
-  ae_->peers[peer].behind = false;
+  ae_->peers[peer].differs = false;
   update_rounds();
 }
 
@@ -494,7 +481,7 @@ std::size_t ReplicaSyncAgent::stream_state(
   const std::uint32_t bytes = batch_wire_bytes(updates);
   std::size_t sent = 0;
   for (std::uint32_t rank = 0; rank < group_size_; ++rank) {
-    if (rank == self()) continue;
+    if (rank == self() || is_dark(rank)) continue;
     net::Message msg;
     msg.from = self();
     msg.to = rank;
@@ -502,6 +489,9 @@ std::size_t ReplicaSyncAgent::stream_state(
     msg.type = kMigrateType;
     msg.payload = payload;
     msg.wire_bytes = bytes;
+    // The ack's counts match the pair, so a stream that lands leaves no
+    // round to run.
+    msg.want_ack = ae_ != nullptr;
     transport_.send(std::move(msg));
     ++sent;
   }
@@ -562,45 +552,29 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
   }
 
   if (msg.type == kReplicateType) {
-    const auto& push = msg.payload.as<CountedPush>();
-    const std::vector<replica::Update>& batch = push.updates;
-    // The apply re-arms the rounds only after the match test, so a push
-    // that lands arms nothing.
-    applying_push_ = true;
+    const auto& batch = msg.payload.as<std::vector<replica::Update>>();
     const std::size_t applied = apply_batch(batch, stats_.applied);
-    applying_push_ = false;
     if (applied > 0) meter_.add(agent_metrics().replicate_applied, applied);
     if (tr != nullptr && inbound.active() && applied > 0) {
       tr->instant(inbound, "replicate.apply", endpoint_, msg.file,
                   transport_.now());
     }
-    vv::VersionVector mine = counts_to_carry();
-    if (carried(push.counts) && mine == push.counts) note_identical(msg.from);
-    update_rounds();
     // Ack every replicate that asks (even redundant ones — the sender
     // wants delivery confirmation, and re-sends of an update we already
     // hold must still clear its pending slot over there).
     if (msg.want_ack && !batch.empty()) {
-      CountedAck body;
-      body.keys.reserve(batch.size());
-      for (const replica::Update& u : batch) body.keys.push_back(u.key);
-      net::Message ack;
-      ack.from = self();
-      ack.to = msg.from;
-      ack.file = store_.file();
-      ack.type = kAckType;
-      ack.wire_bytes = static_cast<std::uint32_t>(
-          24 + 12 * (batch.size() - 1) + counts_wire_bytes(mine));
-      body.counts = std::move(mine);
-      ack.payload = std::move(body);
-      transport_.send(std::move(ack));
+      std::vector<replica::UpdateKey> keys;
+      keys.reserve(batch.size());
+      for (const replica::Update& u : batch) keys.push_back(u.key);
+      send_ack(msg.from, std::move(keys));
     }
     return;
   }
   if (msg.type == kAckType) {
     ++stats_.acks_received;
     const auto& ack = msg.payload.as<CountedAck>();
-    if (carried(ack.counts)) note_report(msg.from, ack.counts);
+    // Counts are carried iff they name a writer (see counts_to_carry).
+    if (ack.counts.writer_count() > 0) note_report(msg.from, ack.counts);
     // A peer running anti-entropy acks with its counts, so empty ones
     // mean it holds nothing (say, a restart reloaded nothing and every
     // push parks): all zero, not unknown.
@@ -629,13 +603,16 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         pending_acks_.erase(it);
       }
     }
+    // An ack that paid the rank's last owed one hands it back to the
+    // rounds, and so does one whose counts differ by more than the pushes
+    // in flight will close: the rank lacks more than they bring, or holds
+    // an update this store lacks (an old coordinator's push, or what this
+    // rank lost in a restart).  Equal counts matched it above.
     if (ae_ != nullptr) {
       AntiEntropy::Peer& peer = ae_->peers[msg.from];
-      peer.behind = lacks_beyond_owed(ack, mine, self(), peer.owed);
+      peer.differs = lacks_beyond_owed(ack, mine, self(), peer.owed) ||
+                     !mine.dominates(ack.counts);
     }
-    // An ack that paid the rank's last owed one, or showed it lacking more
-    // than it still owes, hands it back to the rounds: equal counts
-    // matched it above, and short ones leave it for the next grid round.
     update_rounds();
     return;
   }
@@ -644,26 +621,18 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     meter_.add(agent_metrics().ae_digests_received);
     const auto& peer = msg.payload.as<vv::VersionVector>();
     note_report(msg.from, peer);
-    vv::VersionVector mine = store_.evv().counts();
-    // Equal counts leave nothing to send: the pair is identical.
-    const bool identical = mine == peer;
     // Always reply, even with nothing to offer: the initiator needs our
-    // counts to push back the other half of the delta.  A traced digest's
-    // repair joins the same trace.
-    send_repair(msg.from, store_.updates_ahead_of(peer), std::move(mine),
-                /*respond=*/true, inbound);
-    if (identical) note_identical(msg.from);
+    // counts to push back the other half of the delta or to match the
+    // pair.  A traced digest's repair joins the same trace.
+    send_repair(msg.from, store_.updates_ahead_of(peer),
+                store_.evv().counts(), /*respond=*/true, inbound);
     return;
   }
   if (msg.type == kRepairType) {
     const auto& body = msg.payload.as<RepairPayload>();
     note_report(msg.from, body.sender_counts);
-    // A push-back's apply re-arms the rounds only after the match test
-    // below, as a push's does.
-    applying_push_ = !body.respond;
     const std::size_t applied =
         apply_batch(body.updates, stats_.repair_updates_applied);
-    applying_push_ = false;
     if (applied > 0) {
       const std::uint64_t rounds =
           ae_ == nullptr ? 0 : std::exchange(ae_->rounds_since_heal, 0);
@@ -680,25 +649,19 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
         obs_->clear_repair_trace(msg.file);
       }
     }
-    if (body.respond) {
-      // The reply to a digest this agent sent: push back what the peer
-      // lacks.  With nothing to push back and nothing received the pair
-      // is identical: the replier held nothing past the digest, this
-      // replica holds nothing past the reply, and the store only appends.
-      std::vector<replica::Update> back =
-          store_.updates_ahead_of(body.sender_counts);
-      if (!back.empty()) {
-        send_repair(msg.from, std::move(back), store_.evv().counts(),
-                    /*respond=*/false, inbound);
-      } else if (body.updates.empty()) {
-        note_identical(msg.from);
-      }
-    } else if (ae_ != nullptr && body.sender_counts == store_.evv().counts()) {
-      // A push-back carries the initiator's counts: equal counts after the
-      // apply mean the pair holds the same updates.
+    if (!body.respond) return;  // a push-back: applied above
+    // The reply to a digest this agent sent: push back what the peer
+    // lacks.  With nothing to push back, counts equal to the replier's
+    // after the apply mean the pair holds the same updates (the store
+    // only appends).  A pair that needed a push-back stays unmatched: the
+    // push-back may be lost, and the next round checks.
+    std::vector<replica::Update> back =
+        store_.updates_ahead_of(body.sender_counts);
+    if (!back.empty()) {
+      send_repair(msg.from, std::move(back), store_.evv().counts(),
+                  /*respond=*/false, inbound);
+    } else if (body.sender_counts == store_.evv().counts()) {
       note_identical(msg.from);
-    } else {
-      update_rounds();  // the re-arm the push-back's apply deferred
     }
     return;
   }
@@ -709,7 +672,22 @@ void ReplicaSyncAgent::on_message(const net::Message& msg) {
     if (applied > 0) {
       meter_.add(agent_metrics().migrate_updates_applied, applied);
     }
+    if (msg.want_ack) send_ack(msg.from, {});
   }
+}
+
+void ReplicaSyncAgent::send_ack(NodeId to_rank,
+                                std::vector<replica::UpdateKey> keys) {
+  CountedAck body{std::move(keys), counts_to_carry()};
+  net::Message ack;
+  ack.from = self();
+  ack.to = to_rank;
+  ack.file = store_.file();
+  ack.type = kAckType;
+  ack.wire_bytes = static_cast<std::uint32_t>(
+      12 + 12 * body.keys.size() + counts_wire_bytes(body.counts));
+  ack.payload = std::move(body);
+  transport_.send(std::move(ack));
 }
 
 void ReplicaSyncAgent::set_observability(obs::Observability* observability,

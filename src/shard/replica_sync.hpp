@@ -19,76 +19,79 @@
 ///    out-of-order arrivals).
 ///
 ///  * Anti-entropy ("shard.digest" / "shard.repair"): a push lost to the
-///    network would leave a replica cold forever, so each agent may run
-///    push-pull rounds.  A round sends the replica's per-writer update
-///    counts (a vv::VersionVector, 12 bytes per writer: the store keeps
-///    each writer's seqs contiguous, so counts alone say which updates a
-///    peer lacks) to a peer.  The peer replies with the updates the digest
-///    shows missing (ReplicaStore::updates_ahead_of) plus its own counts,
-///    and the initiator pushes back whatever the peer lacks in turn.
+///    network would leave a replica cold forever, so the group's acting
+///    coordinator may run push-pull rounds.  A round sends the replica's
+///    per-writer update counts (a vv::VersionVector, 12 bytes per writer:
+///    the store keeps each writer's seqs contiguous, so counts alone say
+///    which updates a peer lacks) to a follower.  The follower replies
+///    with the updates the digest shows missing
+///    (ReplicaStore::updates_ahead_of) plus its own counts, and the
+///    coordinator pushes back whatever the follower lacks in turn.
 ///
-///    Rounds run only where two replicas may really differ.  A peer is
-///    matched while its entry equals the store's mutation_count().  Any
-///    exchange that shows equal counts sets the entry, on the side that
-///    sees them: the initiator when the reply needs no push-back, the
-///    replier when the digest's counts equal its own, and the receiver of
-///    a push-back when the pusher's counts equal its own after the apply.
-///    While anti-entropy runs, a push also carries the pusher's counts
-///    when sent, and an ack the acker's counts after the apply.  So a
-///    push that lands matches its receiver with the pusher, and its ack
-///    matches the pusher with the receiver.  A store that never mutated
-///    starts matched with every peer: at placement every store is empty.
-///    A restarted rank that is not acting takes its matches as current
-///    once the restart has reloaded its checkpoint and re-adopted its own
-///    writes (assume_matched): the coordinator's round heals it.
+///    Only the acting coordinator runs rounds (set_star), as only a Raft
+///    leader checks its followers' logs: each round digests every
+///    unsettled live follower, a follower only answers, and a dark rank,
+///    whose member is down, is digested by no one until it restarts.  A
+///    follower is matched while its entry equals the store's
+///    mutation_count().  The coordinator sets the entry when an exchange
+///    shows equal counts: a reply that needs no push-back and after whose
+///    apply its counts equal the replier's, or, while anti-entropy runs,
+///    an ack whose counts (the acker's after the apply) equal its own.  A
+///    migration stream asks for such an ack, so a stream that lands
+///    matches its receiver.  A store that never mutated starts matched
+///    with every peer: at placement every store is empty.  A rank that
+///    becomes acting, when the coordinator crashes or when it restarts
+///    (forget_matches), forgets every match, even with an empty store.
 ///
-///    Rounds run on the star around the group's acting coordinator
-///    (set_star).  Each round, the coordinator digests every unmatched
-///    live peer, and any other rank digests only the coordinator; a dark
-///    rank, whose member is down, is no one's star peer until it restarts.
-///    A peer that owes this rank an ack for a tracked push (see acked
-///    replication below) is left to that ack: no round digests it until
-///    the ack lands or the update gives up.  Replication's own timeout
-///    path recovers the push, as TCP recovers a lost segment by the
-///    retransmission timer of the unacknowledged data (RFC 6298) rather
-///    than by a separate probe.  A peer whose last ack showed it lacking
-///    more than the pushes in flight will bring it (an update whose
-///    re-sends gave up, or what a restart lost) is behind, and the rounds
-///    digest it although it owes.  An ack with empty counts shows a store
-///    that holds nothing, not unknown counts: a peer running anti-entropy
-///    always acks with its counts, and one that holds nothing (a restart
-///    that reloaded nothing, say) parks every push.  The round timer stops
-///    once every star peer is matched or owes an ack without being behind,
-///    and any store mutation re-arms it on the grid anti-entropy started
-///    on.  A quiet group sends nothing, even while a member is down.
+///    A follower that owes the coordinator an ack for a tracked push (see
+///    acked replication below) is left to that ack: no round digests it
+///    until the ack lands or the update gives up.  Replication's own
+///    timeout path recovers the push, as TCP recovers a lost segment by
+///    the retransmission timer of the unacknowledged data (RFC 6298)
+///    rather than by a separate probe.  A follower differs, and the
+///    rounds digest it although it owes, when its last ack showed it
+///    lacking more than the pushes in flight bring it (an update whose
+///    re-sends gave up, or what a restart lost) or holding an update the
+///    coordinator lacks (a push of the old coordinator, or what a
+///    restarted coordinator lost).  An ack with empty counts shows a
+///    store that holds nothing, not unknown counts: a rank running
+///    anti-entropy always acks with its counts, and one that holds
+///    nothing (a restart that reloaded nothing, say) parks every push.
+///    The round timer stops once every live follower is matched or owes
+///    an ack without differing, and any store mutation re-arms it on the
+///    grid anti-entropy started on.  A quiet group sends nothing, even
+///    while a member is down.
 ///
-///    Why this converges: a match says the peer held at least what this
-///    replica holds.  Stores only append, and a restarted peer, which
-///    lost its state, is un-matched.  So a rank that holds an update a
-///    star peer lacks has mutated since it last matched that peer, and its
-///    rounds reach that peer until an exchange delivers the update.  An
-///    update held only by a non-coordinator thus reaches the coordinator
-///    in one round, and the other live ranks in the next, whatever the
-///    loss pattern was.  A dark rank lost its state anyway.  Its restart
-///    un-matches it at every star peer that may hold more: at the
-///    coordinator (peer_restarted), or, when it returns as the
-///    coordinator, at every survivor (a change of coordinator).  Their
-///    next round heals it, in both directions: the reply to the round's
-///    digest carries whatever the restarted rank holds that the
-///    coordinator lacks, so a restarted follower's own matches may stand.
-///    Leaving a rank that owes an ack to it delays these rounds but drops
-///    none: every pair they reached before they still reach.  A rank owing
-///    an ack is reached by its ack (equal counts match the pair; counts
-///    short only by what it owes or holds parked leave it to the pushes in
-///    flight; counts shorter than that mark it behind, and the next grid
-///    round digests it, even while it owes newer acks), by the re-sends,
-///    which carry the pusher's counts, or by the give-up's targeted
-///    digest, after which the rounds include it again.  So a skipped pair
-///    waits at most until its next ack lands or its owed updates give up
-///    (max_resends + 1 timeouts after the put, unless a restart of the
-///    peer re-armed the update's timer).  Without the behind mark a hot
-///    file would starve a rank with a gap, an empty store's included: each
-///    new put makes it owe again before a round.
+///    Why this converges: a match says the follower held what the
+///    coordinator held at that mutation_count(), and stores only append.
+///    So a follower lacks an update the coordinator holds only if the
+///    coordinator has mutated since the match, or the follower restarted
+///    and lost it (peer_restarted un-matches it).  A follower holds an
+///    update the coordinator lacks only after a coordinator change (the
+///    old coordinator's pushes reached it), a restart (of the coordinator,
+///    which lost its state, or of the follower, which reloaded a
+///    checkpoint) or a migration (the new group starts from the adopter's
+///    snapshot), and each of those un-matches the pair at the
+///    coordinator: a new or restarted coordinator forgets every match, a
+///    restarted follower is un-matched, and the adopter's import mutates
+///    its store.  So the coordinator's rounds reach every live follower
+///    it may differ from, and an exchange moves the delta both ways: the
+///    reply carries what the follower holds that the coordinator lacks,
+///    the push-back the rest.  A dark rank lost its state anyway, and its
+///    restart un-matches it.  Leaving a follower that owes an ack to it
+///    delays these rounds but drops none: every pair they reached before
+///    they still reach.  A follower owing an ack is reached by its ack or
+///    by the give-up's targeted digest, after which the rounds include it
+///    again.  An ack's counts match the pair when equal to the
+///    coordinator's, leave it to the pushes in flight when short only by
+///    what the follower owes or holds parked, and otherwise, in either
+///    direction, mark it as differing, so the next grid round digests it
+///    even while it owes newer acks.  So a skipped pair waits at most
+///    until its next ack lands or its owed updates give up (max_resends +
+///    1 timeouts after the put, unless a restart of the follower re-armed
+///    the update's timer), and then one period.  Without the mark a hot
+///    file would starve such a pair, an empty store's included: each new
+///    put makes the follower owe again before a round.
 ///
 ///  * Dirty listing: the agent is its store's one MutationListener for the
 ///    rank's whole life.  Besides re-arming anti-entropy, the first
@@ -98,28 +101,33 @@
 ///
 ///  * State streaming ("shard.migrate"): when membership changes move a
 ///    file to a new replica group, the new coordinator adopts the merged
-///    log and streams it to the other ranks as one batch message each.
+///    log and streams it to the other live ranks as one batch message
+///    each.
 ///
 ///  * Acked replication ("shard.ack", opt-in): with a resend timeout
 ///    configured, every replicate push is tracked until each peer acks
 ///    it, and each tracked update runs its own timer with a bounded
 ///    re-send budget.  Re-sends are cumulative, per silent rank rather
-///    than per update: when a timer fires, each rank that has not acked
-///    the update gets one push carrying every tracked update it has not
-///    acked, and its one ack names every key the push held.  A rank that
-///    got such a push less than half a timeout ago sits the firing out
-///    (the firing still spends budget and re-arms), so a silent rank gets
-///    at most one push per half timeout however many updates are
+///    than per update: when a timer fires, each live rank that has not
+///    acked the update gets one push carrying every tracked update it has
+///    not acked, and its one ack names every key the push held.  A rank
+///    that got such a push less than half a timeout ago sits the firing
+///    out (the firing still spends budget and re-arms), so a silent rank
+///    gets at most one push per half timeout however many updates are
 ///    pending.  Budgets and give-up times stay per update.  This is the
 ///    crash-model plumbing — a coordinator whose replica died mid-
 ///    replication retries for a while and then gives up cleanly instead
 ///    of wedging, and a briefly-unreachable replica still converges
 ///    without waiting for anti-entropy.  A give-up is never silent: the
-///    abandoned update's silent ranks get an immediate targeted digest,
-///    so the group converges even with periodic anti-entropy off.  While
-///    anti-entropy runs, a rank that owes an ack sits its rounds out; the
-///    ack that pays its last owed one or shows it behind, or the give-up
-///    of its last owed update, hands it back to them (update_rounds).
+///    abandoned update's live silent ranks get an immediate targeted
+///    digest, so the group converges even with periodic anti-entropy off.
+///    A dark rank is sent nothing, but stays silent for the updates it
+///    has not acked, so budgets and give-up times are those of a live
+///    rank that lost every push, and its restart brings it one push of
+///    them (peer_restarted).  While anti-entropy runs, a rank that owes
+///    an ack sits its rounds out; the ack that pays its last owed one or
+///    shows it differing, or the give-up of its last owed update, hands
+///    it back to them (update_rounds).
 ///
 ///  * Write concerns (put's PutConcern): a client-declared WriteConcern{w}
 ///    rides the same ack machinery — the put completes its callback once
@@ -127,9 +135,9 @@
 ///    budget runs out first.  A receiver acks a push iff the push carries
 ///    the want_ack flag; the sender sets it whenever resends are on or
 ///    the put needs peer acks, whether or not anti-entropy runs.  Only a
-///    rank's first ack of an update counts toward its concern.  Pushes
-///    and acks have one body each; the counts they carry are empty (and
-///    cost nothing on the wire) while the sender runs no anti-entropy.
+///    rank's first ack of an update counts toward its concern.  A push
+///    carries updates only; an ack carries the acker's counts while it
+///    runs anti-entropy (empty, and free on the wire, otherwise).
 
 #include <functional>
 #include <map>
@@ -249,40 +257,44 @@ class ReplicaSyncAgent final : public net::MessageHandler,
                              const obs::TraceContext& tc = {});
 
   /// Start anti-entropy with rounds on the grid now + n·period (0
-  /// stops).  Rounds run only while a star peer is unsettled: unmatched
-  /// at the store's current mutation_count(), and owing no ack or behind.
-  /// Each round digests every such peer, so a pair exchanges within one
-  /// period of becoming unsettled.  The timer stops once every star peer
-  /// is settled, and the next store mutation, ack or give-up re-arms it
-  /// on the same grid.  The owed acks are counted from the updates
-  /// tracked now.  A store that never mutated starts matched with every
-  /// peer (at placement every store is empty, so placement runs no
-  /// round); any other store starts unmatched.
+  /// stops).  Rounds run only on the acting coordinator, and only while a
+  /// live follower is unsettled: unmatched at the store's current
+  /// mutation_count(), and owing no ack or differing.  Each round digests
+  /// every such follower, so a pair exchanges within one period of
+  /// becoming unsettled.  The timer stops once every live follower is
+  /// settled, and the next store mutation, ack or give-up re-arms it on
+  /// the same grid.  The owed acks are counted from the updates tracked
+  /// now.  A store that never mutated starts matched with every peer (at
+  /// placement every store is empty, so placement runs no round, even
+  /// while rank 0's member is down); any other store starts unmatched.
   void start_anti_entropy(SimDuration period);
   /// Stop anti-entropy for good: no rounds, and store mutations no
   /// longer re-arm it.
   void stop_anti_entropy();
-  /// This rank restarted as a follower and its store now holds what the
-  /// restart reloaded: take every match as current, so it runs no round
-  /// of its own.  The coordinator un-matched it (peer_restarted), and the
-  /// coordinator's round moves the delta both ways; a round of its own in
-  /// the same instant would only fetch the same delta twice.
-  void assume_matched();
+  /// Forget every match, so the next round digests every live follower.
+  /// The cluster calls it on a restarted rank that returns acting: a
+  /// survivor may hold what the restart lost, even when it reloaded
+  /// nothing and its store looks as fresh as at placement.
+  void forget_matches();
   /// Peer `rank` restarted after a crash and lost what it held: un-match
   /// it (every other match stands), move the rounds to the restart's grid
   /// now + n·period, and send the peer now one push that carries every
   /// tracked update it has not acked, restarting those updates' timers
-  /// without spending resend budget.
+  /// without spending resend budget.  On the acting coordinator the
+  /// un-match gets the peer digested at the next grid round, which moves
+  /// the delta both ways.
   void peer_restarted(NodeId rank);
   /// The group's acting coordinator is `acting`, and bit r of `dark` is
   /// set when rank r's member is down (rank 0 and none until told; ranks
-  /// from 64 on always count as live).  Rounds run on the star around the
-  /// coordinator: it digests every unmatched peer that is not dark, any
-  /// other rank only the coordinator.  No exchange could match a dark
-  /// rank, so leaving it out lets the rounds stop.  A change of
-  /// coordinator forgets every match, because a rank matched with the old
-  /// coordinator may hold pushes the new one lacks; a store that never
-  /// mutated holds nothing, so it keeps its matches.
+  /// from 64 on always count as live).  Only the coordinator runs rounds:
+  /// it digests every unmatched follower that is not dark, and a follower
+  /// digests no one.  No exchange could match a dark rank, so leaving it
+  /// out lets the rounds stop; pushes, re-sends, streams and give-up
+  /// digests skip it too.  A rank that becomes acting forgets every
+  /// match, even with an empty store: a follower may hold pushes of the
+  /// old coordinator that the new one lacks.  A newly built agent's first
+  /// star is no change: its store is empty, or the restart that built it
+  /// forgets its matches (forget_matches).
   void set_star(NodeId acting, std::uint64_t dark);
 
   /// Report this replica to its endpoint's checkpoint pass: append the
@@ -322,18 +334,21 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// escalation→heal causal link).
   void set_observability(obs::Observability* observability, NodeId endpoint);
 
-  /// Stream a full state batch to every other rank as "shard.migrate"
-  /// messages sharing one payload allocation.  Used by the cluster after
-  /// seeding this (coordinator) replica's store during migration; returns
-  /// the number of messages sent.
+  /// Stream a full state batch to every other live rank as
+  /// "shard.migrate" messages sharing one payload allocation.  Used by the
+  /// cluster after seeding this (coordinator) replica's store during
+  /// migration; returns the number of messages sent.  While anti-entropy
+  /// runs, each stream asks for an ack carrying the receiver's counts and
+  /// no keys, which matches the pair.
   std::size_t stream_state(const std::vector<replica::Update>& updates);
 
   void on_message(const net::Message& msg) override;
 
   [[nodiscard]] const ReplicaSyncStats& stats() const { return stats_; }
-  /// True while the round timer is armed: anti-entropy is started and
-  /// some star peer is unsettled (see start_anti_entropy).  False when
-  /// stopped, and when started but every star peer is settled.
+  /// True while the round timer is armed: anti-entropy is started, this
+  /// rank is acting, and some live follower is unsettled (see
+  /// start_anti_entropy).  False when stopped, on a follower, and when
+  /// every live follower is settled.
   [[nodiscard]] bool anti_entropy_running() const {
     return ae_ != nullptr && ae_->timer != 0;
   }
@@ -355,6 +370,9 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   void send_repair(NodeId to_rank, std::vector<replica::Update> updates,
                    vv::VersionVector counts, bool respond,
                    const obs::TraceContext& tc = {});
+  /// Ack `keys` (none for a migration stream) to `to_rank`, with the
+  /// counts this store carries now.
+  void send_ack(NodeId to_rank, std::vector<replica::UpdateKey> keys);
 
   /// The deployment tracer (nullptr when untraced/unwired).
   [[nodiscard]] obs::Tracer* tracer() const {
@@ -389,40 +407,44 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   /// The store's one mutation listener for the rank's whole life: list
   /// the replica for the next checkpoint pass (once per pass), and, while
   /// anti-entropy runs, re-arm a stopped round timer on the grid (a
-  /// mutation un-matches every peer).  A push's or a push-back's apply
-  /// leaves the re-arm to its handler, which may match the sender first.
+  /// mutation un-matches every peer).
   void on_store_mutation() override;
   /// Keep the round timer armed exactly while some star peer is
   /// unsettled: arm a stopped one on the grid, or stop a running one.
   void update_rounds();
-  /// `peer` is in this rank's star: any peer that is not dark on the
-  /// coordinator, only the coordinator elsewhere.
+  /// Rank `rank`'s member is down (see set_star).
+  [[nodiscard]] bool is_dark(NodeId rank) const {
+    return rank < 64 && ((dark_ >> rank) & 1) != 0;
+  }
+  /// `peer` is in this rank's star: on the acting coordinator (rank 0
+  /// until set_star names one), any other rank that is not dark; on a
+  /// follower, none.
   [[nodiscard]] bool in_star(NodeId peer) const {
-    return peer != self() && (self() == acting_ || peer == acting_) &&
-           (peer >= 64 || ((dark_ >> peer) & 1) == 0);
+    const NodeId acting = acting_ == kNoNode ? 0 : acting_;
+    return self() == acting && peer != self() && !is_dark(peer);
   }
   /// `peer` needs no round at the store's mutation_count() `count`: it is
   /// no star peer, it is matched, or it owes this rank an ack (which the
-  /// ack or the update's give-up settles) and is not behind.
+  /// ack or the update's give-up settles) and does not differ.
   [[nodiscard]] bool settled(NodeId peer, std::uint64_t count) const {
     const AntiEntropy::Peer& p = ae_->peers[peer];
-    return !in_star(peer) || p.matched == count || (p.owed > 0 && !p.behind);
+    return !in_star(peer) || p.matched == count ||
+           (p.owed > 0 && !p.differs);
   }
   /// Every star peer is settled at the store's current mutation_count().
   [[nodiscard]] bool star_settled() const;
   /// An exchange with `peer` showed equal counts (on the initiator: the
-  /// reply needed no push-back; on the replier: the digest's counts equal
-  /// its own; on the receiver of a push or a push-back: the sender's
-  /// counts equal its own after the apply; on the pusher: the ack's counts
-  /// equal its own): match `peer` at the current mutation_count(), and
-  /// stop the rounds once every star peer is matched.
+  /// reply needed no push-back and its counts equal the initiator's after
+  /// the apply; on the pusher or streamer: the ack's counts equal its
+  /// own): match `peer` at the current mutation_count(), and stop the
+  /// rounds once every star peer is settled.
   void note_identical(NodeId peer);
   /// `peer_rank` reported `counts` in a digest, repair or ack: tell the
   /// freshness listener.
   void note_report(NodeId peer_rank, const vv::VersionVector& counts);
-  /// This store's per-writer counts while anti-entropy runs, for a push
-  /// or ack to carry; empty otherwise, which a receiver reads as none
-  /// carried (a store that pushed or applied an update has a writer).
+  /// This store's per-writer counts while anti-entropy runs, for an ack
+  /// to carry; empty otherwise, which a receiver reads as none carried
+  /// (a store that applied an update has a writer).
   [[nodiscard]] vv::VersionVector counts_to_carry() const;
 
   /// This replica's rank.
@@ -438,12 +460,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   bool track_pending(replica::UpdateKey key, net::Payload push,
                      std::uint32_t acks_needed, WriteConcernCallback on_result);
   /// `key`'s timer fired: spend one unit of its budget and push each of
-  /// its silent ranks that got no re-send push in the last half timeout,
-  /// or, with the budget spent, give the update up.
+  /// its live silent ranks that got no re-send push in the last half
+  /// timeout, or, with the budget spent, give the update up.
   void on_resend_timeout(replica::UpdateKey key);
   /// Send `rank` one push carrying every tracked update it has not acked,
-  /// in key order, and the counts this store carries now; `rank` must be
-  /// silent for at least one tracked update.
+  /// in key order; `rank` must be silent for at least one tracked update.
   void push_unacked(NodeId rank);
   /// Fire-and-clear a pending put's concern callback (exactly-once).
   void finish_concern(PendingReplication& pending, bool satisfied);
@@ -453,8 +474,6 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   std::uint32_t group_size_;
   /// True while the file id sits on dirty_ awaiting a checkpoint pass.
   bool listed_ = false;
-  /// True while a push or a push-back applies (see on_store_mutation).
-  bool applying_push_ = false;
   /// The endpoint's checkpoint dirty list; nullptr without checkpoints.
   std::vector<FileId>* dirty_ = nullptr;
   ReplicaSyncOptions options_;
@@ -480,10 +499,11 @@ class ReplicaSyncAgent final : public net::MessageHandler,
       /// How many tracked updates the peer has not acked: the
       /// pending_acks_ entries whose unacked mask has its bit set.
       std::uint32_t owed = 0;
-      /// The peer's last ack showed it lacking more than the pushes in
-      /// flight will bring it (say, an update whose re-sends gave up, or
-      /// all a restart lost), so owing does not settle it.
-      bool behind = false;
+      /// The peer's last ack showed the pair differing by more than the
+      /// pushes in flight will close (the peer lacks more than they
+      /// bring it, or holds an update this store lacks), so owing does
+      /// not settle it.
+      bool differs = false;
     };
     std::vector<Peer> peers;  ///< Indexed by rank.
     /// Rounds since a repair last applied here (the ae.heal_rounds
@@ -497,8 +517,9 @@ class ReplicaSyncAgent final : public net::MessageHandler,
   FreshnessListener on_freshness_;
   obs::Observability* obs_ = nullptr;
   NodeId endpoint_ = kNoNode;  ///< Global endpoint id of this rank.
-  /// The group's acting coordinator, the centre of the round star.
-  NodeId acting_ = 0;
+  /// The group's acting coordinator, the centre of the round star;
+  /// kNoNode until the first set_star, and rank 0 acts until then.
+  NodeId acting_ = kNoNode;
   /// The group's dark ranks as a rank bitmask, left out of the star (see
   /// set_star).
   std::uint64_t dark_ = 0;

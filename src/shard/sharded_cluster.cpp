@@ -566,15 +566,15 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
   for (FileId file : sorted_placed(endpoint)) {
     FileGroup& g = *group(file);
     const std::uint32_t self_rank = g.rank_of(endpoint);
-    // The new rank needs no round of its own to heal.  A restarted
-    // follower is un-matched at the coordinator (peer_restarted below),
-    // whose next round sends it what it lacks; once the imports below
-    // are in, it takes its own matches as current.  A restarted
-    // coordinator changed the acting rank, so every survivor forgot its
-    // matches and digests it at its next round.
+    // Only the acting coordinator runs rounds.  A restarted follower is
+    // un-matched at the coordinator (peer_restarted below), whose next
+    // round moves the delta both ways.  A restarted coordinator forgets
+    // every match, even if it reloads nothing, and digests every
+    // survivor at its first round.
     GroupRank& restarted = build_rank(file, g, self_rank);
     replica::ReplicaStore& self = restarted.node->store();
     announce_star(g);
+    if (self_rank == g.acting_rank()) restarted.sync->forget_matches();
 
     // 1. The latest durable checkpoint.  Updates are keyed by rank-space
     //    writer ids, so a record from a different membership (rank
@@ -586,7 +586,7 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
     }
 
     // 2. The survivors carry on; their rounds move to the restart's grid,
-    //    so batching merges the group's digests.
+    //    so batching merges the coordinator's digests.
     //    Own-writer continuation: writes this endpoint coordinated after
     //    its last checkpoint live on in the survivors; re-adopting them
     //    keeps its writer sequence from reusing numbers the group saw.
@@ -605,7 +605,6 @@ RecoveryReport ShardedCluster::restart_endpoint(NodeId endpoint) {
       report.reconciled_updates +=
           self.import_log(theirs.updates_ahead_of(known)).applied;
     }
-    if (self_rank != g.acting_rank()) restarted.sync->assume_matched();
 
     // 3. Whatever is still missing is the O(delta) gap anti-entropy
     //    streams.

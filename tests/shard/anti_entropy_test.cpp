@@ -8,25 +8,28 @@
 /// never retransmits — so the convergence observed in the main runs is
 /// attributable to the digest/repair exchange, not to luck.
 ///
-/// Rounds run only where two replicas may differ, on the star around the
-/// acting coordinator and without dark ranks, so the tests also pin that
-/// placement and a quiet group send no digest, even while a member is
-/// down, that an acked push that lands sends none either (its ack
-/// refreshes the follower's hint, while an ack without anti-entropy
-/// carries no counts), that a rank owing an ack is left to it (a put in
-/// flight at a grid point, sent into a loss window, or parked behind an
-/// owed one is digested by no round, a short ack or a give-up hands the
-/// rank back to the next round, and a rank whose acks show it lacking more
-/// than the pushes in flight will bring it, an empty or restarted store's
-/// included, is digested anyway), that a put with acks off costs one
-/// coordinator round of k - 1 digests, that followers never digest each
-/// other and a follower healed by the coordinator's push-back runs no
-/// round, that the survivors of a coordinator crash exchange within one
-/// period, that a restarted follower, with or without a checkpoint, or a
-/// restarted coordinator heals within one period (a follower's delta
-/// travelling once), that a digest's size does not grow with the log,
-/// that generated fault schedules, with and without crashes, churn and
-/// acks, still converge, and that the agent keeps its size.
+/// Rounds run only where two replicas may differ, and only on the acting
+/// coordinator, so the tests also pin that placement and a quiet group
+/// send no digest, even while a member is down, that an acked push that
+/// lands sends none either (its ack refreshes the follower's hint, while
+/// an ack without anti-entropy carries no counts), that a rank owing an
+/// ack is left to it (a put in flight at a grid point, sent into a loss
+/// window, or parked behind an owed one is digested by no round, a short
+/// ack or a give-up hands the rank back to the next round, and a rank
+/// whose acks show it lacking more than the pushes in flight will bring
+/// it, an empty or restarted store's included, is digested anyway), that
+/// a put with acks off costs one coordinator round of k - 1 digests, that
+/// a follower never digests, that a coordinator's crash or restart costs
+/// one exchange per live follower and a loss-free join none, that a new
+/// or restarted coordinator learns what only its followers hold even
+/// while they owe it acks, that placement with rank 0 down runs no
+/// round, that a restarted follower, with or without a checkpoint, heals
+/// within one period (its delta travelling once), that a dark rank is
+/// sent nothing yet its restart gets one push of what it never acked,
+/// that pushes carry updates only and the stats count only what is sent,
+/// that a digest's size does not grow with the log, that generated fault
+/// schedules, with and without crashes, churn and acks, still converge,
+/// and that the agent keeps its size.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +41,7 @@
 
 #include "client/session.hpp"
 #include "shard/sharded_cluster.hpp"
+#include "step_until.hpp"
 #include "util/rng.hpp"
 
 namespace idea::shard {
@@ -233,7 +237,7 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
 
   // With acks off the coordinator never learns that its pushes landed,
   // so one put costs exactly k - 1 = 2 digests, both sent by the
-  // coordinator in one round; the receivers matched it on the push.
+  // coordinator in one round; the followers only answer.
   client::ClientSession session(cluster, {});
   ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
   cluster.run_for(sec(3));
@@ -265,17 +269,17 @@ TEST(AntiEntropyTest, DigestRepairFlowAndStats) {
   EXPECT_TRUE(all_matched(cluster, kFile));
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 
-  // Stopped means stopped: a later write does not re-arm rank 0's rounds.
-  // Its push now carries no counts, so the ranks it reached cannot match
-  // it on the push and run rounds of their own.
+  // Stopped means stopped: a later write does not re-arm rank 0's rounds,
+  // and the followers, which only answer, run none of their own.  The
+  // group sends no digest; the loss-free push alone keeps it whole.
   ReplicaSyncAgent* agent = cluster.sync_agent(kFile, 0);
   agent->stop_anti_entropy();
-  const std::uint64_t coord_rounds = coord.ae_rounds;
+  const std::uint64_t digests = digests_on_wire(cluster);
   ASSERT_TRUE(session.put(kFile, "after stop", 1.0).ok());
   EXPECT_FALSE(agent->anti_entropy_running());
   cluster.run_for(sec(3));
-  EXPECT_EQ(coord.ae_rounds, coord_rounds);
-  EXPECT_GT(ae_totals(cluster, kFile).rounds, again.rounds);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, again.rounds);
+  EXPECT_EQ(digests_on_wire(cluster), digests);
   EXPECT_TRUE(replicas_identical(cluster, kFile));
 }
 
@@ -288,9 +292,9 @@ ShardedClusterConfig acked_config(std::uint64_t seed) {
 }
 
 TEST(AntiEntropyTest, AnAckedPutSendsNoDigestAndRefreshesTheHints) {
-  // With acks on, the push matches each receiver with the coordinator and
-  // the ack matches the coordinator with the receiver: nothing is left
-  // for a round.  The acks' counts feed each follower's freshness hint.
+  // With acks on, each ack's counts match the coordinator with the
+  // receiver: nothing is left for a round.  The acks' counts feed each
+  // follower's freshness hint.
   constexpr FileId kFile = 5;
   ShardedCluster cluster(acked_config(4207));
   cluster.ensure_open(kFile);
@@ -314,9 +318,9 @@ TEST(AntiEntropyTest, AnAckedPutSendsNoDigestAndRefreshesTheHints) {
 }
 
 TEST(AntiEntropyTest, WithoutAntiEntropyAcksCarryNoCounts) {
-  // Pushes and acks have one body each.  An agent that runs no
-  // anti-entropy sends them with empty counts, which a receiver reads as
-  // none carried: the acks leave the followers' freshness hints unknown.
+  // An ack has one body.  An agent that runs no anti-entropy sends it
+  // with empty counts, which the pusher reads as none carried: the acks
+  // leave the followers' freshness hints unknown.
   constexpr FileId kFile = 5;
   ShardedClusterConfig cfg = acked_config(4207);
   cfg.anti_entropy_period = 0;
@@ -332,15 +336,6 @@ TEST(AntiEntropyTest, WithoutAntiEntropyAcksCarryNoCounts) {
   for (std::uint32_t rank = 1; rank < 3; ++rank) {
     EXPECT_FALSE(g->ranks[rank].hint.known) << "rank " << rank;
   }
-}
-
-/// Step the simulator until `done()` holds or `limit` of sim time passed;
-/// returns whether it holds.
-template <typename Done>
-bool step_until(ShardedCluster& cluster, SimDuration limit, Done done) {
-  const SimTime deadline = cluster.sim().now() + limit;
-  while (!done() && cluster.sim().now() < deadline) cluster.sim().step();
-  return done();
 }
 
 TEST(AntiEntropyTest, APutInFlightAtTheRoundIsNotDigested) {
@@ -653,17 +648,14 @@ TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
   // again: the answer is already on the wire, rank 0's push-back is not.
   ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
   const ReplicaSyncStats& cold = cluster.sync_agent(kFile, 1)->stats();
-  const SimTime deadline = cluster.sim().now() + sec(5);
-  const auto step_until = [&](const std::uint64_t& counter) {
-    const std::uint64_t before = counter;
-    while (counter == before && cluster.sim().now() < deadline) {
-      cluster.sim().step();
-    }
-    return counter != before;
-  };
-  ASSERT_TRUE(step_until(cold.repairs_sent));
+  const std::uint64_t answered = cold.repairs_sent;
+  ASSERT_TRUE(step_until(cluster, sec(5),
+                         [&] { return cold.repairs_sent != answered; }));
   wire.partition(m[1], m[0]);
-  ASSERT_TRUE(step_until(coord->stats().repairs_sent));
+  const std::uint64_t pushed_back = coord->stats().repairs_sent;
+  ASSERT_TRUE(step_until(cluster, sec(5), [&] {
+    return coord->stats().repairs_sent != pushed_back;
+  }));
   wire.heal(m[1], m[0]);
   ASSERT_FALSE(replicas_identical(cluster, kFile));
   EXPECT_TRUE(coord->anti_entropy_running());
@@ -672,39 +664,41 @@ TEST(AntiEntropyTest, ALostPushBackLeavesThePairUnmatched) {
   EXPECT_EQ(cluster.replica_at_rank(kFile, 1)->store().update_count(), 2u);
 }
 
-/// One digest delivered on the edge transport (global endpoint ids).
-struct SeenDigest {
+/// One message delivered on the edge transport (global endpoint ids).
+struct SeenMessage {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   std::uint32_t bytes = 0;
 };
 
-/// Stands in for an endpoint on the edge transport: records every digest
-/// delivered to it, then hands the message on.
-class DigestRecorder final : public net::MessageHandler {
+/// Stands in for an endpoint on the edge transport: records every message
+/// of one type delivered to it, then hands the message on.
+class Recorder final : public net::MessageHandler {
  public:
-  DigestRecorder(net::MessageHandler& target, std::vector<SeenDigest>& seen)
-      : target_(target), seen_(seen) {}
+  Recorder(net::MsgType type, net::MessageHandler& target,
+           std::vector<SeenMessage>& seen)
+      : type_(type), target_(target), seen_(seen) {}
 
   void on_message(const net::Message& msg) override {
-    if (msg.type == ReplicaSyncAgent::kDigestType) {
-      seen_.push_back({msg.from, msg.to, msg.wire_bytes});
-    }
+    if (msg.type == type_) seen_.push_back({msg.from, msg.to, msg.wire_bytes});
     target_.on_message(msg);
   }
 
  private:
+  net::MsgType type_;
   net::MessageHandler& target_;
-  std::vector<SeenDigest>& seen_;
+  std::vector<SeenMessage>& seen_;
 };
 
-/// Route every endpoint's edge deliveries through a DigestRecorder.
-std::vector<std::unique_ptr<DigestRecorder>> record_digests(
-    ShardedCluster& cluster, std::vector<SeenDigest>& seen) {
-  std::vector<std::unique_ptr<DigestRecorder>> recorders;
+/// Route every live endpoint's edge deliveries through a Recorder of
+/// `type`.  A restart attaches its endpoint's new service instead.
+std::vector<std::unique_ptr<Recorder>> record(
+    ShardedCluster& cluster, std::vector<SeenMessage>& seen,
+    net::MsgType type = ReplicaSyncAgent::kDigestType) {
+  std::vector<std::unique_ptr<Recorder>> recorders;
   for (const NodeId e : cluster.endpoints()) {
     recorders.push_back(
-        std::make_unique<DigestRecorder>(cluster.service(e), seen));
+        std::make_unique<Recorder>(type, cluster.service(e), seen));
     cluster.edge().attach(e, recorders.back().get());
   }
   return recorders;
@@ -714,16 +708,16 @@ TEST(AntiEntropyTest, DigestSizeDoesNotGrowWithTheLog) {
   // A digest carries per-writer counts, so with one writer it costs the
   // same whether the log holds 1 update or 50.
   constexpr FileId kFile = 6;
-  std::vector<SeenDigest> seen;
+  std::vector<SeenMessage> seen;
   ShardedCluster cluster(ae_config(77, /*anti_entropy=*/true));
   cluster.ensure_open(kFile);
-  const auto recorders = record_digests(cluster, seen);
+  const auto recorders = record(cluster, seen);
   client::ClientSession session(cluster, {});
 
   ASSERT_TRUE(session.put(kFile, "p1", 1.0).ok());
   cluster.run_for(sec(3));
   ASSERT_FALSE(seen.empty());
-  const std::vector<SeenDigest> after_one = seen;
+  const std::vector<SeenMessage> after_one = seen;
 
   seen.clear();
   for (int i = 2; i <= 50; ++i) {
@@ -736,23 +730,21 @@ TEST(AntiEntropyTest, DigestSizeDoesNotGrowWithTheLog) {
 
   // Every digest after either batch: a 16-byte header plus 12 bytes for
   // the one writer.
-  for (const SeenDigest& d : after_one) EXPECT_EQ(d.bytes, 28u);
-  for (const SeenDigest& d : seen) EXPECT_EQ(d.bytes, 28u);
+  for (const SeenMessage& d : after_one) EXPECT_EQ(d.bytes, 28u);
+  for (const SeenMessage& d : seen) EXPECT_EQ(d.bytes, 28u);
 }
 
 TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
   // Each follower in turn misses three puts that the other holds, so the
   // followers differ from each other while one of them is healed.  Rounds
-  // still run only on the star: no digest passes between the followers.
-  // The coordinator's push-back that heals a follower carries the
-  // coordinator's counts, which equal the follower's after the apply, so
-  // the follower matches the coordinator and runs no round at all.
+  // still run only on the coordinator: no digest passes between the
+  // followers, and neither follower runs a round at all.
   constexpr FileId kFile = 9;
-  std::vector<SeenDigest> seen;
+  std::vector<SeenMessage> seen;
   ShardedCluster cluster(ae_config(555, /*anti_entropy=*/true));
   const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
   ASSERT_EQ(m.size(), 3u);
-  const auto recorders = record_digests(cluster, seen);
+  const auto recorders = record(cluster, seen);
   client::ClientSession session(cluster, {});
   net::SimTransport& wire = cluster.transport();
   int n = 0;
@@ -768,7 +760,7 @@ TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
   }
 
   std::size_t from_followers = 0;
-  for (const SeenDigest& d : seen) {
+  for (const SeenMessage& d : seen) {
     EXPECT_TRUE(d.from == m[0] || d.to == m[0])
         << "digest " << d.from << " -> " << d.to;
     if (d.from != m[0]) ++from_followers;
@@ -784,12 +776,12 @@ TEST(AntiEntropyTest, ANonCoordinatorDigestsOnlyTheCoordinator) {
 
 TEST(AntiEntropyTest, AfterTheCoordinatorCrashesTheSurvivorsExchange) {
   // A settled group sends nothing.  When rank 0 crashes, rank 1 acts and
-  // every survivor forgets its matches: rank 1 and rank 2 exchange within
-  // one period, with no write to prompt them.  The dark rank 0 is no one's
-  // star peer, so once the survivors match the group is quiet again, and
-  // a put while rank 0 is down costs one round.
+  // forgets its matches: within one period it digests rank 2, with no
+  // write to prompt it, and rank 2 only answers.  The dark rank 0 is
+  // digested by no one, so once the survivors match the group is quiet
+  // again, and a put while rank 0 is down costs one round.
   constexpr FileId kFile = 5;
-  std::vector<SeenDigest> seen;
+  std::vector<SeenMessage> seen;
   ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
   const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
   client::ClientSession session(cluster, {});
@@ -797,25 +789,20 @@ TEST(AntiEntropyTest, AfterTheCoordinatorCrashesTheSurvivorsExchange) {
   cluster.run_for(sec(3));
   ASSERT_TRUE(all_matched(cluster, kFile));
 
-  const auto recorders = record_digests(cluster, seen);
+  const auto recorders = record(cluster, seen);
   cluster.crash_endpoint(m[0]);
   ASSERT_EQ(cluster.coordinator(kFile).second, m[1]);
   EXPECT_TRUE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
-  EXPECT_TRUE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
-  cluster.run_for(kAePeriod);
+  EXPECT_FALSE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
   const Totals t = ae_totals(cluster, kFile);
-  EXPECT_GT(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 0u);
-  EXPECT_GT(cluster.sync_agent(kFile, 2)->stats().ae_rounds, 0u);
-  cluster.run_for(msec(400));  // the digests in flight land
-  bool one_to_two = false;
-  bool two_to_one = false;
-  for (const SeenDigest& d : seen) {
-    one_to_two = one_to_two || (d.from == m[1] && d.to == m[2]);
-    two_to_one = two_to_one || (d.from == m[2] && d.to == m[1]);
-  }
-  EXPECT_TRUE(one_to_two);
-  EXPECT_TRUE(two_to_one);
-  EXPECT_GE(ae_totals(cluster, kFile).repairs, t.repairs + 2);
+  cluster.run_for(kAePeriod);
+  EXPECT_EQ(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 1u);
+  EXPECT_EQ(cluster.sync_agent(kFile, 2)->stats().ae_rounds, 0u);
+  cluster.run_for(msec(400));  // the digest in flight lands
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].from, m[1]);
+  EXPECT_EQ(seen[0].to, m[2]);
+  EXPECT_EQ(ae_totals(cluster, kFile).repairs, t.repairs + 1);
   EXPECT_TRUE(cluster.converged(kFile));
 
   cluster.run_for(sec(2));
@@ -831,6 +818,116 @@ TEST(AntiEntropyTest, AfterTheCoordinatorCrashesTheSurvivorsExchange) {
   EXPECT_EQ(digests_on_wire(cluster), settled + 1);
   EXPECT_TRUE(all_matched(cluster, kFile));
   EXPECT_TRUE(cluster.converged(kFile));
+}
+
+TEST(AntiEntropyTest, ACoordinatorCrashCostsOneDigestPerLiveFollower) {
+  // k = 4.  Follower rank 3 crashes first, then the coordinator: rank 1
+  // acts and sends exactly one digest to each live follower (rank 2
+  // only), and the exchange, which shows equal counts, settles the group.
+  // Nothing is addressed to the dark ranks.
+  constexpr FileId kFile = 5;
+  ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/true);
+  cfg.replication = 4;
+  ShardedCluster cluster(cfg);
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  ASSERT_EQ(m.size(), 4u);
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "hello", 1.0).ok());
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(all_matched(cluster, kFile));
+
+  std::vector<SeenMessage> seen;
+  const auto recorders = record(cluster, seen);
+  const std::uint64_t settled = digests_on_wire(cluster);
+  cluster.crash_endpoint(m[3]);
+  cluster.run_for(sec(1));
+  EXPECT_TRUE(seen.empty()) << "a follower's crash started a round";
+  cluster.crash_endpoint(m[0]);
+  const std::uint64_t dropped = cluster.transport().fault_dropped();
+  cluster.run_for(sec(3));
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].from, m[1]);
+  EXPECT_EQ(seen[0].to, m[2]);
+  EXPECT_EQ(digests_on_wire(cluster), settled + 1);
+  EXPECT_EQ(cluster.transport().fault_dropped(), dropped);
+  EXPECT_EQ(cluster.sync_agent(kFile, 1)->stats().ae_rounds, 1u);
+  EXPECT_EQ(cluster.sync_agent(kFile, 2)->stats().ae_rounds, 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(cluster.converged(kFile));
+}
+
+/// The acting coordinator's Strong read returns an update whose content
+/// is `content`.
+bool strong_read_sees(ShardedCluster& cluster, client::ClientSession& session,
+                      FileId file, const std::string& content) {
+  const auto read = session.read(file);
+  if (!read.ok() || read->served_by != cluster.coordinator(file).second) {
+    return false;
+  }
+  return std::any_of(
+      read->updates->begin(), read->updates->end(),
+      [&](const replica::Update& u) { return u.content == content; });
+}
+
+TEST(AntiEntropyTest, ANewCoordinatorLearnsAFollowersUpdateWhileWritesGoOn) {
+  // Acks on.  Rank 0's last put reaches rank 2 alone, and rank 0
+  // crashes.  Rank 1 acts and takes a put every 20 ms, so rank 2 always
+  // owes it an ack; but rank 2's acks show it holding an update rank 1
+  // lacks, so rank 1's rounds digest it anyway, and rank 1 holds the
+  // update, and serves it to a Strong read, within two periods while the
+  // puts go on.
+  constexpr FileId kFile = 5;
+  constexpr int kPuts = 150;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "seen by all", 1.0).ok());
+  cluster.run_for(sec(3));
+  cluster.transport().partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "only rank 2", 1.0).ok());
+  cluster.run_for(msec(100));
+  ASSERT_EQ(cluster.replica_at_rank(kFile, 2)->store().update_count(), 2u);
+  cluster.crash_endpoint(m[0]);
+  cluster.transport().heal(m[0], m[1]);
+  ASSERT_EQ(cluster.coordinator(kFile).second, m[1]);
+  const replica::ReplicaStore& acting =
+      cluster.replica_at_rank(kFile, 1)->store();
+  ASSERT_EQ(acting.evv().counts().get(0), 1u);
+
+  const SimTime start = cluster.sim().now();
+  for (int i = 0; i < kPuts; ++i) {
+    cluster.sim().schedule_at(start + msec(20) * i, [&session, i] {
+      ASSERT_TRUE(session.put(kFile, "hot" + std::to_string(i), 1.0).ok());
+    });
+  }
+  EXPECT_TRUE(step_until(cluster, 2 * kAePeriod, [&] {
+    return acting.evv().counts().get(0) == 2;
+  })) << "rank 1 still lacks the update only rank 2 held";
+  EXPECT_LT(cluster.sim().now(), start + msec(20) * (kPuts - 1))
+      << "the puts stopped first";
+  EXPECT_TRUE(strong_read_sees(cluster, session, kFile, "only rank 2"));
+  EXPECT_EQ(cluster.sync_agent(kFile, 2)->stats().ae_rounds, 0u);
+
+  cluster.run_for(sec(5));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(cluster.converged(kFile));
+}
+
+TEST(AntiEntropyTest, PlacementWhileRankZeroIsDownRunsNoRound) {
+  // Rank 0's member is down when the file is placed, so rank 1 acts from
+  // the start.  Its agent's first star is no change: every store is
+  // empty, so it keeps the matches it started with and sends no digest.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
+  const std::vector<NodeId> m = cluster.group_of(kFile);
+  ASSERT_EQ(m.size(), 3u);
+  cluster.crash_endpoint(m[0]);
+  cluster.ensure_open(kFile);
+  ASSERT_EQ(cluster.coordinator(kFile).second, m[1]);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  cluster.run_for(sec(3));
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(ae_totals(cluster, kFile).rounds, 0u);
 }
 
 TEST(AntiEntropyTest, ARestartedFollowerWithoutACheckpointHealsInOnePeriod) {
@@ -870,11 +967,11 @@ TEST(AntiEntropyTest, ARestartedFollowerWithoutACheckpointHealsInOnePeriod) {
 TEST(AntiEntropyTest, ARestartedFollowerWithACheckpointHealsInOnePeriod) {
   // The checkpointed twin of the test above: the restarted follower
   // reloads the 4 updates its checkpoint holds, so its store mutated
-  // after it was built, yet it still runs no round of its own.  The
-  // coordinator's round one period after the restart finds it 4 updates
-  // behind: the reply to its digest carries nothing, its push-back
-  // carries the 4 updates once and matches the follower, and a second
-  // digest matches the coordinator.
+  // after it was built, yet it runs no round: a follower only answers.
+  // The coordinator's round one period after the restart finds it 4
+  // updates behind: the reply to its digest carries nothing, its
+  // push-back carries the 4 updates once, and a second digest matches
+  // the pair.
   constexpr FileId kFile = 5;
   ShardedClusterConfig cfg = ae_config(4207, /*anti_entropy=*/true);
   cfg.checkpoint.engine = replica::CheckpointEngineKind::kIncremental;
@@ -917,9 +1014,12 @@ TEST(AntiEntropyTest, ARestartedFollowerWithACheckpointHealsInOnePeriod) {
 
 TEST(AntiEntropyTest, ARestartedCoordinatorWithoutACheckpointHealsInOnePeriod) {
   // Rank 0 crashes before the group's first write, so its restart
-  // reloads and re-adopts nothing and its store starts matched.  Its
-  // return moves the acting rank back to it, so the survivors forget
-  // their matches and digest it one period after the restart.
+  // reloads and re-adopts nothing: its store is as empty as at
+  // placement.  It returns acting and forgets every match anyway, so one
+  // period after the restart its round digests both survivors, which
+  // only answer.  Each reply carries the whole delta, after which its
+  // counts equal the replier's: one exchange per survivor makes the
+  // group whole and settles it.
   constexpr FileId kFile = 5;
   ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
   const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
@@ -930,20 +1030,191 @@ TEST(AntiEntropyTest, ARestartedCoordinatorWithoutACheckpointHealsInOnePeriod) {
   }
   cluster.run_for(sec(3));
   ASSERT_TRUE(all_matched(cluster, kFile));
+  const Totals before = ae_totals(cluster, kFile);
   const RecoveryReport rec = cluster.restart_endpoint(m[0]);
   ASSERT_EQ(rec.files_recovered, 1u);
   ASSERT_EQ(cluster.coordinator(kFile).second, m[0]);
   EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 0u);
-  EXPECT_FALSE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
-  EXPECT_TRUE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
-  EXPECT_TRUE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
+  EXPECT_TRUE(cluster.sync_agent(kFile, 0)->anti_entropy_running());
+  EXPECT_FALSE(cluster.sync_agent(kFile, 1)->anti_entropy_running());
+  EXPECT_FALSE(cluster.sync_agent(kFile, 2)->anti_entropy_running());
 
   cluster.run_for(kAePeriod);
-  EXPECT_EQ(cluster.sync_agent(kFile, 0)->stats().ae_rounds, 0u);
+  EXPECT_EQ(cluster.sync_agent(kFile, 0)->stats().ae_rounds, 1u);
   EXPECT_NE(periods_to_convergence(cluster, kFile, 1, 1), -1);
   EXPECT_EQ(cluster.replica_at_rank(kFile, 0)->store().update_count(), 4u);
   cluster.run_for(sec(3));
   EXPECT_TRUE(all_matched(cluster, kFile));
+  const Totals after = ae_totals(cluster, kFile);
+  EXPECT_EQ(after.rounds - before.rounds, 1u);
+  EXPECT_EQ(after.digests - before.digests, 2u);
+  EXPECT_EQ(after.repairs - before.repairs, 2u);
+  EXPECT_EQ(cluster.sync_agent(kFile, 0)->stats().ae_rounds, 1u);
+}
+
+TEST(AntiEntropyTest, ARestartedCoordinatorLearnsWhatItLostWhileWritesGoOn) {
+  // Acks on, no checkpoints.  Rank 0 is down while rank 1 coordinates
+  // four puts, which give up on the dark rank 0 before it restarts: the
+  // restart brings it no push of them, and it re-adopts only its own
+  // writer's updates.  It returns acting and takes a put every 20 ms, so
+  // both followers always owe it acks; but their acks show them holding
+  // updates it lacks, so its rounds digest them anyway, and it holds the
+  // four, and serves them to a Strong read, within two periods while the
+  // puts go on.
+  constexpr FileId kFile = 5;
+  constexpr int kPuts = 150;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  cluster.crash_endpoint(m[0]);
+  client::ClientSession session(cluster, {});
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(session.put(kFile, "p" + std::to_string(i), 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  ASSERT_EQ(cluster.sync_agent(kFile, 1)->stats().resend_gaveups, 4u);
+  cluster.restart_endpoint(m[0]);
+  ASSERT_EQ(cluster.coordinator(kFile).second, m[0]);
+  const replica::ReplicaStore& acting =
+      cluster.replica_at_rank(kFile, 0)->store();
+  ASSERT_EQ(acting.evv().counts().get(1), 0u);
+
+  const SimTime start = cluster.sim().now();
+  for (int i = 0; i < kPuts; ++i) {
+    cluster.sim().schedule_at(start + msec(20) * i, [&session, i] {
+      ASSERT_TRUE(session.put(kFile, "hot" + std::to_string(i), 1.0).ok());
+    });
+  }
+  EXPECT_TRUE(step_until(cluster, 2 * kAePeriod, [&] {
+    return acting.evv().counts().get(1) == 4;
+  })) << "rank 0 still lacks rank 1's interim writes";
+  EXPECT_LT(cluster.sim().now(), start + msec(20) * (kPuts - 1))
+      << "the puts stopped first";
+  EXPECT_TRUE(strong_read_sees(cluster, session, kFile, "p3"));
+  for (std::uint32_t rank = 1; rank < 3; ++rank) {
+    EXPECT_EQ(cluster.sync_agent(kFile, rank)->stats().ae_rounds, 0u)
+        << "rank " << rank;
+  }
+
+  cluster.run_for(sec(5));
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, ALossFreeJoinSendsNoDigestOnceItsStreamsLand) {
+  // Written, settled files migrate when an endpoint joins.  Each adopter
+  // streams its snapshot to the new group's other ranks and asks for an
+  // ack with counts, which matches the pair: no round runs.
+  constexpr FileId kFiles = 12;
+  ShardedCluster cluster(ae_config(4207, /*anti_entropy=*/true));
+  cluster.place(1, kFiles);
+  client::ClientSession session(cluster, {});
+  for (FileId f = 1; f <= kFiles; ++f) {
+    ASSERT_TRUE(session.put(f, "before the join", 1.0).ok());
+  }
+  cluster.run_for(sec(3));
+  const std::uint64_t digests = digests_on_wire(cluster);
+  const net::MessageCounters& wire = cluster.batching()->counters();
+  const std::uint64_t acks = wire.messages_of("shard.ack");
+
+  const MembershipChange change = cluster.add_endpoint();
+  ASSERT_GT(change.files_migrated, 0u);
+  ASSERT_GT(change.stream_messages, 0u);
+  cluster.run_for(sec(3));
+  EXPECT_EQ(digests_on_wire(cluster), digests);
+  EXPECT_EQ(wire.messages_of("shard.ack") - acks, change.stream_messages);
+  for (FileId f = 1; f <= kFiles; ++f) {
+    EXPECT_TRUE(all_matched(cluster, f)) << "file " << f;
+    EXPECT_TRUE(replicas_identical(cluster, f)) << "file " << f;
+  }
+}
+
+TEST(AntiEntropyTest, ADarkRankIsSentNothingAndItsRestartGetsOnePush) {
+  // Acks on.  Follower rank 1 is down while the coordinator takes two
+  // puts: each is pushed to rank 2 alone, and rank 1, still owing both
+  // acks, gets no re-send.  Its restart, before either update gives up,
+  // sends it one push that carries both, whose ack settles the pair: the
+  // whole episode sends no digest and drops nothing at the crash window.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  cluster.run_for(sec(1));
+  cluster.crash_endpoint(m[1]);
+  const net::MessageCounters& wire = cluster.batching()->counters();
+  client::ClientSession session(cluster, {});
+  ASSERT_TRUE(session.put(kFile, "p0", 1.0).ok());
+  ASSERT_TRUE(session.put(kFile, "p1", 1.0).ok());
+  cluster.run_for(msec(700));  // two resend timeouts, no give-up
+  const ReplicaSyncAgent* coord = cluster.sync_agent(kFile, 0);
+  EXPECT_EQ(wire.messages_of("shard.replicate"), 2u);
+  EXPECT_EQ(coord->stats().pushed, 2u);
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+
+  cluster.restart_endpoint(m[1]);
+  cluster.run_for(sec(3));
+  EXPECT_EQ(wire.messages_of("shard.replicate"), 3u);
+  EXPECT_EQ(cluster.sync_agent(kFile, 1)->stats().applied, 2u);
+  EXPECT_EQ(coord->stats().resend_gaveups, 0u);
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(cluster.transport().fault_dropped(), 0u);
+  EXPECT_TRUE(all_matched(cluster, kFile));
+  EXPECT_TRUE(replicas_identical(cluster, kFile));
+}
+
+TEST(AntiEntropyTest, PushesAndGiveUpDigestsCountOnlyWhatIsSent) {
+  // Acks on.  With rank 1 down, a put is pushed to rank 2 alone, which
+  // acks it.  Rank 1 stays silent, so the update gives up at its usual
+  // time, max_resends + 1 = 3 timeouts after the put, and the give-up
+  // digests no one: the dark rank is sent nothing.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  cluster.crash_endpoint(m[1]);
+  client::ClientSession session(cluster, {});
+  const SimTime put_at = cluster.sim().now();
+  ASSERT_TRUE(session.put(kFile, "p0", 1.0).ok());
+  const ReplicaSyncStats& coord = cluster.sync_agent(kFile, 0)->stats();
+  ASSERT_TRUE(step_until(cluster, sec(3),
+                         [&] { return coord.resend_gaveups == 1; }));
+  EXPECT_EQ(cluster.sim().now() - put_at, 3 * msec(300));
+  EXPECT_EQ(coord.pushed, 1u);
+  EXPECT_EQ(coord.acks_received, 1u);
+  EXPECT_EQ(coord.gaveup_ae_digests, 0u);
+  cluster.run_for(sec(3));
+  EXPECT_EQ(digests_on_wire(cluster), 0u);
+  EXPECT_EQ(cluster.batching()->counters().messages_of("shard.replicate"),
+            1u);
+  EXPECT_TRUE(cluster.converged(kFile));
+}
+
+TEST(AntiEntropyTest, WithAntiEntropyOnAPushCostsItsUpdatesAndAHeader) {
+  // A push carries updates only: 16 bytes of header plus each update's
+  // bytes, for a put's first push and for a re-send alike.  Rank 1 is cut
+  // off for the first two puts, so the first re-send carries both.
+  constexpr FileId kFile = 5;
+  ShardedCluster cluster(acked_config(4207));
+  const std::vector<NodeId> m = cluster.ensure_open(kFile)->members;
+  std::vector<SeenMessage> seen;
+  const auto recorders =
+      record(cluster, seen, ReplicaSyncAgent::kReplicateType);
+  client::ClientSession session(cluster, {});
+  cluster.transport().partition(m[0], m[1]);
+  ASSERT_TRUE(session.put(kFile, "first", 1.0).ok());
+  ASSERT_TRUE(session.put(kFile, "second, longer", 1.0).ok());
+  cluster.run_for(msec(100));
+  cluster.transport().heal(m[0], m[1]);
+  cluster.run_for(sec(3));
+  ASSERT_TRUE(replicas_identical(cluster, kFile));
+
+  const std::vector<replica::Update> log =
+      cluster.replica_at_rank(kFile, 0)->store().export_log();
+  ASSERT_EQ(log.size(), 2u);
+  const std::uint32_t first = 16 + log[0].wire_bytes();
+  const std::uint32_t second = 16 + log[1].wire_bytes();
+  ASSERT_EQ(seen.size(), 3u);  // two pushes to rank 2, one re-send
+  EXPECT_EQ(seen[0].bytes, first);
+  EXPECT_EQ(seen[1].bytes, second);
+  EXPECT_EQ(seen[2].to, m[1]);
+  EXPECT_EQ(seen[2].bytes, first + second - 16);
 }
 
 /// One generated fault schedule over a 6-endpoint, k = 3, 12-file
@@ -1057,16 +1328,16 @@ int replay_schedule(const FaultSchedule& s, std::uint64_t seed,
   return periods_to_convergence(cluster, 1, kScheduleFiles, max_periods);
 }
 
-// Only a replica that changed starts rounds, so a replica that merely
-// missed an update waits for a holder to digest it.  Every holder has
-// changed since it last matched the peer that lacks the update, and
-// rounds run on the star around the coordinator, so an update reaches
-// every rank within two rounds; the bound, which once allowed a rotation
-// over k - 1 peers twice, keeps that slack plus two periods of message
-// latency.  With acks on, a rank that owes an ack sits the rounds out
-// until its ack or its update's give-up, at most (2 + 1) x 300 ms after
-// the put, and every put comes before the last event: the same bound
-// covers that wait.
+// Only the acting coordinator runs rounds, and it digests every live
+// follower it may differ from (see replica_sync.hpp): an update only a
+// follower holds reaches the coordinator in one round and the other
+// followers in the next, so an update reaches every rank within two
+// rounds; the bound, which once allowed a rotation over k - 1 peers
+// twice, keeps that slack plus two periods of message latency.  With
+// acks on, a follower that owes an ack sits the rounds out until its ack
+// or its update's give-up, at most (2 + 1) x 300 ms after the put, and
+// every put comes before the last event: the same bound covers that
+// wait.
 constexpr int kScheduleBound = 2 * (3 - 1) + 2;
 
 TEST(AntiEntropyTest, GeneratedFaultSchedulesConvergeAfterTheLastHeal) {
@@ -1098,8 +1369,8 @@ TEST(AntiEntropyTest, GeneratedChurnedSchedulesConvergeAfterTheLastEvent) {
 
 TEST(AntiEntropyTest, GeneratedSchedulesConvergeWithAcksOn) {
   // The same 40 schedules with replication acks on, as the benchmark runs
-  // them: pushes and acks carry counts and match pairs, re-sends and
-  // give-ups run, and the bound still holds.
+  // them: acks carry counts and match pairs, re-sends and give-ups run,
+  // and the bound still holds.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const FaultSchedule s = generate_schedule(0xFA17 + seed, seed > 20);
     EXPECT_NE(replay_schedule(s, seed, true, kScheduleBound, msec(300)), -1)

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "client/session.hpp"
+#include "step_until.hpp"
 
 namespace idea::shard {
 namespace {
@@ -305,53 +306,62 @@ TEST(ShardedClusterTest, IdlePlacedGroupsScheduleNothing) {
 
 TEST(ShardedClusterTest, FailoverCoordinatorLearnsAnUpdateOnlyAPeerHeld) {
   // Anti-entropy on; batching off so each digest reaches the wire at once.
-  ShardedClusterConfig cfg = small_cluster_config(5150);
-  cfg.batching = false;
-  cfg.anti_entropy_period = sec(1);
-  ShardedCluster cluster(cfg);
-  client::ClientSession session(cluster, {});
-  const FileId file = 21;
-  const std::vector<NodeId> m = cluster.ensure_open(file)->members;
-  ASSERT_TRUE(session.put(file, "base", 1.0).ok());
-  cluster.run_for(sec(10));
-  ASSERT_TRUE(cluster.converged(file));
+  // In the second run rank 1 holds nothing when it takes over: a new
+  // coordinator forgets its matches even with an empty store.
+  for (const bool base : {true, false}) {
+    SCOPED_TRACE(base ? "rank 1 holds the base update"
+                      : "rank 1 holds nothing");
+    ShardedClusterConfig cfg = small_cluster_config(5150);
+    cfg.batching = false;
+    cfg.anti_entropy_period = sec(1);
+    ShardedCluster cluster(cfg);
+    client::ClientSession session(cluster, {});
+    const FileId file = 21;
+    const std::vector<NodeId> m = cluster.ensure_open(file)->members;
+    const std::size_t held = base ? 1 : 0;
+    if (base) {
+      ASSERT_TRUE(session.put(file, "base", 1.0).ok());
+    }
+    cluster.run_for(sec(10));
+    ASSERT_TRUE(cluster.converged(file));
 
-  // A w = 1 put whose push reaches rank 2 but not rank 1, then the
-  // coordinator crashes: rank 1 takes over without the update, and only
-  // rank 2 still holds it.
-  cluster.transport().partition(m[0], m[1]);
-  ASSERT_TRUE(session.put(file, "only-rank-2", 5.0).ok());
-  cluster.run_for(msec(400));
-  ASSERT_EQ(cluster.replica_at_rank(file, 2)->store().update_count(), 2u);
-  ASSERT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
-  cluster.crash_endpoint(m[0]);
-  cluster.transport().heal(m[0], m[1]);
-  ASSERT_EQ(cluster.coordinator(file).second, m[1]);
+    // A w = 1 put whose push reaches rank 2 but not rank 1, then the
+    // coordinator crashes: rank 1 takes over without the update, and only
+    // rank 2 still holds it.
+    cluster.transport().partition(m[0], m[1]);
+    ASSERT_TRUE(session.put(file, "only-rank-2", 5.0).ok());
+    cluster.run_for(msec(400));
+    ASSERT_EQ(cluster.replica_at_rank(file, 2)->store().update_count(),
+              held + 1);
+    ASSERT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), held);
+    cluster.crash_endpoint(m[0]);
+    cluster.transport().heal(m[0], m[1]);
+    ASSERT_EQ(cluster.coordinator(file).second, m[1]);
 
-  // Rank 2's mutation re-armed its rounds; step until its digest reaches
-  // rank 1, the acting coordinator.  The digest carries counts only: the
-  // update follows as the push-back to rank 1's reply.
-  const ReplicaSyncStats& acting = cluster.sync_agent(file, 1)->stats();
-  const std::uint64_t digests = acting.digests_received;
-  const SimTime deadline = cluster.sim().now() + sec(10);
-  while (acting.digests_received == digests &&
-         cluster.sim().now() < deadline) {
-    cluster.sim().step();
+    // Rank 1 became acting, so it forgot its matches: step until its
+    // round digests rank 2.  The digest carries counts only: the update
+    // follows in rank 2's reply.
+    const ReplicaSyncStats& follower = cluster.sync_agent(file, 2)->stats();
+    const std::uint64_t digests = follower.digests_received;
+    ASSERT_TRUE(step_until(cluster, sec(10), [&] {
+      return follower.digests_received > digests;
+    })) << "rank 1 never digested rank 2";
+    EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), held);
+
+    cluster.run_for(sec(3));
+    EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(),
+              held + 1);
+    EXPECT_TRUE(cluster.converged(file));
+    EXPECT_EQ(follower.ae_rounds, 0u);  // a follower only answers
+    // A strong read, served by the new coordinator, sees the update.
+    const auto read = session.read(file);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->served_by, m[1]);
+    EXPECT_TRUE(std::any_of(read->updates->begin(), read->updates->end(),
+                            [](const replica::Update& u) {
+                              return u.content == "only-rank-2";
+                            }));
   }
-  ASSERT_GT(acting.digests_received, digests) << "rank 2 never digested";
-  EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 1u);
-
-  cluster.run_for(sec(3));
-  EXPECT_EQ(cluster.replica_at_rank(file, 1)->store().update_count(), 2u);
-  EXPECT_TRUE(cluster.converged(file));
-  // A strong read, served by the new coordinator, sees the update.
-  const auto read = session.read(file);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->served_by, m[1]);
-  EXPECT_TRUE(std::any_of(read->updates->begin(), read->updates->end(),
-                          [](const replica::Update& u) {
-                            return u.content == "only-rank-2";
-                          }));
 }
 
 TEST(ShardedClusterTest, EndToEndPlacementWriteConverge) {
